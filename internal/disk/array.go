@@ -144,26 +144,15 @@ func putWritePlan(p *writePlan) {
 	writePlans.Put(p)
 }
 
-// submitWriteV applies several segments as one device command. Undo
-// buffers it acquires are parked in d.inflight until released.
-//
-//memsnap:owns
+// submitWriteV applies several segments as one device command.
 func (d *Device) submitWriteV(at time.Duration, segs []Extent, total int) time.Duration {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	start := at
-	if d.nextFree > start {
-		start = d.nextFree
-	}
+	start := max(at, d.nextFree)
 	completion := start + d.ioCostLocked(start, total)
 	d.nextFree = completion
 	for _, s := range segs {
-		d.checkRange(s.Offset, len(s.Data))
-		buf, old := getOldBuf(len(s.Data))
-		d.data.readAt(s.Offset, old)
-		d.inflight = append(d.inflight, inflightWrite{submit: at, completion: completion, offset: s.Offset, oldData: old, buf: buf})
-		d.data.writeAt(s.Offset, s.Data)
-		d.bytesWritten += int64(len(s.Data))
+		d.writeLocked(at, completion, s.Offset, s.Data)
 	}
 	d.writes++
 	d.gcInflightLocked(at)

@@ -23,45 +23,39 @@ import (
 	"sync"
 	"time"
 
-	"memsnap/internal/pool"
 	"memsnap/internal/sim"
 )
 
-// Size-classed pools for the pre-write contents snapshots (oldData)
-// the tear model keeps per in-flight write. The two classes cover the
-// store's IO units (sectors and blocks); larger writes fall back to
-// plain allocation.
-var (
-	oldBufSector = pool.NewPagePool(512)
-	oldBufBlock  = pool.NewPagePool(4096)
-)
+// blockSize is the unit of the device's backing store and of its undo
+// images; it is independent of the sector size writes tear at.
+const blockSize = 4096
 
-// getOldBuf returns an n-byte scratch buffer plus its pool handle
-// (nil when n falls outside the pooled size classes); the caller
-// Releases the handle when the undo data is no longer needed.
-//
-//memsnap:owns
-func getOldBuf(n int) (*pool.Page, []byte) {
-	switch {
-	case n <= 512:
-		pg := oldBufSector.Get()
-		return pg, pg.Data[:n]
-	case n <= 4096:
-		pg := oldBufBlock.Get()
-		return pg, pg.Data[:n]
-	}
-	//lint:allow hotalloc oversize old-data reads bypass the sector/block pools; rare
-	return nil, make([]byte, n)
-}
+// slabBlocks is how many block buffers one refill of the free list
+// allocates together.
+const slabBlocks = 64
+
+type block = [blockSize]byte
 
 // Device is one simulated SSD.
 type Device struct {
 	costs *sim.CostModel
 
 	mu       sync.Mutex
-	data     *sparseBuf
+	capacity int64
+	// blocks is the backing store: one pointer per blockSize bytes of
+	// capacity, nil until first written, so multi-GiB devices cost
+	// real memory only for the blocks actually used. A write never
+	// modifies a block in place: it fills a buffer from free, swaps it
+	// into the table and parks the displaced pointer in undo.
+	blocks   []*block
+	free     []*block
+	made     int // block buffers ever allocated: table + free + undo
 	nextFree time.Duration
+	// inflight has one record per submitted segment, oldest first;
+	// undo holds their displaced blocks in the same order, nblk
+	// entries per record (nil = the block had never been written).
 	inflight []inflightWrite
+	undo     []*block
 	// gcFloor is the highest horizon gcInflightLocked has reclaimed
 	// undo history up to: state before it cannot be reconstructed, so
 	// CutPower clamps earlier cut times forward to it.
@@ -82,10 +76,8 @@ type inflightWrite struct {
 	submit     time.Duration
 	completion time.Duration
 	offset     int64
-	oldData    []byte
-	// buf is oldData's pool handle, released when the record is
-	// dropped (gc or power cut); nil for unpooled buffers.
-	buf *pool.Page
+	n          int // bytes written
+	nblk       int // blocks touched, and entries owned in Device.undo
 }
 
 // NewDevice returns an empty device of the given capacity in bytes.
@@ -93,14 +85,18 @@ func NewDevice(costs *sim.CostModel, capacity int64) *Device {
 	if costs == nil {
 		costs = sim.DefaultCosts()
 	}
-	return &Device{costs: costs, data: newSparseBuf(capacity)}
+	return &Device{
+		costs:    costs,
+		capacity: capacity,
+		blocks:   make([]*block, (capacity+blockSize-1)/blockSize),
+	}
 }
 
 // Capacity returns the device size in bytes.
 func (d *Device) Capacity() int64 {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return d.data.capacity
+	return d.capacity
 }
 
 // SetStraggler installs a slow-IO window: any IO whose service starts
@@ -130,40 +126,82 @@ func (d *Device) ioCostLocked(start time.Duration, n int) time.Duration {
 }
 
 func (d *Device) checkRange(offset int64, n int) {
-	if offset < 0 || offset+int64(n) > d.data.capacity {
+	if offset < 0 || offset+int64(n) > d.capacity {
 		//lint:allow hotalloc fatal-path formatting on an out-of-range IO
-		panic(fmt.Sprintf("disk: IO out of range: off=%d len=%d cap=%d", offset, n, d.data.capacity))
+		panic(fmt.Sprintf("disk: IO out of range: off=%d len=%d cap=%d", offset, n, d.capacity))
+	}
+}
+
+// getBlockLocked returns a block buffer with arbitrary contents.
+func (d *Device) getBlockLocked() *block {
+	if len(d.free) == 0 {
+		//lint:allow hotalloc slab refill: one allocation per slabBlocks first-touched blocks; overwrites recycle through free
+		slab := new([slabBlocks]block)
+		for i := range slab {
+			d.free = append(d.free, &slab[i])
+		}
+		d.made += slabBlocks
+	}
+	b := d.free[len(d.free)-1]
+	d.free = d.free[:len(d.free)-1]
+	return b
+}
+
+// writeLocked applies one submitted segment: every block it touches
+// gets a fresh buffer holding the new contents (a partial block starts
+// as a copy of the old one, or zeroes), and the displaced blocks
+// become the segment's undo image until gcInflightLocked or CutPower
+// recycles them.
+func (d *Device) writeLocked(submit, completion time.Duration, offset int64, data []byte) {
+	d.checkRange(offset, len(data))
+	parked := len(d.undo)
+	for off, rest := offset, data; len(rest) > 0; {
+		bi, within := off/blockSize, int(off%blockSize)
+		n := min(blockSize-within, len(rest))
+		old, nb := d.blocks[bi], d.getBlockLocked()
+		if n < blockSize {
+			if old != nil {
+				*nb = *old
+			} else {
+				clear(nb[:])
+			}
+		}
+		copy(nb[within:], rest[:n])
+		d.blocks[bi] = nb
+		d.undo = append(d.undo, old)
+		off += int64(n)
+		rest = rest[n:]
+	}
+	d.inflight = append(d.inflight, inflightWrite{
+		submit: submit, completion: completion,
+		offset: offset, n: len(data), nblk: len(d.undo) - parked,
+	})
+	d.bytesWritten += int64(len(data))
+}
+
+// readLocked copies device contents into dst; never-written blocks
+// read as zeroes and stay unmaterialised.
+func (d *Device) readLocked(offset int64, dst []byte) {
+	for len(dst) > 0 {
+		within := int(offset % blockSize)
+		n := min(blockSize-within, len(dst))
+		if b := d.blocks[offset/blockSize]; b != nil {
+			copy(dst[:n], b[within:])
+		} else {
+			clear(dst[:n])
+		}
+		offset += int64(n)
+		dst = dst[n:]
 	}
 }
 
 // SubmitWrite issues a write at virtual time at and returns its
 // completion time. Data lands in the backing store immediately but is
 // only durable once the returned completion time has passed relative
-// to any later CutPower. The undo buffer it acquires is parked in
-// d.inflight until gcInflightLocked or CutPower releases it.
-//
-//memsnap:owns
+// to any later CutPower.
 func (d *Device) SubmitWrite(at time.Duration, offset int64, data []byte) time.Duration {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.checkRange(offset, len(data))
-
-	start := at
-	if d.nextFree > start {
-		start = d.nextFree
-	}
-	completion := start + d.ioCostLocked(start, len(data))
-	d.nextFree = completion
-
-	buf, old := getOldBuf(len(data))
-	d.data.readAt(offset, old)
-	d.inflight = append(d.inflight, inflightWrite{submit: at, completion: completion, offset: offset, oldData: old, buf: buf})
-	d.data.writeAt(offset, data)
-
-	d.writes++
-	d.bytesWritten += int64(len(data))
-	d.gcInflightLocked(at)
-	return completion
+	seg := [1]Extent{{Offset: offset, Data: data}}
+	return d.submitWriteV(at, seg[:], len(data))
 }
 
 // SubmitRead issues a read at virtual time at, fills buf, and returns
@@ -173,14 +211,11 @@ func (d *Device) SubmitRead(at time.Duration, offset int64, buf []byte) time.Dur
 	defer d.mu.Unlock()
 	d.checkRange(offset, len(buf))
 
-	start := at
-	if d.nextFree > start {
-		start = d.nextFree
-	}
+	start := max(at, d.nextFree)
 	completion := start + d.ioCostLocked(start, len(buf))
 	d.nextFree = completion
 
-	d.data.readAt(offset, buf)
+	d.readLocked(offset, buf)
 	d.reads++
 	d.bytesRead += int64(len(buf))
 	return completion
@@ -194,21 +229,33 @@ func (d *Device) gcInflightLocked(at time.Duration) {
 	if len(d.inflight) < 64 {
 		return
 	}
-	kept := d.inflight[:0]
+	kept, keptUndo, u := d.inflight[:0], d.undo[:0], 0
 	for _, w := range d.inflight {
+		olds := d.undo[u : u+w.nblk]
+		u += w.nblk
 		if w.completion > at {
 			kept = append(kept, w)
+			keptUndo = append(keptUndo, olds...)
 		} else {
-			w.buf.Release()
+			d.recycleLocked(olds)
 		}
 	}
 	if len(kept) < len(d.inflight) && at > d.gcFloor {
 		d.gcFloor = at
 	}
-	// Zero the dropped tail so the backing array does not retain
-	// released buffers.
-	clear(d.inflight[len(kept):])
-	d.inflight = kept
+	// Zero the dropped tail so undo does not keep a second reference
+	// to blocks now on the free list.
+	clear(d.undo[len(keptUndo):])
+	d.inflight, d.undo = kept, keptUndo
+}
+
+// recycleLocked returns displaced blocks to the free list.
+func (d *Device) recycleLocked(olds []*block) {
+	for _, b := range olds {
+		if b != nil {
+			d.free = append(d.free, b)
+		}
+	}
 }
 
 // CutPower simulates a power failure at virtual time at. Writes whose
@@ -234,29 +281,45 @@ func (d *Device) CutPower(at time.Duration, rng *sim.RNG) {
 	sector := d.costs.DiskSectorSize
 	// Roll back newest-first so overlapping in-flight writes resolve
 	// to the oldest surviving contents for rolled-back sectors.
+	// Sectors count from the start of each submitted segment.
+	u := len(d.undo)
 	for i := len(d.inflight) - 1; i >= 0; i-- {
 		w := d.inflight[i]
+		u -= w.nblk
 		if w.completion <= at {
 			continue
 		}
-		for s := 0; s < len(w.oldData); s += sector {
+		for s := 0; s < w.n; s += sector {
 			// Writes issued at or after the cut never reached the
 			// device; writes straddling the cut tear per sector.
 			if w.submit < at && rng.Float64() < 0.5 {
 				continue // this sector made it to the platter
 			}
-			end := s + sector
-			if end > len(w.oldData) {
-				end = len(w.oldData)
-			}
-			d.data.writeAt(w.offset+int64(s), w.oldData[s:end])
+			d.rollbackLocked(w.offset, d.undo[u:u+w.nblk], s, min(s+sector, w.n))
 		}
 	}
-	for i := range d.inflight {
-		d.inflight[i].buf.Release()
-	}
-	d.inflight = nil
+	d.recycleLocked(d.undo)
+	clear(d.undo)
+	d.inflight, d.undo = d.inflight[:0], d.undo[:0]
 	d.nextFree = 0
+}
+
+// rollbackLocked restores bytes [from, to) of the segment written at
+// offset from its undo image olds, patching the blocks now in the
+// table (which later overlapping writes may since have replaced).
+func (d *Device) rollbackLocked(offset int64, olds []*block, from, to int) {
+	first := offset / blockSize
+	for off, end := offset+int64(from), offset+int64(to); off < end; {
+		bi, within := off/blockSize, int(off%blockSize)
+		n := int(min(int64(blockSize-within), end-off))
+		cur := d.blocks[bi][within : within+n]
+		if old := olds[bi-first]; old != nil {
+			copy(cur, old[within:])
+		} else {
+			clear(cur)
+		}
+		off += int64(n)
+	}
 }
 
 // GCFloor reports the time CutPower would clamp an earlier cut
@@ -276,7 +339,7 @@ func (d *Device) PeekAt(offset int64, buf []byte) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.checkRange(offset, len(buf))
-	d.data.readAt(offset, buf)
+	d.readLocked(offset, buf)
 }
 
 // Stats reports device counters.

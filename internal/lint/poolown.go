@@ -78,9 +78,6 @@ var poolAPIs = map[string]*ownAPI{
 		{"memsnap/internal/core.ReleasePages", 0},
 		{"memsnap/internal/core.RecyclePageSlice", 0},
 	}},
-	"memsnap/internal/disk.getOldBuf": {what: "old-data buffer", releases: []ownRelease{
-		{"memsnap/internal/pool.(Page).Release", -1},
-	}},
 	"memsnap/internal/replica.(Delta).retain": {what: "delta reference", refcount: true, onRecv: true, releases: []ownRelease{
 		{"memsnap/internal/replica.(Delta).release", -1},
 	}},

@@ -43,10 +43,10 @@ func newAllocator(start, limit int64) *allocator {
 	return &allocator{next: start, limit: limit}
 }
 
-// alloc returns one block offset for an allocation occurring at
-// virtual time at.
-func (a *allocator) alloc(at time.Duration) (int64, error) {
-	a.releaseQuarantine(at)
+// alloc returns one block offset. It does not look at the quarantine:
+// callers run releaseQuarantine once with the virtual time of the
+// operation, then allocate all of its blocks.
+func (a *allocator) alloc() (int64, error) {
 	if n := len(a.free); n > 0 {
 		off := a.free[n-1]
 		a.free = a.free[:n-1]
@@ -61,20 +61,6 @@ func (a *allocator) alloc(at time.Duration) (int64, error) {
 	return off, nil
 }
 
-// allocN allocates n blocks, preferring a contiguous bump run so
-// commit IO stays sequential on disk.
-func (a *allocator) allocN(at time.Duration, n int) ([]int64, error) {
-	offs := make([]int64, 0, n)
-	for i := 0; i < n; i++ {
-		off, err := a.alloc(at)
-		if err != nil {
-			return nil, err
-		}
-		offs = append(offs, off)
-	}
-	return offs, nil
-}
-
 // freeAt queues blocks for reuse once the commit that freed them is
 // durable at the given virtual time.
 func (a *allocator) freeAt(offsets []int64, release time.Duration) {
@@ -83,7 +69,8 @@ func (a *allocator) freeAt(offsets []int64, release time.Duration) {
 	}
 }
 
-// releaseQuarantine moves matured blocks to the free list.
+// releaseQuarantine moves blocks whose freeing commit is durable by
+// virtual time at to the free list, in the order they were freed.
 func (a *allocator) releaseQuarantine(at time.Duration) {
 	kept := a.quarantine[:0]
 	for _, q := range a.quarantine {

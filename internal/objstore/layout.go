@@ -12,6 +12,10 @@ import (
 //	offset dirDataStart:   directory block (1 block, COW)
 //	data area:             everything else (object rings, tree nodes,
 //	                       data blocks), managed by the allocator
+//
+// A tree node is one block of treeFanout little-endian child
+// addresses with no header; node.img in tree.go is that block, so
+// nodes have no marshal step.
 const (
 	magicSuper  = 0x4d534e41505355 // "MSNAPSU"
 	magicDirRec = 0x4d534e41504452 // "MSNAPDR"
@@ -208,27 +212,4 @@ func unmarshalCommitRecord(buf []byte) (*commitRecord, bool) {
 		return nil, false
 	}
 	return r, true
-}
-
-// marshalNode serializes a tree node: 512 child addresses.
-func marshalNode(children []int64) []byte {
-	buf := make([]byte, BlockSize)
-	marshalNodeInto(buf, children)
-	return buf
-}
-
-// marshalNodeInto serializes a tree node into a caller-owned
-// BlockSize buffer.
-func marshalNodeInto(buf []byte, children []int64) {
-	for i, c := range children {
-		binary.LittleEndian.PutUint64(buf[i*8:], uint64(c))
-	}
-}
-
-func unmarshalNode(buf []byte) []int64 {
-	children := make([]int64, treeFanout)
-	for i := range children {
-		children[i] = int64(binary.LittleEndian.Uint64(buf[i*8:]))
-	}
-	return children
 }

@@ -30,13 +30,13 @@ type Object struct {
 type commitScratch struct {
 	freed   []int64
 	extents []disk.Extent
-	// nodeBufs are BlockSize marshal buffers for dirty tree nodes;
-	// nused counts how many are handed out this commit. The buffers
+	// padBufs are BlockSize buffers for zero-padding short block
+	// writes; nused counts how many are handed out this commit. Each
 	// must stay live until WriteV returns (the disk copies
-	// synchronously), so they cannot be shared across nodes.
-	nodeBufs [][]byte
-	nused    int
-	recBuf   []byte // commit-record sector scratch
+	// synchronously), so they cannot be shared across writes.
+	padBufs [][]byte
+	nused   int
+	recBuf  []byte // commit-record sector scratch
 }
 
 func (sc *commitScratch) reset() {
@@ -45,17 +45,13 @@ func (sc *commitScratch) reset() {
 	sc.nused = 0
 }
 
-func (sc *commitScratch) nodeBuf() []byte {
-	if sc.nused < len(sc.nodeBufs) {
-		b := sc.nodeBufs[sc.nused]
-		sc.nused++
-		return b
+func (sc *commitScratch) padBuf() []byte {
+	if sc.nused == len(sc.padBufs) {
+		//lint:allow hotalloc scratch growth to the most short writes seen in one commit, reused across commits
+		sc.padBufs = append(sc.padBufs, make([]byte, BlockSize))
 	}
-	//lint:allow hotalloc scratch growth to the commit's node count, reused across commits
-	b := make([]byte, BlockSize)
-	sc.nodeBufs = append(sc.nodeBufs, b)
 	sc.nused++
-	return b
+	return sc.padBufs[sc.nused-1]
 }
 
 // BlockWrite is one dirty block in a commit.
@@ -113,21 +109,24 @@ func (o *Object) Commit(at time.Duration, writes []BlockWrite) (Epoch, time.Dura
 
 	sc := &o.sc
 	sc.reset()
+	// Every block of this commit is allocated at the same virtual
+	// time, so matured quarantine entries are released once, here.
+	s.alloc.releaseQuarantine(at)
 
 	// Data blocks: fresh space, sequential on disk thanks to the bump
 	// allocator — this is how random object updates become sequential
 	// writes. tree.set marks the touched path dirty for the COW
 	// rewrite below.
 	for _, w := range writes {
-		addr, err := s.alloc.alloc(at)
+		addr, err := s.alloc.alloc()
 		if err != nil {
 			return 0, at, err
 		}
 		data := w.Data
 		if len(data) < BlockSize {
-			// Pad short writes in a recycled scratch block (nodeBuf
-			// buffers are dirty: clear the tail explicitly).
-			padded := sc.nodeBuf()
+			// Pad short writes in a recycled scratch block (its
+			// contents are stale: clear the tail explicitly).
+			padded := sc.padBuf()
 			copy(padded, data)
 			clear(padded[len(data):])
 			data = padded
@@ -141,7 +140,7 @@ func (o *Object) Commit(at time.Duration, writes []BlockWrite) (Epoch, time.Dura
 	// COW the dirtied tree path: every dirty node moves to a new
 	// address; parents pick up the new child addresses, bottom-up from
 	// the root.
-	rootAddr, err := o.serializeNode(at, o.tree.root, o.tree.levels)
+	rootAddr, err := o.relocateNode(o.tree.root, o.tree.levels)
 	if err != nil {
 		return 0, at, err
 	}
@@ -170,10 +169,10 @@ func (o *Object) Commit(at time.Duration, writes []BlockWrite) (Epoch, time.Dura
 	return o.epoch, done, nil
 }
 
-// serializeNode rewrites n (and, recursively, its dirty descendants)
-// to fresh disk addresses, clearing the dirty flags. Returns n's new
-// address.
-func (o *Object) serializeNode(at time.Duration, n *node, levelsLeft int) (int64, error) {
+// relocateNode moves n (and, recursively, its dirty descendants) to
+// fresh disk addresses and queues their images for the commit's
+// vectored write, clearing the dirty flags. Returns n's new address.
+func (o *Object) relocateNode(n *node, levelsLeft int) (int64, error) {
 	s := o.store
 	sc := &o.sc
 	if levelsLeft > 1 {
@@ -181,25 +180,23 @@ func (o *Object) serializeNode(at time.Duration, n *node, levelsLeft int) (int64
 			if kid == nil || !kid.dirty {
 				continue
 			}
-			addr, err := o.serializeNode(at, kid, levelsLeft-1)
+			addr, err := o.relocateNode(kid, levelsLeft-1)
 			if err != nil {
 				return 0, err
 			}
-			n.children[i] = addr
+			n.setChild(i, addr)
 		}
 	}
 	n.dirty = false
 	if n.addr != 0 {
 		sc.freed = append(sc.freed, n.addr)
 	}
-	addr, err := s.alloc.alloc(at)
+	addr, err := s.alloc.alloc()
 	if err != nil {
 		return 0, err
 	}
 	n.addr = addr
-	buf := sc.nodeBuf()
-	marshalNodeInto(buf, n.children)
-	sc.extents = append(sc.extents, disk.Extent{Offset: addr, Data: buf})
+	sc.extents = append(sc.extents, disk.Extent{Offset: addr, Data: n.img})
 	return addr, nil
 }
 
@@ -214,9 +211,7 @@ func (o *Object) ReadBlock(at time.Duration, idx int64, dst []byte) (time.Durati
 	addr := o.tree.lookup(idx)
 	o.mu.Unlock()
 	if addr == 0 {
-		for i := range dst {
-			dst[i] = 0
-		}
+		clear(dst)
 		return at, nil
 	}
 	if len(dst) > BlockSize {

@@ -145,10 +145,11 @@ func (s *Store) loadNode(addr int64, levelsLeft int, at time.Duration, used used
 	used[addr] = true
 	buf := make([]byte, BlockSize)
 	at = s.arr.Read(at, addr, buf)
-	n := &node{addr: addr, children: unmarshalNode(buf)}
+	n := &node{addr: addr, img: buf}
 	if levelsLeft > 1 {
 		n.kids = make([]*node, treeFanout)
-		for i, child := range n.children {
+		for i := range n.kids {
+			child := n.child(i)
 			if child == 0 {
 				continue
 			}
@@ -176,11 +177,12 @@ func (s *Store) CreateObject(at time.Duration, name string, maxBytes int64) (*Ob
 		maxBlocks = 1
 	}
 
-	ringOff, err := s.alloc.alloc(at)
+	s.alloc.releaseQuarantine(at)
+	ringOff, err := s.alloc.alloc()
 	if err != nil {
 		return nil, at, err
 	}
-	newDirAddr, err := s.alloc.alloc(at)
+	newDirAddr, err := s.alloc.alloc()
 	if err != nil {
 		return nil, at, err
 	}

@@ -1,16 +1,20 @@
 package objstore
 
+import "encoding/binary"
+
 // treeFanout is the number of children per radix node (4 KiB node of
 // 8-byte disk addresses).
 const treeFanout = BlockSize / 8
 
-// node is the in-memory form of one radix-tree node. The children
-// array holds disk addresses (0 = absent); kids caches loaded child
-// nodes for interior levels.
+// node is one radix-tree node. img is the node exactly as it lies on
+// disk — treeFanout little-endian child addresses (0 = absent) — and
+// is also the only in-memory copy of them: Commit hands img to the
+// disk as is and recovery adopts the block it read. kids caches loaded
+// child nodes for interior levels.
 type node struct {
-	addr     int64 // disk address of the serialized form of this node
-	children []int64
-	kids     []*node // interior nodes only
+	addr int64   // disk address this image was last written to
+	img  []byte  // BlockSize bytes
+	kids []*node // interior nodes only
 	// dirty marks nodes whose path was modified since the last commit;
 	// Commit's serializer descends exactly the dirty subtrees and
 	// clears the flags.
@@ -19,12 +23,21 @@ type node struct {
 
 func newNode(interior bool) *node {
 	//lint:allow hotalloc tree structure growth, retained across commits (COW rewrites reuse nodes)
-	n := &node{children: make([]int64, treeFanout)}
+	n := &node{img: make([]byte, BlockSize)}
 	if interior {
 		//lint:allow hotalloc tree structure growth, retained across commits
 		n.kids = make([]*node, treeFanout)
 	}
 	return n
+}
+
+// child returns the disk address in slot i.
+func (n *node) child(i int) int64 {
+	return int64(binary.LittleEndian.Uint64(n.img[i*8:]))
+}
+
+func (n *node) setChild(i int, addr int64) {
+	binary.LittleEndian.PutUint64(n.img[i*8:], uint64(addr))
 }
 
 // tree is the COW radix tree of one object. Leaves map block indices
@@ -70,7 +83,7 @@ func (t *tree) lookup(idx int64) int64 {
 		}
 		div /= treeFanout
 	}
-	return n.children[int((idx/div)%treeFanout)]
+	return n.child(int((idx / div) % treeFanout))
 }
 
 // set installs addr for idx, marking the touched path dirty for the
@@ -86,15 +99,15 @@ func (t *tree) set(idx int64, addr int64) (old int64) {
 		if next == nil {
 			next = newNode(level < t.levels-2)
 			n.kids[slot] = next
-			n.children[slot] = 0 // not yet on disk
+			n.setChild(slot, 0) // not yet on disk
 		}
 		n = next
 		div /= treeFanout
 	}
 	n.dirty = true
 	slot := int((idx / div) % treeFanout)
-	old = n.children[slot]
-	n.children[slot] = addr
+	old = n.child(slot)
+	n.setChild(slot, addr)
 	return old
 }
 
@@ -109,8 +122,8 @@ func (t *tree) walk(n *node, base int64, levelsLeft int, fn func(idx, addr int64
 		return
 	}
 	if levelsLeft == 1 {
-		for i, addr := range n.children {
-			if addr != 0 {
+		for i := 0; i < treeFanout; i++ {
+			if addr := n.child(i); addr != 0 {
 				fn(base+int64(i), addr)
 			}
 		}

@@ -15,7 +15,7 @@ import (
 // over loopback TCP). The serving path is designed to stay flat: the
 // frame reader reuses one buffer, request structs are pooled, tenant
 // and key strings are interned per connection, and the client reuses
-// per-slot encode buffers — what remains is composeKey and small
+// its pair of send buffers — what remains is composeKey and small
 // worker-side batch bookkeeping. Measured ~6 allocs/op; the ceiling
 // leaves headroom for runtime noise, not for regressions.
 const maxAllocsPerOp = 24

@@ -3,6 +3,7 @@ package netsvc
 import (
 	"errors"
 	"net" //lint:allow sockio reference client for the real-TCP data plane
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -30,12 +31,10 @@ type Tracing struct {
 
 // clientSlot is one pipelined request slot. id is atomic because the
 // reader goroutine checks it to route (and drop stale) responses; ch
-// has capacity 1 so the reader never blocks; buf is the slot-owned
-// encode buffer, making steady-state sends allocation-free.
+// has capacity 1 so the reader never blocks.
 type clientSlot struct {
-	id  atomic.Uint64
-	ch  chan proto.Response
-	buf []byte
+	id atomic.Uint64
+	ch chan proto.Response
 }
 
 // Client is a pipelined protocol client: up to depth concurrent Do
@@ -44,9 +43,23 @@ type clientSlot struct {
 // response can never be delivered to the wrong caller. Do transparently
 // retries RETRY_AFTER responses after the server's backoff hint —
 // the client half of the wire backpressure contract.
+//
+// Writes are combined: a caller encodes its frame into the shared
+// pending buffer, and whichever caller finds no flush in progress
+// writes the buffer out for everyone (see send). The two buffers grow
+// to the largest batch and are reused, so steady-state sends are
+// allocation-free.
 type Client struct {
-	c     net.Conn
-	wmu   sync.Mutex
+	c net.Conn
+	// wmu guards pending, spare and flushing.
+	wmu      sync.Mutex
+	pending  []byte // frames encoded and not yet handed to Write
+	spare    []byte // the other half of the double buffer
+	flushing bool   // a caller is writing, and will write pending too
+	// yield lets sibling callers join a flush; off at depth 1, where
+	// there are none.
+	yield bool
+
 	slots []clientSlot
 	free  chan uint32
 	done  chan struct{}
@@ -75,19 +88,24 @@ func Dial(addr string, depth int) (*Client, error) {
 	if err != nil {
 		return nil, err
 	}
+	return newClient(nc, depth), nil
+}
+
+// newClient runs the protocol over an established connection.
+func newClient(nc net.Conn, depth int) *Client {
 	c := &Client{
 		c:     nc,
+		yield: depth > 1,
 		slots: make([]clientSlot, depth),
 		free:  make(chan uint32, depth),
 		done:  make(chan struct{}),
 	}
 	for i := range c.slots {
 		c.slots[i].ch = make(chan proto.Response, 1)
-		c.slots[i].buf = make([]byte, 0, 128)
 		c.free <- uint32(i)
 	}
 	go c.readLoop()
-	return c, nil
+	return c
 }
 
 // readLoop routes response frames to their slots by id.
@@ -145,16 +163,7 @@ func (c *Client) DoOnce(q *proto.Request) (proto.Response, error) {
 			}
 		}
 	}
-	var err error
-	s.buf, err = proto.AppendRequest(s.buf[:0], q)
-	if err != nil {
-		c.free <- slot
-		return proto.Response{}, err
-	}
-	c.wmu.Lock()
-	_, err = c.c.Write(s.buf)
-	c.wmu.Unlock()
-	if err != nil {
+	if err := c.send(q); err != nil {
 		c.free <- slot
 		return proto.Response{}, err
 	}
@@ -181,6 +190,47 @@ func (c *Client) DoOnce(q *proto.Request) (proto.Response, error) {
 		c.free <- slot
 		return proto.Response{}, c.closeErr()
 	}
+}
+
+// send encodes q into the pending buffer and makes sure it reaches the
+// wire: the caller that finds no flush in progress becomes the flusher
+// and writes until pending is empty; every other caller leaves its
+// frame to the flusher. Before its first Write the flusher yields the
+// processor once: the callers the read loop woke together with it are
+// runnable right behind it, and without the yield its Write completes
+// before any of them has encoded a frame. At depth 1 there are no such
+// callers, so send is one Write on the caller's own goroutine. A
+// failed Write closes the connection, so every caller whose frame was
+// in the batch fails through c.done instead of waiting forever.
+//
+//memsnap:hotpath
+func (c *Client) send(q *proto.Request) error {
+	c.wmu.Lock()
+	var err error
+	if c.pending, err = proto.AppendRequest(c.pending, q); err != nil || c.flushing {
+		c.wmu.Unlock()
+		return err
+	}
+	c.flushing = true
+	if c.yield {
+		c.wmu.Unlock()
+		runtime.Gosched()
+		c.wmu.Lock()
+	}
+	for err == nil && len(c.pending) > 0 {
+		batch := c.pending
+		c.pending = c.spare[:0]
+		c.wmu.Unlock()
+		_, err = c.c.Write(batch)
+		c.wmu.Lock()
+		c.spare = batch
+	}
+	c.flushing = false
+	c.wmu.Unlock()
+	if err != nil {
+		c.c.Close()
+	}
+	return err
 }
 
 // finishTrace records the client round-trip span of a sampled request

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"io"
 	"net" //lint:allow sockio per-connection framing of the real-TCP data plane
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -18,6 +19,13 @@ import (
 // the per-op []byte→string copies; a hostile peer churning unique keys
 // just falls back to plain copies once the table is full.
 const maxIntern = 1 << 16
+
+// writeTimeout bounds one flush of responses to the socket. A peer
+// that pipelines requests and stops reading fills its receive window;
+// without a deadline the writer would block in the flush forever and a
+// graceful drain would never finish. Past the deadline the connection
+// is treated like any other broken peer.
+const writeTimeout = 2 * time.Second
 
 // slotInfo describes one in-flight request. Written by the reader when
 // the slot is acquired, read (by value) by the writer when the
@@ -70,6 +78,9 @@ type conn struct {
 	// strs interns tenant/key strings (reader-owned).
 	strs map[string]string
 
+	// dw is the socket as the response buffer sees it (writer-owned).
+	dw deadlineWriter
+
 	closeReadOnce sync.Once
 }
 
@@ -84,6 +95,7 @@ func newConn(s *Server, nc net.Conn) *conn {
 		readerDone: make(chan struct{}),
 		ids:        make(map[uint64]bool, n),
 		strs:       make(map[string]string),
+		dw:         deadlineWriter{c: nc},
 	}
 	for i := 0; i < n; i++ {
 		c.free <- uint32(i)
@@ -96,12 +108,32 @@ func newConn(s *Server, nc net.Conn) *conn {
 // in-flight responses still reach the client.
 func (c *conn) closeRead() {
 	c.closeReadOnce.Do(func() {
-		if tc, ok := c.c.(*net.TCPConn); ok {
+		if tc, ok := c.c.(interface{ CloseRead() error }); ok {
 			tc.CloseRead()
 			return
 		}
 		c.c.Close()
 	})
+}
+
+// deadlineWriter keeps the connection's write deadline ahead of every
+// write the response buffer passes down, so no flush — the explicit
+// one that ends a batch or the implicit one of a full buffer — can
+// block past writeTimeout. The deadline is pushed out only once half
+// of it has run down: a write has between writeTimeout/2 and
+// writeTimeout to finish, and the steady-state flush (one per request
+// at depth 1) does not touch the runtime's timer heap.
+type deadlineWriter struct {
+	c     net.Conn
+	armed time.Time
+}
+
+func (w *deadlineWriter) Write(p []byte) (int, error) {
+	if now := time.Now(); now.Sub(w.armed) > writeTimeout/2 { //lint:allow walltime socket write deadline at the real-TCP boundary
+		w.armed = now
+		w.c.SetWriteDeadline(now.Add(writeTimeout))
+	}
+	return w.c.Write(p)
 }
 
 // readLoop decodes frames and submits them. It exits on EOF, read
@@ -184,17 +216,21 @@ func (c *conn) readLoop() {
 
 // writeLoop encodes completions, batching opportunistically: it blocks
 // for one response, drains whatever else is ready, then flushes once.
-// After a write error it keeps draining (freeing slots and stats) but
-// discards output, so shard workers and the reader never wedge on a
-// broken peer. It exits when the reader is done and the in-flight
-// table is empty, then closes the connection.
+// If the queue runs dry while requests are still in flight, their
+// completions are on the way from the shard workers, so it yields the
+// processor once and drains again before flushing; with nothing else
+// in flight it flushes at once. After a write error or timeout it
+// keeps draining (freeing slots and stats) but discards output, so
+// shard workers and the reader never wedge on a broken peer. It exits
+// when the reader is done and the in-flight table is empty, then
+// closes the connection.
 //
 //memsnap:hotpath
 func (c *conn) writeLoop() {
 	defer c.srv.wg.Done()
 	defer c.srv.untrack(c)
 	defer c.c.Close()
-	bw := bufio.NewWriterSize(c.c, 16<<10)
+	bw := bufio.NewWriterSize(&c.dw, 16<<10)
 	//lint:allow hotalloc per-connection setup before the loop, not per frame
 	buf := make([]byte, 0, 64)
 	broken := false
@@ -203,14 +239,10 @@ func (c *conn) writeLoop() {
 		select {
 		case r := <-c.out:
 			buf = c.complete(r, bw, buf, &broken)
-		drain:
-			for {
-				select {
-				case r := <-c.out:
-					buf = c.complete(r, bw, buf, &broken)
-				default:
-					break drain
-				}
+			buf = c.drain(bw, buf, &broken)
+			if c.inflight.Load() > 0 {
+				runtime.Gosched()
+				buf = c.drain(bw, buf, &broken)
 			}
 			if !broken {
 				if err := bw.Flush(); err != nil {
@@ -223,6 +255,18 @@ func (c *conn) writeLoop() {
 	}
 	if !broken {
 		bw.Flush()
+	}
+}
+
+// drain completes every response already queued, without blocking.
+func (c *conn) drain(bw *bufio.Writer, buf []byte, broken *bool) []byte {
+	for {
+		select {
+		case r := <-c.out:
+			buf = c.complete(r, bw, buf, broken)
+		default:
+			return buf
+		}
 	}
 }
 

@@ -14,7 +14,7 @@ import (
 	"memsnap/internal/shard"
 )
 
-func newService(t *testing.T, cfg shard.Config) *shard.Service {
+func newService(t testing.TB, cfg shard.Config) *shard.Service {
 	t.Helper()
 	cpus := cfg.Shards
 	if cpus <= 0 {

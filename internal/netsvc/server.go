@@ -57,9 +57,6 @@ func (c *Config) fill() {
 	if c.RetryAfter <= 0 {
 		c.RetryAfter = 200 * time.Microsecond
 	}
-	if c.MaxFrame <= 0 {
-		c.MaxFrame = 0 // FrameReader applies proto.MaxFrame
-	}
 }
 
 // Server accepts proto-framed connections and executes their requests
@@ -84,15 +81,20 @@ type Server struct {
 // Serve starts a server for svc on addr (e.g. "127.0.0.1:0") and
 // begins accepting connections.
 func Serve(addr string, svc *shard.Service, cfg Config) (*Server, error) {
-	cfg.fill()
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, err
 	}
+	return serve(ln, svc, cfg), nil
+}
+
+// serve starts a server on an established listener.
+func serve(ln net.Listener, svc *shard.Service, cfg Config) *Server {
+	cfg.fill()
 	s := &Server{cfg: cfg, svc: svc, ln: ln, conns: map[*conn]bool{}}
 	s.wg.Add(1)
 	go s.acceptLoop()
-	return s, nil
+	return s
 }
 
 // Addr returns the listener's address (host:port).

@@ -5,19 +5,28 @@ import (
 	"io"
 )
 
-// FrameReader reads length-prefixed frames from an io.Reader into one
-// reusable buffer. Next returns the payload of the next frame; the
-// returned slice aliases the internal buffer and is valid only until
-// the following Next call. The buffer grows at most to the configured
-// maximum, so a hostile length prefix cannot force a large
-// allocation: prefixes above the cap fail with ErrFrameTooLarge
-// before any buffer grows.
+// frameBufSize is the frame reader's initial window: 4 KiB holds a
+// full pipeline of typical requests or responses, so one Read serves
+// many Next calls.
+const frameBufSize = 4 << 10
+
+// FrameReader reads length-prefixed frames from an io.Reader through
+// one reusable window: a Read takes whatever has arrived, Next slices
+// frames out of the window, and only a frame cut by the window's tail
+// costs another Read. The returned payload aliases the window and is
+// valid only until the following Next call. The window starts at
+// frameBufSize and doubles, to at most 4+max bytes, only for a frame
+// whose length prefix has passed the max check — so a hostile prefix
+// cannot force an allocation: prefixes above the cap fail with
+// ErrFrameTooLarge before anything grows.
 type FrameReader struct {
 	r   io.Reader
 	buf []byte
-	max int
-	// n counts payload+prefix bytes consumed from r (wire accounting
-	// for the server's bytes-in stat).
+	// buf[head:tail] holds the bytes read from r and not yet returned.
+	head, tail int
+	max        int
+	// n counts the wire bytes Next has consumed: whole frames returned,
+	// refused prefixes, and the partial tail of a cut stream.
 	n int64
 }
 
@@ -28,42 +37,74 @@ func NewFrameReader(r io.Reader, max int) *FrameReader {
 		max = MaxFrame
 	}
 	//lint:allow hotalloc per-connection constructor, not per frame
-	return &FrameReader{r: r, buf: make([]byte, 512), max: max}
+	return &FrameReader{r: r, buf: make([]byte, frameBufSize), max: max}
 }
 
-// Next reads one frame and returns its payload. io.EOF is returned
-// only on a clean boundary (no partial frame read); a connection cut
+// Next returns the payload of the next frame. io.EOF is returned only
+// on a clean boundary (no partial frame read); a connection cut
 // mid-frame yields io.ErrUnexpectedEOF.
+//
+//memsnap:hotpath
 func (fr *FrameReader) Next() ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(fr.r, hdr[:]); err != nil {
-		if err == io.ErrUnexpectedEOF {
-			fr.n += int64(len(hdr)) // partial; close enough for stats
+	if fr.tail-fr.head < 4 {
+		if err := fr.fill(4); err != nil {
+			return nil, err
 		}
-		return nil, err
 	}
-	fr.n += 4
-	n := binary.BigEndian.Uint32(hdr[:])
-	if n == 0 {
-		return nil, ErrTruncated
-	}
-	if int64(n) > int64(fr.max) {
+	n := binary.BigEndian.Uint32(fr.buf[fr.head:])
+	if n == 0 || int64(n) > int64(fr.max) {
+		fr.head += 4
+		fr.n += 4
+		if n == 0 {
+			return nil, ErrTruncated
+		}
 		return nil, ErrFrameTooLarge
 	}
-	if int(n) > len(fr.buf) {
-		//lint:allow hotalloc frame buffer growth to the high-water payload size, amortized
-		fr.buf = make([]byte, int(n))
-	}
-	payload := fr.buf[:n]
-	m, err := io.ReadFull(fr.r, payload)
-	fr.n += int64(m)
-	if err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
+	size := 4 + int(n)
+	if fr.tail-fr.head < size {
+		if err := fr.fill(size); err != nil {
+			return nil, err
 		}
-		return nil, err
 	}
+	payload := fr.buf[fr.head+4 : fr.head+size]
+	fr.head += size
+	fr.n += int64(size)
 	return payload, nil
+}
+
+// fill moves the partial frame at the window's tail to its front and
+// reads until the window holds need bytes, growing it first if need
+// (already checked against max) exceeds it. On a read error the
+// partial bytes count as consumed and the window is left empty.
+func (fr *FrameReader) fill(need int) error {
+	fr.tail = copy(fr.buf, fr.buf[fr.head:fr.tail])
+	fr.head = 0
+	if need > len(fr.buf) {
+		size := len(fr.buf)
+		for size < need {
+			size *= 2
+		}
+		if size-4 > fr.max {
+			size = 4 + fr.max
+		}
+		//lint:allow hotalloc window growth to the high-water frame size, at most five times per connection
+		grown := make([]byte, size)
+		copy(grown, fr.buf[:fr.tail])
+		fr.buf = grown
+	}
+	for fr.tail < need {
+		m, err := fr.r.Read(fr.buf[fr.tail:])
+		fr.tail += m
+		if err != nil && fr.tail < need {
+			if err == io.EOF && fr.tail > 0 {
+				err = io.ErrUnexpectedEOF
+			}
+			fr.n += int64(fr.tail)
+			fr.tail = 0
+			return err
+		}
+	}
+	return nil
 }
 
 // BytesRead returns the total wire bytes consumed so far.

@@ -85,7 +85,7 @@ func FuzzFrameDecode(f *testing.F) {
 				}
 				break
 			}
-			if len(fr.buf) > MaxFrame {
+			if len(fr.buf) > 4+MaxFrame {
 				t.Fatalf("frame buffer over-allocated: %d", len(fr.buf))
 			}
 			DecodeRequest(payload, &q)

@@ -224,8 +224,8 @@ func TestFrameReaderHostileInput(t *testing.T) {
 		if _, err := fr.Next(); !errors.Is(err, ErrFrameTooLarge) {
 			t.Fatalf("got %v, want ErrFrameTooLarge", err)
 		}
-		if len(fr.buf) > MaxFrame {
-			t.Fatalf("buffer grew to %d on a refused frame", len(fr.buf))
+		if len(fr.buf) != frameBufSize {
+			t.Fatalf("window grew to %d on a refused frame", len(fr.buf))
 		}
 	})
 	t.Run("zero length prefix", func(t *testing.T) {
@@ -252,11 +252,13 @@ func TestFrameReaderHostileInput(t *testing.T) {
 	})
 }
 
-// The reader's buffer must be reused across frames, not reallocated.
+// The reader's window must be reused across frames and refills, not
+// reallocated: the stream is several windows long, so frames straddle
+// the window's tail and are moved to its front.
 func TestFrameReaderReusesBuffer(t *testing.T) {
 	var wire []byte
 	var err error
-	for i := 0; i < 100; i++ {
+	for i := 0; i < 1000; i++ {
 		wire, err = AppendRequest(wire, &Request{ID: uint64(i), Kind: KindPut, Tenant: []byte("t"), Key: []byte("key"), Value: 1})
 		if err != nil {
 			t.Fatal(err)
@@ -274,7 +276,10 @@ func TestFrameReaderReusesBuffer(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if &fr.buf[0] != before {
-		t.Error("frame buffer reallocated for same-size frames")
+	if len(wire) < 4*frameBufSize {
+		t.Fatalf("stream of %d bytes does not exercise refills", len(wire))
+	}
+	if &fr.buf[0] != before || len(fr.buf) != frameBufSize {
+		t.Error("frame window reallocated for frames that fit it")
 	}
 }

@@ -92,3 +92,120 @@ func TestCaptureCommits(t *testing.T) {
 		t.Fatalf("CaptureCommits(false) left %d buffered commits", len(got))
 	}
 }
+
+// TestCaptureSharesBufferWithPreImage pins the one-buffer-two-holders
+// rule: the page a captured commit carries as Data is the very buffer
+// the next capture of that page receives as Prev, nobody writes
+// through it while the earlier commit is still held (being shipped),
+// and it returns to the pool only after both holders released.
+func TestCaptureSharesBufferWithPreImage(t *testing.T) {
+	pages0, _ := CapturePoolStats()
+	sys := newSys(t)
+	p := sys.NewProcess()
+	ctx := p.NewContext(0)
+	r, err := p.Open(ctx, "data", 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx.CaptureCommits(true)
+	capture := func(fill byte) CapturedCommit {
+		t.Helper()
+		pg := ctx.PageForWrite(r, 3*PageSize)
+		for i := 100; i < 132; i++ {
+			pg[i] = fill
+		}
+		if _, err := ctx.Persist(r, MSSync); err != nil {
+			t.Fatal(err)
+		}
+		caps := ctx.TakeCaptured()
+		if len(caps) != 1 || len(caps[0].Pages) != 1 {
+			t.Fatalf("captured %+v, want one commit of one page", caps)
+		}
+		return caps[0]
+	}
+
+	first := capture(0x11)
+	if got := capturePagesInUse() - pages0.InUse(); got != 1 {
+		t.Fatalf("first capture holds %d pooled pages, want 1 (one copy, shared with the pre-image store)", got)
+	}
+	shipped := append([]byte(nil), first.Pages[0].Data...)
+
+	// The first commit is still held — as a delta in the shipper's
+	// window would be — while the page is captured again.
+	second := capture(0x22)
+	cp := second.Pages[0]
+	if cp.Prev == nil || &cp.Prev[0] != &first.Pages[0].Data[0] {
+		t.Fatal("the second capture's pre-image is not the first commit's Data buffer")
+	}
+	if !bytes.Equal(cp.Prev, shipped) || !bytes.Equal(first.Pages[0].Data, shipped) {
+		t.Fatal("the shared buffer changed between the two captures")
+	}
+	if len(cp.Extents) != 1 || cp.Extents[0] != (Extent{Off: 100, Len: 32}) {
+		t.Fatalf("extents = %v, want one [100,132)", cp.Extents)
+	}
+	if got := capturePagesInUse() - pages0.InUse(); got != 2 {
+		t.Fatalf("two captures of one page hold %d pooled pages, want 2", got)
+	}
+
+	// Release in the order a shipper does: the newer commit's pre-image
+	// at encode time, the older delta when it leaves the window.
+	second.Pages[0].ReleasePre()
+	if got := capturePagesInUse() - pages0.InUse(); got != 2 {
+		t.Fatalf("buffer returned while the first commit still holds it (in use %d)", got)
+	}
+	if !bytes.Equal(first.Pages[0].Data, shipped) {
+		t.Fatal("first commit's Data changed after the pre-image holder released")
+	}
+	first.Release()
+	if got := capturePagesInUse() - pages0.InUse(); got != 1 {
+		t.Fatalf("in use %d after the first buffer lost both holders, want 1", got)
+	}
+	second.Release()
+	ctx.CaptureCommits(false)
+	if got := capturePagesInUse() - pages0.InUse(); got != 0 {
+		t.Fatalf("capture page pool leaked: %d pages still out", got)
+	}
+}
+
+// capturePagesInUse is the capture page pool's in-use count.
+func capturePagesInUse() int64 {
+	pages, _ := CapturePoolStats()
+	return pages.InUse()
+}
+
+// BenchmarkPersistCapture2Pages is the replicated shard's commit shape
+// on the core API: dirty a slot page and a manifest page a few bytes
+// each, Persist(MSSync) with capture on, take and release the commit.
+func BenchmarkPersistCapture2Pages(b *testing.B) {
+	sys, err := NewSystem(Options{CPUs: 1, DiskBytesEach: 512 << 20})
+	if err != nil {
+		b.Fatal(err)
+	}
+	p := sys.NewProcess()
+	ctx := p.NewContext(0)
+	r, err := p.Open(ctx, "data", 1<<20)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx.CaptureCommits(true)
+	defer ctx.CaptureCommits(false)
+	op := func(i int) {
+		ctx.PageForWrite(r, 0)[i%64*8]++
+		ctx.PageForWrite(r, int64(1+i%8)*PageSize)[i%500*8]++
+		if _, err := ctx.Persist(r, MSSync); err != nil {
+			b.Fatal(err)
+		}
+		for _, cc := range ctx.TakeCaptured() {
+			cc.Release()
+		}
+	}
+	for i := 0; i < 64; i++ {
+		op(i)
+	}
+	b.SetBytes(2 * PageSize)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		op(i)
+	}
+}

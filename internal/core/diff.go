@@ -1,18 +1,20 @@
 package core
 
 import (
+	"bytes"
 	"encoding/binary"
 
 	"memsnap/internal/pool"
 )
 
-// Sub-page delta capture: while capture is enabled, a Context retains a
-// pooled copy of the last captured content of every page it commits
-// (the pre-image store). At the next capture of the same page the
-// retained copy becomes the CommittedPage's pre-image — filled at
-// capture time, never re-faulted — and a byte-range diff against it is
-// computed on the spot, so replication can ship only the bytes that
-// actually changed. Pages without a retained pre-image (first capture,
+// Sub-page delta capture: while capture is enabled, a Context retains
+// the last captured content of every page it commits (the pre-image
+// store holds the very buffer the captured commit carries as Data, as
+// a second holder — see pool.Page.Retain). At the next capture of the
+// same page the retained buffer becomes the CommittedPage's pre-image
+// — filled at capture time, never re-faulted — and a byte-range diff
+// against it is computed on the spot, so replication can ship only the
+// bytes that actually changed. Pages without a retained pre-image (first capture,
 // post-recovery context, budget eviction) carry a nil Prev and ship
 // whole.
 
@@ -31,6 +33,10 @@ const (
 	// many equal bytes: extent framing overhead would exceed the bytes
 	// saved.
 	diffMergeGap = 16
+	// diffSkipChunk is the stride at which DiffExtents skips equal
+	// bytes through bytes.Equal before falling back to word and byte
+	// compares.
+	diffSkipChunk = 128
 	// DefaultPreImagePages bounds the pre-image store per (context,
 	// region): FIFO eviction beyond it drops the oldest page's
 	// pre-image, forcing its next capture to ship whole.
@@ -68,7 +74,11 @@ func DiffExtents(prev, cur []byte, dst []Extent) []Extent {
 	n := len(cur)
 	i := 0
 	for i < n {
-		// Skip equal bytes, 8 at a time while aligned chunks remain.
+		// Skip equal bytes: whole chunks through the runtime's vector
+		// compare, then 8 at a time, then singly.
+		for i+diffSkipChunk <= n && bytes.Equal(prev[i:i+diffSkipChunk], cur[i:i+diffSkipChunk]) {
+			i += diffSkipChunk
+		}
 		for i+8 <= n {
 			if binary.LittleEndian.Uint64(prev[i:]) != binary.LittleEndian.Uint64(cur[i:]) {
 				break

@@ -242,8 +242,8 @@ func TestCapturePreImagePoolBalance(t *testing.T) {
 }
 
 // TestCaptureDiffSteadyStateZeroAlloc extends the zero-alloc ceiling
-// to the diffing capture path: pre-image retention, double page copy
-// and extent diffing must all run out of pools.
+// to the diffing capture path: pre-image retention, the page copy and
+// extent diffing must all run out of pools.
 func TestCaptureDiffSteadyStateZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation accounting is unreliable under -race")
@@ -276,5 +276,30 @@ func TestCaptureDiffSteadyStateZeroAlloc(t *testing.T) {
 	}
 	if got := testing.AllocsPerRun(200, op); got > 0 {
 		t.Fatalf("steady-state diffing capture allocates %.1f times per call, want 0", got)
+	}
+}
+
+// BenchmarkDiffExtentsSparse diffs a page pair that differs in two
+// short runs — the shape a key-value write leaves (a slot and the
+// manifest counters) — so nearly all the work is skipping equal bytes.
+func BenchmarkDiffExtentsSparse(b *testing.B) {
+	prev := make([]byte, PageSize)
+	for i := range prev {
+		prev[i] = byte(i * 7)
+	}
+	cur := append([]byte(nil), prev...)
+	for i := 0; i < 8; i++ {
+		cur[1000+i] ^= 0x5A
+		cur[3000+i] ^= 0xA5
+	}
+	dst := make([]Extent, 0, 16)
+	b.SetBytes(PageSize)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		dst = DiffExtents(prev, cur, dst[:0])
+	}
+	if len(dst) != 2 {
+		b.Fatalf("got %d extents, want 2", len(dst))
 	}
 }

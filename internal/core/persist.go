@@ -133,7 +133,9 @@ func (ctx *Context) releaseHold(pages []*mem.Page) {
 // CommittedPage is a copy of one page of a committed uCheckpoint,
 // identified by its block index within the region. Data lives in a
 // pooled page buffer: the holder releases it through
-// CapturedCommit.Release or ReleasePages when done.
+// CapturedCommit.Release or ReleasePages when done. The buffer is
+// shared with the capturing context's pre-image store (it is the next
+// capture's Prev), so Data and Prev are read-only to every holder.
 type CommittedPage struct {
 	Index int64
 	Data  []byte
@@ -410,9 +412,9 @@ func (ctx *Context) Persist(r *Region, flags Flags) (objstore.Epoch, error) {
 	}
 
 	// Capture the delta while the snapshot aliases are still pinned by
-	// the in-progress flags: copies into pooled pages, so the captured
-	// data stays valid after the checkpoint releases (until the holder
-	// Releases the commit).
+	// the in-progress flags: one copy into a pooled page per dirty page,
+	// so the captured data stays valid after the checkpoint releases
+	// (until the holder Releases the commit).
 	if ctx.capture {
 		diffBytes := 0
 		for i := 0; i < nrw; i++ {
@@ -424,12 +426,14 @@ func (ctx *Context) Persist(r *Region, flags Flags) (objstore.Epoch, error) {
 				data := pg.Data[:len(b.Data)]
 				copy(data, b.Data)
 				cp := CommittedPage{Index: b.Index, Data: data, pg: pg}
-				// Retain a second copy as the next capture's pre-image;
-				// the previously retained copy (if any) becomes THIS
-				// page's pre-image and is diffed on the spot.
-				keep := capturePagePool.Get()
-				copy(keep.Data[:len(b.Data)], b.Data)
-				if prev := ps.swap(b.Index, keep); prev != nil {
+				// One buffer, two holders: the page is this commit's Data
+				// and, through the pre-image store, the next capture's Prev.
+				// Retain adds the store as a holder; each holder owes one
+				// Release and neither writes through the buffer. The page
+				// the store held before (if any) passes its hold to THIS
+				// page as the pre-image and is diffed on the spot.
+				pg.Retain()
+				if prev := ps.swap(b.Index, pg); prev != nil {
 					cp.Prev = prev.Data[:len(b.Data)]
 					cp.prevPg = prev
 					cp.Extents = DiffExtents(cp.Prev, data, GetExtents())
@@ -439,6 +443,9 @@ func (ctx *Context) Persist(r *Region, flags Flags) (objstore.Epoch, error) {
 			}
 			ctx.captured = append(ctx.captured, cc)
 		}
+		// The modelled system keeps two copies per page (delta and
+		// pre-image); sharing one buffer is the simulator's economy, not
+		// the model's, so the charge stays at two.
 		clk.Advance(costs.MemcpyCost(2*len(records)*PageSize) + costs.DiffCost(diffBytes))
 	}
 

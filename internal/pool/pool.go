@@ -11,10 +11,13 @@
 // is simply collected by the GC — but a *double* release corrupts the
 // pool (two owners of one buffer), so ownership-transferring APIs in
 // the layers above nil out their references when they hand a buffer
-// on.
+// on. A page that must outlive its first holder is shared, not copied:
+// Retain adds a holder, every holder owes exactly one Release, and the
+// page goes back to the pool with the last of them.
 package pool
 
 import (
+	"reflect"
 	"sync"
 	"sync/atomic"
 )
@@ -40,15 +43,26 @@ func (c *counters) stats() Stats {
 }
 
 // Page is a pooled fixed-size buffer. Callers use Data and return the
-// handle with Release; the handle must not be used after Release.
+// handle with Release; the handle must not be used after Release. A
+// page starts with one holder (the Get caller); while it has more than
+// one, every holder treats Data as read-only.
 type Page struct {
-	Data  []byte
-	owner *PagePool
+	Data    []byte
+	owner   *PagePool
+	holders atomic.Int32
 }
 
-// Release returns the page to its pool. Safe on a nil handle.
+// Retain adds a holder: the page returns to its pool only after one
+// Release per holder. Holders may live on different goroutines.
+func (pg *Page) Retain() { pg.holders.Add(1) }
+
+// Release drops one holder; the last one returns the page to its pool.
+// Safe on a nil handle.
 func (pg *Page) Release() {
 	if pg == nil || pg.owner == nil {
+		return
+	}
+	if pg.holders.Add(-1) > 0 {
 		return
 	}
 	pg.owner.put(pg)
@@ -71,11 +85,13 @@ func NewPagePool(size int) *PagePool {
 	return pp
 }
 
-// Get returns a page of the pool's size. Contents are undefined — the
-// caller overwrites them.
+// Get returns a page of the pool's size with the caller as its only
+// holder. Contents are undefined — the caller overwrites them.
 func (pp *PagePool) Get() *Page {
 	pp.c.gets.Add(1)
-	return pp.p.Get().(*Page)
+	pg := pp.p.Get().(*Page)
+	pg.holders.Store(1)
+	return pg
 }
 
 func (pp *PagePool) put(pg *Page) {
@@ -97,12 +113,40 @@ type SlicePool[T any] struct {
 	full  sync.Pool // *item[T] with s != nil
 	empty sync.Pool // *item[T] with s == nil
 	c     counters
+	// clearOnPut is decided once from T: only element types that carry
+	// pointers can pin other objects from a recycled backing array, so
+	// only those are zeroed on Put.
+	clearOnPut bool
 }
 
 type item[T any] struct{ s []T }
 
 // NewSlicePool returns an empty slice pool.
-func NewSlicePool[T any]() *SlicePool[T] { return &SlicePool[T]{} }
+func NewSlicePool[T any]() *SlicePool[T] {
+	return &SlicePool[T]{clearOnPut: hasPointers(reflect.TypeOf((*T)(nil)).Elem())}
+}
+
+// hasPointers reports whether a value of type t can reference other
+// heap objects.
+func hasPointers(t reflect.Type) bool {
+	switch t.Kind() {
+	case reflect.Bool,
+		reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+		reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr,
+		reflect.Float32, reflect.Float64, reflect.Complex64, reflect.Complex128:
+		return false
+	case reflect.Array:
+		return t.Len() > 0 && hasPointers(t.Elem())
+	case reflect.Struct:
+		for i := 0; i < t.NumField(); i++ {
+			if hasPointers(t.Field(i).Type) {
+				return true
+			}
+		}
+		return false
+	}
+	return true
+}
 
 // Get returns a zero-length slice, freshly allocated with capHint
 // capacity when the pool is empty.
@@ -122,14 +166,18 @@ func (p *SlicePool[T]) Get(capHint int) []T {
 	return make([]T, 0, capHint)
 }
 
-// Put recycles s. Elements are zeroed first so the backing array does
-// not retain references. Zero-capacity slices are dropped.
+// Put recycles s. Pointer-carrying elements are zeroed first so the
+// backing array does not retain references; pointer-free ones (bytes,
+// extents) have nothing to drop and are left as they are — Get hands
+// out length zero either way. Zero-capacity slices are dropped.
 func (p *SlicePool[T]) Put(s []T) {
 	if cap(s) == 0 {
 		return
 	}
 	p.c.puts.Add(1)
-	clear(s[:cap(s)])
+	if p.clearOnPut {
+		clear(s[:cap(s)])
+	}
 	it, _ := p.empty.Get().(*item[T])
 	if it == nil {
 		//lint:allow hotalloc wrapper-item pool miss; items recycle in steady state

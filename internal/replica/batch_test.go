@@ -17,7 +17,7 @@ import (
 
 const batchRegionBytes = 1 << 18
 
-func batchFollower(t *testing.T, shards int) *Follower {
+func batchFollower(t testing.TB, shards int) *Follower {
 	t.Helper()
 	sys, err := core.NewSystem(core.Options{CPUs: shards, DiskBytesEach: 512 << 20})
 	if err != nil {

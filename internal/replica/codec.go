@@ -67,23 +67,47 @@ func fnv64(b []byte) uint64 {
 	return h
 }
 
-// xorRLESize returns the payload size of a kindXorRLE encoding of cur
-// against prev without materializing it.
+// nextDiff returns the first offset >= i at which cur differs from
+// prev, or len(cur) when there is none, comparing bytes only inside
+// ext[k:] — every byte outside the page's extents is equal by
+// construction (core.DiffExtents covers every modified byte), so the
+// zero runs between extents are arithmetic. k is the caller's cursor
+// into ext: extents before it end at or before i.
 //
 //memsnap:hotpath
-func xorRLESize(prev, cur []byte) int {
-	size := 16 // base + new hash
-	i, n := 0, len(cur)
-	for i < n {
-		z := i
-		for z < n && prev[z] == cur[z] {
-			z++
+func nextDiff(prev, cur []byte, ext []core.Extent, k, i int) (z, kOut int) {
+	for ; k < len(ext); k++ {
+		lo, hi := int(ext[k].Off), int(ext[k].Off)+int(ext[k].Len)
+		if lo < i {
+			lo = i
 		}
+		for ; lo < hi; lo++ {
+			if prev[lo] != cur[lo] {
+				return lo, k
+			}
+		}
+	}
+	return len(cur), k
+}
+
+// xorRLESize returns the payload size of a kindXorRLE encoding of cur
+// against prev without materializing it. ext must be the page's
+// DiffExtents result; only bytes inside it are read.
+//
+//memsnap:hotpath
+func xorRLESize(prev, cur []byte, ext []core.Extent) int {
+	size := 16 // base + new hash
+	i, k, n := 0, 0, len(cur)
+	for i < n {
+		var z int
+		z, k = nextDiff(prev, cur, ext, k, i)
 		size += uvarintLen(uint64(z - i))
 		i = z
 		if i >= n {
 			break
 		}
+		// A literal run ends at the first equal byte, which lies no
+		// further than the end of the extent it started in.
 		l := i
 		for l < n && prev[l] != cur[l] {
 			l++
@@ -104,18 +128,19 @@ func uvarintLen(v uint64) int {
 	return n
 }
 
-// appendXorRLE appends the kindXorRLE payload of cur vs prev.
+// appendXorRLE appends the kindXorRLE payload of cur vs prev: the two
+// page hashes, then maximal alternating zero and literal runs, with no
+// trailing zero run after a literal run that ends the page. ext is the
+// page's DiffExtents result (see nextDiff).
 //
 //memsnap:hotpath
-func appendXorRLE(dst, prev, cur []byte) []byte {
+func appendXorRLE(dst, prev, cur []byte, ext []core.Extent) []byte {
 	dst = binary.LittleEndian.AppendUint64(dst, fnv64(prev))
 	dst = binary.LittleEndian.AppendUint64(dst, fnv64(cur))
-	i, n := 0, len(cur)
+	i, k, n := 0, 0, len(cur)
 	for i < n {
-		z := i
-		for z < n && prev[z] == cur[z] {
-			z++
-		}
+		var z int
+		z, k = nextDiff(prev, cur, ext, k, i)
 		dst = binary.AppendUvarint(dst, uint64(z-i))
 		i = z
 		if i >= n {
@@ -165,7 +190,7 @@ func appendPageFrame(dst []byte, pg *core.CommittedPage, forceFull bool) (out []
 		if s := extentsSize(pg.Extents); s < best {
 			kind, best = kindExtents, s
 		}
-		if s := xorRLESize(pg.Prev, pg.Data); s < best {
+		if s := xorRLESize(pg.Prev, pg.Data, pg.Extents); s < best {
 			kind, best = kindXorRLE, s
 		}
 	}
@@ -181,7 +206,7 @@ func appendPageFrame(dst []byte, pg *core.CommittedPage, forceFull bool) (out []
 		}
 		extents = len(pg.Extents)
 	case kindXorRLE:
-		dst = appendXorRLE(dst, pg.Prev, pg.Data)
+		dst = appendXorRLE(dst, pg.Prev, pg.Data, pg.Extents)
 	}
 	return dst, kind, extents
 }

@@ -56,7 +56,7 @@ func decodePatch(t *testing.T, enc, base []byte) []byte {
 }
 
 // frameKinds decodes enc and returns the kind of every frame.
-func frameKinds(t *testing.T, enc []byte) []byte {
+func frameKinds(t testing.TB, enc []byte) []byte {
 	t.Helper()
 	var kinds []byte
 	for len(enc) > 0 {

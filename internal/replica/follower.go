@@ -120,6 +120,11 @@ type followerShard struct {
 	// expected-hash chain threaded across one delta or batch (see
 	// validateEnc). Reused between applies.
 	valPages []valPage
+	// valHashes counts the page hashes validateEnc actually computed
+	// (live pages on an XOR frame's first touch plus full frames hashed
+	// on demand); tests read it to pin that a run without XOR frames
+	// hashes nothing.
+	valHashes int64
 
 	applied      int64
 	duplicates   int64
@@ -135,11 +140,28 @@ type followerShard struct {
 // encoded delta run: known=false means the page is touched by the run
 // but its resulting hash is unknown (an extents frame, or an unencoded
 // delta's page), so a later XOR frame against it must conservatively
-// reject.
+// reject. A full frame makes the page known without hashing it: full
+// holds the frame's payload (aliasing the delta's encoding, which
+// outlives the validation pass) and chainHash computes hash from it
+// only if a later XOR frame in the same run asks. full is read only
+// while known is set.
 type valPage struct {
 	index int64
 	hash  uint64
 	known bool
+	full  []byte
+}
+
+// chainHash returns the known page's expected hash, hashing a pending
+// full-frame payload on first demand.
+//
+//memsnap:hotpath
+func (fs *followerShard) chainHash(e *valPage) uint64 {
+	if e.full != nil {
+		e.hash, e.full = fnv64(e.full), nil
+		fs.valHashes++
+	}
+	return e.hash
 }
 
 // lookupVal returns the tracked validation entry for a page index.
@@ -157,8 +179,10 @@ func (fs *followerShard) lookupVal(index int64) *valPage {
 // validateEnc walks one encoded delta's frames, checking every
 // payload's structure and chaining XOR pre-image hashes against the
 // tracked page state — seeded by hashing the live region page on a
-// run's first XOR touch of that page. It returns the number of bytes
-// hashed (the caller charges DiffCost for them) and ok=false when any
+// run's first XOR touch of that page, or by an earlier full frame of
+// the same run, whose hash is computed only when such an XOR frame
+// arrives. It returns the number of bytes the modelled follower hashes
+// (the caller charges DiffCost for them) and ok=false when any
 // frame is malformed or an XOR base mismatches; the caller must then
 // reject the whole delta with ApplyGap before writing anything, which
 // forces the shipper into full-page replay or a snapshot resync — a
@@ -181,7 +205,9 @@ func (fs *followerShard) validateEnc(enc []byte) (hashed int, ok bool) {
 				fs.valPages = append(fs.valPages, valPage{index: fr.index})
 				e = &fs.valPages[len(fs.valPages)-1]
 			}
-			e.hash, e.known = fnv64(fr.payload), true
+			// The hash itself is deferred (chainHash); the modelled
+			// follower still hashes every full frame, so the charge stays.
+			e.known, e.full = true, fr.payload
 			hashed += len(fr.payload)
 		case kindExtents:
 			// Literal patch: the resulting page hash is not computed, so
@@ -198,14 +224,17 @@ func (fs *followerShard) validateEnc(enc []byte) (hashed int, ok bool) {
 			}
 			e := fs.lookupVal(fr.index)
 			if e == nil {
+				// First touch in this run: the base is checked against the
+				// live page bytes, never against bookkeeping.
 				pg := fs.ctx.PageForRead(fs.region, fr.index*core.PageSize)
 				hashed += len(pg)
+				fs.valHashes++
 				if fnv64(pg) != base {
 					return hashed, false
 				}
 				fs.valPages = append(fs.valPages, valPage{index: fr.index, hash: next, known: true})
 			} else {
-				if !e.known || e.hash != base {
+				if !e.known || fs.chainHash(e) != base {
 					return hashed, false
 				}
 				e.hash = next

@@ -104,3 +104,33 @@ func FuzzDeltaCodec(f *testing.F) {
 		}
 	})
 }
+
+// FuzzXorRLEFromExtents holds the extent-driven XOR-RLE sizer and
+// encoder to the byte-scanning reference (reference_test.go) on fuzzed
+// page pairs: each input is laid over a zero page, the pair is diffed
+// with core.DiffExtents, and both encoders must emit the same bytes.
+func FuzzXorRLEFromExtents(f *testing.F) {
+	base := basePage()
+	edit := func(offs ...int) []byte {
+		cur := append([]byte(nil), base...)
+		for _, o := range offs {
+			cur[o] ^= 0xA5
+		}
+		return cur
+	}
+	f.Add([]byte{}, []byte{})
+	f.Add([]byte{1, 2, 3}, []byte{1, 2, 4})
+	f.Add(base, base)
+	f.Add(base, edit(0))
+	f.Add(base, edit(core.PageSize-1))
+	f.Add(base, edit(200, 216, 233, 251))
+	f.Add(base[:64], base[32:96])
+
+	f.Fuzz(func(t *testing.T, a, b []byte) {
+		prev := make([]byte, core.PageSize)
+		cur := make([]byte, core.PageSize)
+		copy(prev, a)
+		copy(cur, b)
+		checkXorRLEAgainstReference(t, prev, cur)
+	})
+}

@@ -162,6 +162,17 @@ func RunCell(cfg Config, cell Cell) CellResult {
 		res.fail("leak: delta encoding pool in-use %d, was %d at cell start", got, want)
 	}
 
+	// Frame balance, on every machine the cell booted: all of its
+	// uCheckpoints have retired, so its live frames are exactly the
+	// pages its regions map — each frame an in-flight COW displaced went
+	// back to the allocator.
+	for i, sys := range cl.machines {
+		st := sys.Phys().Stats()
+		if got, want := st.TotalFrames-st.FreeFrames, sys.MappedFrames(); got != want {
+			res.fail("leak: machine %d of the cell holds %d live frames, its regions map %d", i, got, want)
+		}
+	}
+
 	res.Pass = len(res.Violations) == 0
 	if !res.Pass && cfg.BundleDir != "" {
 		writeCellBundle(cfg.BundleDir, cl, &res)
@@ -591,7 +602,7 @@ func (d *driver) finalAudit() {
 		cl.ship = nil
 	}
 	d.markTearUncertain()
-	sys2, doneAt, err := core.Recover(cl.sysOpts, cl.sys.Array(), cutAt)
+	sys2, doneAt, err := cl.reboot(cl.sys.Array(), cutAt)
 	if err != nil {
 		d.res.fail("final audit: recover: %v", err)
 		return

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"memsnap/internal/core"
+	"memsnap/internal/disk"
 	"memsnap/internal/netsvc"
 	"memsnap/internal/obs"
 	"memsnap/internal/proto"
@@ -26,6 +27,9 @@ type cluster struct {
 
 	sys *core.System
 	svc *shard.Service
+	// machines lists every system the cell booted, current or
+	// replaced by a recovery, for the end-of-cell frame audit.
+	machines []*core.System
 
 	// rec is the cell's flight-recorder ring, shared by every lane the
 	// topology has (shard workers, shipper, follower, net edge) so a
@@ -78,11 +82,11 @@ func buildCluster(cell Cell, shards int, regionBytes int64) (*cluster, error) {
 		rec:         obs.NewRecorder(flightRingEvents),
 	}
 	var err error
-	if cl.sys, err = core.NewSystem(cl.sysOpts); err != nil {
+	if cl.sys, err = cl.boot(); err != nil {
 		return nil, err
 	}
 	if cell.Topology == TopoReplica {
-		if cl.folSys, err = core.NewSystem(cl.sysOpts); err != nil {
+		if cl.folSys, err = cl.boot(); err != nil {
 			return nil, err
 		}
 		cl.link = replica.NewLink(replica.LinkConfig{Seed: cell.Seed})
@@ -109,6 +113,25 @@ func buildCluster(cell Cell, shards int, regionBytes int64) (*cluster, error) {
 		}
 	}
 	return cl, nil
+}
+
+// boot formats a fresh machine and records it for the frame audit.
+func (cl *cluster) boot() (*core.System, error) {
+	sys, err := core.NewSystem(cl.sysOpts)
+	if err == nil {
+		cl.machines = append(cl.machines, sys)
+	}
+	return sys, err
+}
+
+// reboot recovers a machine over arr after a power cut at cutAt and
+// records it for the frame audit.
+func (cl *cluster) reboot(arr *disk.Array, cutAt time.Duration) (*core.System, time.Duration, error) {
+	sys, doneAt, err := core.Recover(cl.sysOpts, arr, cutAt)
+	if err == nil {
+		cl.machines = append(cl.machines, sys)
+	}
+	return sys, doneAt, err
 }
 
 // now is the cell's virtual clock: the primary's latest worker time.
@@ -173,7 +196,7 @@ func (cl *cluster) cutPrimary(at time.Duration, salt uint64) time.Duration {
 // torn) array and swaps it in, recording recovery-consistency
 // violations on res.
 func (cl *cluster) recoverPrimary(cutAt time.Duration, res *CellResult) error {
-	sys2, doneAt, err := core.Recover(cl.sysOpts, cl.sys.Array(), cutAt)
+	sys2, doneAt, err := cl.reboot(cl.sys.Array(), cutAt)
 	if err != nil {
 		return fmt.Errorf("recover primary: %w", err)
 	}
@@ -230,7 +253,7 @@ func (cl *cluster) failover(ev Event, res *CellResult) error {
 	}
 
 	// The torn ex-primary rejoins as the new follower.
-	exSys, doneAt, err := core.Recover(cl.sysOpts, cl.sys.Array(), cutAt)
+	exSys, doneAt, err := cl.reboot(cl.sys.Array(), cutAt)
 	if err != nil {
 		return fmt.Errorf("recover ex-primary: %w", err)
 	}
@@ -273,7 +296,7 @@ func (cl *cluster) crashFollower(res *CellResult) error {
 		cutAt -= time.Nanosecond
 	}
 	cl.folSys.Array().CutPower(cutAt, cl.rng(0x2))
-	sys2, doneAt, err := core.Recover(cl.sysOpts, cl.folSys.Array(), cutAt)
+	sys2, doneAt, err := cl.reboot(cl.folSys.Array(), cutAt)
 	if err != nil {
 		return fmt.Errorf("recover follower: %w", err)
 	}

@@ -63,6 +63,11 @@ type System struct {
 	tlbs  *tlb.System
 	arr   *disk.Array
 	store *objstore.Store
+
+	// procs lists every process created on the machine, for the frame
+	// audit (MappedFrames).
+	mu    sync.Mutex
+	procs []*Process
 }
 
 // Options configures NewSystem.
@@ -161,12 +166,33 @@ type Process struct {
 
 // NewProcess creates a process on the system.
 func (sys *System) NewProcess() *Process {
-	return &Process{
+	p := &Process{
 		sys:       sys,
 		as:        vm.NewAddressSpace(sys.costs, sys.phys, sys.tlbs),
 		regions:   make(map[string]*Region),
 		byMapping: make(map[*vm.Mapping]*Region),
 	}
+	sys.mu.Lock()
+	sys.procs = append(sys.procs, p)
+	sys.mu.Unlock()
+	return p
+}
+
+// MappedFrames counts the distinct physical frames mapped by the
+// machine's processes (a frame two processes share counts once). With
+// every uCheckpoint retired it equals the allocator's live frames —
+// Phys().Stats() TotalFrames minus FreeFrames: a frame the allocator
+// holds live that no page table maps was displaced by an in-flight COW
+// and never returned.
+func (sys *System) MappedFrames() int {
+	sys.mu.Lock()
+	procs := append([]*Process(nil), sys.procs...)
+	sys.mu.Unlock()
+	set := make(map[mem.Frame]struct{})
+	for _, p := range procs {
+		p.as.MappedFrames(set)
+	}
+	return len(set)
 }
 
 // AddressSpace exposes the process's address space.

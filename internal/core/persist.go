@@ -119,13 +119,14 @@ func (ctx *Context) acquireHold() []*mem.Page {
 	return nil
 }
 
-// releaseHold clears the checkpoint-in-progress flags and recycles the
-// buffer. Safe on nil.
+// releaseHold retires the checkpoint's pages (in-progress flags
+// cleared, frames displaced by an in-flight COW freed) and recycles
+// the buffer. Safe on nil.
 func (ctx *Context) releaseHold(pages []*mem.Page) {
 	if pages == nil {
 		return
 	}
-	vm.ClearCheckpointPages(pages)
+	ctx.proc.as.RetireCheckpointPages(pages)
 	clear(pages)
 	ctx.holdFree = append(ctx.holdFree, pages[:0])
 }

@@ -17,17 +17,22 @@ var faultPathExempt = map[string]bool{
 	"memsnap/internal/pagetable": true,
 }
 
-// faultPathMethods are the mem.PhysMem frame accessors client packages
-// must not call: raw frame bytes (Data), frame duplication (Copy),
-// page metadata with mutable tracking flags (Page), and allocator
-// entry points that mint frames outside any address space (Alloc,
-// Free).
-var faultPathMethods = map[string]bool{
-	"Data":  true,
-	"Copy":  true,
-	"Page":  true,
-	"Alloc": true,
-	"Free":  true,
+// faultPathMethods are the frame accessors client packages must not
+// call, by receiver type in package mem. On PhysMem: frame duplication
+// (Copy), page metadata with mutable tracking flags (Page), and
+// allocator entry points that mint frames outside any address space
+// (Alloc, Free). On Page: the raw frame bytes it carries (Data) — a
+// dirty record hands clients a *mem.Page.
+var faultPathMethods = map[string]map[string]bool{
+	"PhysMem": {
+		"Copy":  true,
+		"Page":  true,
+		"Alloc": true,
+		"Free":  true,
+	},
+	"Page": {
+		"Data": true,
+	},
 }
 
 // chargeBacking registers the simulated hardware types whose exported
@@ -60,8 +65,9 @@ var chargeTouchMethods = map[string]bool{
 }
 
 // FaultPath enforces two fault-path invariants. First, direct use of
-// mem.PhysMem frame accessors outside the MMU packages: writing frame
-// bytes behind the vm.Thread API's back skips the minor-fault path, so
+// mem.PhysMem and mem.Page frame accessors outside the MMU packages:
+// writing frame bytes behind the vm.Thread API's back skips the
+// minor-fault path, so
 // the write never lands in a dirty set and the next uCheckpoint
 // silently misses it (PAPER.md §3: dirty-set tracking is the whole
 // persistence contract). Second, charge discipline on the simulated
@@ -93,15 +99,16 @@ func runFaultPath(pass *Pass) {
 				return true
 			}
 			fn, ok := s.Obj().(*types.Func)
-			if !ok || !faultPathMethods[fn.Name()] {
+			if !ok {
 				return true
 			}
-			if !isPhysMemMethod(fn) {
+			recv := memReceiver(fn)
+			if !faultPathMethods[recv][fn.Name()] {
 				return true
 			}
 			pass.Reportf(sel.Pos(),
-				"(*mem.PhysMem).%s bypasses the simulated MMU: writes skip minor faults and dirty-set tracking, so the next uCheckpoint misses them — use the vm.Thread access API (design rule: all region access through the fault path)",
-				fn.Name())
+				"(*mem.%s).%s bypasses the simulated MMU: writes skip minor faults and dirty-set tracking, so the next uCheckpoint misses them — use the vm.Thread access API (design rule: all region access through the fault path)",
+				recv, fn.Name())
 			return true
 		})
 	}
@@ -278,11 +285,12 @@ func costsRefBefore(body *ast.BlockStmt, recv string, pos token.Pos) bool {
 	return found
 }
 
-// isPhysMemMethod reports whether fn is a method of mem.PhysMem.
-func isPhysMemMethod(fn *types.Func) bool {
+// memReceiver returns the name of fn's receiver type when fn is a
+// method of a type in package mem, else "".
+func memReceiver(fn *types.Func) string {
 	sig, ok := fn.Type().(*types.Signature)
 	if !ok || sig.Recv() == nil {
-		return false
+		return ""
 	}
 	t := sig.Recv().Type()
 	if ptr, ok := t.(*types.Pointer); ok {
@@ -290,8 +298,11 @@ func isPhysMemMethod(fn *types.Func) bool {
 	}
 	named, ok := t.(*types.Named)
 	if !ok {
-		return false
+		return ""
 	}
 	obj := named.Obj()
-	return obj.Name() == "PhysMem" && obj.Pkg() != nil && obj.Pkg().Path() == "memsnap/internal/mem"
+	if obj.Pkg() == nil || obj.Pkg().Path() != "memsnap/internal/mem" {
+		return ""
+	}
+	return obj.Name()
 }

@@ -10,17 +10,24 @@ import (
 )
 
 func bad(pm *mem.PhysMem, clk *sim.Clock) {
-	pg := pm.Alloc(clk)         // want `\(\*mem\.PhysMem\)\.Alloc bypasses the simulated MMU`
-	data := pm.Data(pg.Frame()) // want `\(\*mem\.PhysMem\)\.Data bypasses the simulated MMU`
+	pg := pm.Alloc(clk) // want `\(\*mem\.PhysMem\)\.Alloc bypasses the simulated MMU`
+	data := pg.Data()   // want `\(\*mem\.Page\)\.Data bypasses the simulated MMU`
 	data[0] = 1
 	dup := pm.Copy(clk, pg)  // want `\(\*mem\.PhysMem\)\.Copy bypasses the simulated MMU`
 	_ = pm.Page(dup.Frame()) // want `\(\*mem\.PhysMem\)\.Page bypasses the simulated MMU`
 	pm.Free(dup)             // want `\(\*mem\.PhysMem\)\.Free bypasses the simulated MMU`
 }
 
+// A dirty record hands out the page itself, and the page carries its
+// frame's bytes: reading them off it is the same bypass.
+func badPageData(rec vm.DirtyRecord) {
+	rec.Page.Data()[0] = 1 // want `\(\*mem\.Page\)\.Data bypasses the simulated MMU`
+	_ = rec.Page.Frame()   // metadata, not frame bytes: allowed
+}
+
 // Method values bypass just as effectively as calls.
-func badMethodValue(pm *mem.PhysMem) func(mem.Frame) []byte {
-	return pm.Data // want `\(\*mem\.PhysMem\)\.Data bypasses the simulated MMU`
+func badMethodValue(pm *mem.PhysMem) func(mem.Frame) *mem.Page {
+	return pm.Page // want `\(\*mem\.PhysMem\)\.Page bypasses the simulated MMU`
 }
 
 // The sanctioned route: every access goes through the thread so minor
@@ -41,8 +48,8 @@ func okConstruct(costs *sim.CostModel) *mem.PhysMem {
 }
 
 // The escape hatch: suppressed twin of bad().
-func suppressed(pm *mem.PhysMem) []byte {
-	return pm.Data(0) //lint:allow faultpath fixture: proves suppression works
+func suppressed(pm *mem.PhysMem) *mem.Page {
+	return pm.Page(0) //lint:allow faultpath fixture: proves suppression works
 }
 
 // A chaos schedule handler: a fault callback fired at a virtual
@@ -50,8 +57,8 @@ func suppressed(pm *mem.PhysMem) []byte {
 // APIs; reaching into frames behind the MMU would mutate state no
 // device ever paid latency for.
 func badScheduleHandler(pm *mem.PhysMem, clk *sim.Clock) {
-	pg := pm.Alloc(clk)        // want `\(\*mem\.PhysMem\)\.Alloc bypasses the simulated MMU`
-	buf := pm.Data(pg.Frame()) // want `\(\*mem\.PhysMem\)\.Data bypasses the simulated MMU`
+	pg := pm.Alloc(clk) // want `\(\*mem\.PhysMem\)\.Alloc bypasses the simulated MMU`
+	buf := pg.Data()    // want `\(\*mem\.Page\)\.Data bypasses the simulated MMU`
 	for i := range buf {
 		buf[i] = 0xff
 	}

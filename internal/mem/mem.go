@@ -9,7 +9,6 @@
 package mem
 
 import (
-	"fmt"
 	"sync"
 	"sync/atomic"
 
@@ -55,18 +54,30 @@ type ReverseMapping struct {
 	VPN uint64
 }
 
-// Page is the metadata for one physical frame (vm_page).
+// Page is the metadata for one physical frame (vm_page). It carries
+// the frame's bytes, so a holder of a *Page — a TLB entry, a dirty
+// record — reaches the data without going back to the allocator.
 type Page struct {
 	frame Frame
+	data  []byte
 	flags atomic.Uint32
 
 	mu   sync.Mutex
 	rmap []ReverseMapping
-	refs int32
+	// rmap0 backs rmap while the page has a single mapping, the usual
+	// case, so mapping a fresh page allocates nothing more.
+	rmap0 [1]ReverseMapping
+	// refs mirrors len(rmap); written under mu, read without it.
+	refs atomic.Int32
 }
 
 // Frame returns the frame this metadata describes.
 func (p *Page) Frame() Frame { return p.frame }
+
+// Data returns the backing bytes of the page's frame. The slice
+// aliases the frame; writes through it are writes to simulated
+// physical memory.
+func (p *Page) Data() []byte { return p.data }
 
 // SetFlag atomically sets the given flag bits.
 func (p *Page) SetFlag(f PageFlags) {
@@ -96,8 +107,11 @@ func (p *Page) HasFlag(f PageFlags) bool {
 // AddMapping records a reverse mapping for this page.
 func (p *Page) AddMapping(m ReverseMapping) {
 	p.mu.Lock()
+	if p.rmap == nil {
+		p.rmap = p.rmap0[:0]
+	}
 	p.rmap = append(p.rmap, m)
-	p.refs++
+	p.refs.Add(1)
 	p.mu.Unlock()
 }
 
@@ -107,7 +121,7 @@ func (p *Page) RemoveMapping(owner any, vpn uint64) {
 	for i, m := range p.rmap {
 		if m.Owner == owner && m.VPN == vpn {
 			p.rmap = append(p.rmap[:i], p.rmap[i+1:]...)
-			p.refs--
+			p.refs.Add(-1)
 			break
 		}
 	}
@@ -122,10 +136,25 @@ func (p *Page) Mappings() []ReverseMapping {
 }
 
 // RefCount returns the number of reverse mappings.
-func (p *Page) RefCount() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return int(p.refs)
+func (p *Page) RefCount() int { return int(p.refs.Load()) }
+
+const (
+	// chunkShift is log2 of the frames one directory chunk covers.
+	chunkShift = 14
+	// chunkFrames is the number of frames per directory chunk (16 K
+	// frames, 64 MiB of simulated memory).
+	chunkFrames = 1 << chunkShift
+)
+
+// chunk is one block of the frame→page directory. A slot holds the
+// frame's current Page, or nil while the frame is free.
+type chunk [chunkFrames]atomic.Pointer[Page]
+
+// freeFrame is a frame on the allocator's free list with the bytes it
+// keeps across owners.
+type freeFrame struct {
+	frame Frame
+	data  []byte
 }
 
 // PhysMem is the simulated physical memory of one machine: a frame
@@ -134,11 +163,19 @@ func (p *Page) RefCount() int {
 type PhysMem struct {
 	costs *sim.CostModel
 
-	mu     sync.Mutex
-	frames [][]byte
-	pages  []*Page
-	free   []Frame
+	// dir is the frame→page directory: frame f lives in slot
+	// f%chunkFrames of chunk f/chunkFrames. A chunk is published once
+	// and never moves; growth publishes a longer chunk list that
+	// shares every existing chunk. Page therefore reads without a
+	// lock, and a reader holding an old list still sees every frame
+	// that existed when it loaded it.
+	dir atomic.Pointer[[]*chunk]
 
+	// mu guards the allocator: the frame count, the free list, the
+	// allocation counter and directory growth.
+	mu        sync.Mutex
+	total     int
+	free      []freeFrame
 	allocated int64
 }
 
@@ -147,7 +184,9 @@ func New(costs *sim.CostModel) *PhysMem {
 	if costs == nil {
 		costs = sim.DefaultCosts()
 	}
-	return &PhysMem{costs: costs}
+	m := &PhysMem{costs: costs}
+	m.dir.Store(new([]*chunk))
+	return m
 }
 
 // Alloc allocates one zeroed frame, charging the allocation cost to
@@ -157,68 +196,86 @@ func (m *PhysMem) Alloc(clk *sim.Clock) *Page {
 	if clk != nil {
 		clk.Advance(m.costs.FrameAlloc)
 	}
+	pg, reused := m.take()
+	if reused {
+		clear(pg.data)
+	}
+	return pg
+}
+
+// take hands out a frame under a fresh Page — a free one if there is
+// any (reused: its old bytes are still in it), else a new zeroed one.
+// The fresh Page identity per reuse keeps stale pointers to the
+// frame's previous Page inert: their flags and mappings belong to
+// nobody, and Free ignores them.
+func (m *PhysMem) take() (pg *Page, reused bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.allocated++
 	if n := len(m.free); n > 0 {
-		f := m.free[n-1]
+		ff := m.free[n-1]
 		m.free = m.free[:n-1]
-		data := m.frames[f]
-		for i := range data {
-			data[i] = 0
-		}
 		//lint:allow hotalloc fresh Page identity per frame reuse keeps stale frame pointers inert
-		pg := &Page{frame: f}
-		m.pages[f] = pg
-		return pg
+		pg = &Page{frame: ff.frame, data: ff.data}
+		m.slot(ff.frame).Store(pg)
+		return pg, true
 	}
-	f := Frame(len(m.frames))
+	f := Frame(m.total)
+	if m.total%chunkFrames == 0 {
+		old := *m.dir.Load()
+		//lint:allow hotalloc directory growth, once per 16 K frames: a longer chunk list plus one new chunk
+		grown := append(old[:len(old):len(old)], new(chunk))
+		m.dir.Store(&grown)
+	}
+	m.total++
 	//lint:allow hotalloc physical memory growth, once per frame for the machine lifetime
-	m.frames = append(m.frames, make([]byte, PageSize))
-	//lint:allow hotalloc physical memory growth, once per frame for the machine lifetime
-	pg := &Page{frame: f}
-	m.pages = append(m.pages, pg)
-	return pg
+	pg = &Page{frame: f, data: make([]byte, PageSize)}
+	m.slot(f).Store(pg)
+	return pg, false
 }
 
-// Free returns a frame to the allocator. The caller must guarantee no
-// mappings remain.
-func (m *PhysMem) Free(pg *Page) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if pg.frame == NoFrame || int(pg.frame) >= len(m.frames) {
-		panic(fmt.Sprintf("mem: freeing invalid frame %d", pg.frame))
-	}
-	m.pages[pg.frame] = nil
-	m.free = append(m.free, pg.frame)
+// slot returns the directory slot of a frame the directory covers.
+func (m *PhysMem) slot(f Frame) *atomic.Pointer[Page] {
+	return &(*m.dir.Load())[f>>chunkShift][f&(chunkFrames-1)]
 }
 
-// Data returns the backing bytes of a frame. The slice aliases the
-// frame; writes through it are writes to simulated physical memory.
-func (m *PhysMem) Data(f Frame) []byte {
+// Free returns pg's frame to the allocator and reports whether it
+// did. The caller must guarantee no mappings remain. Freeing a page
+// that is not its frame's current page — it was freed already — is a
+// no-op, so two parties that both find a page unreferenced may both
+// free it.
+func (m *PhysMem) Free(pg *Page) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.frames[f]
+	if pg.frame == NoFrame || int(pg.frame) >= m.total {
+		panic("mem: freeing a page of no frame in this memory")
+	}
+	if !m.slot(pg.frame).CompareAndSwap(pg, nil) {
+		return false
+	}
+	m.free = append(m.free, freeFrame{pg.frame, pg.data})
+	return true
 }
 
 // Page returns the metadata for a frame, or nil if the frame is free.
+// It takes no lock.
 func (m *PhysMem) Page(f Frame) *Page {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if int(f) >= len(m.pages) {
+	dir := *m.dir.Load()
+	if int(f>>chunkShift) >= len(dir) {
 		return nil
 	}
-	return m.pages[f]
+	return dir[f>>chunkShift][f&(chunkFrames-1)].Load()
 }
 
-// Copy duplicates src into a new frame (the COW copy), charging frame
-// allocation plus a 4 KiB memcpy to clk.
+// Copy duplicates src into another frame (the COW copy), charging
+// frame allocation plus a 4 KiB memcpy to clk. A reused frame is not
+// zeroed first: the copy overwrites all of it.
 func (m *PhysMem) Copy(clk *sim.Clock, src *Page) *Page {
-	dst := m.Alloc(clk)
 	if clk != nil {
-		clk.Advance(m.costs.MemcpyCost(PageSize))
+		clk.Advance(m.costs.FrameAlloc + m.costs.MemcpyCost(PageSize))
 	}
-	copy(m.Data(dst.frame), m.Data(src.frame))
+	dst, _ := m.take()
+	copy(dst.data, src.data)
 	return dst
 }
 
@@ -234,7 +291,7 @@ func (m *PhysMem) Stats() Stats {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return Stats{
-		TotalFrames: len(m.frames),
+		TotalFrames: m.total,
 		FreeFrames:  len(m.free),
 		Allocations: m.allocated,
 	}

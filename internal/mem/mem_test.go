@@ -1,6 +1,8 @@
 package mem
 
 import (
+	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 
@@ -12,7 +14,7 @@ func newTestMem() *PhysMem { return New(sim.DefaultCosts()) }
 func TestAllocZeroed(t *testing.T) {
 	m := newTestMem()
 	pg := m.Alloc(nil)
-	data := m.Data(pg.Frame())
+	data := pg.Data()
 	if len(data) != PageSize {
 		t.Fatalf("frame size = %d", len(data))
 	}
@@ -35,14 +37,14 @@ func TestAllocChargesClock(t *testing.T) {
 func TestFreeReuseZeroes(t *testing.T) {
 	m := newTestMem()
 	pg := m.Alloc(nil)
-	copy(m.Data(pg.Frame()), []byte("dirty data"))
+	copy(pg.Data(), []byte("dirty data"))
 	f := pg.Frame()
 	m.Free(pg)
 	pg2 := m.Alloc(nil)
 	if pg2.Frame() != f {
 		t.Fatalf("free frame not reused: got %d want %d", pg2.Frame(), f)
 	}
-	for i, b := range m.Data(pg2.Frame()) {
+	for i, b := range pg2.Data() {
 		if b != 0 {
 			t.Fatalf("reused frame byte %d not zeroed", i)
 		}
@@ -135,21 +137,21 @@ func TestReverseMappings(t *testing.T) {
 func TestCopy(t *testing.T) {
 	m := newTestMem()
 	src := m.Alloc(nil)
-	copy(m.Data(src.Frame()), []byte("hello memsnap"))
+	copy(src.Data(), []byte("hello memsnap"))
 	clk := sim.NewClock()
 	dst := m.Copy(clk, src)
 	if dst.Frame() == src.Frame() {
 		t.Fatal("Copy returned same frame")
 	}
-	if string(m.Data(dst.Frame())[:13]) != "hello memsnap" {
+	if string(dst.Data()[:13]) != "hello memsnap" {
 		t.Fatal("Copy did not copy data")
 	}
 	if clk.Now() == 0 {
 		t.Fatal("Copy did not charge the clock")
 	}
 	// Mutating the copy must not affect the source.
-	m.Data(dst.Frame())[0] = 'X'
-	if m.Data(src.Frame())[0] != 'h' {
+	dst.Data()[0] = 'X'
+	if src.Data()[0] != 'h' {
 		t.Fatal("copy aliases source")
 	}
 }
@@ -180,5 +182,132 @@ func TestAllocUniqueFramesProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestFreeTwiceFreesOnce pins the rule the COW retire path relies on:
+// a page that is no longer its frame's current page — here, freed
+// already and the frame handed out again — is ignored by Free.
+func TestFreeTwiceFreesOnce(t *testing.T) {
+	m := newTestMem()
+	pg := m.Alloc(nil)
+	if !m.Free(pg) {
+		t.Fatal("first Free did not free")
+	}
+	if m.Free(pg) {
+		t.Fatal("second Free of the same page freed again")
+	}
+	if s := m.Stats(); s.FreeFrames != 1 {
+		t.Fatalf("free frames = %d, want 1", s.FreeFrames)
+	}
+	reuse := m.Alloc(nil)
+	if reuse.Frame() != pg.Frame() || reuse == pg {
+		t.Fatalf("frame %d reused as %d, same page %v", pg.Frame(), reuse.Frame(), reuse == pg)
+	}
+	if m.Free(pg) {
+		t.Fatal("stale page freed the frame's new owner")
+	}
+	if m.Page(reuse.Frame()) != reuse {
+		t.Fatal("new owner lost its directory slot")
+	}
+}
+
+// TestCopyReusesFreeFrame: the COW copy takes a free frame when there
+// is one and leaves none of its old bytes behind.
+func TestCopyReusesFreeFrame(t *testing.T) {
+	m := newTestMem()
+	src := m.Alloc(nil)
+	old := m.Alloc(nil)
+	for i := range old.Data() {
+		old.Data()[i] = 0xee
+	}
+	copy(src.Data(), "fresh")
+	m.Free(old)
+	dst := m.Copy(nil, src)
+	if dst.Frame() != old.Frame() {
+		t.Fatalf("Copy grew memory (frame %d) with frame %d free", dst.Frame(), old.Frame())
+	}
+	if string(dst.Data()) != string(src.Data()) {
+		t.Fatal("reused frame differs from the source")
+	}
+	if s := m.Stats(); s.TotalFrames != 2 || s.FreeFrames != 0 || s.Allocations != 3 {
+		t.Fatalf("stats = %+v", s)
+	}
+}
+
+// TestDirectoryConcurrentReadDuringGrowth reads the frame directory
+// without a lock while the allocator grows it across several chunks
+// and recycles frames. Run under -race: readers learn which frames
+// exist only through an atomic counter, as a TLB entry or a PTE
+// publishes a frame to a translating thread.
+func TestDirectoryConcurrentReadDuringGrowth(t *testing.T) {
+	m := newTestMem()
+	total := 2*chunkFrames + 100
+	if testing.Short() {
+		total = chunkFrames + 100
+	}
+	published := make([]atomic.Pointer[Page], total)
+	var n atomic.Int64
+
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	for r := 0; r < 3; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			for i := int64(r); ; i += 7 {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				have := n.Load()
+				if have == 0 {
+					continue
+				}
+				want := published[i%have].Load()
+				f := want.Frame()
+				if got := m.Page(f); got != want {
+					t.Errorf("Page(%d) = %p, want %p", f, got, want)
+					return
+				}
+				if data := m.Page(f).Data(); len(data) != PageSize || data[0] != byte(f) {
+					t.Errorf("frame %d: %d bytes, first byte %d", f, len(data), data[0])
+					return
+				}
+				if m.Page(Frame(total+2*chunkFrames)) != nil {
+					t.Errorf("frame past the directory has a page")
+					return
+				}
+			}
+		}(r)
+	}
+
+	// A second allocator goroutine churns frames it never publishes.
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			a := m.Alloc(nil)
+			m.Free(m.Copy(nil, a))
+			m.Free(a)
+		}
+	}()
+
+	for i := 0; i < total; i++ {
+		pg := m.Alloc(nil)
+		pg.Data()[0] = byte(pg.Frame())
+		published[i].Store(pg)
+		n.Add(1)
+	}
+	close(stop)
+	wg.Wait()
+	if got := len(*m.dir.Load()); got < 2 {
+		t.Fatalf("directory has %d chunks; the test meant to grow it", got)
 	}
 }

@@ -242,6 +242,12 @@ func (t *table) put(h uint64, key []byte, value uint64) (prev uint64, existed bo
 	if !ok {
 		return 0, false, ErrShardFull
 	}
+	return t.putAt(idx, found, key, value)
+}
+
+// putAt is put at the slot probe returned for key: the live match when
+// found, else the insertable slot.
+func (t *table) putAt(idx uint64, found bool, key []byte, value uint64) (prev uint64, existed bool, err error) {
 	// Cap occupancy at 3/4 so probe chains stay short; tombstone reuse
 	// does not grow fills.
 	pageOff, off := slotPos(idx)
@@ -261,7 +267,7 @@ func (t *table) put(h uint64, key []byte, value uint64) (prev uint64, existed bo
 		}
 		pg[off+slotState] = slotLive
 		pg[off+slotKLen] = byte(len(key))
-		copy(pg[off+slotKey:off+slotKey+MaxKeyLen], make([]byte, MaxKeyLen))
+		clear(pg[off+slotKey : off+slotKey+MaxKeyLen])
 		copy(pg[off+slotKey:], key)
 		t.man.live++
 	}
@@ -273,9 +279,16 @@ func (t *table) put(h uint64, key []byte, value uint64) (prev uint64, existed bo
 // add increments key by delta (two's-complement wrapping), creating
 // the key at value delta when absent. Returns the new value.
 func (t *table) add(h uint64, key []byte, delta uint64) (uint64, error) {
-	cur, _ := t.get(h, key)
-	next := cur + delta
-	if _, _, err := t.put(h, key, next); err != nil {
+	idx, found, ok := t.probe(h, key)
+	if !ok {
+		return 0, ErrShardFull
+	}
+	next := delta
+	if found {
+		pageOff, off := slotPos(idx)
+		next += binary.LittleEndian.Uint64(t.ctx.PageForRead(t.region, pageOff)[off+slotValue:])
+	}
+	if _, _, err := t.putAt(idx, found, key, next); err != nil {
 		return 0, err
 	}
 	return next, nil

@@ -14,9 +14,10 @@ func TestLookupInsert(t *testing.T) {
 	if _, ok := tl.Lookup(1); ok {
 		t.Fatal("empty TLB hit")
 	}
-	tl.Insert(1, Entry{Frame: mem.Frame(7), Writable: true})
+	pg := new(mem.Page)
+	tl.Insert(1, Entry{Page: pg, Writable: true})
 	e, ok := tl.Lookup(1)
-	if !ok || e.Frame != 7 || !e.Writable {
+	if !ok || e.Page != pg || !e.Writable {
 		t.Fatalf("lookup after insert: %+v ok=%v", e, ok)
 	}
 	hits, misses := tl.Stats()
@@ -27,8 +28,8 @@ func TestLookupInsert(t *testing.T) {
 
 func TestInsertUpdatesExisting(t *testing.T) {
 	tl := New(4)
-	tl.Insert(1, Entry{Frame: 1, Writable: false})
-	tl.Insert(1, Entry{Frame: 1, Writable: true})
+	tl.Insert(1, Entry{Writable: false})
+	tl.Insert(1, Entry{Writable: true})
 	if tl.Len() != 1 {
 		t.Fatalf("len = %d", tl.Len())
 	}
@@ -160,7 +161,7 @@ func TestCapacityInvariantProperty(t *testing.T) {
 			vpn := uint64(op % 64)
 			switch op % 3 {
 			case 0, 1:
-				tl.Insert(vpn, Entry{Frame: mem.Frame(op)})
+				tl.Insert(vpn, Entry{Writable: op&4 != 0})
 			case 2:
 				tl.InvalidatePage(vpn)
 			}

@@ -127,17 +127,17 @@ func (as *AddressSpace) ResetProtectionsScan(clk *sim.Clock, m *Mapping) []uint6
 // MarkCheckpointInProgress sets the in-progress flag on every record's
 // page. Call this BEFORE resetting protections: a writer that faults
 // while the flush is being prepared must already observe the flag and
-// take the COW path. The returned release function clears the flags;
-// call it when the IO completes.
+// take the COW path. The returned release function retires the pages
+// (RetireCheckpointPages); call it when the IO completes.
 func (as *AddressSpace) MarkCheckpointInProgress(records []DirtyRecord) (release func()) {
 	pages := as.MarkCheckpointPages(records, nil)
-	return func() { ClearCheckpointPages(pages) }
+	return func() { as.RetireCheckpointPages(pages) }
 }
 
 // MarkCheckpointPages is the allocation-free form of
 // MarkCheckpointInProgress: it sets the in-progress flag on every
-// record's page and appends the pages to buf. The caller releases the
-// flags with ClearCheckpointPages when the IO completes.
+// record's page and appends the pages to buf. The caller retires them
+// with RetireCheckpointPages when the IO completes.
 func (as *AddressSpace) MarkCheckpointPages(records []DirtyRecord, buf []*mem.Page) []*mem.Page {
 	for _, rec := range records {
 		rec.Page.SetFlag(mem.FlagCheckpointInProgress)
@@ -146,11 +146,29 @@ func (as *AddressSpace) MarkCheckpointPages(records []DirtyRecord, buf []*mem.Pa
 	return buf
 }
 
-// ClearCheckpointPages clears the in-progress flag set by
-// MarkCheckpointPages.
-func ClearCheckpointPages(pages []*mem.Page) {
+// RetireCheckpointPages ends the uCheckpoint that marked pages: it
+// clears their in-progress flags and returns to the allocator every
+// frame a writer's in-flight COW displaced meanwhile. Until here the
+// displaced frame was the checkpoint's snapshot; nothing else refers
+// to it (the COW path repointed the PTE and shot the translation down
+// on every CPU).
+//
+//memsnap:hotpath
+func (as *AddressSpace) RetireCheckpointPages(pages []*mem.Page) {
 	for _, pg := range pages {
 		pg.ClearFlag(mem.FlagCheckpointInProgress)
+		as.reclaim(pg)
+	}
+}
+
+// reclaim frees pg's frame if nothing refers to it: no mapping and no
+// uCheckpoint in progress. The COW path calls it after dropping the
+// last mapping and the retire step after clearing the flag, so the
+// frame is freed by whichever of the two comes last; when they race
+// both may get here, and PhysMem.Free frees once.
+func (as *AddressSpace) reclaim(pg *mem.Page) {
+	if pg.RefCount() == 0 && !pg.HasFlag(mem.FlagCheckpointInProgress) {
+		as.phys.Free(pg)
 	}
 }
 
@@ -168,7 +186,7 @@ func (as *AddressSpace) SnapshotPagesInto(records []DirtyRecord, snapshots [][]b
 	as.mu.Lock()
 	defer as.mu.Unlock()
 	for _, rec := range records {
-		snapshots = append(snapshots, as.phys.Data(rec.Page.Frame()))
+		snapshots = append(snapshots, rec.Page.Data())
 	}
 	return snapshots
 }

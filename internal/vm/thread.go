@@ -17,8 +17,9 @@ import (
 type Thread struct {
 	ID    int
 	clock *sim.Clock
-	cpu   int
-	as    *AddressSpace
+	// tlb is the TLB of the CPU the thread runs on.
+	tlb *tlb.TLB
+	as  *AddressSpace
 
 	// dirty is the trace buffer: the per-thread list of dirtied pages
 	// with their PTE references, in fault order.
@@ -56,7 +57,7 @@ func (as *AddressSpace) NewThread(clock *sim.Clock, cpu int) *Thread {
 	t := &Thread{
 		ID:      len(as.threads),
 		clock:   clock,
-		cpu:     cpu % as.tlbs.NumCPUs(),
+		tlb:     as.tlbs.CPU(cpu),
 		as:      as,
 		tracked: make(map[uint64]bool),
 	}
@@ -85,16 +86,14 @@ func (t *Thread) chargeFault(d time.Duration) {
 // paper's point that MemSnap does not *stop other threads* is modeled
 // in the cost model (no ThreadStop charges on this path), not by
 // lock-freedom of the simulator.
+//
+//memsnap:hotpath
 func (t *Thread) translate(addr uint64, write bool) *mem.Page {
-	vpn := addr / PageSize
-	cpu := t.as.tlbs.CPU(t.cpu)
-
-	// TLB hit fast path: free, like hardware.
-	if e, ok := cpu.Lookup(vpn); ok {
-		if !write || e.Writable {
-			return t.as.phys.Page(e.Frame)
-		}
-		// Write to a read-only translation: fall into the fault path.
+	// TLB hit fast path: free, like hardware. The entry carries the
+	// page and the page its bytes, so a hit is this one lookup. A write
+	// to a read-only translation falls into the fault path.
+	if e, ok := t.tlb.Lookup(addr / PageSize); ok && (!write || e.Writable) {
+		return e.Page
 	}
 
 	as := t.as
@@ -110,7 +109,6 @@ func (t *Thread) translate(addr uint64, write bool) *mem.Page {
 // stale — the PTE is the authority here.
 func (t *Thread) translateLocked(addr uint64, write bool) *mem.Page {
 	vpn := addr / PageSize
-	cpu := t.as.tlbs.CPU(t.cpu)
 	as := t.as
 
 	m := as.findMappingLocked(addr)
@@ -130,40 +128,42 @@ func (t *Thread) translateLocked(addr uint64, write bool) *mem.Page {
 			pg = m.SharedPages[pageIdx]
 			if pg == nil {
 				pg = as.phys.Alloc(t.clock)
-				m.Backing.PageIn(t.clock, pageIdx, as.phys.Data(pg.Frame()))
+				m.Backing.PageIn(t.clock, pageIdx, pg.Data())
 				m.SharedPages[pageIdx] = pg
 			}
 		} else {
 			pg = as.phys.Alloc(t.clock)
-			m.Backing.PageIn(t.clock, pageIdx, as.phys.Data(pg.Frame()))
+			m.Backing.PageIn(t.clock, pageIdx, pg.Data())
 		}
 		// Tracked mappings install read-only PTEs (the MemSnap
 		// configuration); untracked install writable directly.
 		pte = as.table.Map(vpn, pg.Frame(), !m.Tracked)
 		pg.AddMapping(mem.ReverseMapping{Owner: as, VPN: vpn})
 		if write && m.Tracked {
-			t.writeFaultLocked(m, vpn, pte)
+			pg = t.writeFaultLocked(m, vpn, pte, pg)
 		}
-		cpu.Insert(vpn, tlb.Entry{Frame: pte.Frame, Writable: pte.Writable})
-		return as.phys.Page(pte.Frame)
+		t.tlb.Insert(vpn, tlb.Entry{Page: pg, Writable: pte.Writable})
+		return pg
 	}
 
+	pg := as.phys.Page(pte.Frame)
 	if write && !pte.Writable {
 		if !m.Tracked {
 			//lint:allow hotalloc fatal-path formatting on a protection violation
 			panic(fmt.Sprintf("vm: write to read-only mapping %q at %#x", m.Name, addr))
 		}
-		t.writeFaultLocked(m, vpn, pte)
+		pg = t.writeFaultLocked(m, vpn, pte, pg)
 	}
-	cpu.Insert(vpn, tlb.Entry{Frame: pte.Frame, Writable: pte.Writable})
-	return as.phys.Page(pte.Frame)
+	t.tlb.Insert(vpn, tlb.Entry{Page: pg, Writable: pte.Writable})
+	return pg
 }
 
 // writeFaultLocked handles a write to a read-only PTE in a tracked
-// mapping: MemSnap's two fault paths.
-func (t *Thread) writeFaultLocked(m *Mapping, vpn uint64, pte *pagetable.PTE) {
+// mapping: MemSnap's two fault paths. pg is the page the PTE maps; the
+// page it maps afterwards (the duplicate, after an in-flight COW) is
+// returned.
+func (t *Thread) writeFaultLocked(m *Mapping, vpn uint64, pte *pagetable.PTE, pg *mem.Page) *mem.Page {
 	as := t.as
-	pg := as.phys.Page(pte.Frame)
 
 	if pg.HasFlag(mem.FlagCheckpointInProgress) {
 		// In-flight COW: duplicate the frame so the checkpoint keeps
@@ -172,14 +172,24 @@ func (t *Thread) writeFaultLocked(m *Mapping, vpn uint64, pte *pagetable.PTE) {
 		as.stats.COWFaults++
 		t.rec.Instant(obs.CatVM, obs.NameCOWFault, t.recTrack, t.clock.Now(), int64(vpn))
 		dup := as.phys.Copy(t.clock, pg)
-		pg.RemoveMapping(as, vpn)
 		dup.AddMapping(mem.ReverseMapping{Owner: as, VPN: vpn})
 		pte.Frame = dup.Frame()
-		pg = dup
 		// Shared mappings must observe the replacement too.
 		if m.SharedPages != nil {
 			m.SharedPages[(vpn*PageSize-m.Start)/PageSize] = dup
 		}
+		// Every CPU that cached the translation must lose it: another
+		// thread of this address space would otherwise keep reading the
+		// displaced frame, which goes back to the allocator once the
+		// uCheckpoint holding it retires. Uncharged: the COWFault
+		// constant already covers the whole fault, and a separate
+		// shootdown charge here would move the paper's tables.
+		as.tlbs.ShootdownPage(nil, vpn)
+		// The displaced page now belongs to the uCheckpoint(s) holding
+		// it in progress; see reclaim.
+		pg.RemoveMapping(as, vpn)
+		as.reclaim(pg)
+		pg = dup
 	} else {
 		// Tracking fault: no copy.
 		t.chargeFault(as.costs.MinorFault)
@@ -210,6 +220,7 @@ func (t *Thread) writeFaultLocked(m *Mapping, vpn uint64, pte *pagetable.PTE) {
 			}
 		}
 	}
+	return pg
 }
 
 // Write copies data into the address space at addr, faulting as
@@ -240,7 +251,7 @@ func (t *Thread) Write(addr uint64, data []byte) {
 		}
 		as.mu.Lock()
 		pg := t.translateLocked(addr, true)
-		copy(as.phys.Data(pg.Frame())[off:], data[:n])
+		copy(pg.Data()[off:], data[:n])
 		as.mu.Unlock()
 		addr += n
 		data = data[n:]
@@ -259,7 +270,7 @@ func (t *Thread) Read(addr uint64, buf []byte) {
 		if n > uint64(len(buf)) {
 			n = uint64(len(buf))
 		}
-		copy(buf[:n], t.as.phys.Data(pg.Frame())[off:])
+		copy(buf[:n], pg.Data()[off:])
 		addr += n
 		buf = buf[n:]
 	}
@@ -270,14 +281,12 @@ func (t *Thread) Read(addr uint64, buf []byte) {
 // Callers must not retain the slice across a Persist (the frame may be
 // replaced by an in-flight COW).
 func (t *Thread) PageForWrite(addr uint64) []byte {
-	pg := t.translate(addr, true)
-	return t.as.phys.Data(pg.Frame())
+	return t.translate(addr, true).Data()
 }
 
 // PageForRead returns the frame bytes for reading.
 func (t *Thread) PageForRead(addr uint64) []byte {
-	pg := t.translate(addr, false)
-	return t.as.phys.Data(pg.Frame())
+	return t.translate(addr, false).Data()
 }
 
 // DirtyLen returns the number of pages in the thread's trace buffer.

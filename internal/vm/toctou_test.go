@@ -114,7 +114,7 @@ func TestWriteCheckpointTOCTOU(t *testing.T) {
 					}
 				}
 			}
-			ClearCheckpointPages(hold)
+			as2.RetireCheckpointPages(hold)
 		}
 	}()
 

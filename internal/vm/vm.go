@@ -193,6 +193,20 @@ func (as *AddressSpace) Stats() FaultStats {
 	return as.stats
 }
 
+// MappedFrames adds to set the frame behind every present PTE of the
+// address space's mappings: the physical memory this address space
+// accounts for. An audit helper (it scans the page tables), not a
+// fast path.
+func (as *AddressSpace) MappedFrames(set map[mem.Frame]struct{}) {
+	as.mu.Lock()
+	defer as.mu.Unlock()
+	for _, m := range as.mappings {
+		as.table.ScanRange(nil, m.Start/PageSize, m.Pages, func(pte *pagetable.PTE) {
+			set[pte.Frame] = struct{}{}
+		})
+	}
+}
+
 // Threads returns the registered threads (for MS_GLOBAL persists and
 // Aurora's stop-the-world).
 func (as *AddressSpace) Threads() []*Thread {

@@ -409,3 +409,90 @@ func TestChargeThreadStopAll(t *testing.T) {
 		t.Fatalf("stop-all charged %v, want %v", d, want)
 	}
 }
+
+// TestCOWInvalidatesRemoteTLB pins the in-flight COW's shootdown: a
+// second thread of the same address space, on another CPU, that cached
+// the page's translation before the writer's COW must read the
+// duplicate afterwards — not the displaced frame, which the writer no
+// longer updates and which returns to the allocator when the
+// checkpoint retires.
+func TestCOWInvalidatesRemoteTLB(t *testing.T) {
+	as := newAS()
+	mapRegion(t, as, "r", 0x100000, 8, true)
+	writer := as.NewThread(nil, 0)
+	reader := as.NewThread(nil, 1)
+	buf := make([]byte, 8)
+
+	writer.Write(0x100000, []byte("original"))
+	recs := writer.TakeDirty(nil)
+	release := as.MarkCheckpointInProgress(recs)
+	vpns := as.ResetProtectionsTrace(writer.Clock(), recs)
+	as.TLBs().Invalidate(writer.Clock(), vpns)
+
+	// The reader caches the read-only translation of the frame under
+	// checkpoint on its own CPU.
+	reader.Read(0x100000, buf)
+	if string(buf) != "original" {
+		t.Fatalf("reader sees %q before the COW", buf)
+	}
+	if _, cached := as.TLBs().CPU(1).Lookup(0x100000 / PageSize); !cached {
+		t.Fatal("reader's CPU did not cache the translation")
+	}
+
+	writer.Write(0x100000, []byte("MUTATED!"))
+	if as.Stats().COWFaults != 1 {
+		t.Fatalf("COW faults = %d, want 1", as.Stats().COWFaults)
+	}
+	reader.Read(0x100000, buf)
+	if string(buf) != "MUTATED!" {
+		t.Fatalf("reader on another CPU still reads the displaced frame: %q", buf)
+	}
+
+	// Retiring the checkpoint frees the displaced frame; whoever gets
+	// it next must not show through the reader's translation.
+	release()
+	if free := as.Phys().Stats().FreeFrames; free != 1 {
+		t.Fatalf("free frames after retire = %d, want 1", free)
+	}
+	writer.Write(0x100000+PageSize, []byte("neighbor")) // pages in on the freed frame
+	reader.Read(0x100000, buf)
+	if string(buf) != "MUTATED!" {
+		t.Fatalf("reader reads a recycled frame: %q", buf)
+	}
+}
+
+// TestCOWFrameReturnedPrivateMapping is the frame-return check for a
+// mapping without SharedPages: a checkpoint, a write that COWs under
+// it and a retire, over and over, must leave physical memory the size
+// it reached after the first round.
+func TestCOWFrameReturnedPrivateMapping(t *testing.T) {
+	as := newAS()
+	mapRegion(t, as, "r", 0x100000, 4, true)
+	th := as.NewThread(nil, 0)
+	th.Write(0x100000, []byte{0})
+	var after1 int
+	for round := 1; round <= 2000; round++ {
+		recs := th.TakeDirty(nil)
+		release := as.MarkCheckpointInProgress(recs)
+		as.TLBs().Invalidate(nil, as.ResetProtectionsTrace(nil, recs))
+		th.Write(0x100000, []byte{byte(round)})
+		release()
+		st := as.Phys().Stats()
+		if round == 1 {
+			after1 = st.TotalFrames
+		} else if st.TotalFrames != after1 {
+			t.Fatalf("round %d: %d frames, %d after the first round", round, st.TotalFrames, after1)
+		}
+		if live := st.TotalFrames - st.FreeFrames; live != 1 {
+			t.Fatalf("round %d: %d live frames for one mapped page", round, live)
+		}
+	}
+	if got := as.Stats().COWFaults; got != 2000 {
+		t.Fatalf("COW faults = %d, want 2000", got)
+	}
+	buf := make([]byte, 1)
+	th.Read(0x100000, buf)
+	if buf[0] != byte(2000%256) {
+		t.Fatalf("contents lost: %d", buf[0])
+	}
+}

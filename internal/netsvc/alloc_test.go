@@ -15,9 +15,10 @@ import (
 // over loopback TCP). The serving path is designed to stay flat: the
 // frame reader reuses one buffer, request structs are pooled, tenant
 // and key strings are interned per connection, and the client reuses
-// its pair of send buffers — what remains is composeKey and small
-// worker-side batch bookkeeping. Measured ~6 allocs/op; the ceiling
-// leaves headroom for runtime noise, not for regressions.
+// its pair of send buffers, and a shard reuses its batch, group-commit
+// and key scratch — what remains is amortized growth. Measured ~0.03
+// allocs/op; the ceiling leaves headroom for runtime noise, not for
+// regressions.
 const maxAllocsPerOp = 24
 
 // measureAllocsPerOp runs a warmed-up put/get mix through a loopback

@@ -610,11 +610,11 @@ func (s *Shipper) catchUp(ss *shipShard, at time.Duration, folLast uint64, d *De
 }
 
 // obtainSnapshot produces the catch-up snapshot: from snapFn on the
-// calling worker goroutine (sync mode), or through the attached
-// service's worker queue. In the latter case the sender keeps
-// draining its own queue into the backlog meanwhile, so the shard
-// worker — possibly blocked on a full window — can always make
-// progress to serve the snapshot request: no deadlock.
+// goroutine that is running the shard (sync mode), or through the
+// attached service. In the latter case the sender keeps draining its
+// own queue into the backlog meanwhile, so whoever is running the
+// shard — possibly blocked on a full window — can always make progress
+// and let the snapshot request run: no deadlock.
 //
 //memsnap:coldpath
 func (s *Shipper) obtainSnapshot(ss *shipShard, snapFn func() shard.Snapshot) (*shard.Snapshot, error) {

@@ -51,9 +51,13 @@ type Meta struct {
 }
 
 // Replicator receives every group commit after it is locally durable.
-// The worker calls ShipCommit from its own goroutine at virtual time
-// at (the local durability time) and advances its clock to the
-// returned time before acknowledging the batch's writers — a
+// Whoever is running the shard — its worker, or a blocking caller that
+// found it idle — calls ShipCommit from its own goroutine, holding the
+// shard's execution lock, at virtual time at (the local durability
+// time), and advances the shard clock to the returned time before
+// acknowledging the batch's writers. Calls for one shard never overlap,
+// and ShipCommit must not wait for an op on that shard (nobody else can
+// run it meanwhile); snap is the way to read the shard from inside. A
 // synchronous replicator thus holds client acks until the follower
 // acks, while an asynchronous one returns at unchanged. A non-nil
 // error is propagated into every write response of the batch: the
@@ -65,9 +69,9 @@ type Replicator interface {
 	ShipCommit(shard int, at time.Duration, c Commit, snap func() Snapshot) (time.Duration, error)
 }
 
-// snapshot copies the shard's full region. Worker-confined: all reads
-// go through the worker context, and the copy cost lands on the
-// worker clock.
+// snapshot copies the shard's full region. Confined to the execution
+// lock's holder: all reads go through the shard context, and the copy
+// cost lands on the shard clock.
 func (sh *shard) snapshot() Snapshot {
 	pages := sh.region.Len() / core.PageSize
 	snap := Snapshot{
@@ -87,9 +91,8 @@ func (sh *shard) snapshot() Snapshot {
 	return snap
 }
 
-// ShardSnapshot copies one shard's full region through its worker
-// queue, serialized with in-flight applies — the source of a
-// replication catch-up transfer.
+// ShardSnapshot copies one shard's full region, serialized with
+// in-flight applies — the source of a replication catch-up transfer.
 func (s *Service) ShardSnapshot(shard int) (*Snapshot, error) {
 	resp, err := s.probe(s.shards[shard], opSnapshot)
 	if err != nil {
@@ -98,8 +101,8 @@ func (s *Service) ShardSnapshot(shard int) (*Snapshot, error) {
 	return resp.snap, nil
 }
 
-// ShardMeta reads one shard's replication position through its worker
-// queue.
+// ShardMeta reads one shard's replication position, serialized with
+// in-flight applies.
 func (s *Service) ShardMeta(shard int) (Meta, error) {
 	resp, err := s.probe(s.shards[shard], opMeta)
 	if err != nil {
@@ -109,8 +112,8 @@ func (s *Service) ShardMeta(shard int) (Meta, error) {
 	return Meta{Shard: sn.Shard, Seq: sn.Seq, Era: sn.Era, Sum: resp.Value, Epoch: sn.Epoch}, nil
 }
 
-// ShardDigests computes every shard's page-level region digest through
-// the worker queues (see DigestRegion).
+// ShardDigests computes every shard's page-level region digest,
+// serialized with in-flight applies (see DigestRegion).
 func (s *Service) ShardDigests() ([]uint64, error) {
 	out := make([]uint64, len(s.shards))
 	for i, sh := range s.shards {

@@ -1,11 +1,16 @@
 // Package shard implements a sharded, multi-tenant key-value service
 // on top of the MemSnap core — the repository's first serving
 // subsystem. A router hashes (tenant, key) pairs across N shards; each
-// shard owns one MemSnap region, one dedicated worker Context, and a
-// bounded request queue. Workers coalesce many client writes into one
-// group-commit uCheckpoint per batch (MSAsync + Wait overlaps the IO
-// of batch k with the in-memory application of batch k+1), apply
-// backpressure when queues fill, and export per-shard statistics.
+// shard owns one MemSnap region, one dedicated Context, a bounded
+// request queue and a worker goroutine. Whoever runs a shard holds its
+// execution lock: the worker while it drains the queue, or — as the
+// paper's msnap_persist runs on the thread that calls it — a blocking
+// caller (Do, Put, Get, ...) that finds the shard idle and runs its own
+// op on its own goroutine, with no hand-off (see the shard type). Either
+// way many client writes coalesce into one group-commit uCheckpoint per
+// batch (MSAsync + Wait overlaps the IO of batch k with the in-memory
+// application of batch k+1), full queues apply backpressure, and each
+// shard exports statistics.
 //
 // Durability contract: a write operation's response is delivered only
 // after the group commit containing it is durable, so every
@@ -66,18 +71,17 @@ const (
 	// applied within one batch, so every durable epoch preserves the
 	// shard's value sum.
 	OpTransfer
-	// opSum is internal: it reads the shard's manifest counters
-	// through the worker, serialized with applies.
+	// opSum is internal: it reads the shard's manifest counters,
+	// serialized with applies like any other op.
 	opSum
 	// opMeta is internal: it reads the shard's replication metadata
-	// (commit seq, era, sum, epoch) through the worker.
+	// (commit seq, era, sum, epoch).
 	opMeta
-	// opSnapshot is internal: it copies the shard's full region
-	// through the worker, serialized with applies, for replication
-	// catch-up transfers.
+	// opSnapshot is internal: it copies the shard's full region,
+	// serialized with applies, for replication catch-up transfers.
 	opSnapshot
 	// opDigest is internal: it computes the shard's page-level region
-	// digest through the worker.
+	// digest.
 	opDigest
 )
 
@@ -89,7 +93,7 @@ type Op struct {
 	Key2   string // OpTransfer destination
 	Value  uint64 // OpPut value / OpAdd delta / OpTransfer amount
 	// TraceID is the distributed trace id of a sampled request (0:
-	// untraced, the overwhelmingly common case). Workers stamp it onto
+	// untraced, the overwhelmingly common case). Shards stamp it onto
 	// their queue-wait/group-commit spans and the outgoing Commit, so
 	// one sampled request stitches across client, wire, shard and
 	// replication lanes. Propagation is a plain integer copy — the
@@ -134,13 +138,13 @@ type Config struct {
 	// BatchSize caps the number of requests coalesced into one group
 	// commit (default 16).
 	BatchSize int
-	// CommitInterval, when positive, makes a worker linger that much
-	// virtual time with a non-full batch before committing, giving
-	// concurrent clients a window to join the group commit.
+	// CommitInterval, when positive, makes whoever runs a shard linger
+	// that much virtual time with a non-full batch before committing,
+	// giving concurrent clients a window to join the group commit.
 	CommitInterval time.Duration
 	// RegionBytes is the per-shard region size (default 4 MiB).
 	RegionBytes int64
-	// StartAt positions worker clocks at a virtual time, e.g. the
+	// StartAt positions shard clocks at a virtual time, e.g. the
 	// recovery completion time returned by core.Recover.
 	StartAt time.Duration
 	// Era is the replication era stamped into every manifest the
@@ -150,13 +154,13 @@ type Config struct {
 	// regions keep their stored era when it is higher.
 	Era uint64
 	// Replicator, when set, receives every group commit after it is
-	// locally durable; in synchronous replication the worker holds the
+	// locally durable; in synchronous replication the shard holds the
 	// client acks until the replicator returns. See the Replicator
 	// interface.
 	Replicator Replicator
 	// Recorder, when set, receives lifecycle trace events from every
-	// shard: worker fault instants and persist-stage spans (via the
-	// worker Context) plus queue-wait and group-commit spans, each on
+	// shard: fault instants and persist-stage spans (via the shard
+	// Context) plus queue-wait and group-commit spans, each on
 	// the shard's trace lane (obs.ShardTrack). Drain it through
 	// obs.WriteTrace or the obs server's /tracez.
 	Recorder *obs.Recorder
@@ -231,16 +235,18 @@ type Service struct {
 
 // request is an Op plus its response channel. ack buffers a write's
 // apply-time response until its group commit is durable. at is the
-// worker-clock virtual time the request was enqueued (read atomically
+// shard-clock virtual time the request was admitted (read atomically
 // from the client goroutine), feeding the queue-wait trace span. tag
 // is the caller's correlation tag, echoed in Response.Tag.
 //
-// Requests are pooled: every response path returns the struct through
+// Queued requests are pooled: shard.respond returns the struct through
 // putRequest immediately after the single send on resp, so the
 // steady-state serving path allocates no request structs. The
 // response channel is NOT pooled — for the plain APIs its ownership
 // passes to the caller; for tagged submissions it belongs to the
-// caller outright.
+// caller outright. The one request that is not queued — shard.own, a
+// blocking caller running on the shard it found idle — has no channel:
+// its response is left in ack and returned by value.
 type request struct {
 	op   Op
 	resp chan Response
@@ -277,9 +283,9 @@ func RegionName(i int) string { return fmt.Sprintf("shardsvc/%03d", i) }
 // epoch and its manifest is cross-checked against a full scan; the
 // reports are available via Recovery().
 //
-// Workers run on CPUs shard-id modulo the system CPU count; configure
-// the system with at least Shards CPUs to give each worker a private
-// TLB, as a real deployment would.
+// Shard contexts run on CPUs shard-id modulo the system CPU count;
+// configure the system with at least Shards CPUs to give each shard a
+// private TLB, as a real deployment would.
 func New(sys *core.System, cfg Config) (*Service, error) {
 	s, err := open(sys, cfg)
 	if err != nil {
@@ -325,6 +331,8 @@ func open(sys *core.System, cfg Config) (*Service, error) {
 			region:    region,
 			tab:       table{ctx: ctx, region: region},
 			queue:     make(chan *request, cfg.QueueDepth),
+			wake:      make(chan struct{}, 1),
+			batch:     make([]*request, 0, cfg.BatchSize),
 			commitLat: newLatency(),
 			startedAt: ctx.Clock().Now(),
 		}
@@ -417,16 +425,15 @@ func checkKeyLen(tenant, key string) error {
 	return nil
 }
 
-// composeKey builds the region-resident key bytes for (tenant, key).
-func composeKey(tenant, key string) ([]byte, error) {
+// composeKey appends the region-resident key bytes for (tenant, key) to
+// dst[:0] and returns them.
+func composeKey(dst []byte, tenant, key string) ([]byte, error) {
 	if err := checkKeyLen(tenant, key); err != nil {
 		return nil, err
 	}
-	b := make([]byte, 0, len(tenant)+1+len(key))
-	b = append(b, tenant...)
-	b = append(b, 0)
-	b = append(b, key...)
-	return b, nil
+	dst = append(dst[:0], tenant...)
+	dst = append(dst, 0)
+	return append(dst, key...), nil
 }
 
 // route validates op and picks its shard.
@@ -448,18 +455,19 @@ func (s *Service) route(op Op) (*shard, error) {
 	return sh, nil
 }
 
-// submit enqueues r on sh under the submit lock. Blocking submits wait
-// for queue space but abort with ErrClosed when the service stops;
-// non-blocking submits fail fast with ErrBackpressure. On any error
-// the request was not enqueued, no response will be sent, and r is
-// recycled here — the caller must not touch it again.
+// submit enqueues r on sh under the submit lock and wakes the worker.
+// Blocking submits wait for queue space but abort with ErrClosed when
+// the service stops; non-blocking submits fail fast with
+// ErrBackpressure. On any error the request was not enqueued, no
+// response will be sent, and r is recycled here — the caller must not
+// touch it again.
 //
 // Drain ordering invariant (see Close): an enqueue can only happen
 // while the workers are still running, because Close flips the closed
 // flag under the exclusive submit lock *before* stopping them. Every
 // request that passes the closed-check below is therefore applied and
-// answered by a worker — admission implies exactly one response, and
-// an accepted write is always driven to durability.
+// answered — admission implies exactly one response, and an accepted
+// write is always driven to durability.
 func (s *Service) submit(sh *shard, r *request, block bool) error {
 	s.submitMu.RLock()
 	defer s.submitMu.RUnlock()
@@ -468,27 +476,69 @@ func (s *Service) submit(sh *shard, r *request, block bool) error {
 		return ErrClosed
 	}
 	// Stamp the enqueue time for the queue-wait span. Cross-goroutine
-	// reads of a worker clock go through its atomic Now.
+	// reads of a shard clock go through its atomic Now.
 	r.at = sh.ctx.Clock().Now()
 	if block {
-		sh.noteDepth(len(sh.queue) + 1)
 		select {
 		case sh.queue <- r:
-			return nil
 		case <-s.stop:
 			putRequest(r)
 			return ErrClosed
 		}
+	} else {
+		select {
+		case sh.queue <- r:
+		default:
+			sh.rejected.Add(1)
+			putRequest(r)
+			return ErrBackpressure
+		}
 	}
+	sh.noteDepth(len(sh.queue))
 	select {
-	case sh.queue <- r:
-		sh.noteDepth(len(sh.queue))
-		return nil
-	default:
-		sh.rejected.Add(1)
-		putRequest(r)
-		return ErrBackpressure
+	case sh.wake <- struct{}{}:
+	default: // a signal is already pending; the worker will see r
 	}
+	return nil
+}
+
+// call runs a blocking op and returns its response. When the shard is
+// idle — its execution lock free and, once taken, its queue empty — the
+// op runs here, on the caller's goroutine: a lone synchronous operation
+// pays no hand-off to the worker and back. The empty queue is the
+// per-submitter FIFO condition: requests leave the queue only under the
+// lock and are applied before it is released, so nothing this caller
+// submitted earlier (say through DoAsync) can still be unapplied.
+// Otherwise the op queues behind what is there and the caller waits,
+// sharing the worker's group commit.
+//
+// The caller counts as admitted once it holds the execution lock, taken
+// under the submit lock with the service open; Close waits for it
+// through that lock. The submit lock is dropped before the op runs, and
+// the execution lock is never held across a submit (the worker needs it
+// to make room in a full queue).
+func (s *Service) call(sh *shard, op Op, block bool) (Response, error) {
+	s.submitMu.RLock()
+	if s.closed.Load() {
+		s.submitMu.RUnlock()
+		return Response{}, ErrClosed
+	}
+	idle := sh.execMu.TryLock()
+	if idle && len(sh.queue) != 0 {
+		sh.execMu.Unlock()
+		idle = false
+	}
+	s.submitMu.RUnlock()
+	if idle {
+		resp := sh.runOwn(op)
+		sh.execMu.Unlock()
+		return resp, nil
+	}
+	ch := make(chan Response, 1)
+	if err := s.submit(sh, getRequest(op, 0, ch), block); err != nil {
+		return Response{}, err
+	}
+	return <-ch, nil
 }
 
 // DoAsync submits op and returns a channel that will receive its
@@ -527,7 +577,7 @@ func (s *Service) TryDoAsync(op Op) (<-chan Response, error) {
 // completions arrive out of order across shards. It blocks while the
 // target shard's queue is full.
 //
-// Contract: the worker sends exactly one Response per accepted op
+// Contract: the shard sends exactly one Response per accepted op
 // (nil return) and sends without waiting — resp must have capacity
 // for every response the caller can have outstanding, or shard
 // workers stall. A non-nil return means no response will arrive.
@@ -551,22 +601,28 @@ func (s *Service) TryDoTagged(op Op, tag uint64, resp chan Response) error {
 	return s.submit(sh, getRequest(op, tag, resp), false)
 }
 
-// Do submits op and waits for its response.
+// Do runs op and waits for its response. On an idle shard it runs on
+// the calling goroutine (see call).
 func (s *Service) Do(op Op) Response {
-	ch, err := s.DoAsync(op)
+	sh, err := s.route(op)
 	if err != nil {
 		return Response{Err: err}
 	}
-	return <-ch
+	resp, err := s.call(sh, op, true)
+	if err != nil {
+		return Response{Err: err}
+	}
+	return resp
 }
 
-// TryDo is Do with admission control (ErrBackpressure when full).
+// TryDo is Do with admission control (ErrBackpressure when the op has
+// to queue and the queue is full).
 func (s *Service) TryDo(op Op) (Response, error) {
-	ch, err := s.TryDoAsync(op)
+	sh, err := s.route(op)
 	if err != nil {
 		return Response{}, err
 	}
-	return <-ch, nil
+	return s.call(sh, op, false)
 }
 
 // Put durably sets tenant/key to value.
@@ -600,24 +656,21 @@ func (s *Service) Transfer(tenant, from, to string, amount uint64) error {
 	return s.Do(Op{Kind: OpTransfer, Tenant: tenant, Key: from, Key2: to, Value: amount}).Err
 }
 
-// probe submits an internal read-only op to one shard and waits for
-// its response, serialized with in-flight applies. The channel is
-// captured before submit: once enqueued, the pooled request belongs
-// to the worker.
+// probe runs an internal read-only op on one shard and waits for its
+// response, serialized with in-flight applies.
 func (s *Service) probe(sh *shard, kind OpKind) (Response, error) {
-	ch := make(chan Response, 1)
-	if err := s.submit(sh, getRequest(Op{Kind: kind}, 0, ch), true); err != nil {
+	resp, err := s.call(sh, Op{Kind: kind}, true)
+	if err != nil {
 		return Response{}, err
 	}
-	resp := <-ch
 	if resp.Err != nil {
 		return Response{}, resp.Err
 	}
 	return resp, nil
 }
 
-// ShardSums reads every shard's manifest value sum through its worker
-// queue, serialized with in-flight applies.
+// ShardSums reads every shard's manifest value sum, serialized with
+// in-flight applies.
 func (s *Service) ShardSums() ([]uint64, error) {
 	sums := make([]uint64, len(s.shards))
 	for i, sh := range s.shards {
@@ -644,30 +697,32 @@ func (s *Service) TotalValueSum() (uint64, error) {
 	return total, nil
 }
 
-// Close drains every shard, group-commits any buffered writes
-// synchronously, and stops the workers. It is idempotent (subsequent
-// calls return nil immediately) and safe to call concurrently with
-// in-flight submissions and after a simulated crash (CutPower).
+// Close drains every shard, group-commits any buffered writes, and
+// stops the workers. It is idempotent (subsequent calls return nil
+// immediately) and safe to call concurrently with in-flight
+// submissions and after a simulated crash (CutPower).
 //
 // Drain ordering: Close first flips the closed flag under the
 // EXCLUSIVE submit lock, while the workers are still running, and
 // only then stops them. The exclusive acquisition waits out every
 // submission already past its closed-check — those enqueues land
 // while workers are alive and are fully applied (writes driven to
-// durable group commits) by the workers' shutdown drain; every later
-// submission observes the flag and fails with ErrClosed before
-// enqueueing. The result is the pipelined-shutdown contract the
-// network server depends on: every admitted request is answered
-// exactly once with its real outcome — an accepted op is never
-// retroactively rejected, no ack is lost, and nothing is answered
-// twice. A final queue sweep remains as defense in depth but is
-// unreachable under this ordering (the drain regression test pins
-// the contract).
+// durable group commits) by the workers' shutdown drain, and a blocking
+// caller running its own op already holds its shard's execution lock;
+// every later submission observes the flag and fails with ErrClosed.
+// Each worker's last pass takes its shard's execution lock, so Close
+// (which waits for the workers) does not return while such a caller is
+// still running. The result is the pipelined-shutdown contract the
+// network server depends on: every admitted request is answered exactly
+// once with its real outcome — an accepted op is never retroactively
+// rejected, no ack is lost, and nothing is answered twice. A final queue
+// sweep remains as defense in depth but is unreachable under this
+// ordering (the drain regression test pins the contract).
 //
-// Note that after a CutPower the workers' final synchronous commits
-// write into the post-cut array; a crash test that wants the torn
-// state must Close first and cut at a virtual time bracketed by the
-// stats' LastCommitSubmit/LastCommitDurable, as TestCrashRecoveryMidCommit
+// Note that after a CutPower the final commits write into the post-cut
+// array; a crash test that wants the torn state must Close first and
+// cut at a virtual time bracketed by the stats'
+// LastCommitSubmit/LastCommitDurable, as TestCrashRecoveryMidCommit
 // does.
 func (s *Service) Close() error {
 	s.closeMu.Lock()
@@ -676,13 +731,15 @@ func (s *Service) Close() error {
 		return nil
 	}
 	// Stop admissions first: after this unlock no request can enter a
-	// queue, and everything already admitted is in a queue a live
-	// worker will drain.
+	// queue and no caller can start running a shard; everything already
+	// admitted is in a queue a live worker will drain, or with a caller
+	// that holds the execution lock.
 	s.submitMu.Lock()
 	s.closed.Store(true)
 	s.submitMu.Unlock()
-	// Now stop the workers; their shutdown path drains and commits
-	// every queued request.
+	// Now stop the workers. Each one's last pass takes its execution
+	// lock — waiting out a caller still running its own op — and drains
+	// and commits every queued request.
 	close(s.stop)
 	s.wg.Wait()
 	// Defense in depth: under the ordering above the queues are empty
@@ -703,7 +760,7 @@ func (s *Service) Close() error {
 	return nil
 }
 
-// EndTime returns the latest virtual time across shard workers — the
+// EndTime returns the latest virtual time across shard clocks — the
 // service's wall-clock analogue for throughput computations.
 func (s *Service) EndTime() time.Duration {
 	var end time.Duration

@@ -26,14 +26,14 @@ type ShardStats struct {
 	// Rejected counts TryDo admissions refused with ErrBackpressure.
 	QueueHighWater int
 	Rejected       int64
-	// Elapsed is the worker's virtual time since the service opened;
+	// Elapsed is the shard clock's virtual time since the service opened;
 	// LastCommitSubmit/LastCommitDurable bracket the most recent
 	// group commit's IO (used by crash-injection tests to cut power
 	// mid-commit).
 	Elapsed           time.Duration
 	LastCommitSubmit  time.Duration
 	LastCommitDurable time.Duration
-	// PersistStages breaks the worker's cumulative Persist time into
+	// PersistStages breaks the shard's cumulative Persist time into
 	// the pipeline's stages (reset write tracking, initiate IO, wait
 	// for durability), as of the last group commit.
 	PersistStages core.PersistStageTotals
@@ -50,7 +50,12 @@ type ShardStats struct {
 }
 
 // Stats snapshots every shard's statistics. Safe to call while the
-// service is running.
+// service is running. retire takes statsMu on the goroutine a client
+// is waiting on (its own, when it runs the shard), so the commit
+// latency is summarized after the unlock: the recorder copies its
+// samples under its own lock and sorts them outside it. A commit that
+// retires in between shows in the summary one scrape before it shows
+// in the counters.
 func (s *Service) Stats() []ShardStats {
 	out := make([]ShardStats, 0, len(s.shards))
 	recStats := s.cfg.Recorder.Stats()
@@ -62,7 +67,6 @@ func (s *Service) Stats() []ShardStats {
 			Reads:             sh.reads,
 			Writes:            sh.writes,
 			Commits:           sh.commits,
-			CommitLatency:     sh.commitLat.Summarize(),
 			LastCommitSubmit:  sh.lastSubmit,
 			LastCommitDurable: sh.lastDur,
 			Elapsed:           sh.ctx.Clock().Now() - sh.startedAt,
@@ -75,6 +79,7 @@ func (s *Service) Stats() []ShardStats {
 			st.BatchOccupancy = float64(sh.batchOps) / float64(sh.commits)
 		}
 		sh.statsMu.Unlock()
+		st.CommitLatency = sh.commitLat.Summarize()
 		st.QueueHighWater = int(sh.queueHW.Load())
 		st.Rejected = sh.rejected.Load()
 		out = append(out, st)

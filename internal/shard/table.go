@@ -52,9 +52,10 @@ const (
 	slotValue = 48 // u64
 )
 
-// manifest is the in-memory copy of the header page counters. The
-// worker mutates the copy per operation and writes it back to page 0
-// once per batch, so the header costs one dirty page per group commit.
+// manifest is the in-memory copy of the header page counters. Whoever
+// runs the shard mutates the copy per operation and writes it back to
+// page 0 once per batch, so the header costs one dirty page per group
+// commit.
 type manifest struct {
 	shardID uint32
 	shards  uint32
@@ -67,9 +68,10 @@ type manifest struct {
 	era     uint64
 }
 
-// table gives one shard's worker typed access to its region. It is
-// confined to the worker goroutine: all page access goes through the
-// worker's Context so faults and costs land on the worker's clock.
+// table gives whoever runs a shard typed access to its region. It is
+// confined to the holder of the shard's execution lock: all page access
+// goes through the shard's Context so faults and costs land on the
+// shard's clock.
 type table struct {
 	ctx    *core.Context
 	region *core.Region
@@ -128,7 +130,7 @@ func (t *table) load(shardID, shards int, regionBytes int64) error {
 }
 
 // writeManifest flushes the in-memory manifest to page 0, dirtying it
-// into the worker's current uCheckpoint.
+// into the shard's current uCheckpoint.
 func (t *table) writeManifest() {
 	pg := t.ctx.PageForWrite(t.region, 0)
 	binary.LittleEndian.PutUint64(pg[hdrMagic:], headerMagic)

@@ -12,8 +12,27 @@ import (
 	"memsnap/internal/sim"
 )
 
-// shard is one service shard: a region, its worker Context, and the
-// bounded request queue the router feeds.
+// shard is one service shard: a region, its Context, the bounded request
+// queue the router feeds, and the execution lock that says who may run
+// it.
+//
+// Who runs a shard. Whoever runs gather → apply → retire holds execMu,
+// and ctx (with its clock and its CPU's TLB), tab, and the scratch
+// below are confined to the holder. Two kinds of goroutine take it:
+//
+//   - the shard's worker, woken through wake after an enqueue, holds it
+//     while it runs the queue dry (serve);
+//   - a blocking caller (Do, TryDo, the KV helpers, probe) that finds
+//     the lock free and the queue empty runs its own op on its own
+//     goroutine (runOwn) and gets the response by value.
+//
+// Requests leave the queue only under execMu. That is what keeps each
+// submitter's ops in submission order across the two kinds of holder:
+// everything a holder dequeued it has applied before it unlocks, so
+// "lock taken and queue empty" means every earlier-enqueued request on
+// this shard has been applied. (A worker that received from the queue
+// before locking could sit on a request while a caller applied later
+// ones queued behind it.)
 type shard struct {
 	id     int
 	svc    *Service
@@ -21,10 +40,26 @@ type shard struct {
 	region *core.Region
 	tab    table
 	queue  chan *request
+	// wake tells the worker the queue may hold work: every enqueue
+	// follows with a non-blocking send. One pending signal is enough
+	// (capacity 1) because the worker runs the queue dry per signal.
+	wake   chan struct{}
+	execMu sync.Mutex
 
-	// Statistics. The worker-owned fields are guarded by statsMu so
-	// Stats() can snapshot them while the worker runs; rejected and
-	// queueHW are updated from client goroutines, hence atomics.
+	// Holder-confined scratch, reused across batches: the lock holder's
+	// own request (a blocking caller running inline), gather's batch,
+	// the two group commits that can be live at once (one with IO in
+	// flight, one being applied), used alternately, and the composed
+	// key(s) of the op being applied.
+	own       request
+	batch     []*request
+	pend      [2]pendingBatch
+	pendNext  int
+	key, key2 [MaxKeyLen]byte
+
+	// Statistics. The holder-written fields are guarded by statsMu so
+	// Stats() can snapshot them while the shard runs; rejected and
+	// queueHW are updated by submitters, hence atomics.
 	statsMu    sync.Mutex
 	ops        int64
 	writes     int64
@@ -35,23 +70,23 @@ type shard struct {
 	lastDur    time.Duration
 	commitLat  *sim.LatencyRecorder
 	startedAt  time.Duration
-	// stages mirrors the worker context's cumulative persist-stage
-	// breakdown under statsMu (the context field itself is
-	// worker-confined).
+	// stages mirrors the shard context's cumulative persist-stage
+	// breakdown under statsMu (the context field itself is confined to
+	// the execMu holder).
 	stages   core.PersistStageTotals
 	rejected atomic.Int64
 	queueHW  atomic.Int64
 
 	// Latency histograms (log2 buckets, lock-free record): commitHist
 	// tracks apply-start to writer-ack, persistHist tracks IO submit to
-	// durable. Recorded by the worker in retire; snapshotted by Stats.
+	// durable. Recorded in retire; snapshotted by Stats.
 	commitHist  obs.Histogram
 	persistHist obs.Histogram
 }
 
 func newLatency() *sim.LatencyRecorder { return sim.NewLatencyRecorder() }
 
-// noteDepth records a queue high-water mark observed at submit time.
+// noteDepth records a queue high-water mark observed after an enqueue.
 func (sh *shard) noteDepth(depth int) {
 	for {
 		cur := sh.queueHW.Load()
@@ -63,55 +98,62 @@ func (sh *shard) noteDepth(depth int) {
 
 // pendingBatch is a group commit whose IO is in flight: its epoch has
 // been initiated with MSAsync and its write requests are acknowledged
-// once the worker Waits for durability.
+// once the holder Waits for durability.
 type pendingBatch struct {
 	epoch  objstore.Epoch
 	writes []*request
 	start  time.Duration // virtual time the batch began applying
 	submit time.Duration // virtual time the uCheckpoint IO was initiated
-	commit *Commit       // captured delta, when a Replicator is attached
+	commit Commit        // captured delta (Pages non-nil) when a Replicator is attached
 	flow   uint64        // trace id of the batch's first sampled request
 }
 
-// run is the shard worker loop. One batch of IO may be in flight at a
-// time: after initiating batch k's uCheckpoint asynchronously the
-// worker immediately applies batch k+1 in memory, then waits for
-// batch k and acknowledges its writers — the MSAsync+Wait overlap
-// from the paper's API, lifted to group commits.
+// run is the shard worker: it sleeps until an enqueue (or shutdown)
+// signals it, takes the execution lock, and runs the queue dry. On
+// shutdown one last pass under the lock is the final drain: Close has
+// already stopped admissions, so everything admitted is in the queue or
+// with a caller that holds the lock, and nobody takes the lock after
+// that pass.
 func (sh *shard) run() {
 	defer sh.svc.wg.Done()
-	// After the shutdown drain, return the retained pre-image pages
-	// (and any undelivered captures) to the capture pools.
+	// After the final drain, return the retained pre-image pages (and
+	// any undelivered captures) to the capture pools.
 	defer sh.ctx.CaptureCommits(false)
+	for stopping := false; !stopping; {
+		select {
+		case <-sh.wake:
+		case <-sh.svc.stop:
+			stopping = true
+		}
+		sh.execMu.Lock()
+		sh.serve()
+		sh.execMu.Unlock()
+	}
+}
+
+// serve runs batches until the queue is empty and nothing is in flight.
+// One batch of IO may be in flight at a time: after initiating batch
+// k's uCheckpoint asynchronously it applies batch k+1 in memory, then
+// waits for batch k and acknowledges its writers — the MSAsync+Wait
+// overlap from the paper's API, lifted to group commits. The caller
+// holds execMu.
+func (sh *shard) serve() {
 	var inflight *pendingBatch
 	for {
 		var first *request
-		if inflight == nil {
-			// Nothing to retire: block for work or shutdown.
-			select {
-			case first = <-sh.queue:
-			case <-sh.svc.stop:
-				sh.shutdown(nil)
+		select {
+		case first = <-sh.queue:
+		default:
+			if inflight == nil {
 				return
 			}
-		} else {
-			// IO in flight: never block while writers await their
-			// ack. If the queue is momentarily empty, retire the
-			// in-flight batch instead of batching further.
-			select {
-			case first = <-sh.queue:
-			case <-sh.svc.stop:
-				sh.shutdown(inflight)
-				return
-			default:
-				sh.retire(inflight)
-				inflight = nil
-				continue
-			}
+			// IO in flight and the queue momentarily empty: retire
+			// instead of making writers wait for more to batch.
+			sh.retire(inflight)
+			inflight = nil
+			continue
 		}
-
-		batch := sh.gather(first)
-		pending := sh.apply(batch)
+		pending := sh.apply(sh.gather(first))
 		if pending == nil {
 			continue // read-only batch (or all ops failed): no commit
 		}
@@ -122,12 +164,38 @@ func (sh *shard) run() {
 	}
 }
 
+// runOwn runs a blocking caller's op on the caller's goroutine, as the
+// first request of a batch that requests already queued behind it join
+// — concurrent blocking callers still share a group commit, as with a
+// leader writer. The response comes back by value. The caller holds
+// execMu and found the queue empty.
+func (sh *shard) runOwn(op Op) Response {
+	r := &sh.own
+	*r = request{op: op, at: sh.ctx.Clock().Now()}
+	if pending := sh.apply(sh.gather(r)); pending != nil {
+		sh.retire(pending)
+	}
+	return r.ack
+}
+
+// respond delivers r's one response. A queued request gets it on its
+// channel and is recycled; the holder's own request (no channel) keeps
+// it in ack for runOwn to return.
+func (sh *shard) respond(r *request, resp Response) {
+	if r.resp == nil {
+		r.ack = resp
+		return
+	}
+	r.resp <- resp
+	putRequest(r)
+}
+
 // gather coalesces queued requests behind first, up to BatchSize.
-// With a CommitInterval configured the worker lingers that much
+// With a CommitInterval configured the holder lingers that much
 // virtual time once, yielding so concurrent clients can join the
-// group commit.
+// group commit. The returned slice is valid until the next gather.
 func (sh *shard) gather(first *request) []*request {
-	batch := []*request{first}
+	batch := append(sh.batch[:0], first)
 	lingered := false
 	for len(batch) < sh.svc.cfg.BatchSize {
 		select {
@@ -145,6 +213,7 @@ func (sh *shard) gather(first *request) []*request {
 		}
 		lingered = true
 	}
+	sh.batch = batch
 	return batch
 }
 
@@ -170,25 +239,28 @@ func (sh *shard) apply(batch []*request) *pendingBatch {
 		}
 	}
 	// One queue-wait span per batch: enqueue of the oldest request to
-	// apply start (the worker clock is monotone past every stamp).
+	// apply start (the shard clock is monotone past every stamp).
 	sh.svc.cfg.Recorder.SpanFlow(obs.CatShard, obs.NameQueueWait, obs.ShardTrack(sh.id),
 		batch[0].at, start-batch[0].at, int64(len(batch)), flow)
-	var writes []*request
-	var reads, writeOps int64
+	// The slot the previous apply did not hand out: that one may still
+	// have IO in flight.
+	b := &sh.pend[sh.pendNext]
+	writes := b.writes[:0]
+	var reads int64
 	for _, r := range batch {
-		if resp, isWrite := sh.applyOne(r.op); isWrite {
-			resp.Tag = r.tag
+		resp, isWrite := sh.applyOne(r.op)
+		resp.Tag = r.tag
+		if isWrite {
 			r.ack = resp // completed by retire once durable
 			writes = append(writes, r)
-			writeOps++
 		} else {
-			resp.Tag = r.tag
 			sh.svc.cfg.Tenants.Observe(r.op.Tenant, r.op.WireBytes, start-r.at)
-			r.resp <- resp
-			putRequest(r)
+			sh.respond(r, resp)
 			reads++
 		}
 	}
+	b.writes = writes
+	writeOps := int64(len(writes))
 
 	sh.statsMu.Lock()
 	sh.ops += int64(len(batch))
@@ -210,8 +282,7 @@ func (sh *shard) apply(batch []*request) *pendingBatch {
 	epoch, err := sh.ctx.Persist(sh.region, core.MSAsync)
 	if err != nil {
 		for _, r := range writes {
-			r.resp <- Response{Tag: r.tag, Err: err}
-			putRequest(r)
+			sh.respond(r, Response{Tag: r.tag, Err: err})
 		}
 		return nil
 	}
@@ -226,9 +297,9 @@ func (sh *shard) apply(batch []*request) *pendingBatch {
 	// uCheckpoint's dirty pages; stamp them with the replication
 	// position the manifest page already carries. The pages move into
 	// a per-commit pooled slice (this batch stays pending while the
-	// next one applies, so the worker cannot reuse one buffer), and
+	// next one applies, so the holder cannot reuse one buffer), and
 	// ownership passes to the Replicator via Owned.
-	var commit *Commit
+	var commit Commit
 	if sh.svc.cfg.Replicator != nil {
 		caps := sh.ctx.TakeCaptured()
 		n := 0
@@ -240,10 +311,12 @@ func (sh *shard) apply(batch []*request) *pendingBatch {
 			for i := range caps {
 				pages = caps[i].MovePages(pages)
 			}
-			commit = &Commit{Seq: sh.tab.man.commits, Era: sh.tab.man.era, Epoch: epoch, Pages: pages, Owned: true, TraceID: flow}
+			commit = Commit{Seq: sh.tab.man.commits, Era: sh.tab.man.era, Epoch: epoch, Pages: pages, Owned: true, TraceID: flow}
 		}
 	}
-	return &pendingBatch{epoch: epoch, writes: writes, start: start, submit: submitAt, commit: commit, flow: flow}
+	b.epoch, b.start, b.submit, b.commit, b.flow = epoch, start, submitAt, commit, flow
+	sh.pendNext ^= 1
+	return b
 }
 
 // applyOne executes a single op. isWrite reports that the op dirtied
@@ -268,35 +341,35 @@ func (sh *shard) applyOne(op Op) (resp Response, isWrite bool) {
 	case opDigest:
 		return Response{Value: DigestRegion(sh.ctx, sh.region)}, false
 	case OpGet:
-		key, err := composeKey(op.Tenant, op.Key)
+		key, err := composeKey(sh.key[:], op.Tenant, op.Key)
 		if err != nil {
 			return Response{Err: err}, false
 		}
 		v, ok := sh.tab.get(fnv1a(op.Tenant, op.Key), key)
 		return Response{Value: v, Found: ok}, false
 	case OpPut:
-		key, _ := composeKey(op.Tenant, op.Key)
+		key, _ := composeKey(sh.key[:], op.Tenant, op.Key)
 		if _, _, err := sh.tab.put(fnv1a(op.Tenant, op.Key), key, op.Value); err != nil {
 			return Response{Err: err}, false
 		}
 		return Response{Value: op.Value}, true
 	case OpAdd:
-		key, _ := composeKey(op.Tenant, op.Key)
+		key, _ := composeKey(sh.key[:], op.Tenant, op.Key)
 		v, err := sh.tab.add(fnv1a(op.Tenant, op.Key), key, op.Value)
 		if err != nil {
 			return Response{Err: err}, false
 		}
 		return Response{Value: v}, true
 	case OpDelete:
-		key, _ := composeKey(op.Tenant, op.Key)
+		key, _ := composeKey(sh.key[:], op.Tenant, op.Key)
 		v, found := sh.tab.del(fnv1a(op.Tenant, op.Key), key)
 		if !found {
 			return Response{Found: false}, false
 		}
 		return Response{Value: v, Found: true}, true
 	case OpTransfer:
-		from, _ := composeKey(op.Tenant, op.Key)
-		to, _ := composeKey(op.Tenant, op.Key2)
+		from, _ := composeKey(sh.key[:], op.Tenant, op.Key)
+		to, _ := composeKey(sh.key2[:], op.Tenant, op.Key2)
 		hFrom, hTo := fnv1a(op.Tenant, op.Key), fnv1a(op.Tenant, op.Key2)
 		bal, ok := sh.tab.get(hFrom, from)
 		if !ok || bal < op.Value {
@@ -329,8 +402,9 @@ func (sh *shard) retire(b *pendingBatch) {
 	sh.ctx.Wait(sh.region, b.epoch)
 	durable := sh.ctx.Clock().Now()
 	var shipErr error
-	if rep := sh.svc.cfg.Replicator; rep != nil && b.commit != nil {
-		ackAt, err := rep.ShipCommit(sh.id, durable, *b.commit, sh.snapshot)
+	if rep := sh.svc.cfg.Replicator; rep != nil && b.commit.Pages != nil {
+		ackAt, err := rep.ShipCommit(sh.id, durable, b.commit, sh.snapshot)
+		b.commit = Commit{} // the replicator owns the pages now
 		sh.ctx.Clock().AdvanceTo(ackAt)
 		shipErr = err
 	}
@@ -350,27 +424,6 @@ func (sh *shard) retire(b *pendingBatch) {
 			r.ack.Err = shipErr
 		}
 		sh.svc.cfg.Tenants.Observe(r.op.Tenant, r.op.WireBytes, now-r.at)
-		r.resp <- r.ack
-		putRequest(r)
-	}
-}
-
-// shutdown performs the final drain: retire any in-flight batch, then
-// apply and synchronously commit everything left in the queue.
-func (sh *shard) shutdown(inflight *pendingBatch) {
-	if inflight != nil {
-		sh.retire(inflight)
-	}
-	for {
-		var first *request
-		select {
-		case first = <-sh.queue:
-		default:
-			return
-		}
-		batch := sh.gather(first)
-		if pending := sh.apply(batch); pending != nil {
-			sh.retire(pending)
-		}
+		sh.respond(r, r.ack)
 	}
 }

@@ -111,15 +111,18 @@ type Summary struct {
 }
 
 // Summarize computes all statistics in one pass over a single sorted
-// copy.
+// copy. Only the copy is taken under the recorder's lock; the sort runs
+// after it is released, so summarizing a long history does not stall
+// Record.
 func (r *LatencyRecorder) Summarize() Summary {
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	n := len(r.samples)
+	sorted := append([]time.Duration(nil), r.samples...)
+	sum, longest := r.sum, r.max
+	r.mu.Unlock()
+	n := len(sorted)
 	if n == 0 {
 		return Summary{}
 	}
-	sorted := append([]time.Duration(nil), r.samples...)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
 	rank := func(p float64) time.Duration {
 		idx := int(p/100*float64(n)+0.5) - 1
@@ -133,11 +136,11 @@ func (r *LatencyRecorder) Summarize() Summary {
 	}
 	return Summary{
 		Count: n,
-		Mean:  r.sum / time.Duration(n),
+		Mean:  sum / time.Duration(n),
 		P50:   rank(50),
 		P99:   rank(99),
-		Max:   r.max,
-		Total: r.sum,
+		Max:   longest,
+		Total: sum,
 	}
 }
 

@@ -210,7 +210,7 @@ func BenchmarkRawPersist4K(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	b.ReportMetric(float64(ctx.PersistLatency.Mean().Microseconds()), "sim_us/persist")
+	b.ReportMetric(float64(ctx.PersistLatency.Snapshot().Mean().Microseconds()), "sim_us/persist")
 }
 
 // BenchmarkRawTrackingFault measures the simulated minor-fault path.

@@ -245,7 +245,7 @@ func runSmoke(listen string, src obs.ServerSources, out string) int {
 	if vdoc.VirtualSeconds <= 0 || vdoc.Vars["total"] == nil {
 		return fail("/varz payload incomplete: now=%v keys=%d", vdoc.VirtualSeconds, len(vdoc.Vars))
 	}
-	fmt.Printf("smoke: /varz ok (virtual now %.6fs)\n", vdoc.VirtualSeconds)
+	fmt.Printf("smoke: /varz ok (virtual now %.6fs, %d bytes)\n", vdoc.VirtualSeconds, len(varz))
 
 	code, health, err := get(srv.Addr(), "/healthz")
 	if err != nil || code != 200 {

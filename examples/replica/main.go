@@ -73,7 +73,7 @@ func main() {
 	for _, rs := range ship.Stats() {
 		fmt.Printf("%5d  %7d  %5d  %11.1f  %12d\n",
 			rs.Shard, rs.Shipped, rs.Acked,
-			float64(rs.AckLatency.P99)/float64(time.Microsecond),
+			float64(rs.AckHist.P99())/float64(time.Microsecond),
 			folStats[rs.Shard].LastSeq)
 	}
 

@@ -95,8 +95,8 @@ func main() {
 	for _, st := range svc.Stats() {
 		fmt.Printf("%5d  %4d  %7d  %9.1f  %7.1f  %7.1f  %7d\n",
 			st.Shard, st.Ops, st.Commits, st.BatchOccupancy,
-			float64(st.CommitLatency.P50)/float64(time.Microsecond),
-			float64(st.CommitLatency.P99)/float64(time.Microsecond),
+			float64(st.CommitHist.P50())/float64(time.Microsecond),
+			float64(st.CommitHist.P99())/float64(time.Microsecond),
 			st.QueueHighWater)
 	}
 	total := svc.TotalStats()

@@ -82,7 +82,7 @@ func main() {
 			results[c] = stats{
 				batches: batches,
 				elapsed: (ctx.Clock().Now() - start).Seconds() * 1000,
-				asyncUs: float64(ctx.PersistLatency.Mean().Microseconds()),
+				asyncUs: float64(ctx.PersistLatency.Snapshot().Mean().Microseconds()),
 			}
 		}(c)
 	}

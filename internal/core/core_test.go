@@ -430,7 +430,7 @@ func TestPersistLatencyRecorded(t *testing.T) {
 		ctx.WriteAt(r, int64(i)*PageSize, []byte{1})
 		ctx.Persist(r, MSSync)
 	}
-	if ctx.Persists != 5 || ctx.PersistLatency.Count() != 5 {
-		t.Fatalf("persists=%d recorded=%d", ctx.Persists, ctx.PersistLatency.Count())
+	if lat := ctx.PersistLatency.Snapshot(); ctx.Persists != 5 || lat.Count != 5 || lat.Sum <= 0 {
+		t.Fatalf("persists=%d recorded=%d sum=%v", ctx.Persists, lat.Count, lat.Sum)
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 
@@ -79,6 +80,44 @@ func TestPersistSteadyStateZeroAlloc(t *testing.T) {
 	}
 	if got := testing.AllocsPerRun(200, op); got > 0 {
 		t.Fatalf("steady-state Persist allocates %.1f times per call, want 0", got)
+	}
+}
+
+// TestPersistSteadyStateHeapFlat: a context that persists for a long
+// time holds no more memory than one that has just warmed up. Each
+// Persist records its latency into a fixed-size histogram, so the live
+// heap may not grow with the number of calls; the bound leaves room for
+// the runtime's own noise and is far under the 8 B a retained sample
+// per call would cost over this run (1.6 MB).
+func TestPersistSteadyStateHeapFlat(t *testing.T) {
+	if raceEnabled {
+		t.Skip("heap accounting is unreliable under -race")
+	}
+	sys := newSys(t)
+	p := sys.NewProcess()
+	ctx := p.NewContext(0)
+	r, err := p.Open(ctx, "data", 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	live := func(persists int) int64 {
+		for i := 0; i < persists; i++ {
+			ctx.PageForWrite(r, 0)[0]++
+			if _, err := ctx.Persist(r, MSSync); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	warm := live(2_000)
+	if grown := live(200_000) - warm; grown > 256<<10 {
+		t.Errorf("live heap grew %d B over 200 K steady-state Persists", grown)
+	}
+	if n := ctx.PersistLatency.Snapshot().Count; n != 202_000 {
+		t.Errorf("PersistLatency holds %d samples, want 202000", n)
 	}
 }
 

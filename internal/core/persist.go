@@ -58,7 +58,7 @@ type Context struct {
 	// Persists counts Persist calls; PersistLatency records their
 	// caller-visible latency (sync: to durability; async: to return).
 	Persists       int64
-	PersistLatency *sim.LatencyRecorder
+	PersistLatency obs.Histogram
 
 	// rec, when non-nil, receives lifecycle spans for every Persist and
 	// Wait on this context (and fault instants from the vm thread),
@@ -228,9 +228,8 @@ type PersistBreakdown struct {
 // given CPU.
 func (p *Process) NewContext(cpu int) *Context {
 	return &Context{
-		proc:           p,
-		th:             p.as.NewThread(nil, cpu),
-		PersistLatency: sim.NewLatencyRecorder(),
+		proc: p,
+		th:   p.as.NewThread(nil, cpu),
 	}
 }
 

@@ -3,6 +3,7 @@ package harness
 import (
 	"fmt"
 	"sync"
+	"time"
 
 	"memsnap/internal/core"
 	"memsnap/internal/replica"
@@ -136,15 +137,13 @@ func replicaRun(mode replica.Mode, window int, opts Options) ([]string, error) {
 	ship.Flush()
 	repStats = ship.Stats()
 	var shipped, acked, snapshots, wireBytes int64
-	ackP99 := repStats[0].AckLatency.P99
+	var ackP99 time.Duration
 	for _, rs := range repStats {
 		shipped += rs.Shipped
 		acked += rs.Acked
 		snapshots += rs.Snapshots
 		wireBytes += rs.WireBytes
-		if rs.AckLatency.P99 > ackP99 {
-			ackP99 = rs.AckLatency.P99
-		}
+		ackP99 = max(ackP99, rs.AckHist.P99())
 	}
 	if err := ship.Close(); err != nil {
 		return nil, err
@@ -168,8 +167,8 @@ func replicaRun(mode replica.Mode, window int, opts Options) ([]string, error) {
 		modeName,
 		fmt.Sprintf("%d", window),
 		fmt.Sprintf("%.1f", kops),
-		us(st.CommitLatency.P50),
-		us(st.CommitLatency.P99),
+		us(st.CommitHist.P50()),
+		us(st.CommitHist.P99()),
 		fmt.Sprintf("%d", shipped),
 		fmt.Sprintf("%d", acked),
 		us(ackP99),

@@ -116,8 +116,8 @@ func shardSvcRun(shards, batch int, opts Options) ([]string, error) {
 		fmt.Sprintf("%d", batch),
 		fmt.Sprintf("%.1f", kops),
 		fmt.Sprintf("%.1f", st.BatchOccupancy),
-		us(st.CommitLatency.P50),
-		us(st.CommitLatency.P99),
+		us(st.CommitHist.P50()),
+		us(st.CommitHist.P99()),
 		fmt.Sprintf("%d", st.Commits),
 	}, nil
 }

@@ -106,7 +106,7 @@ func Table7(opts Options) (*Result, error) {
 			if err := envM.run(opts.Seed, 1<<20, txBytes, totalWrites, random); err != nil {
 				return nil, err
 			}
-			persistLat := envM.ctx.PersistLatency.Mean()
+			persistLat := envM.ctx.PersistLatency.Snapshot().Mean()
 			persistOps := envM.ctx.Persists
 
 			// Baseline run.
@@ -181,7 +181,7 @@ func Table8(opts Options) (*Result, error) {
 			return nil, err
 		}
 		wallM := envM.clk.Now()
-		persistM := envM.ctx.PersistLatency.Total()
+		persistM := envM.ctx.PersistLatency.Snapshot().Sum
 		faultM := bucketsM.Get("page faults")
 		userM := wallM - persistM - faultM
 		if userM < 0 {

@@ -7,12 +7,6 @@ import (
 	"memsnap/internal/obs"
 )
 
-// promHeader writes one metric's # HELP / # TYPE preamble.
-func promHeader(w io.Writer, name, help, typ string) error {
-	_, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
-	return err
-}
-
 // FormatPrometheus writes network server statistics to w in the
 // Prometheus text exposition format. Counters carry the _total suffix;
 // the op latency histogram is exported in (wall) seconds with the same
@@ -34,7 +28,7 @@ func FormatPrometheus(w io.Writer, st Stats) error {
 		{"memsnap_net_bytes_out_total", "Wire bytes written, length prefixes included.", "counter", st.BytesOut},
 	}
 	for _, m := range metrics {
-		if err := promHeader(w, m.name, m.help, m.typ); err != nil {
+		if err := obs.WritePromHeader(w, m.name, m.help, m.typ); err != nil {
 			return err
 		}
 		if _, err := fmt.Fprintf(w, "%s %d\n", m.name, m.value); err != nil {
@@ -42,7 +36,7 @@ func FormatPrometheus(w io.Writer, st Stats) error {
 		}
 	}
 	const histName = "memsnap_net_op_latency_seconds"
-	if err := obs.WritePromHeader(w, histName, "Client-visible request latency histogram (wall seconds)."); err != nil {
+	if err := obs.WritePromHeader(w, histName, "Client-visible request latency histogram (wall seconds).", "histogram"); err != nil {
 		return err
 	}
 	return st.OpLatency.WriteProm(w, histName, "")

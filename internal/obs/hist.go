@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
 	"math/bits"
@@ -8,35 +9,73 @@ import (
 	"time"
 )
 
-// HistBuckets is the number of log2 latency buckets. Bucket 0 holds
-// sub-nanosecond (zero) samples; bucket i holds [2^(i-1), 2^i)
-// nanoseconds; the last bucket is the overflow (anything from ~4.6
-// virtual minutes up).
+// HistBuckets is the number of octave buckets: the resolution of the
+// Prometheus exposition. Octave 0 holds zero samples; octave i holds
+// [2^(i-1), 2^i) nanoseconds; the last is the overflow (anything from
+// 2^37 ns, about 2.3 virtual minutes, up).
 const HistBuckets = 39
 
-// bucketOf maps a duration to its bucket index.
+// Each octave is split into histSub linear sub-buckets, so a bucket is
+// at most 1/histSub of its lower edge wide. Values below 2*histSub ns
+// have a bucket each.
+const (
+	histSubBits = 5
+	histSub     = 1 << histSubBits
+	histFine    = (HistBuckets-1-histSubBits)*histSub + 1
+)
+
+// bucketOf maps a duration to its sub-bucket index.
 func bucketOf(d time.Duration) int {
 	if d <= 0 {
 		return 0
 	}
-	b := bits.Len64(uint64(d))
-	if b >= HistBuckets {
-		b = HistBuckets - 1
+	n := bits.Len64(uint64(d))
+	if n >= HistBuckets-1 {
+		return histFine - 1
 	}
-	return b
+	e := n - (histSubBits + 1)
+	if e <= 0 {
+		return int(d)
+	}
+	return e*histSub + int(d>>uint(e))
 }
 
-// BucketUpper returns the exclusive upper bound of bucket i (the
+// octaveOf maps a sub-bucket index to the octave bucket it is part of.
+func octaveOf(i int) int {
+	switch {
+	case i == histFine-1:
+		return HistBuckets - 1
+	case i < 2*histSub:
+		return bits.Len64(uint64(i))
+	}
+	return i>>histSubBits + histSubBits
+}
+
+// bucketMid returns the midpoint of sub-bucket i, the value quantiles
+// report for the samples in it.
+func bucketMid(i int) time.Duration {
+	e := i>>histSubBits - 1
+	if e <= 0 {
+		return time.Duration(i)
+	}
+	return time.Duration(i-e*histSub)<<uint(e) + time.Duration(1)<<uint(e-1)
+}
+
+// BucketUpper returns the exclusive upper bound of octave bucket i (the
 // Prometheus le boundary). The last bucket has no finite bound.
 func BucketUpper(i int) time.Duration { return time.Duration(int64(1) << uint(i)) }
 
-// Histogram is an HDR-style log2-bucketed latency histogram. Record
-// is lock-free (three atomic adds plus a CAS loop for the max) and
-// allocation-free, so hot paths record unconditionally; quantiles are
-// computed from snapshots on the cold path. The zero value is ready
-// to use.
+// Histogram is an HDR-style log-linear latency histogram: histSub
+// linear sub-buckets per octave, which bounds the relative error of a
+// reported quantile by 1/(2*histSub) = 1.5625 % (the midpoint of a
+// bucket at most 1/32 of its lower edge wide); values below 64 ns,
+// Sum, Count and Max are exact. Record is lock-free (three atomic adds
+// plus a CAS loop for the max) and allocation-free, so hot paths
+// record unconditionally; memory is fixed (about 8.3 KiB) however many
+// samples arrive. Quantiles are computed from snapshots on the cold
+// path. The zero value is ready to use.
 type Histogram struct {
-	counts [HistBuckets]atomic.Int64
+	counts [histFine]atomic.Int64
 	sum    atomic.Int64 // nanoseconds
 	count  atomic.Int64
 	max    atomic.Int64
@@ -80,7 +119,7 @@ func (h *Histogram) Snapshot() HistSnapshot {
 // (fixed bucket array) that can ride inside stats structs without
 // allocation.
 type HistSnapshot struct {
-	Counts [HistBuckets]int64
+	Counts [histFine]int64
 	Sum    time.Duration
 	Count  int64
 	Max    time.Duration
@@ -98,11 +137,11 @@ func (s *HistSnapshot) Merge(other HistSnapshot) {
 	}
 }
 
-// Quantile returns the q-th quantile (0 < q <= 1) as the upper bound
-// of the bucket holding the nearest-rank sample — a conservative
-// estimate within a factor of two, like HDR histograms at 0 precision
-// digits. The overflow bucket reports the recorded maximum. Returns
-// zero on an empty snapshot.
+// Quantile returns the q-th quantile (0 < q <= 1) as the midpoint of
+// the sub-bucket holding the nearest-rank sample, never above the
+// recorded maximum: within 1.5625 % of the exact nearest-rank answer.
+// The overflow bucket reports the recorded maximum. Returns zero on an
+// empty snapshot.
 func (s HistSnapshot) Quantile(q float64) time.Duration {
 	if s.Count == 0 {
 		return 0
@@ -111,17 +150,11 @@ func (s HistSnapshot) Quantile(q float64) time.Duration {
 	if rank < 1 {
 		rank = 1
 	}
-	if rank > s.Count {
-		rank = s.Count
-	}
 	var cum int64
-	for i := 0; i < HistBuckets; i++ {
+	for i := 0; i < histFine-1; i++ {
 		cum += s.Counts[i]
 		if cum >= rank {
-			if i == HistBuckets-1 {
-				return s.Max
-			}
-			return BucketUpper(i)
+			return min(bucketMid(i), s.Max)
 		}
 	}
 	return s.Max
@@ -144,26 +177,47 @@ func (s HistSnapshot) Mean() time.Duration {
 	return s.Sum / time.Duration(s.Count)
 }
 
-// promFloat renders a float in the repo's Prometheus exposition style.
-func promFloat(v float64) string {
+// MarshalJSON renders the snapshot compactly — count, sum, max and four
+// quantiles in nanoseconds — so a stats struct carrying snapshots stays
+// small in JSON; the bucket array is not emitted.
+func (s HistSnapshot) MarshalJSON() ([]byte, error) {
+	return json.Marshal(struct {
+		Count int64         `json:"count"`
+		Sum   time.Duration `json:"sum_nanos"`
+		Max   time.Duration `json:"max_nanos"`
+		P50   time.Duration `json:"p50_nanos"`
+		P90   time.Duration `json:"p90_nanos"`
+		P99   time.Duration `json:"p99_nanos"`
+		P999  time.Duration `json:"p999_nanos"`
+	}{s.Count, s.Sum, s.Max, s.P50(), s.Quantile(0.90), s.P99(), s.P999()})
+}
+
+// PromFloat renders a float in the repo's Prometheus exposition style:
+// integral values without an exponent, everything else in Go's
+// shortest form.
+func PromFloat(v float64) string {
 	if v == float64(int64(v)) {
 		return fmt.Sprintf("%d", int64(v))
 	}
 	return fmt.Sprintf("%g", v)
 }
 
-// WritePromHeader writes the # HELP / # TYPE histogram preamble for
-// metric name.
-func WritePromHeader(w io.Writer, name, help string) error {
-	_, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s histogram\n", name, help, name)
+// PromSeconds renders a duration as seconds.
+func PromSeconds(d time.Duration) string { return PromFloat(d.Seconds()) }
+
+// WritePromHeader writes one metric's # HELP / # TYPE preamble; typ is
+// counter, gauge or histogram.
+func WritePromHeader(w io.Writer, name, help, typ string) error {
+	_, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
 	return err
 }
 
 // WriteProm writes the snapshot as Prometheus histogram series:
-// cumulative name_bucket{...,le="..."} lines (le in seconds, log2
-// boundaries, emitted up to the last occupied bucket plus +Inf),
-// then name_sum and name_count. labels is the caller's label set
-// without braces (e.g. `shard="0"`); it may be empty.
+// cumulative name_bucket{...,le="..."} lines (le in seconds, one per
+// octave — sub-buckets are summed into their octave, so a scrape stays
+// HistBuckets lines a series — emitted up to the last occupied octave
+// plus +Inf), then name_sum and name_count. labels is the caller's
+// label set without braces (e.g. `shard="0"`); it may be empty.
 func (s HistSnapshot) WriteProm(w io.Writer, name, labels string) error {
 	sep := ""
 	if labels != "" {
@@ -173,17 +227,18 @@ func (s HistSnapshot) WriteProm(w io.Writer, name, labels string) error {
 	if labels != "" {
 		plain = "{" + labels + "}"
 	}
+	var octaves [HistBuckets]int64
 	last := -1
-	for i := HistBuckets - 1; i >= 0; i-- {
-		if s.Counts[i] != 0 {
-			last = i
-			break
+	for i, c := range s.Counts {
+		if c != 0 {
+			last = octaveOf(i)
+			octaves[last] += c
 		}
 	}
 	var cum int64
 	for i := 0; i <= last && i < HistBuckets-1; i++ {
-		cum += s.Counts[i]
-		le := promFloat(BucketUpper(i).Seconds())
+		cum += octaves[i]
+		le := PromFloat(BucketUpper(i).Seconds())
 		if _, err := fmt.Fprintf(w, "%s_bucket{%s%sle=%q} %d\n", name, labels, sep, le, cum); err != nil {
 			return err
 		}
@@ -191,7 +246,7 @@ func (s HistSnapshot) WriteProm(w io.Writer, name, labels string) error {
 	if _, err := fmt.Fprintf(w, "%s_bucket{%s%sle=\"+Inf\"} %d\n", name, labels, sep, s.Count); err != nil {
 		return err
 	}
-	if _, err := fmt.Fprintf(w, "%s_sum%s %s\n", name, plain, promFloat(s.Sum.Seconds())); err != nil {
+	if _, err := fmt.Fprintf(w, "%s_sum%s %s\n", name, plain, PromFloat(s.Sum.Seconds())); err != nil {
 		return err
 	}
 	_, err := fmt.Fprintf(w, "%s_count%s %d\n", name, plain, s.Count)

@@ -27,7 +27,7 @@ func TestHistogramEmptySnapshotQuantiles(t *testing.T) {
 
 func TestHistogramSingleBucket(t *testing.T) {
 	var h Histogram
-	const sample = 700 * time.Nanosecond // bucket (512, 1024]ns
+	const sample = 700 * time.Nanosecond // sub-bucket [688, 704) ns
 	for i := 0; i < 1000; i++ {
 		h.Record(sample)
 	}
@@ -35,9 +35,12 @@ func TestHistogramSingleBucket(t *testing.T) {
 	if s.Count != 1000 {
 		t.Fatalf("Count = %d, want 1000", s.Count)
 	}
-	// Every quantile must land on the one populated bucket's upper
-	// bound — no quantile may wander into a neighboring bucket.
-	want := BucketUpper(bucketOf(sample))
+	// Every quantile must land on the one populated bucket's midpoint —
+	// no quantile may wander into a neighboring bucket.
+	want := bucketMid(bucketOf(sample))
+	if want != 696*time.Nanosecond {
+		t.Fatalf("bucketMid = %v, want 696ns", want)
+	}
 	for _, q := range []float64{0.001, 0.5, 0.99, 0.999, 1} {
 		if got := s.Quantile(q); got != want {
 			t.Errorf("single-bucket Quantile(%v) = %v, want %v", q, got, want)
@@ -78,7 +81,8 @@ func TestHistogramOverflowBucketP999(t *testing.T) {
 
 // TestHistogramConcurrentRecordMerge exercises lock-free recording
 // from many goroutines plus per-worker snapshot merging, the
-// service-wide aggregation pattern — meaningful under -race.
+// service-wide aggregation pattern — meaningful under -race. Both must
+// equal one goroutine recording the same samples.
 func TestHistogramConcurrentRecordMerge(t *testing.T) {
 	const workers, perWorker = 8, 2000
 	shared := &Histogram{}
@@ -113,5 +117,12 @@ func TestHistogramConcurrentRecordMerge(t *testing.T) {
 	}
 	if merged.Counts != got.Counts {
 		t.Errorf("bucket counts diverge between merged locals and the shared histogram")
+	}
+	var serial Histogram
+	for i := 1; i <= workers*perWorker; i++ {
+		serial.Record(time.Duration(i) * time.Microsecond)
+	}
+	if got != serial.Snapshot() {
+		t.Errorf("concurrent recording diverges from one goroutine recording the same samples")
 	}
 }

@@ -165,10 +165,10 @@ func (s *TenantSketch) WriteProm(w io.Writer) error {
 		{"memsnap_tenant_wire_bytes", "Request wire bytes per top-K tenant since sketch entry.",
 			func(t TenantStat) string { return fmt.Sprintf("%d", t.WireBytes) }},
 		{"memsnap_tenant_commit_latency_seconds_sum", "Summed commit latency per top-K tenant since sketch entry.",
-			func(t TenantStat) string { return promFloat(t.CommitLatency.Seconds()) }},
+			func(t TenantStat) string { return PromSeconds(t.CommitLatency) }},
 	}
 	for _, m := range metrics {
-		if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n", m.name, m.help, m.name); err != nil {
+		if err := WritePromHeader(w, m.name, m.help, "gauge"); err != nil {
 			return err
 		}
 		for _, t := range top {

@@ -21,7 +21,6 @@ import (
 	"memsnap/internal/core"
 	"memsnap/internal/obs"
 	"memsnap/internal/replica"
-	"memsnap/internal/sim"
 )
 
 // pagesPerOp is the dirty-set size each benchmark op persists: big
@@ -161,7 +160,7 @@ func (r *rig) dirtyAndPersist() error {
 // measure runs op through the three instruments: AllocsPerRun for
 // allocs/op, MemStats for bytes/op, and a wall-clock loop for real
 // throughput.
-func measure(name, desc string, ops int, lat *sim.LatencyRecorder, op func() error) (Scenario, error) {
+func measure(name, desc string, ops int, lat *obs.Histogram, op func() error) (Scenario, error) {
 	// Warm up: fault every page in, populate pools and map buckets.
 	var opErr error
 	for i := 0; i < 64; i++ {
@@ -188,7 +187,7 @@ func measure(name, desc string, ops int, lat *sim.LatencyRecorder, op func() err
 	}
 	elapsed := time.Since(start) //lint:allow walltime real-machine throughput is the measurement here
 	runtime.ReadMemStats(&m1)
-	sum := lat.Summarize()
+	sum := lat.Snapshot()
 	return Scenario{
 		Name:          name,
 		Description:   desc,
@@ -197,8 +196,8 @@ func measure(name, desc string, ops int, lat *sim.LatencyRecorder, op func() err
 		AllocsPerOp:   allocs,
 		BytesPerOp:    float64(m1.TotalAlloc-m0.TotalAlloc) / float64(ops),
 		RealOpsPerSec: float64(ops) / elapsed.Seconds(),
-		VirtualP50Us:  float64(sum.P50) / float64(time.Microsecond),
-		VirtualP99Us:  float64(sum.P99) / float64(time.Microsecond),
+		VirtualP50Us:  float64(sum.P50()) / float64(time.Microsecond),
+		VirtualP99Us:  float64(sum.P99()) / float64(time.Microsecond),
 	}, nil
 }
 
@@ -211,14 +210,13 @@ func steady(ops int) (Scenario, error) {
 	}
 	return measure("persist_steady",
 		"dirty 16 pages + Persist(MSSync), warm pools, no capture",
-		ops, r.ctx.PersistLatency, r.dirtyAndPersist)
+		ops, &r.ctx.PersistLatency, r.dirtyAndPersist)
 }
 
 // steadyTraced is steady with observability on: a span recorder
 // attached to the context (persist-stage spans and fault instants land
-// in the ring every op) and a latency histogram sample per op. Held to
-// the same zero-allocation ceiling as persist_steady — tracing must be
-// free to leave enabled.
+// in the ring every op). Held to the same zero-allocation ceiling as
+// persist_steady — tracing must be free to leave enabled.
 func steadyTraced(ops int) (Scenario, error) {
 	r, err := newRig()
 	if err != nil {
@@ -226,17 +224,9 @@ func steadyTraced(ops int) (Scenario, error) {
 	}
 	rec := obs.NewRecorder(4096)
 	r.ctx.SetRecorder(rec, obs.ShardTrack(0))
-	var hist obs.Histogram
-	op := func() error {
-		if err := r.dirtyAndPersist(); err != nil {
-			return err
-		}
-		hist.Record(r.ctx.LastBreakdown.Total)
-		return nil
-	}
 	return measure("persist_steady_traced",
-		"dirty 16 pages + Persist(MSSync) with span recorder and latency histogram enabled",
-		ops, r.ctx.PersistLatency, op)
+		"dirty 16 pages + Persist(MSSync) with span recorder enabled",
+		ops, &r.ctx.PersistLatency, r.dirtyAndPersist)
 }
 
 // capture measures persist with commit capture on: every op also
@@ -259,7 +249,7 @@ func capture(ops int) (Scenario, error) {
 	}
 	return measure("persist_capture",
 		"dirty 16 pages + Persist(MSSync) + TakeCaptured + release",
-		ops, r.ctx.PersistLatency, op)
+		ops, &r.ctx.PersistLatency, op)
 }
 
 // captureReplicated measures the full replication round: persist with
@@ -303,7 +293,7 @@ func captureReplicated(ops int) (Scenario, error) {
 	}
 	return measure("persist_capture_replicated",
 		"dirty 16 pages + Persist(MSSync) + capture + follower Apply (MSSync) + release",
-		ops, r.ctx.PersistLatency, op)
+		ops, &r.ctx.PersistLatency, op)
 }
 
 // releaseCaptured returns every captured page to the capture pool.

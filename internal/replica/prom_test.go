@@ -27,8 +27,6 @@ func TestFormatPrometheusGolden(t *testing.T) {
 		EncodeTime:   150 * time.Microsecond,
 		LastAckedSeq: 10,
 	}
-	s.shards[0].ackLat.Record(time.Millisecond)
-	s.shards[0].ackLat.Record(2 * time.Millisecond)
 	s.shards[0].ackHist.Record(time.Millisecond)
 	s.shards[0].ackHist.Record(2 * time.Millisecond)
 

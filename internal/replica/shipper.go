@@ -6,7 +6,6 @@ import (
 
 	"memsnap/internal/obs"
 	"memsnap/internal/shard"
-	"memsnap/internal/sim"
 )
 
 // Mode selects when the primary's clients are acknowledged relative
@@ -102,10 +101,9 @@ type ShardRepStats struct {
 	EncodeTime                         time.Duration
 	// LastAckedSeq is the highest sequence number the follower acked.
 	LastAckedSeq uint64
-	// AckLatency summarizes per-delta latency from local durability
-	// to follower ack; AckHist is its log2-bucketed histogram.
-	AckLatency sim.Summary
-	AckHist    obs.HistSnapshot
+	// AckHist is the histogram of per-delta latency from local
+	// durability to follower ack.
+	AckHist obs.HistSnapshot
 }
 
 type shipJob struct {
@@ -129,9 +127,7 @@ type shipShard struct {
 	mu       sync.Mutex
 	retained []*Delta
 	st       ShardRepStats
-	ackLat   *sim.LatencyRecorder
-	// ackHist is the log2-bucketed twin of ackLat (lock-free record,
-	// exported as Prometheus _bucket/_sum/_count series).
+	// ackHist records durability-to-ack latency (lock-free, outside mu).
 	ackHist obs.Histogram
 }
 
@@ -226,11 +222,7 @@ func NewShipper(link *Link, fol *Follower, nshards int, cfg Config) *Shipper {
 	}
 	s := &Shipper{cfg: cfg, link: link, fol: fol, stop: make(chan struct{})}
 	for i := 0; i < nshards; i++ {
-		s.shards = append(s.shards, &shipShard{
-			id:     i,
-			queue:  make(chan shipJob, cfg.Window),
-			ackLat: sim.NewLatencyRecorder(),
-		})
+		s.shards = append(s.shards, &shipShard{id: i, queue: make(chan shipJob, cfg.Window)})
 	}
 	if cfg.Mode == Async {
 		for _, ss := range s.shards {
@@ -463,7 +455,6 @@ func (s *Shipper) deliverBatch(ss *shipShard, at time.Duration, batch []shipJob)
 			ss.st.Batches++
 			ss.st.BatchedDeltas += int64(len(deltas))
 			ss.mu.Unlock()
-			ss.ackLat.Record(ackAt - at)
 			ss.ackHist.Record(ackAt - at)
 			var flow uint64
 			for _, fd := range deltas {
@@ -554,7 +545,6 @@ func (s *Shipper) deliver(ss *shipShard, at time.Duration, d *Delta, snapFn func
 				ss.st.LastAckedSeq = d.Seq
 			}
 			ss.mu.Unlock()
-			ss.ackLat.Record(ackAt - at)
 			ss.ackHist.Record(ackAt - at)
 			s.cfg.Recorder.SpanFlow(obs.CatReplica, obs.NameShip, obs.ShipTrack(ss.id), at, ackAt-at, int64(d.Seq), d.TraceID)
 			return ackAt, nil
@@ -768,7 +758,6 @@ func (s *Shipper) Stats() []ShardRepStats {
 		st := ss.st
 		ss.mu.Unlock()
 		st.Shard = i
-		st.AckLatency = ss.ackLat.Summarize()
 		st.AckHist = ss.ackHist.Snapshot()
 		out[i] = st
 	}

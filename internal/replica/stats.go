@@ -3,24 +3,9 @@ package replica
 import (
 	"fmt"
 	"io"
-	"time"
 
 	"memsnap/internal/obs"
 )
-
-func promFloat(v float64) string {
-	if v == float64(int64(v)) {
-		return fmt.Sprintf("%d", int64(v))
-	}
-	return fmt.Sprintf("%g", v)
-}
-
-func promSeconds(d time.Duration) string { return promFloat(d.Seconds()) }
-
-func promHeader(w io.Writer, name, help, typ string) error {
-	_, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
-	return err
-}
 
 // FormatPrometheus writes the shipper's per-shard replication
 // counters to w in the Prometheus text exposition format, one
@@ -66,16 +51,16 @@ func (s *Shipper) FormatPrometheus(w io.Writer) error {
 		{"memsnap_replica_extents_total", "Byte-range extents emitted by the sub-page encoder.", "counter",
 			func(st *ShardRepStats) string { return fmt.Sprintf("%d", st.Extents) }},
 		{"memsnap_replica_encode_seconds_total", "Cumulative virtual time spent encoding sub-page deltas.", "counter",
-			func(st *ShardRepStats) string { return promSeconds(st.EncodeTime) }},
+			func(st *ShardRepStats) string { return obs.PromSeconds(st.EncodeTime) }},
 		{"memsnap_replica_last_acked_seq", "Highest sequence number the follower acked.", "gauge",
 			func(st *ShardRepStats) string { return fmt.Sprintf("%d", st.LastAckedSeq) }},
 		{"memsnap_replica_ack_latency_seconds_mean", "Mean durability-to-follower-ack latency (virtual seconds).", "gauge",
-			func(st *ShardRepStats) string { return promSeconds(st.AckLatency.Mean) }},
+			func(st *ShardRepStats) string { return obs.PromSeconds(st.AckHist.Mean()) }},
 		{"memsnap_replica_ack_latency_seconds_p99", "99th percentile durability-to-follower-ack latency (virtual seconds).", "gauge",
-			func(st *ShardRepStats) string { return promSeconds(st.AckLatency.P99) }},
+			func(st *ShardRepStats) string { return obs.PromSeconds(st.AckHist.P99()) }},
 	}
 	for _, m := range metrics {
-		if err := promHeader(w, m.name, m.help, m.typ); err != nil {
+		if err := obs.WritePromHeader(w, m.name, m.help, m.typ); err != nil {
 			return err
 		}
 		for i := range stats {
@@ -88,7 +73,7 @@ func (s *Shipper) FormatPrometheus(w io.Writer) error {
 	// Replication ack latency as a proper histogram (log2 le
 	// boundaries in seconds), one per shard.
 	const histName = "memsnap_replica_ack_latency_seconds"
-	if err := obs.WritePromHeader(w, histName, "Durability-to-follower-ack latency histogram (virtual seconds)."); err != nil {
+	if err := obs.WritePromHeader(w, histName, "Durability-to-follower-ack latency histogram (virtual seconds).", "histogram"); err != nil {
 		return err
 	}
 	for i := range stats {
@@ -131,7 +116,7 @@ func (f *Follower) FormatPrometheus(w io.Writer) error {
 			func(st *FollowerShardStats) string { return fmt.Sprintf("%d", st.Era) }},
 	}
 	for _, m := range metrics {
-		if err := promHeader(w, m.name, m.help, m.typ); err != nil {
+		if err := obs.WritePromHeader(w, m.name, m.help, m.typ); err != nil {
 			return err
 		}
 		for i := range stats {

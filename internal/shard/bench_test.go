@@ -2,6 +2,7 @@ package shard
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"memsnap/internal/core"
@@ -192,9 +193,8 @@ func BenchmarkWorkerLoop(b *testing.B) {
 // a blocking Add on an idle shard uses the shard's own request, batch,
 // pendingBatch and key scratch and gets its response by value; a
 // pipelined Add uses a pooled request and the caller's channel. What
-// still allocates is amortized growth below one allocation per op
-// (commit-latency samples, the disk's block slabs), which AllocsPerRun
-// rounds down.
+// still allocates is amortized growth below one allocation per op (the
+// disk's block slabs), which AllocsPerRun rounds down.
 func TestDoSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -209,4 +209,35 @@ func TestDoSteadyStateAllocs(t *testing.T) {
 		t.Errorf("pipelined Add through the worker: %v allocs/op, want 0", n)
 	}
 	svc.Close()
+}
+
+var benchStats []ShardStats
+
+// TestStatsCostFlatWithHistory: what a scrape costs must not depend on
+// how long the service has run. Stats allocates its result slice and
+// nothing per commit ever retired. TotalAlloc is process-wide, so the
+// comparison leaves 1 KiB for whatever else allocates in between; a
+// copy of the history is 8 B a commit, 1.6 MB here.
+func TestStatsCostFlatWithHistory(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	commit, svc := doIdle()
+	defer svc.Close()
+	// after runs that many more commits and returns the bytes one Stats
+	// call then allocates.
+	after := func(commits int) uint64 {
+		for i := 0; i < commits; i++ {
+			commit()
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		benchStats = svc.Stats()
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	early, late := after(1_000), after(199_000)
+	if late > early+1024 {
+		t.Errorf("Stats allocates %d B after 1 K commits and %d B after 200 K", early, late)
+	}
 }

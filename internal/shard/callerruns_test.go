@@ -409,10 +409,10 @@ func TestQueueHighWaterWithinDepth(t *testing.T) {
 }
 
 // TestStatsWhileServing scrapes Stats and TotalStats in a loop while
-// blocking callers and a pipeline drive one shard: the scrape sorts the
-// commit-latency samples outside statsMu, which retire takes on the
+// blocking callers and a pipeline drive one shard: the scrape reads the
+// lock-free histograms outside statsMu, which retire takes on the
 // goroutine a client is waiting on. Once the service is quiet every
-// commit is in the summary.
+// commit is in the histogram.
 func TestStatsWhileServing(t *testing.T) {
 	sys := newSystem(t, 1)
 	svc, err := New(sys, Config{Shards: 1})
@@ -431,8 +431,8 @@ func TestStatsWhileServing(t *testing.T) {
 			default:
 			}
 			for _, st := range svc.Stats() {
-				if st.CommitLatency.Count > 0 && st.CommitLatency.P50 > st.CommitLatency.Max {
-					t.Errorf("bad summary while serving: %+v", st.CommitLatency)
+				if h := st.CommitHist; h.P50() > h.Max || h.Count > st.Commits {
+					t.Errorf("bad histogram while serving: p50 %v, max %v, count %d of %d commits", h.P50(), h.Max, h.Count, st.Commits)
 				}
 			}
 			svc.TotalStats()
@@ -467,7 +467,7 @@ func TestStatsWhileServing(t *testing.T) {
 	close(stop)
 	<-scraped
 	st := svc.Stats()[0]
-	if st.Writes != 1200 || int64(st.CommitLatency.Count) != st.Commits || st.CommitLatency != svc.TotalStats().CommitLatency {
-		t.Errorf("quiet service: writes %d, commits %d, summary %+v, total %+v", st.Writes, st.Commits, st.CommitLatency, svc.TotalStats().CommitLatency)
+	if st.Writes != 1200 || st.CommitHist.Count != st.Commits || st.CommitHist != svc.TotalStats().CommitHist {
+		t.Errorf("quiet service: writes %d, commits %d, histogram count %d, total %d", st.Writes, st.Commits, st.CommitHist.Count, svc.TotalStats().CommitHist.Count)
 	}
 }

@@ -3,28 +3,9 @@ package shard
 import (
 	"fmt"
 	"io"
-	"time"
 
 	"memsnap/internal/obs"
 )
-
-// promFloat renders a float in Prometheus exposition style: integral
-// values without an exponent, everything else in Go's shortest form.
-func promFloat(v float64) string {
-	if v == float64(int64(v)) {
-		return fmt.Sprintf("%d", int64(v))
-	}
-	return fmt.Sprintf("%g", v)
-}
-
-// promSeconds renders a virtual duration as seconds.
-func promSeconds(d time.Duration) string { return promFloat(d.Seconds()) }
-
-// promHeader writes one metric's # HELP / # TYPE preamble.
-func promHeader(w io.Writer, name, help, typ string) error {
-	_, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
-	return err
-}
 
 // FormatPrometheus writes per-shard serving statistics to w in the
 // Prometheus text exposition format, one {shard="N"} series per
@@ -48,24 +29,24 @@ func FormatPrometheus(w io.Writer, stats []ShardStats) error {
 		{"memsnap_shard_rejected_total", "Admissions refused with backpressure.", "counter",
 			func(st *ShardStats) string { return fmt.Sprintf("%d", st.Rejected) }},
 		{"memsnap_shard_batch_occupancy", "Mean write ops coalesced per group commit.", "gauge",
-			func(st *ShardStats) string { return promFloat(st.BatchOccupancy) }},
+			func(st *ShardStats) string { return obs.PromFloat(st.BatchOccupancy) }},
 		{"memsnap_shard_queue_high_water", "Deepest request queue observed at submit.", "gauge",
 			func(st *ShardStats) string { return fmt.Sprintf("%d", st.QueueHighWater) }},
 		{"memsnap_shard_commit_latency_seconds_mean", "Mean group-commit ack latency (virtual seconds).", "gauge",
-			func(st *ShardStats) string { return promSeconds(st.CommitLatency.Mean) }},
+			func(st *ShardStats) string { return obs.PromSeconds(st.CommitHist.Mean()) }},
 		{"memsnap_shard_commit_latency_seconds_p99", "99th percentile group-commit ack latency (virtual seconds).", "gauge",
-			func(st *ShardStats) string { return promSeconds(st.CommitLatency.P99) }},
+			func(st *ShardStats) string { return obs.PromSeconds(st.CommitHist.P99()) }},
 		{"memsnap_shard_elapsed_seconds", "Worker virtual time since the service opened.", "gauge",
-			func(st *ShardStats) string { return promSeconds(st.Elapsed) }},
+			func(st *ShardStats) string { return obs.PromSeconds(st.Elapsed) }},
 		{"memsnap_shard_persist_reset_seconds_total", "Cumulative Persist time spent resetting write tracking (virtual seconds).", "counter",
-			func(st *ShardStats) string { return promSeconds(st.PersistStages.ResetTracking) }},
+			func(st *ShardStats) string { return obs.PromSeconds(st.PersistStages.ResetTracking) }},
 		{"memsnap_shard_persist_initiate_seconds_total", "Cumulative Persist time spent initiating uCheckpoint IO (virtual seconds).", "counter",
-			func(st *ShardStats) string { return promSeconds(st.PersistStages.InitiateWrites) }},
+			func(st *ShardStats) string { return obs.PromSeconds(st.PersistStages.InitiateWrites) }},
 		{"memsnap_shard_persist_waitio_seconds_total", "Cumulative Persist time spent waiting for durability (virtual seconds).", "counter",
-			func(st *ShardStats) string { return promSeconds(st.PersistStages.WaitIO) }},
+			func(st *ShardStats) string { return obs.PromSeconds(st.PersistStages.WaitIO) }},
 	}
 	for _, m := range metrics {
-		if err := promHeader(w, m.name, m.help, m.typ); err != nil {
+		if err := obs.WritePromHeader(w, m.name, m.help, m.typ); err != nil {
 			return err
 		}
 		for i := range stats {
@@ -88,7 +69,7 @@ func FormatPrometheus(w io.Writer, stats []ShardStats) error {
 			func(st *ShardStats) *obs.HistSnapshot { return &st.PersistHist }},
 	}
 	for _, h := range hists {
-		if err := obs.WritePromHeader(w, h.name, h.help); err != nil {
+		if err := obs.WritePromHeader(w, h.name, h.help, "histogram"); err != nil {
 			return err
 		}
 		for i := range stats {
@@ -113,7 +94,7 @@ func FormatPrometheus(w io.Writer, stats []ShardStats) error {
 			{"memsnap_obs_ring_wraps_total", "Ring recorder cursor wraps (oldest events overwritten).", o.Wraps},
 		}
 		for _, m := range obsMetrics {
-			if err := promHeader(w, m.name, m.help, "counter"); err != nil {
+			if err := obs.WritePromHeader(w, m.name, m.help, "counter"); err != nil {
 				return err
 			}
 			if _, err := fmt.Fprintf(w, "%s %d\n", m.name, m.value); err != nil {

@@ -11,7 +11,6 @@ import (
 
 	"memsnap/internal/core"
 	"memsnap/internal/obs"
-	"memsnap/internal/sim"
 )
 
 // histSnap builds a deterministic histogram snapshot from samples.
@@ -32,13 +31,6 @@ func TestFormatPrometheusGolden(t *testing.T) {
 		{
 			Shard: 0, Ops: 10, Reads: 4, Writes: 6, Commits: 3,
 			BatchOccupancy: 2,
-			CommitLatency: sim.Summary{
-				Count: 3,
-				Mean:  1500 * time.Microsecond,
-				P50:   time.Millisecond,
-				P99:   2 * time.Millisecond,
-				Max:   2 * time.Millisecond,
-			},
 			QueueHighWater: 5, Rejected: 1,
 			Elapsed: 10 * time.Millisecond,
 			PersistStages: core.PersistStageTotals{

@@ -333,7 +333,6 @@ func open(sys *core.System, cfg Config) (*Service, error) {
 			queue:     make(chan *request, cfg.QueueDepth),
 			wake:      make(chan struct{}, 1),
 			batch:     make([]*request, 0, cfg.BatchSize),
-			commitLat: newLatency(),
 			startedAt: ctx.Clock().Now(),
 		}
 		rec := ShardRecovery{Shard: i, Existing: pre}

@@ -153,8 +153,8 @@ func TestGroupCommitCoalescing(t *testing.T) {
 	if st.BatchOccupancy <= 1 {
 		t.Fatalf("batch occupancy = %.2f; want > 1", st.BatchOccupancy)
 	}
-	if st.CommitLatency.P99 == 0 || st.CommitLatency.P50 > st.CommitLatency.P99 {
-		t.Fatalf("bad commit latency summary: %+v", st.CommitLatency)
+	if h := st.CommitHist; h.Count != st.Commits || h.P99() == 0 || h.P50() > h.P99() {
+		t.Fatalf("bad commit latency histogram: count %d of %d commits, p50 %v, p99 %v", h.Count, st.Commits, h.P50(), h.P99())
 	}
 	if err := svc.Close(); err != nil {
 		t.Fatal(err)

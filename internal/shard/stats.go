@@ -5,7 +5,6 @@ import (
 
 	"memsnap/internal/core"
 	"memsnap/internal/obs"
-	"memsnap/internal/sim"
 )
 
 // ShardStats is a snapshot of one shard's serving statistics. All
@@ -19,9 +18,6 @@ type ShardStats struct {
 	// of write ops coalesced per commit.
 	Commits        int64
 	BatchOccupancy float64
-	// CommitLatency summarizes per-batch latency from first apply to
-	// durability (the writer-visible group-commit ack latency).
-	CommitLatency sim.Summary
 	// QueueHighWater is the deepest queue observed at submit time;
 	// Rejected counts TryDo admissions refused with ErrBackpressure.
 	QueueHighWater int
@@ -37,9 +33,10 @@ type ShardStats struct {
 	// the pipeline's stages (reset write tracking, initiate IO, wait
 	// for durability), as of the last group commit.
 	PersistStages core.PersistStageTotals
-	// CommitHist is the log2-bucketed histogram of group-commit ack
-	// latency (apply start to writer ack); PersistHist covers the IO
-	// window (uCheckpoint submit to durable). Both are value snapshots.
+	// CommitHist is the histogram of group-commit ack latency (apply
+	// start to writer ack, the latency a writer sees); PersistHist covers
+	// the IO window (uCheckpoint submit to durable). Both are value
+	// snapshots.
 	CommitHist  obs.HistSnapshot
 	PersistHist obs.HistSnapshot
 	// Obs snapshots the service's trace-recorder accounting (events
@@ -50,84 +47,64 @@ type ShardStats struct {
 }
 
 // Stats snapshots every shard's statistics. Safe to call while the
-// service is running. retire takes statsMu on the goroutine a client
-// is waiting on (its own, when it runs the shard), so the commit
-// latency is summarized after the unlock: the recorder copies its
-// samples under its own lock and sorts them outside it. A commit that
-// retires in between shows in the summary one scrape before it shows
-// in the counters.
+// service is running, at a cost that does not depend on how long it has
+// run. retire takes statsMu on the goroutine a client is waiting on
+// (its own, when it runs the shard), so the lock covers only the plain
+// counters; the histograms are lock-free and are read before it. A
+// commit enters Commits when it is submitted and CommitHist when it
+// retires, so on a running service CommitHist.Count may trail Commits
+// by the commits in flight and never leads it; on a quiet service they
+// are equal.
 func (s *Service) Stats() []ShardStats {
-	out := make([]ShardStats, 0, len(s.shards))
+	out := make([]ShardStats, len(s.shards))
 	recStats := s.cfg.Recorder.Stats()
-	for _, sh := range s.shards {
+	for i, sh := range s.shards {
+		st := &out[i]
+		st.Shard, st.Obs = sh.id, recStats
+		st.CommitHist, st.PersistHist = sh.commitHist.Snapshot(), sh.persistHist.Snapshot()
 		sh.statsMu.Lock()
-		st := ShardStats{
-			Shard:             sh.id,
-			Ops:               sh.ops,
-			Reads:             sh.reads,
-			Writes:            sh.writes,
-			Commits:           sh.commits,
-			LastCommitSubmit:  sh.lastSubmit,
-			LastCommitDurable: sh.lastDur,
-			Elapsed:           sh.ctx.Clock().Now() - sh.startedAt,
-			PersistStages:     sh.stages,
-			CommitHist:        sh.commitHist.Snapshot(),
-			PersistHist:       sh.persistHist.Snapshot(),
-			Obs:               recStats,
-		}
+		st.Ops, st.Reads, st.Writes, st.Commits = sh.ops, sh.reads, sh.writes, sh.commits
+		st.LastCommitSubmit, st.LastCommitDurable = sh.lastSubmit, sh.lastDur
+		st.Elapsed = sh.ctx.Clock().Now() - sh.startedAt
+		st.PersistStages = sh.stages
 		if sh.commits > 0 {
 			st.BatchOccupancy = float64(sh.batchOps) / float64(sh.commits)
 		}
 		sh.statsMu.Unlock()
-		st.CommitLatency = sh.commitLat.Summarize()
 		st.QueueHighWater = int(sh.queueHW.Load())
 		st.Rejected = sh.rejected.Load()
-		out = append(out, st)
 	}
 	return out
 }
 
-// TotalStats aggregates shard statistics into one service-wide view:
-// counters sum, latency recorders merge, occupancy averages weighted
-// by commits, and Elapsed is the max across shards.
+// TotalStats folds Stats into one service-wide view: counters sum,
+// histograms merge, occupancy averages weighted by commits, and
+// Elapsed, the last-commit times and the queue high-water mark are the
+// max across shards.
 func (s *Service) TotalStats() ShardStats {
-	merged := sim.NewLatencyRecorder()
-	var total ShardStats
-	total.Shard = -1
-	for _, sh := range s.shards {
-		sh.statsMu.Lock()
-		total.Ops += sh.ops
-		total.Reads += sh.reads
-		total.Writes += sh.writes
-		total.Commits += sh.commits
-		total.BatchOccupancy += float64(sh.batchOps)
-		merged.Merge(sh.commitLat)
-		if e := sh.ctx.Clock().Now() - sh.startedAt; e > total.Elapsed {
-			total.Elapsed = e
-		}
-		if sh.lastSubmit > total.LastCommitSubmit {
-			total.LastCommitSubmit = sh.lastSubmit
-		}
-		if sh.lastDur > total.LastCommitDurable {
-			total.LastCommitDurable = sh.lastDur
-		}
-		total.PersistStages.ResetTracking += sh.stages.ResetTracking
-		total.PersistStages.InitiateWrites += sh.stages.InitiateWrites
-		total.PersistStages.WaitIO += sh.stages.WaitIO
-		sh.statsMu.Unlock()
-		total.CommitHist.Merge(sh.commitHist.Snapshot())
-		total.PersistHist.Merge(sh.persistHist.Snapshot())
-		if hw := int(sh.queueHW.Load()); hw > total.QueueHighWater {
-			total.QueueHighWater = hw
-		}
-		total.Rejected += sh.rejected.Load()
+	total := ShardStats{Shard: -1}
+	stats := s.Stats()
+	for i := range stats {
+		st := &stats[i]
+		total.Ops += st.Ops
+		total.Reads += st.Reads
+		total.Writes += st.Writes
+		total.Commits += st.Commits
+		total.BatchOccupancy += st.BatchOccupancy * float64(st.Commits)
+		total.Rejected += st.Rejected
+		total.QueueHighWater = max(total.QueueHighWater, st.QueueHighWater)
+		total.Elapsed = max(total.Elapsed, st.Elapsed)
+		total.LastCommitSubmit = max(total.LastCommitSubmit, st.LastCommitSubmit)
+		total.LastCommitDurable = max(total.LastCommitDurable, st.LastCommitDurable)
+		total.PersistStages.ResetTracking += st.PersistStages.ResetTracking
+		total.PersistStages.InitiateWrites += st.PersistStages.InitiateWrites
+		total.PersistStages.WaitIO += st.PersistStages.WaitIO
+		total.CommitHist.Merge(st.CommitHist)
+		total.PersistHist.Merge(st.PersistHist)
+		total.Obs = st.Obs
 	}
 	if total.Commits > 0 {
 		total.BatchOccupancy /= float64(total.Commits)
-	} else {
-		total.BatchOccupancy = 0
 	}
-	total.CommitLatency = merged.Summarize()
-	total.Obs = s.cfg.Recorder.Stats()
 	return total
 }

@@ -9,7 +9,6 @@ import (
 	"memsnap/internal/core"
 	"memsnap/internal/objstore"
 	"memsnap/internal/obs"
-	"memsnap/internal/sim"
 )
 
 // shard is one service shard: a region, its Context, the bounded request
@@ -68,7 +67,6 @@ type shard struct {
 	batchOps   int64 // total write ops across commits (occupancy numerator)
 	lastSubmit time.Duration
 	lastDur    time.Duration
-	commitLat  *sim.LatencyRecorder
 	startedAt  time.Duration
 	// stages mirrors the shard context's cumulative persist-stage
 	// breakdown under statsMu (the context field itself is confined to
@@ -77,14 +75,12 @@ type shard struct {
 	rejected atomic.Int64
 	queueHW  atomic.Int64
 
-	// Latency histograms (log2 buckets, lock-free record): commitHist
+	// Latency histograms (lock-free record, fixed size): commitHist
 	// tracks apply-start to writer-ack, persistHist tracks IO submit to
 	// durable. Recorded in retire; snapshotted by Stats.
 	commitHist  obs.Histogram
 	persistHist obs.Histogram
 }
-
-func newLatency() *sim.LatencyRecorder { return sim.NewLatencyRecorder() }
 
 // noteDepth records a queue high-water mark observed after an enqueue.
 func (sh *shard) noteDepth(depth int) {
@@ -415,7 +411,6 @@ func (sh *shard) retire(b *pendingBatch) {
 		b.start, now-b.start, int64(len(b.writes)), b.flow)
 	sh.statsMu.Lock()
 	sh.lastDur = durable
-	sh.commitLat.Record(now - b.start)
 	sh.stages = sh.ctx.StageTotals
 	sh.statsMu.Unlock()
 	for _, r := range b.writes {

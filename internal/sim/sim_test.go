@@ -214,16 +214,6 @@ func TestLatencyRecorder(t *testing.T) {
 	}
 }
 
-func TestLatencyRecorderMerge(t *testing.T) {
-	a, b := NewLatencyRecorder(), NewLatencyRecorder()
-	a.Record(time.Microsecond)
-	b.Record(3 * time.Microsecond)
-	a.Merge(b)
-	if a.Count() != 2 || a.Mean() != 2*time.Microsecond {
-		t.Fatalf("merge: count=%d mean=%v", a.Count(), a.Mean())
-	}
-}
-
 func TestLatencyRecorderEmpty(t *testing.T) {
 	r := NewLatencyRecorder()
 	if r.Mean() != 0 || r.Percentile(99) != 0 || r.Max() != 0 {

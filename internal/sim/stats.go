@@ -7,10 +7,11 @@ import (
 	"time"
 )
 
-// LatencyRecorder collects latency samples and reports summary
-// statistics. It is safe for concurrent use; workers typically record
-// into per-thread recorders and Merge them at the end, but a single
-// shared recorder is also fine for low-frequency events.
+// LatencyRecorder keeps every latency sample and reports exact summary
+// statistics: the recorder of the offline paper-table experiments, and
+// the reference obs.Histogram is tested against. Its memory grows with
+// every sample, so a serving path records into an obs.Histogram
+// instead. It is safe for concurrent use.
 type LatencyRecorder struct {
 	mu      sync.Mutex
 	samples []time.Duration
@@ -28,22 +29,6 @@ func (r *LatencyRecorder) Record(d time.Duration) {
 	r.sum += d
 	if d > r.max {
 		r.max = d
-	}
-	r.mu.Unlock()
-}
-
-// Merge folds other's samples into r.
-func (r *LatencyRecorder) Merge(other *LatencyRecorder) {
-	other.mu.Lock()
-	samples := append([]time.Duration(nil), other.samples...)
-	other.mu.Unlock()
-	r.mu.Lock()
-	for _, d := range samples {
-		r.samples = append(r.samples, d)
-		r.sum += d
-		if d > r.max {
-			r.max = d
-		}
 	}
 	r.mu.Unlock()
 }

@@ -6,53 +6,30 @@
 //	memsnap-bench -list
 //	memsnap-bench [-scale S] [-threads N] [-seed K] all
 //	memsnap-bench [-scale S] table6 fig3 ...
-//	memsnap-bench -json [-out BENCH_persist.json] [-scale S]
 //
 // Each experiment prints a table mirroring the paper's layout, with
 // notes recording the scaled-down workload parameters. Virtual-time
 // microseconds are directly comparable to the paper's measured
 // microseconds in shape (see EXPERIMENTS.md for the side-by-side).
-//
-// -json instead runs the real-machine persist hot-path benchmark
-// (internal/perfbench) and writes the machine-readable report; it
-// exits non-zero if steady-state persist allocations exceed the
-// committed ceiling, so CI can gate on it.
-//
-// -replica runs the replication wire benchmark: bytes on the link per
-// write transaction for TATP, TPC-C, and YCSB-A, in both full-page
-// and sub-page-diff modes. The numbers are virtual-time deterministic,
-// so the BENCH_replica.json report is committable; the run exits
-// non-zero if the sub-page reduction falls below the committed floor.
+// The single-threaded tables are pinned byte for byte by the goldens
+// under internal/harness/testdata; simulator speed is measured by the
+// benchmark/ module (BENCHMARK.json).
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"time"
 
 	"memsnap/internal/harness"
-	"memsnap/internal/perfbench"
 )
-
-// writeReport serializes a benchmark report as indented JSON.
-func writeReport(path string, rep any) error {
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
 
 func main() {
 	list := flag.Bool("list", false, "list available experiments")
 	scale := flag.Float64("scale", 1.0, "workload scale factor (1.0 = harness default)")
 	threads := flag.Int("threads", 4, "worker threads for multi-threaded experiments")
 	seed := flag.Uint64("seed", 1, "workload RNG seed")
-	jsonBench := flag.Bool("json", false, "run the persist hot-path benchmark and write a JSON report")
-	replicaBench := flag.Bool("replica", false, "run the replication wire benchmark and write a JSON report")
-	out := flag.String("out", "", "output path for the -json / -replica report")
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: %s [flags] <experiment>... | all\n\nflags:\n", os.Args[0])
 		flag.PrintDefaults()
@@ -62,59 +39,6 @@ func main() {
 		}
 	}
 	flag.Parse()
-
-	if *replicaBench {
-		if *out == "" {
-			*out = "BENCH_replica.json"
-		}
-		rep, err := perfbench.RunReplica(*scale)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "perfbench: %v\n", err)
-			os.Exit(1)
-		}
-		if err := writeReport(*out, rep); err != nil {
-			fmt.Fprintf(os.Stderr, "perfbench: %v\n", err)
-			os.Exit(1)
-		}
-		for _, sc := range rep.Scenarios {
-			fmt.Printf("%-8s %-5s %8d txns %12d wire B %10.1f B/txn %8.2f encode us/txn\n",
-				sc.Workload, sc.Mode, sc.Txns, sc.WireBytes, sc.BytesPerTxn, sc.EncodeUsPerTxn)
-		}
-		for _, wl := range perfbench.ReplicaWorkloads() {
-			fmt.Printf("%-8s bytes/txn reduction: %.2fx\n", wl, rep.Reduction[wl])
-		}
-		fmt.Printf("report written to %s\n", *out)
-		if err := perfbench.CheckReplicaCeilings(rep); err != nil {
-			fmt.Fprintf(os.Stderr, "%v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *jsonBench {
-		if *out == "" {
-			*out = "BENCH_persist.json"
-		}
-		rep, err := perfbench.Run(*scale)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "perfbench: %v\n", err)
-			os.Exit(1)
-		}
-		if err := writeReport(*out, rep); err != nil {
-			fmt.Fprintf(os.Stderr, "perfbench: %v\n", err)
-			os.Exit(1)
-		}
-		for _, sc := range rep.Scenarios {
-			fmt.Printf("%-28s %8.1f allocs/op %12.0f B/op %12.0f ops/s  virt p50=%.1fus p99=%.1fus\n",
-				sc.Name, sc.AllocsPerOp, sc.BytesPerOp, sc.RealOpsPerSec, sc.VirtualP50Us, sc.VirtualP99Us)
-		}
-		fmt.Printf("report written to %s\n", *out)
-		if err := perfbench.CheckCeilings(rep); err != nil {
-			fmt.Fprintf(os.Stderr, "%v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
 
 	if *list {
 		for _, e := range harness.Registry() {

@@ -1,29 +1,24 @@
 // Command msnap-load is the external load generator for the real-TCP
 // data plane: configurable connections × pipeline depth × get/put mix
-// with zipfian key popularity, producing a real-machine ops/s and
-// tail-latency baseline written to BENCH_net.json (alongside the
-// persist hot-path report in BENCH_persist.json).
+// with zipfian key popularity against a running msnap-serve, reporting
+// wall-clock ops/s and client-visible tail latency.
 //
 // Usage:
 //
-//	msnap-load -addr HOST:PORT [flags]      drive an external msnap-serve
-//	msnap-load -spawn [flags]               spawn an in-process server on
-//	                                        loopback and also measure
-//	                                        steady-state allocations/op
+//	msnap-load -addr HOST:PORT [flags]
 //
-// In -spawn mode the whole serving path (client, TCP loopback, server,
-// shard workers) runs in one process, so runtime.MemStats brackets the
-// measured window and -max-allocs-per-op can gate CI on the per-op
-// allocation ceiling. Latencies are wall-clock: this tool measures the
-// real service boundary, not the simulation inside it.
+// Latencies are wall-clock: this tool measures the real service
+// boundary, not the simulation inside it. The server's steady-state
+// allocations per op are gated by netsvc.TestSteadyStateAllocsPerOp;
+// the benchmark/ module (BENCHMARK.json) measures the same path with
+// per-layer counters.
 //
 // With -sample N, one in N requests carries wire trace context; the
 // client records its round-trip spans and -trace-out writes them as
-// Chrome trace-event JSON. Against an external msnap-serve the server
-// half of each sampled flow shows up in that server's /tracez, sharing
-// the flow ids; in -spawn mode both halves land in one document.
-// Tenant popularity is zipfian (like keys), so the server's /topz
-// ranking has real skew to rank.
+// Chrome trace-event JSON. The server half of each sampled flow shows
+// up in that server's /tracez, sharing the flow ids. Tenant popularity
+// is zipfian (like keys), so the server's /topz ranking has real skew
+// to rank.
 package main
 
 import (
@@ -31,22 +26,18 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"memsnap/internal/core"
 	"memsnap/internal/netsvc"
 	"memsnap/internal/obs"
 	"memsnap/internal/proto"
-	"memsnap/internal/shard"
 	"memsnap/internal/sim"
 )
 
 type config struct {
-	Addr     string  `json:"addr,omitempty"`
-	Spawn    bool    `json:"spawn"`
+	Addr     string  `json:"addr"`
 	Conns    int     `json:"conns"`
 	Pipeline int     `json:"pipeline"`
 	Ops      int64   `json:"ops"`
@@ -56,7 +47,6 @@ type config struct {
 	Keys     int     `json:"keys"`
 	Theta    float64 `json:"theta"`
 	Seed     uint64  `json:"seed"`
-	Shards   int     `json:"shards"`
 	Sample   int     `json:"sample,omitempty"`
 }
 
@@ -74,11 +64,6 @@ type result struct {
 	ElapsedSeconds float64   `json:"elapsed_seconds"`
 	OpsPerSec      float64   `json:"ops_per_sec"`
 	LatencyUs      latencyUs `json:"latency_us"`
-	// Server-side fields, populated in -spawn mode only.
-	ServerAllocsPerOp float64 `json:"server_allocs_per_op,omitempty"`
-	RetryAfter        int64   `json:"retry_after_responses,omitempty"`
-	BytesIn           int64   `json:"bytes_in,omitempty"`
-	BytesOut          int64   `json:"bytes_out,omitempty"`
 }
 
 type report struct {
@@ -91,8 +76,7 @@ func main() { os.Exit(run()) }
 
 func run() int {
 	var cfg config
-	flag.StringVar(&cfg.Addr, "addr", "", "server address (empty with -spawn)")
-	flag.BoolVar(&cfg.Spawn, "spawn", false, "spawn an in-process server on loopback")
+	flag.StringVar(&cfg.Addr, "addr", "", "server address (required)")
 	flag.IntVar(&cfg.Conns, "conns", 4, "client connections")
 	flag.IntVar(&cfg.Pipeline, "pipeline", 16, "pipeline depth (concurrent ops per connection)")
 	flag.Int64Var(&cfg.Ops, "ops", 20000, "measured operations")
@@ -102,50 +86,23 @@ func run() int {
 	flag.IntVar(&cfg.Keys, "keys", 10000, "key-space size")
 	flag.Float64Var(&cfg.Theta, "theta", 0.99, "zipfian skew (0 < theta < 1)")
 	flag.Uint64Var(&cfg.Seed, "seed", 1, "workload RNG seed")
-	flag.IntVar(&cfg.Shards, "shards", 8, "shard count (-spawn mode)")
 	flag.IntVar(&cfg.Sample, "sample", 0, "trace-sample one in N requests onto the wire (0: tracing off)")
 	traceOut := flag.String("trace-out", "", "write the client-side trace (Chrome trace-event JSON) to this path")
 	out := flag.String("out", "", "write a JSON report to this path")
-	maxAllocs := flag.Float64("max-allocs-per-op", 0,
-		"fail when -spawn steady-state allocations/op exceed this ceiling (0: no gate)")
 	flag.Parse()
 
-	if cfg.Spawn == (cfg.Addr != "") {
-		fmt.Fprintln(os.Stderr, "msnap-load: exactly one of -addr or -spawn is required")
+	if cfg.Addr == "" {
+		fmt.Fprintln(os.Stderr, "msnap-load: -addr is required")
 		return 2
 	}
 
-	// One recorder for the run: the clients' round-trip lanes, plus —
-	// in -spawn mode — the in-process server's net and shard lanes, so
-	// a single -trace-out document holds the whole stitched flow.
+	// One recorder for the run, holding the clients' round-trip lanes.
 	var rec *obs.Recorder
 	if cfg.Sample > 0 {
 		rec = obs.NewRecorder(1 << 16)
 	}
 
-	addr := cfg.Addr
-	var srv *netsvc.Server
-	var svc *shard.Service
-	if cfg.Spawn {
-		sys, err := core.NewSystem(core.Options{CPUs: cfg.Shards, DiskBytesEach: 512 << 20})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "msnap-load: %v\n", err)
-			return 1
-		}
-		svc, err = shard.New(sys, shard.Config{Shards: cfg.Shards, Recorder: rec})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "msnap-load: %v\n", err)
-			return 1
-		}
-		srv, err = netsvc.Serve("127.0.0.1:0", svc, netsvc.Config{MaxInFlight: cfg.Pipeline, Recorder: rec})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "msnap-load: %v\n", err)
-			return 1
-		}
-		addr = srv.Addr()
-	}
-
-	clients, err := dialAll(addr, cfg.Conns, cfg.Pipeline)
+	clients, err := dialAll(cfg.Addr, cfg.Conns, cfg.Pipeline)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "msnap-load: %v\n", err)
 		return 1
@@ -166,11 +123,6 @@ func run() int {
 		now := func() time.Duration {
 			return time.Since(epoch) //lint:allow walltime client trace timestamps
 		}
-		if svc != nil {
-			// -spawn: the service's virtual clock is in-process, so the
-			// client lanes can share the server lanes' timeline.
-			now = svc.EndTime
-		}
 		for i, c := range clients {
 			c.EnableTracing(netsvc.Tracing{
 				Recorder: rec, Sampler: sampler, Now: now, Track: obs.ClientTrack(i),
@@ -179,8 +131,7 @@ func run() int {
 	}
 
 	// Pre-built workload vocabulary: all key/tenant bytes exist before
-	// the measured window, keeping the client's own allocations out of
-	// the server-side measurement.
+	// the measured window, keeping formatting off the timed path.
 	tenants := make([][]byte, cfg.Tenants)
 	for i := range tenants {
 		tenants[i] = []byte(fmt.Sprintf("t%02d", i))
@@ -197,18 +148,10 @@ func run() int {
 		drive(clients, cfg, tenants, keys, zipf, cfg.Warmup, 0, nil)
 	}
 
-	var m0, m1 runtime.MemStats
-	if cfg.Spawn {
-		runtime.GC()
-		runtime.ReadMemStats(&m0)
-	}
 	var hist obs.Histogram
 	start := time.Now() //lint:allow walltime load generator measures the real service boundary
 	drive(clients, cfg, tenants, keys, zipf, cfg.Ops, 1, &hist)
 	elapsed := time.Since(start) //lint:allow walltime load generator measures the real service boundary
-	if cfg.Spawn {
-		runtime.ReadMemStats(&m1)
-	}
 
 	var retries int64
 	for _, c := range clients {
@@ -229,25 +172,13 @@ func run() int {
 			Max:  us(snap.Max),
 		},
 	}
-	if cfg.Spawn {
-		res.ServerAllocsPerOp = float64(m1.Mallocs-m0.Mallocs) / float64(cfg.Ops)
-		st := srv.Stats()
-		res.RetryAfter = st.RetryAfter
-		res.BytesIn = st.BytesIn
-		res.BytesOut = st.BytesOut
-	}
-
 	fmt.Printf("msnap-load: %d ops in %.2fs = %.0f ops/s  p50=%.1fus p99=%.1fus p999=%.1fus  retries=%d\n",
 		res.Ops, res.ElapsedSeconds, res.OpsPerSec,
 		res.LatencyUs.P50, res.LatencyUs.P99, res.LatencyUs.P999, res.Retries)
-	if cfg.Spawn {
-		fmt.Printf("msnap-load: server-side %.2f allocs/op, %d bytes in, %d bytes out\n",
-			res.ServerAllocsPerOp, res.BytesIn, res.BytesOut)
-	}
 
 	if *out != "" {
 		rep := report{
-			Note:   "real-TCP data plane baseline: msnap-load against netsvc over loopback; wall-clock client-visible latency",
+			Note:   "msnap-load against msnap-serve over TCP; wall-clock client-visible latency",
 			Config: cfg,
 			Result: res,
 		}
@@ -263,21 +194,6 @@ func run() int {
 		fmt.Printf("report written to %s\n", *out)
 	}
 
-	// Close the clients before draining the spawned server so Close
-	// does not wait on open-but-idle connections.
-	for _, c := range clients {
-		c.Close()
-	}
-	if cfg.Spawn {
-		if err := srv.Close(); err != nil {
-			fmt.Fprintf(os.Stderr, "msnap-load: drain: %v\n", err)
-			return 1
-		}
-		if err := svc.Close(); err != nil {
-			fmt.Fprintf(os.Stderr, "msnap-load: close: %v\n", err)
-			return 1
-		}
-	}
 	if *traceOut != "" && rec != nil {
 		f, err := os.Create(*traceOut)
 		if err != nil {
@@ -294,11 +210,6 @@ func run() int {
 			return 1
 		}
 		fmt.Printf("trace written to %s\n", *traceOut)
-	}
-	if cfg.Spawn && *maxAllocs > 0 && res.ServerAllocsPerOp > *maxAllocs {
-		fmt.Fprintf(os.Stderr, "msnap-load: steady-state %.2f allocs/op exceed the ceiling %.2f/op\n",
-			res.ServerAllocsPerOp, *maxAllocs)
-		return 1
 	}
 	return 0
 }

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"memsnap/internal/obs"
 	"memsnap/internal/vm"
 )
 
@@ -54,32 +55,45 @@ func TestPersistErrorPathReleasesHold(t *testing.T) {
 
 // TestPersistSteadyStateZeroAlloc pins the tentpole criterion: once
 // pools and scratch buffers are warm, a Persist of a fixed dirty set
-// performs zero heap allocations per call.
+// performs zero heap allocations per call. The traced case attaches a
+// span recorder, so persist-stage spans and fault instants land in the
+// ring every call: tracing must stay free to leave enabled.
 func TestPersistSteadyStateZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation accounting is unreliable under -race")
 	}
-	sys := newSys(t)
-	p := sys.NewProcess()
-	ctx := p.NewContext(0)
-	r, err := p.Open(ctx, "data", 1<<20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	op := func() {
-		for i := int64(0); i < 8; i++ {
-			pg := ctx.PageForWrite(r, i*PageSize)
-			pg[0]++
+	for _, traced := range []bool{false, true} {
+		name := "untraced"
+		if traced {
+			name = "traced"
 		}
-		if _, err := ctx.Persist(r, MSSync); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < 64; i++ {
-		op() // warm pools, map buckets, scratch capacities
-	}
-	if got := testing.AllocsPerRun(200, op); got > 0 {
-		t.Fatalf("steady-state Persist allocates %.1f times per call, want 0", got)
+		t.Run(name, func(t *testing.T) {
+			sys := newSys(t)
+			p := sys.NewProcess()
+			ctx := p.NewContext(0)
+			if traced {
+				ctx.SetRecorder(obs.NewRecorder(4096), obs.ShardTrack(0))
+			}
+			r, err := p.Open(ctx, "data", 1<<20)
+			if err != nil {
+				t.Fatal(err)
+			}
+			op := func() {
+				for i := int64(0); i < 8; i++ {
+					pg := ctx.PageForWrite(r, i*PageSize)
+					pg[0]++
+				}
+				if _, err := ctx.Persist(r, MSSync); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := 0; i < 64; i++ {
+				op() // warm pools, map buckets, scratch capacities
+			}
+			if got := testing.AllocsPerRun(200, op); got > 0 {
+				t.Fatalf("steady-state Persist allocates %.1f times per call, want 0", got)
+			}
+		})
 	}
 }
 

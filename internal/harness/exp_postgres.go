@@ -28,7 +28,7 @@ func Figure6(opts Options) (*Result, error) {
 		Header: []string{"Variant", "tx/s", "disk MB/s", "KB/tx", "IO/s", "rel. tx/s"},
 		Notes: []string{
 			fmt.Sprintf("scaled: %d warehouses, %d backends x %d transactions (paper: 150 warehouses, 24 connections, 2 min)", warehouses, backends, txPerBackend),
-			"paper Figure 6: mmap -15-25%% vs baseline; memsnap ~+1.5%% tx/s with ~80%% less disk write throughput",
+			"paper Figure 6: mmap -15-25% vs baseline; memsnap ~+1.5% tx/s with ~80% less disk write throughput",
 		},
 	}
 

@@ -1,14 +1,67 @@
 package harness
 
 import (
+	"bytes"
+	"flag"
+	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
 )
 
+var updateGolden = flag.Bool("update-golden", false, "rewrite golden files under testdata")
+
 // tiny returns options small enough for CI.
-func tiny() Options { return Options{Scale: 0.08, Threads: 2, Seed: 3} }
+func tiny() Options { return Options{Scale: 0.08, Threads: 1, Seed: 3} }
+
+// checkGolden holds a single-threaded table to testdata/<id>.golden
+// byte for byte, so a change that moves a paper number shows it in its
+// diff. Rerun with -update-golden after an intentional change.
+func checkGolden(t *testing.T, res *Result) {
+	t.Helper()
+	golden := filepath.Join("testdata", res.ID+".golden")
+	got := []byte(res.Format())
+	if *updateGolden {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(golden, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("%s drifted from %s (rerun with -update-golden after an intentional change)\n--- got ---\n%s\n--- want ---\n%s",
+			res.ID, golden, got, want)
+	}
+}
+
+// TestGoldenFiguresRepeat runs the two case-study figures twice in one
+// process on one thread: every cell must repeat, or their goldens could
+// not pin them. A loop over a Go map that reaches the clock or the disk
+// layout (litedb's page cache and WAL, pgdb's commit and checkpoint)
+// shows up here as a cell that differs.
+func TestGoldenFiguresRepeat(t *testing.T) {
+	opts := Options{Scale: 0.1, Threads: 1, Seed: 3}
+	for _, run := range []func(Options) (*Result, error){Figure5, Figure6} {
+		a, err := run(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := run(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a.Format() != b.Format() {
+			t.Errorf("%s differs between two runs:\n%s\n%s", a.ID, a.Format(), b.Format())
+		}
+	}
+}
 
 // parseUS parses a "N.N" or "N.NK" microsecond cell.
 func parseUS(t *testing.T, cell string) float64 {
@@ -53,6 +106,7 @@ func TestTable2Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, res)
 	total := parseUS(t, res.Rows[4][1])
 	if total < 100 || total > 420 {
 		t.Fatalf("aurora total %v us, paper 208.1", total)
@@ -68,6 +122,7 @@ func TestFigure1Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, res)
 	for _, row := range res.Rows {
 		scan, walk, trace := parseUS(t, row[1]), parseUS(t, row[2]), parseUS(t, row[3])
 		if !(trace < walk && walk < scan) {
@@ -86,6 +141,7 @@ func TestTable5Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, res)
 	total := parseUS(t, res.Rows[3][1])
 	if total < 25 || total > 110 {
 		t.Fatalf("persist total %.1f us, paper 51.4", total)
@@ -101,6 +157,7 @@ func TestTable6Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, res)
 	if len(res.Rows) != len(ioSizes) {
 		t.Fatalf("rows = %d", len(res.Rows))
 	}
@@ -132,6 +189,7 @@ func TestFigure3Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, res)
 	for i, row := range res.Rows {
 		ms := parseUS(t, row[1])
 		region := parseUS(t, row[2])
@@ -156,6 +214,7 @@ func TestTable7Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, res)
 	if len(res.Rows) != 6 {
 		t.Fatalf("rows = %d", len(res.Rows))
 	}
@@ -176,6 +235,7 @@ func TestTable8Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, res)
 	// Rows come in baseline/memsnap pairs per pattern; memsnap must
 	// finish faster.
 	for i := 0; i < len(res.Rows); i += 2 {
@@ -205,6 +265,7 @@ func TestFigure4Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, res)
 	for _, row := range res.Rows {
 		msAvg := parseUS(t, row[2])
 		baseAvg := parseUS(t, row[4])
@@ -219,6 +280,7 @@ func TestFigure5Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, res)
 	// MemSnap wins at every size and the gap grows with DB size.
 	var firstSpeedup, lastSpeedup float64
 	for i, row := range res.Rows {
@@ -264,6 +326,7 @@ func TestTable10Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, res)
 	ms := parseUS(t, res.Rows[4][1])
 	aurora := parseUS(t, res.Rows[4][2])
 	if aurora < 2*ms {
@@ -276,6 +339,7 @@ func TestTable1Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, res)
 	var txMem, total float64
 	for _, row := range res.Rows {
 		v := parsePct(t, row[1])
@@ -305,6 +369,7 @@ func TestFigure6Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, res)
 	tps := map[string]float64{}
 	kbtx := map[string]float64{}
 	for _, row := range res.Rows {
@@ -342,6 +407,7 @@ func TestAblations(t *testing.T) {
 		if len(res.Rows) == 0 {
 			t.Fatalf("%s: empty result", id)
 		}
+		checkGolden(t, res)
 	}
 }
 

@@ -3,6 +3,7 @@ package litedb
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"time"
 
 	"memsnap/internal/core"
@@ -34,7 +35,10 @@ type walPager struct {
 	numPages uint32
 	// frames is the page cache: the latest committed image of hot
 	// pages (the WAL doubles as a cache, bounded like SQLite's).
-	frames map[uint32][]byte
+	// resident lists its pages for evict, which draws victims from rng.
+	frames   map[uint32][]byte
+	resident []uint32
+	rng      *sim.RNG
 	// walOffsets locates each page's latest committed frame in the
 	// WAL file, for read-through after eviction.
 	walOffsets map[uint32]int64
@@ -61,6 +65,7 @@ func newWALPager(fsys *fs.FS, clk *sim.Clock, name string) *walPager {
 		db:                  fsys.Create(clk, name),
 		log:                 wal.Create(fsys, clk, name+"-wal"),
 		frames:              make(map[uint32][]byte),
+		rng:                 sim.NewRNG(1),
 		walOffsets:          make(map[uint32]int64),
 		txDirty:             make(map[uint32][]byte),
 		cacheLimit:          DefaultCacheSize,
@@ -86,6 +91,7 @@ func openWALPager(fsys *fs.FS, clk *sim.Clock, name string) (*walPager, error) {
 		db:                  db,
 		log:                 log,
 		frames:              make(map[uint32][]byte),
+		rng:                 sim.NewRNG(1),
 		walOffsets:          make(map[uint32]int64),
 		txDirty:             make(map[uint32][]byte),
 		cacheLimit:          DefaultCacheSize,
@@ -100,8 +106,7 @@ func openWALPager(fsys *fs.FS, clk *sim.Clock, name string) (*walPager, error) {
 			return fmt.Errorf("litedb: bad WAL frame size %d", len(rec))
 		}
 		pageNo := binary.LittleEndian.Uint32(rec)
-		img := append([]byte(nil), rec[4:]...)
-		p.frames[pageNo] = img
+		p.cache(pageNo, append([]byte(nil), rec[4:]...))
 		p.walOffsets[pageNo] = walOff + 12 + 4
 		walOff += 12 + int64(len(rec))
 		if pageNo >= p.numPages {
@@ -131,23 +136,46 @@ func (p *walPager) page(pageNo uint32) []byte {
 	} else {
 		p.db.Read(p.clk, int64(pageNo)*PageSize, buf)
 	}
-	p.frames[pageNo] = buf
+	p.cache(pageNo, buf)
 	p.evict()
 	return buf
 }
 
-// evict drops arbitrary clean cached pages above the cache limit
-// (they remain readable from the WAL or DB file).
+// cache installs img as pageNo's cached image.
+func (p *walPager) cache(pageNo uint32, img []byte) {
+	if _, ok := p.frames[pageNo]; !ok {
+		p.resident = append(p.resident, pageNo)
+	}
+	p.frames[pageNo] = img
+}
+
+// evict drops random clean cached pages above the cache limit (they
+// remain readable from the WAL or DB file). The pager's own seeded rng
+// draws the victims, so a run is a function of its inputs.
 func (p *walPager) evict() {
-	for pageNo := range p.frames {
-		if len(p.frames) <= p.cacheLimit {
-			return
-		}
+	for tries := len(p.resident); tries > 0 && len(p.frames) > p.cacheLimit; tries-- {
+		i := p.rng.Intn(len(p.resident))
+		pageNo := p.resident[i]
 		if _, dirty := p.txDirty[pageNo]; dirty {
 			continue
 		}
+		last := len(p.resident) - 1
+		p.resident[i] = p.resident[last]
+		p.resident = p.resident[:last]
 		delete(p.frames, pageNo)
 	}
+}
+
+// sortedPages returns m's page numbers in ascending order: the pager's
+// loops that reach the clock or the disk layout visit pages in this
+// order, so a run is a function of its inputs, not of map iteration.
+func sortedPages[V any](m map[uint32]V) []uint32 {
+	pages := make([]uint32, 0, len(m))
+	for pageNo := range m {
+		pages = append(pages, pageNo)
+	}
+	slices.Sort(pages)
+	return pages
 }
 
 func (p *walPager) pageForWrite(pageNo uint32) []byte {
@@ -178,13 +206,14 @@ func (p *walPager) pageCount() uint32 { return p.numPages }
 // the baseline's degradation on large databases (Figure 5).
 func (p *walPager) commit() {
 	p.clk.Advance(time.Duration(len(p.frames)) * p.costsScanPerEntry())
-	for pageNo, img := range p.txDirty {
+	for _, pageNo := range sortedPages(p.txDirty) {
+		img := p.txDirty[pageNo]
 		rec := make([]byte, 4+PageSize)
 		binary.LittleEndian.PutUint32(rec, pageNo)
 		copy(rec[4:], img)
 		off := p.log.Append(p.clk, rec)
 		p.walOffsets[pageNo] = off + 12 + 4
-		p.frames[pageNo] = img
+		p.cache(pageNo, img)
 	}
 	p.txDirty = make(map[uint32][]byte)
 	p.log.Sync(p.clk)
@@ -206,11 +235,11 @@ func (p *walPager) rollback() {
 // Frames evicted from the cache are read back from the WAL file
 // first — checkpointing flushes the log, not just the cache.
 func (p *walPager) checkpoint() {
-	for pageNo, off := range p.walOffsets {
+	for _, pageNo := range sortedPages(p.walOffsets) {
 		img, ok := p.frames[pageNo]
 		if !ok {
 			img = make([]byte, PageSize)
-			p.log.File().Read(p.clk, off, img)
+			p.log.File().Read(p.clk, p.walOffsets[pageNo], img)
 		}
 		p.db.Write(p.clk, int64(pageNo)*PageSize, img)
 	}
@@ -272,7 +301,7 @@ func (p *memsnapPager) commit() {
 // rollback restores dirtied pages from the last durable epoch, then
 // drops the (now meaningless) dirty tracking state.
 func (p *memsnapPager) rollback() {
-	for pageNo := range p.dirty {
+	for _, pageNo := range sortedPages(p.dirty) {
 		img := p.ctx.PageForWrite(p.region, int64(pageNo)*PageSize)
 		done, err := p.region.Object().ReadBlock(p.ctx.Clock().Now(), int64(pageNo), img)
 		if err != nil {

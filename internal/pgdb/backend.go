@@ -1,8 +1,11 @@
 package pgdb
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
+	"slices"
+	"strings"
 
 	"memsnap/internal/core"
 	"memsnap/internal/sim"
@@ -305,7 +308,7 @@ func (b *Backend) Commit() {
 		// free.)
 		const osPage = HeapPageSize / 2
 		c.contentMu.Lock()
-		for key := range b.touched {
+		for _, key := range sortedKeys(b.touched) {
 			region := b.regionFor(key.rel)
 			buf := b.getBuffer(key.rel, key.page)
 			if buf.shadow == nil {
@@ -328,7 +331,7 @@ func (b *Backend) Commit() {
 	default:
 		c.lockmgr.Lock(b.clk)
 		if c.variant == VarMmapBufDirect {
-			for key := range b.touched {
+			for _, key := range sortedKeys(b.touched) {
 				img := make([]byte, HeapPageSize)
 				p := b.pageForRead(key.rel, key.page)
 				c.contentMu.Lock()
@@ -352,6 +355,25 @@ func (b *Backend) Commit() {
 	b.xid = 0
 	b.touched = make(map[bufKey]bool)
 	b.walRecs = nil
+}
+
+// sortedKeys returns m's buffer keys in (relation, page) order. Commit
+// and checkpoint visit buffers in this order, so a run's clock and disk
+// layout follow from its inputs, not from map iteration.
+func sortedKeys(m map[bufKey]bool) []bufKey {
+	keys := make([]bufKey, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.SortFunc(keys, compareKeys)
+	return keys
+}
+
+func compareKeys(a, b bufKey) int {
+	if c := strings.Compare(a.rel, b.rel); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.page, b.page)
 }
 
 // bytesEqual reports a == b without allocating.
@@ -400,17 +422,20 @@ func (b *Backend) checkpoint() {
 	c.pagesLogged = make(map[bufKey]bool)
 	c.Checkpoints++
 	c.mu.Unlock()
+	slices.SortFunc(dirty, func(a, b flush) int { return compareKeys(a.key, b.key) })
 
-	touchedRels := make(map[string]bool)
+	var touchedRels []string
 	for _, f := range dirty {
 		c.mu.Lock()
 		file := c.files[f.key.rel]
 		c.mu.Unlock()
 		file.Write(b.clk, int64(f.key.page)*HeapPageSize, f.buf.data)
-		touchedRels[f.key.rel] = true
+		if n := len(touchedRels); n == 0 || touchedRels[n-1] != f.key.rel {
+			touchedRels = append(touchedRels, f.key.rel)
+		}
 	}
 	c.contentMu.Unlock()
-	for rel := range touchedRels {
+	for _, rel := range touchedRels {
 		c.mu.Lock()
 		file := c.files[rel]
 		c.mu.Unlock()

@@ -40,7 +40,7 @@ func encodeLoop() (d *Delta, encodeAgain func()) {
 			d.enc = nil
 		}
 		d.Pages[0].Prev, d.Pages[0].Extents = prev, ext
-		d.encode(costs, false)
+		d.encode(costs)
 	}
 }
 

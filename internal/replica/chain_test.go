@@ -42,7 +42,7 @@ func chainPage(index int64, prev, cur []byte) core.CommittedPage {
 func chainDelta(t *testing.T, seq uint64, wantKinds []byte, pages ...core.CommittedPage) *Delta {
 	t.Helper()
 	d := &Delta{Shard: 0, Seq: seq, Pages: pages}
-	d.encode(sim.DefaultCosts(), false)
+	d.encode(sim.DefaultCosts())
 	kinds := frameKinds(t, d.enc)
 	if fmt.Sprint(kinds) != fmt.Sprint(wantKinds) {
 		t.Fatalf("seq %d encoded as kinds %v, want %v", seq, kinds, wantKinds)

@@ -177,16 +177,13 @@ func appendFrameHeader(dst []byte, index int64, kind byte, payload int) []byte {
 	return dst
 }
 
-// appendPageFrame appends the smallest frame encoding pg. forceFull
-// disables sub-page encodings (Config.FullPages, snapshot-grade
-// transfers).
+// appendPageFrame appends the smallest frame encoding pg.
 //
 //memsnap:hotpath
-func appendPageFrame(dst []byte, pg *core.CommittedPage, forceFull bool) (out []byte, kind byte, extents int) {
-	full := len(pg.Data)
+func appendPageFrame(dst []byte, pg *core.CommittedPage) (out []byte, kind byte, extents int) {
 	kind = kindFull
-	best := full
-	if !forceFull && pg.Prev != nil && pg.Extents != nil {
+	best := len(pg.Data)
+	if pg.Prev != nil && pg.Extents != nil {
 		if s := extentsSize(pg.Extents); s < best {
 			kind, best = kindExtents, s
 		}
@@ -225,11 +222,11 @@ type encodeResult struct {
 // and extent lists are consumed — released back to their pools — so
 // the retained-window copy of the delta holds only Data plus the
 // encoding, and the encoding can never be recomputed (larger) after
-// eviction. forceFull ships verbatim pages (the diffing-off baseline).
+// eviction.
 //
 //memsnap:hotpath
 //memsnap:owns
-func (d *Delta) encode(costs *sim.CostModel, forceFull bool) encodeResult {
+func (d *Delta) encode(costs *sim.CostModel) encodeResult {
 	if d.enc != nil || len(d.Pages) == 0 {
 		return encodeResult{}
 	}
@@ -246,7 +243,7 @@ func (d *Delta) encode(costs *sim.CostModel, forceFull bool) encodeResult {
 	for i := range d.Pages {
 		pg := &d.Pages[i]
 		var nExt int
-		enc, _, nExt = appendPageFrame(enc, pg, forceFull)
+		enc, _, nExt = appendPageFrame(enc, pg)
 		extents += nExt
 		if d.pooled {
 			pg.ReleasePre()

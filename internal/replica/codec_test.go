@@ -104,7 +104,7 @@ func TestCodecRoundTripKinds(t *testing.T) {
 			cur := append([]byte(nil), base...)
 			tc.mutate(cur)
 			d := codecDelta(1, 7, append([]byte(nil), base...), cur)
-			res := d.encode(costs, false)
+			res := d.encode(costs)
 			if d.enc == nil {
 				t.Fatal("encode cached nothing")
 			}
@@ -121,25 +121,6 @@ func TestCodecRoundTripKinds(t *testing.T) {
 				t.Fatal("encode charged no virtual time")
 			}
 		})
-	}
-}
-
-// TestCodecForceFull: FullPages mode ships every page verbatim — the
-// pre-diffing baseline — and still round-trips.
-func TestCodecForceFull(t *testing.T) {
-	base := basePage()
-	cur := append([]byte(nil), base...)
-	cur[9] ^= 0x40
-	d := codecDelta(1, 3, base, cur)
-	d.encode(sim.DefaultCosts(), true)
-	if kinds := frameKinds(t, d.enc); len(kinds) != 1 || kinds[0] != kindFull {
-		t.Fatalf("forceFull frame kinds = %v, want [%d]", kinds, kindFull)
-	}
-	if len(d.enc) != frameHeaderBytes+core.PageSize {
-		t.Fatalf("forceFull enc = %d bytes, want %d", len(d.enc), frameHeaderBytes+core.PageSize)
-	}
-	if got := decodePatch(t, d.enc, base); !bytes.Equal(got, cur) {
-		t.Fatal("forceFull round trip mismatch")
 	}
 }
 
@@ -160,7 +141,7 @@ func TestWireSizeStableAfterPreImageRelease(t *testing.T) {
 	if legacy != pagesWireSize(1) {
 		t.Fatalf("unencoded WireSize = %d, want legacy %d", legacy, pagesWireSize(1))
 	}
-	d.encode(sim.DefaultCosts(), false)
+	d.encode(sim.DefaultCosts())
 	ws := d.WireSize()
 	if ws >= legacy {
 		t.Fatalf("encoded WireSize = %d, not smaller than legacy %d", ws, legacy)
@@ -173,7 +154,7 @@ func TestWireSizeStableAfterPreImageRelease(t *testing.T) {
 	if again := d.WireSize(); again != ws {
 		t.Fatalf("WireSize drifted after pre-image release: %d -> %d", ws, again)
 	}
-	if res := d.encode(sim.DefaultCosts(), false); res.wire != 0 {
+	if res := d.encode(sim.DefaultCosts()); res.wire != 0 {
 		t.Fatalf("second encode re-ran (wire=%d), must be a no-op", res.wire)
 	}
 	if again := d.WireSize(); again != ws {
@@ -194,7 +175,7 @@ func TestCollectBatchPacksEncodedSizes(t *testing.T) {
 		cur := append([]byte(nil), base...)
 		cur[int(seq)*10] = byte(seq)
 		d := codecDelta(seq, 1, append([]byte(nil), base...), cur)
-		d.encode(sim.DefaultCosts(), false)
+		d.encode(sim.DefaultCosts())
 		if d.WireSize() > 128 {
 			t.Fatalf("seq %d: encoded WireSize = %d, expected a small extent frame", seq, d.WireSize())
 		}
@@ -237,7 +218,7 @@ func TestBatchBytesStableUnderRetry(t *testing.T) {
 		cur := append([]byte(nil), base...)
 		cur[int(seq)*50] = 0xC0 | byte(seq)
 		d := codecDelta(seq, 1, append([]byte(nil), base...), cur)
-		d.encode(sim.DefaultCosts(), false)
+		d.encode(sim.DefaultCosts())
 		wire += d.WireSize()
 		batch = append(batch, shipJob{at: 0, d: d})
 	}

@@ -1,9 +1,8 @@
 package replica
 
 // FuzzDeltaCodec drives the full sub-page codec loop from a fuzzed
-// mutation script: mutate a deterministic base page, diff, encode
-// (both diffing and forceFull modes per the fuzzed flag), decode,
-// validate, patch — the patched page must equal the directly written
+// mutation script: mutate a deterministic base page, diff, encode,
+// decode, validate, patch — the patched page must equal the directly written
 // one, byte for byte, and the frame hashes must chain correctly. The
 // raw input is then replayed through the decoder as an adversarial
 // frame stream, which must reject malformed frames with errors, never
@@ -18,19 +17,19 @@ import (
 )
 
 func FuzzDeltaCodec(f *testing.F) {
-	f.Add([]byte{}, false)
-	f.Add([]byte{0x10, 0x00, 0xAA, 0x04}, false)
-	f.Add([]byte{0x10, 0x00, 0xAA, 0x04}, true)
-	f.Add([]byte{0x00, 0x00, 0x01, 0x3F, 0xFF, 0x0F, 0x02, 0x3F}, false)
+	f.Add([]byte{})
+	f.Add([]byte{0x10, 0x00, 0xAA, 0x04})
+	f.Add([]byte{0x00, 0x00, 0x01, 0x3F, 0xFF, 0x0F, 0x02, 0x3F})
+	f.Add([]byte{0xFF, 0x0F, 0x55, 0x3F})
 	// A dense scatter: one mutation op per 24-byte stride, exercising
 	// the extent-collapse and XOR/RLE paths.
 	scatter := make([]byte, 0, 4*172)
 	for off := 0; off < core.PageSize; off += 24 {
 		scatter = append(scatter, byte(off), byte(off>>8), byte(off), 0x01)
 	}
-	f.Add(scatter, false)
+	f.Add(scatter)
 
-	f.Fuzz(func(t *testing.T, script []byte, forceFull bool) {
+	f.Fuzz(func(t *testing.T, script []byte) {
 		base := basePage()
 		cur := append([]byte(nil), base...)
 		for i := 0; i+4 <= len(script); i += 4 {
@@ -43,14 +42,14 @@ func FuzzDeltaCodec(f *testing.F) {
 		}
 
 		d := codecDelta(1, 5, append([]byte(nil), base...), cur)
-		res := d.encode(sim.DefaultCosts(), forceFull)
+		res := d.encode(sim.DefaultCosts())
 		if d.enc == nil {
 			t.Fatal("encode cached nothing")
 		}
 		if res.wire != len(d.enc) || d.WireSize() != msgHeaderBytes+len(d.enc) {
 			t.Fatalf("size accounting: wire=%d len(enc)=%d WireSize=%d", res.wire, len(d.enc), d.WireSize())
 		}
-		if !forceFull && len(d.enc) > frameHeaderBytes+core.PageSize {
+		if len(d.enc) > frameHeaderBytes+core.PageSize {
 			t.Fatalf("encoded frame (%d bytes) larger than a full-page frame", len(d.enc))
 		}
 

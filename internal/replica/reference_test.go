@@ -212,7 +212,7 @@ func TestEncoderChoiceMatchesReference(t *testing.T) {
 			wantKind, best = kindXorRLE, s
 		}
 		pg := core.CommittedPage{Index: 3, Data: cur, Prev: prev, Extents: ext}
-		out, kind, _ := appendPageFrame(nil, &pg, false)
+		out, kind, _ := appendPageFrame(nil, &pg)
 		if kind != wantKind || len(out) != frameHeaderBytes+best {
 			t.Fatalf("%d mutations: kind %d size %d, reference chooses kind %d size %d", count, kind, len(out)-frameHeaderBytes, wantKind, best)
 		}

@@ -71,7 +71,7 @@ type Delta struct {
 	// retained-window replay all reuse these bytes, so WireSize is a
 	// constant of the delta and MaxBatchBytes accounting cannot drift
 	// when the pre-image buffers are released after encoding. nil for
-	// deltas constructed outside the Shipper (tests, perfbench), which
+	// deltas constructed outside the Shipper (tests), which
 	// ship with the legacy full-page wire size and are applied from
 	// Pages directly.
 	enc []byte
@@ -80,7 +80,7 @@ type Delta struct {
 	// replay window, a queued async job, a replay borrow); pooled marks
 	// Pages as owned capture-pool pages that return to the pool when
 	// the last holder releases. Deltas constructed outside the Shipper
-	// (tests, perfbench) never take a reference and are ordinary
+	// (tests) never take a reference and are ordinary
 	// garbage-collected values.
 	refs   atomic.Int32
 	pooled bool

@@ -46,10 +46,6 @@ type Config struct {
 	// MaxBatchBytes bounds a coalesced message's wire size — the
 	// *encoded* size when sub-page diffing is on (default 256 KiB).
 	MaxBatchBytes int
-	// FullPages disables sub-page delta encoding: every page ships
-	// verbatim, reproducing the pre-diffing wire behavior. The
-	// before/after baseline for bytes-on-link measurements.
-	FullPages bool
 	// Recorder, when set, receives ship/retry/snapshot trace spans on
 	// each shard's sender lane (obs.ShipTrack).
 	Recorder *obs.Recorder
@@ -265,7 +261,7 @@ func (s *Shipper) ShipCommit(shardID int, at time.Duration, c shard.Commit, snap
 	// encoding fixes WireSize for the delta's whole life and consumes
 	// the capture-time pre-images, so the retained window holds only
 	// page data plus encoded bytes.
-	if res := d.encode(s.link.costs, s.cfg.FullPages); res.wire > 0 {
+	if res := d.encode(s.link.costs); res.wire > 0 {
 		s.cfg.Recorder.SpanFlow(obs.CatReplica, obs.NameEncode, obs.ShipTrack(shardID), at, res.cost, int64(res.wire), d.TraceID)
 		at += res.cost
 		ss.mu.Lock()

@@ -1,7 +1,7 @@
 package replica
 
 // White-box integration tests for sub-page delta shipping: the
-// end-to-end wire-byte reduction against the FullPages baseline, and
+// end-to-end wire-byte reduction against full-page framing, and
 // the pre-image hash guard driving a diverged follower into a snapshot
 // resync instead of silently XOR-patching a wrong base.
 
@@ -15,10 +15,9 @@ import (
 	"memsnap/internal/sim"
 )
 
-// runReplicatedWorkload runs an identical single-shard synchronous
-// replication workload and returns the link bytes it shipped plus the
-// shipper stats.
-func runReplicatedWorkload(t *testing.T, fullPages bool) (int64, ShardRepStats, *Follower) {
+// runReplicatedWorkload runs a single-shard synchronous replication
+// workload and returns the shipper stats and the follower.
+func runReplicatedWorkload(t *testing.T) (ShardRepStats, *Follower) {
 	t.Helper()
 	mkSys := func() *core.System {
 		sys, err := core.NewSystem(core.Options{CPUs: 1, DiskBytesEach: 512 << 20})
@@ -27,12 +26,11 @@ func runReplicatedWorkload(t *testing.T, fullPages bool) (int64, ShardRepStats, 
 		}
 		return sys
 	}
-	link := NewLink(LinkConfig{})
 	fol, err := NewFollower(mkSys(), FollowerConfig{Shards: 1, RegionBytes: batchRegionBytes})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ship := NewShipper(link, fol, 1, Config{Mode: Sync, FullPages: fullPages})
+	ship := NewShipper(NewLink(LinkConfig{}), fol, 1, Config{Mode: Sync})
 	svc, err := shard.New(mkSys(), shard.Config{Shards: 1, RegionBytes: batchRegionBytes, Replicator: ship})
 	if err != nil {
 		t.Fatal(err)
@@ -63,29 +61,23 @@ func runReplicatedWorkload(t *testing.T, fullPages bool) (int64, ShardRepStats, 
 	if err := ship.Close(); err != nil {
 		t.Fatal(err)
 	}
-	return link.Stats().BytesSent, st, fol
+	return st, fol
 }
 
-// TestSubPageShippingReducesWireBytes pins the tentpole win: the same
-// workload ships several-fold fewer bytes with sub-page diffing than
-// with full pages, while the follower stays byte-identical.
+// TestSubPageShippingReducesWireBytes pins the tentpole win: the
+// workload ships several-fold fewer bytes than full pages would, while
+// the follower stays byte-identical. The full-page baseline is what
+// each delta shipped plus what its encoding saved.
 func TestSubPageShippingReducesWireBytes(t *testing.T) {
-	full, fullSt, _ := runReplicatedWorkload(t, true)
-	diff, diffSt, fol := runReplicatedWorkload(t, false)
-	if full == 0 || diff == 0 {
-		t.Fatalf("no link traffic: full=%d diff=%d", full, diff)
-	}
-	if diff*3 > full {
-		t.Fatalf("sub-page shipping sent %d bytes vs %d full-page: less than the required 3x reduction", diff, full)
-	}
-	if fullSt.DiffSavedBytes != 0 {
-		t.Fatalf("FullPages baseline reported %d saved bytes, want 0", fullSt.DiffSavedBytes)
-	}
-	if diffSt.DiffSavedBytes == 0 || diffSt.Extents == 0 || diffSt.EncodeTime <= 0 {
-		t.Fatalf("diffing stats not populated: %+v", diffSt)
-	}
-	if diffSt.WireBytes == 0 {
+	st, fol := runReplicatedWorkload(t)
+	if st.WireBytes == 0 {
 		t.Fatal("WireBytes counter not populated")
+	}
+	if full := st.WireBytes + st.DiffSavedBytes; st.WireBytes*3 > full {
+		t.Fatalf("sub-page shipping sent %d bytes vs %d full-page: less than the required 3x reduction", st.WireBytes, full)
+	}
+	if st.Extents == 0 || st.EncodeTime <= 0 {
+		t.Fatalf("diffing stats not populated: %+v", st)
 	}
 	fst := fol.Stats()[0]
 	if fst.PatchedBytes == 0 {
@@ -109,7 +101,7 @@ func TestBaseMismatchForcesSnapshotResync(t *testing.T) {
 	// Seq 1 lands normally (full frames: no pre-image yet).
 	base := basePage()
 	d1 := &Delta{Shard: 0, Seq: 1, Pages: []core.CommittedPage{{Index: 1, Data: append([]byte(nil), base...)}}}
-	d1.encode(sim.DefaultCosts(), false)
+	d1.encode(sim.DefaultCosts())
 	ss.retain(d1, s.cfg.Window)
 	if _, err := s.deliver(ss, 0, d1, nil, true); err != nil {
 		t.Fatal(err)
@@ -128,7 +120,7 @@ func TestBaseMismatchForcesSnapshotResync(t *testing.T) {
 		cur[i] ^= 0x01
 	}
 	d2 := codecDelta(2, 1, wrongPrev, cur)
-	d2.encode(sim.DefaultCosts(), false)
+	d2.encode(sim.DefaultCosts())
 	if kinds := frameKinds(t, d2.enc); kinds[0] != kindXorRLE {
 		t.Fatalf("want an XOR frame to exercise the hash guard, got kind %d", kinds[0])
 	}

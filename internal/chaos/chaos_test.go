@@ -108,9 +108,10 @@ func TestOutageComposesWithClampedPowerCut(t *testing.T) {
 
 // TestDiffCrashTearsSubPageApply pins the diffcrash schedule: two
 // follower crashes tear sub-page-patched µCheckpoint applies (the
-// replica topology ships extent/XOR frames by default) around a link
-// outage, and every cell must converge through the pre-image hash
-// guard's replay/snapshot resync — never by XOR-patching a torn base.
+// replica topology ships extent frames by default) around a link
+// outage, and every cell must converge: the follower resumes at its
+// manifest position, and the replayed or snapshotted deltas carry
+// literal bytes that rewrite whatever the tear left.
 func TestDiffCrashTearsSubPageApply(t *testing.T) {
 	for _, seed := range []uint64{1, 7, 42} {
 		res := RunCell(Config{MinOps: 200}, Cell{Seed: seed, Schedule: "diffcrash", Topology: TopoReplica})

@@ -144,14 +144,14 @@ func Schedules() []Schedule {
 		},
 		{
 			Name: "diffcrash",
-			Desc: "follower crashes tearing sub-page-patched batch applies (2ms and 6ms) around a link outage; the pre-image hash chain must force replay/snapshot resync, never silent XOR corruption",
+			Desc: "follower crashes tearing sub-page-patched batch applies (2ms and 6ms) around a link outage; the follower resumes at its manifest position and converges by replay or snapshot resync",
 			// The replica topology ships sub-page frames by default, so
 			// each crash tears a µCheckpoint whose pages were assembled
-			// from extent patches and XOR deltas. The rebuilt follower's
-			// torn pages no longer match any shipped pre-image; the
-			// byte-identical-prefix invariant (base-hash validation
-			// before any write) must reject the next XOR frame and drive
-			// catch-up instead of patching a diverged base. The outage
+			// from extent patches. The rebuilt follower resumes at the
+			// last manifest position that survived, and the next delta's
+			// sequence gap drives replay or a snapshot resync. Extents
+			// are literal bytes, so re-applying a delta over a torn page
+			// rewrites it rather than patching against it. The outage
 			// window between the crashes piles up a gap so the second
 			// crash lands on a follower that just resynced.
 			Topos: []Topology{TopoReplica},

@@ -95,9 +95,11 @@ func TestCaptureCommits(t *testing.T) {
 
 // TestCaptureSharesBufferWithPreImage pins the one-buffer-two-holders
 // rule: the page a captured commit carries as Data is the very buffer
-// the next capture of that page receives as Prev, nobody writes
-// through it while the earlier commit is still held (being shipped),
-// and it returns to the pool only after both holders released.
+// the pre-image store keeps for the next capture of that page, nobody
+// writes through it while the earlier commit is still held (being
+// shipped), and the next capture diffs against it and drops the
+// store's hold on the spot, so it returns to the pool as soon as the
+// commit that carried it is released.
 func TestCaptureSharesBufferWithPreImage(t *testing.T) {
 	pages0, _ := CapturePoolStats()
 	sys := newSys(t)
@@ -134,31 +136,21 @@ func TestCaptureSharesBufferWithPreImage(t *testing.T) {
 	// window would be — while the page is captured again.
 	second := capture(0x22)
 	cp := second.Pages[0]
-	if cp.Prev == nil || &cp.Prev[0] != &first.Pages[0].Data[0] {
-		t.Fatal("the second capture's pre-image is not the first commit's Data buffer")
-	}
-	if !bytes.Equal(cp.Prev, shipped) || !bytes.Equal(first.Pages[0].Data, shipped) {
-		t.Fatal("the shared buffer changed between the two captures")
-	}
 	if len(cp.Extents) != 1 || cp.Extents[0] != (Extent{Off: 100, Len: 32}) {
-		t.Fatalf("extents = %v, want one [100,132)", cp.Extents)
+		t.Fatalf("extents = %v, want one [100,132) against the first commit's content", cp.Extents)
+	}
+	if !bytes.Equal(first.Pages[0].Data, shipped) {
+		t.Fatal("the shared buffer changed under the held commit")
 	}
 	if got := capturePagesInUse() - pages0.InUse(); got != 2 {
 		t.Fatalf("two captures of one page hold %d pooled pages, want 2", got)
 	}
 
-	// Release in the order a shipper does: the newer commit's pre-image
-	// at encode time, the older delta when it leaves the window.
-	second.Pages[0].ReleasePre()
-	if got := capturePagesInUse() - pages0.InUse(); got != 2 {
-		t.Fatalf("buffer returned while the first commit still holds it (in use %d)", got)
-	}
-	if !bytes.Equal(first.Pages[0].Data, shipped) {
-		t.Fatal("first commit's Data changed after the pre-image holder released")
-	}
+	// The store let go of the first buffer when the second capture
+	// diffed against it: the held commit is its last holder.
 	first.Release()
 	if got := capturePagesInUse() - pages0.InUse(); got != 1 {
-		t.Fatalf("in use %d after the first buffer lost both holders, want 1", got)
+		t.Fatalf("in use %d after the first commit released, want 1", got)
 	}
 	second.Release()
 	ctx.CaptureCommits(false)

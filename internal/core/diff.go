@@ -11,12 +11,12 @@ import (
 // the last captured content of every page it commits (the pre-image
 // store holds the very buffer the captured commit carries as Data, as
 // a second holder — see pool.Page.Retain). At the next capture of the
-// same page the retained buffer becomes the CommittedPage's pre-image
-// — filled at capture time, never re-faulted — and a byte-range diff
-// against it is computed on the spot, so replication can ship only the
-// bytes that actually changed. Pages without a retained pre-image (first capture,
-// post-recovery context, budget eviction) carry a nil Prev and ship
-// whole.
+// same page a byte-range diff against the retained buffer — filled at
+// capture time, never re-faulted — is computed on the spot and the
+// buffer's store hold is released, so replication can ship only the
+// bytes that actually changed. Pages without a retained pre-image
+// (first capture, post-recovery context, budget eviction) carry nil
+// Extents and ship whole.
 
 // Extent is one modified byte range of a captured page, relative to
 // the page start. PageSize fits in uint16 for both fields.

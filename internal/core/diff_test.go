@@ -78,9 +78,8 @@ func TestDiffExtents(t *testing.T) {
 }
 
 // TestCapturePreImages: with capture enabled, the second commit of a
-// page carries the first commit's content as its pre-image plus the
-// byte-range diff between them; the first commit of a page carries
-// neither (full-page fallback).
+// page carries the byte-range diff against the first commit's content;
+// the first commit of a page carries none (full-page fallback).
 func TestCapturePreImages(t *testing.T) {
 	sys := newSys(t)
 	p := sys.NewProcess()
@@ -102,8 +101,8 @@ func TestCapturePreImages(t *testing.T) {
 		t.Fatalf("first capture: %d commits", len(caps))
 	}
 	first := append([]byte(nil), caps[0].Pages[0].Data...)
-	if caps[0].Pages[0].Prev != nil || caps[0].Pages[0].Extents != nil {
-		t.Fatal("first capture of a page must have no pre-image")
+	if caps[0].Pages[0].Extents != nil {
+		t.Fatal("first capture of a page must have no diff")
 	}
 	caps[0].Release()
 
@@ -115,23 +114,17 @@ func TestCapturePreImages(t *testing.T) {
 	}
 	caps = ctx.TakeCaptured()
 	cp := &caps[0].Pages[0]
-	if cp.Prev == nil {
-		t.Fatal("second capture of the page carries no pre-image")
-	}
-	if !bytes.Equal(cp.Prev, first) {
-		t.Fatal("pre-image is not the previously captured content")
-	}
 	if len(cp.Extents) != 2 {
 		t.Fatalf("diff = %v, want two single-byte extents", cp.Extents)
 	}
-	if got := applyExtents(cp.Prev, cp.Data, cp.Extents); !bytes.Equal(got, cp.Data) {
-		t.Fatal("capture-time diff does not patch pre-image to data")
+	if got := applyExtents(first, cp.Data, cp.Extents); !bytes.Equal(got, cp.Data) {
+		t.Fatal("capture-time diff does not patch the previous capture to data")
 	}
 	caps[0].Release()
 }
 
 // preRound commits one round of page touches and counts how many of
-// the captured pages carried a pre-image.
+// the captured pages were diffed against a retained pre-image.
 func preRound(t *testing.T, ctx *Context, r *Region, lo, hi int64) (withPre, withoutPre int) {
 	t.Helper()
 	for i := lo; i < hi; i++ {
@@ -143,7 +136,7 @@ func preRound(t *testing.T, ctx *Context, r *Region, lo, hi int64) (withPre, wit
 	}
 	for _, cc := range ctx.TakeCaptured() {
 		for j := range cc.Pages {
-			if cc.Pages[j].Prev != nil {
+			if cc.Pages[j].Extents != nil {
 				withPre++
 			} else {
 				withoutPre++
@@ -157,7 +150,7 @@ func preRound(t *testing.T, ctx *Context, r *Region, lo, hi int64) (withPre, wit
 // TestPreImageBudgetEviction: a pre-image store sized to the working
 // set retains every page's pre-image, while a store bounded below it
 // evicts FIFO — re-captures of evicted pages fall back to full-page
-// (nil Prev) instead of growing without bound. A working set larger
+// (nil Extents) instead of growing without bound. A working set larger
 // than the budget thrashes FIFO, so at most budget pages can carry a
 // pre-image per round; the cost is full-page shipping, never
 // correctness.

@@ -27,8 +27,8 @@ type Context struct {
 	captured []CapturedCommit
 	// prevStores retain the last captured content of each page (one
 	// store per region) so the next capture of that page carries a
-	// pre-image and a byte-range diff; preImageBudget bounds each
-	// store (0: DefaultPreImagePages).
+	// byte-range diff against it; preImageBudget bounds each store (0:
+	// DefaultPreImagePages).
 	prevStores     []*prevStore
 	preImageBudget int
 	// capturedSpare is the second half of the TakeCaptured double
@@ -135,38 +135,22 @@ func (ctx *Context) releaseHold(pages []*mem.Page) {
 // identified by its block index within the region. Data lives in a
 // pooled page buffer: the holder releases it through
 // CapturedCommit.Release or ReleasePages when done. The buffer is
-// shared with the capturing context's pre-image store (it is the next
-// capture's Prev), so Data and Prev are read-only to every holder.
+// shared with the capturing context's pre-image store (the next capture
+// of the page diffs against it), so Data is read-only to every holder.
 type CommittedPage struct {
 	Index int64
 	Data  []byte
 
-	// Prev is the page's pre-image — its content as of the previous
-	// captured commit — retained by the capturing context and attached
-	// here at capture time (no re-faulting). Nil when no pre-image was
-	// retained (first capture of the page, a fresh context, or budget
-	// eviction): such a page ships whole.
-	Prev []byte
-
-	// Extents lists the modified byte ranges of Data relative to Prev,
-	// computed at capture. Non-nil exactly when Prev is non-nil; empty
-	// when the page was dirtied but is byte-identical.
+	// Extents lists the modified byte ranges of Data relative to the
+	// page's content as of the previous captured commit, computed at
+	// capture. Nil when no pre-image was retained (first capture of the
+	// page, a fresh context, or budget eviction): such a page ships
+	// whole. Empty when the page was dirtied but is byte-identical.
 	Extents []Extent
 
-	// pg/prevPg are the pooled buffers backing Data and Prev; nil when
-	// the slices are ordinary heap slices (snapshots, tests).
-	pg     *pool.Page
-	prevPg *pool.Page
-}
-
-// ReleasePre returns the page's pre-image buffer and extent list to
-// their pools, keeping Data intact — for holders that consumed the
-// diff (encoded it for the wire) and no longer need the pre-image.
-func (cp *CommittedPage) ReleasePre() {
-	cp.prevPg.Release()
-	cp.prevPg, cp.Prev = nil, nil
-	ReleaseExtents(cp.Extents)
-	cp.Extents = nil
+	// pg is the pooled buffer backing Data; nil when Data is an
+	// ordinary heap slice (snapshots, tests).
+	pg *pool.Page
 }
 
 // CapturedCommit records one region's share of a Persist call: the
@@ -427,16 +411,15 @@ func (ctx *Context) Persist(r *Region, flags Flags) (objstore.Epoch, error) {
 				copy(data, b.Data)
 				cp := CommittedPage{Index: b.Index, Data: data, pg: pg}
 				// One buffer, two holders: the page is this commit's Data
-				// and, through the pre-image store, the next capture's Prev.
-				// Retain adds the store as a holder; each holder owes one
-				// Release and neither writes through the buffer. The page
-				// the store held before (if any) passes its hold to THIS
-				// page as the pre-image and is diffed on the spot.
+				// and, through the pre-image store, what the next capture
+				// of the page diffs against. Retain adds the store as a
+				// holder; each holder owes one Release and neither writes
+				// through the buffer. The page the store held before (if
+				// any) is diffed on the spot and its hold released.
 				pg.Retain()
 				if prev := ps.swap(b.Index, pg); prev != nil {
-					cp.Prev = prev.Data[:len(b.Data)]
-					cp.prevPg = prev
-					cp.Extents = DiffExtents(cp.Prev, data, GetExtents())
+					cp.Extents = DiffExtents(prev.Data[:len(b.Data)], data, GetExtents())
+					prev.Release()
 					diffBytes += len(data)
 				}
 				cc.Pages = append(cc.Pages, cp)

@@ -28,14 +28,12 @@ func GetCommittedPages(capHint int) []CommittedPage {
 	return committedPagesPool.Get(capHint)
 }
 
-// ReleasePages releases every page buffer in pages — Data, any
-// retained pre-image, and any extent list — and recycles the slice
-// itself. The caller must not use pages (or any Data/Prev it held)
-// afterwards.
+// ReleasePages releases every page buffer in pages — Data and any
+// extent list — and recycles the slice itself. The caller must not use
+// pages (or any Data it held) afterwards.
 func ReleasePages(pages []CommittedPage) {
 	for i := range pages {
 		pages[i].pg.Release()
-		pages[i].prevPg.Release()
 		ReleaseExtents(pages[i].Extents)
 		pages[i] = CommittedPage{}
 	}

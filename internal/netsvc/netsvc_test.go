@@ -2,6 +2,7 @@ package netsvc
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net"
@@ -128,6 +129,50 @@ func TestEndToEnd(t *testing.T) {
 	}
 	if st.OpLatency.Count != st.Responses {
 		t.Errorf("latency samples %d != responses %d", st.OpLatency.Count, st.Responses)
+	}
+}
+
+// TestStatsJSONCarriesOpLatency: the JSON form of Stats (what /varz and
+// flight bundles carry) includes the request latency summary, and once
+// the server is quiet it has counted exactly one sample per response.
+func TestStatsJSONCarriesOpLatency(t *testing.T) {
+	svc := newService(t, shard.Config{Shards: 2})
+	defer svc.Close()
+	srv := startServer(t, svc, Config{})
+	defer srv.Close()
+	c, err := Dial(srv.Addr(), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	for i := 0; i < 20; i++ {
+		q := proto.Request{Kind: proto.KindAdd, Tenant: []byte("t"), Key: []byte(fmt.Sprintf("k%d", i%5)), Value: 1}
+		if _, err := c.Do(&q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for st := srv.Stats(); st.InFlight != 0 || st.Requests != st.Responses; st = srv.Stats() {
+		if time.Now().After(deadline) {
+			t.Fatalf("server never went quiet: %+v", st)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	raw, err := json.Marshal(srv.Stats())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got struct {
+		Responses int64 `json:"responses"`
+		OpLatency struct {
+			Count int64 `json:"count"`
+		} `json:"op_latency"`
+	}
+	if err := json.Unmarshal(raw, &got); err != nil {
+		t.Fatal(err)
+	}
+	if got.Responses < 20 || got.OpLatency.Count != got.Responses {
+		t.Fatalf("op_latency.count %d, responses %d (want equal, at least 20): %s", got.OpLatency.Count, got.Responses, raw)
 	}
 }
 

@@ -47,8 +47,9 @@ type Stats struct {
 	BytesOut int64 `json:"bytes_out"`
 	// OpLatency is the wall-clock request latency histogram (request
 	// decoded to response encoded), including queueing and durability
-	// waits inside the shard service.
-	OpLatency obs.HistSnapshot `json:"-"`
+	// waits inside the shard service. It marshals as its compact
+	// summary (count, sum, max, quantiles), not the bucket array.
+	OpLatency obs.HistSnapshot `json:"op_latency"`
 }
 
 // Stats snapshots the server counters.

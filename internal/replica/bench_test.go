@@ -6,6 +6,7 @@ package replica
 // *SteadyStateZeroAlloc tests beside them are the gates.
 
 import (
+	"bytes"
 	"testing"
 
 	"memsnap/internal/core"
@@ -29,9 +30,9 @@ func benchPages() (prev, cur, whole []byte, ext []core.Extent) {
 
 // encodeLoop returns a function that encodes the benchPages delta from
 // scratch on every call (the cached encoding goes back to its pool and
-// the consumed pre-image is re-attached first).
+// the consumed extent list is re-attached first).
 func encodeLoop() (d *Delta, encodeAgain func()) {
-	prev, cur, whole, ext := benchPages()
+	_, cur, whole, ext := benchPages()
 	d = &Delta{Shard: 0, Seq: 1, Pages: []core.CommittedPage{{Index: 1, Data: cur}, {Index: 2, Data: whole}}}
 	costs := sim.DefaultCosts()
 	return d, func() {
@@ -39,7 +40,7 @@ func encodeLoop() (d *Delta, encodeAgain func()) {
 			encPool.Put(d.enc)
 			d.enc = nil
 		}
-		d.Pages[0].Prev, d.Pages[0].Extents = prev, ext
+		d.Pages[0].Extents = ext
 		d.encode(costs)
 	}
 }
@@ -95,32 +96,27 @@ func BenchmarkFollowerApplyEncoded(b *testing.B) {
 	}
 }
 
-// TestFollowerValidateSteadyStateZeroAlloc: validating a delta with
-// all three frame kinds — the XOR one against the live page, then
-// chained on a full frame — allocates nothing once the scratch is warm.
+// TestFollowerValidateSteadyStateZeroAlloc: validating a delta that
+// mixes extents and full frames allocates nothing.
 func TestFollowerValidateSteadyStateZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation accounting is unreliable under -race")
 	}
-	fol := batchFollower(t, 1)
-	base := basePage()
-	if _, st := fol.Apply(0, chainDelta(t, 1, []byte{kindFull}, chainPage(1, nil, base))); st.Code != ApplyOK {
-		t.Fatalf("seeding apply: %+v", st)
+	prev, cur, whole, _ := benchPages()
+	one := append([]byte(nil), prev...)
+	one[77] ^= 0x10
+	d := &Delta{Shard: 0, Seq: 1, Pages: []core.CommittedPage{diffPage(1, prev, cur), diffPage(2, nil, whole), diffPage(3, prev, one)}}
+	d.encode(sim.DefaultCosts())
+	if kinds := frameKinds(t, d.enc); !bytes.Equal(kinds, []byte{kindExtents, kindFull, kindExtents}) {
+		t.Fatalf("frame kinds %v, want [extents full extents]", kinds)
 	}
-	mid := fragmented(base)
-	_, cur, whole, _ := benchPages()
-	d := chainDelta(t, 2, []byte{kindXorRLE, kindExtents, kindFull, kindXorRLE},
-		chainPage(1, base, mid), chainPage(2, base, cur), chainPage(3, nil, whole), chainPage(3, whole, fragmented(whole)))
-	fs := fol.shards[0]
 	validate := func() {
-		fs.valPages = fs.valPages[:0]
-		if _, ok := fs.validateEnc(d.enc); !ok {
+		if _, ok := validateEnc(d.enc); !ok {
 			t.Fatal("validateEnc rejected a well-formed delta")
 		}
 	}
-	validate()
 	if got := testing.AllocsPerRun(200, validate); got > 0 {
-		t.Fatalf("steady-state validation allocates %.1f times per delta, want 0", got)
+		t.Fatalf("validation allocates %.1f times per delta, want 0", got)
 	}
 }
 

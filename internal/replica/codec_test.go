@@ -3,7 +3,7 @@ package replica
 // White-box tests for the sub-page delta wire codec: per-kind
 // round-trips, encoder kind selection, the encode-once WireSize
 // invariant (a retransmission can never re-account a delta after its
-// pre-images are gone), and batch byte-budget stability under retry.
+// extent lists are gone), and batch byte-budget stability under retry.
 
 import (
 	"bytes"
@@ -23,15 +23,20 @@ func basePage() []byte {
 	return b
 }
 
-// codecDelta builds an unpooled single-page delta with a pre-image and
-// its computed extent diff, ready for encode.
+// diffPage builds one unpooled captured page: cur with its extent diff
+// against prev, or with no diff (it ships whole) when prev is nil.
+func diffPage(index int64, prev, cur []byte) core.CommittedPage {
+	pg := core.CommittedPage{Index: index, Data: append([]byte(nil), cur...)}
+	if prev != nil {
+		pg.Extents = core.DiffExtents(prev, cur, make([]core.Extent, 0, 8))
+	}
+	return pg
+}
+
+// codecDelta builds an unpooled single-page delta carrying the extent
+// diff of cur against prev, ready for encode.
 func codecDelta(seq uint64, index int64, prev, cur []byte) *Delta {
-	return &Delta{Shard: 0, Seq: seq, Pages: []core.CommittedPage{{
-		Index:   index,
-		Data:    append([]byte(nil), cur...),
-		Prev:    prev,
-		Extents: core.DiffExtents(prev, cur, make([]core.Extent, 0, 8)),
-	}}}
+	return &Delta{Shard: 0, Seq: seq, Pages: []core.CommittedPage{diffPage(index, prev, cur)}}
 }
 
 // decodePatch decodes every frame of enc onto a copy of base and
@@ -47,9 +52,7 @@ func decodePatch(t *testing.T, enc, base []byte) []byte {
 		if err := checkFrame(core.PageSize, fr); err != nil {
 			t.Fatalf("checkFrame: %v", err)
 		}
-		if _, err := patchFrame(got, fr); err != nil {
-			t.Fatalf("patchFrame: %v", err)
-		}
+		patchFrame(got, fr)
 		enc = rest
 	}
 	return got
@@ -92,12 +95,20 @@ func TestCodecRoundTripKinds(t *testing.T) {
 		}, kindFull},
 		{"fragmented", func(cur []byte) {
 			// One byte every 24: far past maxDiffExtents runs, so the
-			// extent list collapses to a near-page span while XOR+RLE
-			// keeps the precise runs and wins.
+			// extent list collapses to one span that still ends short of
+			// the page.
 			for i := 0; i < len(cur); i += 24 {
 				cur[i] ^= 0x01
 			}
-		}, kindXorRLE},
+		}, kindExtents},
+		// Every case is also patched a second time, onto its own result:
+		// frames carry literal bytes, so twice must equal once.
+		{"extents_applied_twice", func(cur []byte) {
+			cur[10] ^= 0x01
+			for i := 2000; i < 2040; i++ {
+				cur[i] = byte(i)
+			}
+		}, kindExtents},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -114,8 +125,12 @@ func TestCodecRoundTripKinds(t *testing.T) {
 			if kinds := frameKinds(t, d.enc); len(kinds) != 1 || kinds[0] != tc.kind {
 				t.Fatalf("frame kinds = %v, want [%d]", kinds, tc.kind)
 			}
-			if got := decodePatch(t, d.enc, base); !bytes.Equal(got, cur) {
+			got := decodePatch(t, d.enc, base)
+			if !bytes.Equal(got, cur) {
 				t.Fatal("decode+patch does not reproduce the written page")
+			}
+			if !bytes.Equal(decodePatch(t, d.enc, got), cur) {
+				t.Fatal("patching the frame twice differs from patching it once")
 			}
 			if res.cost <= 0 {
 				t.Fatal("encode charged no virtual time")
@@ -126,12 +141,12 @@ func TestCodecRoundTripKinds(t *testing.T) {
 
 // TestWireSizeStableAfterPreImageRelease pins the encode-once
 // invariant that fixes batch accounting under retry: once encoded, a
-// delta's WireSize never changes — not after its pre-image buffers and
-// extent lists are released (encode consumes them), and not on a
-// second encode call. Before this invariant, a retransmission whose
-// encoding was recomputed after pre-image eviction could only produce
-// full-page frames, under-counting the MaxBatchBytes budget its
-// original (smaller) encoding had been admitted under.
+// delta's WireSize never changes — not after its extent lists are
+// released (encode consumes them), and not on a second encode call.
+// Before this invariant, a retransmission whose encoding was recomputed
+// after pre-image eviction could only produce full-page frames,
+// under-counting the MaxBatchBytes budget its original (smaller)
+// encoding had been admitted under.
 func TestWireSizeStableAfterPreImageRelease(t *testing.T) {
 	base := basePage()
 	cur := append([]byte(nil), base...)
@@ -146,11 +161,11 @@ func TestWireSizeStableAfterPreImageRelease(t *testing.T) {
 	if ws >= legacy {
 		t.Fatalf("encoded WireSize = %d, not smaller than legacy %d", ws, legacy)
 	}
-	if d.Pages[0].Prev != nil || d.Pages[0].Extents != nil {
-		t.Fatal("encode did not consume the pre-image buffers")
+	if d.Pages[0].Extents != nil {
+		t.Fatal("encode did not consume the extent list")
 	}
-	// The pre-images are gone — exactly the state a retained-window
-	// delta is in when a retry retransmits it.
+	// The extents are gone — exactly the state a retained-window delta
+	// is in when a retry retransmits it.
 	if again := d.WireSize(); again != ws {
 		t.Fatalf("WireSize drifted after pre-image release: %d -> %d", ws, again)
 	}
@@ -204,7 +219,7 @@ func TestCollectBatchPacksEncodedSizes(t *testing.T) {
 
 // TestBatchBytesStableUnderRetry: a retransmitted batch puts exactly
 // the same bytes on the link as the first transmission — the cached
-// encodings cannot be re-derived (larger) after pre-image release, so
+// encodings cannot be re-derived (larger) after extent release, so
 // the MaxBatchBytes bound holds for every retry of an admitted batch.
 func TestBatchBytesStableUnderRetry(t *testing.T) {
 	fol := batchFollower(t, 1)
@@ -223,7 +238,7 @@ func TestBatchBytesStableUnderRetry(t *testing.T) {
 		batch = append(batch, shipJob{at: 0, d: d})
 	}
 	if kinds := frameKinds(t, batch[0].d.enc); kinds[0] != kindExtents {
-		t.Fatalf("want base-independent extent frames for this test, got kind %d", kinds[0])
+		t.Fatalf("want extent frames for this test, got kind %d", kinds[0])
 	}
 	t1 := s.deliverBatch(ss, 0, batch)
 	sent1 := link.Stats().BytesSent
@@ -232,7 +247,7 @@ func TestBatchBytesStableUnderRetry(t *testing.T) {
 	}
 	// Retransmit (the lost-ack case): the follower re-acks the whole
 	// run as a duplicate, and the message is byte-for-byte the same
-	// size even though every pre-image was consumed at encode time.
+	// size even though every extent list was consumed at encode time.
 	s.deliverBatch(ss, t1+time.Millisecond, batch)
 	sent2 := link.Stats().BytesSent - sent1
 	if want := int64(wire + ackWireBytes); sent2 != want {

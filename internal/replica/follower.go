@@ -71,16 +71,11 @@ type FollowerShardStats struct {
 	Snapshots  int64
 	// Batches counts coalesced delta runs applied as one uCheckpoint.
 	Batches int64
-	// BaseMismatches counts encoded deltas rejected before any write
-	// because an XOR frame's pre-image hash did not match the
-	// follower's page chain — the guard that turns a diverged pre-image
-	// into a full-page replay or snapshot resync instead of silent
-	// corruption. PatchedBytes counts bytes written through sub-page
-	// frames (extent literals and XOR literal runs).
-	BaseMismatches int64
-	PatchedBytes   int64
-	LastSeq        uint64
-	Era            uint64
+	// PatchedBytes counts bytes written through sub-page frames (extent
+	// literals and full frames of encoded deltas).
+	PatchedBytes int64
+	LastSeq      uint64
+	Era          uint64
 }
 
 // Follower is the backup endpoint: it owns a full set of shard
@@ -116,145 +111,35 @@ type followerShard struct {
 	lastSeq uint64
 	era     uint64
 
-	// valPages is the encoded-apply validation scratch: the per-page
-	// expected-hash chain threaded across one delta or batch (see
-	// validateEnc). Reused between applies.
-	valPages []valPage
-	// valHashes counts the page hashes validateEnc actually computed
-	// (live pages on an XOR frame's first touch plus full frames hashed
-	// on demand); tests read it to pin that a run without XOR frames
-	// hashes nothing.
-	valHashes int64
-
 	applied      int64
 	duplicates   int64
 	gaps         int64
 	stale        int64
 	snapshots    int64
 	batches      int64
-	baseMismatch int64
 	patchedBytes int64
 }
 
-// valPage tracks one page's expected content hash while validating an
-// encoded delta run: known=false means the page is touched by the run
-// but its resulting hash is unknown (an extents frame, or an unencoded
-// delta's page), so a later XOR frame against it must conservatively
-// reject. A full frame makes the page known without hashing it: full
-// holds the frame's payload (aliasing the delta's encoding, which
-// outlives the validation pass) and chainHash computes hash from it
-// only if a later XOR frame in the same run asks. full is read only
-// while known is set.
-type valPage struct {
-	index int64
-	hash  uint64
-	known bool
-	full  []byte
-}
-
-// chainHash returns the known page's expected hash, hashing a pending
-// full-frame payload on first demand.
+// validateEnc walks one encoded delta's frames and checks every
+// payload's structure, so that patchEnc cannot meet a malformed frame
+// after some bytes have landed. It returns the full-frame payload bytes
+// it walked (the caller charges DiffCost for them) and ok=false when any
+// frame is malformed or of an unknown kind; the caller must then reject
+// the whole delta with ApplyGap before writing anything.
 //
 //memsnap:hotpath
-func (fs *followerShard) chainHash(e *valPage) uint64 {
-	if e.full != nil {
-		e.hash, e.full = fnv64(e.full), nil
-		fs.valHashes++
-	}
-	return e.hash
-}
-
-// lookupVal returns the tracked validation entry for a page index.
-//
-//memsnap:hotpath
-func (fs *followerShard) lookupVal(index int64) *valPage {
-	for i := range fs.valPages {
-		if fs.valPages[i].index == index {
-			return &fs.valPages[i]
-		}
-	}
-	return nil
-}
-
-// validateEnc walks one encoded delta's frames, checking every
-// payload's structure and chaining XOR pre-image hashes against the
-// tracked page state — seeded by hashing the live region page on a
-// run's first XOR touch of that page, or by an earlier full frame of
-// the same run, whose hash is computed only when such an XOR frame
-// arrives. It returns the number of bytes the modelled follower hashes
-// (the caller charges DiffCost for them) and ok=false when any
-// frame is malformed or an XOR base mismatches; the caller must then
-// reject the whole delta with ApplyGap before writing anything, which
-// forces the shipper into full-page replay or a snapshot resync — a
-// diverged pre-image chain can never be silently patched over.
-//
-//memsnap:hotpath
-func (fs *followerShard) validateEnc(enc []byte) (hashed int, ok bool) {
+func validateEnc(enc []byte) (full int, ok bool) {
 	for len(enc) > 0 {
 		fr, rest, err := decodeFrame(enc)
 		if err != nil || checkFrame(core.PageSize, fr) != nil {
-			return hashed, false
+			return full, false
+		}
+		if fr.kind == kindFull {
+			full += len(fr.payload)
 		}
 		enc = rest
-		switch fr.kind {
-		case kindFull:
-			// The frame replaces the page outright; its hash feeds any
-			// later XOR frame on the same page in this run.
-			e := fs.lookupVal(fr.index)
-			if e == nil {
-				fs.valPages = append(fs.valPages, valPage{index: fr.index})
-				e = &fs.valPages[len(fs.valPages)-1]
-			}
-			// The hash itself is deferred (chainHash); the modelled
-			// follower still hashes every full frame, so the charge stays.
-			e.known, e.full = true, fr.payload
-			hashed += len(fr.payload)
-		case kindExtents:
-			// Literal patch: the resulting page hash is not computed, so
-			// mark the page touched-but-unknown.
-			if e := fs.lookupVal(fr.index); e != nil {
-				e.known = false
-			} else {
-				fs.valPages = append(fs.valPages, valPage{index: fr.index})
-			}
-		case kindXorRLE:
-			base, next, okh := xorHashes(fr.payload)
-			if !okh {
-				return hashed, false
-			}
-			e := fs.lookupVal(fr.index)
-			if e == nil {
-				// First touch in this run: the base is checked against the
-				// live page bytes, never against bookkeeping.
-				pg := fs.ctx.PageForRead(fs.region, fr.index*core.PageSize)
-				hashed += len(pg)
-				fs.valHashes++
-				if fnv64(pg) != base {
-					return hashed, false
-				}
-				fs.valPages = append(fs.valPages, valPage{index: fr.index, hash: next, known: true})
-			} else {
-				if !e.known || fs.chainHash(e) != base {
-					return hashed, false
-				}
-				e.hash = next
-			}
-		}
 	}
-	return hashed, true
-}
-
-// trackUnencoded folds an unencoded delta's full pages into the
-// validation chain (batch members built outside the encoder): each
-// page is replaced verbatim, with its resulting hash left unknown.
-func (fs *followerShard) trackUnencoded(pages []core.CommittedPage) {
-	for i := range pages {
-		if e := fs.lookupVal(pages[i].Index); e != nil {
-			e.known = false
-		} else {
-			fs.valPages = append(fs.valPages, valPage{index: pages[i].Index})
-		}
-	}
+	return full, true
 }
 
 // patchEnc applies a validated encoding onto the live region pages and
@@ -267,8 +152,7 @@ func (fs *followerShard) patchEnc(enc []byte) (written int) {
 		var fr frame
 		fr, enc, _ = decodeFrame(enc)
 		page := fs.ctx.PageForWrite(fs.region, fr.index*core.PageSize)
-		n, _ := patchFrame(page[:core.PageSize], fr)
-		written += n
+		written += patchFrame(page[:core.PageSize], fr)
 	}
 	return written
 }
@@ -352,14 +236,13 @@ func (f *Follower) Apply(at time.Duration, d *Delta) (time.Duration, ApplyStatus
 		return clk.Now(), ApplyStatus{Code: ApplyGap, LastSeq: fs.lastSeq}
 	}
 	if d.enc != nil {
-		// Sub-page apply: validate the whole encoding — structure plus
-		// XOR pre-image hash chain — before any byte lands, then patch.
+		// Sub-page apply: check the whole encoding's structure before any
+		// byte lands, then patch.
 		costs := f.sys.Costs()
-		fs.valPages = fs.valPages[:0]
-		hashed, ok := fs.validateEnc(d.enc)
-		clk.Advance(costs.DiffCost(hashed))
+		full, ok := validateEnc(d.enc)
+		// ROADMAP item 6 audits this DiffCost: validateEnc hashes nothing.
+		clk.Advance(costs.DiffCost(full))
 		if !ok {
-			fs.baseMismatch++
 			fs.gaps++
 			return clk.Now(), ApplyStatus{Code: ApplyGap, LastSeq: fs.lastSeq}
 		}
@@ -440,28 +323,21 @@ func (f *Follower) ApplyBatch(at time.Duration, ds []*Delta) (time.Duration, App
 		fs.gaps++
 		return clk.Now(), ApplyStatus{Code: ApplyGap, LastSeq: fs.lastSeq}
 	}
-	// Validate every encoded member's frames — with the XOR pre-image
-	// hash chain threaded across the whole run, since a later delta's
-	// base is an earlier delta's result — before any byte lands.
+	// Check every encoded member's frames before any byte lands.
 	costs := f.sys.Costs()
-	fs.valPages = fs.valPages[:0]
-	hashed := 0
+	full := 0
 	valOK := true
 	for _, d := range ds[skip:] {
-		if d.enc == nil {
-			fs.trackUnencoded(d.Pages)
-			continue
-		}
-		h, ok := fs.validateEnc(d.enc)
-		hashed += h
+		n, ok := validateEnc(d.enc) // an unencoded member walks no frames
+		full += n
 		if !ok {
 			valOK = false
 			break
 		}
 	}
-	clk.Advance(costs.DiffCost(hashed))
+	// ROADMAP item 6 audits this DiffCost: validateEnc hashes nothing.
+	clk.Advance(costs.DiffCost(full))
 	if !valOK {
-		fs.baseMismatch++
 		fs.gaps++
 		return clk.Now(), ApplyStatus{Code: ApplyGap, LastSeq: fs.lastSeq}
 	}
@@ -573,17 +449,16 @@ func (f *Follower) Stats() []FollowerShardStats {
 	for i, fs := range f.shards {
 		fs.mu.Lock()
 		out[i] = FollowerShardStats{
-			Shard:          i,
-			Applied:        fs.applied,
-			Duplicates:     fs.duplicates,
-			Gaps:           fs.gaps,
-			Stale:          fs.stale,
-			Snapshots:      fs.snapshots,
-			Batches:        fs.batches,
-			BaseMismatches: fs.baseMismatch,
-			PatchedBytes:   fs.patchedBytes,
-			LastSeq:        fs.lastSeq,
-			Era:            fs.era,
+			Shard:        i,
+			Applied:      fs.applied,
+			Duplicates:   fs.duplicates,
+			Gaps:         fs.gaps,
+			Stale:        fs.stale,
+			Snapshots:    fs.snapshots,
+			Batches:      fs.batches,
+			PatchedBytes: fs.patchedBytes,
+			LastSeq:      fs.lastSeq,
+			Era:          fs.era,
 		}
 		fs.mu.Unlock()
 	}

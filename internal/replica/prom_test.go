@@ -36,7 +36,6 @@ func TestFormatPrometheusGolden(t *testing.T) {
 	fol.shards[0].gaps = 2
 	fol.shards[0].snapshots = 1
 	fol.shards[0].batches = 3
-	fol.shards[0].baseMismatch = 1
 	fol.shards[0].patchedBytes = 4321
 	fol.shards[0].lastSeq = 10
 	fol.shards[0].era = 1

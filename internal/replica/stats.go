@@ -106,8 +106,6 @@ func (f *Follower) FormatPrometheus(w io.Writer) error {
 			func(st *FollowerShardStats) string { return fmt.Sprintf("%d", st.Snapshots) }},
 		{"memsnap_follower_batches_total", "Coalesced delta runs applied as one uCheckpoint.", "counter",
 			func(st *FollowerShardStats) string { return fmt.Sprintf("%d", st.Batches) }},
-		{"memsnap_follower_base_mismatches_total", "Encoded deltas rejected before writing on an XOR pre-image hash mismatch.", "counter",
-			func(st *FollowerShardStats) string { return fmt.Sprintf("%d", st.BaseMismatches) }},
 		{"memsnap_follower_patched_bytes_total", "Bytes written through sub-page frames.", "counter",
 			func(st *FollowerShardStats) string { return fmt.Sprintf("%d", st.PatchedBytes) }},
 		{"memsnap_follower_last_seq", "Last fully applied sequence number.", "gauge",

@@ -1,12 +1,14 @@
 package replica
 
 // White-box integration tests for sub-page delta shipping: the
-// end-to-end wire-byte reduction against full-page framing, and
-// the pre-image hash guard driving a diverged follower into a snapshot
-// resync instead of silently XOR-patching a wrong base.
+// end-to-end wire-byte reduction against full-page framing, and a frame
+// of an unknown kind rejected before any write and healed by a
+// snapshot resync.
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/fnv"
 	"testing"
 	"time"
 
@@ -83,16 +85,41 @@ func TestSubPageShippingReducesWireBytes(t *testing.T) {
 	if fst.PatchedBytes == 0 {
 		t.Fatal("follower patched no sub-page bytes")
 	}
-	if fst.BaseMismatches != 0 || fst.Gaps != 0 || fst.Snapshots != 0 {
+	if fst.Gaps != 0 || fst.Snapshots != 0 {
 		t.Fatalf("clean run tripped the resync machinery: %+v", fst)
 	}
 }
 
-// TestBaseMismatchForcesSnapshotResync: an XOR frame whose pre-image
-// does not match the follower's page is rejected before any write —
-// the byte-identical-prefix invariant — and the shipper falls back to
-// a snapshot resync that restores convergence.
-func TestBaseMismatchForcesSnapshotResync(t *testing.T) {
+// kind2Frame hand-builds one frame of kind 2 for page index that turns
+// base into cur, which must differ from it in exactly byte off: the
+// two FNV-1a page hashes, then an alternating zero-run / literal-run
+// stream over base XOR cur. That was the retired XOR-RLE kind, and the
+// frame is well formed by its rules, so only the kind byte can reject
+// it.
+func kind2Frame(index int64, off int, base, cur []byte) []byte {
+	hash := func(b []byte) uint64 {
+		h := fnv.New64a()
+		h.Write(b)
+		return h.Sum64()
+	}
+	var p []byte
+	p = binary.LittleEndian.AppendUint64(p, hash(base))
+	p = binary.LittleEndian.AppendUint64(p, hash(cur))
+	p = binary.AppendUvarint(p, uint64(off))
+	p = binary.AppendUvarint(p, 1)
+	p = append(p, base[off]^cur[off])
+	if rest := len(cur) - off - 1; rest > 0 {
+		p = binary.AppendUvarint(p, uint64(rest))
+	}
+	return append(appendFrameHeader(nil, index, 2, len(p)), p...)
+}
+
+// TestUnknownFrameKindForcesSnapshotResync: a delta carrying a kind-2
+// frame — even one that would patch the follower's live page exactly —
+// is rejected before any write, alone (Apply) and behind a valid
+// member of a batch (ApplyBatch); the shipper then falls back to a
+// snapshot resync that restores convergence.
+func TestUnknownFrameKindForcesSnapshotResync(t *testing.T) {
 	fol := batchFollower(t, 1)
 	link := NewLink(LinkConfig{})
 	s := NewShipper(link, fol, 1, Config{Mode: Sync})
@@ -106,51 +133,44 @@ func TestBaseMismatchForcesSnapshotResync(t *testing.T) {
 	if _, err := s.deliver(ss, 0, d1, nil, true); err != nil {
 		t.Fatal(err)
 	}
+	before := fol.Digests()[0]
 
-	// Seq 2 claims a pre-image the follower never had: a fragmented
-	// diff so the encoder picks XOR+RLE, whose base hash the follower
-	// must check against its live page (which holds `base`, not
-	// `wrongPrev`).
-	wrongPrev := make([]byte, core.PageSize)
-	for i := range wrongPrev {
-		wrongPrev[i] = byte(i * 31)
+	cur := append([]byte(nil), base...)
+	cur[300] ^= 0x42
+	bad := func(seq uint64) *Delta {
+		return &Delta{Shard: 0, Seq: seq, enc: kind2Frame(1, 300, base, cur)}
 	}
-	cur := append([]byte(nil), wrongPrev...)
-	for i := 0; i < len(cur); i += 24 {
-		cur[i] ^= 0x01
+	good := codecDelta(2, 2, basePage(), cur)
+	good.encode(sim.DefaultCosts())
+	for name, apply := range map[string]func() ApplyStatus{
+		"apply":       func() ApplyStatus { _, st := fol.Apply(0, bad(2)); return st },
+		"apply_batch": func() ApplyStatus { _, st := fol.ApplyBatch(0, []*Delta{good, bad(3)}); return st },
+	} {
+		if st := apply(); st.Code != ApplyGap || st.LastSeq != 1 {
+			t.Fatalf("%s: a kind-2 frame answered %+v, want ApplyGap at 1", name, st)
+		}
+		if after := fol.Digests()[0]; after != before {
+			t.Fatalf("%s: the rejected delta changed the region: digest %#x -> %#x", name, before, after)
+		}
 	}
-	d2 := codecDelta(2, 1, wrongPrev, cur)
-	d2.encode(sim.DefaultCosts())
-	if kinds := frameKinds(t, d2.enc); kinds[0] != kindXorRLE {
-		t.Fatalf("want an XOR frame to exercise the hash guard, got kind %d", kinds[0])
-	}
+
+	// Through the shipper: the gap replays the retained kind-2 delta,
+	// which fails again, so catch-up falls back to a snapshot.
+	d2 := bad(2)
 	ss.retain(d2, s.cfg.Window)
-
-	// The catch-up snapshot the shipper will fall back to.
-	snapPage := append([]byte(nil), cur...)
 	snapFn := func() shard.Snapshot {
-		return shard.Snapshot{Shard: 0, Seq: 2, Era: 0, Pages: []core.CommittedPage{{Index: 1, Data: snapPage}}}
+		return shard.Snapshot{Shard: 0, Seq: 2, Era: 0, Pages: []core.CommittedPage{{Index: 1, Data: append([]byte(nil), cur...)}}}
 	}
 	if _, err := s.deliver(ss, time.Millisecond, d2, snapFn, true); err != nil {
 		t.Fatalf("deliver with snapshot fallback: %v", err)
 	}
-
 	fst := fol.Stats()[0]
-	if fst.BaseMismatches == 0 {
-		t.Fatal("the pre-image hash guard never fired")
+	if fst.Snapshots != 1 || fst.LastSeq != 2 {
+		t.Fatalf("follower stats %+v: want one snapshot installed and position 2", fst)
 	}
-	if fst.Snapshots != 1 {
-		t.Fatalf("follower installed %d snapshots, want 1", fst.Snapshots)
-	}
-	if fst.LastSeq != 2 {
-		t.Fatalf("follower position = %d, want 2 after resync", fst.LastSeq)
-	}
-	st := s.Stats()[0]
-	if st.Gaps == 0 || st.Snapshots != 1 {
+	if st := s.Stats()[0]; st.Gaps == 0 || st.Snapshots != 1 {
 		t.Fatalf("shipper stats %+v: want gap reports and one snapshot", st)
 	}
-	// The region must hold the snapshot content, not an XOR patch of
-	// the wrong base.
 	fs := fol.shards[0]
 	got := fs.ctx.PageForRead(fs.region, core.PageSize)
 	for i := range got {

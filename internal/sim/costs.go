@@ -58,9 +58,11 @@ type CostModel struct {
 
 	// DiffPerKiB is the cost of byte-wise scanning one KiB of memory on
 	// the replication path: pre-image comparison when a captured page is
-	// diffed, the XOR/RLE encoding pass, and the follower's pre-image
-	// hash validation. Scans are read-mostly and SIMD-friendly, so the
-	// default is cheaper than a copy.
+	// diffed. The encoder's scan of each diffed page and the follower's
+	// scan of each full frame are still charged at this rate, though
+	// neither pass runs any more (no XOR pass, no follower hash chain).
+	// Scans are read-mostly and SIMD-friendly, so the default is cheaper
+	// than a copy.
 	DiffPerKiB time.Duration
 
 	// FrameAlloc is the cost of allocating one physical frame.
@@ -272,7 +274,7 @@ func (m *CostModel) MemcpyCost(n int) time.Duration {
 }
 
 // DiffCost returns the cost of byte-wise scanning n bytes (pre-image
-// diffing, XOR/RLE encoding, hash validation).
+// diffing on the replication path).
 func (m *CostModel) DiffCost(n int) time.Duration {
 	return time.Duration(int64(n) * int64(m.DiffPerKiB) / 1024)
 }

@@ -138,12 +138,6 @@ func (sys *System) Costs() *sim.CostModel { return sys.costs }
 // Array returns the disk array (for stats and crash injection).
 func (sys *System) Array() *disk.Array { return sys.arr }
 
-// Store returns the object store.
-func (sys *System) Store() *objstore.Store { return sys.store }
-
-// TLBs returns the TLB system.
-func (sys *System) TLBs() *tlb.System { return sys.tlbs }
-
 // Phys returns physical memory.
 func (sys *System) Phys() *mem.PhysMem { return sys.phys }
 
@@ -348,13 +342,6 @@ func (p *Process) OpenShared(ctx *Context, other *Region) (*Region, error) {
 	p.regions[other.Name()] = r
 	p.byMapping[r.mapping] = r
 	return r, nil
-}
-
-// Region returns an opened region by name, or nil.
-func (p *Process) Region(name string) *Region {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.regions[name]
 }
 
 // sortRecordsByAddr orders dirty records for stable, mostly

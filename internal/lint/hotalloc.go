@@ -4,7 +4,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strings"
 )
 
 // HotAlloc makes the 0-allocs/op property of the persist and network
@@ -379,12 +378,4 @@ func isByteOrRuneSlice(t types.Type) bool {
 	}
 	return b.Kind() == types.Byte || b.Kind() == types.Rune ||
 		b.Kind() == types.Uint8 || b.Kind() == types.Int32
-}
-
-// pkgPathOf is a tiny helper for diagnostics.
-func pkgPathOf(fn *types.Func) string {
-	if fn.Pkg() == nil {
-		return ""
-	}
-	return strings.TrimPrefix(fn.Pkg().Path(), "memsnap/")
 }

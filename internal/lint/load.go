@@ -54,9 +54,6 @@ func NewLoader(root string) (*Loader, error) {
 	return l, nil
 }
 
-// Fset returns the loader's file set.
-func (l *Loader) Fset() *token.FileSet { return l.fset }
-
 // FindModuleRoot walks up from dir to the directory containing go.mod.
 func FindModuleRoot(dir string) (string, error) {
 	dir, err := filepath.Abs(dir)

@@ -113,11 +113,6 @@ func funcKey(fn *types.Func) string {
 	return b.String()
 }
 
-// moduleFunc reports whether fn belongs to this module.
-func moduleFunc(fn *types.Func) bool {
-	return fn.Pkg() != nil && strings.HasPrefix(fn.Pkg().Path(), "memsnap")
-}
-
 // hasDirective reports whether the declaration's doc block carries the
 // given //memsnap:<name> directive.
 func hasDirective(doc *ast.CommentGroup, name string) bool {

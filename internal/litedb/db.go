@@ -98,9 +98,6 @@ func OpenMemSnap(proc *core.Process, ctx *core.Context, name string, size int64)
 	return db, nil
 }
 
-// Mode returns the persistence mode.
-func (db *DB) Mode() Mode { return db.mode }
-
 // Checkpoints returns how many WAL checkpoints have run (WAL mode).
 func (db *DB) Checkpoints() int64 {
 	if p, ok := db.be.(*walPager); ok {

@@ -182,12 +182,6 @@ type commitRecord struct {
 	Levels   int64
 }
 
-func (r *commitRecord) marshal() []byte {
-	buf := make([]byte, sectorSize)
-	r.marshalInto(buf)
-	return buf
-}
-
 // marshalInto writes the record into a caller-owned sector buffer.
 func (r *commitRecord) marshalInto(buf []byte) {
 	clear(buf[:sectorSize])

@@ -254,7 +254,3 @@ func (s *Store) FreeBlocks() int64 {
 	defer s.mu.Unlock()
 	return s.alloc.freeBlocks()
 }
-
-// Array exposes the underlying disk array (for stats and crash
-// injection by tests and the harness).
-func (s *Store) Array() *disk.Array { return s.arr }

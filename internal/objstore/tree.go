@@ -139,23 +139,3 @@ func (t *tree) walk(n *node, base int64, levelsLeft int, fn func(idx, addr int64
 		}
 	}
 }
-
-// nodeAddrs visits every node in the tree (for recovery's used-block
-// accounting).
-func (t *tree) nodeAddrs(fn func(addr int64)) {
-	var visit func(n *node)
-	visit = func(n *node) {
-		if n == nil {
-			return
-		}
-		if n.addr != 0 {
-			fn(n.addr)
-		}
-		for _, k := range n.kids {
-			if k != nil {
-				visit(k)
-			}
-		}
-	}
-	visit(t.root)
-}

@@ -70,9 +70,6 @@ func (b *Backend) Begin() {
 	b.clk.Advance(b.c.costs.SyscallEntry)
 }
 
-// Xid returns the current transaction id (0 outside a transaction).
-func (b *Backend) Xid() uint32 { return b.xid }
-
 // getBuffer pins a heap page in the shared buffer cache, reading it
 // from storage on a miss. The mmap variants pay the direct-mapping
 // access penalty here (faults and TLB pressure instead of a warm

@@ -166,9 +166,6 @@ func NewCluster(cfg Config) (*Cluster, error) {
 	return c, nil
 }
 
-// Variant returns the storage variant.
-func (c *Cluster) Variant() Variant { return c.variant }
-
 // CreateRelation adds a table.
 func (c *Cluster) CreateRelation(clk *sim.Clock, name string) error {
 	c.mu.Lock()
@@ -188,20 +185,6 @@ func (c *Cluster) CreateRelation(clk *sim.Clock, name string) error {
 		c.files[name] = c.fsys.Create(clk, "rel-"+name)
 	}
 	return nil
-}
-
-// relationNames returns all relations (sorted for determinism).
-func (c *Cluster) relationNames() []string {
-	names := make([]string, 0, len(c.relations))
-	for n := range c.relations {
-		names = append(names, n)
-	}
-	for i := 1; i < len(names); i++ {
-		for j := i; j > 0 && names[j] < names[j-1]; j-- {
-			names[j], names[j-1] = names[j-1], names[j]
-		}
-	}
-	return names
 }
 
 // xidCommitted reports whether a transaction committed.

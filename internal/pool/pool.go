@@ -70,14 +70,13 @@ func (pg *Page) Release() {
 
 // PagePool is a sync.Pool of fixed-size page buffers.
 type PagePool struct {
-	size int
-	p    sync.Pool
-	c    counters
+	p sync.Pool
+	c counters
 }
 
 // NewPagePool returns a pool of size-byte pages.
 func NewPagePool(size int) *PagePool {
-	pp := &PagePool{size: size}
+	pp := &PagePool{}
 	pp.p.New = func() any {
 		pp.c.misses.Add(1)
 		return &Page{Data: make([]byte, size), owner: pp}
@@ -98,9 +97,6 @@ func (pp *PagePool) put(pg *Page) {
 	pp.c.puts.Add(1)
 	pp.p.Put(pg)
 }
-
-// Size returns the page size in bytes.
-func (pp *PagePool) Size() int { return pp.size }
 
 // Stats snapshots the pool counters.
 func (pp *PagePool) Stats() Stats { return pp.c.stats() }

@@ -2,7 +2,7 @@ package replica
 
 // White-box tests for delta batching: the async sender's coalescing
 // (collectBatch/processBatch) and the follower's whole-run apply
-// (ApplyBatch). A Sync-mode shipper spawns no sender goroutines, so
+// (applyRun). A Sync-mode shipper spawns no sender goroutines, so
 // these tests own the sender role and drive the batch machinery
 // deterministically — the exact code path the async goroutine runs.
 
@@ -50,17 +50,17 @@ func enqueue(s *Shipper, ss *shipShard, d *Delta, at time.Duration) {
 	ss.queue <- shipJob{at: at, d: d}
 }
 
-// TestBatchCoalescingDelivers drives five consecutive deltas through
-// the sender loop's batch path with MaxBatch=3 and checks both ends'
-// accounting: two link messages (3+2), every delta applied, and one
+// TestBatchCoalescingDelivers drives seven consecutive deltas through
+// the sender loop's batch path (maxBatch=4) and checks both ends'
+// accounting: two link messages (4+3), every delta applied, and one
 // follower uCheckpoint per run. A retransmission of an already-applied
 // run is then acked as a whole-batch duplicate.
 func TestBatchCoalescingDelivers(t *testing.T) {
 	fol := batchFollower(t, 1)
-	s := NewShipper(NewLink(LinkConfig{}), fol, 1, Config{Mode: Sync, MaxBatch: 3})
+	s := NewShipper(NewLink(LinkConfig{}), fol, 1, Config{Mode: Sync})
 	ss := s.shards[0]
 
-	for seq := uint64(1); seq <= 5; seq++ {
+	for seq := uint64(1); seq <= 7; seq++ {
 		enqueue(s, ss, batchDelta(seq, 1), time.Duration(seq)*time.Millisecond)
 	}
 	for len(ss.queue) > 0 {
@@ -69,18 +69,18 @@ func TestBatchCoalescingDelivers(t *testing.T) {
 	s.jobs.Wait() // all job references settled
 
 	st := s.Stats()[0]
-	if st.Batches != 2 || st.BatchedDeltas != 5 {
-		t.Errorf("shipper batches=%d batchedDeltas=%d, want 2 and 5", st.Batches, st.BatchedDeltas)
+	if st.Batches != 2 || st.BatchedDeltas != 7 {
+		t.Errorf("shipper batches=%d batchedDeltas=%d, want 2 and 7", st.Batches, st.BatchedDeltas)
 	}
-	if st.Acked != 5 || st.LastAckedSeq != 5 {
-		t.Errorf("acked=%d lastAckedSeq=%d, want 5 and 5", st.Acked, st.LastAckedSeq)
+	if st.Acked != 7 || st.LastAckedSeq != 7 {
+		t.Errorf("acked=%d lastAckedSeq=%d, want 7 and 7", st.Acked, st.LastAckedSeq)
 	}
 	if st.Shipped != 2 {
 		t.Errorf("shipped %d link messages, want 2", st.Shipped)
 	}
 	fs := fol.Stats()[0]
-	if fs.Applied != 5 || fs.Batches != 2 || fs.LastSeq != 5 {
-		t.Errorf("follower applied=%d batches=%d lastSeq=%d, want 5, 2, 5", fs.Applied, fs.Batches, fs.LastSeq)
+	if fs.Applied != 7 || fs.Batches != 2 || fs.LastSeq != 7 {
+		t.Errorf("follower applied=%d batches=%d lastSeq=%d, want 7, 2, 7", fs.Applied, fs.Batches, fs.LastSeq)
 	}
 
 	// Retransmit the first run whole (the lost-ack scenario): the
@@ -92,12 +92,12 @@ func TestBatchCoalescingDelivers(t *testing.T) {
 	s.jobs.Wait()
 
 	st = s.Stats()[0]
-	if st.Duplicates != 3 || st.Acked != 8 {
-		t.Errorf("after retransmit: duplicates=%d acked=%d, want 3 and 8", st.Duplicates, st.Acked)
+	if st.Duplicates != 3 || st.Acked != 10 {
+		t.Errorf("after retransmit: duplicates=%d acked=%d, want 3 and 10", st.Duplicates, st.Acked)
 	}
 	fs = fol.Stats()[0]
-	if fs.Duplicates != 3 || fs.Applied != 5 || fs.LastSeq != 5 {
-		t.Errorf("follower after retransmit: duplicates=%d applied=%d lastSeq=%d, want 3, 5, 5", fs.Duplicates, fs.Applied, fs.LastSeq)
+	if fs.Duplicates != 3 || fs.Applied != 7 || fs.LastSeq != 7 {
+		t.Errorf("follower after retransmit: duplicates=%d applied=%d lastSeq=%d, want 3, 7, 7", fs.Duplicates, fs.Applied, fs.LastSeq)
 	}
 }
 
@@ -105,7 +105,7 @@ func TestBatchCoalescingDelivers(t *testing.T) {
 // must not coalesce — the run ends and the rejected job waits at the
 // front of the backlog for the next pass.
 func TestCollectBatchSplitsOnSeqGap(t *testing.T) {
-	s := NewShipper(NewLink(LinkConfig{}), nil, 1, Config{Mode: Sync, MaxBatch: 10})
+	s := NewShipper(NewLink(LinkConfig{}), nil, 1, Config{Mode: Sync})
 	ss := s.shards[0]
 	for _, seq := range []uint64{1, 2, 4} {
 		ss.queue <- shipJob{d: batchDelta(seq, 1)}
@@ -122,7 +122,7 @@ func TestCollectBatchSplitsOnSeqGap(t *testing.T) {
 // TestCollectBatchSplitsOnEra: deltas from different replication eras
 // never share a link message.
 func TestCollectBatchSplitsOnEra(t *testing.T) {
-	s := NewShipper(NewLink(LinkConfig{}), nil, 1, Config{Mode: Sync, MaxBatch: 10})
+	s := NewShipper(NewLink(LinkConfig{}), nil, 1, Config{Mode: Sync})
 	ss := s.shards[0]
 	d2 := batchDelta(2, 1)
 	d2.Era = 1
@@ -137,15 +137,17 @@ func TestCollectBatchSplitsOnEra(t *testing.T) {
 	}
 }
 
-// TestCollectBatchBytesBudget: MaxBatchBytes caps the coalesced wire
-// size even when MaxBatch would admit more.
+// TestCollectBatchBytesBudget: maxBatchBytes caps the coalesced wire
+// size even when maxBatch would admit more.
 func TestCollectBatchBytesBudget(t *testing.T) {
-	one := batchDelta(1, 1).WireSize()
-	s := NewShipper(NewLink(LinkConfig{}), nil, 1,
-		Config{Mode: Sync, MaxBatch: 10, MaxBatchBytes: 2*one + 1})
+	const npages = 30 // two such deltas fit the byte budget, three do not
+	if one := batchDelta(1, npages).WireSize(); 2*one > maxBatchBytes || 3*one <= maxBatchBytes {
+		t.Fatalf("a %d-page delta is %d wire bytes: two must fit maxBatchBytes=%d and three must not", npages, one, maxBatchBytes)
+	}
+	s := NewShipper(NewLink(LinkConfig{}), nil, 1, Config{Mode: Sync})
 	ss := s.shards[0]
 	for seq := uint64(1); seq <= 4; seq++ {
-		ss.queue <- shipJob{d: batchDelta(seq, 1)}
+		ss.queue <- shipJob{d: batchDelta(seq, npages)}
 	}
 	batch := s.collectBatch(ss, <-ss.queue)
 	if len(batch) != 2 {
@@ -178,7 +180,7 @@ func TestApplyBatchPartialDuplicate(t *testing.T) {
 		}
 	}
 	run := []*Delta{batchDelta(3, 1), batchDelta(4, 1), batchDelta(5, 1), batchDelta(6, 1)}
-	_, st := fol.ApplyBatch(at, run)
+	_, st := fol.applyRun(at, run)
 	if st.Code != ApplyOK || st.LastSeq != 6 {
 		t.Fatalf("overlapping batch: code=%v lastSeq=%d, want OK and 6", st.Code, st.LastSeq)
 	}
@@ -194,7 +196,7 @@ func TestApplyBatchGapLeavesRegionUntouched(t *testing.T) {
 	fol := batchFollower(t, 1)
 	before := fol.Digests()[0]
 	run := []*Delta{batchDelta(5, 1), batchDelta(6, 1), batchDelta(7, 1)}
-	_, st := fol.ApplyBatch(0, run)
+	_, st := fol.applyRun(0, run)
 	if st.Code != ApplyGap || st.LastSeq != 0 {
 		t.Fatalf("gap batch: code=%v lastSeq=%d, want Gap and 0", st.Code, st.LastSeq)
 	}
@@ -218,7 +220,7 @@ func TestApplyBatchMalformed(t *testing.T) {
 		"descending seqs": {batchDelta(2, 1), batchDelta(1, 1)},
 	}
 	for name, run := range cases {
-		if _, st := fol.ApplyBatch(0, run); st.Code != ApplyGap {
+		if _, st := fol.applyRun(0, run); st.Code != ApplyGap {
 			t.Errorf("%s: code=%v, want Gap", name, st.Code)
 		}
 	}

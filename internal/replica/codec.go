@@ -32,7 +32,7 @@ import (
 // An encoded delta is framed once, at ShipCommit time, and the encoded
 // bytes are cached on the Delta for its whole pipeline life, so
 // retransmissions and batch assembly always account the same wire size
-// (MaxBatchBytes bounds encoded bytes and can never be under-counted
+// (maxBatchBytes bounds encoded bytes and can never be under-counted
 // by a recomputation after the extent lists are released).
 const (
 	frameHeaderBytes = 12

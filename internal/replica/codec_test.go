@@ -145,7 +145,7 @@ func TestCodecRoundTripKinds(t *testing.T) {
 // released (encode consumes them), and not on a second encode call.
 // Before this invariant, a retransmission whose encoding was recomputed
 // after pre-image eviction could only produce full-page frames,
-// under-counting the MaxBatchBytes budget its original (smaller)
+// under-counting the maxBatchBytes budget its original (smaller)
 // encoding had been admitted under.
 func TestWireSizeStableAfterPreImageRelease(t *testing.T) {
 	base := basePage()
@@ -178,21 +178,28 @@ func TestWireSizeStableAfterPreImageRelease(t *testing.T) {
 }
 
 // TestCollectBatchPacksEncodedSizes: the byte budget admits deltas by
-// their encoded size, so sub-page deltas that would blow a full-page
-// budget coalesce into one message.
+// their encoded size, so sub-page deltas that would blow the budget as
+// full pages coalesce into one message.
 func TestCollectBatchPacksEncodedSizes(t *testing.T) {
+	const npages = 20 // four deltas of this many full pages exceed maxBatchBytes
+	if 4*pagesWireSize(npages) <= maxBatchBytes {
+		t.Fatalf("four %d-page deltas fit maxBatchBytes=%d as full pages", npages, maxBatchBytes)
+	}
 	fol := batchFollower(t, 1)
-	s := NewShipper(NewLink(LinkConfig{}), fol, 1, Config{Mode: Sync, MaxBatch: 4, MaxBatchBytes: 512})
+	s := NewShipper(NewLink(LinkConfig{}), fol, 1, Config{Mode: Sync})
 	ss := s.shards[0]
 	base := basePage()
 	var jobs []shipJob
 	for seq := uint64(1); seq <= 4; seq++ {
-		cur := append([]byte(nil), base...)
-		cur[int(seq)*10] = byte(seq)
-		d := codecDelta(seq, 1, append([]byte(nil), base...), cur)
+		d := &Delta{Shard: 0, Seq: seq}
+		for p := 0; p < npages; p++ {
+			cur := append([]byte(nil), base...)
+			cur[int(seq)*10+p] = byte(seq)
+			d.Pages = append(d.Pages, diffPage(int64(1+p), base, cur))
+		}
 		d.encode(sim.DefaultCosts())
-		if d.WireSize() > 128 {
-			t.Fatalf("seq %d: encoded WireSize = %d, expected a small extent frame", seq, d.WireSize())
+		if d.WireSize() > npages*32 {
+			t.Fatalf("seq %d: encoded WireSize = %d, expected small extent frames", seq, d.WireSize())
 		}
 		jobs = append(jobs, shipJob{at: 0, d: d})
 	}
@@ -203,14 +210,7 @@ func TestCollectBatchPacksEncodedSizes(t *testing.T) {
 	s.jobs.Add(1)
 	batch := s.collectBatch(ss, jobs[0])
 	if len(batch) != 4 {
-		t.Fatalf("coalesced %d encoded deltas, want 4 (sum of encoded sizes fits the 512-byte budget)", len(batch))
-	}
-	size := 0
-	for _, j := range batch {
-		size += j.d.WireSize()
-	}
-	if size > 512 {
-		t.Fatalf("batch wire size %d exceeds MaxBatchBytes", size)
+		t.Fatalf("coalesced %d encoded deltas, want 4 (sum of encoded sizes fits the byte budget)", len(batch))
 	}
 	for range batch {
 		s.jobs.Done()
@@ -220,14 +220,14 @@ func TestCollectBatchPacksEncodedSizes(t *testing.T) {
 // TestBatchBytesStableUnderRetry: a retransmitted batch puts exactly
 // the same bytes on the link as the first transmission — the cached
 // encodings cannot be re-derived (larger) after extent release, so
-// the MaxBatchBytes bound holds for every retry of an admitted batch.
+// the maxBatchBytes bound holds for every retry of an admitted batch.
 func TestBatchBytesStableUnderRetry(t *testing.T) {
 	fol := batchFollower(t, 1)
 	link := NewLink(LinkConfig{})
-	s := NewShipper(link, fol, 1, Config{Mode: Sync, MaxBatch: 4, MaxBatchBytes: 1 << 16})
+	s := NewShipper(link, fol, 1, Config{Mode: Sync})
 	ss := s.shards[0]
 	base := basePage()
-	var batch []shipJob
+	var run []*Delta
 	wire := 0
 	for seq := uint64(1); seq <= 3; seq++ {
 		cur := append([]byte(nil), base...)
@@ -235,12 +235,12 @@ func TestBatchBytesStableUnderRetry(t *testing.T) {
 		d := codecDelta(seq, 1, append([]byte(nil), base...), cur)
 		d.encode(sim.DefaultCosts())
 		wire += d.WireSize()
-		batch = append(batch, shipJob{at: 0, d: d})
+		run = append(run, d)
 	}
-	if kinds := frameKinds(t, batch[0].d.enc); kinds[0] != kindExtents {
+	if kinds := frameKinds(t, run[0].enc); kinds[0] != kindExtents {
 		t.Fatalf("want extent frames for this test, got kind %d", kinds[0])
 	}
-	t1 := s.deliverBatch(ss, 0, batch)
+	t1, _ := s.ship(ss, 0, run, nil, true)
 	sent1 := link.Stats().BytesSent
 	if want := int64(wire + ackWireBytes); sent1 != want {
 		t.Fatalf("first transmission put %d bytes on the link, want %d", sent1, want)
@@ -248,7 +248,7 @@ func TestBatchBytesStableUnderRetry(t *testing.T) {
 	// Retransmit (the lost-ack case): the follower re-acks the whole
 	// run as a duplicate, and the message is byte-for-byte the same
 	// size even though every extent list was consumed at encode time.
-	s.deliverBatch(ss, t1+time.Millisecond, batch)
+	s.ship(ss, t1+time.Millisecond, run, nil, true)
 	sent2 := link.Stats().BytesSent - sent1
 	if want := int64(wire + ackWireBytes); sent2 != want {
 		t.Fatalf("retransmission put %d bytes on the link, want %d (must match the admitted size)", sent2, want)

@@ -196,11 +196,32 @@ func NewFollower(sys *core.System, cfg FollowerConfig) (*Follower, error) {
 }
 
 // Apply applies one delta arriving at virtual time at and returns the
-// time the ack is ready plus its status. Deltas apply only in exact
-// sequence order within the follower's era; each successful apply is
-// one synchronous uCheckpoint, so the follower's durable state always
-// ends on a whole-delta boundary.
+// time the ack is ready plus its status: a run of one (see applyRun).
 func (f *Follower) Apply(at time.Duration, d *Delta) (time.Duration, ApplyStatus) {
+	run := [1]*Delta{d}
+	return f.applyRun(at, run[:])
+}
+
+// applyRun applies a run of consecutive same-era deltas from one link
+// message as a single unit — the follower's only apply path; a lone
+// delta is a run of one. Deltas apply only in exact sequence order
+// within the follower's era. The entire chain is validated against the
+// shard's position BEFORE any page is written; then every member's
+// pages land and ONE synchronous uCheckpoint persists the run, so the
+// follower's durable state only ever advances by whole deltas. An
+// already-applied prefix (retransmission after a lost ack) is skipped
+// idempotently; a malformed or out-of-position run is reported as a
+// gap with the region untouched.
+func (f *Follower) applyRun(at time.Duration, run []*Delta) (time.Duration, ApplyStatus) {
+	if len(run) == 0 {
+		return at, ApplyStatus{Code: ApplyGap}
+	}
+	d := run[0]
+	for i := 1; i < len(run); i++ {
+		if run[i].Shard != d.Shard || run[i].Era != d.Era || run[i].Seq != run[i-1].Seq+1 {
+			return at, ApplyStatus{Code: ApplyGap}
+		}
+	}
 	f.mu.Lock()
 	promoted := f.promoted
 	f.mu.Unlock()
@@ -227,99 +248,15 @@ func (f *Follower) Apply(at time.Duration, d *Delta) (time.Duration, ApplyStatus
 		}
 		fs.era = d.Era
 	}
-	if d.Seq <= fs.lastSeq {
-		fs.duplicates++
-		return clk.Now(), ApplyStatus{Code: ApplyDuplicate, LastSeq: fs.lastSeq}
-	}
-	if d.Seq != fs.lastSeq+1 {
-		fs.gaps++
-		return clk.Now(), ApplyStatus{Code: ApplyGap, LastSeq: fs.lastSeq}
-	}
-	if d.enc != nil {
-		// Sub-page apply: check the whole encoding's structure before any
-		// byte lands, then patch.
-		costs := f.sys.Costs()
-		full, ok := validateEnc(d.enc)
-		// ROADMAP item 6 audits this DiffCost: validateEnc hashes nothing.
-		clk.Advance(costs.DiffCost(full))
-		if !ok {
-			fs.gaps++
-			return clk.Now(), ApplyStatus{Code: ApplyGap, LastSeq: fs.lastSeq}
-		}
-		written := fs.patchEnc(d.enc)
-		fs.patchedBytes += int64(written)
-		clk.Advance(costs.MemcpyCost(written))
-	} else {
-		for _, pg := range d.Pages {
-			fs.ctx.WriteAt(fs.region, pg.Index*core.PageSize, pg.Data)
-		}
-	}
-	if _, err := fs.ctx.Persist(fs.region, core.MSSync); err != nil {
-		// The delta did not become durable; report a gap so the
-		// shipper retries from our (unchanged) position.
-		fs.gaps++
-		return clk.Now(), ApplyStatus{Code: ApplyGap, LastSeq: fs.lastSeq}
-	}
-	fs.lastSeq = d.Seq
-	fs.applied++
-	now := clk.Now()
-	f.cfg.Recorder.SpanFlow(obs.CatReplica, obs.NameApply, obs.FollowerTrack(d.Shard), applyStart, now-applyStart, int64(d.Seq), d.TraceID)
-	return now, ApplyStatus{Code: ApplyOK, LastSeq: fs.lastSeq}
-}
-
-// ApplyBatch applies a coalesced run of consecutive same-era deltas
-// from one link message as a single unit. The entire chain is
-// validated against the shard's position BEFORE any page is written;
-// then every member's pages land and ONE synchronous uCheckpoint
-// persists the run, so the follower's durable state still only ever
-// advances by whole deltas — just several at a time. An
-// already-applied prefix (retransmission after a lost ack) is skipped
-// idempotently; a malformed or out-of-position batch is reported as a
-// gap with the region untouched.
-func (f *Follower) ApplyBatch(at time.Duration, ds []*Delta) (time.Duration, ApplyStatus) {
-	if len(ds) == 0 {
-		return at, ApplyStatus{Code: ApplyGap}
-	}
-	if len(ds) == 1 {
-		return f.Apply(at, ds[0])
-	}
-	for i := 1; i < len(ds); i++ {
-		if ds[i].Shard != ds[0].Shard || ds[i].Era != ds[0].Era || ds[i].Seq != ds[i-1].Seq+1 {
-			return at, ApplyStatus{Code: ApplyGap}
-		}
-	}
-	f.mu.Lock()
-	promoted := f.promoted
-	f.mu.Unlock()
-	if ds[0].Shard < 0 || ds[0].Shard >= len(f.shards) {
-		return at, ApplyStatus{Code: ApplyStale}
-	}
-	fs := f.shards[ds[0].Shard]
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	clk := fs.ctx.Clock()
-	clk.AdvanceTo(at)
-	applyStart := clk.Now()
-	switch {
-	case promoted || ds[0].Era < fs.era:
-		fs.stale++
-		return clk.Now(), ApplyStatus{Code: ApplyStale, LastSeq: fs.lastSeq}
-	case ds[0].Era > fs.era:
-		if !(fs.lastSeq == 0 && ds[0].Seq == 1) {
-			fs.gaps++
-			return clk.Now(), ApplyStatus{Code: ApplyGap, LastSeq: fs.lastSeq}
-		}
-		fs.era = ds[0].Era
-	}
 	skip := 0
-	for skip < len(ds) && ds[skip].Seq <= fs.lastSeq {
+	for skip < len(run) && run[skip].Seq <= fs.lastSeq {
 		skip++
 	}
-	if skip == len(ds) {
+	if skip == len(run) {
 		fs.duplicates += int64(skip)
 		return clk.Now(), ApplyStatus{Code: ApplyDuplicate, LastSeq: fs.lastSeq}
 	}
-	if ds[skip].Seq != fs.lastSeq+1 {
+	if run[skip].Seq != fs.lastSeq+1 {
 		fs.gaps++
 		return clk.Now(), ApplyStatus{Code: ApplyGap, LastSeq: fs.lastSeq}
 	}
@@ -327,8 +264,8 @@ func (f *Follower) ApplyBatch(at time.Duration, ds []*Delta) (time.Duration, App
 	costs := f.sys.Costs()
 	full := 0
 	valOK := true
-	for _, d := range ds[skip:] {
-		n, ok := validateEnc(d.enc) // an unencoded member walks no frames
+	for _, m := range run[skip:] {
+		n, ok := validateEnc(m.enc) // an unencoded member walks no frames
 		full += n
 		if !ok {
 			valOK = false
@@ -342,12 +279,12 @@ func (f *Follower) ApplyBatch(at time.Duration, ds []*Delta) (time.Duration, App
 		return clk.Now(), ApplyStatus{Code: ApplyGap, LastSeq: fs.lastSeq}
 	}
 	written := 0
-	for _, d := range ds[skip:] {
-		if d.enc != nil {
-			written += fs.patchEnc(d.enc)
+	for _, m := range run[skip:] {
+		if m.enc != nil {
+			written += fs.patchEnc(m.enc)
 			continue
 		}
-		for _, pg := range d.Pages {
+		for _, pg := range m.Pages {
 			fs.ctx.WriteAt(fs.region, pg.Index*core.PageSize, pg.Data)
 		}
 	}
@@ -360,26 +297,25 @@ func (f *Follower) ApplyBatch(at time.Duration, ds []*Delta) (time.Duration, App
 		return clk.Now(), ApplyStatus{Code: ApplyGap, LastSeq: fs.lastSeq}
 	}
 	fs.duplicates += int64(skip)
-	fs.lastSeq = ds[len(ds)-1].Seq
-	fs.applied += int64(len(ds) - skip)
-	fs.batches++
+	fs.lastSeq = run[len(run)-1].Seq
+	fs.applied += int64(len(run) - skip)
 	now := clk.Now()
-	var flow uint64
-	for _, fd := range ds {
-		if fd.TraceID != 0 {
-			flow = fd.TraceID
-			break
-		}
+	if len(run) == 1 {
+		f.cfg.Recorder.SpanFlow(obs.CatReplica, obs.NameApply, obs.FollowerTrack(d.Shard), applyStart, now-applyStart, int64(d.Seq), d.TraceID)
+	} else {
+		fs.batches++
+		f.cfg.Recorder.SpanFlow(obs.CatReplica, obs.NameApplyBatch, obs.FollowerTrack(d.Shard), applyStart, now-applyStart, int64(len(run)-skip), runFlow(run))
 	}
-	f.cfg.Recorder.SpanFlow(obs.CatReplica, obs.NameApplyBatch, obs.FollowerTrack(ds[0].Shard), applyStart, now-applyStart, int64(len(ds)-skip), flow)
 	return now, ApplyStatus{Code: ApplyOK, LastSeq: fs.lastSeq}
 }
 
-// ApplySnapshot installs a full-region snapshot, replacing whatever
+// applySnapshot installs a full-region snapshot, replacing whatever
 // the follower shard held — the catch-up (and era-reconciliation)
 // path. The whole region is written and persisted as one synchronous
 // uCheckpoint.
-func (f *Follower) ApplySnapshot(at time.Duration, snap *shard.Snapshot) (time.Duration, error) {
+//
+//memsnap:coldpath
+func (f *Follower) applySnapshot(at time.Duration, snap *shard.Snapshot) (time.Duration, error) {
 	f.mu.Lock()
 	promoted := f.promoted
 	f.mu.Unlock()

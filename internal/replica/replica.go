@@ -69,7 +69,7 @@ type Delta struct {
 	// produced exactly once by ShipCommit and cached for the delta's
 	// whole pipeline life — retransmissions, batch assembly and
 	// retained-window replay all reuse these bytes, so WireSize is a
-	// constant of the delta and MaxBatchBytes accounting cannot drift
+	// constant of the delta and maxBatchBytes accounting cannot drift
 	// when the pre-image buffers are released after encoding. nil for
 	// deltas constructed outside the Shipper (tests), which
 	// ship with the legacy full-page wire size and are applied from
@@ -125,6 +125,17 @@ func (d *Delta) WireSize() int {
 		return msgHeaderBytes + len(d.enc)
 	}
 	return msgHeaderBytes + len(d.Pages)*pageWireBytes
+}
+
+// runFlow is a run's flow id for its trace spans: the first member's
+// non-zero trace id.
+func runFlow(run []*Delta) uint64 {
+	for _, d := range run {
+		if d.TraceID != 0 {
+			return d.TraceID
+		}
+	}
+	return 0
 }
 
 func pagesWireSize(n int) int { return msgHeaderBytes + n*pageWireBytes }

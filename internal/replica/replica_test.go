@@ -157,7 +157,7 @@ func TestLossyLinkConverges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ship := replica.NewShipper(link, fol, shards, replica.Config{Mode: replica.Sync, MaxRetries: 16})
+	ship := replica.NewShipper(link, fol, shards, replica.Config{Mode: replica.Sync})
 	svc, err := shard.New(sysA, shard.Config{Shards: shards, RegionBytes: regionBytes, Replicator: ship})
 	if err != nil {
 		t.Fatal(err)

@@ -31,21 +31,6 @@ type Config struct {
 	// async worker committing more than Window deltas ahead of the
 	// sender blocks until a slot frees.
 	Window int
-	// RetryTimeout is the virtual time a sender waits before
-	// retransmitting a delta whose delivery or ack was lost
-	// (default 200us).
-	RetryTimeout time.Duration
-	// MaxRetries bounds retransmissions per message before the
-	// follower is declared unreachable (default 8).
-	MaxRetries int
-	// MaxBatch bounds how many consecutive queued deltas an async
-	// sender coalesces into one link message (default 4; 1 disables
-	// batching). Only gap-free same-era runs coalesce, so the follower
-	// can validate and persist a batch as a single unit.
-	MaxBatch int
-	// MaxBatchBytes bounds a coalesced message's wire size — the
-	// *encoded* size when sub-page diffing is on (default 256 KiB).
-	MaxBatchBytes int
 	// Recorder, when set, receives ship/retry/snapshot trace spans on
 	// each shard's sender lane (obs.ShipTrack).
 	Recorder *obs.Recorder
@@ -55,34 +40,41 @@ func (c *Config) fill() {
 	if c.Window <= 0 {
 		c.Window = 8
 	}
-	if c.RetryTimeout <= 0 {
-		c.RetryTimeout = 200 * time.Microsecond
-	}
-	if c.MaxRetries <= 0 {
-		c.MaxRetries = 8
-	}
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = 4
-	}
-	if c.MaxBatchBytes <= 0 {
-		c.MaxBatchBytes = 256 << 10
-	}
 }
+
+// The retry and coalescing policy.
+const (
+	// retryTimeout is the virtual time a sender waits before
+	// retransmitting a message whose delivery or ack was lost.
+	retryTimeout = 200 * time.Microsecond
+	// maxRetries bounds retransmissions per message before the
+	// follower is declared unreachable.
+	maxRetries = 8
+	// maxBatch bounds how many consecutive queued deltas an async
+	// sender coalesces into one link message. Only gap-free same-era
+	// runs coalesce, so the follower can validate and persist a run as
+	// a single unit.
+	maxBatch = 4
+	// maxBatchBytes bounds a coalesced message's wire size: the sum of
+	// its members' cached encoded sizes.
+	maxBatchBytes = 256 << 10
+)
 
 // ShardRepStats are one shard's replication pipeline counters.
 type ShardRepStats struct {
 	Shard int
-	// Shipped counts link message transmissions (retransmissions
-	// included; a batched message carrying several deltas counts
-	// once); Acked counts deltas confirmed by the follower;
-	// Duplicates are acks for deltas the follower had already
+	// Shipped counts link message transmissions, delta runs and
+	// snapshots alike (retransmissions included; a run carrying several
+	// deltas counts once); Acked counts deltas confirmed by the
+	// follower; Duplicates are acks for deltas the follower had already
 	// applied.
 	Shipped, Acked, Duplicates int64
-	// Retries, LostDeltas, LostAcks count the retransmission machinery.
+	// Retries, LostDeltas, LostAcks count the retransmission machinery
+	// (LostDeltas: lost outbound messages, snapshots included).
 	Retries, LostDeltas, LostAcks int64
 	// Gaps counts follower gap reports; Snapshots counts full-region
 	// catch-up transfers; Stale counts era rejections; Exhausted
-	// counts messages abandoned after MaxRetries; Unsent counts
+	// counts messages abandoned after the retry budget; Unsent counts
 	// deltas dropped because no follower was connected.
 	Gaps, Snapshots, Stale, Exhausted, Unsent int64
 	// Batches counts coalesced multi-delta transmissions acked as a
@@ -114,7 +106,8 @@ type shipShard struct {
 	// backlog and horizon belong to the shard's single sender (the
 	// async goroutine, or the worker in sync mode): jobs deferred
 	// while a snapshot was in flight, and the virtual time the sender
-	// is busy until. batch is the sender's coalescing scratch.
+	// is busy until. batch and deltas are the sender's coalescing
+	// scratch.
 	backlog []shipJob
 	horizon time.Duration
 	batch   []shipJob
@@ -272,8 +265,8 @@ func (s *Shipper) ShipCommit(shardID int, at time.Duration, c shard.Commit, snap
 	}
 	ss.retain(d, s.cfg.Window)
 	if s.cfg.Mode == Sync {
-		sendAt := maxd(at, ss.horizon)
-		ackAt, err := s.deliver(ss, sendAt, d, snap, true)
+		run := [1]*Delta{d}
+		ackAt, err := s.ship(ss, maxd(at, ss.horizon), run[:], snap, true)
 		if ackAt > ss.horizon {
 			ss.horizon = ackAt
 		}
@@ -301,45 +294,40 @@ func (s *Shipper) ShipCommit(shardID int, at time.Duration, c shard.Commit, snap
 //memsnap:hotpath
 func (s *Shipper) run(ss *shipShard) {
 	defer s.wg.Done()
+	stopping := false
 	for {
-		if len(ss.backlog) > 0 {
-			var j shipJob
+		var j shipJob
+		switch {
+		case len(ss.backlog) > 0:
 			j, ss.backlog = ss.backlog[0], ss.backlog[1:]
-			s.processBatch(ss, s.collectBatch(ss, j))
-			continue
-		}
-		select {
-		case j := <-ss.queue:
-			s.processBatch(ss, s.collectBatch(ss, j))
-		case <-s.stop:
-			for {
-				if len(ss.backlog) > 0 {
-					var j shipJob
-					j, ss.backlog = ss.backlog[0], ss.backlog[1:]
-					s.processBatch(ss, s.collectBatch(ss, j))
-					continue
-				}
-				select {
-				case j := <-ss.queue:
-					s.processBatch(ss, s.collectBatch(ss, j))
-				default:
-					return
-				}
+		case stopping:
+			select {
+			case j = <-ss.queue:
+			default:
+				return
+			}
+		default:
+			select {
+			case j = <-ss.queue:
+			case <-s.stop:
+				stopping = true
+				continue
 			}
 		}
+		s.processBatch(ss, s.collectBatch(ss, j))
 	}
 }
 
 // collectBatch greedily coalesces jobs already waiting behind first —
-// backlog, then queue — into one run, bounded by MaxBatch and
-// MaxBatchBytes. Only a gap-free run of consecutive sequence numbers
+// backlog, then queue — into one run, bounded by maxBatch and
+// maxBatchBytes. Only a gap-free run of consecutive sequence numbers
 // from one era coalesces: that is the unit the follower can validate
 // and persist as a whole. The first non-coalescible job goes back to
 // the front of the backlog for the next pass.
 func (s *Shipper) collectBatch(ss *shipShard, first shipJob) []shipJob {
 	batch := append(ss.batch[:0], first)
 	size := first.d.WireSize()
-	for len(batch) < s.cfg.MaxBatch {
+	for len(batch) < maxBatch {
 		var j shipJob
 		if len(ss.backlog) > 0 {
 			j, ss.backlog = ss.backlog[0], ss.backlog[1:]
@@ -352,7 +340,7 @@ func (s *Shipper) collectBatch(ss *shipShard, first shipJob) []shipJob {
 			}
 		}
 		prev := batch[len(batch)-1].d
-		if j.d.Era != prev.Era || j.d.Seq != prev.Seq+1 || size+j.d.WireSize() > s.cfg.MaxBatchBytes {
+		if j.d.Era != prev.Era || j.d.Seq != prev.Seq+1 || size+j.d.WireSize() > maxBatchBytes {
 			ss.backlog = append(ss.backlog, shipJob{})
 			copy(ss.backlog[1:], ss.backlog)
 			ss.backlog[0] = j
@@ -366,17 +354,16 @@ func (s *Shipper) collectBatch(ss *shipShard, first shipJob) []shipJob {
 	return batch
 }
 
-// processBatch delivers one coalesced run (possibly of length one) and
+// processBatch ships one coalesced run (possibly of length one) and
 // settles its jobs' references. The send cannot precede the newest
 // member's local durability time.
 func (s *Shipper) processBatch(ss *shipShard, batch []shipJob) {
-	sendAt := maxd(batch[len(batch)-1].at, ss.horizon)
-	var ackAt time.Duration
-	if len(batch) == 1 {
-		ackAt, _ = s.deliver(ss, sendAt, batch[0].d, nil, true)
-	} else {
-		ackAt = s.deliverBatch(ss, sendAt, batch)
+	run := ss.deltas[:0]
+	for i := range batch {
+		run = append(run, batch[i].d)
 	}
+	ss.deltas = run
+	ackAt, _ := s.ship(ss, maxd(batch[len(batch)-1].at, ss.horizon), run, nil, true)
 	if ackAt > ss.horizon {
 		ss.horizon = ackAt
 	}
@@ -387,28 +374,31 @@ func (s *Shipper) processBatch(ss *shipShard, batch []shipJob) {
 	}
 }
 
-// deliverBatch transmits a consecutive delta run as one link message
-// that the follower applies — and persists — as a unit. Any outcome
-// other than a clean ack (or whole-batch duplicate) falls back to the
-// per-delta deliver path, which owns retries and catch-up.
-func (s *Shipper) deliverBatch(ss *shipShard, at time.Duration, batch []shipJob) time.Duration {
-	fol := s.follower()
-	if fol == nil {
-		ss.mu.Lock()
-		ss.st.Unsent += int64(len(batch))
-		ss.mu.Unlock()
-		return at
-	}
-	deltas := ss.deltas[:0]
+// message is one link message: a run of consecutive same-era deltas,
+// or a full-region snapshot when snap is set.
+type message struct {
+	run  []*Delta
+	snap *shard.Snapshot
+}
+
+// transmit is the one send/ack exchange every message goes through:
+// put it on the link, have the follower apply it on arrival, carry the
+// ack back, and retransmit retryTimeout after a lost message or a lost
+// ack (a retransmission after a lost ack is exactly the duplicate
+// delivery the follower acks idempotently). It returns the ack time and
+// the follower's status; after maxRetries retransmissions it gives up
+// with ErrLinkDown at the last arrival time, and a snapshot the
+// follower refuses returns the follower's error unacked.
+func (s *Shipper) transmit(ss *shipShard, fol *Follower, at time.Duration, m message) (time.Duration, ApplyStatus, error) {
 	size := 0
-	for i := range batch {
-		deltas = append(deltas, batch[i].d)
-		size += batch[i].d.WireSize()
+	if m.snap != nil {
+		size = pagesWireSize(len(m.snap.Pages))
 	}
-	ss.deltas = deltas
-	sendAt := at
-	last := at
-	for try := 0; try <= s.cfg.MaxRetries; try++ {
+	for _, d := range m.run {
+		size += d.WireSize()
+	}
+	sendAt, last := at, at
+	for try := 0; try <= maxRetries; try++ {
 		ss.mu.Lock()
 		ss.st.Shipped++
 		ss.st.WireBytes += int64(size)
@@ -425,174 +415,140 @@ func (s *Shipper) deliverBatch(ss *shipShard, at time.Duration, batch []shipJob)
 			ss.mu.Lock()
 			ss.st.LostDeltas++
 			ss.mu.Unlock()
-			sendAt = arrive + s.cfg.RetryTimeout
+			sendAt = arrive + retryTimeout
 			continue
 		}
-		ackReady, status := fol.ApplyBatch(arrive, deltas)
+		var ackReady time.Duration
+		var status ApplyStatus
+		if m.snap != nil {
+			var err error
+			if ackReady, err = fol.applySnapshot(arrive, m.snap); err != nil {
+				return ackReady, status, err
+			}
+		} else {
+			ackReady, status = fol.applyRun(arrive, m.run)
+		}
 		ackAt, ok := s.link.Deliver(ackReady, ackWireBytes)
 		last = ackAt
 		if !ok {
 			ss.mu.Lock()
 			ss.st.LostAcks++
 			ss.mu.Unlock()
-			sendAt = ackAt + s.cfg.RetryTimeout
+			sendAt = ackAt + retryTimeout
 			continue
 		}
-		switch status.Code {
-		case ApplyOK, ApplyDuplicate:
-			ss.mu.Lock()
-			ss.st.Acked += int64(len(deltas))
-			if status.Code == ApplyDuplicate {
-				ss.st.Duplicates += int64(len(deltas))
-			}
-			if status.LastSeq > ss.st.LastAckedSeq {
-				ss.st.LastAckedSeq = status.LastSeq
-			}
-			ss.st.Batches++
-			ss.st.BatchedDeltas += int64(len(deltas))
-			ss.mu.Unlock()
-			ss.ackHist.Record(ackAt - at)
-			var flow uint64
-			for _, fd := range deltas {
-				if fd.TraceID != 0 {
-					flow = fd.TraceID
-					break
-				}
-			}
-			s.cfg.Recorder.SpanFlow(obs.CatReplica, obs.NameShipBatch, obs.ShipTrack(ss.id), at, ackAt-at, int64(len(deltas)), flow)
-			return ackAt
-		default:
-			// Stale, gap, partial duplicate: re-run the members through
-			// the per-delta state machine with its replay/snapshot
-			// catch-up. Stale surfaces there as well.
-			t := ackAt
-			for _, d := range deltas {
-				t2, err := s.deliver(ss, t, d, nil, true)
-				t = t2
-				if err != nil {
-					break
-				}
-			}
-			return t
-		}
+		return ackAt, status, nil
 	}
 	ss.mu.Lock()
 	ss.st.Exhausted++
 	ss.mu.Unlock()
-	return last
+	return last, ApplyStatus{}, ErrLinkDown
 }
 
-// deliver runs the send/ack state machine for one delta: transmit,
-// apply at the follower, ack back, with timeout retransmission on
-// either loss (a retransmission after a lost ack is exactly the
-// duplicate delivery the follower acks idempotently). A gap report
-// triggers catch-up when allowCatchup is set; snapFn, when non-nil,
-// provides the snapshot from the calling goroutine (the sync path,
-// where the caller is the shard worker itself).
-func (s *Shipper) deliver(ss *shipShard, at time.Duration, d *Delta, snapFn func() shard.Snapshot, allowCatchup bool) (time.Duration, error) {
+// ship runs the state machine of one delta run carried as one link
+// message, which the follower applies — and persists — as a unit. A
+// run of one is a lone delta: a gap report triggers catch-up when
+// allowCatchup is set, and snapFn, when non-nil, provides the snapshot
+// from the calling goroutine (the sync path, where the caller is the
+// shard worker itself). A longer run that is not acked whole (stale,
+// gap, partial duplicate) falls back to shipping each member alone.
+func (s *Shipper) ship(ss *shipShard, at time.Duration, run []*Delta, snapFn func() shard.Snapshot, allowCatchup bool) (time.Duration, error) {
 	fol := s.follower()
 	if fol == nil {
 		ss.mu.Lock()
-		ss.st.Unsent++
+		ss.st.Unsent += int64(len(run))
 		ss.mu.Unlock()
 		return at, ErrNotAttached
 	}
-	size := d.WireSize()
-	sendAt := at
-	last := at
-	for try := 0; try <= s.cfg.MaxRetries; try++ {
+	ackAt, status, err := s.transmit(ss, fol, at, message{run: run})
+	if err != nil {
+		return ackAt, err
+	}
+	d, n := run[0], int64(len(run))
+	switch {
+	case status.Code == ApplyOK || status.Code == ApplyDuplicate:
+		// A lone delta acks its own sequence number (on a duplicate the
+		// follower may be further on); a run acks the follower's position.
+		acked := d.Seq
+		if n > 1 {
+			acked = status.LastSeq
+		}
 		ss.mu.Lock()
-		ss.st.Shipped++
-		ss.st.WireBytes += int64(size)
-		if try > 0 {
-			ss.st.Retries++
+		ss.st.Acked += n
+		if status.Code == ApplyDuplicate {
+			ss.st.Duplicates += n
+		}
+		if acked > ss.st.LastAckedSeq {
+			ss.st.LastAckedSeq = acked
+		}
+		if n > 1 {
+			ss.st.Batches++
+			ss.st.BatchedDeltas += n
 		}
 		ss.mu.Unlock()
-		if try > 0 {
-			s.cfg.Recorder.Instant(obs.CatReplica, obs.NameRetry, obs.ShipTrack(ss.id), sendAt, int64(try))
-		}
-		arrive, ok := s.link.Deliver(sendAt, size)
-		last = arrive
-		if !ok {
-			ss.mu.Lock()
-			ss.st.LostDeltas++
-			ss.mu.Unlock()
-			sendAt = arrive + s.cfg.RetryTimeout
-			continue
-		}
-		ackReady, status := fol.Apply(arrive, d)
-		ackAt, ok := s.link.Deliver(ackReady, ackWireBytes)
-		last = ackAt
-		if !ok {
-			ss.mu.Lock()
-			ss.st.LostAcks++
-			ss.mu.Unlock()
-			sendAt = ackAt + s.cfg.RetryTimeout
-			continue
-		}
-		switch status.Code {
-		case ApplyOK, ApplyDuplicate:
-			ss.mu.Lock()
-			ss.st.Acked++
-			if status.Code == ApplyDuplicate {
-				ss.st.Duplicates++
-			}
-			if d.Seq > ss.st.LastAckedSeq {
-				ss.st.LastAckedSeq = d.Seq
-			}
-			ss.mu.Unlock()
-			ss.ackHist.Record(ackAt - at)
+		ss.ackHist.Record(ackAt - at)
+		if n == 1 {
 			s.cfg.Recorder.SpanFlow(obs.CatReplica, obs.NameShip, obs.ShipTrack(ss.id), at, ackAt-at, int64(d.Seq), d.TraceID)
-			return ackAt, nil
-		case ApplyStale:
-			ss.mu.Lock()
-			ss.st.Stale++
-			ss.mu.Unlock()
-			return ackAt, ErrStale
-		case ApplyGap:
-			ss.mu.Lock()
-			ss.st.Gaps++
-			ss.mu.Unlock()
-			if !allowCatchup {
-				return ackAt, ErrLinkDown
-			}
-			return s.catchUp(ss, ackAt, status.LastSeq, d, snapFn)
+		} else {
+			s.cfg.Recorder.SpanFlow(obs.CatReplica, obs.NameShipBatch, obs.ShipTrack(ss.id), at, ackAt-at, n, runFlow(run))
 		}
+		return ackAt, nil
+	case n > 1:
+		t := ackAt
+		for i := range run {
+			if t, err = s.ship(ss, t, run[i:i+1], nil, true); err != nil {
+				break
+			}
+		}
+		return t, err
+	case status.Code == ApplyStale:
+		ss.mu.Lock()
+		ss.st.Stale++
+		ss.mu.Unlock()
+		return ackAt, ErrStale
 	}
 	ss.mu.Lock()
-	ss.st.Exhausted++
+	ss.st.Gaps++
 	ss.mu.Unlock()
-	return last, ErrLinkDown
+	if !allowCatchup {
+		return ackAt, ErrLinkDown
+	}
+	return s.catchUp(ss, ackAt, status.LastSeq, d, snapFn)
 }
 
 // catchUp closes a follower gap ending at d: replay the missing
-// deltas from the retained window when it covers them, otherwise
-// transfer a full-region snapshot.
+// deltas from the retained window when it covers them, otherwise —
+// or when the replay fails — transfer a full-region snapshot.
 //
 //memsnap:coldpath
 func (s *Shipper) catchUp(ss *shipShard, at time.Duration, folLast uint64, d *Delta, snapFn func() shard.Snapshot) (time.Duration, error) {
-	if replay, ok := ss.retainedRange(folLast+1, d.Seq); ok {
-		t := at
-		good := true
-		for _, rd := range replay {
-			if good {
-				var err error
-				if t, err = s.deliver(ss, t, rd, nil, false); err != nil {
-					good = false
-					at = t
-				}
-			}
-			rd.release()
-		}
-		if good {
-			return t, nil
-		}
+	at, ok := s.replay(ss, at, folLast+1, d.Seq)
+	if ok {
+		return at, nil
 	}
 	snap, err := s.obtainSnapshot(ss, snapFn)
 	if err != nil {
 		return at, err
 	}
 	return s.sendSnapshot(ss, at, snap)
+}
+
+// replay ships the retained deltas from..to one at a time from at. It
+// returns ok=false, with at unchanged, when the window does not cover
+// the range, and ok=false at the failure time when a delta is not
+// acked.
+func (s *Shipper) replay(ss *shipShard, at time.Duration, from, to uint64) (time.Duration, bool) {
+	run, ok := ss.retainedRange(from, to)
+	for i, d := range run {
+		if ok {
+			var err error
+			if at, err = s.ship(ss, at, run[i:i+1], nil, false); err != nil {
+				ok = false
+			}
+		}
+		d.release()
+	}
+	return at, ok
 }
 
 // obtainSnapshot produces the catch-up snapshot: from snapFn on the
@@ -633,8 +589,7 @@ func (s *Shipper) obtainSnapshot(ss *shipShard, snapFn func() shard.Snapshot) (*
 	}
 }
 
-// sendSnapshot transfers a full-region snapshot with the same
-// loss/retry machinery as deltas.
+// sendSnapshot transfers a full-region snapshot through transmit.
 //
 //memsnap:coldpath
 func (s *Shipper) sendSnapshot(ss *shipShard, at time.Duration, snap *shard.Snapshot) (time.Duration, error) {
@@ -642,54 +597,18 @@ func (s *Shipper) sendSnapshot(ss *shipShard, at time.Duration, snap *shard.Snap
 	if fol == nil {
 		return at, ErrNotAttached
 	}
-	size := pagesWireSize(len(snap.Pages))
-	sendAt := at
-	last := at
-	for try := 0; try <= s.cfg.MaxRetries; try++ {
-		ss.mu.Lock()
-		ss.st.WireBytes += int64(size)
-		if try > 0 {
-			ss.st.Retries++
-		}
-		ss.mu.Unlock()
-		if try > 0 {
-			s.cfg.Recorder.Instant(obs.CatReplica, obs.NameRetry, obs.ShipTrack(ss.id), sendAt, int64(try))
-		}
-		arrive, ok := s.link.Deliver(sendAt, size)
-		last = arrive
-		if !ok {
-			ss.mu.Lock()
-			ss.st.LostDeltas++
-			ss.mu.Unlock()
-			sendAt = arrive + s.cfg.RetryTimeout
-			continue
-		}
-		ackReady, err := fol.ApplySnapshot(arrive, snap)
-		if err != nil {
-			return ackReady, err
-		}
-		ackAt, ok := s.link.Deliver(ackReady, ackWireBytes)
-		last = ackAt
-		if !ok {
-			ss.mu.Lock()
-			ss.st.LostAcks++
-			ss.mu.Unlock()
-			sendAt = ackAt + s.cfg.RetryTimeout
-			continue
-		}
-		ss.mu.Lock()
-		ss.st.Snapshots++
-		if snap.Seq > ss.st.LastAckedSeq {
-			ss.st.LastAckedSeq = snap.Seq
-		}
-		ss.mu.Unlock()
-		s.cfg.Recorder.Span(obs.CatReplica, obs.NameSnapshot, obs.ShipTrack(ss.id), at, ackAt-at, int64(len(snap.Pages)))
-		return ackAt, nil
+	ackAt, _, err := s.transmit(ss, fol, at, message{snap: snap})
+	if err != nil {
+		return ackAt, err
 	}
 	ss.mu.Lock()
-	ss.st.Exhausted++
+	ss.st.Snapshots++
+	if snap.Seq > ss.st.LastAckedSeq {
+		ss.st.LastAckedSeq = snap.Seq
+	}
 	ss.mu.Unlock()
-	return last, ErrLinkDown
+	s.cfg.Recorder.Span(obs.CatReplica, obs.NameSnapshot, obs.ShipTrack(ss.id), at, ackAt-at, int64(len(snap.Pages)))
+	return ackAt, nil
 }
 
 // Reconcile brings the connected follower to the attached service's
@@ -716,20 +635,8 @@ func (s *Shipper) Reconcile(at time.Duration) error {
 			continue
 		}
 		if fera == meta.Era && fseq < meta.Seq {
-			if replay, ok := ss.retainedRange(fseq+1, meta.Seq); ok {
-				t := at
-				good := true
-				for _, rd := range replay {
-					if good {
-						if t, err = s.deliver(ss, t, rd, nil, false); err != nil {
-							good = false
-						}
-					}
-					rd.release()
-				}
-				if good {
-					continue
-				}
+			if _, ok := s.replay(ss, at, fseq+1, meta.Seq); ok {
+				continue
 			}
 		}
 		snap, err := svc.ShardSnapshot(ss.id)

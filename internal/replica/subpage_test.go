@@ -117,7 +117,7 @@ func kind2Frame(index int64, off int, base, cur []byte) []byte {
 // TestUnknownFrameKindForcesSnapshotResync: a delta carrying a kind-2
 // frame — even one that would patch the follower's live page exactly —
 // is rejected before any write, alone (Apply) and behind a valid
-// member of a batch (ApplyBatch); the shipper then falls back to a
+// member of a run (applyRun); the shipper then falls back to a
 // snapshot resync that restores convergence.
 func TestUnknownFrameKindForcesSnapshotResync(t *testing.T) {
 	fol := batchFollower(t, 1)
@@ -130,7 +130,7 @@ func TestUnknownFrameKindForcesSnapshotResync(t *testing.T) {
 	d1 := &Delta{Shard: 0, Seq: 1, Pages: []core.CommittedPage{{Index: 1, Data: append([]byte(nil), base...)}}}
 	d1.encode(sim.DefaultCosts())
 	ss.retain(d1, s.cfg.Window)
-	if _, err := s.deliver(ss, 0, d1, nil, true); err != nil {
+	if _, err := s.ship(ss, 0, []*Delta{d1}, nil, true); err != nil {
 		t.Fatal(err)
 	}
 	before := fol.Digests()[0]
@@ -143,8 +143,8 @@ func TestUnknownFrameKindForcesSnapshotResync(t *testing.T) {
 	good := codecDelta(2, 2, basePage(), cur)
 	good.encode(sim.DefaultCosts())
 	for name, apply := range map[string]func() ApplyStatus{
-		"apply":       func() ApplyStatus { _, st := fol.Apply(0, bad(2)); return st },
-		"apply_batch": func() ApplyStatus { _, st := fol.ApplyBatch(0, []*Delta{good, bad(3)}); return st },
+		"apply":     func() ApplyStatus { _, st := fol.Apply(0, bad(2)); return st },
+		"apply_run": func() ApplyStatus { _, st := fol.applyRun(0, []*Delta{good, bad(3)}); return st },
 	} {
 		if st := apply(); st.Code != ApplyGap || st.LastSeq != 1 {
 			t.Fatalf("%s: a kind-2 frame answered %+v, want ApplyGap at 1", name, st)
@@ -161,8 +161,8 @@ func TestUnknownFrameKindForcesSnapshotResync(t *testing.T) {
 	snapFn := func() shard.Snapshot {
 		return shard.Snapshot{Shard: 0, Seq: 2, Era: 0, Pages: []core.CommittedPage{{Index: 1, Data: append([]byte(nil), cur...)}}}
 	}
-	if _, err := s.deliver(ss, time.Millisecond, d2, snapFn, true); err != nil {
-		t.Fatalf("deliver with snapshot fallback: %v", err)
+	if _, err := s.ship(ss, time.Millisecond, []*Delta{d2}, snapFn, true); err != nil {
+		t.Fatalf("ship with snapshot fallback: %v", err)
 	}
 	fst := fol.Stats()[0]
 	if fst.Snapshots != 1 || fst.LastSeq != 2 {

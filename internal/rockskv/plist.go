@@ -62,7 +62,6 @@ type plist struct {
 	height   int
 	rng      *sim.RNG
 	numPages uint32 // allocation frontier (page 0 is the header)
-	count    int
 }
 
 // openPlist initializes or recovers the list from the region.
@@ -107,7 +106,6 @@ func openPlist(ctx *core.Context, region *core.Region) (*plist, error) {
 			preds[level].next[level] = n
 			preds[level] = n
 		}
-		p.count++
 		if pageNo >= p.numPages {
 			p.numPages = pageNo + 1
 		}
@@ -267,7 +265,6 @@ func (p *plist) apply(ctx *core.Context, key, val []byte, tombstone bool, pageLo
 		n.next[level] = preds[level].next[level]
 		preds[level].next[level] = n
 	}
-	p.count++
 	return locked, nil
 }
 
@@ -340,6 +337,3 @@ func (p *plist) scan(ctx *core.Context, start []byte, n int, structLock *sim.VLo
 	}
 	return out
 }
-
-// Count returns the number of nodes (including tombstones).
-func (p *plist) Count() int { return p.count }

@@ -163,8 +163,7 @@ func TestCallerRunsDifferential(t *testing.T) {
 //   - per-submitter order holds across the two kinds of holder: each
 //     pipeline increments one key by one per op, so the response to its
 //     i-th accepted op must carry the value i, and the recovered value is
-//     the number accepted. Odd rounds set a CommitInterval, which makes
-//     whoever runs the shard yield while it gathers its batch.
+//     the number accepted.
 func TestCloseRaceCallerRuns(t *testing.T) {
 	const (
 		adders    = 4
@@ -181,9 +180,6 @@ func TestCloseRaceCallerRuns(t *testing.T) {
 				t.Fatal(err)
 			}
 			cfg := Config{Shards: 1, QueueDepth: 8, BatchSize: 4, RegionBytes: 1 << 20}
-			if round%2 == 1 {
-				cfg.CommitInterval = 10 * time.Microsecond
-			}
 			svc, err := New(sys, cfg)
 			if err != nil {
 				t.Fatal(err)

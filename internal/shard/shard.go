@@ -35,8 +35,8 @@ import (
 
 // Service errors.
 var (
-	// ErrBackpressure is returned by TryDo when the target shard's
-	// queue is full (admission control).
+	// ErrBackpressure is returned by TryDoAsync and TryDoTagged when
+	// the target shard's queue is full (admission control).
 	ErrBackpressure = errors.New("shard: queue full")
 	// ErrClosed is returned for operations submitted after Close.
 	ErrClosed = errors.New("shard: service closed")
@@ -133,15 +133,12 @@ type Config struct {
 	// Shards is the number of independent shards (default 8).
 	Shards int
 	// QueueDepth bounds each shard's request queue (default 256);
-	// TryDo fails with ErrBackpressure when the queue is full.
+	// TryDoAsync and TryDoTagged fail with ErrBackpressure when the
+	// queue is full.
 	QueueDepth int
 	// BatchSize caps the number of requests coalesced into one group
 	// commit (default 16).
 	BatchSize int
-	// CommitInterval, when positive, makes whoever runs a shard linger
-	// that much virtual time with a non-full batch before committing,
-	// giving concurrent clients a window to join the group commit.
-	CommitInterval time.Duration
 	// RegionBytes is the per-shard region size (default 4 MiB).
 	RegionBytes int64
 	// StartAt positions shard clocks at a virtual time, e.g. the
@@ -390,9 +387,6 @@ func (s *Service) Recovery() []ShardRecovery {
 	return append([]ShardRecovery(nil), s.recovery...)
 }
 
-// NumShards returns the shard count.
-func (s *Service) NumShards() int { return len(s.shards) }
-
 // fnv1a hashes the composed tenant+key.
 func fnv1a(tenant, key string) uint64 {
 	const offset, prime = 14695981039346656037, 1099511628211
@@ -516,7 +510,7 @@ func (s *Service) submit(sh *shard, r *request, block bool) error {
 // through that lock. The submit lock is dropped before the op runs, and
 // the execution lock is never held across a submit (the worker needs it
 // to make room in a full queue).
-func (s *Service) call(sh *shard, op Op, block bool) (Response, error) {
+func (s *Service) call(sh *shard, op Op) (Response, error) {
 	s.submitMu.RLock()
 	if s.closed.Load() {
 		s.submitMu.RUnlock()
@@ -534,7 +528,7 @@ func (s *Service) call(sh *shard, op Op, block bool) (Response, error) {
 		return resp, nil
 	}
 	ch := make(chan Response, 1)
-	if err := s.submit(sh, getRequest(op, 0, ch), block); err != nil {
+	if err := s.submit(sh, getRequest(op, 0, ch), true); err != nil {
 		return Response{}, err
 	}
 	return <-ch, nil
@@ -607,21 +601,11 @@ func (s *Service) Do(op Op) Response {
 	if err != nil {
 		return Response{Err: err}
 	}
-	resp, err := s.call(sh, op, true)
+	resp, err := s.call(sh, op)
 	if err != nil {
 		return Response{Err: err}
 	}
 	return resp
-}
-
-// TryDo is Do with admission control (ErrBackpressure when the op has
-// to queue and the queue is full).
-func (s *Service) TryDo(op Op) (Response, error) {
-	sh, err := s.route(op)
-	if err != nil {
-		return Response{}, err
-	}
-	return s.call(sh, op, false)
 }
 
 // Put durably sets tenant/key to value.
@@ -658,7 +642,7 @@ func (s *Service) Transfer(tenant, from, to string, amount uint64) error {
 // probe runs an internal read-only op on one shard and waits for its
 // response, serialized with in-flight applies.
 func (s *Service) probe(sh *shard, kind OpKind) (Response, error) {
-	resp, err := s.call(sh, Op{Kind: kind}, true)
+	resp, err := s.call(sh, Op{Kind: kind})
 	if err != nil {
 		return Response{}, err
 	}

@@ -526,23 +526,3 @@ func TestShardFull(t *testing.T) {
 		t.Fatalf("overwrite at capacity failed: %v", err)
 	}
 }
-
-// TestCommitInterval exercises the linger path.
-func TestCommitInterval(t *testing.T) {
-	sys := newSystem(t, 2)
-	svc, err := New(sys, Config{Shards: 2, BatchSize: 32, CommitInterval: 20 * time.Microsecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer svc.Close()
-	for i := 0; i < 50; i++ {
-		if err := svc.Put("t", fmt.Sprintf("k%02d", i), uint64(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < 50; i++ {
-		if v, ok, _ := svc.Get("t", fmt.Sprintf("k%02d", i)); !ok || v != uint64(i) {
-			t.Fatalf("k%02d = %d (found=%v)", i, v, ok)
-		}
-	}
-}

@@ -19,7 +19,8 @@ type ShardStats struct {
 	Commits        int64
 	BatchOccupancy float64
 	// QueueHighWater is the deepest queue observed at submit time;
-	// Rejected counts TryDo admissions refused with ErrBackpressure.
+	// Rejected counts TryDoAsync/TryDoTagged admissions refused with
+	// ErrBackpressure.
 	QueueHighWater int
 	Rejected       int64
 	// Elapsed is the shard clock's virtual time since the service opened;

@@ -1,7 +1,6 @@
 package shard
 
 import (
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -21,7 +20,7 @@ import (
 //
 //   - the shard's worker, woken through wake after an enqueue, holds it
 //     while it runs the queue dry (serve);
-//   - a blocking caller (Do, TryDo, the KV helpers, probe) that finds
+//   - a blocking caller (Do, the KV helpers, probe) that finds
 //     the lock free and the queue empty runs its own op on its own
 //     goroutine (runOwn) and gets the response by value.
 //
@@ -186,28 +185,18 @@ func (sh *shard) respond(r *request, resp Response) {
 	putRequest(r)
 }
 
-// gather coalesces queued requests behind first, up to BatchSize.
-// With a CommitInterval configured the holder lingers that much
-// virtual time once, yielding so concurrent clients can join the
-// group commit. The returned slice is valid until the next gather.
+// gather coalesces queued requests behind first, up to BatchSize. The
+// returned slice is valid until the next gather.
 func (sh *shard) gather(first *request) []*request {
 	batch := append(sh.batch[:0], first)
-	lingered := false
+gathering:
 	for len(batch) < sh.svc.cfg.BatchSize {
 		select {
 		case r := <-sh.queue:
 			batch = append(batch, r)
-			continue
 		default:
+			break gathering
 		}
-		if lingered || sh.svc.cfg.CommitInterval <= 0 {
-			break
-		}
-		sh.ctx.Clock().Advance(sh.svc.cfg.CommitInterval)
-		for i := 0; i < 8; i++ {
-			runtime.Gosched()
-		}
-		lingered = true
 	}
 	sh.batch = batch
 	return batch

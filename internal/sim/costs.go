@@ -286,13 +286,7 @@ func (m *CostModel) DiffCost(n int) time.Duration {
 const linkPerBytePicos = 800
 
 // LinkTransferCost returns the serialization time of n bytes on the
-// replication link (bandwidth term only; see LinkCost).
+// replication link (bandwidth term only; Link adds LinkBaseLatency).
 func (m *CostModel) LinkTransferCost(n int) time.Duration {
 	return time.Duration(int64(n) * linkPerBytePicos / 1000)
-}
-
-// LinkCost returns the full one-way cost of an n-byte message on the
-// replication link: base latency plus transfer.
-func (m *CostModel) LinkCost(n int) time.Duration {
-	return m.LinkBaseLatency + m.LinkTransferCost(n)
 }

@@ -71,13 +71,6 @@ func (r *RNG) Perm(n int) []int {
 	return p
 }
 
-// Shuffle permutes the n elements addressed by swap in place.
-func (r *RNG) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		swap(i, r.Intn(i+1))
-	}
-}
-
 // Pareto returns a sample from a generalized Pareto distribution with
 // the given scale and shape, truncated to [0, max). MixGraph uses a
 // Pareto key-popularity distribution for writes.

@@ -81,10 +81,6 @@ func YCSBWorkloadB() YCSBConfig { return YCSBConfig{ReadPct: 95, UpdatePct: 5, T
 // YCSBWorkloadC is read-only.
 func YCSBWorkloadC() YCSBConfig { return YCSBConfig{ReadPct: 100, Theta: 0.99} }
 
-// YCSBWorkloadD is read-latest: 95% read / 5% insert (the reads skew
-// to recently inserted keys via the zipfian over a growing keyspace).
-func YCSBWorkloadD() YCSBConfig { return YCSBConfig{ReadPct: 95, InsertPct: 5, Theta: 0.99} }
-
 // YCSBWorkloadF is read-modify-write: 50% read / 50% RMW.
 func YCSBWorkloadF() YCSBConfig { return YCSBConfig{ReadPct: 50, RMWPct: 50, Theta: 0.99} }
 

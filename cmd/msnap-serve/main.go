@@ -25,12 +25,12 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"os/signal"
 	"sync/atomic"
 	"syscall"
 
+	"memsnap/internal/cluster"
 	"memsnap/internal/core"
 	"memsnap/internal/netsvc"
 	"memsnap/internal/obs"
@@ -49,51 +49,30 @@ func run() int {
 	flight := flag.String("flight", "", "write a flight-recorder bundle here on shutdown and panic (empty: disabled)")
 	flag.Parse()
 
-	sys, err := core.NewSystem(core.Options{CPUs: *shards, DiskBytesEach: 512 << 20})
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "msnap-serve: %v\n", err)
-		return 1
-	}
 	rec := obs.NewRecorder(1 << 14)
 	sketch := obs.NewTenantSketch(obs.DefaultTenantTopK)
-	svc, err := shard.New(sys, shard.Config{
-		Shards: *shards, QueueDepth: *queue, BatchSize: *batch, Recorder: rec,
-		Tenants: sketch,
+	c, err := cluster.New(cluster.Config{
+		Machine: core.Options{CPUs: *shards, DiskBytesEach: 512 << 20},
+		Shard: shard.Config{
+			Shards: *shards, QueueDepth: *queue, BatchSize: *batch, Recorder: rec,
+			Tenants: sketch,
+		},
+		Listen: *addr,
+		Net:    netsvc.Config{MaxInFlight: *inflight},
 	})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "msnap-serve: %v\n", err)
 		return 1
 	}
-	srv, err := netsvc.Serve(*addr, svc, netsvc.Config{MaxInFlight: *inflight, Recorder: rec})
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "msnap-serve: %v\n", err)
-		return 1
-	}
-	fmt.Printf("msnap-serve: data plane on %s (%d shards)\n", srv.Addr(), *shards)
+	fmt.Printf("msnap-serve: data plane on %s (%d shards)\n", c.Srv.Addr(), *shards)
 
-	metrics := func(w io.Writer) error {
-		if err := svc.FormatPrometheus(w); err != nil {
-			return err
-		}
-		if err := srv.FormatPrometheus(w); err != nil {
-			return err
-		}
-		return sketch.WriteProm(w)
-	}
-	vars := func() any {
-		return struct {
-			Net     netsvc.Stats       `json:"net"`
-			Shards  []shard.ShardStats `json:"shards"`
-			Tenants []obs.TenantStat   `json:"tenants"`
-		}{srv.Stats(), svc.Stats(), sketch.Top()}
-	}
 	writeFlight := func(reason string) {
 		if *flight == "" {
 			return
 		}
 		b := obs.Bundle{
-			Reason: reason, VirtualNow: svc.EndTime(),
-			Vars: vars(), Metrics: metrics, Recorder: rec,
+			Reason: reason, VirtualNow: c.Svc.EndTime(),
+			Vars: c.Vars(), Metrics: c.WritePrometheus, Recorder: rec,
 		}
 		if err := obs.WriteBundleFile(*flight, b); err != nil {
 			fmt.Fprintf(os.Stderr, "msnap-serve: flight bundle: %v\n", err)
@@ -114,8 +93,8 @@ func run() int {
 	var osrv *obs.Server
 	if *obsAddr != "" {
 		osrv, err = obs.Serve(*obsAddr, obs.ServerSources{
-			Metrics: metrics,
-			Vars:    vars,
+			Metrics: c.WritePrometheus,
+			Vars:    func() any { return c.Vars() },
 			Trace:   rec.Drain,
 			Health: func() (bool, string) {
 				if draining.Load() {
@@ -140,19 +119,15 @@ func run() int {
 	// (completes every admitted request), then the shard service, then
 	// observability — so the endpoint answers 503 while draining.
 	draining.Store(true)
-	if err := srv.Close(); err != nil {
+	if err := c.Close(); err != nil {
 		fmt.Fprintf(os.Stderr, "msnap-serve: drain: %v\n", err)
-		return 1
-	}
-	if err := svc.Close(); err != nil {
-		fmt.Fprintf(os.Stderr, "msnap-serve: close: %v\n", err)
 		return 1
 	}
 	writeFlight("SIGTERM: graceful drain complete")
 	if osrv != nil {
 		osrv.Close()
 	}
-	st := srv.Stats()
+	st := c.Srv.Stats()
 	fmt.Printf("msnap-serve: drained (%d requests, %d responses, %d retry_after)\n",
 		st.Requests, st.Responses, st.RetryAfter)
 	return 0

@@ -32,6 +32,7 @@ import (
 	"os"
 	"sync"
 
+	"memsnap/internal/cluster"
 	"memsnap/internal/core"
 	"memsnap/internal/obs"
 	"memsnap/internal/replica"
@@ -59,42 +60,25 @@ func run() int {
 
 	// Primary and follower each get their own machine (their own disk
 	// array — the follower survives the primary's death).
-	sysOpts := core.Options{CPUs: *shards, DiskBytesEach: 512 << 20}
-	sysA, err := core.NewSystem(sysOpts)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "msnap-trace: primary system: %v\n", err)
-		return 1
-	}
-	sysB, err := core.NewSystem(sysOpts)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "msnap-trace: follower system: %v\n", err)
-		return 1
-	}
-
-	link := replica.NewLink(replica.LinkConfig{})
-	fol, err := replica.NewFollower(sysB, replica.FollowerConfig{Shards: *shards, Recorder: rec})
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "msnap-trace: follower: %v\n", err)
-		return 1
-	}
-	ship := replica.NewShipper(link, fol, *shards, replica.Config{Mode: replica.Async, Recorder: rec})
 	sketch := obs.NewTenantSketch(obs.DefaultTenantTopK)
-	svc, err := shard.New(sysA, shard.Config{Shards: *shards, Replicator: ship, Recorder: rec, Tenants: sketch})
+	c, err := cluster.New(cluster.Config{
+		Machine: core.Options{CPUs: *shards, DiskBytesEach: 512 << 20},
+		Shard:   shard.Config{Shards: *shards, Recorder: rec, Tenants: sketch},
+		Replica: &replica.Config{Mode: replica.Async},
+	})
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "msnap-trace: service: %v\n", err)
+		fmt.Fprintf(os.Stderr, "msnap-trace: %v\n", err)
 		return 1
 	}
-	ship.Attach(svc)
-	defer svc.Close()
-	defer ship.Close()
+	defer c.Close()
 
 	var sampler *obs.Sampler
 	if *sample > 0 {
 		sampler = obs.NewSampler(*seed, *sample)
 	}
-	runWorkload(svc, *clients, *ops, *keys, *seed, sampler)
+	runWorkload(c.Svc, *clients, *ops, *keys, *seed, sampler)
 
-	total := svc.TotalStats()
+	total := c.Svc.TotalStats()
 	fmt.Printf("workload done: %d ops, %d commits, %d trace events recorded (%d dropped)\n",
 		total.Ops, total.Commits, total.Obs.Recorded, total.Obs.Dropped)
 
@@ -104,30 +88,11 @@ func run() int {
 	bclk.AdvanceTo(total.Elapsed)
 
 	src := obs.ServerSources{
-		Metrics: func(w io.Writer) error {
-			if err := svc.FormatPrometheus(w); err != nil {
-				return err
-			}
-			if err := ship.FormatPrometheus(w); err != nil {
-				return err
-			}
-			if err := fol.FormatPrometheus(w); err != nil {
-				return err
-			}
-			return sketch.WriteProm(w)
-		},
-		Vars: func() any {
-			return map[string]any{
-				"total":       svc.TotalStats(),
-				"shards":      svc.Stats(),
-				"replication": ship.Stats(),
-				"follower":    fol.Stats(),
-				"tenants":     sketch.Top(),
-			}
-		},
-		Trace: rec.Drain,
-		Clock: bclk,
-		TopK:  sketch.Top,
+		Metrics: c.WritePrometheus,
+		Vars:    func() any { return c.Vars() },
+		Trace:   rec.Drain,
+		Clock:   bclk,
+		TopK:    sketch.Top,
 	}
 
 	switch {

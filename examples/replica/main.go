@@ -9,10 +9,11 @@
 // acknowledged write is durable on BOTH replicas.
 //
 // The example serves replicated writes, then cuts the link, cuts
-// power on the primary mid-commit, promotes the follower through the
-// standard manifest recovery path, recovers the torn ex-primary and
-// rejoins it as a follower, and proves both replicas converge to
-// byte-identical regions.
+// power on the primary mid-commit, fails over — the follower promotes
+// through the standard manifest recovery path, the torn ex-primary
+// recovers and rejoins as its follower — and proves both replicas
+// converge to byte-identical regions. internal/cluster assembles the
+// pair and runs the crash choreography.
 //
 //	go run ./examples/replica
 package main
@@ -24,7 +25,8 @@ import (
 	"os"
 	"time"
 
-	"memsnap"
+	"memsnap/internal/cluster"
+	"memsnap/internal/core"
 	"memsnap/internal/replica"
 	"memsnap/internal/shard"
 	"memsnap/internal/sim"
@@ -33,28 +35,17 @@ import (
 const shards = 4
 
 func main() {
-	cfg := memsnap.Config{CPUs: shards, DiskBytesEach: 512 << 20}
-	primary, err := memsnap.NewStore(cfg)
+	// The pair: primary and follower machines, a link, a sync shipper.
+	c, err := cluster.New(cluster.Config{
+		Machine: core.Options{CPUs: shards, DiskBytesEach: 512 << 20},
+		Shard:   shard.Config{Shards: shards, BatchSize: 8},
+		Replica: &replica.Config{Mode: replica.Sync},
+		Link:    replica.LinkConfig{Seed: 7},
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	backup, err := memsnap.NewStore(cfg)
-	if err != nil {
-		log.Fatal(err)
-	}
-
-	// Wire the pair: link, follower endpoint, sync shipper, service.
-	fol, err := replica.NewFollower(backup, replica.FollowerConfig{Shards: shards})
-	if err != nil {
-		log.Fatal(err)
-	}
-	link := replica.NewLink(replica.LinkConfig{Seed: 7})
-	ship := replica.NewShipper(link, fol, shards, replica.Config{Mode: replica.Sync})
-	svc, err := shard.New(primary, shard.Config{Shards: shards, BatchSize: 8, Replicator: ship})
-	if err != nil {
-		log.Fatal(err)
-	}
-	ship.Attach(svc)
+	svc := c.Svc
 
 	// Phase 1: replicated serving. Every acked write is durable on
 	// both sides of the link before the client hears about it.
@@ -69,8 +60,8 @@ func main() {
 	}
 	fmt.Printf("60 sync-replicated puts served (value sum %d)\n\n", seeded)
 	fmt.Println("shard  shipped  acked  ack p99(us)  follower seq")
-	folStats := fol.Stats()
-	for _, rs := range ship.Stats() {
+	folStats := c.Fol.Stats()
+	for _, rs := range c.Ship.Stats() {
 		fmt.Printf("%5d  %7d  %5d  %11.1f  %12d\n",
 			rs.Shard, rs.Shipped, rs.Acked,
 			float64(rs.AckHist.P99())/float64(time.Microsecond),
@@ -81,7 +72,7 @@ func main() {
 	// dead link into a clean client-visible error — never a silent
 	// loss.
 	linkCutAt := svc.TotalStats().LastCommitDurable + time.Millisecond
-	link.Cut(linkCutAt)
+	c.Link.Cut(linkCutAt)
 	acked, failed := 0, 0
 	ackedKeys := map[string]uint64{}
 	for i := 0; i < 20; i++ {
@@ -101,39 +92,32 @@ func main() {
 
 	// Phase 3: kill the primary — power cut inside its final commit
 	// window, after the usual clean drain of the request queues.
-	if err := svc.Close(); err != nil {
-		log.Fatal(err)
-	}
-	var powerCutAt time.Duration
-	for _, st := range svc.Stats() {
-		if st.LastCommitSubmit > powerCutAt {
-			powerCutAt = st.LastCommitSubmit
-		}
-	}
-	powerCutAt += time.Nanosecond
-	primary.Array().CutPower(powerCutAt, sim.NewRNG(7))
-	ship.Close()
+	powerCutAt := c.CutPower(0, sim.NewRNG(7))
 	fmt.Printf("primary power cut at %v\n\n", powerCutAt)
 
-	// Phase 4: failover. The follower promotes through the standard
-	// shard manifest recovery path: every region lands on its last
-	// FULLY APPLIED delta (each delta applied as one uCheckpoint, so
-	// a torn delta is impossible), under a bumped replication era.
-	ship2 := replica.NewShipper(link, nil, shards, replica.Config{})
-	svc2, err := fol.Promote(shard.Config{BatchSize: 8, Replicator: ship2})
-	if err != nil {
+	// Phase 4: failover, with the link healed a millisecond after the
+	// cut. The follower promotes through the standard shard manifest
+	// recovery path: every region lands on its last FULLY APPLIED delta
+	// (each delta applied as one uCheckpoint, so a torn delta is
+	// impossible), under a bumped replication era. The ex-primary
+	// recovers from its torn disks and rejoins as the follower; its
+	// regions may hold epochs the new primary never acked (divergent
+	// era), so reconciliation discards them via full-region snapshots.
+	linkUpAt := powerCutAt + time.Millisecond
+	c.Link.Restore(linkUpAt)
+	if err := c.Failover(powerCutAt, linkUpAt); err != nil {
 		log.Fatal(err)
 	}
-	ship2.Attach(svc2)
+	svc = c.Svc
 	fmt.Println("promoted follower:  shard  seq  era  manifest==scan")
-	for _, rec := range svc2.Recovery() {
+	for _, rec := range svc.Recovery() {
 		fmt.Printf("%24d  %3d  %3d  %v\n", rec.Shard, rec.Seq, rec.Era, rec.Consistent())
 		if !rec.Existing || !rec.Consistent() {
 			log.Fatal("TORN REPLICA — delta application was not atomic")
 		}
 	}
 	for k, v := range ackedKeys {
-		got, found, err := svc2.Get("acct", k)
+		got, found, err := svc.Get("acct", k)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -143,43 +127,20 @@ func main() {
 	}
 	fmt.Println("every acknowledged write survived the failover")
 
-	// New epochs on the new primary while the old machine is down.
+	// Phase 5: new epochs on the new primary replicate to the rejoined
+	// ex-primary.
 	for i := 0; i < 10; i++ {
-		if err := svc2.Put("acct", fmt.Sprintf("new-%02d", i), 7); err != nil {
+		if err := svc.Put("acct", fmt.Sprintf("new-%02d", i), 7); err != nil {
 			log.Fatal(err)
 		}
 	}
-	ship2.Flush()
-
-	// Phase 5: reconciliation. Recover the ex-primary from its torn
-	// disks, rejoin it as a follower, heal the link. Its regions may
-	// hold epochs the new primary never acked (divergent era), so
-	// Reconcile discards them via full-region snapshots.
-	recovered, doneAt, err := memsnap.RecoverStore(cfg, primary.Array(), powerCutAt)
+	digA, err := svc.ShardDigests()
 	if err != nil {
 		log.Fatal(err)
 	}
-	fol2, err := replica.NewFollower(recovered, replica.FollowerConfig{Shards: shards, StartAt: doneAt})
-	if err != nil {
-		log.Fatal(err)
-	}
-	restoreAt := doneAt + time.Millisecond
-	if end := svc2.EndTime(); end+time.Millisecond > restoreAt {
-		restoreAt = end + time.Millisecond
-	}
-	link.Restore(restoreAt)
-	ship2.Connect(fol2)
-	if err := ship2.Reconcile(restoreAt); err != nil {
-		log.Fatal(err)
-	}
-
-	digA, err := svc2.ShardDigests()
-	if err != nil {
-		log.Fatal(err)
-	}
-	digB := fol2.Digests()
+	digB := c.Fol.Digests()
 	fmt.Println("\nreconciled ex-primary: shard  snapshots  digests match")
-	for i, fs := range fol2.Stats() {
+	for i, fs := range c.Fol.Stats() {
 		fmt.Printf("%27d  %9d  %v\n", fs.Shard, fs.Snapshots, digA[i] == digB[i])
 		if digA[i] != digB[i] {
 			log.Fatal("REPLICAS DIVERGED after reconciliation")
@@ -188,18 +149,10 @@ func main() {
 	fmt.Println("both replicas hold byte-identical regions.")
 
 	fmt.Println("\n--- prometheus exposition (new primary + rejoined follower) ---")
-	if err := svc2.FormatPrometheus(os.Stdout); err != nil {
+	if err := c.WritePrometheus(os.Stdout); err != nil {
 		log.Fatal(err)
 	}
-	if err := ship2.FormatPrometheus(os.Stdout); err != nil {
+	if err := c.Close(); err != nil {
 		log.Fatal(err)
 	}
-	if err := fol2.FormatPrometheus(os.Stdout); err != nil {
-		log.Fatal(err)
-	}
-
-	if err := svc2.Close(); err != nil {
-		log.Fatal(err)
-	}
-	ship2.Close()
 }

@@ -22,7 +22,8 @@ import (
 	"sync"
 	"time"
 
-	"memsnap"
+	"memsnap/internal/cluster"
+	"memsnap/internal/core"
 	"memsnap/internal/shard"
 	"memsnap/internal/sim"
 )
@@ -47,14 +48,15 @@ func findPair(svc *shard.Service, tenant string, sh int) (string, string) {
 }
 
 func main() {
-	store, err := memsnap.NewStore(memsnap.Config{CPUs: shards, DiskBytesEach: 512 << 20})
+	c, err := cluster.New(cluster.Config{
+		Machine: core.Options{CPUs: shards, DiskBytesEach: 512 << 20},
+		Shard:   shard.Config{Shards: shards, BatchSize: 16},
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	svc, err := shard.New(store, shard.Config{Shards: shards, BatchSize: 16})
-	if err != nil {
-		log.Fatal(err)
-	}
+	defer c.Close()
+	svc := c.Svc
 
 	// Phase 1: concurrent serving. 4 clients per shard, each keeping a
 	// window of async requests in flight (a pipelined RPC client), so
@@ -136,31 +138,18 @@ func main() {
 			}
 		}
 	}
-	if err := svc.Close(); err != nil {
-		log.Fatal(err)
-	}
-	doneAt := svc.EndTime()
-	cutAt := svc.TotalStats().LastCommitSubmit + time.Nanosecond
-	if cutAt <= tSafe {
-		cutAt = tSafe + time.Nanosecond
-	}
-	store.Array().CutPower(cutAt, sim.NewRNG(7))
+	cutAt := c.CutPower(tSafe+time.Nanosecond, sim.NewRNG(7))
 	fmt.Printf("power cut at %v (all acked writes durable by %v)\n\n", cutAt, tSafe)
 
 	// Phase 4: recover. Every shard reopens at its last durable epoch;
 	// the manifest is cross-checked against a full scan of its slots.
-	store2, at, err := memsnap.RecoverStore(memsnap.Config{CPUs: shards, DiskBytesEach: 512 << 20}, store.Array(), doneAt)
-	if err != nil {
+	if err := c.Recover(cutAt); err != nil {
 		log.Fatal(err)
 	}
-	svc2, err := shard.New(store2, shard.Config{Shards: shards, BatchSize: 16, StartAt: at})
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer svc2.Close()
+	svc = c.Svc
 
 	fmt.Println("shard  epoch  records  value sum  manifest==scan")
-	for _, rec := range svc2.Recovery() {
+	for _, rec := range svc.Recovery() {
 		if !rec.Existing {
 			log.Fatalf("shard %d lost its region", rec.Shard)
 		}
@@ -171,7 +160,7 @@ func main() {
 		}
 	}
 
-	recovered, err := svc2.TotalValueSum()
+	recovered, err := svc.TotalValueSum()
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -180,8 +169,8 @@ func main() {
 		log.Fatal("VALUE WAS CREATED OR DESTROYED — group commit atomicity violated")
 	}
 	for sh := 0; sh < shards; sh++ {
-		from, _, _ := svc2.Get("bank", pairs[sh][0])
-		to, _, _ := svc2.Get("bank", pairs[sh][1])
+		from, _, _ := svc.Get("bank", pairs[sh][0])
+		to, _, _ := svc.Get("bank", pairs[sh][1])
 		if from+to != bankFunds {
 			log.Fatalf("shard %d bank pair sums to %d", sh, from+to)
 		}

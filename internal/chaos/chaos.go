@@ -35,10 +35,13 @@
 // `seed=S/sched=NAME/topo=T`, and feeding that ID back (msnap-chaos
 // -cell, or RunCell) reproduces the run: the workload stream, fault
 // instants, and final per-shard digests are bit-for-bit identical
-// across reruns. Schedules that exercise genuine pipelined
-// concurrency (the drain burst racing Close) can shift group-commit
-// composition between runs, so virtual-time instants may drift there;
-// the surviving state, and every invariant verdict, may not. Cells
+// across reruns. The drain schedule is the one carve-out: its burst
+// splits into the same group commits every run (it is queued behind a
+// parked worker on every shard), but the shards then drain it
+// concurrently into one disk array, whose queue order is real-time
+// order, and the net topology's burst races real TCP; so virtual-time
+// instants may drift there, while the digests of the single and
+// replica topologies, and every invariant verdict, may not. Cells
 // share process-global pools, so cells must not run concurrently; Run
 // executes them sequentially.
 package chaos
@@ -144,8 +147,7 @@ type CellResult struct {
 	Digests []string `json:"digests,omitempty"`
 	// VirtualEnd is the primary's virtual clock when the cell
 	// finished, before the final audit. Deterministic except under
-	// schedules with pipelined concurrency (drain), where batching
-	// composition — but never surviving state — varies.
+	// the drain schedule (see the package comment).
 	VirtualEnd time.Duration `json:"virtual_end"`
 	// BundlePath is where the cell's flight-recorder bundle was
 	// written (failing cells only, and only when Config.BundleDir is

@@ -2,7 +2,6 @@ package chaos
 
 import (
 	"fmt"
-	"io"
 	"path/filepath"
 	"strings"
 
@@ -17,21 +16,18 @@ const flightRingEvents = 1 << 14
 
 // writeCellBundle writes a failing cell's flight-recorder bundle into
 // dir, recording the path (or the write error, as one more violation)
-// on res. The cluster may be half-built or already torn down: every
-// source is optional, and the recorder ring plus the final service
-// stats survive teardown.
-func writeCellBundle(dir string, cl *cluster, res *CellResult) {
+// on res. The cluster may already be torn down: the recorder ring, the
+// final stats and the metrics survive teardown.
+func writeCellBundle(dir string, r *rig, res *CellResult) {
+	vars := r.Vars()
+	vars["cell"] = res
 	b := obs.Bundle{
 		Reason: fmt.Sprintf("chaos cell %s: %d violation(s): %s",
 			res.ID, len(res.Violations), strings.Join(res.Violations, "; ")),
-		Vars: res,
-	}
-	if cl != nil {
-		b.Recorder = cl.rec
-		if cl.svc != nil {
-			b.VirtualNow = cl.svc.EndTime()
-			b.Metrics = func(w io.Writer) error { return cl.svc.FormatPrometheus(w) }
-		}
+		VirtualNow: r.now(),
+		Vars:       vars,
+		Metrics:    r.WritePrometheus,
+		Recorder:   r.rec,
 	}
 	path := filepath.Join(dir, bundleFileName(res.ID))
 	if err := obs.WriteBundleFile(path, b); err != nil {

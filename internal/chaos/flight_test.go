@@ -15,21 +15,21 @@ import (
 func TestFailingCellEmitsBundle(t *testing.T) {
 	dir := t.TempDir()
 	cell := Cell{Seed: 1, Schedule: "steady", Topology: TopoSingle}
-	cl, err := buildCluster(cell, 2, 1<<18)
+	rg, err := buildRig(cell, 2, 1<<18)
 	if err != nil {
-		t.Fatalf("build cluster: %v", err)
+		t.Fatalf("build rig: %v", err)
 	}
 	for i := 0; i < 16; i++ {
-		r := cl.do(shard.Op{Kind: shard.OpPut, Tenant: "acme", Key: "k", Value: uint64(i)})
+		r := rg.do(shard.Op{Kind: shard.OpPut, Tenant: "acme", Key: "k", Value: uint64(i)})
 		if r.Err != nil {
 			t.Fatalf("op %d: %v", i, r.Err)
 		}
 	}
-	cl.teardown()
+	rg.teardown()
 
 	res := CellResult{ID: cell.ID()}
 	res.fail("synthetic violation: flight bundle test")
-	writeCellBundle(dir, cl, &res)
+	writeCellBundle(dir, rg, &res)
 	if res.BundlePath == "" {
 		t.Fatalf("no bundle path recorded; violations: %v", res.Violations)
 	}

@@ -3,11 +3,11 @@ package chaos
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sort"
 	"sync"
 
 	"memsnap/internal/core"
-	"memsnap/internal/netsvc"
 	"memsnap/internal/proto"
 	"memsnap/internal/replica"
 	"memsnap/internal/shard"
@@ -130,7 +130,7 @@ func RunCell(cfg Config, cell Cell) CellResult {
 	basePages, baseSlices := core.CapturePoolStats()
 	baseExt := core.CaptureExtentStats()
 	baseEnc := replica.EncPoolStats()
-	cl, err := buildCluster(cell, cfg.Shards, cfg.RegionBytes)
+	cl, err := buildRig(cell, cfg.Shards, cfg.RegionBytes)
 	if err != nil {
 		res.fail("build %s topology: %v", cell.Topology, err)
 		return res
@@ -166,7 +166,7 @@ func RunCell(cfg Config, cell Cell) CellResult {
 	// uCheckpoints have retired, so its live frames are exactly the
 	// pages its regions map — each frame an in-flight COW displaced went
 	// back to the allocator.
-	for i, sys := range cl.machines {
+	for i, sys := range cl.Machines() {
 		st := sys.Phys().Stats()
 		if got, want := st.TotalFrames-st.FreeFrames, sys.MappedFrames(); got != want {
 			res.fail("leak: machine %d of the cell holds %d live frames, its regions map %d", i, got, want)
@@ -186,7 +186,7 @@ func RunCell(cfg Config, cell Cell) CellResult {
 // instants, and shadows every outcome in the model.
 type driver struct {
 	cfg Config
-	cl  *cluster
+	cl  *rig
 	md  *model
 	src opSource
 	res *CellResult
@@ -210,10 +210,10 @@ func (d *driver) installWindows(sched Schedule) {
 	for _, ev := range sched.Events {
 		switch ev.Kind {
 		case FaultLinkOutage:
-			if d.cl.link == nil {
+			if d.cl.Link == nil {
 				continue
 			}
-			d.cl.link.OutageWindow(ev.At, ev.At+ev.Dur)
+			d.cl.Link.OutageWindow(ev.At, ev.At+ev.Dur)
 			if end := ev.At + ev.Dur; end > d.cl.outageEnd {
 				d.cl.outageEnd = end
 			}
@@ -221,19 +221,19 @@ func (d *driver) installWindows(sched Schedule) {
 		case FaultSlowDisk:
 			switch ev.Target {
 			case TargetPrimary:
-				d.cl.sys.Array().SetStraggler(ev.Dev, ev.At, ev.At+ev.Dur, ev.Factor)
+				d.cl.Sys.Array().SetStraggler(ev.Dev, ev.At, ev.At+ev.Dur, ev.Factor)
 			case TargetFollower:
-				if d.cl.folSys == nil {
+				if d.cl.FolSys == nil {
 					continue
 				}
-				d.cl.folSys.Array().SetStraggler(ev.Dev, ev.At, ev.At+ev.Dur, ev.Factor)
+				d.cl.FolSys.Array().SetStraggler(ev.Dev, ev.At, ev.At+ev.Dur, ev.Factor)
 			default:
 				d.res.fail("slowdisk event targets %q: no device there", ev.Target)
 				continue
 			}
 			d.res.FaultsFired++
 		default:
-			if ev.Kind == FaultFollowerCrash && d.cl.fol == nil {
+			if ev.Kind == FaultFollowerCrash && d.cl.Fol == nil {
 				continue
 			}
 			d.pending = append(d.pending, ev)
@@ -249,7 +249,7 @@ func (d *driver) seedPhase() {
 	found := 0
 	for i := 0; i < 1<<16 && found < d.cfg.Shards; i++ {
 		k := fmt.Sprintf("probe%05d", i)
-		if sh := d.cl.svc.ShardOf("t", k); d.probes[sh] == "" {
+		if sh := d.cl.Svc.ShardOf("t", k); d.probes[sh] == "" {
 			d.probes[sh] = k
 			found++
 		}
@@ -301,34 +301,43 @@ func (d *driver) runLoop(sched Schedule) {
 func (d *driver) fire(ev Event) {
 	switch ev.Kind {
 	case FaultPowerCut:
+		cutAt := d.cl.CutPower(ev.At, d.cl.rng(0x1))
 		if d.cl.topo == TopoReplica {
-			if err := d.cl.failover(ev, d.res); err != nil {
+			if err := d.cl.Failover(cutAt, d.cl.outageEnd); err != nil {
 				d.res.fail("failover: %v", err)
 				return
+			}
+			d.cl.checkRecovery("promotion recovery", d.res)
+			for _, rec := range d.cl.Svc.Recovery() {
+				if rec.Era == 0 {
+					d.res.fail("promotion recovery: shard %d did not bump the replication era", rec.Shard)
+				}
 			}
 			// The promoted follower holds every confirmed write;
 			// only unconfirmed (ErrLinkDown) suffixes are ambiguous.
 			d.md.failover()
 			return
 		}
-		if err := d.cl.svc.Close(); err != nil {
-			d.res.fail("powercut close: %v", err)
-		}
-		cutAt := d.cl.cutPrimary(ev.At, 0x1)
 		d.markTearUncertain()
-		if err := d.cl.recoverPrimary(cutAt, d.res); err != nil {
+		if err := d.cl.Recover(cutAt); err != nil {
 			d.res.fail("powercut: %v", err)
+			return
 		}
+		d.cl.checkRecovery("primary power-cut recovery", d.res)
 	case FaultFollowerCrash:
-		if err := d.cl.crashFollower(d.res); err != nil {
+		if err := d.cl.RestartFollower(d.cl.rng(0x2)); err != nil {
 			d.res.fail("folcrash: %v", err)
+			return
 		}
+		d.cl.recoveries++
+		d.cl.checkFollowerBehind(d.res)
 	case FaultDrain:
 		if d.cl.topo == TopoNet {
 			d.fireDrainNet()
 		} else {
 			d.fireDrain()
 		}
+		d.reopen()
 	default:
 		d.res.fail("unhandled point fault %q", ev.Kind)
 	}
@@ -362,74 +371,84 @@ func (d *driver) apply(op shard.Op) {
 			d.res.fail("%s", v)
 		}
 	case shard.OpPut:
-		switch {
-		case r.Err == nil:
-			d.md.confirmedWrite(key, op.Value, true)
-			d.noteWrite(key)
-		case errors.Is(r.Err, replica.ErrLinkDown):
-			d.res.LinkDown++
-			d.md.unconfirmedWrite(key, op.Value, true)
-			d.noteWrite(key)
-		default:
-			d.res.fail("put %q: unsanctioned error %v", key, r.Err)
-		}
+		d.noteOutcome("put", key, op.Value, true, r.Err)
 	case shard.OpAdd:
-		switch {
-		case r.Err == nil:
+		if r.Err == nil || errors.Is(r.Err, replica.ErrLinkDown) {
+			// An ErrLinkDown response still carries the primary's
+			// applied value.
 			if v := d.md.checkAdd(key, op.Value, r.Value); v != "" {
 				d.res.fail("%s", v)
 			}
-			d.md.confirmedWrite(key, r.Value, true)
-			d.noteWrite(key)
-		case errors.Is(r.Err, replica.ErrLinkDown):
-			// The response still carries the primary's applied value.
-			d.res.LinkDown++
-			if v := d.md.checkAdd(key, op.Value, r.Value); v != "" {
-				d.res.fail("%s", v)
-			}
-			d.md.unconfirmedWrite(key, r.Value, true)
-			d.noteWrite(key)
-		default:
-			d.res.fail("add %q: unsanctioned error %v", key, r.Err)
 		}
+		d.noteOutcome("add", key, r.Value, true, r.Err)
 	case shard.OpDelete:
-		switch {
-		case r.Err == nil:
-			if cur, exact := d.md.current(key); exact && r.Found != cur.present {
-				d.res.fail("delete %q: found=%v, model says present=%v", key, r.Found, cur.present)
-			}
-			d.md.confirmedWrite(key, 0, false)
-			d.noteWrite(key)
-		case errors.Is(r.Err, replica.ErrLinkDown):
-			d.res.LinkDown++
-			d.md.unconfirmedWrite(key, 0, false)
-			d.noteWrite(key)
-		default:
-			d.res.fail("delete %q: unsanctioned error %v", key, r.Err)
+		if cur, exact := d.md.current(key); r.Err == nil && exact && r.Found != cur.present {
+			d.res.fail("delete %q: found=%v, model says present=%v", key, r.Found, cur.present)
 		}
+		d.noteOutcome("delete", key, 0, false, r.Err)
 	default:
 		d.res.fail("workload produced unsupported op kind %v", op.Kind)
 	}
 }
 
-func (d *driver) noteWrite(key string) {
-	d.lastKeyByShard[d.cl.svc.ShardOf("t", key)] = key
+// noteOutcome shadows a write's outcome in the model: confirmed, or
+// durable locally with replication unconfirmed (ErrLinkDown); any other
+// error is a violation. val and present are the key's state after the
+// write.
+func (d *driver) noteOutcome(what, key string, val uint64, present bool, err error) {
+	switch {
+	case err == nil:
+		d.md.confirmedWrite(key, val, present)
+	case errors.Is(err, replica.ErrLinkDown):
+		d.res.LinkDown++
+		d.md.unconfirmedWrite(key, val, present)
+	default:
+		d.res.fail("%s %q: unsanctioned error %v", what, key, err)
+		return
+	}
+	d.lastKeyByShard[d.cl.Svc.ShardOf("t", key)] = key
 }
 
 // fireDrain pipelines a burst of tagged writes into the service and
 // closes it while they are still queued, asserting the drain
 // contract: every admitted request receives exactly one real-outcome
-// response. The service then reopens over the same store.
+// response.
+//
+// The burst is queued while every shard worker is parked, so how it
+// splits into group commits — which the manifest's commit counter,
+// and so the cell digest, records — does not depend on how fast a
+// worker wakes. Each worker parks on a write whose response channel
+// has no buffer: once that write's group commit has retired, the
+// worker is stuck handing back its response and dequeues nothing until
+// the driver takes it, after the whole burst is queued.
 func (d *driver) fireDrain() {
 	const burst = 24
 	d.drainRound++
+	// The parking write overwrites the shard's probe key, so it cannot
+	// fail to apply and always commits.
+	parked := make([]chan shard.Response, len(d.probes))
+	vals := make([]uint64, len(d.probes))
+	for sh, probe := range d.probes {
+		base := d.cl.Svc.Stats()[sh].Commits
+		d.settleSeq++
+		vals[sh] = d.settleSeq
+		ch := make(chan shard.Response)
+		if err := d.cl.Svc.DoTagged(shard.Op{Kind: shard.OpPut, Tenant: "t", Key: probe, Value: vals[sh]}, 0, ch); err != nil {
+			d.res.fail("drain park %d: %v", sh, err)
+			continue
+		}
+		parked[sh] = ch
+		for st := d.cl.Svc.Stats()[sh]; st.Commits == base || st.CommitHist.Count != st.Commits; st = d.cl.Svc.Stats()[sh] {
+			runtime.Gosched()
+		}
+	}
 	resp := make(chan shard.Response, burst)
 	keys := make([]string, burst)
 	admitted := 0
 	for i := 0; i < burst; i++ {
 		keys[i] = fmt.Sprintf("drain%d-%02d", d.drainRound, i)
 		op := shard.Op{Kind: shard.OpPut, Tenant: "t", Key: keys[i], Value: uint64(7000 + i)}
-		if err := d.cl.svc.DoTagged(op, uint64(i+1), resp); err != nil {
+		if err := d.cl.Svc.DoTagged(op, uint64(i+1), resp); err != nil {
 			d.res.fail("drain burst admit %d: %v", i, err)
 			continue
 		}
@@ -437,7 +456,17 @@ func (d *driver) fireDrain() {
 		d.res.Admitted++
 		admitted++
 	}
-	if err := d.cl.svc.Close(); err != nil {
+	for sh, ch := range parked {
+		if ch == nil {
+			continue
+		}
+		r := <-ch
+		d.res.Ops++
+		d.res.Admitted++
+		d.res.Responses++
+		d.noteOutcome("drain park put", d.probes[sh], vals[sh], true, r.Err)
+	}
+	if err := d.cl.Svc.Close(); err != nil {
 		d.res.fail("drain close: %v", err)
 	}
 	seen := make(map[uint64]bool, admitted)
@@ -450,45 +479,21 @@ func (d *driver) fireDrain() {
 				continue
 			}
 			seen[r.Tag] = true
-			key := keys[r.Tag-1]
-			switch {
-			case r.Err == nil:
-				d.md.confirmedWrite(key, uint64(7000+int(r.Tag)-1), true)
-				d.noteWrite(key)
-			case errors.Is(r.Err, replica.ErrLinkDown):
-				d.res.LinkDown++
-				d.md.unconfirmedWrite(key, uint64(7000+int(r.Tag)-1), true)
-				d.noteWrite(key)
-			case errors.Is(r.Err, shard.ErrClosed):
+			if errors.Is(r.Err, shard.ErrClosed) {
 				d.res.fail("drain: admitted request %d answered ErrClosed — drain ordering broken", r.Tag)
-			default:
-				d.res.fail("drain: request %d unsanctioned error %v", r.Tag, r.Err)
+				continue
 			}
+			d.noteOutcome("drain put", keys[r.Tag-1], uint64(7000+int(r.Tag)-1), true, r.Err)
 		default:
 			d.res.fail("drain: %d of %d admitted requests never answered", admitted-i, admitted)
 			i = admitted
 		}
 	}
-	// Reopen over the same store and settle each shard.
-	svc2, err := shard.New(d.cl.sys, d.cl.shardConfig(d.cl.svc.EndTime()))
-	if err != nil {
-		d.res.fail("post-drain reopen: %v", err)
-		return
-	}
-	checkRecovery(svc2, "post-drain reopen", d.res)
-	if d.cl.ship != nil {
-		d.cl.ship.Attach(svc2)
-	}
-	d.cl.svc = svc2
-	d.cl.recoveries++
-	d.settle()
 }
 
 // fireDrainNet is the drain fault on the TCP topology: concurrent
 // pipelined requests race the server's graceful close; afterwards the
-// server must have answered exactly what it admitted. The shard
-// service itself stays open; a fresh server and client replace the
-// drained ones.
+// server must have answered exactly what it admitted.
 func (d *driver) fireDrainNet() {
 	const workers, perWorker = 4, 6
 	d.drainRound++
@@ -517,7 +522,7 @@ func (d *driver) fireDrainNet() {
 			}
 		}(w)
 	}
-	if err := d.cl.srv.Close(); err != nil {
+	if err := d.cl.Srv.Close(); err != nil {
 		d.res.fail("net drain: server close: %v", err)
 	}
 	wg.Wait()
@@ -532,33 +537,35 @@ func (d *driver) fireDrainNet() {
 			d.res.Ops++
 			d.res.Admitted++
 			d.res.Responses++
-			d.md.confirmedWrite(o.key, o.val, true)
-			d.noteWrite(o.key)
+			d.noteOutcome("net drain put", o.key, o.val, true, nil)
 		default:
 			d.res.fail("net drain: put %q answered status %v", o.key, o.resp.Status)
 		}
 	}
 	// Admitted ⇒ answered, on the server's own ledger.
-	st := d.cl.srv.Stats()
+	st := d.cl.Srv.Stats()
 	if st.Requests != st.Responses {
 		d.res.fail("net drain: server admitted %d requests but answered %d", st.Requests, st.Responses)
 	}
 	if st.InFlight != 0 {
 		d.res.fail("net drain: %d requests still in flight after close", st.InFlight)
 	}
-	d.cl.cli.Close()
-	srv2, err := netsvc.Serve("127.0.0.1:0", d.cl.svc, netsvc.Config{})
-	if err != nil {
-		d.res.fail("net drain: reopen server: %v", err)
+	d.cl.closeClient()
+}
+
+// reopen brings the drained service (and TCP front) back up over the
+// same store, redials the net topology's client and settles each
+// shard.
+func (d *driver) reopen() {
+	if err := d.cl.Reopen(); err != nil {
+		d.res.fail("post-drain reopen: %v", err)
 		return
 	}
-	cli2, err := netsvc.Dial(srv2.Addr(), 8)
-	if err != nil {
-		d.res.fail("net drain: redial: %v", err)
-		srv2.Close()
+	d.cl.checkRecovery("post-drain reopen", d.res)
+	if err := d.cl.dial(); err != nil {
+		d.res.fail("post-drain redial: %v", err)
 		return
 	}
-	d.cl.srv, d.cl.cli = srv2, cli2
 	d.settle()
 }
 
@@ -569,7 +576,7 @@ func (d *driver) endPhase() {
 	if d.cl.topo == TopoReplica {
 		d.cl.checkConverged(d.res)
 	}
-	if digests, err := d.cl.svc.ShardDigests(); err != nil {
+	if digests, err := d.cl.Svc.ShardDigests(); err != nil {
 		d.res.fail("final digests: %v", err)
 	} else {
 		for _, dg := range digests {
@@ -584,39 +591,17 @@ func (d *driver) endPhase() {
 // window, recover through the manifest, and verify every key the cell
 // ever wrote against the model's surviving-state sets.
 func (d *driver) finalAudit() {
-	cl := d.cl
-	if cl.cli != nil {
-		cl.cli.Close()
-		cl.cli = nil
-	}
-	if cl.srv != nil {
-		cl.srv.Close()
-		cl.srv = nil
-	}
-	if err := cl.svc.Close(); err != nil {
-		d.res.fail("final audit: close: %v", err)
-	}
-	cutAt := cl.cutPrimary(cl.now(), 0x3)
-	if cl.ship != nil {
-		cl.ship.Close()
-		cl.ship = nil
-	}
+	d.cl.closeClient()
+	cutAt := d.cl.CutPower(d.cl.now(), d.cl.rng(0x3))
 	d.markTearUncertain()
-	sys2, doneAt, err := cl.reboot(cl.sys.Array(), cutAt)
-	if err != nil {
-		d.res.fail("final audit: recover: %v", err)
+	if err := d.cl.Recover(cutAt); err != nil {
+		d.res.fail("final audit: %v", err)
 		return
 	}
-	svc2, err := shard.New(sys2, cl.shardConfig(doneAt))
-	if err != nil {
-		d.res.fail("final audit: reopen: %v", err)
-		return
-	}
-	cl.recoveries++
-	checkRecovery(svc2, "final cut-power audit", d.res)
+	d.cl.checkRecovery("final cut-power audit", d.res)
 	bad := 0
 	for _, k := range d.md.sortedKeys() {
-		r := svc2.Do(shard.Op{Kind: shard.OpGet, Tenant: "t", Key: k})
+		r := d.cl.Svc.Do(shard.Op{Kind: shard.OpGet, Tenant: "t", Key: k})
 		if r.Err != nil {
 			d.res.fail("final audit: get %q: %v", k, r.Err)
 			bad++
@@ -629,6 +614,4 @@ func (d *driver) finalAudit() {
 			break
 		}
 	}
-	svc2.Close()
-	cl.sys, cl.svc = sys2, svc2
 }

@@ -32,9 +32,11 @@ const (
 	// FaultDrain submits a pipelined burst of tagged writes and closes
 	// the service while they are still queued, asserting the drain
 	// contract: every admitted request gets exactly one real-outcome
-	// response, never ErrClosed. The service is then reopened over the
-	// same store and the workload continues. On the net topology the
-	// burst goes over TCP and the server is closed mid-flight instead.
+	// response, never ErrClosed. The burst is queued while every shard
+	// worker is parked, so it splits into group commits the same way
+	// every run. The service is then reopened over the same store and
+	// the workload continues. On the net topology the burst goes over
+	// TCP and the server is closed mid-flight instead.
 	FaultDrain FaultKind = "drain"
 )
 

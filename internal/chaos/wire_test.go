@@ -22,31 +22,31 @@ func TestSubPageWireReduction(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cl, err := buildCluster(Cell{Seed: 1, Topology: TopoReplica}, 2, 1<<18)
+		rg, err := buildRig(Cell{Seed: 1, Topology: TopoReplica}, 2, 1<<18)
 		if err != nil {
 			t.Fatal(err)
 		}
 		var base []int64
 		for i := 0; i < warmup+ops; i++ {
 			if i == warmup {
-				for _, st := range cl.ship.Stats() {
+				for _, st := range rg.Ship.Stats() {
 					base = append(base, st.WireBytes, st.DiffSavedBytes)
 				}
 			}
 			op := src.Next()
-			if r := cl.do(op); r.Err != nil {
+			if r := rg.do(op); r.Err != nil {
 				t.Fatalf("%s op %d (%v %q): %v", tc.workload, i, op.Kind, op.Key, r.Err)
 			}
 		}
 		var res CellResult
-		cl.checkConverged(&res)
-		cl.teardown()
+		rg.checkConverged(&res)
+		rg.teardown()
 		for _, v := range res.Violations {
 			t.Errorf("%s: %s", tc.workload, v)
 		}
 
 		var wire, saved int64
-		for sh, st := range cl.ship.Stats() {
+		for sh, st := range rg.Ship.Stats() {
 			wire += st.WireBytes - base[2*sh]
 			saved += st.DiffSavedBytes - base[2*sh+1]
 		}

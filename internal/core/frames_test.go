@@ -5,6 +5,69 @@ import (
 	"testing"
 )
 
+// TestOverlappingCheckpointsKeepCOW has two processes of a shared
+// region persist the same page asynchronously, so two uCheckpoints hold
+// it at once. After the first retires, a third process writes the page:
+// the write must still take the in-flight COW path, because the second
+// uCheckpoint's IO reads the frame it pinned and that frame must keep
+// its pre-write image until the second one retires too.
+func TestOverlappingCheckpointsKeepCOW(t *testing.T) {
+	const off = 3 * PageSize
+	sys := newSys(t)
+	ctxA := sys.NewProcess().NewContext(0)
+	rA, err := ctxA.proc.Open(ctxA, "data", 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctxB := sys.NewProcess().NewContext(1)
+	rB, err := ctxB.proc.OpenShared(ctxB, rA)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctxC := sys.NewProcess().NewContext(2)
+	rC, err := ctxC.proc.OpenShared(ctxC, rA)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var word [8]byte
+	put := func(ctx *Context, r *Region, v uint64) {
+		binary.LittleEndian.PutUint64(word[:], v)
+		ctx.WriteAt(r, off, word[:])
+	}
+	put(ctxA, rA, 1)
+	put(ctxB, rB, 2) // same frame: both processes now track the page
+	ctxC.ReadAt(rC, off, word[:])
+
+	epochA, err := ctxA.Persist(rA, MSAsync)
+	if err != nil {
+		t.Fatal(err)
+	}
+	epochB, err := ctxB.Persist(rB, MSAsync)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The second uCheckpoint's IO reads these bytes: its snapshot
+	// aliases the frame it holds.
+	snap := ctxB.snaps
+	if len(snap) != 1 {
+		t.Fatalf("second uCheckpoint snapshots %d pages, want 1", len(snap))
+	}
+	ctxA.Wait(rA, epochA) // the first uCheckpoint retires
+
+	put(ctxC, rC, 3)
+	if got := ctxC.proc.as.Stats().COWFaults; got != 1 {
+		t.Errorf("third writer took %d COW faults, want 1: the first retire released the second uCheckpoint's page", got)
+	}
+	if got := binary.LittleEndian.Uint64(snap[0][off%PageSize:]); got != 2 {
+		t.Fatalf("second uCheckpoint's frame reads %d after the third write, want its pre-write image 2", got)
+	}
+	ctxB.Wait(rB, epochB)
+	ctxC.ReadAt(rC, off, word[:])
+	if got := binary.LittleEndian.Uint64(word[:]); got != 3 {
+		t.Fatalf("third writer reads back %d, want 3", got)
+	}
+}
+
 // TestCOWFrameReturnedOnRetire runs the shard worker's cycle — write,
 // Persist(MSAsync), write the same page again while the uCheckpoint is
 // in flight (an in-flight COW), Wait — ten thousand times and holds

@@ -10,9 +10,9 @@ import (
 )
 
 // TestPersistErrorPathReleasesHold is the regression test for the
-// checkpoint-in-progress leak: when Persist fails because a dirty page
-// belongs to a mapping that is not a region, the hold taken by
-// MarkCheckpointPages must be released (flags cleared, buffer
+// checkpoint hold leak: when Persist fails because a dirty page belongs
+// to a mapping that is not a region, the hold taken by
+// MarkCheckpointPages must be released (holds dropped, buffer
 // recycled), not abandoned.
 func TestPersistErrorPathReleasesHold(t *testing.T) {
 	sys := newSys(t)

@@ -80,9 +80,9 @@ type pendingCheckpoint struct {
 	region *Region
 	epoch  objstore.Epoch
 	done   time.Duration
-	// hold carries the checkpoint-in-progress pages for the checkpoint
-	// that completes last in its Persist call; nil elsewhere. Released
-	// (flags cleared, buffer recycled) when the checkpoint is durable.
+	// hold carries the pages the checkpoint that completes last in its
+	// Persist call holds; nil elsewhere. Released (holds dropped, buffer
+	// recycled) when the checkpoint is durable.
 	hold []*mem.Page
 }
 
@@ -119,8 +119,8 @@ func (ctx *Context) acquireHold() []*mem.Page {
 	return nil
 }
 
-// releaseHold retires the checkpoint's pages (in-progress flags
-// cleared, frames displaced by an in-flight COW freed) and recycles
+// releaseHold retires the checkpoint's pages (holds dropped, frames an
+// in-flight COW displaced and nothing else holds freed) and recycles
 // the buffer. Safe on nil.
 func (ctx *Context) releaseHold(pages []*mem.Page) {
 	if pages == nil {
@@ -309,7 +309,7 @@ func (ctx *Context) Persist(r *Region, flags Flags) (objstore.Epoch, error) {
 	}
 	sortRecordsByAddr(records)
 
-	// Phase 1 — reset tracking: mark pages checkpoint-in-progress,
+	// Phase 1 — reset tracking: add the checkpoint's hold to each page,
 	// write-protect them through the trace buffer, shoot down stale
 	// TLB entries.
 	resetStart := clk.Now()
@@ -365,8 +365,8 @@ func (ctx *Context) Persist(r *Region, flags Flags) (objstore.Epoch, error) {
 	ctx.rec.Span(obs.CatPersist, obs.NameInitiateWrites, ctx.recTrack, initStart, initDur, int64(len(records)))
 
 	// Phase 3 — commit each region's uCheckpoint. Different regions
-	// commit independently (per-object epochs). The in-progress flags
-	// cover pages across all committed regions, so the hold attaches
+	// commit independently (per-object epochs). The holds cover pages
+	// across all committed regions, so the hold attaches
 	// to the checkpoint that completes last (attachIdx).
 	submitAt := clk.Now()
 	var lastEpoch objstore.Epoch
@@ -396,7 +396,7 @@ func (ctx *Context) Persist(r *Region, flags Flags) (objstore.Epoch, error) {
 	}
 
 	// Capture the delta while the snapshot aliases are still pinned by
-	// the in-progress flags: one copy into a pooled page per dirty page,
+	// the checkpoint's holds: one copy into a pooled page per dirty page,
 	// so the captured data stays valid after the checkpoint releases
 	// (until the holder Releases the commit).
 	if ctx.capture {
@@ -449,8 +449,8 @@ func (ctx *Context) Persist(r *Region, flags Flags) (objstore.Epoch, error) {
 		return lastEpoch, nil
 	}
 
-	// Synchronous: wait for durability and release the in-progress
-	// flags.
+	// Synchronous: wait for durability and drop the checkpoint's
+	// holds.
 	clk.AdvanceTo(lastDone)
 	breakdown.WaitIO = clk.Now() - submitAt
 	breakdown.Total = clk.Now() - start
@@ -471,8 +471,8 @@ func (p *Process) regionByMapping(m *vm.Mapping) *Region {
 	return p.byMapping[m]
 }
 
-// sweepCompleted releases checkpoint-in-progress flags for pending
-// checkpoints that are durable by now.
+// sweepCompleted drops the page holds of pending checkpoints that are
+// durable by now.
 func (ctx *Context) sweepCompleted() {
 	now := ctx.th.Clock().Now()
 	kept := ctx.pending[:0]

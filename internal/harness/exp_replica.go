@@ -2,9 +2,9 @@ package harness
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
+	"memsnap/internal/cluster"
 	"memsnap/internal/core"
 	"memsnap/internal/replica"
 	"memsnap/internal/shard"
@@ -45,75 +45,20 @@ func Replica(opts Options) (*Result, error) {
 // group commit over a clean link to a follower on its own array.
 func replicaRun(mode replica.Mode, window int, opts Options) ([]string, error) {
 	const shards = 4
-	sysA, err := core.NewSystem(core.Options{CPUs: shards, DiskBytesEach: 512 << 20})
+	cl, err := cluster.New(cluster.Config{
+		Machine: core.Options{CPUs: shards, DiskBytesEach: 512 << 20},
+		Shard:   shard.Config{Shards: shards, BatchSize: 8},
+		Replica: &replica.Config{Mode: mode, Window: window},
+		Link:    replica.LinkConfig{Seed: opts.Seed},
+	})
 	if err != nil {
 		return nil, err
 	}
-	sysB, err := core.NewSystem(core.Options{CPUs: shards, DiskBytesEach: 512 << 20})
-	if err != nil {
+	defer cl.Close()
+	svc, ship := cl.Svc, cl.Ship
+	clients, opsPer := 2*shards, opts.scaled(200)
+	if err := windowedClients(svc, clients, 8, opsPer, 4, 256); err != nil {
 		return nil, err
-	}
-	fol, err := replica.NewFollower(sysB, replica.FollowerConfig{Shards: shards})
-	if err != nil {
-		return nil, err
-	}
-	link := replica.NewLink(replica.LinkConfig{Seed: opts.Seed})
-	ship := replica.NewShipper(link, fol, shards, replica.Config{Mode: mode, Window: window})
-	svc, err := shard.New(sysA, shard.Config{Shards: shards, BatchSize: 8, Replicator: ship})
-	if err != nil {
-		return nil, err
-	}
-	ship.Attach(svc)
-
-	const clientWindow = 8
-	clients := 2 * shards
-	opsPer := opts.scaled(200)
-	var wg sync.WaitGroup
-	errs := make(chan error, clients)
-	for c := 0; c < clients; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			tenant := fmt.Sprintf("t%02d", c%4)
-			pending := make([]<-chan shard.Response, 0, clientWindow)
-			drain := func(keep int) error {
-				for len(pending) > keep {
-					resp := <-pending[0]
-					pending = pending[1:]
-					if resp.Err != nil {
-						return resp.Err
-					}
-				}
-				return nil
-			}
-			for i := 0; i < opsPer; i++ {
-				key := fmt.Sprintf("k-%04d", (c*7919+i*613)%256)
-				op := shard.Op{Kind: shard.OpAdd, Tenant: tenant, Key: key, Value: 1}
-				if i%4 == 3 {
-					op = shard.Op{Kind: shard.OpGet, Tenant: tenant, Key: key}
-				}
-				ch, err := svc.DoAsync(op)
-				if err != nil {
-					errs <- err
-					return
-				}
-				pending = append(pending, ch)
-				if err := drain(clientWindow - 1); err != nil {
-					errs <- err
-					return
-				}
-			}
-			if err := drain(0); err != nil {
-				errs <- err
-			}
-		}(c)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		if err != nil {
-			return nil, err
-		}
 	}
 
 	// Sample replication lag before flushing the pipeline: how far the
@@ -145,7 +90,7 @@ func replicaRun(mode replica.Mode, window int, opts Options) ([]string, error) {
 		wireBytes += rs.WireBytes
 		ackP99 = max(ackP99, rs.AckHist.P99())
 	}
-	if err := ship.Close(); err != nil {
+	if err := cl.Close(); err != nil {
 		return nil, err
 	}
 

@@ -50,16 +50,42 @@ func shardSvcRun(shards, batch int, opts Options) ([]string, error) {
 		return nil, err
 	}
 
-	const window = 16
-	clients := 4 * shards
-	opsPer := opts.scaled(300)
+	if err := windowedClients(svc, 4*shards, 16, opts.scaled(300), 8, 512); err != nil {
+		return nil, err
+	}
+
+	st := svc.TotalStats()
+	if err := svc.Close(); err != nil {
+		return nil, err
+	}
+	kops := 0.0
+	if st.Elapsed > 0 {
+		kops = float64(st.Ops) / st.Elapsed.Seconds() / 1000
+	}
+	return []string{
+		fmt.Sprintf("%d", shards),
+		fmt.Sprintf("%d", batch),
+		fmt.Sprintf("%.1f", kops),
+		fmt.Sprintf("%.1f", st.BatchOccupancy),
+		us(st.CommitHist.P50()),
+		us(st.CommitHist.P99()),
+		fmt.Sprintf("%d", st.Commits),
+	}, nil
+}
+
+// windowedClients drives clients goroutines against svc, each keeping a
+// window of asynchronous requests outstanding over opsPer ops: three
+// Adds to every Get, on a deterministic key walk over keys keys per
+// tenant (no RNG, so runs are reproducible bit-for-bit), the clients
+// spread round-robin over tenants tenants. It returns the first error.
+func windowedClients(svc *shard.Service, clients, window, opsPer, tenants, keys int) error {
 	var wg sync.WaitGroup
 	errs := make(chan error, clients)
 	for c := 0; c < clients; c++ {
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
-			tenant := fmt.Sprintf("t%02d", c%8)
+			tenant := fmt.Sprintf("t%02d", c%tenants)
 			pending := make([]<-chan shard.Response, 0, window)
 			drain := func(keep int) error {
 				for len(pending) > keep {
@@ -72,9 +98,7 @@ func shardSvcRun(shards, batch int, opts Options) ([]string, error) {
 				return nil
 			}
 			for i := 0; i < opsPer; i++ {
-				// Deterministic key walk over a 512-key working set per
-				// tenant; no RNG so runs are reproducible bit-for-bit.
-				key := fmt.Sprintf("k-%04d", (c*7919+i*613)%512)
+				key := fmt.Sprintf("k-%04d", (c*7919+i*613)%keys)
 				op := shard.Op{Kind: shard.OpAdd, Tenant: tenant, Key: key, Value: 1}
 				if i%4 == 3 {
 					op = shard.Op{Kind: shard.OpGet, Tenant: tenant, Key: key}
@@ -97,27 +121,5 @@ func shardSvcRun(shards, batch int, opts Options) ([]string, error) {
 	}
 	wg.Wait()
 	close(errs)
-	for err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-
-	st := svc.TotalStats()
-	if err := svc.Close(); err != nil {
-		return nil, err
-	}
-	kops := 0.0
-	if st.Elapsed > 0 {
-		kops = float64(st.Ops) / st.Elapsed.Seconds() / 1000
-	}
-	return []string{
-		fmt.Sprintf("%d", shards),
-		fmt.Sprintf("%d", batch),
-		fmt.Sprintf("%.1f", kops),
-		fmt.Sprintf("%.1f", st.BatchOccupancy),
-		us(st.CommitHist.P50()),
-		us(st.CommitHist.P99()),
-		fmt.Sprintf("%d", st.Commits),
-	}, nil
+	return <-errs
 }

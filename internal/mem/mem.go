@@ -2,8 +2,8 @@
 // metadata (the analogue of FreeBSD's vm_page), a frame allocator, and
 // physical-to-virtual reverse mappings.
 //
-// MemSnap's kernel implementation tags physical pages with a
-// "checkpoint in progress" flag and walks a page's physical-to-virtual
+// MemSnap's kernel implementation marks physical pages that an
+// in-flight checkpoint holds and walks a page's physical-to-virtual
 // mappings to reset PTE protections in every address space that maps
 // it. Both mechanisms live here.
 package mem
@@ -27,15 +27,9 @@ const (
 // PageFlags is a bitfield of per-page state.
 type PageFlags uint32
 
-const (
-	// FlagCheckpointInProgress marks a page that belongs to an
-	// in-flight uCheckpoint. Writes to such a page must take the COW
-	// path instead of modifying the original frame.
-	FlagCheckpointInProgress PageFlags = 1 << iota
-	// FlagTracked marks a page currently present in some thread's
-	// dirty set (written since the last protection reset).
-	FlagTracked
-)
+// FlagTracked marks a page currently present in some thread's dirty
+// set (written since the last protection reset).
+const FlagTracked PageFlags = 1
 
 // Frame identifies a physical frame.
 type Frame uint32
@@ -61,6 +55,12 @@ type Page struct {
 	frame Frame
 	data  []byte
 	flags atomic.Uint32
+	// holds counts the in-flight uCheckpoints whose IO reads this
+	// frame. Writes to a held page must take the COW path instead of
+	// modifying the frame. A count, not a flag: two processes of a
+	// shared region can each have a uCheckpoint of the page in flight,
+	// and the first to retire must not release the second's.
+	holds atomic.Int32
 
 	mu   sync.Mutex
 	rmap []ReverseMapping
@@ -103,6 +103,15 @@ func (p *Page) ClearFlag(f PageFlags) {
 func (p *Page) HasFlag(f PageFlags) bool {
 	return PageFlags(p.flags.Load())&f == f
 }
+
+// Hold adds one in-flight uCheckpoint hold.
+func (p *Page) Hold() { p.holds.Add(1) }
+
+// Unhold drops one hold taken by Hold.
+func (p *Page) Unhold() { p.holds.Add(-1) }
+
+// Held reports whether any in-flight uCheckpoint holds the page.
+func (p *Page) Held() bool { return p.holds.Load() > 0 }
 
 // AddMapping records a reverse mapping for this page.
 func (p *Page) AddMapping(m ReverseMapping) {

@@ -69,23 +69,36 @@ func TestPageLookup(t *testing.T) {
 func TestFlags(t *testing.T) {
 	m := newTestMem()
 	pg := m.Alloc(nil)
-	if pg.HasFlag(FlagCheckpointInProgress) {
+	if pg.HasFlag(FlagTracked) {
 		t.Fatal("fresh page has flag set")
 	}
-	pg.SetFlag(FlagCheckpointInProgress)
-	if !pg.HasFlag(FlagCheckpointInProgress) {
+	pg.SetFlag(FlagTracked)
+	if !pg.HasFlag(FlagTracked) {
 		t.Fatal("SetFlag did not stick")
 	}
-	pg.SetFlag(FlagTracked)
-	if !pg.HasFlag(FlagCheckpointInProgress | FlagTracked) {
-		t.Fatal("combined flags not set")
-	}
-	pg.ClearFlag(FlagCheckpointInProgress)
-	if pg.HasFlag(FlagCheckpointInProgress) {
+	pg.ClearFlag(FlagTracked)
+	if pg.HasFlag(FlagTracked) {
 		t.Fatal("ClearFlag did not clear")
 	}
-	if !pg.HasFlag(FlagTracked) {
-		t.Fatal("ClearFlag cleared unrelated flag")
+}
+
+// TestHolds pins the hold count: a page stays held until every Hold is
+// matched by an Unhold.
+func TestHolds(t *testing.T) {
+	m := newTestMem()
+	pg := m.Alloc(nil)
+	if pg.Held() {
+		t.Fatal("fresh page is held")
+	}
+	pg.Hold()
+	pg.Hold()
+	pg.Unhold()
+	if !pg.Held() {
+		t.Fatal("one of two holds released the page")
+	}
+	pg.Unhold()
+	if pg.Held() {
+		t.Fatal("page still held after every hold was dropped")
 	}
 }
 

@@ -124,56 +124,47 @@ func (as *AddressSpace) ResetProtectionsScan(clk *sim.Clock, m *Mapping) []uint6
 	return vpns
 }
 
-// MarkCheckpointInProgress sets the in-progress flag on every record's
-// page. Call this BEFORE resetting protections: a writer that faults
-// while the flush is being prepared must already observe the flag and
-// take the COW path. The returned release function retires the pages
-// (RetireCheckpointPages); call it when the IO completes.
-func (as *AddressSpace) MarkCheckpointInProgress(records []DirtyRecord) (release func()) {
-	pages := as.MarkCheckpointPages(records, nil)
-	return func() { as.RetireCheckpointPages(pages) }
-}
-
-// MarkCheckpointPages is the allocation-free form of
-// MarkCheckpointInProgress: it sets the in-progress flag on every
-// record's page and appends the pages to buf. The caller retires them
+// MarkCheckpointPages adds one uCheckpoint hold to every record's page
+// and appends the pages to buf. Call it BEFORE resetting protections: a
+// writer that faults while the flush is being prepared must already
+// observe the hold and take the COW path. The caller retires the pages
 // with RetireCheckpointPages when the IO completes.
 func (as *AddressSpace) MarkCheckpointPages(records []DirtyRecord, buf []*mem.Page) []*mem.Page {
 	for _, rec := range records {
-		rec.Page.SetFlag(mem.FlagCheckpointInProgress)
+		rec.Page.Hold()
 		buf = append(buf, rec.Page)
 	}
 	return buf
 }
 
 // RetireCheckpointPages ends the uCheckpoint that marked pages: it
-// clears their in-progress flags and returns to the allocator every
-// frame a writer's in-flight COW displaced meanwhile. Until here the
-// displaced frame was the checkpoint's snapshot; nothing else refers
-// to it (the COW path repointed the PTE and shot the translation down
-// on every CPU).
+// drops its hold on each and returns to the allocator every frame a
+// writer's in-flight COW displaced meanwhile and nothing else holds.
+// Until here the displaced frame was the checkpoint's snapshot; no
+// mapping of this address space refers to it (the COW path repointed
+// the PTE and shot the translation down on every CPU).
 //
 //memsnap:hotpath
 func (as *AddressSpace) RetireCheckpointPages(pages []*mem.Page) {
 	for _, pg := range pages {
-		pg.ClearFlag(mem.FlagCheckpointInProgress)
+		pg.Unhold()
 		as.reclaim(pg)
 	}
 }
 
 // reclaim frees pg's frame if nothing refers to it: no mapping and no
-// uCheckpoint in progress. The COW path calls it after dropping the
-// last mapping and the retire step after clearing the flag, so the
-// frame is freed by whichever of the two comes last; when they race
-// both may get here, and PhysMem.Free frees once.
+// uCheckpoint hold. The COW path calls it after dropping the last
+// mapping and the retire step after dropping its hold, so the frame is
+// freed by whichever comes last; when they race both may get here, and
+// PhysMem.Free frees once.
 func (as *AddressSpace) reclaim(pg *mem.Page) {
-	if pg.RefCount() == 0 && !pg.HasFlag(mem.FlagCheckpointInProgress) {
+	if pg.RefCount() == 0 && !pg.Held() {
 		as.phys.Free(pg)
 	}
 }
 
 // SnapshotPages returns the frame bytes of each record's page. The
-// slices alias live frames; the in-progress flag guarantees stability
+// slices alias live frames; the uCheckpoint hold guarantees stability
 // because any concurrent writer duplicates the frame (unified COW)
 // rather than mutating it.
 func (as *AddressSpace) SnapshotPages(records []DirtyRecord) [][]byte {

@@ -165,7 +165,7 @@ func (t *Thread) translateLocked(addr uint64, write bool) *mem.Page {
 func (t *Thread) writeFaultLocked(m *Mapping, vpn uint64, pte *pagetable.PTE, pg *mem.Page) *mem.Page {
 	as := t.as
 
-	if pg.HasFlag(mem.FlagCheckpointInProgress) {
+	if pg.Held() {
 		// In-flight COW: duplicate the frame so the checkpoint keeps
 		// an atomic snapshot while the writer proceeds on the copy.
 		t.chargeFault(as.costs.COWFault)
@@ -186,7 +186,7 @@ func (t *Thread) writeFaultLocked(m *Mapping, vpn uint64, pte *pagetable.PTE, pg
 		// shootdown charge here would move the paper's tables.
 		as.tlbs.ShootdownPage(nil, vpn)
 		// The displaced page now belongs to the uCheckpoint(s) holding
-		// it in progress; see reclaim.
+		// it; see reclaim.
 		pg.RemoveMapping(as, vpn)
 		as.reclaim(pg)
 		pg = dup

@@ -13,8 +13,8 @@
 //   - tracking fault: first write to a clean tracked page. The page is
 //     appended to the faulting thread's trace buffer, the PTE is made
 //     writable, and execution continues. No copy.
-//   - in-flight COW fault: write to a page whose checkpoint-in-progress
-//     flag is set. The frame is duplicated, the PTE switched to the
+//   - in-flight COW fault: write to a page an in-flight checkpoint
+//     holds (mem.Page.Held). The frame is duplicated, the PTE switched to the
 //     copy, and the writer proceeds against the copy while the flush
 //     keeps reading the original.
 package vm

@@ -159,7 +159,7 @@ func TestInFlightCOW(t *testing.T) {
 	th.Write(0x100000, []byte("original"))
 	recs := th.TakeDirty(nil)
 
-	release := as.MarkCheckpointInProgress(recs)
+	hold := as.MarkCheckpointPages(recs, nil)
 	vpns := as.ResetProtectionsTrace(th.Clock(), recs)
 	as.TLBs().Invalidate(th.Clock(), vpns)
 	snaps := as.SnapshotPages(recs)
@@ -179,7 +179,7 @@ func TestInFlightCOW(t *testing.T) {
 	if string(buf) != "MUTATED!" {
 		t.Fatalf("writer lost its update: %q", buf)
 	}
-	release()
+	as.RetireCheckpointPages(hold)
 
 	// After release, writes to the (new) frame go down the cheap
 	// tracking path again.
@@ -425,7 +425,7 @@ func TestCOWInvalidatesRemoteTLB(t *testing.T) {
 
 	writer.Write(0x100000, []byte("original"))
 	recs := writer.TakeDirty(nil)
-	release := as.MarkCheckpointInProgress(recs)
+	hold := as.MarkCheckpointPages(recs, nil)
 	vpns := as.ResetProtectionsTrace(writer.Clock(), recs)
 	as.TLBs().Invalidate(writer.Clock(), vpns)
 
@@ -450,7 +450,7 @@ func TestCOWInvalidatesRemoteTLB(t *testing.T) {
 
 	// Retiring the checkpoint frees the displaced frame; whoever gets
 	// it next must not show through the reader's translation.
-	release()
+	as.RetireCheckpointPages(hold)
 	if free := as.Phys().Stats().FreeFrames; free != 1 {
 		t.Fatalf("free frames after retire = %d, want 1", free)
 	}
@@ -473,10 +473,10 @@ func TestCOWFrameReturnedPrivateMapping(t *testing.T) {
 	var after1 int
 	for round := 1; round <= 2000; round++ {
 		recs := th.TakeDirty(nil)
-		release := as.MarkCheckpointInProgress(recs)
+		hold := as.MarkCheckpointPages(recs, nil)
 		as.TLBs().Invalidate(nil, as.ResetProtectionsTrace(nil, recs))
 		th.Write(0x100000, []byte{byte(round)})
-		release()
+		as.RetireCheckpointPages(hold)
 		st := as.Phys().Stats()
 		if round == 1 {
 			after1 = st.TotalFrames

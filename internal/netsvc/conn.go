@@ -45,7 +45,10 @@ type slotInfo struct {
 
 // conn is one client connection: a reader goroutine that decodes
 // frames and submits tagged shard ops, and a writer goroutine that
-// completes them out of order as responses arrive.
+// completes them out of order as responses arrive. A get that finds its
+// shard idle runs on the reader inside TryDoTagged, and its response is
+// on out before the call returns; writes, and gets that find the shard
+// busy, are left to the shard workers.
 //
 // Flow control: slots (capacity MaxInFlight) bounds the in-flight
 // table. The reader blocks acquiring a slot when the table is full —
@@ -53,8 +56,8 @@ type slotInfo struct {
 // at most MaxInFlight requests are outstanding and every acquired slot
 // produces exactly one message on out (the shard contract: admission
 // means exactly one response; rejections are synthesized by the
-// reader), sends on out never block, so shard workers never stall on a
-// slow connection.
+// reader), sends on out never block, so neither shard workers nor the
+// reader answering a get stall on a slow connection.
 type conn struct {
 	srv *Server
 	c   net.Conn
@@ -103,10 +106,12 @@ func newConn(s *Server, nc net.Conn) *conn {
 	return c
 }
 
-// closeRead half-closes the connection for graceful drain: the reader
-// sees EOF and admits nothing new, while the write side stays open so
-// in-flight responses still reach the client.
+// closeRead half-closes the connection, for graceful drain and once
+// the writer has broken: the reader sees EOF and admits nothing new,
+// while the write side stays open so in-flight responses still reach
+// the client.
 func (c *conn) closeRead() {
+	//lint:allow hotalloc off the frame path: the writer calls it only once the connection is broken
 	c.closeReadOnce.Do(func() {
 		if tc, ok := c.c.(interface{ CloseRead() error }); ok {
 			tc.CloseRead()
@@ -220,8 +225,9 @@ func (c *conn) readLoop() {
 // completions are on the way from the shard workers, so it yields the
 // processor once and drains again before flushing; with nothing else
 // in flight it flushes at once. After a write error or timeout it
-// keeps draining (freeing slots and stats) but discards output, so
-// shard workers and the reader never wedge on a broken peer. It exits
+// half-closes the read side, so the reader hits EOF and admits nothing
+// new, and keeps draining (freeing slots and stats) but discards output,
+// so shard workers and the reader never wedge on a broken peer. It exits
 // when the reader is done and the in-flight table is empty, then
 // closes the connection.
 //
@@ -248,6 +254,11 @@ func (c *conn) writeLoop() {
 				if err := bw.Flush(); err != nil {
 					broken = true
 				}
+			}
+			if broken {
+				// Nobody will read what this connection answers: stop
+				// admitting its requests.
+				c.closeRead()
 			}
 		case <-done:
 			done = nil

@@ -53,7 +53,9 @@ func newTracedCluster(t *testing.T, rec *obs.Recorder) (*Server, *shard.Service)
 // sampled request produces spans that share one flow id across every
 // lane — client, netsvc, shard worker, shipper and follower — and
 // obs.WriteTrace renders them as one valid trace-event JSON document
-// whose flow events bind the lanes together.
+// whose flow events bind the lanes together. A sampled get, answered on
+// the connection's reader when its shard is idle, still stitches client
+// ↔ netsvc ↔ shard.
 func TestTraceStitchAcrossLanes(t *testing.T) {
 	rec := obs.NewRecorder(1 << 14)
 	srv, svc := newTracedCluster(t, rec)
@@ -88,20 +90,32 @@ func TestTraceStitchAcrossLanes(t *testing.T) {
 		}
 	}
 
+	putFlows := lanesOf(rec.Peek())
+	// Sequential gets find the shard idle and run on the connection's
+	// reader; each must still stitch client ↔ netsvc ↔ shard.
+	for i := 0; i < 8; i++ {
+		q := proto.Request{Kind: proto.KindGet, Tenant: []byte("acme"), Key: []byte(fmt.Sprintf("k%03d", i))}
+		if p, err := cl.Do(&q); err != nil || p.Status != proto.StatusOK || p.Value != uint64(i) {
+			t.Fatalf("get %d: %+v, %v", i, p, err)
+		}
+	}
+
 	evs := rec.Peek()
-	// lanesByFlow collects the set of lane labels each flow id touched.
-	lanesByFlow := map[uint64]map[string]bool{}
-	for _, ev := range evs {
-		if ev.Flow == 0 {
+	lanesByFlow := lanesOf(evs)
+	gets := 0
+	for flow, lanes := range lanesByFlow {
+		if putFlows[flow] != nil {
 			continue
 		}
-		lane, _ := obs.TrackName(ev.Track)
-		m := lanesByFlow[ev.Flow]
-		if m == nil {
-			m = map[string]bool{}
-			lanesByFlow[ev.Flow] = m
+		gets++
+		for _, lane := range []string{"client", "netsvc", "worker"} {
+			if !lanes[lane] {
+				t.Errorf("get flow %#x missed the %s lane: %v", flow, lane, lanes)
+			}
 		}
-		m[lane] = true
+	}
+	if gets != 8 {
+		t.Errorf("%d get flows, want 8", gets)
 	}
 	if len(lanesByFlow) == 0 {
 		t.Fatal("no flow-tagged events recorded")
@@ -176,6 +190,24 @@ func TestTraceStitchAcrossLanes(t *testing.T) {
 			}
 		}
 	}
+}
+
+// lanesOf collects the set of lane labels each flow id touched.
+func lanesOf(evs []obs.Event) map[uint64]map[string]bool {
+	lanesByFlow := map[uint64]map[string]bool{}
+	for _, ev := range evs {
+		if ev.Flow == 0 {
+			continue
+		}
+		lane, _ := obs.TrackName(ev.Track)
+		m := lanesByFlow[ev.Flow]
+		if m == nil {
+			m = map[string]bool{}
+			lanesByFlow[ev.Flow] = m
+		}
+		m[lane] = true
+	}
+	return lanesByFlow
 }
 
 // TestUntracedWireUnchanged pins that a client without tracing enabled

@@ -339,6 +339,108 @@ func TestDrainWithStalledPeer(t *testing.T) {
 	<-wrote
 }
 
+// failingListener hands the server connections whose every Write
+// fails, with a small receive buffer so what the peer has already sent
+// is read quickly. failed is closed at the first failed Write.
+type failingListener struct {
+	net.Listener
+	failed chan struct{}
+	once   *sync.Once
+}
+
+type failingConn struct {
+	*net.TCPConn
+	l failingListener
+}
+
+func (l failingListener) Accept() (net.Conn, error) {
+	nc, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	tc := nc.(*net.TCPConn)
+	if err := tc.SetReadBuffer(4 << 10); err != nil {
+		return nil, err
+	}
+	return failingConn{tc, l}, nil
+}
+
+func (c failingConn) Write(p []byte) (int, error) {
+	c.l.once.Do(func() { close(c.l.failed) })
+	return 0, errInjected
+}
+
+// TestBrokenWriterStopsReader: once a connection's writer has failed,
+// nobody reads its answers, so its reader must stop admitting the
+// peer's requests — reading and executing them is shard time burned for
+// nobody. A peer keeps pipelining gets into a connection whose every
+// Write fails: after the failure the server's request count must stop
+// growing, and Close must drain.
+func TestBrokenWriterStopsReader(t *testing.T) {
+	svc := newService(t, shard.Config{Shards: 2})
+	defer svc.Close()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fl := failingListener{Listener: ln, failed: make(chan struct{}), once: new(sync.Once)}
+	srv := serve(fl, svc, Config{MaxInFlight: 16})
+	nc, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	sent := make(chan struct{})
+	go func() {
+		defer close(sent)
+		var frames []byte
+		for id := uint64(1); ; {
+			frames = frames[:0]
+			for i := 0; i < 64; i, id = i+1, id+1 {
+				frames, _ = proto.AppendRequest(frames, &proto.Request{ID: id, Kind: proto.KindGet, Tenant: []byte("t"), Key: []byte("k")})
+			}
+			if _, err := nc.Write(frames); err != nil {
+				return // the server hung up, or the test closed nc
+			}
+		}
+	}()
+	select {
+	case <-fl.failed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the server never wrote a response")
+	}
+	// What the peer already sent may still be read; after that, nothing.
+	const window = 200 * time.Millisecond
+	prev := srv.Stats().Requests
+	for deadline := time.Now().Add(5 * time.Second); ; {
+		time.Sleep(window)
+		cur := srv.Stats().Requests
+		if cur == prev {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("the reader kept admitting requests after the writer failed: %d → %d in the last %v", prev, cur, window)
+		}
+		prev = cur
+	}
+	closed := make(chan error, 1)
+	go func() { closed <- srv.Close() }()
+	select {
+	case err := <-closed:
+		if err != nil {
+			t.Fatalf("Close: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Close still waiting after the writer failed")
+	}
+	if st := srv.Stats(); st.InFlight != 0 || st.Requests != st.Responses || st.OpenConns != 0 {
+		t.Fatalf("after drain: in-flight %d, requests %d, responses %d, open connections %d",
+			st.InFlight, st.Requests, st.Responses, st.OpenConns)
+	}
+	nc.Close()
+	<-sent
+}
+
 func benchLoopback(b *testing.B, kind proto.Kind, depth int) {
 	p := newCountedPair(b, depth)
 	defer p.close()

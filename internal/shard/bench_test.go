@@ -101,11 +101,12 @@ func TestTableSteadyStateZeroAlloc(t *testing.T) {
 	}
 }
 
-// The two ways an op reaches a shard, end to end on one shard with
-// every key preloaded (no table growth; each write batch is one
-// uCheckpoint on the simulated disk): a lone blocking Add on an idle
-// shard, which runs on the caller, and a 16-deep DoTagged pipeline,
-// which goes queue → wake → worker → gather → apply → commit → retire.
+// The ways an op reaches a shard, end to end on one shard with every
+// key preloaded (no table growth; each write batch is one uCheckpoint
+// on the simulated disk): a lone blocking Add on an idle shard, which
+// runs on the caller; a lone tagged get on an idle shard, which runs on
+// its submitter; and a 16-deep DoTagged pipeline of Adds, which goes
+// queue → wake → worker → gather → apply → commit → retire.
 
 // benchService returns a one-shard service holding n keys.
 func benchService(n int) (*Service, []string) {
@@ -138,6 +139,21 @@ func doIdle() (func(), *Service) {
 			panic(r.Err)
 		}
 		benchValue = r.Value
+	}, svc
+}
+
+// taggedGetIdle returns a closure doing one tagged get per call and
+// waiting for its response.
+func taggedGetIdle() (func(), *Service) {
+	svc, keys := benchService(2048)
+	resp := make(chan Response, 1)
+	i := 0
+	return func() {
+		i = (i + 1) % len(keys)
+		if err := svc.DoTagged(Op{Kind: OpGet, Tenant: "bench", Key: keys[i]}, uint64(i), resp); err != nil {
+			panic(err)
+		}
+		benchValue = (<-resp).Value
 	}, svc
 }
 
@@ -178,6 +194,16 @@ func BenchmarkDoIdle(b *testing.B) {
 	}
 }
 
+func BenchmarkTaggedGetIdle(b *testing.B) {
+	op, svc := taggedGetIdle()
+	defer svc.Close()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		op()
+	}
+}
+
 func BenchmarkWorkerLoop(b *testing.B) {
 	op, svc := workerLoop()
 	defer svc.Close()
@@ -188,11 +214,13 @@ func BenchmarkWorkerLoop(b *testing.B) {
 	}
 }
 
-// TestDoSteadyStateAllocs is the allocation gate for both paths, with
-// no Replicator or Recorder attached. The bound it holds is 0 per op:
-// a blocking Add on an idle shard uses the shard's own request, batch,
-// pendingBatch and key scratch and gets its response by value; a
-// pipelined Add uses a pooled request and the caller's channel. What
+// TestDoSteadyStateAllocs is the allocation gate for the three paths,
+// with no Replicator or Recorder attached. The bound it holds is 0 per
+// op: a blocking Add on an idle shard uses the shard's own request,
+// batch, pendingBatch and key scratch and gets its response by value; a
+// tagged get on an idle shard uses the key scratch and the caller's
+// channel; a pipelined Add uses a pooled request and the caller's
+// channel. What
 // still allocates is amortized growth below one allocation per op (the
 // disk's block slabs), which AllocsPerRun rounds down.
 func TestDoSteadyStateAllocs(t *testing.T) {
@@ -202,6 +230,11 @@ func TestDoSteadyStateAllocs(t *testing.T) {
 	idle, svc := doIdle()
 	if n := testing.AllocsPerRun(2000, idle); n != 0 {
 		t.Errorf("blocking Add on an idle shard: %v allocs/op, want 0", n)
+	}
+	svc.Close()
+	get, svc := taggedGetIdle()
+	if n := testing.AllocsPerRun(2000, get); n != 0 {
+		t.Errorf("tagged get on an idle shard: %v allocs/op, want 0", n)
 	}
 	svc.Close()
 	loop, svc := workerLoop()

@@ -59,6 +59,92 @@ func TestFIFOAsyncThenGet(t *testing.T) {
 	wg.Wait()
 }
 
+// TestFIFOTaggedPutThenGet: a pipeline that puts a key and then gets it
+// through DoTagged must read its put. The get runs on the submitter only
+// when the shard is idle, and the put, still in the queue or with the
+// worker, makes it busy; 4 such pipelines on one shard have gets find
+// it both ways.
+func TestFIFOTaggedPutThenGet(t *testing.T) {
+	const (
+		submitters = 4
+		rounds     = 500
+	)
+	sys := newSystem(t, 1)
+	svc, err := New(sys, Config{Shards: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	var wg sync.WaitGroup
+	for g := 0; g < submitters; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			key := fmt.Sprintf("k%d", g)
+			ch := make(chan Response, 2)
+			for i := uint64(1); i <= rounds; i++ {
+				if err := svc.DoTagged(Op{Kind: OpPut, Tenant: "t", Key: key, Value: i}, 0, ch); err != nil {
+					t.Errorf("submitter %d: put %d: %v", g, i, err)
+					return
+				}
+				if err := svc.DoTagged(Op{Kind: OpGet, Tenant: "t", Key: key}, i, ch); err != nil {
+					t.Errorf("submitter %d: get %d: %v", g, i, err)
+					return
+				}
+				for n := 0; n < 2; n++ {
+					r := <-ch
+					if r.Err != nil {
+						t.Errorf("submitter %d round %d: %v", g, i, r.Err)
+						return
+					}
+					if r.Tag == i && (!r.Found || r.Value != i) {
+						t.Errorf("submitter %d: get after put %d = %d, found %v", g, i, r.Value, r.Found)
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+}
+
+// TestCallerRunsTaggedGetInline: a tagged get on an idle shard runs on
+// its submitter, so its response is on the channel when TryDoTagged (or
+// DoAsync) returns.
+func TestCallerRunsTaggedGetInline(t *testing.T) {
+	sys := newSystem(t, 1)
+	svc, err := New(sys, Config{Shards: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	if err := svc.Put("t", "k", 7); err != nil {
+		t.Fatal(err)
+	}
+	ch := make(chan Response, 1)
+	if err := svc.TryDoTagged(Op{Kind: OpGet, Tenant: "t", Key: "k"}, 3, ch); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case r := <-ch:
+		if r.Tag != 3 || r.Value != 7 || !r.Found || r.Err != nil {
+			t.Errorf("tagged get = %+v, want tag 3, value 7, found", r)
+		}
+	default:
+		t.Fatal("tagged get on an idle shard not answered before TryDoTagged returned")
+	}
+	async, err := svc.DoAsync(Op{Kind: OpGet, Tenant: "t", Key: "k"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(async) != 1 {
+		t.Fatal("async get on an idle shard not answered before DoAsync returned")
+	}
+	if st := svc.TotalStats(); st.Reads != 2 || st.Ops != 3 {
+		t.Errorf("reads %d, ops %d; want 2, 3", st.Reads, st.Ops)
+	}
+}
+
 // seededOps returns a reproducible mixed sequence over a small key set.
 func seededOps(seed uint64, n int) []Op {
 	rng := sim.NewRNG(seed)
@@ -81,9 +167,11 @@ func seededOps(seed uint64, n int) []Op {
 }
 
 // TestCallerRunsDifferential drives one seeded 5,000-op sequence through
-// Do (every op runs on the caller: the shards are always idle) and, on a
-// second system, through DoAsync plus a wait (every op runs on the
-// worker). Responses, region digests, every shard's virtual clock, the
+// Do (every op runs on the caller: the shards are always idle), on a
+// second system through DoAsync plus a wait on writes (every write runs
+// on the worker) and on a third through DoTagged plus a wait (writes on
+// the worker, gets on the submitter or the worker as they find the
+// shard). Responses, region digests, every shard's virtual clock, the
 // statistics and the bytes written to disk must be equal: which
 // goroutine runs a shard is invisible to the model.
 func TestCallerRunsDifferential(t *testing.T) {
@@ -127,23 +215,38 @@ func TestCallerRunsDifferential(t *testing.T) {
 		}
 		return <-ch
 	})
-	for i := range ops {
-		if onCaller.resps[i] != onWorker.resps[i] {
-			t.Fatalf("op %d %+v: on caller %+v, on worker %+v", i, ops[i], onCaller.resps[i], onWorker.resps[i])
+	tagged := drive(func(s *Service, op Op) Response {
+		const tag = 42
+		ch := make(chan Response, 1)
+		if err := s.DoTagged(op, tag, ch); err != nil {
+			return Response{Err: err}
 		}
-	}
-	if fmt.Sprint(onCaller.digests) != fmt.Sprint(onWorker.digests) {
-		t.Errorf("region digests differ: %v vs %v", onCaller.digests, onWorker.digests)
-	}
-	if onCaller.end != onWorker.end {
-		t.Errorf("EndTime: on caller %v, on worker %v", onCaller.end, onWorker.end)
-	}
-	if onCaller.disk != onWorker.disk {
-		t.Errorf("disk stats: on caller %+v, on worker %+v", onCaller.disk, onWorker.disk)
-	}
-	for i := range onCaller.stats {
-		if a, b := fmt.Sprintf("%+v", onCaller.stats[i]), fmt.Sprintf("%+v", onWorker.stats[i]); a != b {
-			t.Errorf("shard %d stats differ:\n on caller %s\n on worker %s", i, a, b)
+		r := <-ch
+		if r.Tag != tag {
+			t.Fatalf("DoTagged: response tag %d, want %d", r.Tag, tag)
+		}
+		r.Tag = 0
+		return r
+	})
+	for name, o := range map[string]outcome{"on worker": onWorker, "tagged": tagged} {
+		for i := range ops {
+			if onCaller.resps[i] != o.resps[i] {
+				t.Fatalf("op %d %+v: on caller %+v, %s %+v", i, ops[i], onCaller.resps[i], name, o.resps[i])
+			}
+		}
+		if fmt.Sprint(onCaller.digests) != fmt.Sprint(o.digests) {
+			t.Errorf("region digests differ: on caller %v, %s %v", onCaller.digests, name, o.digests)
+		}
+		if onCaller.end != o.end {
+			t.Errorf("EndTime: on caller %v, %s %v", onCaller.end, name, o.end)
+		}
+		if onCaller.disk != o.disk {
+			t.Errorf("disk stats: on caller %+v, %s %+v", onCaller.disk, name, o.disk)
+		}
+		for i := range onCaller.stats {
+			if a, b := fmt.Sprintf("%+v", onCaller.stats[i]), fmt.Sprintf("%+v", o.stats[i]); a != b {
+				t.Errorf("shard %d stats differ:\n on caller %s\n %s %s", i, a, name, b)
+			}
 		}
 	}
 	if w := onCaller.stats[0].Writes + onCaller.stats[1].Writes; w < 2000 {

@@ -6,11 +6,12 @@
 // execution lock: the worker while it drains the queue, or — as the
 // paper's msnap_persist runs on the thread that calls it — a blocking
 // caller (Do, Put, Get, ...) that finds the shard idle and runs its own
-// op on its own goroutine, with no hand-off (see the shard type). Either
-// way many client writes coalesce into one group-commit uCheckpoint per
-// batch (MSAsync + Wait overlaps the IO of batch k with the in-memory
-// application of batch k+1), full queues apply backpressure, and each
-// shard exports statistics.
+// op on its own goroutine, with no hand-off, or the submitter of a get
+// (DoTagged, DoAsync, ...) that finds it idle (see the shard type).
+// Either way many client writes coalesce into one group-commit
+// uCheckpoint per batch (MSAsync + Wait overlaps the IO of batch k with
+// the in-memory application of batch k+1), full queues apply
+// backpressure, and each shard exports statistics.
 //
 // Durability contract: a write operation's response is delivered only
 // after the group commit containing it is durable, so every
@@ -495,33 +496,45 @@ func (s *Service) submit(sh *shard, r *request, block bool) error {
 	return nil
 }
 
-// call runs a blocking op and returns its response. When the shard is
-// idle — its execution lock free and, once taken, its queue empty — the
-// op runs here, on the caller's goroutine: a lone synchronous operation
-// pays no hand-off to the worker and back. The empty queue is the
-// per-submitter FIFO condition: requests leave the queue only under the
-// lock and are applied before it is released, so nothing this caller
-// submitted earlier (say through DoAsync) can still be unapplied.
-// Otherwise the op queues behind what is there and the caller waits,
-// sharing the worker's group commit.
+// claim is the one rule for whether a submitter runs sh itself: the
+// shard is idle when its execution lock is free and, once taken, its
+// queue is empty. The empty queue is the per-submitter FIFO condition:
+// requests leave the queue only under the lock and are applied before it
+// is released, so nothing this submitter queued earlier (say through
+// DoAsync) can still be unapplied. On true the submitter holds the
+// execution lock and must release it.
 //
-// The caller counts as admitted once it holds the execution lock, taken
-// under the submit lock with the service open; Close waits for it
+// The submitter counts as admitted once it holds the execution lock,
+// taken under the submit lock with the service open; Close waits for it
 // through that lock. The submit lock is dropped before the op runs, and
 // the execution lock is never held across a submit (the worker needs it
 // to make room in a full queue).
-func (s *Service) call(sh *shard, op Op) (Response, error) {
+func (s *Service) claim(sh *shard) (bool, error) {
 	s.submitMu.RLock()
+	defer s.submitMu.RUnlock()
 	if s.closed.Load() {
-		s.submitMu.RUnlock()
-		return Response{}, ErrClosed
+		return false, ErrClosed
 	}
-	idle := sh.execMu.TryLock()
-	if idle && len(sh.queue) != 0 {
+	if !sh.execMu.TryLock() {
+		return false, nil
+	}
+	if len(sh.queue) != 0 {
 		sh.execMu.Unlock()
-		idle = false
+		return false, nil
 	}
-	s.submitMu.RUnlock()
+	return true, nil
+}
+
+// call runs a blocking op and returns its response. On an idle shard
+// (claim) the op runs here, on the caller's goroutine: a lone
+// synchronous operation pays no hand-off to the worker and back.
+// Otherwise the op queues behind what is there and the caller waits,
+// sharing the worker's group commit.
+func (s *Service) call(sh *shard, op Op) (Response, error) {
+	idle, err := s.claim(sh)
+	if err != nil {
+		return Response{}, err
+	}
 	if idle {
 		resp := sh.runOwn(op)
 		sh.execMu.Unlock()
@@ -534,16 +547,38 @@ func (s *Service) call(sh *shard, op Op) (Response, error) {
 	return <-ch, nil
 }
 
+// send submits op for a response on resp. A get that finds the shard
+// idle (claim) is answered on the submitter's goroutine and its response
+// is on resp before send returns: a read has no commit to wait for, so
+// it pays no queue, worker wake-up or hand-off back. Anything else
+// queues (submit).
+func (s *Service) send(sh *shard, op Op, tag uint64, resp chan Response, block bool) error {
+	if op.Kind == OpGet {
+		idle, err := s.claim(sh)
+		if err != nil {
+			return err
+		}
+		if idle {
+			r := sh.read(op, tag)
+			sh.execMu.Unlock()
+			resp <- r
+			return nil
+		}
+	}
+	return s.submit(sh, getRequest(op, tag, resp), block)
+}
+
 // DoAsync submits op and returns a channel that will receive its
 // response: immediately after apply for reads, after the group commit
-// is durable for writes. It blocks while the shard queue is full.
+// is durable for writes. A get on an idle shard is answered before
+// DoAsync returns (see send). It blocks while the shard queue is full.
 func (s *Service) DoAsync(op Op) (<-chan Response, error) {
 	sh, err := s.route(op)
 	if err != nil {
 		return nil, err
 	}
 	ch := make(chan Response, 1)
-	if err := s.submit(sh, getRequest(op, 0, ch), true); err != nil {
+	if err := s.send(sh, op, 0, ch, true); err != nil {
 		return nil, err
 	}
 	return ch, nil
@@ -557,7 +592,7 @@ func (s *Service) TryDoAsync(op Op) (<-chan Response, error) {
 		return nil, err
 	}
 	ch := make(chan Response, 1)
-	if err := s.submit(sh, getRequest(op, 0, ch), false); err != nil {
+	if err := s.send(sh, op, 0, ch, false); err != nil {
 		return nil, err
 	}
 	return ch, nil
@@ -566,32 +601,36 @@ func (s *Service) TryDoAsync(op Op) (<-chan Response, error) {
 // DoTagged submits op for pipelined completion: the response —
 // carrying tag in Response.Tag — is delivered on the caller-owned
 // resp channel, immediately after apply for reads and after durable
-// group commit for writes. Many in-flight ops may share one channel;
-// completions arrive out of order across shards. It blocks while the
-// target shard's queue is full.
+// group commit for writes. A get on an idle shard runs on the calling
+// goroutine and its response is on resp before DoTagged returns (see
+// send); a write, or a get that finds the shard busy, queues. Many
+// in-flight ops may share one channel; completions arrive out of order
+// across shards. It blocks while the target shard's queue is full.
 //
 // Contract: the shard sends exactly one Response per accepted op
 // (nil return) and sends without waiting — resp must have capacity
-// for every response the caller can have outstanding, or shard
-// workers stall. A non-nil return means no response will arrive.
+// for every response the caller can have outstanding, this op's
+// included, or shard workers (and the caller itself) stall. A non-nil
+// return means no response will arrive.
 func (s *Service) DoTagged(op Op, tag uint64, resp chan Response) error {
 	sh, err := s.route(op)
 	if err != nil {
 		return err
 	}
-	return s.submit(sh, getRequest(op, tag, resp), true)
+	return s.send(sh, op, tag, resp, true)
 }
 
 // TryDoTagged is DoTagged with admission control: when the shard
 // queue is full it rejects the op with ErrBackpressure instead of
 // blocking (the network server surfaces this as a RETRY_AFTER status
-// rather than stalling its read loop).
+// rather than stalling its read loop). A get on an idle shard is
+// answered before it returns, as with DoTagged.
 func (s *Service) TryDoTagged(op Op, tag uint64, resp chan Response) error {
 	sh, err := s.route(op)
 	if err != nil {
 		return err
 	}
-	return s.submit(sh, getRequest(op, tag, resp), false)
+	return s.send(sh, op, tag, resp, false)
 }
 
 // Do runs op and waits for its response. On an idle shard it runs on

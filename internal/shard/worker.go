@@ -16,16 +16,20 @@ import (
 //
 // Who runs a shard. Whoever runs gather → apply → retire holds execMu,
 // and ctx (with its clock and its CPU's TLB), tab, and the scratch
-// below are confined to the holder. Two kinds of goroutine take it:
+// below are confined to the holder. Three kinds of goroutine take it:
 //
 //   - the shard's worker, woken through wake after an enqueue, holds it
 //     while it runs the queue dry (serve);
 //   - a blocking caller (Do, the KV helpers, probe) that finds
 //     the lock free and the queue empty runs its own op on its own
-//     goroutine (runOwn) and gets the response by value.
+//     goroutine (runOwn) and gets the response by value;
+//   - the submitter of a get through DoTagged, TryDoTagged, DoAsync or
+//     TryDoAsync that finds the shard idle the same way answers it on its
+//     own goroutine (read) and puts the response on its channel before
+//     returning.
 //
 // Requests leave the queue only under execMu. That is what keeps each
-// submitter's ops in submission order across the two kinds of holder:
+// submitter's ops in submission order across the kinds of holder:
 // everything a holder dequeued it has applied before it unlocks, so
 // "lock taken and queue empty" means every earlier-enqueued request on
 // this shard has been applied. (A worker that received from the queue
@@ -171,6 +175,24 @@ func (sh *shard) runOwn(op Op) Response {
 		sh.retire(pending)
 	}
 	return r.ack
+}
+
+// read answers a get on its submitter's goroutine (Service.send) with
+// what apply does for a one-read batch — the queue-wait span, the table
+// probe, the tenant observation and the ops/reads counters — and no
+// request, batch or channel. The caller holds execMu and found the
+// queue empty.
+func (sh *shard) read(op Op, tag uint64) Response {
+	now := sh.ctx.Clock().Now()
+	sh.svc.cfg.Recorder.SpanFlow(obs.CatShard, obs.NameQueueWait, obs.ShardTrack(sh.id),
+		now, 0, 1, op.TraceID)
+	v, ok := sh.lookup(op)
+	sh.svc.cfg.Tenants.Observe(op.Tenant, op.WireBytes, 0)
+	sh.statsMu.Lock()
+	sh.ops++
+	sh.reads++
+	sh.statsMu.Unlock()
+	return Response{Tag: tag, Value: v, Found: ok}
 }
 
 // respond delivers r's one response. A queued request gets it on its
@@ -326,11 +348,7 @@ func (sh *shard) applyOne(op Op) (resp Response, isWrite bool) {
 	case opDigest:
 		return Response{Value: DigestRegion(sh.ctx, sh.region)}, false
 	case OpGet:
-		key, err := composeKey(sh.key[:], op.Tenant, op.Key)
-		if err != nil {
-			return Response{Err: err}, false
-		}
-		v, ok := sh.tab.get(fnv1a(op.Tenant, op.Key), key)
+		v, ok := sh.lookup(op)
 		return Response{Value: v, Found: ok}, false
 	case OpPut:
 		key, _ := composeKey(sh.key[:], op.Tenant, op.Key)
@@ -371,6 +389,13 @@ func (sh *shard) applyOne(op Op) (resp Response, isWrite bool) {
 		return Response{Value: bal - op.Value}, true
 	}
 	return Response{Err: errUnknownOp(op.Kind)}, false
+}
+
+// lookup reads op's key from the table. Every op reaching a shard went
+// through route, which checked the key's length.
+func (sh *shard) lookup(op Op) (uint64, bool) {
+	key, _ := composeKey(sh.key[:], op.Tenant, op.Key)
+	return sh.tab.get(fnv1a(op.Tenant, op.Key), key)
 }
 
 type errUnknownOp OpKind

@@ -18,6 +18,7 @@ import (
 	"memsnap/internal/core"
 	"memsnap/internal/disk"
 	"memsnap/internal/fs"
+	"memsnap/internal/obs"
 	"memsnap/internal/rockskv"
 	"memsnap/internal/sim"
 	"memsnap/internal/workload"
@@ -28,7 +29,7 @@ const ops = 400
 func drive(name string, db *rockskv.DB) {
 	s := db.NewSession(0)
 	gen := workload.NewMixGraph(1, 5000)
-	lat := sim.NewLatencyRecorder()
+	var lat obs.Histogram
 	for i := 0; i < ops; i++ {
 		req := gen.Next()
 		start := s.Clock().Now()
@@ -44,8 +45,8 @@ func drive(name string, db *rockskv.DB) {
 		}
 		lat.Record(s.Clock().Now() - start)
 	}
-	sum := lat.Summarize()
-	fmt.Printf("%-14s avg %8v   p99 %8v\n", name, sum.Mean, sum.P99)
+	sum := lat.Snapshot()
+	fmt.Printf("%-14s avg %8v   p99 %8v\n", name, sum.Mean(), sum.P99())
 }
 
 func main() {

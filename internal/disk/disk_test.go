@@ -305,8 +305,8 @@ func TestStragglerWindowMultipliesCost(t *testing.T) {
 	// from before the window whose service begins inside it straggles.
 	d2 := NewDevice(m, 1<<20)
 	d2.SetStraggler(normal, time.Minute, 8)
-	c1 := d2.SubmitWrite(0, 0, buf)      // services at 0, normal cost
-	c2 := d2.SubmitWrite(0, 4096, buf)   // queues; services at c1, inside window
+	c1 := d2.SubmitWrite(0, 0, buf)    // services at 0, normal cost
+	c2 := d2.SubmitWrite(0, 4096, buf) // queues; services at c1, inside window
 	if c1 != normal {
 		t.Fatalf("first write cost %v, want %v", c1, normal)
 	}

@@ -18,10 +18,10 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"memsnap/internal/disk"
+	"memsnap/internal/obs"
 	"memsnap/internal/sim"
 )
 
@@ -49,25 +49,6 @@ func (k Kind) String() string {
 	return "ffs"
 }
 
-// SyscallStats aggregates per-call counters for one syscall type.
-type SyscallStats struct {
-	count   atomic.Int64
-	Latency *sim.LatencyRecorder
-}
-
-func newSyscallStats() *SyscallStats {
-	return &SyscallStats{Latency: sim.NewLatencyRecorder()}
-}
-
-// Count returns how many calls were made.
-func (s *SyscallStats) Count() int64 { return s.count.Load() }
-
-// record notes one call of the given latency.
-func (s *SyscallStats) record(lat time.Duration) {
-	s.count.Add(1)
-	s.Latency.Record(lat)
-}
-
 // FS is one mounted filesystem over its own disk array.
 type FS struct {
 	costs *sim.CostModel
@@ -79,10 +60,8 @@ type FS struct {
 	next  int64 // block allocator bump pointer (bytes)
 
 	// WriteStats/ReadStats/FsyncStats mirror the paper's syscall
-	// accounting (Table 7, Table 9).
-	WriteStats *SyscallStats
-	ReadStats  *SyscallStats
-	FsyncStats *SyscallStats
+	// accounting (Table 7, Table 9): one latency sample per call.
+	WriteStats, ReadStats, FsyncStats obs.Histogram
 
 	// Buckets, when set, accumulates kernel CPU time by component
 	// (the Table 1 / Table 8 breakdowns): "syscall", "vfs",
@@ -96,13 +75,10 @@ func New(costs *sim.CostModel, arr *disk.Array, kind Kind) *FS {
 		costs = sim.DefaultCosts()
 	}
 	return &FS{
-		costs:      costs,
-		arr:        arr,
-		kind:       kind,
-		files:      make(map[string]*File),
-		WriteStats: newSyscallStats(),
-		ReadStats:  newSyscallStats(),
-		FsyncStats: newSyscallStats(),
+		costs: costs,
+		arr:   arr,
+		kind:  kind,
+		files: make(map[string]*File),
 	}
 }
 
@@ -263,7 +239,7 @@ func (fl *File) Write(clk *sim.Clock, off int64, data []byte) {
 	}
 	fl.mu.Unlock()
 
-	fs.WriteStats.record(clk.Now() - start)
+	fs.WriteStats.Record(clk.Now() - start)
 }
 
 // Read implements the read syscall.
@@ -300,7 +276,7 @@ func (fl *File) Read(clk *sim.Clock, off int64, buf []byte) {
 	}
 	fl.mu.Unlock()
 
-	fs.ReadStats.record(clk.Now() - start)
+	fs.ReadStats.Record(clk.Now() - start)
 }
 
 // Truncate shrinks the file to length bytes, dropping cached blocks
@@ -363,7 +339,7 @@ func (fl *File) sync(clk *sim.Clock, mapped bool) {
 
 	if len(dirty) == 0 {
 		fl.mu.Unlock()
-		fs.FsyncStats.record(clk.Now() - start)
+		fs.FsyncStats.Record(clk.Now() - start)
 		return
 	}
 
@@ -444,7 +420,7 @@ func (fl *File) sync(clk *sim.Clock, mapped bool) {
 	}
 	clk.AdvanceTo(at)
 
-	fs.FsyncStats.record(clk.Now() - start)
+	fs.FsyncStats.Record(clk.Now() - start)
 }
 
 // chargeMetadata applies the personality-specific metadata cost of a

@@ -225,10 +225,11 @@ func TestSyscallStats(t *testing.T) {
 	file.Write(clk, 4096, []byte("y"))
 	file.Read(clk, 0, make([]byte, 1))
 	file.Fsync(clk)
-	if f.WriteStats.Count() != 2 || f.ReadStats.Count() != 1 || f.FsyncStats.Count() != 1 {
-		t.Fatalf("stats: w=%d r=%d f=%d", f.WriteStats.Count(), f.ReadStats.Count(), f.FsyncStats.Count())
+	w, r, fs := f.WriteStats.Snapshot(), f.ReadStats.Snapshot(), f.FsyncStats.Snapshot()
+	if w.Count != 2 || r.Count != 1 || fs.Count != 1 {
+		t.Fatalf("stats: w=%d r=%d f=%d", w.Count, r.Count, fs.Count)
 	}
-	if f.FsyncStats.Latency.Mean() <= f.WriteStats.Latency.Mean() {
+	if fs.Mean() <= w.Mean() {
 		t.Fatal("fsync not slower than write")
 	}
 }

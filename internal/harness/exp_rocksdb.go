@@ -9,6 +9,7 @@ import (
 	"memsnap/internal/core"
 	"memsnap/internal/disk"
 	"memsnap/internal/fs"
+	"memsnap/internal/obs"
 	"memsnap/internal/rockskv"
 	"memsnap/internal/sim"
 	"memsnap/internal/workload"
@@ -17,19 +18,19 @@ import (
 // mixGraphRun drives the MixGraph workload against a rockskv store
 // with the given number of worker threads and returns per-op latency
 // plus the final virtual time (max across workers).
-func mixGraphRun(db *rockskv.DB, threads, opsPerThread int, keys int64, seed uint64, fill int) (*sim.LatencyRecorder, time.Duration, error) {
+func mixGraphRun(db *rockskv.DB, threads, opsPerThread int, keys int64, seed uint64, fill int) (obs.HistSnapshot, time.Duration, error) {
 	// Fill phase (single worker; not measured).
 	filler := db.NewSession(0)
 	fillGen := workload.NewMixGraph(seed, keys)
 	for i := 0; i < fill; i++ {
 		req := fillGen.Next()
 		if err := filler.Put(req.Key, make([]byte, 100)); err != nil {
-			return nil, 0, err
+			return obs.HistSnapshot{}, 0, err
 		}
 	}
 	fillEnd := filler.Clock().Now()
 
-	lat := sim.NewLatencyRecorder()
+	var lat obs.Histogram
 	var wg sync.WaitGroup
 	errs := make(chan error, threads)
 	clocks := make([]*sim.Clock, threads)
@@ -62,7 +63,7 @@ func mixGraphRun(db *rockskv.DB, threads, opsPerThread int, keys int64, seed uin
 	wg.Wait()
 	close(errs)
 	for err := range errs {
-		return nil, 0, err
+		return obs.HistSnapshot{}, 0, err
 	}
 	var end time.Duration
 	for _, c := range clocks {
@@ -70,7 +71,7 @@ func mixGraphRun(db *rockskv.DB, threads, opsPerThread int, keys int64, seed uin
 			end = c.Now()
 		}
 	}
-	return lat, end - fillEnd, nil
+	return lat.Snapshot(), end - fillEnd, nil
 }
 
 // Table9 reproduces the RocksDB three-way comparison under MixGraph.
@@ -124,13 +125,12 @@ func Table9(opts Options) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		s := lat.Summarize()
-		kops := float64(s.Count) / elapsed.Seconds() / 1000
+		kops := float64(lat.Count) / elapsed.Seconds() / 1000
 		res.Rows = append(res.Rows, []string{
 			cfg.name,
 			fmt.Sprintf("%.1f", kops),
-			us(s.Mean),
-			us(s.P99),
+			us(lat.Mean()),
+			us(lat.P99()),
 		})
 	}
 	return res, nil

@@ -8,6 +8,7 @@ import (
 	"memsnap/internal/disk"
 	"memsnap/internal/fs"
 	"memsnap/internal/litedb"
+	"memsnap/internal/obs"
 	"memsnap/internal/sim"
 	"memsnap/internal/workload"
 )
@@ -20,13 +21,13 @@ type dbbenchEnv struct {
 	fsys  *fs.FS        // WAL mode only
 	ctx   *core.Context // MemSnap mode only
 	sys   *core.System
-	txLat *sim.LatencyRecorder
+	txLat obs.Histogram
 }
 
 // newDBBenchEnv builds a database in the given mode.
 func newDBBenchEnv(memsnapMode bool, buckets *sim.TimeBuckets) (*dbbenchEnv, error) {
 	costs := sim.DefaultCosts()
-	env := &dbbenchEnv{txLat: sim.NewLatencyRecorder()}
+	env := &dbbenchEnv{}
 	if memsnapMode {
 		sys, err := core.NewSystem(core.Options{DiskBytesEach: 1 << 30})
 		if err != nil {
@@ -117,13 +118,13 @@ func Table7(opts Options) (*Result, error) {
 			if err := envB.run(opts.Seed, 1<<20, txBytes, totalWrites, random); err != nil {
 				return nil, err
 			}
-			fsys := envB.fsys
+			fsync, write, read := envB.fsys.FsyncStats.Snapshot(), envB.fsys.WriteStats.Snapshot(), envB.fsys.ReadStats.Snapshot()
 			res.Rows = append(res.Rows, []string{
 				fmtSize(txBytes), pattern,
 				us(persistLat), countK(persistOps),
-				us(fsys.FsyncStats.Latency.Mean()), countK(fsys.FsyncStats.Count()),
-				us(fsys.WriteStats.Latency.Mean()), countK(fsys.WriteStats.Count()),
-				us(fsys.ReadStats.Latency.Mean()), countK(fsys.ReadStats.Count()),
+				us(fsync.Mean()), countK(fsync.Count),
+				us(write.Mean()), countK(write.Count),
+				us(read.Mean()), countK(read.Count),
 			})
 		}
 	}
@@ -226,7 +227,7 @@ func Figure4(opts Options) (*Result, error) {
 			if err := envM.run(opts.Seed, 1<<20, txBytes, totalWrites, random); err != nil {
 				return nil, err
 			}
-			sm := envM.txLat.Summarize()
+			sm := envM.txLat.Snapshot()
 
 			envB, err := newDBBenchEnv(false, nil)
 			if err != nil {
@@ -235,11 +236,11 @@ func Figure4(opts Options) (*Result, error) {
 			if err := envB.run(opts.Seed, 1<<20, txBytes, totalWrites, random); err != nil {
 				return nil, err
 			}
-			sb := envB.txLat.Summarize()
+			sb := envB.txLat.Snapshot()
 
 			res.Rows = append(res.Rows, []string{
 				fmtSize(txBytes), pattern,
-				usK(sm.Mean), usK(sm.P99), usK(sb.Mean), usK(sb.P99),
+				usK(sm.Mean()), usK(sm.P99()), usK(sb.Mean()), usK(sb.P99()),
 			})
 		}
 	}

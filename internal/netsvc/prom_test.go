@@ -41,7 +41,7 @@ func TestFormatPrometheusGolden(t *testing.T) {
 		OpLatency:  histSnap(50*time.Microsecond, 80*time.Microsecond, 2*time.Millisecond),
 	}
 	var buf bytes.Buffer
-	if err := FormatPrometheus(&buf, st); err != nil {
+	if err := formatPrometheus(&buf, st); err != nil {
 		t.Fatal(err)
 	}
 	golden := filepath.Join("testdata", "prometheus.golden")
@@ -58,7 +58,7 @@ func TestFormatPrometheusGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(buf.Bytes(), want) {
-		t.Errorf("FormatPrometheus output drifted from %s (rerun with -update-golden after an intentional change)\n--- got ---\n%s\n--- want ---\n%s",
+		t.Errorf("formatPrometheus output drifted from %s (rerun with -update-golden after an intentional change)\n--- got ---\n%s\n--- want ---\n%s",
 			golden, buf.Bytes(), want)
 	}
 }

@@ -2,8 +2,6 @@ package obs
 
 import (
 	"encoding/json"
-	"fmt"
-	"io"
 	"math/bits"
 	"sync/atomic"
 	"time"
@@ -140,13 +138,17 @@ func (s *HistSnapshot) Merge(other HistSnapshot) {
 // Quantile returns the q-th quantile (0 < q <= 1) as the midpoint of
 // the sub-bucket holding the nearest-rank sample, never above the
 // recorded maximum: within 1.5625 % of the exact nearest-rank answer.
-// The overflow bucket reports the recorded maximum. Returns zero on an
-// empty snapshot.
+// When the nearest rank is the last sample the answer is exact: that
+// sample is the recorded maximum. The overflow bucket also reports the
+// maximum. Returns zero on an empty snapshot.
 func (s HistSnapshot) Quantile(q float64) time.Duration {
 	if s.Count == 0 {
 		return 0
 	}
 	rank := int64(q*float64(s.Count) + 0.5)
+	if rank >= s.Count {
+		return s.Max
+	}
 	if rank < 1 {
 		rank = 1
 	}
@@ -190,65 +192,4 @@ func (s HistSnapshot) MarshalJSON() ([]byte, error) {
 		P99   time.Duration `json:"p99_nanos"`
 		P999  time.Duration `json:"p999_nanos"`
 	}{s.Count, s.Sum, s.Max, s.P50(), s.Quantile(0.90), s.P99(), s.P999()})
-}
-
-// PromFloat renders a float in the repo's Prometheus exposition style:
-// integral values without an exponent, everything else in Go's
-// shortest form.
-func PromFloat(v float64) string {
-	if v == float64(int64(v)) {
-		return fmt.Sprintf("%d", int64(v))
-	}
-	return fmt.Sprintf("%g", v)
-}
-
-// PromSeconds renders a duration as seconds.
-func PromSeconds(d time.Duration) string { return PromFloat(d.Seconds()) }
-
-// WritePromHeader writes one metric's # HELP / # TYPE preamble; typ is
-// counter, gauge or histogram.
-func WritePromHeader(w io.Writer, name, help, typ string) error {
-	_, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
-	return err
-}
-
-// WriteProm writes the snapshot as Prometheus histogram series:
-// cumulative name_bucket{...,le="..."} lines (le in seconds, one per
-// octave — sub-buckets are summed into their octave, so a scrape stays
-// HistBuckets lines a series — emitted up to the last occupied octave
-// plus +Inf), then name_sum and name_count. labels is the caller's
-// label set without braces (e.g. `shard="0"`); it may be empty.
-func (s HistSnapshot) WriteProm(w io.Writer, name, labels string) error {
-	sep := ""
-	if labels != "" {
-		sep = ","
-	}
-	plain := ""
-	if labels != "" {
-		plain = "{" + labels + "}"
-	}
-	var octaves [HistBuckets]int64
-	last := -1
-	for i, c := range s.Counts {
-		if c != 0 {
-			last = octaveOf(i)
-			octaves[last] += c
-		}
-	}
-	var cum int64
-	for i := 0; i <= last && i < HistBuckets-1; i++ {
-		cum += octaves[i]
-		le := PromFloat(BucketUpper(i).Seconds())
-		if _, err := fmt.Fprintf(w, "%s_bucket{%s%sle=%q} %d\n", name, labels, sep, le, cum); err != nil {
-			return err
-		}
-	}
-	if _, err := fmt.Fprintf(w, "%s_bucket{%s%sle=\"+Inf\"} %d\n", name, labels, sep, s.Count); err != nil {
-		return err
-	}
-	if _, err := fmt.Fprintf(w, "%s_sum%s %s\n", name, plain, PromFloat(s.Sum.Seconds())); err != nil {
-		return err
-	}
-	_, err := fmt.Fprintf(w, "%s_count%s %d\n", name, plain, s.Count)
-	return err
 }

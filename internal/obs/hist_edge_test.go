@@ -35,22 +35,46 @@ func TestHistogramSingleBucket(t *testing.T) {
 	if s.Count != 1000 {
 		t.Fatalf("Count = %d, want 1000", s.Count)
 	}
-	// Every quantile must land on the one populated bucket's midpoint —
-	// no quantile may wander into a neighboring bucket.
+	// Every quantile short of the last rank must land on the one
+	// populated bucket's midpoint — no quantile may wander into a
+	// neighboring bucket.
 	want := bucketMid(bucketOf(sample))
 	if want != 696*time.Nanosecond {
 		t.Fatalf("bucketMid = %v, want 696ns", want)
 	}
-	for _, q := range []float64{0.001, 0.5, 0.99, 0.999, 1} {
+	for _, q := range []float64{0.001, 0.5, 0.99, 0.999} {
 		if got := s.Quantile(q); got != want {
 			t.Errorf("single-bucket Quantile(%v) = %v, want %v", q, got, want)
 		}
+	}
+	// The last rank is the recorded maximum, known exactly.
+	if got := s.Quantile(1); got != sample {
+		t.Errorf("single-bucket Quantile(1) = %v, want the exact maximum %v", got, sample)
 	}
 	if s.Mean() != sample {
 		t.Errorf("Mean = %v, want exact %v", s.Mean(), sample)
 	}
 	if s.Max != sample {
 		t.Errorf("Max = %v, want %v", s.Max, sample)
+	}
+
+	// Two samples in the bucket: the first rank reports the midpoint,
+	// and every quantile whose nearest rank is the second reports the
+	// exact maximum.
+	var two Histogram
+	two.Record(690 * time.Nanosecond)
+	two.Record(sample)
+	s = two.Snapshot()
+	for _, c := range []struct {
+		q    float64
+		want time.Duration
+	}{
+		{0.001, want}, {0.5, want}, {0.74, want},
+		{0.75, sample}, {0.99, sample}, {1, sample},
+	} {
+		if got := s.Quantile(c.q); got != c.want {
+			t.Errorf("two-sample Quantile(%v) = %v, want %v", c.q, got, c.want)
+		}
 	}
 }
 

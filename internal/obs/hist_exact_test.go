@@ -4,17 +4,44 @@ import (
 	"encoding/json"
 	"math"
 	"math/bits"
+	"slices"
 	"testing"
+	"testing/quick"
 	"time"
 	"unsafe"
 
 	"memsnap/internal/sim"
 )
 
-// The histogram is held to two references: sim.LatencyRecorder, which
-// keeps every sample and answers nearest-rank quantiles exactly, and the
-// pure log2 bucketing the Prometheus exposition had before sub-buckets
+// The histogram is held to two references: exactRecorder, which keeps
+// every sample and answers nearest-rank quantiles exactly, and the pure
+// log2 bucketing the Prometheus exposition had before sub-buckets
 // (refOctave), which the le edges must still follow.
+
+// exactRecorder keeps every sample and sorts on demand. Its memory
+// grows with every sample, so no production path records into one; it
+// is the histogram's reference.
+type exactRecorder struct {
+	samples  []time.Duration
+	sum, max time.Duration
+}
+
+func (r *exactRecorder) Record(d time.Duration) {
+	r.samples = append(r.samples, d)
+	r.sum += d
+	r.max = max(r.max, d)
+}
+
+// Quantile returns the nearest-rank q-th quantile (0 < q <= 1).
+func (r *exactRecorder) Quantile(q float64) time.Duration {
+	n := len(r.samples)
+	if n == 0 {
+		return 0
+	}
+	sorted := slices.Clone(r.samples)
+	slices.Sort(sorted)
+	return sorted[min(max(int(q*float64(n)+0.5)-1, 0), n-1)]
+}
 
 // histErrBound is the relative error the Histogram doc comment states.
 const histErrBound = 1.0 / (2 * histSub)
@@ -37,23 +64,53 @@ func TestHistogramQuantilesMatchExactRecorder(t *testing.T) {
 	lo, hi := math.Log(50), math.Log(2e9) // 50 ns to 2 s, log-uniform
 	rng := sim.NewRNG(23)
 	var h Histogram
-	exact := sim.NewLatencyRecorder()
+	var exact exactRecorder
 	for i := 0; i < n; i++ {
 		d := time.Duration(math.Exp(lo + rng.Float64()*(hi-lo)))
 		h.Record(d)
 		exact.Record(d)
 	}
 	s := h.Snapshot()
-	if s.Count != int64(exact.Count()) || s.Sum != exact.Total() || s.Max != exact.Max() || s.Mean() != exact.Mean() {
+	if s.Count != int64(len(exact.samples)) || s.Sum != exact.sum || s.Max != exact.max || s.Mean() != exact.sum/n {
 		t.Errorf("count/sum/max/mean = %d/%v/%v/%v, exact recorder has %d/%v/%v/%v",
-			s.Count, s.Sum, s.Max, s.Mean(), exact.Count(), exact.Total(), exact.Max(), exact.Mean())
+			s.Count, s.Sum, s.Max, s.Mean(), len(exact.samples), exact.sum, exact.max, exact.sum/n)
 	}
-	for _, q := range []float64{0.01, 0.5, 0.9, 0.99, 0.999, 1} {
-		got, want := s.Quantile(q), exact.Percentile(q*100)
+	for _, q := range []float64{0.01, 0.5, 0.9, 0.99, 0.999} {
+		got, want := s.Quantile(q), exact.Quantile(q)
 		if !within(got, want) {
 			t.Errorf("Quantile(%v) = %v, exact %v: off by %.3f%%, bound %.4f%%",
 				q, got, want, 100*math.Abs(float64(got-want))/float64(want), 100*histErrBound)
 		}
+	}
+	if got, want := s.Quantile(1), exact.Quantile(1); got != want {
+		t.Errorf("Quantile(1) = %v, want the exact maximum %v", got, want)
+	}
+}
+
+// TestHistogramPercentileProperty holds arbitrary small sample sets to
+// the exact recorder: quantiles within the bound (exact at the last
+// rank) and ordered p50 <= p99 <= max.
+func TestHistogramPercentileProperty(t *testing.T) {
+	f := func(raw []uint16) bool {
+		if len(raw) == 0 {
+			return true
+		}
+		var h Histogram
+		var exact exactRecorder
+		for _, v := range raw {
+			h.Record(time.Duration(v))
+			exact.Record(time.Duration(v))
+		}
+		s := h.Snapshot()
+		for _, q := range []float64{0.5, 0.99} {
+			if !within(s.Quantile(q), exact.Quantile(q)) {
+				return false
+			}
+		}
+		return s.P50() <= s.P99() && s.P99() <= s.Max && s.Quantile(1) == exact.Quantile(1)
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
 	}
 }
 

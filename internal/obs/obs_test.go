@@ -193,7 +193,7 @@ func TestTrackNames(t *testing.T) {
 func TestHistogramBucketsAndQuantiles(t *testing.T) {
 	var h Histogram
 	h.Record(0)
-	h.Record(1)                    // bucket 1: (0, 2)
+	h.Record(1) // bucket 1: (0, 2)
 	h.Record(100 * time.Nanosecond)
 	h.Record(time.Microsecond)
 	h.Record(time.Millisecond)
@@ -251,7 +251,7 @@ func TestHistogramWriteProm(t *testing.T) {
 	h.Record(2 * time.Millisecond)
 	s := h.Snapshot()
 	var b strings.Builder
-	if err := s.WriteProm(&b, "m", `shard="0"`); err != nil {
+	if err := s.writeProm(&b, "m", `shard="0"`); err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()
@@ -263,19 +263,19 @@ func TestHistogramWriteProm(t *testing.T) {
 		`m_count{shard="0"} 2`,
 	} {
 		if !strings.Contains(out, want) {
-			t.Errorf("WriteProm output missing %q:\n%s", want, out)
+			t.Errorf("writeProm output missing %q:\n%s", want, out)
 		}
 	}
 	// Unlabeled: no stray {} on _sum/_count, le is the only label.
 	b.Reset()
-	if err := s.WriteProm(&b, "m", ""); err != nil {
+	if err := s.writeProm(&b, "m", ""); err != nil {
 		t.Fatal(err)
 	}
 	out = b.String()
 	if !strings.Contains(out, "m_sum 0.003") || !strings.Contains(out, "m_count 2") {
-		t.Errorf("unlabeled WriteProm malformed:\n%s", out)
+		t.Errorf("unlabeled writeProm malformed:\n%s", out)
 	}
 	if strings.Contains(out, "{}") || strings.Contains(out, "{,") {
-		t.Errorf("unlabeled WriteProm produced empty label braces:\n%s", out)
+		t.Errorf("unlabeled writeProm produced empty label braces:\n%s", out)
 	}
 }

@@ -1,10 +1,8 @@
 package obs
 
 import (
-	"fmt"
 	"io"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 )
@@ -145,47 +143,25 @@ func (s *TenantSketch) Top() []TenantStat {
 	return out
 }
 
-// WriteProm writes the sketch as memsnap_tenant_* Prometheus series,
-// one labeled sample per tracked tenant. Counts are exposed as gauges:
-// space-saving entries can reset at eviction, which would violate
-// counter monotonicity.
+// tenantFamilies are the memsnap_tenant_* series, one sample per tracked
+// tenant. Counts are exposed as gauges: space-saving entries can reset
+// at eviction, which would violate counter monotonicity.
+var tenantFamilies = []Family[TenantStat]{
+	Gauge("memsnap_tenant_ops", "Estimated operations per top-K tenant (space-saving sketch; see _ops_error_floor).",
+		func(t *TenantStat) uint64 { return t.Ops }),
+	Gauge("memsnap_tenant_ops_error_floor", "Space-saving overestimation bound for memsnap_tenant_ops.",
+		func(t *TenantStat) uint64 { return t.ErrFloor }),
+	Gauge("memsnap_tenant_wire_bytes", "Request wire bytes per top-K tenant since sketch entry.",
+		func(t *TenantStat) uint64 { return t.WireBytes }),
+	Gauge("memsnap_tenant_commit_latency_seconds_sum", "Summed commit latency per top-K tenant since sketch entry.",
+		func(t *TenantStat) time.Duration { return t.CommitLatency }),
+}
+
+// WriteProm writes the sketch's tenant gauges in the Prometheus text
+// format, tenants in Top order.
 func (s *TenantSketch) WriteProm(w io.Writer) error {
 	if s == nil {
 		return nil
 	}
-	top := s.Top()
-	metrics := []struct {
-		name, help string
-		value      func(t TenantStat) string
-	}{
-		{"memsnap_tenant_ops", "Estimated operations per top-K tenant (space-saving sketch; see _ops_error_floor).",
-			func(t TenantStat) string { return fmt.Sprintf("%d", t.Ops) }},
-		{"memsnap_tenant_ops_error_floor", "Space-saving overestimation bound for memsnap_tenant_ops.",
-			func(t TenantStat) string { return fmt.Sprintf("%d", t.ErrFloor) }},
-		{"memsnap_tenant_wire_bytes", "Request wire bytes per top-K tenant since sketch entry.",
-			func(t TenantStat) string { return fmt.Sprintf("%d", t.WireBytes) }},
-		{"memsnap_tenant_commit_latency_seconds_sum", "Summed commit latency per top-K tenant since sketch entry.",
-			func(t TenantStat) string { return PromSeconds(t.CommitLatency) }},
-	}
-	for _, m := range metrics {
-		if err := WritePromHeader(w, m.name, m.help, "gauge"); err != nil {
-			return err
-		}
-		for _, t := range top {
-			if _, err := fmt.Fprintf(w, "%s{tenant=\"%s\"} %s\n", m.name, promLabelEscape(t.Tenant), m.value(t)); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// promLabelEscape escapes a tenant name for use inside a quoted
-// Prometheus label value (tenants are arbitrary client bytes).
-func promLabelEscape(s string) string {
-	if !strings.ContainsAny(s, "\\\"\n") {
-		return s
-	}
-	r := strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
-	return r.Replace(s)
+	return WriteFamilies(w, "tenant", func(t *TenantStat) string { return t.Tenant }, s.Top(), tenantFamilies)
 }

@@ -12,8 +12,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"flag"
-	"os"
-	"path/filepath"
 	"testing"
 
 	"memsnap/internal/core"
@@ -71,23 +69,7 @@ func TestWriteTraceGolden(t *testing.T) {
 		t.Fatal("trace export is not deterministic across identical runs")
 	}
 
-	golden := filepath.Join("testdata", "trace.golden")
-	if *updateGolden {
-		if err := os.MkdirAll(filepath.Dir(golden), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(golden, got, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("%v (rerun with -update-golden to create it)", err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Errorf("trace drifted from %s (rerun with -update-golden after an intentional change)\n--- got ---\n%s\n--- want ---\n%s",
-			golden, got, want)
-	}
+	checkGolden(t, "trace.golden", got)
 }
 
 func TestWriteTraceParsesAsTraceEventJSON(t *testing.T) {

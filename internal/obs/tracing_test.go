@@ -116,27 +116,6 @@ func TestTenantSketchNilAndEmptyTenant(t *testing.T) {
 	}
 }
 
-func TestTenantSketchWriteProm(t *testing.T) {
-	s := NewTenantSketch(4)
-	s.Observe(`we"ird\ten`+"\nant", 7, 1500*time.Millisecond)
-	var b strings.Builder
-	if err := s.WriteProm(&b); err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
-	for _, want := range []string{
-		"# TYPE memsnap_tenant_ops gauge",
-		`memsnap_tenant_ops{tenant="we\"ird\\ten\nant"} 1`,
-		`memsnap_tenant_wire_bytes{tenant="we\"ird\\ten\nant"} 7`,
-		"memsnap_tenant_commit_latency_seconds_sum",
-		"} 1.5",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("exposition missing %q:\n%s", want, out)
-		}
-	}
-}
-
 func TestRecorderPeekNonDestructive(t *testing.T) {
 	rec := NewRecorder(8)
 	rec.Span(CatShard, NameGroupCommit, ShardTrack(0), 0, time.Millisecond, 1)
@@ -161,7 +140,7 @@ func TestWriteTraceFlowEvents(t *testing.T) {
 		{Kind: KindSpan, Cat: CatNet, Name: NameClientRequest, Track: ClientTrack(0), Start: 0, Dur: 4 * time.Millisecond, Flow: flow},
 		{Kind: KindSpan, Cat: CatNet, Name: NameNetRequest, Track: NetTrack(0), Start: time.Millisecond, Dur: 2 * time.Millisecond, Flow: flow},
 		{Kind: KindSpan, Cat: CatShard, Name: NameGroupCommit, Track: ShardTrack(0), Start: 2 * time.Millisecond, Dur: time.Millisecond, Flow: flow},
-		{Kind: KindSpan, Cat: CatShard, Name: NameGroupCommit, Track: ShardTrack(1), Start: 0, Dur: time.Millisecond}, // no flow
+		{Kind: KindSpan, Cat: CatShard, Name: NameGroupCommit, Track: ShardTrack(1), Start: 0, Dur: time.Millisecond},              // no flow
 		{Kind: KindSpan, Cat: CatNet, Name: NameClientRequest, Track: ClientTrack(1), Start: 0, Dur: time.Millisecond, Flow: 0x77}, // single-span flow
 	}
 	var buf bytes.Buffer

@@ -32,8 +32,8 @@ func TestCloseIdempotent(t *testing.T) {
 	if err := svc.Put("t", "b", 1); err != ErrClosed {
 		t.Fatalf("Put after Close = %v; want ErrClosed", err)
 	}
-	if _, err := svc.TryDoAsync(Op{Kind: OpPut, Tenant: "t", Key: "c", Value: 1}); err != ErrClosed {
-		t.Fatalf("TryDoAsync after Close = %v; want ErrClosed", err)
+	if err := svc.TryDoTagged(Op{Kind: OpPut, Tenant: "t", Key: "c", Value: 1}, 0, make(chan Response, 1)); err != ErrClosed {
+		t.Fatalf("TryDoTagged after Close = %v; want ErrClosed", err)
 	}
 }
 

@@ -48,7 +48,7 @@ func TestFormatPrometheusGolden(t *testing.T) {
 		},
 	}
 	var buf bytes.Buffer
-	if err := FormatPrometheus(&buf, stats); err != nil {
+	if err := formatPrometheus(&buf, stats); err != nil {
 		t.Fatal(err)
 	}
 	golden := filepath.Join("testdata", "prometheus.golden")
@@ -65,7 +65,7 @@ func TestFormatPrometheusGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(buf.Bytes(), want) {
-		t.Errorf("FormatPrometheus output drifted from %s (rerun with -update-golden after an intentional change)\n--- got ---\n%s\n--- want ---\n%s",
+		t.Errorf("formatPrometheus output drifted from %s (rerun with -update-golden after an intentional change)\n--- got ---\n%s\n--- want ---\n%s",
 			golden, buf.Bytes(), want)
 	}
 }

@@ -36,8 +36,8 @@ import (
 
 // Service errors.
 var (
-	// ErrBackpressure is returned by TryDoAsync and TryDoTagged when
-	// the target shard's queue is full (admission control).
+	// ErrBackpressure is returned by TryDoTagged when the target
+	// shard's queue is full (admission control).
 	ErrBackpressure = errors.New("shard: queue full")
 	// ErrClosed is returned for operations submitted after Close.
 	ErrClosed = errors.New("shard: service closed")
@@ -134,8 +134,7 @@ type Config struct {
 	// Shards is the number of independent shards (default 8).
 	Shards int
 	// QueueDepth bounds each shard's request queue (default 256);
-	// TryDoAsync and TryDoTagged fail with ErrBackpressure when the
-	// queue is full.
+	// TryDoTagged fails with ErrBackpressure when the queue is full.
 	QueueDepth int
 	// BatchSize caps the number of requests coalesced into one group
 	// commit (default 16).
@@ -579,20 +578,6 @@ func (s *Service) DoAsync(op Op) (<-chan Response, error) {
 	}
 	ch := make(chan Response, 1)
 	if err := s.send(sh, op, 0, ch, true); err != nil {
-		return nil, err
-	}
-	return ch, nil
-}
-
-// TryDoAsync is DoAsync with admission control: when the shard queue
-// is full it rejects the op with ErrBackpressure instead of blocking.
-func (s *Service) TryDoAsync(op Op) (<-chan Response, error) {
-	sh, err := s.route(op)
-	if err != nil {
-		return nil, err
-	}
-	ch := make(chan Response, 1)
-	if err := s.send(sh, op, 0, ch, false); err != nil {
 		return nil, err
 	}
 	return ch, nil

@@ -173,20 +173,18 @@ func TestBackpressure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var pending []<-chan Response
+	resp := make(chan Response, 5) // one slot per submission
 	for i := 0; i < 4; i++ {
-		ch, err := svc.TryDoAsync(Op{Kind: OpPut, Tenant: "t", Key: fmt.Sprintf("k%d", i), Value: 1})
-		if err != nil {
+		if err := svc.TryDoTagged(Op{Kind: OpPut, Tenant: "t", Key: fmt.Sprintf("k%d", i), Value: 1}, uint64(i), resp); err != nil {
 			t.Fatalf("op %d rejected with queue not full: %v", i, err)
 		}
-		pending = append(pending, ch)
 	}
-	if _, err := svc.TryDoAsync(Op{Kind: OpPut, Tenant: "t", Key: "overflow", Value: 1}); err != ErrBackpressure {
+	if err := svc.TryDoTagged(Op{Kind: OpPut, Tenant: "t", Key: "overflow", Value: 1}, 4, resp); err != ErrBackpressure {
 		t.Fatalf("full-queue error = %v; want ErrBackpressure", err)
 	}
 	svc.start()
-	for _, ch := range pending {
-		if r := <-ch; r.Err != nil {
+	for i := 0; i < 4; i++ {
+		if r := <-resp; r.Err != nil {
 			t.Fatal(r.Err)
 		}
 	}

@@ -19,7 +19,7 @@ type ShardStats struct {
 	Commits        int64
 	BatchOccupancy float64
 	// QueueHighWater is the deepest queue observed at submit time;
-	// Rejected counts TryDoAsync/TryDoTagged admissions refused with
+	// Rejected counts TryDoTagged admissions refused with
 	// ErrBackpressure.
 	QueueHighWater int
 	Rejected       int64

@@ -23,9 +23,9 @@ import (
 //   - a blocking caller (Do, the KV helpers, probe) that finds
 //     the lock free and the queue empty runs its own op on its own
 //     goroutine (runOwn) and gets the response by value;
-//   - the submitter of a get through DoTagged, TryDoTagged, DoAsync or
-//     TryDoAsync that finds the shard idle the same way answers it on its
-//     own goroutine (read) and puts the response on its channel before
+//   - the submitter of a get through DoTagged, TryDoTagged or DoAsync
+//     that finds the shard idle the same way answers it on its own
+//     goroutine (read) and puts the response on its channel before
 //     returning.
 //
 // Requests leave the queue only under execMu. That is what keeps each

@@ -194,53 +194,6 @@ func TestZetaTailApproximation(t *testing.T) {
 	}
 }
 
-func TestLatencyRecorder(t *testing.T) {
-	r := NewLatencyRecorder()
-	for i := 1; i <= 100; i++ {
-		r.Record(time.Duration(i) * time.Microsecond)
-	}
-	s := r.Summarize()
-	if s.Count != 100 {
-		t.Fatalf("Count = %d", s.Count)
-	}
-	if s.Mean != 50500*time.Nanosecond {
-		t.Fatalf("Mean = %v", s.Mean)
-	}
-	if s.P99 != 99*time.Microsecond {
-		t.Fatalf("P99 = %v", s.P99)
-	}
-	if s.Max != 100*time.Microsecond {
-		t.Fatalf("Max = %v", s.Max)
-	}
-}
-
-func TestLatencyRecorderEmpty(t *testing.T) {
-	r := NewLatencyRecorder()
-	if r.Mean() != 0 || r.Percentile(99) != 0 || r.Max() != 0 {
-		t.Fatal("empty recorder should report zeros")
-	}
-	if s := r.Summarize(); s.Count != 0 {
-		t.Fatal("empty summary should be zero")
-	}
-}
-
-func TestPercentileProperty(t *testing.T) {
-	f := func(raw []uint16) bool {
-		if len(raw) == 0 {
-			return true
-		}
-		r := NewLatencyRecorder()
-		for _, v := range raw {
-			r.Record(time.Duration(v))
-		}
-		p50, p99 := r.Percentile(50), r.Percentile(99)
-		return p50 <= p99 && p99 <= r.Max()
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestTimeBuckets(t *testing.T) {
 	b := NewTimeBuckets()
 	b.Add("io", 30*time.Microsecond)

@@ -31,11 +31,18 @@ type Tracing struct {
 
 // clientSlot is one pipelined request slot. id is atomic because the
 // reader goroutine checks it to route (and drop stale) responses; ch
-// has capacity 1 so the reader never blocks.
+// has capacity 1 so the reader never blocks. Once the read loop has
+// exited it leaves closedWake in every empty ch, so a caller waits on
+// its own channel alone.
 type clientSlot struct {
 	id atomic.Uint64
 	ch chan proto.Response
 }
+
+// closedWake is the response the read loop leaves in a slot once the
+// connection is gone. No real response routes to a slot with ID 0:
+// every request id carries a generation of at least 1.
+var closedWake = proto.Response{}
 
 // Client is a pipelined protocol client: up to depth concurrent Do
 // calls share one TCP connection, each owning a slot for the duration
@@ -108,8 +115,10 @@ func newClient(nc net.Conn, depth int) *Client {
 	return c
 }
 
-// readLoop routes response frames to their slots by id.
+// readLoop routes response frames to their slots by id. When the
+// connection fails it closes done and then wakes every slot (wakeAll).
 func (c *Client) readLoop() {
+	defer c.wakeAll()
 	fr := proto.NewFrameReader(c.c, 0)
 	var p proto.Response
 	for {
@@ -136,17 +145,43 @@ func (c *Client) readLoop() {
 	}
 }
 
+// wakeAll leaves closedWake in every slot channel that is empty, after
+// done is closed: a caller waiting for a response that will never come
+// receives it instead. A slot already holding a response keeps it —
+// that response was routed before the connection went, and its caller
+// takes it.
+func (c *Client) wakeAll() {
+	for i := range c.slots {
+		select {
+		case c.slots[i].ch <- closedWake:
+		default:
+		}
+	}
+}
+
 // DoOnce sends one request and waits for its response without
 // retrying, exposing RETRY_AFTER (and every other status) to the
 // caller. q.ID is overwritten with the slot-generation id.
+//
+// The caller waits on its slot's channel alone, never on the shared
+// done: a wake the read loop left in the slot (closedWake) is drained
+// before done is checked, so one that lands after the check is the
+// one this caller receives.
+//
+//memsnap:hotpath
 func (c *Client) DoOnce(q *proto.Request) (proto.Response, error) {
-	var slot uint32
-	select {
-	case slot = <-c.free:
-	case <-c.done:
-		return proto.Response{}, c.closeErr()
-	}
+	slot := <-c.free
 	s := &c.slots[slot]
+	select {
+	case <-s.ch: // a stale wake from a read loop that has exited
+	default:
+	}
+	select {
+	case <-c.done:
+		c.free <- slot
+		return proto.Response{}, c.closeErr()
+	default:
+	}
 	gen := (s.id.Load() >> 32) + 1
 	id := gen<<32 | uint64(slot)
 	s.id.Store(id)
@@ -167,29 +202,17 @@ func (c *Client) DoOnce(q *proto.Request) (proto.Response, error) {
 		c.free <- slot
 		return proto.Response{}, err
 	}
-	select {
-	case p := <-s.ch:
-		c.free <- slot
-		c.finishTrace(tid, tstart, q.Kind)
-		return p, nil
-	case <-c.done:
-		// done is closed only after the read loop has exited, so any
-		// response for this slot was already delivered: prefer it over
-		// the close (the select above picks arbitrarily when both are
-		// ready).
-		select {
-		case p := <-s.ch:
-			c.free <- slot
-			c.finishTrace(tid, tstart, q.Kind)
-			return p, nil
-		default:
-		}
+	p := <-s.ch
+	if p.ID == closedWake.ID {
 		// Mark the slot stale before freeing so nothing lands in the
 		// next generation.
 		s.id.Store(0)
 		c.free <- slot
 		return proto.Response{}, c.closeErr()
 	}
+	c.free <- slot
+	c.finishTrace(tid, tstart, q.Kind)
+	return p, nil
 }
 
 // send encodes q into the pending buffer and makes sure it reaches the

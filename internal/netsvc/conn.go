@@ -1,7 +1,6 @@
 package netsvc
 
 import (
-	"bufio"
 	"io"
 	"net" //lint:allow sockio per-connection framing of the real-TCP data plane
 	"runtime"
@@ -14,23 +13,26 @@ import (
 	"memsnap/internal/shard"
 )
 
-// maxIntern caps each connection's tenant/key string intern table.
+// maxIntern is the server-wide budget of interned tenant/key strings.
 // Steady-state workloads reuse a bounded key set, so interning removes
 // the per-op []byte→string copies; a hostile peer churning unique keys
-// just falls back to plain copies once the table is full.
+// just falls back to plain copies once the budget is spent, and every
+// connection returns its share when it closes, so memory is bounded by
+// the budget rather than by connections × key churn.
 const maxIntern = 1 << 16
 
 // writeTimeout bounds one flush of responses to the socket. A peer
 // that pipelines requests and stops reading fills its receive window;
-// without a deadline the writer would block in the flush forever and a
-// graceful drain would never finish. Past the deadline the connection
-// is treated like any other broken peer.
+// without a deadline the flush would block forever and a graceful
+// drain would never finish. Past the deadline the connection is
+// treated like any other broken peer.
 const writeTimeout = 2 * time.Second
 
-// slotInfo describes one in-flight request. Written by the reader when
-// the slot is acquired, read (by value) by the writer when the
-// response arrives; the slot index travels through the shard tag, so
-// each slot has exactly one owner at a time.
+// slotInfo describes one request from decode to reply. For a queued
+// request it is written by the reader when the slot is acquired and read
+// (by value) by the writer when the response arrives; the slot index
+// travels through the shard tag, so each slot has exactly one owner at a
+// time. A lone request keeps it on the reader's stack.
 type slotInfo struct {
 	id    uint64
 	kind  proto.Kind
@@ -43,12 +45,24 @@ type slotInfo struct {
 	wire    uint32
 }
 
-// conn is one client connection: a reader goroutine that decodes
-// frames and submits tagged shard ops, and a writer goroutine that
-// completes them out of order as responses arrive. A get that finds its
-// shard idle runs on the reader inside TryDoTagged, and its response is
-// on out before the call returns; writes, and gets that find the shard
-// busy, are left to the shard workers.
+// conn is one client connection: a reader goroutine that decodes frames
+// and a writer goroutine that completes queued requests out of order as
+// their responses arrive.
+//
+// A lone request — nothing else in flight on the connection and no byte
+// of a further frame read — is answered where it was read: the reader
+// runs it on its shard if the shard is idle (shard.Service.TryRun),
+// encodes the reply and flushes it itself, with no slot, no shard queue
+// and no wake-up of a worker or the writer. Everything else takes a slot
+// and goes through TryDoTagged: a get that finds its shard idle runs on
+// the reader inside that call and its response is on out before it
+// returns; writes, and gets that find the shard busy, are left to the
+// shard workers, and the writer turns their responses into replies.
+//
+// Reader and writer share one output double buffer (pending/spare under
+// wmu). Whoever appends a reply and finds no flush in progress becomes
+// the flusher and writes until the buffer is empty; anyone else leaves
+// their bytes to it (flush).
 //
 // Flow control: slots (capacity MaxInFlight) bounds the in-flight
 // table. The reader blocks acquiring a slot when the table is full —
@@ -78,10 +92,17 @@ type conn struct {
 	idsMu sync.Mutex
 	ids   map[uint64]bool
 
-	// strs interns tenant/key strings (reader-owned).
+	// strs interns tenant/key strings (reader-owned), within the
+	// server-wide budget (Server.interned).
 	strs map[string]string
 
-	// dw is the socket as the response buffer sees it (writer-owned).
+	// wmu guards the output double buffer and its state.
+	wmu      sync.Mutex
+	pending  []byte // replies encoded and not yet handed to Write
+	spare    []byte // the other half of the double buffer
+	flushing bool   // someone is writing, and will write pending too
+	broken   bool   // a write failed: replies are dropped from now on
+	// dw is the socket as the flusher sees it (flusher-owned).
 	dw deadlineWriter
 
 	closeReadOnce sync.Once
@@ -106,12 +127,12 @@ func newConn(s *Server, nc net.Conn) *conn {
 	return c
 }
 
-// closeRead half-closes the connection, for graceful drain and once
-// the writer has broken: the reader sees EOF and admits nothing new,
-// while the write side stays open so in-flight responses still reach
-// the client.
+// closeRead half-closes the connection, for graceful drain and once a
+// write has failed: the reader sees EOF and admits nothing new, while
+// the write side stays open so in-flight responses still reach the
+// client.
 func (c *conn) closeRead() {
-	//lint:allow hotalloc off the frame path: the writer calls it only once the connection is broken
+	//lint:allow hotalloc off the frame path: the flusher calls it only once the connection is broken
 	c.closeReadOnce.Do(func() {
 		if tc, ok := c.c.(interface{ CloseRead() error }); ok {
 			tc.CloseRead()
@@ -122,12 +143,11 @@ func (c *conn) closeRead() {
 }
 
 // deadlineWriter keeps the connection's write deadline ahead of every
-// write the response buffer passes down, so no flush — the explicit
-// one that ends a batch or the implicit one of a full buffer — can
-// block past writeTimeout. The deadline is pushed out only once half
-// of it has run down: a write has between writeTimeout/2 and
-// writeTimeout to finish, and the steady-state flush (one per request
-// at depth 1) does not touch the runtime's timer heap.
+// write the flusher passes down, so no flush can block past
+// writeTimeout. The deadline is pushed out only once half of it has run
+// down: a write has between writeTimeout/2 and writeTimeout to finish,
+// and the steady-state flush (one per request at depth 1) does not touch
+// the runtime's timer heap.
 type deadlineWriter struct {
 	c     net.Conn
 	armed time.Time
@@ -141,14 +161,15 @@ func (w *deadlineWriter) Write(p []byte) (int, error) {
 	return w.c.Write(p)
 }
 
-// readLoop decodes frames and submits them. It exits on EOF, read
-// error, or the first malformed frame (protocol errors are not
+// readLoop decodes frames and runs or submits them. It exits on EOF,
+// read error, or the first malformed frame (protocol errors are not
 // recoverable mid-stream: framing may be lost).
 //
 //memsnap:hotpath
 func (c *conn) readLoop() {
 	defer c.srv.wg.Done()
 	defer close(c.readerDone)
+	defer c.releaseInterned()
 	fr := proto.NewFrameReader(c.c, c.srv.cfg.MaxFrame)
 	var q proto.Request
 	for {
@@ -161,10 +182,36 @@ func (c *conn) readLoop() {
 			}
 			return
 		}
-		c.srv.st.bytesIn.Add(int64(4 + len(payload)))
+		wire := uint32(4 + len(payload))
+		c.srv.st.bytesIn.Add(int64(wire))
 		if err := proto.DecodeRequest(payload, &q); err != nil {
 			c.srv.st.badFrames.Add(1)
 			return
+		}
+		si := slotInfo{id: q.ID, kind: q.Kind, start: wallNow()}
+		if q.TraceID != 0 && c.srv.cfg.Recorder.Enabled() {
+			// Sampled request: stamp the net-lane span start with the
+			// service's virtual clock (the one cross-goroutine clock
+			// access the ownership rule permits) so the span lands on
+			// the same timeline as the shard lanes it flows into.
+			si.traceID = q.TraceID
+			si.vstart = c.srv.svc.EndTime()
+			si.wire = wire
+		}
+		var op shard.Op
+		if q.Kind != proto.KindPing {
+			op = shard.Op{
+				Kind:      opKind(q.Kind),
+				Tenant:    c.intern(q.Tenant),
+				Key:       c.intern(q.Key),
+				Key2:      c.intern(q.Key2),
+				Value:     q.Value,
+				TraceID:   q.TraceID,
+				WireBytes: wire,
+			}
+		}
+		if c.inflight.Load() == 0 && fr.Buffered() == 0 && c.runLone(&si, op) {
+			continue
 		}
 		// Bounded in-flight table: block here — not in the shard — when
 		// the pipeline is full. Responses draining on the writer side
@@ -184,32 +231,12 @@ func (c *conn) readLoop() {
 			return
 		}
 		c.srv.st.requests.Add(1)
-		si := slotInfo{id: q.ID, kind: q.Kind, start: wallNow()}
-		if q.TraceID != 0 && c.srv.cfg.Recorder.Enabled() {
-			// Sampled request: stamp the net-lane span start with the
-			// service's virtual clock (the one cross-goroutine clock
-			// access the ownership rule permits) so the span lands on
-			// the same timeline as the shard lanes it flows into.
-			si.traceID = q.TraceID
-			si.vstart = c.srv.svc.EndTime()
-			si.wire = uint32(4 + len(payload))
-		}
+		c.srv.st.inFlight.Add(1)
 		c.slot[s] = si
 		c.inflight.Add(1)
-		c.srv.st.inFlight.Add(1)
-
 		if q.Kind == proto.KindPing {
 			c.out <- shard.Response{Tag: uint64(s)}
 			continue
-		}
-		op := shard.Op{
-			Kind:      opKind(q.Kind),
-			Tenant:    c.intern(q.Tenant),
-			Key:       c.intern(q.Key),
-			Key2:      c.intern(q.Key2),
-			Value:     q.Value,
-			TraceID:   q.TraceID,
-			WireBytes: uint32(4 + len(payload)),
 		}
 		// Non-blocking admission: a full shard queue becomes a
 		// RETRY_AFTER on the wire instead of a stalled read loop.
@@ -219,74 +246,93 @@ func (c *conn) readLoop() {
 	}
 }
 
-// writeLoop encodes completions, batching opportunistically: it blocks
-// for one response, drains whatever else is ready, then flushes once.
-// If the queue runs dry while requests are still in flight, their
-// completions are on the way from the shard workers, so it yields the
-// processor once and drains again before flushing; with nothing else
-// in flight it flushes at once. After a write error or timeout it
-// half-closes the read side, so the reader hits EOF and admits nothing
-// new, and keeps draining (freeing slots and stats) but discards output,
-// so shard workers and the reader never wedge on a broken peer. It exits
-// when the reader is done and the in-flight table is empty, then
-// closes the connection.
+// runLone answers a lone request on the reader: a ping at once, an op
+// through TryRun, then the reply is flushed from here. Nothing else is
+// in flight, so the request needs no slot and no duplicate-id entry.
+// It returns false, having counted and sent nothing, when the op's
+// shard is busy (or TryRun refuses a write), and the reader queues the
+// request instead.
+func (c *conn) runLone(si *slotInfo, op shard.Op) bool {
+	var r shard.Response
+	if si.kind != proto.KindPing {
+		var ran bool
+		var err error
+		if r, ran, err = c.srv.svc.TryRun(op); err != nil {
+			r = shard.Response{Err: err}
+		} else if !ran {
+			return false
+		}
+	}
+	c.srv.st.requests.Add(1)
+	c.srv.st.inFlight.Add(1)
+	c.answer(si, r)
+	c.flush()
+	return true
+}
+
+// writeLoop encodes completions of queued requests, batching
+// opportunistically: it blocks for one response, drains whatever else is
+// ready, then flushes once. If the queue runs dry while requests are
+// still in flight, their completions are on the way from the shard
+// workers, so it yields the processor once and drains again before
+// flushing; with nothing else in flight it flushes at once. Once a
+// write has failed it keeps draining (freeing slots and stats) while
+// answer drops the replies, so shard workers and the reader never wedge
+// on a broken peer. It exits when the reader is done and the in-flight
+// table is empty, then closes the connection.
 //
 //memsnap:hotpath
 func (c *conn) writeLoop() {
 	defer c.srv.wg.Done()
 	defer c.srv.untrack(c)
 	defer c.c.Close()
-	bw := bufio.NewWriterSize(&c.dw, 16<<10)
-	//lint:allow hotalloc per-connection setup before the loop, not per frame
-	buf := make([]byte, 0, 64)
-	broken := false
 	done := c.readerDone
 	for done != nil || c.inflight.Load() > 0 {
 		select {
 		case r := <-c.out:
-			buf = c.complete(r, bw, buf, &broken)
-			buf = c.drain(bw, buf, &broken)
+			c.complete(r)
+			c.drain()
 			if c.inflight.Load() > 0 {
 				runtime.Gosched()
-				buf = c.drain(bw, buf, &broken)
+				c.drain()
 			}
-			if !broken {
-				if err := bw.Flush(); err != nil {
-					broken = true
-				}
-			}
-			if broken {
-				// Nobody will read what this connection answers: stop
-				// admitting its requests.
-				c.closeRead()
-			}
+			c.flush()
 		case <-done:
 			done = nil
 		}
 	}
-	if !broken {
-		bw.Flush()
-	}
 }
 
 // drain completes every response already queued, without blocking.
-func (c *conn) drain(bw *bufio.Writer, buf []byte, broken *bool) []byte {
+func (c *conn) drain() {
 	for {
 		select {
 		case r := <-c.out:
-			buf = c.complete(r, bw, buf, broken)
+			c.complete(r)
 		default:
-			return buf
+			return
 		}
 	}
 }
 
-// complete turns one shard completion into a wire response, records
-// stats, and frees the slot. buf is the caller's reusable encode
-// buffer (returned possibly regrown).
-func (c *conn) complete(r shard.Response, bw *bufio.Writer, buf []byte, broken *bool) []byte {
+// complete answers one queued request from its shard completion and
+// frees its slot.
+func (c *conn) complete(r shard.Response) {
 	s := uint32(r.Tag)
 	si := c.slot[s] // copy before freeing: the reader may reuse the slot
+	c.answer(&si, r)
+	c.idsMu.Lock()
+	delete(c.ids, si.id)
+	c.idsMu.Unlock()
+	c.inflight.Add(-1)
+	c.free <- s
+}
+
+// answer books one finished request — its latency, the traced net span
+// and the response counters — and appends its reply to the output
+// buffer for the next flush. On a broken connection the reply is
+// dropped: nobody reads it.
+func (c *conn) answer(si *slotInfo, r shard.Response) {
 	resp := proto.Response{
 		ID:     si.id,
 		Status: statusOf(r.Err),
@@ -304,27 +350,56 @@ func (c *conn) complete(r shard.Response, bw *bufio.Writer, buf []byte, broken *
 		c.srv.cfg.Recorder.SpanFlow(obs.CatNet, obs.NameNetRequest, obs.NetTrack(0),
 			si.vstart, vnow-si.vstart, int64(si.wire), si.traceID)
 	}
-	c.idsMu.Lock()
-	delete(c.ids, si.id)
-	c.idsMu.Unlock()
 	c.srv.st.responses.Add(1)
 	c.srv.st.inFlight.Add(-1)
-	c.inflight.Add(-1)
-	c.free <- s
-	if *broken {
-		return buf
+	c.wmu.Lock()
+	if !c.broken {
+		n := len(c.pending)
+		c.pending = proto.AppendResponse(c.pending, &resp)
+		c.srv.st.bytesOut.Add(int64(len(c.pending) - n))
 	}
-	buf = proto.AppendResponse(buf[:0], &resp)
-	if _, err := bw.Write(buf); err != nil {
-		*broken = true
-		return buf
+	c.wmu.Unlock()
+}
+
+// flush makes sure the replies appended so far reach the socket. The
+// caller that finds no flush in progress becomes the flusher and writes
+// until pending is empty, swapping the two halves of the buffer so
+// others can append while it writes; any other caller leaves its bytes
+// to the flusher. A failed write (or one past writeTimeout) marks the
+// connection broken, drops what is left and half-closes the read side,
+// so the reader hits EOF and admits nothing new.
+//
+//memsnap:hotpath
+func (c *conn) flush() {
+	c.wmu.Lock()
+	if c.flushing {
+		c.wmu.Unlock()
+		return
 	}
-	c.srv.st.bytesOut.Add(int64(len(buf)))
-	return buf
+	c.flushing = true
+	for !c.broken && len(c.pending) > 0 {
+		batch := c.pending
+		c.pending = c.spare[:0]
+		c.wmu.Unlock()
+		_, err := c.dw.Write(batch)
+		c.wmu.Lock()
+		c.spare = batch
+		if err != nil {
+			c.broken = true
+			c.pending = c.pending[:0]
+		}
+	}
+	c.flushing = false
+	broken := c.broken
+	c.wmu.Unlock()
+	if broken {
+		c.closeRead()
+	}
 }
 
 // intern converts a wire string (aliasing the frame buffer) into a
-// stable Go string, reusing prior copies while the table has room.
+// stable Go string, reusing prior copies. A miss stores its copy only
+// while the server-wide budget has room.
 func (c *conn) intern(b []byte) string {
 	if len(b) == 0 {
 		return ""
@@ -332,12 +407,22 @@ func (c *conn) intern(b []byte) string {
 	if s, ok := c.strs[string(b)]; ok { // no-copy map lookup
 		return s
 	}
-	//lint:allow hotalloc intern miss path; copies amortize to zero while the table has room
+	//lint:allow hotalloc intern miss path; copies amortize to zero while the budget has room
 	s := string(b)
-	if len(c.strs) < maxIntern {
-		c.strs[s] = s
+	for n := c.srv.interned.Load(); n < maxIntern; n = c.srv.interned.Load() {
+		if c.srv.interned.CompareAndSwap(n, n+1) {
+			c.strs[s] = s
+			break
+		}
 	}
 	return s
+}
+
+// releaseInterned returns the connection's interned strings to the
+// server-wide budget when its reader exits.
+func (c *conn) releaseInterned() {
+	c.srv.interned.Add(-int64(len(c.strs)))
+	clear(c.strs)
 }
 
 // opKind maps a wire kind to the shard op kind. KindPing never reaches

@@ -3,14 +3,17 @@
 // internal/obs. It follows the server / protocol / execution layering:
 // this file owns the listener lifecycle, conn.go owns per-connection
 // framing and pipelining, and execution stays inside internal/shard —
-// the server is a thin adapter from decoded proto.Requests to tagged
-// shard submissions.
+// the server is a thin adapter from decoded proto.Requests to shard
+// calls.
 //
-// Each connection pipelines up to MaxInFlight requests through a
-// bounded slot table; responses complete out of order as shard workers
-// acknowledge durability. Admission control surfaces on the wire: a
-// full shard queue answers RETRY_AFTER (with a backoff hint) instead
-// of stalling the read loop or dropping the connection.
+// A lone request (nothing else in flight on its connection, nothing
+// more read) is run by the connection's reader on an idle shard
+// (shard.Service.TryRun) and answered from there. Otherwise each
+// connection pipelines up to MaxInFlight requests through a bounded
+// slot table of tagged submissions; responses complete out of order as
+// shard workers acknowledge durability. Admission control surfaces on
+// the wire: a full shard queue answers RETRY_AFTER (with a backoff
+// hint) instead of stalling the read loop or dropping the connection.
 //
 // Time domains: the simulation underneath runs on virtual sim.Clocks,
 // but a network client lives in wall time, so this package is — like
@@ -23,6 +26,7 @@ package netsvc
 import (
 	"net" //lint:allow sockio netsvc is the real-TCP data plane boundary
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"memsnap/internal/obs"
@@ -71,6 +75,9 @@ type Server struct {
 	// decoded to response encoded), reusing the obs machinery so the
 	// exposition format matches the shard-side histograms.
 	opLatency obs.Histogram
+	// interned counts the tenant/key strings every connection holds in
+	// its intern table, against the budget maxIntern.
+	interned atomic.Int64
 
 	mu     sync.Mutex
 	conns  map[*conn]bool

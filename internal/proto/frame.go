@@ -107,5 +107,11 @@ func (fr *FrameReader) fill(need int) error {
 	return nil
 }
 
+// Buffered returns how many bytes the window holds that Next has not
+// returned yet: 0 means the next Next must Read, and a whole frame's
+// worth means it will not. A server uses it to tell a lone request from
+// one with more of the pipeline already behind it.
+func (fr *FrameReader) Buffered() int { return fr.tail - fr.head }
+
 // BytesRead returns the total wire bytes consumed so far.
 func (fr *FrameReader) BytesRead() int64 { return fr.n }

@@ -218,6 +218,54 @@ func TestFrameReader(t *testing.T) {
 	}
 }
 
+// TestFrameReaderBuffered: Buffered reports the window's unreturned
+// bytes at each edge — nothing read yet, a cut length prefix, a cut
+// payload and several whole frames — and a Next over a whole buffered
+// frame makes no Read.
+func TestFrameReaderBuffered(t *testing.T) {
+	var frames [][]byte
+	for i := 0; i < 3; i++ {
+		f, err := AppendRequest(nil, &Request{ID: uint64(i + 1), Kind: KindGet, Tenant: []byte("t"), Key: []byte("key")})
+		if err != nil {
+			t.Fatal(err)
+		}
+		frames = append(frames, f)
+	}
+	f1, f2, f3 := frames[0], frames[1], frames[2]
+	cat := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
+	for _, c := range []struct {
+		name   string
+		chunks [][]byte
+		// after[i] is Buffered after the i-th Next; reads[i] the Reads it
+		// has made by then.
+		after, reads []int
+	}{
+		{"one frame a read", [][]byte{f1, f2}, []int{0, 0}, []int{1, 2}},
+		{"cut prefix", [][]byte{cat(f1, f2[:2]), f2[2:]}, []int{2, 0}, []int{1, 2}},
+		{"cut payload", [][]byte{cat(f1, f2[:7]), f2[7:]}, []int{7, 0}, []int{1, 2}},
+		{"three whole frames", [][]byte{cat(f1, f2, f3)}, []int{len(f2) + len(f3), len(f3), 0}, []int{1, 1, 1}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			src := &boundedChunkReader{chunks: c.chunks}
+			fr := NewFrameReader(src, 0)
+			if n := fr.Buffered(); n != 0 {
+				t.Fatalf("fresh reader: Buffered %d, want 0", n)
+			}
+			for i := range c.after {
+				if _, err := fr.Next(); err != nil {
+					t.Fatalf("frame %d: %v", i, err)
+				}
+				if n := fr.Buffered(); n != c.after[i] || src.reads != c.reads[i] {
+					t.Fatalf("after frame %d: Buffered %d with %d Reads, want %d with %d", i, n, src.reads, c.after[i], c.reads[i])
+				}
+			}
+			if _, err := fr.Next(); err != io.EOF || fr.Buffered() != 0 {
+				t.Fatalf("at the end: %v with %d buffered, want io.EOF with 0", err, fr.Buffered())
+			}
+		})
+	}
+}
+
 func TestFrameReaderHostileInput(t *testing.T) {
 	t.Run("oversized length prefix refused without allocating", func(t *testing.T) {
 		fr := NewFrameReader(strings.NewReader("\xff\xff\xff\xff garbage"), 0)

@@ -274,6 +274,7 @@ func FuzzFrameReaderChunks(f *testing.F) {
 	}
 	f.Add(stream, uint64(1))
 	f.Add(stream[:len(stream)-3], uint64(2))
+	f.Add(stream, uint64(96)) // chunks of up to 97 bytes: whole frames buffered behind the one returned
 	f.Add(appendRawFrame(appendRawFrame(nil, frameBufSize+1, rng), 9, rng), uint64(3))
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0, 0, 0, 1, 7}, uint64(4))
 	f.Add([]byte{0, 0, 0, 0, 0, 0}, uint64(5))
@@ -283,5 +284,41 @@ func FuzzFrameReaderChunks(f *testing.F) {
 			&randChunkReader{data: data, rng: sim.NewRNG(seed), maxChunk: maxChunk},
 			&randChunkReader{data: data, rng: sim.NewRNG(seed ^ 0x5bd1e995), maxChunk: maxChunk},
 			0, len(data))
+		checkBufferedFrameNoRead(t, &randChunkReader{data: data, rng: sim.NewRNG(seed), maxChunk: maxChunk})
 	})
+}
+
+// countingReader counts the Read calls made on r.
+type countingReader struct {
+	r     io.Reader
+	reads int
+}
+
+func (c *countingReader) Read(p []byte) (int, error) {
+	c.reads++
+	return c.r.Read(p)
+}
+
+// checkBufferedFrameNoRead walks the stream in r and checks Buffered
+// against the window: whenever it says a whole frame is there, the next
+// Next returns that frame without a Read.
+func checkBufferedFrameNoRead(t *testing.T, r io.Reader) {
+	t.Helper()
+	cr := &countingReader{r: r}
+	fr := NewFrameReader(cr, 0)
+	for {
+		whole := false
+		if n := fr.Buffered(); n >= 4 {
+			size := binary.BigEndian.Uint32(fr.buf[fr.head:])
+			whole = size > 0 && int64(size) <= int64(fr.max) && int64(n) >= 4+int64(size)
+		}
+		before := cr.reads
+		_, err := fr.Next()
+		if whole && (err != nil || cr.reads != before) {
+			t.Fatalf("a whole frame was buffered, yet Next made %d Reads (err %v)", cr.reads-before, err)
+		}
+		if err != nil {
+			return
+		}
+	}
 }

@@ -104,7 +104,8 @@ func TestTableSteadyStateZeroAlloc(t *testing.T) {
 // The ways an op reaches a shard, end to end on one shard with every
 // key preloaded (no table growth; each write batch is one uCheckpoint
 // on the simulated disk): a lone blocking Add on an idle shard, which
-// runs on the caller; a lone tagged get on an idle shard, which runs on
+// runs on the caller, the same Add through TryRun, which runs there too;
+// a lone tagged get on an idle shard, which runs on
 // its submitter; and a 16-deep DoTagged pipeline of Adds, which goes
 // queue → wake → worker → gather → apply → commit → retire.
 
@@ -137,6 +138,21 @@ func doIdle() (func(), *Service) {
 		r := svc.Do(Op{Kind: OpAdd, Tenant: "bench", Key: keys[i], Value: 1})
 		if r.Err != nil {
 			panic(r.Err)
+		}
+		benchValue = r.Value
+	}, svc
+}
+
+// tryRunIdle returns a closure doing one Add per call through TryRun,
+// which finds the shard idle and runs it on the caller.
+func tryRunIdle() (func(), *Service) {
+	svc, keys := benchService(2048)
+	i := 0
+	return func() {
+		i = (i + 1) % len(keys)
+		r, ran, err := svc.TryRun(Op{Kind: OpAdd, Tenant: "bench", Key: keys[i], Value: 1})
+		if !ran || err != nil || r.Err != nil {
+			panic(fmt.Sprint("TryRun on an idle shard: ", ran, err, r.Err))
 		}
 		benchValue = r.Value
 	}, svc
@@ -194,6 +210,16 @@ func BenchmarkDoIdle(b *testing.B) {
 	}
 }
 
+func BenchmarkTryRunIdle(b *testing.B) {
+	op, svc := tryRunIdle()
+	defer svc.Close()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		op()
+	}
+}
+
 func BenchmarkTaggedGetIdle(b *testing.B) {
 	op, svc := taggedGetIdle()
 	defer svc.Close()
@@ -214,10 +240,11 @@ func BenchmarkWorkerLoop(b *testing.B) {
 	}
 }
 
-// TestDoSteadyStateAllocs is the allocation gate for the three paths,
+// TestDoSteadyStateAllocs is the allocation gate for the four paths,
 // with no Replicator or Recorder attached. The bound it holds is 0 per
-// op: a blocking Add on an idle shard uses the shard's own request,
-// batch, pendingBatch and key scratch and gets its response by value; a
+// op: a blocking Add on an idle shard, and the same Add through TryRun,
+// use the shard's own request, batch, pendingBatch and key scratch and
+// get their response by value; a
 // tagged get on an idle shard uses the key scratch and the caller's
 // channel; a pipelined Add uses a pooled request and the caller's
 // channel. What
@@ -230,6 +257,11 @@ func TestDoSteadyStateAllocs(t *testing.T) {
 	idle, svc := doIdle()
 	if n := testing.AllocsPerRun(2000, idle); n != 0 {
 		t.Errorf("blocking Add on an idle shard: %v allocs/op, want 0", n)
+	}
+	svc.Close()
+	run, svc := tryRunIdle()
+	if n := testing.AllocsPerRun(2000, run); n != 0 {
+		t.Errorf("TryRun Add on an idle shard: %v allocs/op, want 0", n)
 	}
 	svc.Close()
 	get, svc := taggedGetIdle()

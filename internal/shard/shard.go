@@ -5,9 +5,10 @@
 // request queue and a worker goroutine. Whoever runs a shard holds its
 // execution lock: the worker while it drains the queue, or — as the
 // paper's msnap_persist runs on the thread that calls it — a blocking
-// caller (Do, Put, Get, ...) that finds the shard idle and runs its own
-// op on its own goroutine, with no hand-off, or the submitter of a get
-// (DoTagged, DoAsync, ...) that finds it idle (see the shard type).
+// caller (Do, Put, Get, ..., or TryRun) that finds the shard idle and
+// runs its own op on its own goroutine, with no hand-off, or the
+// submitter of a get (DoTagged, DoAsync, ...) that finds it idle (see
+// the shard type).
 // Either way many client writes coalesce into one group-commit
 // uCheckpoint per batch (MSAsync + Wait overlaps the IO of batch k with
 // the in-memory application of batch k+1), full queues apply
@@ -524,20 +525,33 @@ func (s *Service) claim(sh *shard) (bool, error) {
 	return true, nil
 }
 
+// runIdle is the one run-here-if-idle routine: on an idle shard
+// (claim) it runs op on the calling goroutine — read for a get, runOwn
+// for anything else — and returns the response by value. On a busy
+// shard it submits nothing and returns false.
+func (s *Service) runIdle(sh *shard, op Op) (Response, bool, error) {
+	idle, err := s.claim(sh)
+	if !idle {
+		return Response{}, false, err
+	}
+	var resp Response
+	if op.Kind == OpGet {
+		resp = sh.read(op)
+	} else {
+		resp = sh.runOwn(op)
+	}
+	sh.execMu.Unlock()
+	return resp, true, nil
+}
+
 // call runs a blocking op and returns its response. On an idle shard
-// (claim) the op runs here, on the caller's goroutine: a lone
+// (runIdle) the op runs here, on the caller's goroutine: a lone
 // synchronous operation pays no hand-off to the worker and back.
 // Otherwise the op queues behind what is there and the caller waits,
 // sharing the worker's group commit.
 func (s *Service) call(sh *shard, op Op) (Response, error) {
-	idle, err := s.claim(sh)
-	if err != nil {
-		return Response{}, err
-	}
-	if idle {
-		resp := sh.runOwn(op)
-		sh.execMu.Unlock()
-		return resp, nil
+	if resp, ran, err := s.runIdle(sh, op); ran || err != nil {
+		return resp, err
 	}
 	ch := make(chan Response, 1)
 	if err := s.submit(sh, getRequest(op, 0, ch), true); err != nil {
@@ -547,24 +561,44 @@ func (s *Service) call(sh *shard, op Op) (Response, error) {
 }
 
 // send submits op for a response on resp. A get that finds the shard
-// idle (claim) is answered on the submitter's goroutine and its response
-// is on resp before send returns: a read has no commit to wait for, so
-// it pays no queue, worker wake-up or hand-off back. Anything else
-// queues (submit).
+// idle (runIdle) is answered on the submitter's goroutine and its
+// response is on resp before send returns: a read has no commit to wait
+// for, so it pays no queue, worker wake-up or hand-off back. Anything
+// else queues (submit).
 func (s *Service) send(sh *shard, op Op, tag uint64, resp chan Response, block bool) error {
 	if op.Kind == OpGet {
-		idle, err := s.claim(sh)
+		r, ran, err := s.runIdle(sh, op)
 		if err != nil {
 			return err
 		}
-		if idle {
-			r := sh.read(op, tag)
-			sh.execMu.Unlock()
+		if ran {
+			r.Tag = tag
 			resp <- r
 			return nil
 		}
 	}
 	return s.submit(sh, getRequest(op, tag, resp), block)
+}
+
+// TryRun runs op on the calling goroutine if its shard is idle and
+// returns the response by value, with no request, channel or queue: the
+// caller — a network connection's reader answering a lone request — is
+// the one that takes the op's µCheckpoint. On a busy shard it submits
+// nothing and returns false, and the caller takes the queued path
+// (TryDoTagged). TryRun never runs work that can wait in real time: with
+// a Replicator attached a write's retire may block in ShipCommit for as
+// long as the replicator likes, so it refuses writes and runs only gets.
+// A non-nil error (a bad key, a closed service) is the op's outcome;
+// nothing ran.
+func (s *Service) TryRun(op Op) (Response, bool, error) {
+	sh, err := s.route(op)
+	if err != nil {
+		return Response{}, false, err
+	}
+	if op.Kind != OpGet && s.cfg.Replicator != nil {
+		return Response{}, false, nil
+	}
+	return s.runIdle(sh, op)
 }
 
 // DoAsync submits op and returns a channel that will receive its

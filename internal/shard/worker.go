@@ -20,13 +20,16 @@ import (
 //
 //   - the shard's worker, woken through wake after an enqueue, holds it
 //     while it runs the queue dry (serve);
-//   - a blocking caller (Do, the KV helpers, probe) that finds
-//     the lock free and the queue empty runs its own op on its own
-//     goroutine (runOwn) and gets the response by value;
+//   - a blocking caller (Do, the KV helpers, probe) or a TryRun caller
+//     that finds the lock free and the queue empty runs its own op on
+//     its own goroutine (runOwn, or read for a get) and gets the
+//     response by value;
 //   - the submitter of a get through DoTagged, TryDoTagged or DoAsync
 //     that finds the shard idle the same way answers it on its own
 //     goroutine (read) and puts the response on its channel before
 //     returning.
+//
+// All but the worker go through one routine, Service.runIdle.
 //
 // Requests leave the queue only under execMu. That is what keeps each
 // submitter's ops in submission order across the kinds of holder:
@@ -177,12 +180,12 @@ func (sh *shard) runOwn(op Op) Response {
 	return r.ack
 }
 
-// read answers a get on its submitter's goroutine (Service.send) with
-// what apply does for a one-read batch — the queue-wait span, the table
-// probe, the tenant observation and the ops/reads counters — and no
-// request, batch or channel. The caller holds execMu and found the
+// read answers a get on its submitter's goroutine (Service.runIdle)
+// with what apply does for a one-read batch — the queue-wait span, the
+// table probe, the tenant observation and the ops/reads counters — and
+// no request, batch or channel. The caller holds execMu and found the
 // queue empty.
-func (sh *shard) read(op Op, tag uint64) Response {
+func (sh *shard) read(op Op) Response {
 	now := sh.ctx.Clock().Now()
 	sh.svc.cfg.Recorder.SpanFlow(obs.CatShard, obs.NameQueueWait, obs.ShardTrack(sh.id),
 		now, 0, 1, op.TraceID)
@@ -192,7 +195,7 @@ func (sh *shard) read(op Op, tag uint64) Response {
 	sh.ops++
 	sh.reads++
 	sh.statsMu.Unlock()
-	return Response{Tag: tag, Value: v, Found: ok}
+	return Response{Value: v, Found: ok}
 }
 
 // respond delivers r's one response. A queued request gets it on its
@@ -330,23 +333,8 @@ func (sh *shard) apply(batch []*request) *pendingBatch {
 // the region and its (successful) response must wait for durability.
 func (sh *shard) applyOne(op Op) (resp Response, isWrite bool) {
 	switch op.Kind {
-	case opSum:
-		return Response{Value: sh.tab.man.sum}, false
-	case opMeta:
-		return Response{
-			Value: sh.tab.man.sum,
-			snap: &Snapshot{
-				Shard: sh.id,
-				Seq:   sh.tab.man.commits,
-				Era:   sh.tab.man.era,
-				Epoch: sh.region.Epoch(),
-			},
-		}, false
-	case opSnapshot:
-		snap := sh.snapshot()
-		return Response{snap: &snap}, false
-	case opDigest:
-		return Response{Value: DigestRegion(sh.ctx, sh.region)}, false
+	case opSum, opMeta, opSnapshot, opDigest:
+		return sh.probeOne(op.Kind), false
 	case OpGet:
 		v, ok := sh.lookup(op)
 		return Response{Value: v, Found: ok}, false
@@ -389,6 +377,33 @@ func (sh *shard) applyOne(op Op) (resp Response, isWrite bool) {
 		return Response{Value: bal - op.Value}, true
 	}
 	return Response{Err: errUnknownOp(op.Kind)}, false
+}
+
+// probeOne answers an internal read-only probe: the manifest sum, the
+// replication metadata, a full-region snapshot or the region digest.
+// Probes come from the service itself (ShardSums, replication catch-up,
+// audits), never from a client request.
+//
+//memsnap:coldpath
+func (sh *shard) probeOne(kind OpKind) Response {
+	switch kind {
+	case opMeta:
+		return Response{
+			Value: sh.tab.man.sum,
+			snap: &Snapshot{
+				Shard: sh.id,
+				Seq:   sh.tab.man.commits,
+				Era:   sh.tab.man.era,
+				Epoch: sh.region.Epoch(),
+			},
+		}
+	case opSnapshot:
+		snap := sh.snapshot()
+		return Response{snap: &snap}
+	case opDigest:
+		return Response{Value: DigestRegion(sh.ctx, sh.region)}
+	}
+	return Response{Value: sh.tab.man.sum} // opSum
 }
 
 // lookup reads op's key from the table. Every op reaching a shard went

@@ -218,13 +218,16 @@ func (c *Client) DoOnce(q *proto.Request) (proto.Response, error) {
 // send encodes q into the pending buffer and makes sure it reaches the
 // wire: the caller that finds no flush in progress becomes the flusher
 // and writes until pending is empty; every other caller leaves its
-// frame to the flusher. Before its first Write the flusher yields the
+// frame to the flusher. Before each Write the flusher yields the
 // processor once: the callers the read loop woke together with it are
 // runnable right behind it, and without the yield its Write completes
-// before any of them has encoded a frame. At depth 1 there are no such
-// callers, so send is one Write on the caller's own goroutine. A
-// failed Write closes the connection, so every caller whose frame was
-// in the batch fails through c.done instead of waiting forever.
+// before any of them has encoded a frame. Callers that encode after
+// the yield (slow ones, as under the race detector) find pending
+// non-empty when the Write returns, and yielding again lets the rest of
+// them join that second Write. At depth 1 there are no such callers,
+// so send is one Write on the caller's own goroutine. A failed Write
+// closes the connection, so every caller whose frame was in the batch
+// fails through c.done instead of waiting forever.
 //
 //memsnap:hotpath
 func (c *Client) send(q *proto.Request) error {
@@ -235,12 +238,12 @@ func (c *Client) send(q *proto.Request) error {
 		return err
 	}
 	c.flushing = true
-	if c.yield {
-		c.wmu.Unlock()
-		runtime.Gosched()
-		c.wmu.Lock()
-	}
 	for err == nil && len(c.pending) > 0 {
+		if c.yield {
+			c.wmu.Unlock()
+			runtime.Gosched()
+			c.wmu.Lock()
+		}
 		batch := c.pending
 		c.pending = c.spare[:0]
 		c.wmu.Unlock()

@@ -11,7 +11,8 @@ import (
 // Object is one named COW region in the store. Each object carries
 // its own logical history: a monotonic epoch incremented per commit,
 // independent of every other object, so uCheckpoints of different
-// objects proceed concurrently.
+// objects proceed concurrently in virtual time (on the host they
+// serialize on Store.mu; see Commit).
 type Object struct {
 	store     *Store
 	name      string
@@ -82,8 +83,11 @@ func (o *Object) MaxBlocks() int64 { return o.maxBlocks }
 // after the data. Returns the new epoch and the virtual time at which
 // the commit is durable.
 //
-// Commits to one object serialize; commits to different objects are
-// independent (per-object epochs).
+// Commits to one object serialize. Commits to different objects are
+// independent in the model: each object has its own epochs, and each
+// commit's virtual time depends only on the device queue. On the host
+// they still serialize: Store.mu is held across the allocation, the
+// tree relocation and both device writes.
 func (o *Object) Commit(at time.Duration, writes []BlockWrite) (Epoch, time.Duration, error) {
 	o.mu.Lock()
 	defer o.mu.Unlock()

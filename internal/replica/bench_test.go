@@ -7,9 +7,11 @@ package replica
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"memsnap/internal/core"
+	"memsnap/internal/shard"
 	"memsnap/internal/sim"
 )
 
@@ -120,26 +122,99 @@ func TestFollowerValidateSteadyStateZeroAlloc(t *testing.T) {
 	}
 }
 
-// BenchmarkShipCommitSync is one replicated commit end to end on the
-// host: dirty a manifest page and a slot page, Persist with capture,
-// encode, ship over a clean link, follower validate + patch + Persist.
-func BenchmarkShipCommitSync(b *testing.B) {
-	p := newSyncPair(b, 1<<20)
-	defer p.close()
+// shipCommitLoop returns a function doing one replicated commit per
+// call on the host: dirty a manifest page and a slot page, Persist with
+// capture, encode, ship over a clean link, follower validate + patch +
+// Persist. It runs 64 commits first, so the pools are warm.
+func shipCommitLoop(tb testing.TB) (op func(), p *syncPair) {
+	p = newSyncPair(tb, 1<<20)
 	seq := uint64(0)
-	op := func() {
+	op = func() {
 		seq++
 		p.ctx.PageForWrite(p.region, 0)[2048+int(seq)%64*8]++
 		p.ctx.PageForWrite(p.region, int64(1+seq%8)*core.PageSize)[int(seq)%500*8]++
-		p.commit(b, seq)
+		p.commit(tb, seq)
 	}
 	for i := 0; i < 64; i++ {
 		op()
 	}
+	return op, p
+}
+
+// BenchmarkShipCommitSync is one replicated commit end to end on the
+// host (see shipCommitLoop).
+func BenchmarkShipCommitSync(b *testing.B) {
+	op, p := shipCommitLoop(b)
+	defer p.close()
 	b.SetBytes(2 * core.PageSize)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		op()
+	}
+}
+
+// replicatedAdd returns a function doing one blocking Add per call on
+// a one-shard service that replicates synchronously: the caller runs
+// the idle shard, and its retire ships through ShipCommit with the
+// shard's snapshot function.
+func replicatedAdd(tb testing.TB) (op func(), closeAll func()) {
+	mkSys := func() *core.System {
+		sys, err := core.NewSystem(core.Options{CPUs: 1, DiskBytesEach: 512 << 20})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		return sys
+	}
+	const regionBytes = 1 << 20
+	fol, err := NewFollower(mkSys(), FollowerConfig{Shards: 1, RegionBytes: regionBytes})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	ship := NewShipper(NewLink(LinkConfig{}), fol, 1, Config{Mode: Sync})
+	svc, err := shard.New(mkSys(), shard.Config{Shards: 1, RegionBytes: regionBytes, Replicator: ship})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	ship.Attach(svc)
+	keys := make([]string, 256)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("key-%03d", i)
+	}
+	i := 0
+	op = func() {
+		i = (i + 1) % len(keys)
+		if _, err := svc.Add("bench", keys[i], 1); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	for n := 0; n < 2*len(keys); n++ {
+		op()
+	}
+	return op, func() {
+		svc.Close()
+		ship.Close()
+	}
+}
+
+// TestShipCommitSteadyStateZeroAlloc is the allocation gate of the
+// replicated write path: a commit shipped through ShipCommit, and a
+// blocking Add on a replicated service, allocate nothing once the pools
+// are warm. The Delta comes from deltaPool and goes back when its last
+// holder releases it; the shard hands ShipCommit a snapshot function
+// bound once at open.
+func TestShipCommitSteadyStateZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation accounting is unreliable under -race")
+	}
+	commit, p := shipCommitLoop(t)
+	defer p.close()
+	if got := testing.AllocsPerRun(500, commit); got > 0 {
+		t.Errorf("a shipped commit allocates %.1f times, want 0", got)
+	}
+	add, closeAll := replicatedAdd(t)
+	defer closeAll()
+	if got := testing.AllocsPerRun(500, add); got > 0 {
+		t.Errorf("a replicated Add allocates %.1f times, want 0", got)
 	}
 }

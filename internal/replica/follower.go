@@ -93,9 +93,8 @@ type FollowerShardStats struct {
 // rejoining ex-primary) instead resumes from the manifest position of
 // each region.
 type Follower struct {
-	cfg  FollowerConfig
-	sys  *core.System
-	proc *core.Process
+	cfg FollowerConfig
+	sys *core.System
 
 	mu       sync.Mutex
 	promoted bool
@@ -162,17 +161,19 @@ func (fs *followerShard) patchEnc(enc []byte) (written int) {
 // missing ones start empty at sequence zero.
 func NewFollower(sys *core.System, cfg FollowerConfig) (*Follower, error) {
 	cfg.fill()
-	f := &Follower{cfg: cfg, sys: sys, proc: sys.NewProcess()}
+	f := &Follower{cfg: cfg, sys: sys}
 	existing := make(map[string]bool)
 	for _, name := range sys.RegionNames() {
 		existing[name] = true
 	}
 	for i := 0; i < cfg.Shards; i++ {
-		ctx := f.proc.NewContext(i)
+		// One process per follower shard, as on the primary.
+		proc := sys.NewProcess()
+		ctx := proc.NewContext(i)
 		ctx.Clock().AdvanceTo(cfg.StartAt)
 		ctx.SetRecorder(cfg.Recorder, obs.FollowerTrack(i))
 		pre := existing[shard.RegionName(i)]
-		region, err := f.proc.Open(ctx, shard.RegionName(i), cfg.RegionBytes)
+		region, err := proc.Open(ctx, shard.RegionName(i), cfg.RegionBytes)
 		if err != nil {
 			return nil, err
 		}

@@ -28,6 +28,7 @@ package replica
 
 import (
 	"errors"
+	"sync"
 	"sync/atomic"
 
 	"memsnap/internal/core"
@@ -79,18 +80,25 @@ type Delta struct {
 	// refs counts the pipeline's holders of this delta (the retained
 	// replay window, a queued async job, a replay borrow); pooled marks
 	// Pages as owned capture-pool pages that return to the pool when
-	// the last holder releases. Deltas constructed outside the Shipper
-	// (tests) never take a reference and are ordinary
-	// garbage-collected values.
-	refs   atomic.Int32
-	pooled bool
+	// the last holder releases, and recycled marks a delta ShipCommit
+	// took from deltaPool, which the last holder puts back. Deltas
+	// constructed outside the Shipper (tests) are never recycled: they
+	// are ordinary garbage-collected values.
+	refs     atomic.Int32
+	pooled   bool
+	recycled bool
 }
+
+// deltaPool recycles the deltas ShipCommit builds, so a replicated
+// commit allocates no Delta in the steady state.
+var deltaPool = sync.Pool{New: func() any { return new(Delta) }}
 
 // retain adds one pipeline reference.
 func (d *Delta) retain() { d.refs.Add(1) }
 
 // release drops one pipeline reference; the last one returns pooled
-// pages to the capture pool and the cached encoding to its pool.
+// pages to the capture pool, the cached encoding to its pool and a
+// recycled delta to deltaPool. No holder touches d after its release.
 func (d *Delta) release() {
 	if d.refs.Add(-1) != 0 {
 		return
@@ -102,6 +110,10 @@ func (d *Delta) release() {
 	if d.pooled {
 		core.ReleasePages(d.Pages)
 		d.Pages = nil
+	}
+	if d.recycled {
+		*d = Delta{}
+		deltaPool.Put(d)
 	}
 }
 

@@ -249,7 +249,8 @@ func (s *Shipper) follower() *Follower {
 //memsnap:owns
 func (s *Shipper) ShipCommit(shardID int, at time.Duration, c shard.Commit, snap func() shard.Snapshot) (time.Duration, error) {
 	ss := s.shards[shardID]
-	d := &Delta{Shard: shardID, Seq: c.Seq, Era: c.Era, Epoch: c.Epoch, Pages: c.Pages, pooled: c.Owned, TraceID: c.TraceID}
+	d := deltaPool.Get().(*Delta)
+	*d = Delta{Shard: shardID, Seq: c.Seq, Era: c.Era, Epoch: c.Epoch, Pages: c.Pages, pooled: c.Owned, recycled: true, TraceID: c.TraceID}
 	// Encode once, before the delta enters the pipeline: the cached
 	// encoding fixes WireSize for the delta's whole life and consumes
 	// the capture-time pre-images, so the retained window holds only

@@ -3,9 +3,11 @@ package shard
 import (
 	"fmt"
 	"runtime"
+	"sync"
 	"testing"
 
 	"memsnap/internal/core"
+	"memsnap/internal/sim"
 )
 
 // The two table operations a shard worker spends its apply time in,
@@ -305,4 +307,92 @@ func TestStatsCostFlatWithHistory(t *testing.T) {
 	if late > early+1024 {
 		t.Errorf("Stats allocates %d B after 1 K commits and %d B after 200 K", early, late)
 	}
+}
+
+// BenchmarkTaggedRW50 is an in-package copy of the benchmark's
+// shard_rw50_d16 workload: 8 shards on 8 CPUs with 4 MiB regions, 4
+// tenants × 10,000 keys preloaded, zipfian (θ 0.99) tenant and key
+// popularity, and two submitters each keeping 16 tagged ops in flight,
+// half of them gets and half puts. Both submitters and all eight
+// workers share the host's cores, so the profile it yields is the
+// workload's: `go test -run '^$' -bench TaggedRW50 -mutexprofile m.out
+// ./internal/shard` shows where lock waits go.
+func BenchmarkTaggedRW50(b *testing.B) {
+	const (
+		shards     = 8
+		tenants    = 4
+		keys       = 10000
+		submitters = 2
+		depth      = 16
+	)
+	sys, err := core.NewSystem(core.Options{CPUs: shards, DiskBytesEach: 512 << 20})
+	if err != nil {
+		b.Fatal(err)
+	}
+	svc, err := New(sys, Config{Shards: shards, RegionBytes: 4 << 20})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer svc.Close()
+	tenantNames := make([]string, tenants)
+	for i := range tenantNames {
+		tenantNames[i] = fmt.Sprintf("t%02d", i)
+	}
+	keyNames := make([]string, keys)
+	for i := range keyNames {
+		keyNames[i] = fmt.Sprintf("key%06d", i)
+	}
+	preload := make(chan Response, 1024)
+	for i := 0; i < tenants*keys; i++ {
+		if i >= cap(preload) {
+			<-preload
+		}
+		op := Op{Kind: OpPut, Tenant: tenantNames[i/keys], Key: keyNames[i%keys], Value: uint64(i)}
+		if err := svc.DoTagged(op, uint64(i), preload); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for i := 0; i < cap(preload); i++ {
+		<-preload
+	}
+
+	tz, kz := sim.NewZipf(tenants, 0.99), sim.NewZipf(keys, 0.99)
+	b.ReportAllocs()
+	b.ResetTimer()
+	var wg sync.WaitGroup
+	for s := 0; s < submitters; s++ {
+		n := b.N / submitters
+		if s == 0 {
+			n += b.N % submitters
+		}
+		wg.Add(1)
+		go func(s, n int) {
+			defer wg.Done()
+			rng := sim.NewRNG(uint64(s) + 1)
+			resp := make(chan Response, depth)
+			inflight := 0
+			for i := 0; i < n; i++ {
+				if inflight == depth {
+					if r := <-resp; r.Err != nil {
+						b.Error(r.Err)
+						return
+					}
+					inflight--
+				}
+				op := Op{Kind: OpGet, Tenant: tenantNames[tz.Next(rng)], Key: keyNames[kz.Next(rng)]}
+				if rng.Intn(2) == 0 {
+					op.Kind, op.Value = OpPut, rng.Uint64()%1000
+				}
+				if err := svc.DoTagged(op, uint64(i), resp); err != nil {
+					b.Error(err)
+					return
+				}
+				inflight++
+			}
+			for ; inflight > 0; inflight-- {
+				<-resp
+			}
+		}(s, n)
+	}
+	wg.Wait()
 }

@@ -215,7 +215,6 @@ func (r ShardRecovery) Consistent() bool {
 type Service struct {
 	cfg    Config
 	sys    *core.System
-	proc   *core.Process
 	shards []*shard
 
 	recovery []ShardRecovery
@@ -304,7 +303,6 @@ func open(sys *core.System, cfg Config) (*Service, error) {
 	s := &Service{
 		cfg:  cfg,
 		sys:  sys,
-		proc: sys.NewProcess(),
 		stop: make(chan struct{}),
 	}
 
@@ -314,11 +312,16 @@ func open(sys *core.System, cfg Config) (*Service, error) {
 	}
 
 	for i := 0; i < cfg.Shards; i++ {
-		ctx := s.proc.NewContext(i)
+		// Each shard is its own process (see DESIGN.md, "Who owns an
+		// address space"): shards share no memory, so one address space
+		// for all of them would only make independent faults and
+		// persists wait on one lock.
+		proc := sys.NewProcess()
+		ctx := proc.NewContext(i)
 		ctx.Clock().AdvanceTo(cfg.StartAt)
 		ctx.SetRecorder(cfg.Recorder, obs.ShardTrack(i))
 		pre := existing[RegionName(i)]
-		region, err := s.proc.Open(ctx, RegionName(i), cfg.RegionBytes)
+		region, err := proc.Open(ctx, RegionName(i), cfg.RegionBytes)
 		if err != nil {
 			return nil, err
 		}
@@ -333,6 +336,7 @@ func open(sys *core.System, cfg Config) (*Service, error) {
 			batch:     make([]*request, 0, cfg.BatchSize),
 			startedAt: ctx.Clock().Now(),
 		}
+		sh.snap = sh.snapshot
 		rec := ShardRecovery{Shard: i, Existing: pre}
 		if pre {
 			if err := sh.tab.load(i, cfg.Shards, cfg.RegionBytes); err != nil {

@@ -61,6 +61,10 @@ type shard struct {
 	pend      [2]pendingBatch
 	pendNext  int
 	key, key2 [MaxKeyLen]byte
+	// snap is snapshot bound once at open: retire hands it to every
+	// ShipCommit, and a method value made there would allocate a
+	// closure per replicated commit.
+	snap func() Snapshot
 
 	// Statistics. The holder-written fields are guarded by statsMu so
 	// Stats() can snapshot them while the shard runs; rejected and
@@ -428,7 +432,7 @@ func (sh *shard) retire(b *pendingBatch) {
 	durable := sh.ctx.Clock().Now()
 	var shipErr error
 	if rep := sh.svc.cfg.Replicator; rep != nil && b.commit.Pages != nil {
-		ackAt, err := rep.ShipCommit(sh.id, durable, b.commit, sh.snapshot)
+		ackAt, err := rep.ShipCommit(sh.id, durable, b.commit, sh.snap)
 		b.commit = Commit{} // the replicator owns the pages now
 		sh.ctx.Clock().AdvanceTo(ackAt)
 		shipErr = err

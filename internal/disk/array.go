@@ -12,6 +12,12 @@ import (
 type Extent struct {
 	Offset int64
 	Data   []byte
+	// Block, if set, carries the extent's bytes in place of Data: one
+	// whole, block-aligned block that the device adopts by pointer, so
+	// the caller must not touch it again. In exchange WriteV leaves a
+	// spare buffer (arbitrary contents, now the caller's) in this
+	// field of the caller's slice.
+	Block *Block
 }
 
 // Array is a striped set of devices presenting one flat address
@@ -65,9 +71,12 @@ func (a *Array) Write(at time.Duration, offset int64, data []byte) time.Duration
 func (a *Array) WriteV(at time.Duration, extents []Extent) time.Duration {
 	plan := getWritePlan(len(a.devices))
 	perDev := plan.perDev
-	for _, e := range extents {
+	for i, e := range extents {
 		off := e.Offset
 		data := e.Data
+		if e.Block != nil {
+			data = e.Block[:]
+		}
 		for len(data) > 0 {
 			stripeIdx := off / a.stripe
 			within := off % a.stripe
@@ -80,7 +89,9 @@ func (a *Array) WriteV(at time.Duration, extents []Extent) time.Duration {
 			perDev[dev].segs = append(perDev[dev].segs, Extent{
 				Offset: row*a.stripe + within,
 				Data:   data[:take],
+				Block:  e.Block,
 			})
+			perDev[dev].from = append(perDev[dev].from, i)
 			perDev[dev].size += take
 			off += int64(take)
 			data = data[take:]
@@ -95,6 +106,11 @@ func (a *Array) WriteV(at time.Duration, extents []Extent) time.Duration {
 		if done > completion {
 			completion = done
 		}
+		for j, s := range io.segs {
+			if s.Block != nil {
+				extents[io.from[j]].Block = s.Block
+			}
+		}
 	}
 	if completion == 0 {
 		completion = at
@@ -103,15 +119,18 @@ func (a *Array) WriteV(at time.Duration, extents []Extent) time.Duration {
 	return completion
 }
 
-// devIO is one device's share of a vectored write.
+// devIO is one device's share of a vectored write; from[j] is the
+// caller's extent that segs[j] came from, which an adopted block's
+// spare goes back to.
 type devIO struct {
 	segs []Extent
+	from []int
 	size int
 }
 
 // writePlan is the reusable per-WriteV scatter plan; the devices copy
-// segment data synchronously during submit, so the plan recycles as
-// soon as WriteV returns.
+// or adopt segment data synchronously during submit, so the plan
+// recycles as soon as WriteV returns.
 type writePlan struct {
 	perDev []devIO
 }
@@ -131,6 +150,7 @@ func getWritePlan(devices int) *writePlan {
 	p.perDev = p.perDev[:devices]
 	for i := range p.perDev {
 		p.perDev[i].segs = p.perDev[i].segs[:0]
+		p.perDev[i].from = p.perDev[i].from[:0]
 		p.perDev[i].size = 0
 	}
 	return p
@@ -144,15 +164,17 @@ func putWritePlan(p *writePlan) {
 	writePlans.Put(p)
 }
 
-// submitWriteV applies several segments as one device command.
+// submitWriteV applies several segments as one device command. A
+// segment with a Block is adopted, and its Block is replaced by the
+// spare handed back for it.
 func (d *Device) submitWriteV(at time.Duration, segs []Extent, total int) time.Duration {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	start := max(at, d.nextFree)
 	completion := start + d.ioCostLocked(start, total)
 	d.nextFree = completion
-	for _, s := range segs {
-		d.writeLocked(at, completion, s.Offset, s.Data)
+	for i, s := range segs {
+		segs[i].Block = d.writeLocked(at, completion, s.Offset, s.Data, s.Block)
 	}
 	d.writes++
 	d.gcInflightLocked(at)

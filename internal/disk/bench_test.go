@@ -12,12 +12,21 @@ import (
 // allocates nothing; the AllocsPerRun tests beside them gate that.
 
 // writeV16 returns a warmed-up closure issuing one 16 x 4 KiB vectored write per
-// call over a 1024-block working set on a two-device array.
-func writeV16() func() {
+// call over a 1024-block working set on a two-device array. With adopt
+// set, each call first copies the data into the spares the previous
+// call got back, as objstore does, and the devices adopt them; the
+// same bytes are copied either way, only not under the device lock.
+func writeV16(adopt bool) func() {
 	a := NewArray(costs(), 2, 64<<20)
+	srcs := make([][]byte, 16)
 	extents := make([]Extent, 16)
 	for i := range extents {
-		extents[i].Data = make([]byte, blockSize)
+		srcs[i] = make([]byte, blockSize)
+		if adopt {
+			extents[i].Block = new(Block)
+		} else {
+			extents[i].Data = srcs[i]
+		}
 	}
 	var at time.Duration
 	next := int64(0)
@@ -25,6 +34,9 @@ func writeV16() func() {
 		for i := range extents {
 			next = (next*5 + 1) % 1024 // full-period LCG: scattered, every block visited
 			extents[i].Offset = next * blockSize
+			if adopt {
+				copy(extents[i].Block[:], srcs[i])
+			}
 		}
 		at = a.WriteV(at, extents)
 	}
@@ -40,8 +52,8 @@ func warm(op func()) {
 	}
 }
 
-func BenchmarkWriteV16x4K(b *testing.B) {
-	op := writeV16()
+func benchWriteV16(b *testing.B, adopt bool) {
+	op := writeV16(adopt)
 	b.ReportAllocs()
 	b.SetBytes(16 * blockSize)
 	b.ResetTimer()
@@ -50,15 +62,21 @@ func BenchmarkWriteV16x4K(b *testing.B) {
 	}
 }
 
-func TestWriteVSteadyStateZeroAlloc(t *testing.T) {
+func BenchmarkWriteV16x4K(b *testing.B)      { benchWriteV16(b, false) }
+func BenchmarkWriteV16x4KAdopt(b *testing.B) { benchWriteV16(b, true) }
+
+func testWriteV16ZeroAlloc(t *testing.T, adopt bool) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
-	op := writeV16()
+	op := writeV16(adopt)
 	if n := testing.AllocsPerRun(500, op); n != 0 {
-		t.Fatalf("steady-state 16 x 4 KiB WriteV allocates %v times per op, want 0", n)
+		t.Fatalf("steady-state 16 x 4 KiB WriteV (adopt=%v) allocates %v times per op, want 0", adopt, n)
 	}
 }
+
+func TestWriteVSteadyStateZeroAlloc(t *testing.T)      { testWriteV16ZeroAlloc(t, false) }
+func TestWriteVAdoptSteadyStateZeroAlloc(t *testing.T) { testWriteV16ZeroAlloc(t, true) }
 
 // writeSector returns a warmed-up closure overwriting one of 8 ring sectors per
 // call, as the commit-record write does.

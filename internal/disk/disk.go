@@ -34,7 +34,10 @@ const blockSize = 4096
 // allocates together.
 const slabBlocks = 64
 
-type block = [blockSize]byte
+// Block is one device block buffer. A write may hand the device a
+// filled Block to adopt by pointer instead of bytes to copy (see
+// Extent.Block).
+type Block = [blockSize]byte
 
 // Device is one simulated SSD.
 type Device struct {
@@ -45,17 +48,20 @@ type Device struct {
 	// blocks is the backing store: one pointer per blockSize bytes of
 	// capacity, nil until first written, so multi-GiB devices cost
 	// real memory only for the blocks actually used. A write never
-	// modifies a block in place: it fills a buffer from free, swaps it
-	// into the table and parks the displaced pointer in undo.
-	blocks   []*block
-	free     []*block
-	made     int // block buffers ever allocated: table + free + undo
+	// modifies a block in place: it fills a buffer from free (or adopts
+	// the caller's filled one), swaps it into the table and parks the
+	// displaced pointer in undo. An adopted buffer takes the place of
+	// the spare handed back for it, so table + free + undo always hold
+	// made buffers, whichever device or caller allocated them.
+	blocks   []*Block
+	free     []*Block
+	made     int // block buffers ever allocated by this device
 	nextFree time.Duration
 	// inflight has one record per submitted segment, oldest first;
 	// undo holds their displaced blocks in the same order, nblk
 	// entries per record (nil = the block had never been written).
 	inflight []inflightWrite
-	undo     []*block
+	undo     []*Block
 	// gcFloor is the highest horizon gcInflightLocked has reclaimed
 	// undo history up to: state before it cannot be reconstructed, so
 	// CutPower clamps earlier cut times forward to it.
@@ -88,7 +94,7 @@ func NewDevice(costs *sim.CostModel, capacity int64) *Device {
 	return &Device{
 		costs:    costs,
 		capacity: capacity,
-		blocks:   make([]*block, (capacity+blockSize-1)/blockSize),
+		blocks:   make([]*Block, (capacity+blockSize-1)/blockSize),
 	}
 }
 
@@ -133,10 +139,10 @@ func (d *Device) checkRange(offset int64, n int) {
 }
 
 // getBlockLocked returns a block buffer with arbitrary contents.
-func (d *Device) getBlockLocked() *block {
+func (d *Device) getBlockLocked() *Block {
 	if len(d.free) == 0 {
 		//lint:allow hotalloc slab refill: one allocation per slabBlocks first-touched blocks; overwrites recycle through free
-		slab := new([slabBlocks]block)
+		slab := new([slabBlocks]Block)
 		for i := range slab {
 			d.free = append(d.free, &slab[i])
 		}
@@ -151,22 +157,33 @@ func (d *Device) getBlockLocked() *block {
 // gets a fresh buffer holding the new contents (a partial block starts
 // as a copy of the old one, or zeroes), and the displaced blocks
 // become the segment's undo image until gcInflightLocked or CutPower
-// recycles them.
-func (d *Device) writeLocked(submit, completion time.Duration, offset int64, data []byte) {
+// recycles them. If adopt is set, the segment is that one whole,
+// aligned block: the caller's buffer goes into the table as is, and
+// the free buffer the device would have filled is returned as the
+// caller's spare.
+func (d *Device) writeLocked(submit, completion time.Duration, offset int64, data []byte, adopt *Block) (spare *Block) {
 	d.checkRange(offset, len(data))
+	if adopt != nil && (offset%blockSize != 0 || len(data) != blockSize) {
+		//lint:allow hotalloc fatal-path formatting on a misaligned adopted write
+		panic(fmt.Sprintf("disk: adopted write must be one aligned block: off=%d len=%d", offset, len(data)))
+	}
 	parked := len(d.undo)
 	for off, rest := offset, data; len(rest) > 0; {
 		bi, within := off/blockSize, int(off%blockSize)
 		n := min(blockSize-within, len(rest))
 		old, nb := d.blocks[bi], d.getBlockLocked()
-		if n < blockSize {
-			if old != nil {
-				*nb = *old
-			} else {
-				clear(nb[:])
+		if adopt != nil {
+			nb, spare = adopt, nb
+		} else {
+			if n < blockSize {
+				if old != nil {
+					*nb = *old
+				} else {
+					clear(nb[:])
+				}
 			}
+			copy(nb[within:], rest[:n])
 		}
-		copy(nb[within:], rest[:n])
 		d.blocks[bi] = nb
 		d.undo = append(d.undo, old)
 		off += int64(n)
@@ -177,6 +194,7 @@ func (d *Device) writeLocked(submit, completion time.Duration, offset int64, dat
 		offset: offset, n: len(data), nblk: len(d.undo) - parked,
 	})
 	d.bytesWritten += int64(len(data))
+	return spare
 }
 
 // readLocked copies device contents into dst; never-written blocks
@@ -250,7 +268,7 @@ func (d *Device) gcInflightLocked(at time.Duration) {
 }
 
 // recycleLocked returns displaced blocks to the free list.
-func (d *Device) recycleLocked(olds []*block) {
+func (d *Device) recycleLocked(olds []*Block) {
 	for _, b := range olds {
 		if b != nil {
 			d.free = append(d.free, b)
@@ -307,7 +325,7 @@ func (d *Device) CutPower(at time.Duration, rng *sim.RNG) {
 // rollbackLocked restores bytes [from, to) of the segment written at
 // offset from its undo image olds, patching the blocks now in the
 // table (which later overlapping writes may since have replaced).
-func (d *Device) rollbackLocked(offset int64, olds []*block, from, to int) {
+func (d *Device) rollbackLocked(offset int64, olds []*Block, from, to int) {
 	first := offset / blockSize
 	for off, end := offset+int64(from), offset+int64(to); off < end; {
 		bi, within := off/blockSize, int(off%blockSize)

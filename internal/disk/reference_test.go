@@ -182,6 +182,7 @@ type devPair struct {
 	ref *refDevice
 	// got and want are whole-device image buffers, reused by check.
 	got, want []byte
+	bag       spareBag
 }
 
 func newDevPair(t *testing.T, m *sim.CostModel, capacity int64) *devPair {
@@ -211,8 +212,12 @@ func (p *devPair) writeV(at time.Duration, segs []Extent) time.Duration {
 	for _, s := range segs {
 		total += len(s.Data)
 	}
+	// The reference copies adopted blocks before the device takes them
+	// and puts spares in their place.
+	want := p.ref.submitWriteV(at, segs, total)
 	done := p.dev.submitWriteV(at, segs, total)
-	p.sameTime("submitWriteV", done, p.ref.submitWriteV(at, segs, total))
+	p.sameTime("submitWriteV", done, want)
+	p.bag.collect(segs)
 	return done
 }
 
@@ -239,7 +244,7 @@ func (p *devPair) cut(at time.Duration, seed uint64) {
 	p.dev.CutPower(at, sim.NewRNG(seed))
 	p.ref.cutPower(at, sim.NewRNG(seed))
 	p.check(fmt.Sprintf("after CutPower(%v, seed %d)", at, seed))
-	checkNoBlockLeak(p.t, p.dev)
+	checkNoBlockLeak(p.t, &p.bag, p.dev)
 }
 
 // check compares everything observable without advancing the models.
@@ -262,48 +267,107 @@ func (p *devPair) check(when string) {
 	}
 }
 
-// checkNoBlockLeak asserts every block buffer the device ever made is
-// in the table, on the free list, or parked as an undo image — each
-// exactly once.
-func checkNoBlockLeak(t *testing.T, d *Device) {
-	t.Helper()
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	seen := make(map[*block]string, d.made)
-	note := func(b *block, where string) {
+// spareBag is a test caller's stock of buffers for adopted writes: it
+// hands out the spares the devices gave back and brings a new buffer
+// only when it has none, as objstore.Object does.
+type spareBag struct {
+	spares  []*Block
+	brought int
+}
+
+func (b *spareBag) get() *Block {
+	if n := len(b.spares); n > 0 {
+		s := b.spares[n-1]
+		b.spares = b.spares[:n-1]
+		return s
+	}
+	b.brought++
+	return new(Block)
+}
+
+// adopt returns an extent whose block the device adopts, filled with
+// data.
+func (b *spareBag) adopt(offset int64, data []byte) Extent {
+	blk := b.get()
+	copy(blk[:], data)
+	return Extent{Offset: offset, Data: blk[:], Block: blk}
+}
+
+// collect takes back the spares a write left in its extents.
+func (b *spareBag) collect(extents []Extent) {
+	for _, e := range extents {
+		if e.Block != nil {
+			b.spares = append(b.spares, e.Block)
+		}
+	}
+}
+
+// blockAudit accounts for every block buffer the devices made and the
+// caller brought: each must be in exactly one place — a device's
+// table, free list or undo list, or the caller's spares — and none may
+// be missing. bag may be nil for a caller that never adopts.
+func blockAudit(bag *spareBag, devs ...*Device) error {
+	if bag == nil {
+		bag = &spareBag{}
+	}
+	seen := make(map[*Block]string)
+	var dup error
+	note := func(b *Block, where string) {
 		if b == nil {
 			return
 		}
-		if prev, dup := seen[b]; dup {
-			t.Fatalf("block buffer held twice: %s and %s", prev, where)
+		if prev, held := seen[b]; held && dup == nil {
+			dup = fmt.Errorf("block buffer held twice: %s and %s", prev, where)
 		}
 		seen[b] = where
 	}
-	for _, b := range d.blocks {
-		note(b, "table")
+	made := 0
+	for i, d := range devs {
+		d.mu.Lock()
+		for _, b := range d.blocks {
+			note(b, fmt.Sprintf("device %d table", i))
+		}
+		for _, b := range d.free {
+			note(b, fmt.Sprintf("device %d free list", i))
+		}
+		parked := 0
+		for _, w := range d.inflight {
+			parked += w.nblk
+		}
+		if parked != len(d.undo) {
+			d.mu.Unlock()
+			return fmt.Errorf("device %d: in-flight records own %d undo entries, undo holds %d", i, parked, len(d.undo))
+		}
+		for _, b := range d.undo {
+			note(b, fmt.Sprintf("device %d undo", i))
+		}
+		made += d.made
+		d.mu.Unlock()
 	}
-	for _, b := range d.free {
-		note(b, "free list")
+	for _, b := range bag.spares {
+		note(b, "caller's spares")
 	}
-	parked := 0
-	for _, w := range d.inflight {
-		parked += w.nblk
+	if dup != nil {
+		return dup
 	}
-	if parked != len(d.undo) {
-		t.Fatalf("in-flight records own %d undo entries, undo holds %d", parked, len(d.undo))
+	if len(seen) != made+bag.brought {
+		return fmt.Errorf("%d block buffers accounted for, %d made and %d brought", len(seen), made, bag.brought)
 	}
-	for _, b := range d.undo {
-		note(b, "undo")
-	}
-	if len(seen) != d.made {
-		t.Fatalf("%d block buffers accounted for, %d made", len(seen), d.made)
+	return nil
+}
+
+func checkNoBlockLeak(t *testing.T, bag *spareBag, devs ...*Device) {
+	t.Helper()
+	if err := blockAudit(bag, devs...); err != nil {
+		t.Fatal(err)
 	}
 }
 
 // TestDifferentialRandomStream drives Device and the reference with
 // one seeded stream mixing every shape of IO the stack issues and some
 // it does not: aligned blocks, lone sectors, unaligned runs, writes
-// longer than a stripe, vectored commands, repeated hits on a few hot
+// longer than a stripe, vectored commands that mix adopted blocks with
+// copied bytes, repeated hits on a few hot
 // blocks while earlier writes to them are still in flight, reads of
 // written and never-written ranges, straggler windows, bursts that
 // push the in-flight list past the GC threshold, and power cuts at
@@ -352,11 +416,15 @@ func TestDifferentialRandomStream(t *testing.T) {
 				case k < 80:
 					segs := make([]Extent, 1+rng.Intn(16))
 					for i := range segs {
-						n := blockSize
-						if rng.Intn(4) == 0 {
-							n = 1 + rng.Intn(2*blockSize)
+						switch rng.Intn(4) {
+						case 0:
+							n := 1 + rng.Intn(2*blockSize)
+							segs[i] = Extent{Offset: offsetFor(n, 512), Data: payload(n)}
+						case 1:
+							segs[i] = Extent{Offset: offsetFor(blockSize, 512), Data: payload(blockSize)}
+						default:
+							segs[i] = p.bag.adopt(offsetFor(blockSize, blockSize), payload(blockSize))
 						}
-						segs[i] = Extent{Offset: offsetFor(n, 512), Data: payload(n)}
 					}
 					p.writeV(now, segs)
 				case k < 90:
@@ -387,8 +455,9 @@ func TestDifferentialRandomStream(t *testing.T) {
 // TestDifferentialArray runs the same comparison one level up: an
 // Array over two Devices against two reference devices fed by a
 // test-side copy of the stripe arithmetic, so WriteV's scatter plan,
-// the >64 KiB stripe-crossing split and the array-wide clamped cut
-// are all held to the reference images.
+// the >64 KiB stripe-crossing split, adopted blocks and the spares
+// handed back for them, and the array-wide clamped cut are all held to
+// the reference images.
 func TestDifferentialArray(t *testing.T) {
 	const capacityEach = 1 << 20
 	m := costs()
@@ -398,10 +467,15 @@ func TestDifferentialArray(t *testing.T) {
 		payload := newPayloads(rng).get
 		arr := NewArray(m, 2, capacityEach)
 		refs := []*refDevice{newRefDevice(m, capacityEach), newRefDevice(m, capacityEach)}
+		var bag spareBag
 		refWriteV := func(at time.Duration, extents []Extent) time.Duration {
 			segs, sizes := make([][]Extent, len(refs)), make([]int, len(refs))
 			for _, e := range extents {
-				for off, data := e.Offset, e.Data; len(data) > 0; {
+				data := e.Data
+				if e.Block != nil {
+					data = e.Block[:]
+				}
+				for off := e.Offset; len(data) > 0; {
 					idx, within := off/stripe, off%stripe
 					take := int(min(stripe-within, int64(len(data))))
 					dev := idx % int64(len(refs))
@@ -430,8 +504,8 @@ func TestDifferentialArray(t *testing.T) {
 				if got, want := arr.devices[i].Stats(), r.stats; got != want {
 					t.Fatalf("seed %d %s: device %d Stats %+v, reference %+v", seed, when, i, got, want)
 				}
-				checkNoBlockLeak(t, arr.devices[i])
 			}
+			checkNoBlockLeak(t, &bag, arr.devices...)
 		}
 		var now time.Duration
 		for step := 0; step < 1000; step++ {
@@ -444,14 +518,22 @@ func TestDifferentialArray(t *testing.T) {
 					n = 512
 				case 1:
 					n = int(stripe) + rng.Intn(2*int(stripe)) // crosses to the other device
+				case 2, 3, 4:
+					off := int64(rng.Intn(2*capacityEach/blockSize)) * blockSize
+					extents[i] = Extent{Offset: off, Block: bag.adopt(off, payload(blockSize)).Block}
+					continue
 				}
 				off := int64(rng.Intn(2*capacityEach - n))
 				off -= off % 512
 				extents[i] = Extent{Offset: off, Data: payload(n)}
 			}
-			if got, want := arr.WriteV(now, extents), refWriteV(now, extents); got != want {
+			// The reference goes first: WriteV replaces adopted blocks
+			// with spares.
+			want := refWriteV(now, extents)
+			if got := arr.WriteV(now, extents); got != want {
 				t.Fatalf("seed %d step %d: WriteV completes %v, reference %v", seed, step, got, want)
 			}
+			bag.collect(extents)
 			if rng.Intn(100) == 0 {
 				// Array.CutPower: one instant for every device, clamped
 				// to the highest reclaim floor, one rng across devices.
@@ -508,12 +590,12 @@ func TestBlockLeakAfterLongRunAndFinalGC(t *testing.T) {
 		}
 		d.SubmitWrite(now, int64(rng.Intn(32))*blockSize, buf[:n])
 		if i%500 == 0 {
-			checkNoBlockLeak(t, d)
+			checkNoBlockLeak(t, nil, d)
 		}
 	}
 	d.mu.Lock()
 	for len(d.inflight) < 64 { // below the threshold GC is a no-op
-		d.writeLocked(now, now, 0, buf)
+		d.writeLocked(now, now, 0, buf, nil)
 	}
 	d.gcInflightLocked(now + time.Hour)
 	inflight, undo, made := len(d.inflight), len(d.undo), d.made
@@ -521,7 +603,7 @@ func TestBlockLeakAfterLongRunAndFinalGC(t *testing.T) {
 	if inflight != 0 || undo != 0 {
 		t.Fatalf("final GC left %d records, %d undo entries", inflight, undo)
 	}
-	checkNoBlockLeak(t, d)
+	checkNoBlockLeak(t, nil, d)
 	// 32 live blocks plus at most a GC threshold's worth in flight.
 	if limit := (32 + 64 + 2*slabBlocks); made > limit {
 		t.Fatalf("%d block buffers made for a 32-block working set, want <= %d", made, limit)
@@ -567,5 +649,27 @@ func TestUnwrittenRangesReadZeroWithoutMaterialising(t *testing.T) {
 	}
 	if live != 1 || d.made != made {
 		t.Fatalf("reads materialised blocks: %d live (want 1), %d made (want %d)", live, d.made, made)
+	}
+}
+
+// TestBlockAuditBites hands the audit the state a device would leave
+// if it gave back the adopted buffer itself as the spare: that buffer
+// is then both in the table and the caller's, and the free buffer it
+// should have lent is gone. The audit must pass the honest hand-back
+// and refuse the other.
+func TestBlockAuditBites(t *testing.T) {
+	d := NewDevice(costs(), 1<<20)
+	var bag spareBag
+	seg := []Extent{bag.adopt(blockSize, bytes.Repeat([]byte{7}, blockSize))}
+	adopted := seg[0].Block
+	d.submitWriteV(0, seg, blockSize)
+	if seg[0].Block == adopted {
+		t.Fatal("the device handed back the buffer it adopted")
+	}
+	bag.collect(seg)
+	checkNoBlockLeak(t, &bag, d)
+	bag.spares[0] = adopted
+	if err := blockAudit(&bag, d); err == nil {
+		t.Fatal("audit passed a spare that is still in the table")
 	}
 }

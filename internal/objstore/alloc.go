@@ -47,18 +47,39 @@ func newAllocator(start, limit int64) *allocator {
 // callers run releaseQuarantine once with the virtual time of the
 // operation, then allocate all of its blocks.
 func (a *allocator) alloc() (int64, error) {
-	if n := len(a.free); n > 0 {
-		off := a.free[n-1]
-		a.free = a.free[:n-1]
-		return off, nil
-	}
-	if a.next+BlockSize > a.limit {
+	if a.freeBlocks() == 0 {
 		//lint:allow hotalloc out-of-space error path
 		return 0, fmt.Errorf("objstore: out of space (limit %d)", a.limit)
 	}
+	return a.take(), nil
+}
+
+// take is alloc for a caller that has checked the space with canAlloc.
+func (a *allocator) take() int64 {
+	if n := len(a.free); n > 0 {
+		off := a.free[n-1]
+		a.free = a.free[:n-1]
+		return off
+	}
 	off := a.next
 	a.next += BlockSize
-	return off, nil
+	return off
+}
+
+// canAlloc reports whether n blocks can be allocated at virtual time
+// at — from the free list, the bump space, or quarantine entries that
+// have matured by at — without changing anything.
+func (a *allocator) canAlloc(n int64, at time.Duration) bool {
+	avail := a.freeBlocks()
+	for _, q := range a.quarantine {
+		if avail >= n {
+			break
+		}
+		if q.release <= at {
+			avail++
+		}
+	}
+	return avail >= n
 }
 
 // freeAt queues blocks for reuse once the commit that freed them is

@@ -2,6 +2,7 @@ package objstore
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -12,7 +13,8 @@ import (
 // its own logical history: a monotonic epoch incremented per commit,
 // independent of every other object, so uCheckpoints of different
 // objects proceed concurrently in virtual time (on the host they
-// serialize on Store.mu; see Commit).
+// serialize on Store.mu for the allocation and the device writes; see
+// Commit).
 type Object struct {
 	store     *Store
 	name      string
@@ -22,7 +24,12 @@ type Object struct {
 	mu    sync.Mutex
 	tree  *tree
 	epoch Epoch
-	sc    commitScratch
+	// spares are the object's own data-block buffers: Commit fills
+	// spares[i] with its i-th block before it takes Store.mu, the
+	// device adopts it, and the spare the device hands back takes its
+	// slot. The object holds as many as its largest commit wrote.
+	spares []*disk.Block
+	sc     commitScratch
 }
 
 // commitScratch holds per-object buffers reused across Commit calls
@@ -31,28 +38,13 @@ type Object struct {
 type commitScratch struct {
 	freed   []int64
 	extents []disk.Extent
-	// padBufs are BlockSize buffers for zero-padding short block
-	// writes; nused counts how many are handed out this commit. Each
-	// must stay live until WriteV returns (the disk copies
-	// synchronously), so they cannot be shared across writes.
-	padBufs [][]byte
-	nused   int
-	recBuf  []byte // commit-record sector scratch
+	idx     []int64 // the commit's block indices, sorted by commitBlocks
+	recBuf  []byte  // commit-record sector scratch
 }
 
 func (sc *commitScratch) reset() {
 	sc.freed = sc.freed[:0]
 	sc.extents = sc.extents[:0]
-	sc.nused = 0
-}
-
-func (sc *commitScratch) padBuf() []byte {
-	if sc.nused == len(sc.padBufs) {
-		//lint:allow hotalloc scratch growth to the most short writes seen in one commit, reused across commits
-		sc.padBufs = append(sc.padBufs, make([]byte, BlockSize))
-	}
-	sc.nused++
-	return sc.padBufs[sc.nused-1]
 }
 
 // BlockWrite is one dirty block in a commit.
@@ -81,13 +73,19 @@ func (o *Object) MaxBlocks() int64 { return o.maxBlocks }
 // allocated space, the dirtied radix-tree path is rewritten COW
 // bottom-up, and a checksummed commit record is written strictly
 // after the data. Returns the new epoch and the virtual time at which
-// the commit is durable.
+// the commit is durable. A commit that fails, for lack of space or a
+// bad write, changes nothing.
 //
-// Commits to one object serialize. Commits to different objects are
-// independent in the model: each object has its own epochs, and each
-// commit's virtual time depends only on the device queue. On the host
-// they still serialize: Store.mu is held across the allocation, the
-// tree relocation and both device writes.
+// Commits to one object serialize on o.mu. Commits to different
+// objects are independent in the model: each object has its own
+// epochs, and each commit's virtual time depends only on the device
+// queue. On the host, each commit copies its data blocks into the
+// object's spares under o.mu alone, then takes Store.mu for what
+// orders it against every other commit: the space check, allocation,
+// tree.set, the tree relocation (node images are still copied by the
+// device), the vectored write that adopts the data blocks, the
+// commit-record write and freeAt. Every device submission therefore
+// still reaches the FIFO device queues in allocator order.
 func (o *Object) Commit(at time.Duration, writes []BlockWrite) (Epoch, time.Duration, error) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
@@ -107,50 +105,58 @@ func (o *Object) Commit(at time.Duration, writes []BlockWrite) (Epoch, time.Dura
 		}
 	}
 
+	// Fill the data blocks, zero-padding short writes, and count the
+	// blocks the commit allocates before taking the store lock: neither
+	// needs anything shared.
+	sc := &o.sc
+	sc.reset()
+	had := len(o.spares)
+	o.growSpares(len(writes))
+	for i, w := range writes {
+		b := o.spares[i]
+		clear(b[copy(b[:], w.Data):])
+		sc.extents = append(sc.extents, disk.Extent{Block: b})
+	}
+
+	need := o.commitBlocks(writes)
+
 	s := o.store
 	s.mu.Lock()
 	defer s.mu.Unlock()
 
-	sc := &o.sc
-	sc.reset()
+	// Check for space before touching the tree or the allocator.
+	if !s.alloc.canAlloc(need, at) {
+		clear(o.spares[had:])
+		o.spares = o.spares[:had]
+		//lint:allow hotalloc out-of-space error path
+		return 0, at, fmt.Errorf("objstore: out of space committing %d blocks to %q", len(writes), o.name)
+	}
 	// Every block of this commit is allocated at the same virtual
 	// time, so matured quarantine entries are released once, here.
 	s.alloc.releaseQuarantine(at)
 
 	// Data blocks: fresh space, sequential on disk thanks to the bump
 	// allocator — this is how random object updates become sequential
-	// writes. tree.set marks the touched path dirty for the COW
-	// rewrite below.
-	for _, w := range writes {
-		addr, err := s.alloc.alloc()
-		if err != nil {
-			return 0, at, err
-		}
-		data := w.Data
-		if len(data) < BlockSize {
-			// Pad short writes in a recycled scratch block (its
-			// contents are stale: clear the tail explicitly).
-			padded := sc.padBuf()
-			copy(padded, data)
-			clear(padded[len(data):])
-			data = padded
-		}
-		sc.extents = append(sc.extents, disk.Extent{Offset: addr, Data: data})
+	// writes.
+	for i, w := range writes {
+		addr := s.alloc.take()
+		sc.extents[i].Offset = addr
 		if old := o.tree.set(w.Index, addr); old != 0 {
 			sc.freed = append(sc.freed, old)
 		}
 	}
 
-	// COW the dirtied tree path: every dirty node moves to a new
+	// COW the written paths: every node on them moves to a new
 	// address; parents pick up the new child addresses, bottom-up from
 	// the root.
-	rootAddr, err := o.relocateNode(o.tree.root, o.tree.levels)
-	if err != nil {
-		return 0, at, err
-	}
+	rootAddr := o.relocate(o.tree.root, o.tree.levels, sc.idx)
 
-	// Phase 1: data + tree nodes as one vectored IO.
+	// Phase 1: data + tree nodes as one vectored IO. The device adopts
+	// each data block and hands back a spare for its slot.
 	done := s.arr.WriteV(at, sc.extents)
+	for i := range writes {
+		o.spares[i] = sc.extents[i].Block
+	}
 
 	// Phase 2: the commit record, ordered after phase 1.
 	o.epoch++
@@ -173,35 +179,67 @@ func (o *Object) Commit(at time.Duration, writes []BlockWrite) (Epoch, time.Dura
 	return o.epoch, done, nil
 }
 
-// relocateNode moves n (and, recursively, its dirty descendants) to
-// fresh disk addresses and queues their images for the commit's
-// vectored write, clearing the dirty flags. Returns n's new address.
-func (o *Object) relocateNode(n *node, levelsLeft int) (int64, error) {
-	s := o.store
-	sc := &o.sc
-	if levelsLeft > 1 {
-		for i, kid := range n.kids {
-			if kid == nil || !kid.dirty {
-				continue
+// growSpares makes sure the object holds at least n spares, adding the
+// shortfall as one slab.
+func (o *Object) growSpares(n int) {
+	short := n - len(o.spares)
+	if short <= 0 {
+		return
+	}
+	//lint:allow hotalloc spare growth to the largest commit's block count, kept across commits
+	slab := make([]disk.Block, short)
+	for i := range slab {
+		o.spares = append(o.spares, &slab[i])
+	}
+}
+
+// commitBlocks returns exactly how many blocks committing writes
+// allocates: one per write, and one per distinct tree node on the
+// written paths, each of which relocate moves once. It leaves the
+// written indices sorted in sc.idx for relocate.
+func (o *Object) commitBlocks(writes []BlockWrite) int64 {
+	idx := o.sc.idx[:0]
+	for _, w := range writes {
+		idx = append(idx, w.Index)
+	}
+	slices.Sort(idx)
+	o.sc.idx = idx
+	n := int64(len(writes)) + 1 // the data blocks and the root
+	// Indices share a node h levels above the data blocks when they
+	// agree above their low treeShift*h bits; the root is h = levels.
+	for h := 1; h < o.tree.levels; h++ {
+		shift := uint(treeShift * h)
+		for i, x := range idx {
+			if i == 0 || x>>shift != idx[i-1]>>shift {
+				n++
 			}
-			addr, err := o.relocateNode(kid, levelsLeft-1)
-			if err != nil {
-				return 0, err
-			}
-			n.setChild(i, addr)
 		}
 	}
-	n.dirty = false
+	return n
+}
+
+// relocate moves n, and every node below it on the written paths, to
+// fresh disk addresses and queues their images for the commit's
+// vectored write. idx holds the sorted written indices under n.
+// Children are moved in slot order, before their parent. Returns n's
+// new address. Commit has checked the space beforehand.
+func (o *Object) relocate(n *node, levelsLeft int, idx []int64) int64 {
+	sc := &o.sc
+	shift := uint(treeShift * (levelsLeft - 1))
+	for levelsLeft > 1 && len(idx) > 0 {
+		slot, j := int(idx[0]>>shift)&(treeFanout-1), 1
+		for j < len(idx) && int(idx[j]>>shift)&(treeFanout-1) == slot {
+			j++
+		}
+		n.setChild(slot, o.relocate(n.kids[slot], levelsLeft-1, idx[:j]))
+		idx = idx[j:]
+	}
 	if n.addr != 0 {
 		sc.freed = append(sc.freed, n.addr)
 	}
-	addr, err := s.alloc.alloc()
-	if err != nil {
-		return 0, err
-	}
-	n.addr = addr
-	sc.extents = append(sc.extents, disk.Extent{Offset: addr, Data: n.img})
-	return addr, nil
+	n.addr = o.store.alloc.take()
+	sc.extents = append(sc.extents, disk.Extent{Offset: n.addr, Data: n.img})
+	return n.addr
 }
 
 // ReadBlock fills dst with block idx's contents (zeroes if the block

@@ -6,6 +6,11 @@ import "encoding/binary"
 // 8-byte disk addresses).
 const treeFanout = BlockSize / 8
 
+// treeShift is log2(treeFanout): index x sits in slot
+// (x >> (treeShift*h)) & (treeFanout-1) of its node h levels above the
+// data blocks.
+const treeShift = 9
+
 // node is one radix-tree node. img is the node exactly as it lies on
 // disk — treeFanout little-endian child addresses (0 = absent) — and
 // is also the only in-memory copy of them: Commit hands img to the
@@ -15,10 +20,6 @@ type node struct {
 	addr int64   // disk address this image was last written to
 	img  []byte  // BlockSize bytes
 	kids []*node // interior nodes only
-	// dirty marks nodes whose path was modified since the last commit;
-	// Commit's serializer descends exactly the dirty subtrees and
-	// clears the flags.
-	dirty bool
 }
 
 func newNode(interior bool) *node {
@@ -86,14 +87,12 @@ func (t *tree) lookup(idx int64) int64 {
 	return n.child(int((idx / div) % treeFanout))
 }
 
-// set installs addr for idx, marking the touched path dirty for the
-// next commit's COW rewrite, and returns the previous address (0 if
+// set installs addr for idx and returns the previous address (0 if
 // none). Interior nodes are created as needed.
 func (t *tree) set(idx int64, addr int64) (old int64) {
 	n := t.root
 	div := t.topDiv
 	for level := 0; level < t.levels-1; level++ {
-		n.dirty = true
 		slot := int((idx / div) % treeFanout)
 		next := n.kids[slot]
 		if next == nil {
@@ -104,7 +103,6 @@ func (t *tree) set(idx int64, addr int64) (old int64) {
 		n = next
 		div /= treeFanout
 	}
-	n.dirty = true
 	slot := int((idx / div) % treeFanout)
 	old = n.child(slot)
 	n.setChild(slot, addr)

@@ -69,25 +69,27 @@ func main() {
 			defer wg.Done()
 			const window = 16
 			tenant := fmt.Sprintf("tenant-%02d", c%8)
-			var pending []<-chan shard.Response
-			drain := func(keep int) {
-				for len(pending) > keep {
-					if resp := <-pending[0]; resp.Err != nil {
+			// Op i reuses op i-window's channel, after waiting on it:
+			// window ops stay outstanding, collected oldest first.
+			var resps [window]chan shard.Response
+			for k := range resps {
+				resps[k] = make(chan shard.Response, 1)
+			}
+			for i := 0; i < opsPerCli+window; i++ {
+				ch := resps[i%window]
+				if i >= window {
+					if resp := <-ch; resp.Err != nil {
 						log.Fatal(resp.Err)
 					}
-					pending = pending[1:]
 				}
-			}
-			for i := 0; i < opsPerCli; i++ {
+				if i >= opsPerCli {
+					continue
+				}
 				key := fmt.Sprintf("k-%03d", (c*37+i)%64)
-				ch, err := svc.DoAsync(shard.Op{Kind: shard.OpAdd, Tenant: tenant, Key: key, Value: 1})
-				if err != nil {
+				if err := svc.DoTagged(shard.Op{Kind: shard.OpAdd, Tenant: tenant, Key: key, Value: 1}, 0, ch); err != nil {
 					log.Fatal(err)
 				}
-				pending = append(pending, ch)
-				drain(window - 1)
 			}
-			drain(0)
 		}(c)
 	}
 	wg.Wait()
@@ -127,12 +129,14 @@ func main() {
 	// Phase 3: a burst of transfers nobody waits for, then a power cut
 	// inside their commit window. Transfers are sum-neutral, so the
 	// invariant must hold whichever group commits the cut tears.
-	for round := 0; round < 10; round++ {
+	const rounds = 10
+	unread := make(chan shard.Response, rounds*shards)
+	for round := 0; round < rounds; round++ {
 		for sh := 0; sh < shards; sh++ {
-			_, err := svc.DoAsync(shard.Op{
+			err := svc.DoTagged(shard.Op{
 				Kind: shard.OpTransfer, Tenant: "bank",
 				Key: pairs[sh][0], Key2: pairs[sh][1], Value: 10,
-			})
+			}, 0, unread)
 			if err != nil {
 				log.Fatal(err)
 			}

@@ -258,12 +258,14 @@ func TestIntegrationShardServicePowerCut(t *testing.T) {
 
 	// Unacknowledged tail: sum-neutral transfers whose group commits
 	// are still in flight when the power dies.
-	for round := 0; round < 8; round++ {
+	const rounds = 8
+	unread := make(chan shard.Response, rounds*shards)
+	for round := 0; round < rounds; round++ {
 		for sh := 0; sh < shards; sh++ {
-			if _, err := svc.DoAsync(shard.Op{
+			if err := svc.DoTagged(shard.Op{
 				Kind: shard.OpTransfer, Tenant: "bank",
 				Key: pairs[sh][0], Key2: pairs[sh][1], Value: 5,
-			}); err != nil {
+			}, 0, unread); err != nil {
 				t.Fatal(err)
 			}
 		}

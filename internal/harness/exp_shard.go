@@ -74,7 +74,7 @@ func shardSvcRun(shards, batch int, opts Options) ([]string, error) {
 }
 
 // windowedClients drives clients goroutines against svc, each keeping a
-// window of asynchronous requests outstanding over opsPer ops: three
+// window of requests outstanding through DoTagged over opsPer ops: three
 // Adds to every Get, on a deterministic key walk over keys keys per
 // tenant (no RNG, so runs are reproducible bit-for-bit), the clients
 // spread round-robin over tenants tenants. It returns the first error.
@@ -86,36 +86,32 @@ func windowedClients(svc *shard.Service, clients, window, opsPer, tenants, keys 
 		go func(c int) {
 			defer wg.Done()
 			tenant := fmt.Sprintf("t%02d", c%tenants)
-			pending := make([]<-chan shard.Response, 0, window)
-			drain := func(keep int) error {
-				for len(pending) > keep {
-					resp := <-pending[0]
-					pending = pending[1:]
-					if resp.Err != nil {
-						return resp.Err
+			// Op i reuses op i-window's channel, after waiting on it:
+			// window ops stay outstanding, collected oldest first.
+			resps := make([]chan shard.Response, window)
+			for k := range resps {
+				resps[k] = make(chan shard.Response, 1)
+			}
+			for i := 0; i < opsPer+window; i++ {
+				ch := resps[i%window]
+				if i >= window {
+					if resp := <-ch; resp.Err != nil {
+						errs <- resp.Err
+						return
 					}
 				}
-				return nil
-			}
-			for i := 0; i < opsPer; i++ {
+				if i >= opsPer {
+					continue
+				}
 				key := fmt.Sprintf("k-%04d", (c*7919+i*613)%keys)
 				op := shard.Op{Kind: shard.OpAdd, Tenant: tenant, Key: key, Value: 1}
 				if i%4 == 3 {
 					op = shard.Op{Kind: shard.OpGet, Tenant: tenant, Key: key}
 				}
-				ch, err := svc.DoAsync(op)
-				if err != nil {
+				if err := svc.DoTagged(op, 0, ch); err != nil {
 					errs <- err
 					return
 				}
-				pending = append(pending, ch)
-				if err := drain(window - 1); err != nil {
-					errs <- err
-					return
-				}
-			}
-			if err := drain(0); err != nil {
-				errs <- err
 			}
 		}(c)
 	}

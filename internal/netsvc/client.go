@@ -3,7 +3,6 @@ package netsvc
 import (
 	"errors"
 	"net" //lint:allow sockio reference client for the real-TCP data plane
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -50,22 +49,9 @@ var closedWake = proto.Response{}
 // response can never be delivered to the wrong caller. Do transparently
 // retries RETRY_AFTER responses after the server's backoff hint —
 // the client half of the wire backpressure contract.
-//
-// Writes are combined: a caller encodes its frame into the shared
-// pending buffer, and whichever caller finds no flush in progress
-// writes the buffer out for everyone (see send). The two buffers grow
-// to the largest batch and are reused, so steady-state sends are
-// allocation-free.
 type Client struct {
-	c net.Conn
-	// wmu guards pending, spare and flushing.
-	wmu      sync.Mutex
-	pending  []byte // frames encoded and not yet handed to Write
-	spare    []byte // the other half of the double buffer
-	flushing bool   // a caller is writing, and will write pending too
-	// yield lets sibling callers join a flush; off at depth 1, where
-	// there are none.
-	yield bool
+	c    net.Conn
+	wbuf outBuf // combines the callers' writes (send)
 
 	slots []clientSlot
 	free  chan uint32
@@ -102,7 +88,7 @@ func Dial(addr string, depth int) (*Client, error) {
 func newClient(nc net.Conn, depth int) *Client {
 	c := &Client{
 		c:     nc,
-		yield: depth > 1,
+		wbuf:  outBuf{w: nc, yield: depth > 1},
 		slots: make([]clientSlot, depth),
 		free:  make(chan uint32, depth),
 		done:  make(chan struct{}),
@@ -215,44 +201,17 @@ func (c *Client) DoOnce(q *proto.Request) (proto.Response, error) {
 	return p, nil
 }
 
-// send encodes q into the pending buffer and makes sure it reaches the
-// wire: the caller that finds no flush in progress becomes the flusher
-// and writes until pending is empty; every other caller leaves its
-// frame to the flusher. Before each Write the flusher yields the
-// processor once: the callers the read loop woke together with it are
-// runnable right behind it, and without the yield its Write completes
-// before any of them has encoded a frame. Callers that encode after
-// the yield (slow ones, as under the race detector) find pending
-// non-empty when the Write returns, and yielding again lets the rest of
-// them join that second Write. At depth 1 there are no such callers,
-// so send is one Write on the caller's own goroutine. A failed Write
-// closes the connection, so every caller whose frame was in the batch
-// fails through c.done instead of waiting forever.
+// send encodes q into the output buffer and flushes it (at depth 1, one
+// Write on the caller's goroutine). A flusher whose Write fails closes
+// the connection, so every caller whose frame was dropped fails through
+// c.done; a later send returns the write error without a syscall.
 //
 //memsnap:hotpath
 func (c *Client) send(q *proto.Request) error {
-	c.wmu.Lock()
-	var err error
-	if c.pending, err = proto.AppendRequest(c.pending, q); err != nil || c.flushing {
-		c.wmu.Unlock()
+	if err := c.wbuf.appendRequest(q); err != nil {
 		return err
 	}
-	c.flushing = true
-	for err == nil && len(c.pending) > 0 {
-		if c.yield {
-			c.wmu.Unlock()
-			runtime.Gosched()
-			c.wmu.Lock()
-		}
-		batch := c.pending
-		c.pending = c.spare[:0]
-		c.wmu.Unlock()
-		_, err = c.c.Write(batch)
-		c.wmu.Lock()
-		c.spare = batch
-	}
-	c.flushing = false
-	c.wmu.Unlock()
+	err := c.wbuf.flush()
 	if err != nil {
 		c.c.Close()
 	}

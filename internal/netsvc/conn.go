@@ -59,11 +59,6 @@ type slotInfo struct {
 // returns; writes, and gets that find the shard busy, are left to the
 // shard workers, and the writer turns their responses into replies.
 //
-// Reader and writer share one output double buffer (pending/spare under
-// wmu). Whoever appends a reply and finds no flush in progress becomes
-// the flusher and writes until the buffer is empty; anyone else leaves
-// their bytes to it (flush).
-//
 // Flow control: slots (capacity MaxInFlight) bounds the in-flight
 // table. The reader blocks acquiring a slot when the table is full —
 // it stops reading frames, and TCP pushes back on the client. Because
@@ -96,14 +91,7 @@ type conn struct {
 	// server-wide budget (Server.interned).
 	strs map[string]string
 
-	// wmu guards the output double buffer and its state.
-	wmu      sync.Mutex
-	pending  []byte // replies encoded and not yet handed to Write
-	spare    []byte // the other half of the double buffer
-	flushing bool   // someone is writing, and will write pending too
-	broken   bool   // a write failed: replies are dropped from now on
-	// dw is the socket as the flusher sees it (flusher-owned).
-	dw deadlineWriter
+	wbuf outBuf // reader's and writer's replies, written through a deadlineWriter
 
 	closeReadOnce sync.Once
 }
@@ -119,7 +107,7 @@ func newConn(s *Server, nc net.Conn) *conn {
 		readerDone: make(chan struct{}),
 		ids:        make(map[uint64]bool, n),
 		strs:       make(map[string]string),
-		dw:         deadlineWriter{c: nc},
+		wbuf:       outBuf{w: &deadlineWriter{c: nc}},
 	}
 	for i := 0; i < n; i++ {
 		c.free <- uint32(i)
@@ -277,7 +265,7 @@ func (c *conn) runLone(si *slotInfo, op shard.Op) bool {
 // workers, so it yields the processor once and drains again before
 // flushing; with nothing else in flight it flushes at once. Once a
 // write has failed it keeps draining (freeing slots and stats) while
-// answer drops the replies, so shard workers and the reader never wedge
+// wbuf drops the replies, so shard workers and the reader never wedge
 // on a broken peer. It exits when the reader is done and the in-flight
 // table is empty, then closes the connection.
 //
@@ -329,9 +317,8 @@ func (c *conn) complete(r shard.Response) {
 }
 
 // answer books one finished request — its latency, the traced net span
-// and the response counters — and appends its reply to the output
-// buffer for the next flush. On a broken connection the reply is
-// dropped: nobody reads it.
+// and the response counters — and appends its reply for the next flush
+// (dropped on a broken connection: nobody reads it).
 func (c *conn) answer(si *slotInfo, r shard.Response) {
 	resp := proto.Response{
 		ID:     si.id,
@@ -352,47 +339,14 @@ func (c *conn) answer(si *slotInfo, r shard.Response) {
 	}
 	c.srv.st.responses.Add(1)
 	c.srv.st.inFlight.Add(-1)
-	c.wmu.Lock()
-	if !c.broken {
-		n := len(c.pending)
-		c.pending = proto.AppendResponse(c.pending, &resp)
-		c.srv.st.bytesOut.Add(int64(len(c.pending) - n))
-	}
-	c.wmu.Unlock()
+	c.srv.st.bytesOut.Add(int64(c.wbuf.appendResponse(&resp)))
 }
 
-// flush makes sure the replies appended so far reach the socket. The
-// caller that finds no flush in progress becomes the flusher and writes
-// until pending is empty, swapping the two halves of the buffer so
-// others can append while it writes; any other caller leaves its bytes
-// to the flusher. A failed write (or one past writeTimeout) marks the
-// connection broken, drops what is left and half-closes the read side,
-// so the reader hits EOF and admits nothing new.
-//
-//memsnap:hotpath
+// flush writes the replies appended so far. A flusher whose write fails
+// (or passes writeTimeout) half-closes the read side: the reader hits
+// EOF and admits nothing new.
 func (c *conn) flush() {
-	c.wmu.Lock()
-	if c.flushing {
-		c.wmu.Unlock()
-		return
-	}
-	c.flushing = true
-	for !c.broken && len(c.pending) > 0 {
-		batch := c.pending
-		c.pending = c.spare[:0]
-		c.wmu.Unlock()
-		_, err := c.dw.Write(batch)
-		c.wmu.Lock()
-		c.spare = batch
-		if err != nil {
-			c.broken = true
-			c.pending = c.pending[:0]
-		}
-	}
-	c.flushing = false
-	broken := c.broken
-	c.wmu.Unlock()
-	if broken {
+	if c.wbuf.flush() != nil {
 		c.closeRead()
 	}
 }

@@ -4,9 +4,11 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"os"
 	"runtime"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"testing"
 	"time"
 
@@ -244,9 +246,9 @@ func TestFailedFlushFailsEveryCaller(t *testing.T) {
 	// until every other caller's frame is in that batch or pending.
 	inWrite := <-gc.batch
 	waitFor(t, func() bool {
-		c.wmu.Lock()
-		defer c.wmu.Unlock()
-		return inWrite+len(c.pending) == callers*len(frame)
+		c.wbuf.mu.Lock()
+		defer c.wbuf.mu.Unlock()
+		return inWrite+len(c.wbuf.pending) == callers*len(frame)
 	}, "all callers' frames to be queued behind the blocked write")
 	close(gc.release)
 	for g := 0; g < callers; g++ {
@@ -337,6 +339,107 @@ func TestDrainWithStalledPeer(t *testing.T) {
 	}
 	nc.Close()
 	<-wrote
+}
+
+// TestDrainWithStalledLonePeer: a depth-1 peer that sends its requests
+// one at a time and never reads. Each request is lone, so the reader
+// answers it and flushes the reply itself, until the buffers fill and
+// the reader's own Write blocks. The write deadline must break the
+// connection there too: Close returns within writeTimeout plus slack,
+// and every request is accounted for.
+func TestDrainWithStalledLonePeer(t *testing.T) {
+	if testing.Short() {
+		t.Skip("waits out the write deadline")
+	}
+	svc := newService(t, shard.Config{Shards: 2})
+	defer svc.Close()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := serve(smallSendListener{ln}, svc, Config{})
+	// The receive buffer is set before connecting, so the peer never
+	// advertises more window than it has room for. Shrunk after the
+	// handshake, it would drop replies already in flight, and with them
+	// the acks for its own requests: the next request would sit in
+	// retransmission backoff instead of reaching the reader.
+	d := net.Dialer{Control: func(_, _ string, rc syscall.RawConn) error {
+		var serr error
+		err := rc.Control(func(fd uintptr) {
+			serr = syscall.SetsockoptInt(int(fd), syscall.SOL_SOCKET, syscall.SO_RCVBUF, 4<<10)
+		})
+		if err != nil {
+			return err
+		}
+		return serr
+	}}
+	nc, err := d.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	var c *conn
+	waitFor(t, func() bool {
+		srv.mu.Lock()
+		defer srv.mu.Unlock()
+		for sc := range srv.conns {
+			c = sc
+		}
+		return c != nil
+	}, "the server to accept the peer")
+	inWrite := func() bool {
+		c.wbuf.mu.Lock()
+		defer c.wbuf.mu.Unlock()
+		return c.wbuf.flushing
+	}
+	// Send request n+1 only once request n is counted, so the reader
+	// never holds a second frame, until the reader has stayed in one
+	// flush for 100 ms.
+	var frame []byte
+	for id := int64(1); ; id++ {
+		frame, err = proto.AppendRequest(frame[:0], &proto.Request{ID: uint64(id), Kind: proto.KindGet, Tenant: []byte("t"), Key: []byte("k")})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := nc.Write(frame); err != nil {
+			t.Fatal(err)
+		}
+		waitFor(t, func() bool { return srv.Stats().Requests == id || inWrite() }, "the request to be counted")
+		stuck := true
+		for end := time.Now().Add(100 * time.Millisecond); stuck && time.Now().Before(end); time.Sleep(time.Millisecond) {
+			stuck = inWrite()
+		}
+		if stuck {
+			t.Logf("the reader's flush blocked at request %d", id)
+			break
+		}
+	}
+	// Every admitted request is answered and nothing is queued: the
+	// blocked Write is the reader's lone flush, not the writer's.
+	if st := srv.Stats(); st.InFlight != 0 || st.Requests != st.Responses {
+		t.Fatalf("reader wedged with in-flight %d, requests %d, responses %d", st.InFlight, st.Requests, st.Responses)
+	}
+
+	closed := make(chan error, 1)
+	go func() { closed <- srv.Close() }()
+	select {
+	case err := <-closed:
+		if err != nil {
+			t.Fatalf("Close: %v", err)
+		}
+	case <-time.After(writeTimeout + 10*time.Second):
+		t.Fatal("Close still waiting on a lone peer that stopped reading")
+	}
+	c.wbuf.mu.Lock()
+	broken := c.wbuf.broken
+	c.wbuf.mu.Unlock()
+	if !errors.Is(broken, os.ErrDeadlineExceeded) {
+		t.Fatalf("the connection broke with %v, want the write deadline", broken)
+	}
+	if st := srv.Stats(); st.InFlight != 0 || st.Requests != st.Responses || st.OpenConns != 0 {
+		t.Fatalf("after drain: in-flight %d, requests %d, responses %d, open connections %d",
+			st.InFlight, st.Requests, st.Responses, st.OpenConns)
+	}
 }
 
 // failingListener hands the server connections whose every Write

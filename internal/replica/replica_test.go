@@ -446,26 +446,25 @@ func runFailover(t *testing.T, seed uint64) []uint64 {
 
 	// Unacknowledged in-flight transfers, then primary shutdown and a
 	// power cut inside the final commits' IO window.
-	var inflight []<-chan shard.Response
-	for round := 0; round < 6; round++ {
+	const rounds = 6
+	inflight := make(chan shard.Response, rounds*shards)
+	for round := 0; round < rounds; round++ {
 		for sh := 0; sh < shards; sh++ {
-			ch, err := svcA.DoAsync(shard.Op{
+			if err := svcA.DoTagged(shard.Op{
 				Kind: shard.OpTransfer, Tenant: "t",
 				Key: pairs[sh][0], Key2: pairs[sh][1], Value: 10,
-			})
-			if err != nil {
+			}, 0, inflight); err != nil {
 				t.Fatal(err)
 			}
-			inflight = append(inflight, ch)
 		}
 	}
 	if err := svcA.Close(); err != nil {
 		t.Fatal(err)
 	}
 	// Never a silent lost ack: every submitted op has its response.
-	for i, ch := range inflight {
+	for i := 0; i < rounds*shards; i++ {
 		select {
-		case resp := <-ch:
+		case resp := <-inflight:
 			if resp.Err != nil && !errors.Is(resp.Err, replica.ErrLinkDown) {
 				t.Fatalf("in-flight op %d: unclean error %v", i, resp.Err)
 			}

@@ -17,10 +17,10 @@ import (
 // commit among concurrent blocking callers, and the queue statistics.
 
 // TestFIFOAsyncThenGet: a goroutine that submits a put through the
-// queue and then reads the key with a blocking Get always sees its put,
-// with 8 such goroutines on one shard so Gets find the shard both busy
-// and idle. The Get may run on the caller only when the put can no
-// longer be in the queue.
+// queue (DoTagged) and then reads the key with a blocking Get always
+// sees its put, with 8 such goroutines on one shard so Gets find the
+// shard both busy and idle. The Get may run on the caller only when the
+// put can no longer be in the queue.
 func TestFIFOAsyncThenGet(t *testing.T) {
 	const (
 		submitters = 8
@@ -38,15 +38,15 @@ func TestFIFOAsyncThenGet(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			key := fmt.Sprintf("k%d", g)
+			ch := make(chan Response, 1)
 			for i := uint64(1); i <= rounds; i++ {
-				ch, err := svc.DoAsync(Op{Kind: OpPut, Tenant: "t", Key: key, Value: i})
-				if err != nil {
-					t.Errorf("submitter %d: DoAsync: %v", g, err)
+				if err := svc.DoTagged(Op{Kind: OpPut, Tenant: "t", Key: key, Value: i}, 0, ch); err != nil {
+					t.Errorf("submitter %d: DoTagged: %v", g, err)
 					return
 				}
 				v, ok, err := svc.Get("t", key)
 				if err != nil || !ok || v != i {
-					t.Errorf("submitter %d: Get after DoAsync(put %d) = %d, %v, %v", g, i, v, ok, err)
+					t.Errorf("submitter %d: Get after DoTagged(put %d) = %d, %v, %v", g, i, v, ok, err)
 					return
 				}
 				if r := <-ch; r.Err != nil {
@@ -109,8 +109,8 @@ func TestFIFOTaggedPutThenGet(t *testing.T) {
 }
 
 // TestCallerRunsTaggedGetInline: a tagged get on an idle shard runs on
-// its submitter, so its response is on the channel when TryDoTagged (or
-// DoAsync) returns.
+// its submitter, so its response is on the channel when TryDoTagged
+// returns.
 func TestCallerRunsTaggedGetInline(t *testing.T) {
 	sys := newSystem(t, 1)
 	svc, err := New(sys, Config{Shards: 1})
@@ -133,15 +133,8 @@ func TestCallerRunsTaggedGetInline(t *testing.T) {
 	default:
 		t.Fatal("tagged get on an idle shard not answered before TryDoTagged returned")
 	}
-	async, err := svc.DoAsync(Op{Kind: OpGet, Tenant: "t", Key: "k"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(async) != 1 {
-		t.Fatal("async get on an idle shard not answered before DoAsync returned")
-	}
-	if st := svc.TotalStats(); st.Reads != 2 || st.Ops != 3 {
-		t.Errorf("reads %d, ops %d; want 2, 3", st.Reads, st.Ops)
+	if st := svc.TotalStats(); st.Reads != 1 || st.Ops != 2 {
+		t.Errorf("reads %d, ops %d; want 1, 2", st.Reads, st.Ops)
 	}
 }
 
@@ -167,13 +160,12 @@ func seededOps(seed uint64, n int) []Op {
 }
 
 // TestCallerRunsDifferential drives one seeded 5,000-op sequence through
-// Do (every op runs on the caller: the shards are always idle), on a
-// second system through DoAsync plus a wait on writes (every write runs
-// on the worker) and on a third through DoTagged plus a wait (writes on
-// the worker, gets on the submitter or the worker as they find the
-// shard). Responses, region digests, every shard's virtual clock, the
-// statistics and the bytes written to disk must be equal: which
-// goroutine runs a shard is invisible to the model.
+// Do (every op runs on the caller: the shards are always idle) and on a
+// second system through DoTagged plus a wait (every write runs on the
+// worker, gets on the submitter or the worker as they find the shard).
+// Responses, region digests, every shard's virtual clock, the statistics
+// and the bytes written to disk must be equal: which goroutine runs a
+// shard is invisible to the model.
 func TestCallerRunsDifferential(t *testing.T) {
 	ops := seededOps(21, 5000)
 	type outcome struct {
@@ -208,13 +200,6 @@ func TestCallerRunsDifferential(t *testing.T) {
 		return out
 	}
 	onCaller := drive(func(s *Service, op Op) Response { return s.Do(op) })
-	onWorker := drive(func(s *Service, op Op) Response {
-		ch, err := s.DoAsync(op)
-		if err != nil {
-			return Response{Err: err}
-		}
-		return <-ch
-	})
 	tagged := drive(func(s *Service, op Op) Response {
 		const tag = 42
 		ch := make(chan Response, 1)
@@ -228,25 +213,23 @@ func TestCallerRunsDifferential(t *testing.T) {
 		r.Tag = 0
 		return r
 	})
-	for name, o := range map[string]outcome{"on worker": onWorker, "tagged": tagged} {
-		for i := range ops {
-			if onCaller.resps[i] != o.resps[i] {
-				t.Fatalf("op %d %+v: on caller %+v, %s %+v", i, ops[i], onCaller.resps[i], name, o.resps[i])
-			}
+	for i := range ops {
+		if onCaller.resps[i] != tagged.resps[i] {
+			t.Fatalf("op %d %+v: on caller %+v, tagged %+v", i, ops[i], onCaller.resps[i], tagged.resps[i])
 		}
-		if fmt.Sprint(onCaller.digests) != fmt.Sprint(o.digests) {
-			t.Errorf("region digests differ: on caller %v, %s %v", onCaller.digests, name, o.digests)
-		}
-		if onCaller.end != o.end {
-			t.Errorf("EndTime: on caller %v, %s %v", onCaller.end, name, o.end)
-		}
-		if onCaller.disk != o.disk {
-			t.Errorf("disk stats: on caller %+v, %s %+v", onCaller.disk, name, o.disk)
-		}
-		for i := range onCaller.stats {
-			if a, b := fmt.Sprintf("%+v", onCaller.stats[i]), fmt.Sprintf("%+v", o.stats[i]); a != b {
-				t.Errorf("shard %d stats differ:\n on caller %s\n %s %s", i, a, name, b)
-			}
+	}
+	if fmt.Sprint(onCaller.digests) != fmt.Sprint(tagged.digests) {
+		t.Errorf("region digests differ: on caller %v, tagged %v", onCaller.digests, tagged.digests)
+	}
+	if onCaller.end != tagged.end {
+		t.Errorf("EndTime: on caller %v, tagged %v", onCaller.end, tagged.end)
+	}
+	if onCaller.disk != tagged.disk {
+		t.Errorf("disk stats: on caller %+v, tagged %+v", onCaller.disk, tagged.disk)
+	}
+	for i := range onCaller.stats {
+		if a, b := fmt.Sprintf("%+v", onCaller.stats[i]), fmt.Sprintf("%+v", tagged.stats[i]); a != b {
+			t.Errorf("shard %d stats differ:\n on caller %s\n tagged    %s", i, a, b)
 		}
 	}
 	if w := onCaller.stats[0].Writes + onCaller.stats[1].Writes; w < 2000 {

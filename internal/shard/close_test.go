@@ -55,8 +55,9 @@ func TestCloseAfterCrash(t *testing.T) {
 		}
 	}
 	// Leave unacknowledged work in flight, then crash the array.
+	unread := make(chan Response, 8)
 	for i := 0; i < 8; i++ {
-		if _, err := svc.DoAsync(Op{Kind: OpAdd, Tenant: "t", Key: fmt.Sprintf("k%02d", i), Value: 1}); err != nil {
+		if err := svc.DoTagged(Op{Kind: OpAdd, Tenant: "t", Key: fmt.Sprintf("k%02d", i), Value: 1}, 0, unread); err != nil {
 			t.Fatal(err)
 		}
 	}

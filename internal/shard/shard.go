@@ -7,7 +7,7 @@
 // paper's msnap_persist runs on the thread that calls it — a blocking
 // caller (Do, Put, Get, ..., or TryRun) that finds the shard idle and
 // runs its own op on its own goroutine, with no hand-off, or the
-// submitter of a get (DoTagged, DoAsync, ...) that finds it idle (see
+// submitter of a get (DoTagged, TryDoTagged) that finds it idle (see
 // the shard type).
 // Either way many client writes coalesce into one group-commit
 // uCheckpoint per batch (MSAsync + Wait overlaps the IO of batch k with
@@ -505,7 +505,7 @@ func (s *Service) submit(sh *shard, r *request, block bool) error {
 // queue is empty. The empty queue is the per-submitter FIFO condition:
 // requests leave the queue only under the lock and are applied before it
 // is released, so nothing this submitter queued earlier (say through
-// DoAsync) can still be unapplied. On true the submitter holds the
+// DoTagged) can still be unapplied. On true the submitter holds the
 // execution lock and must release it.
 //
 // The submitter counts as admitted once it holds the execution lock,
@@ -603,22 +603,6 @@ func (s *Service) TryRun(op Op) (Response, bool, error) {
 		return Response{}, false, nil
 	}
 	return s.runIdle(sh, op)
-}
-
-// DoAsync submits op and returns a channel that will receive its
-// response: immediately after apply for reads, after the group commit
-// is durable for writes. A get on an idle shard is answered before
-// DoAsync returns (see send). It blocks while the shard queue is full.
-func (s *Service) DoAsync(op Op) (<-chan Response, error) {
-	sh, err := s.route(op)
-	if err != nil {
-		return nil, err
-	}
-	ch := make(chan Response, 1)
-	if err := s.send(sh, op, 0, ch, true); err != nil {
-		return nil, err
-	}
-	return ch, nil
 }
 
 // DoTagged submits op for pipelined completion: the response —

@@ -130,16 +130,14 @@ func TestGroupCommitCoalescing(t *testing.T) {
 		t.Fatal(err)
 	}
 	const writes = 200
-	chans := make([]<-chan Response, 0, writes)
+	resps := make(chan Response, writes)
 	for i := 0; i < writes; i++ {
-		ch, err := svc.DoAsync(Op{Kind: OpPut, Tenant: "t", Key: fmt.Sprintf("k%04d", i), Value: 1})
-		if err != nil {
+		if err := svc.DoTagged(Op{Kind: OpPut, Tenant: "t", Key: fmt.Sprintf("k%04d", i), Value: 1}, 0, resps); err != nil {
 			t.Fatal(err)
 		}
-		chans = append(chans, ch)
 	}
-	for _, ch := range chans {
-		if r := <-ch; r.Err != nil {
+	for i := 0; i < writes; i++ {
+		if r := <-resps; r.Err != nil {
 			t.Fatal(r.Err)
 		}
 	}
@@ -351,12 +349,14 @@ func TestCrashRecoveryMidCommit(t *testing.T) {
 	// Unacknowledged tail: sum-neutral transfers inside every shard.
 	// Their group commits submit after tSafe on each worker's clock;
 	// the power cut lands inside this IO window.
-	for round := 0; round < 10; round++ {
+	const rounds = 10
+	unread := make(chan Response, rounds*shards)
+	for round := 0; round < rounds; round++ {
 		for sh := 0; sh < shards; sh++ {
-			if _, err := svc.DoAsync(Op{
+			if err := svc.DoTagged(Op{
 				Kind: OpTransfer, Tenant: "bank",
 				Key: pairs[sh][0], Key2: pairs[sh][1], Value: 10,
-			}); err != nil {
+			}, 0, unread); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -24,10 +24,9 @@ import (
 //     that finds the lock free and the queue empty runs its own op on
 //     its own goroutine (runOwn, or read for a get) and gets the
 //     response by value;
-//   - the submitter of a get through DoTagged, TryDoTagged or DoAsync
-//     that finds the shard idle the same way answers it on its own
-//     goroutine (read) and puts the response on its channel before
-//     returning.
+//   - the submitter of a get through DoTagged or TryDoTagged that
+//     finds the shard idle the same way answers it on its own goroutine
+//     (read) and puts the response on its channel before returning.
 //
 // All but the worker go through one routine, Service.runIdle.
 //

@@ -79,8 +79,8 @@ func run() int {
 	runWorkload(c.Svc, *clients, *ops, *keys, *seed, sampler)
 
 	total := c.Svc.TotalStats()
-	fmt.Printf("workload done: %d ops, %d commits, %d trace events recorded (%d dropped)\n",
-		total.Ops, total.Commits, total.Obs.Recorded, total.Obs.Dropped)
+	fmt.Printf("workload done: %d ops, %d commits, %d trace events recorded\n",
+		total.Ops, total.Commits, total.Obs.Recorded)
 
 	// The boundary clock gives /varz a virtual "now": the furthest any
 	// worker has advanced.

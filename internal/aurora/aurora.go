@@ -77,18 +77,8 @@ func NewRegion(costs *sim.CostModel, arr *disk.Array, name string, diskBase, siz
 	}
 }
 
-// Name returns the region name.
-func (r *Region) Name() string { return r.name }
-
 // Size returns the region size in bytes.
 func (r *Region) Size() int64 { return int64(len(r.data)) }
-
-// Checkpoints returns how many checkpoints have been taken.
-func (r *Region) Checkpoints() int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.checkpoints
-}
 
 // Write stores data at off, dirtying the covered pages. Aurora does
 // not fault per write; tracking happens wholesale at checkpoint time
@@ -104,24 +94,6 @@ func (r *Region) Write(clk *sim.Clock, off int64, data []byte) {
 		r.dirty[p] = true
 	}
 	r.mu.Unlock()
-}
-
-// Read copies bytes out of the region.
-func (r *Region) Read(clk *sim.Clock, off int64, buf []byte) {
-	if off < 0 || off+int64(len(buf)) > int64(len(r.data)) {
-		panic(fmt.Sprintf("aurora: read out of range: off=%d len=%d", off, len(buf)))
-	}
-	clk.Advance(r.costs.MemcpyCost(len(buf)))
-	r.mu.Lock()
-	copy(buf, r.data[off:])
-	r.mu.Unlock()
-}
-
-// DirtyPages returns the current dirty-set size.
-func (r *Region) DirtyPages() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.dirty)
 }
 
 // perGiB scales a per-GiB cost by a byte count.

@@ -21,18 +21,18 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	data := []byte("aurora region data")
 	r.Write(clk, 5000, data)
 	buf := make([]byte, len(data))
-	r.Read(clk, 5000, buf)
+	copy(buf, r.data[5000:])
 	if !bytes.Equal(buf, data) {
 		t.Fatalf("read back %q", buf)
 	}
-	if r.DirtyPages() != 1 {
-		t.Fatalf("dirty pages = %d", r.DirtyPages())
+	if len(r.dirty) != 1 {
+		t.Fatalf("dirty pages = %d", len(r.dirty))
 	}
 	// A write spanning a page boundary dirties both pages (page 1 is
 	// already dirty, so one new page appears).
 	r.Write(clk, 2*PageSize-4, make([]byte, 8))
-	if r.DirtyPages() != 2 {
-		t.Fatalf("dirty pages after spanning write = %d", r.DirtyPages())
+	if len(r.dirty) != 2 {
+		t.Fatalf("dirty pages after spanning write = %d", len(r.dirty))
 	}
 }
 
@@ -42,15 +42,15 @@ func TestCheckpointPersistsToDisk(t *testing.T) {
 	r.Write(clk, 0, bytes.Repeat([]byte{0x5A}, PageSize))
 	r.Checkpoint(clk)
 	buf := make([]byte, PageSize)
-	arr.PeekAt(0, buf)
+	arr.Read(clk.Now(), 0, buf)
 	if buf[0] != 0x5A || buf[PageSize-1] != 0x5A {
 		t.Fatal("checkpoint did not reach disk")
 	}
-	if r.DirtyPages() != 0 {
+	if len(r.dirty) != 0 {
 		t.Fatal("checkpoint left dirty pages")
 	}
-	if r.Checkpoints() != 1 {
-		t.Fatalf("checkpoint count = %d", r.Checkpoints())
+	if r.checkpoints != 1 {
+		t.Fatalf("checkpoint count = %d", r.checkpoints)
 	}
 }
 

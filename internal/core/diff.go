@@ -216,6 +216,8 @@ func (ctx *Context) prevStoreFor(r *Region) *prevStore {
 // SetPreImageBudget bounds the pre-image store (in pages) for regions
 // whose store has not been built yet; n <= 0 restores the default.
 // Intended for tests exercising the eviction fallback.
+//
+//lint:allow unreachable the replica timeline test pins wire bytes with a small budget
 func (ctx *Context) SetPreImageBudget(n int) { ctx.preImageBudget = n }
 
 // dropPreImages releases every retained pre-image across the context's

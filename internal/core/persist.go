@@ -223,12 +223,6 @@ func (ctx *Context) Thread() *vm.Thread { return ctx.th }
 // Clock returns the context's virtual clock.
 func (ctx *Context) Clock() *sim.Clock { return ctx.th.Clock() }
 
-// Write stores data at a virtual address through the fault machinery.
-func (ctx *Context) Write(addr uint64, data []byte) { ctx.th.Write(addr, data) }
-
-// Read loads bytes from a virtual address.
-func (ctx *Context) Read(addr uint64, buf []byte) { ctx.th.Read(addr, buf) }
-
 // WriteAt stores data at an offset within a region.
 func (ctx *Context) WriteAt(r *Region, off int64, data []byte) {
 	ctx.th.Write(r.addr+uint64(off), data)
@@ -251,6 +245,8 @@ func (ctx *Context) PageForRead(r *Region, off int64) []byte {
 }
 
 // DirtyPages returns the size of the calling thread's dirty set.
+//
+//lint:allow unreachable public facade method (memsnap.Context)
 func (ctx *Context) DirtyPages() int { return ctx.th.DirtyLen() }
 
 // Persist atomically persists the dirty set as a uCheckpoint.
@@ -513,4 +509,6 @@ func (ctx *Context) Wait(r *Region, epoch objstore.Epoch) {
 
 // OutstandingCheckpoints reports how many async uCheckpoints have not
 // been waited for.
+//
+//lint:allow unreachable public facade method (memsnap.Context)
 func (ctx *Context) OutstandingCheckpoints() int { return len(ctx.pending) }

@@ -233,27 +233,6 @@ func (a *Array) SetStraggler(dev int, from, to time.Duration, factor int) {
 	a.devices[dev].SetStraggler(from, to, factor)
 }
 
-// PeekAt reads array contents without cost, for tests and tooling.
-//
-//lint:allow faultpath deliberate zero-cost escape hatch for tests and tooling
-func (a *Array) PeekAt(offset int64, buf []byte) {
-	off := offset
-	remaining := buf
-	for len(remaining) > 0 {
-		stripeIdx := off / a.stripe
-		within := off % a.stripe
-		take := int(a.stripe - within)
-		if take > len(remaining) {
-			take = len(remaining)
-		}
-		dev := int(stripeIdx % int64(len(a.devices)))
-		row := stripeIdx / int64(len(a.devices))
-		a.devices[dev].PeekAt(row*a.stripe+within, remaining[:take])
-		off += int64(take)
-		remaining = remaining[take:]
-	}
-}
-
 // Stats sums the counters across all devices.
 func (a *Array) Stats() Stats {
 	var total Stats

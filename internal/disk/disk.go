@@ -213,15 +213,6 @@ func (d *Device) readLocked(offset int64, dst []byte) {
 	}
 }
 
-// SubmitWrite issues a write at virtual time at and returns its
-// completion time. Data lands in the backing store immediately but is
-// only durable once the returned completion time has passed relative
-// to any later CutPower.
-func (d *Device) SubmitWrite(at time.Duration, offset int64, data []byte) time.Duration {
-	seg := [1]Extent{{Offset: offset, Data: data}}
-	return d.submitWriteV(at, seg[:], len(data))
-}
-
 // SubmitRead issues a read at virtual time at, fills buf, and returns
 // the completion time.
 func (d *Device) SubmitRead(at time.Duration, offset int64, buf []byte) time.Duration {
@@ -347,17 +338,6 @@ func (d *Device) GCFloor() time.Duration {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return d.gcFloor
-}
-
-// PeekAt copies device contents without charging any cost or touching
-// the queue. For tests and tooling only.
-//
-//lint:allow faultpath deliberate zero-cost escape hatch for tests and tooling
-func (d *Device) PeekAt(offset int64, buf []byte) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.checkRange(offset, len(buf))
-	d.readLocked(offset, buf)
 }
 
 // Stats reports device counters.

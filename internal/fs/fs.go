@@ -15,7 +15,6 @@
 package fs
 
 import (
-	"fmt"
 	"sort"
 	"sync"
 	"time"
@@ -40,14 +39,6 @@ const (
 	// CoWFS is the copy-on-write (ZFS-like) personality.
 	CoWFS
 )
-
-// String implements fmt.Stringer.
-func (k Kind) String() string {
-	if k == CoWFS {
-		return "zfs"
-	}
-	return "ffs"
-}
 
 // FS is one mounted filesystem over its own disk array.
 type FS struct {
@@ -82,9 +73,6 @@ func New(costs *sim.CostModel, arr *disk.Array, kind Kind) *FS {
 	}
 }
 
-// Array exposes the backing array for disk-throughput accounting.
-func (f *FS) Array() *disk.Array { return f.arr }
-
 // charge advances clk and mirrors the charge into a kernel bucket if
 // accounting is enabled.
 func (f *FS) charge(clk *sim.Clock, bucket string, d time.Duration) {
@@ -93,9 +81,6 @@ func (f *FS) charge(clk *sim.Clock, bucket string, d time.Duration) {
 		f.Buckets.Add(bucket, d)
 	}
 }
-
-// Kind returns the personality.
-func (f *FS) Kind() Kind { return f.kind }
 
 // File is one file: cached blocks plus their on-disk placement.
 type File struct {
@@ -133,18 +118,6 @@ func (f *FS) Create(clk *sim.Clock, name string) *File {
 	return file
 }
 
-// Open returns an existing file.
-func (f *FS) Open(clk *sim.Clock, name string) (*File, error) {
-	clk.Advance(f.costs.SyscallEntry + f.costs.VFSLookup)
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	file, ok := f.files[name]
-	if !ok {
-		return nil, fmt.Errorf("fs: %s: no such file", name)
-	}
-	return file, nil
-}
-
 // Remove deletes a file, releasing its blocks.
 func (f *FS) Remove(clk *sim.Clock, name string) {
 	clk.Advance(f.costs.SyscallEntry + f.costs.VFSLookup)
@@ -170,33 +143,6 @@ func (f *FS) allocBlock() int64 {
 
 // Name returns the file name.
 func (fl *File) Name() string { return fl.name }
-
-// Size returns the file size in bytes.
-func (fl *File) Size() int64 {
-	fl.mu.Lock()
-	defer fl.mu.Unlock()
-	return fl.size
-}
-
-// ResidentBlocks returns how many blocks are in the buffer cache.
-func (fl *File) ResidentBlocks() int {
-	fl.mu.Lock()
-	defer fl.mu.Unlock()
-	return len(fl.cache)
-}
-
-// DirtyBlocks returns how many cached blocks are dirty.
-func (fl *File) DirtyBlocks() int {
-	fl.mu.Lock()
-	defer fl.mu.Unlock()
-	n := 0
-	for _, b := range fl.cache {
-		if b.dirty {
-			n++
-		}
-	}
-	return n
-}
 
 // Write implements the write syscall: data lands in the buffer cache
 // (write-back); nothing reaches the disk until Fsync.

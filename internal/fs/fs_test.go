@@ -25,24 +25,24 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	if !bytes.Equal(buf, data) {
 		t.Fatalf("read back %q", buf)
 	}
-	if file.Size() != 100+int64(len(data)) {
-		t.Fatalf("size = %d", file.Size())
+	if file.size != 100+int64(len(data)) {
+		t.Fatalf("size = %d", file.size)
 	}
 }
 
 func TestOpenMissing(t *testing.T) {
 	f := newFS(FFS)
 	clk := sim.NewClock()
-	if _, err := f.Open(clk, "nope"); err == nil {
-		t.Fatal("opened missing file")
+	if f.files["nope"] != nil {
+		t.Fatal("found a missing file")
 	}
 	f.Create(clk, "yes")
-	if _, err := f.Open(clk, "yes"); err != nil {
-		t.Fatal(err)
+	if f.files["yes"] == nil {
+		t.Fatal("created file not found")
 	}
 	f.Remove(clk, "yes")
-	if _, err := f.Open(clk, "yes"); err == nil {
-		t.Fatal("opened removed file")
+	if f.files["yes"] != nil {
+		t.Fatal("found a removed file")
 	}
 }
 
@@ -51,19 +51,30 @@ func TestWriteIsWriteBack(t *testing.T) {
 	clk := sim.NewClock()
 	file := f.Create(clk, "db")
 	file.Write(clk, 0, bytes.Repeat([]byte{1}, 64<<10))
-	if got := f.Array().Stats().BytesWritten; got != 0 {
+	if got := f.arr.Stats().BytesWritten; got != 0 {
 		t.Fatalf("write hit the disk before fsync: %d bytes", got)
 	}
-	if file.DirtyBlocks() != 16 {
-		t.Fatalf("dirty blocks = %d", file.DirtyBlocks())
+	if n := dirtyBlocks(file); n != 16 {
+		t.Fatalf("dirty blocks = %d", n)
 	}
 	file.Fsync(clk)
-	if got := f.Array().Stats().BytesWritten; got < 64<<10 {
+	if got := f.arr.Stats().BytesWritten; got < 64<<10 {
 		t.Fatalf("fsync wrote only %d bytes", got)
 	}
-	if file.DirtyBlocks() != 0 {
+	if dirtyBlocks(file) != 0 {
 		t.Fatal("fsync left dirty blocks")
 	}
+}
+
+// dirtyBlocks counts fl's dirty cached blocks.
+func dirtyBlocks(fl *File) int {
+	n := 0
+	for _, b := range fl.cache {
+		if b.dirty {
+			n++
+		}
+	}
+	return n
 }
 
 func TestFsyncNoDirtyCheap(t *testing.T) {
@@ -201,11 +212,11 @@ func TestTruncate(t *testing.T) {
 	file.Write(clk, 0, make([]byte, 10*BlockSize))
 	file.Fsync(clk)
 	file.Truncate(clk, BlockSize)
-	if file.Size() != BlockSize {
-		t.Fatalf("size after truncate = %d", file.Size())
+	if file.size != BlockSize {
+		t.Fatalf("size after truncate = %d", file.size)
 	}
-	if file.ResidentBlocks() != 1 {
-		t.Fatalf("resident after truncate = %d", file.ResidentBlocks())
+	if len(file.cache) != 1 {
+		t.Fatalf("resident after truncate = %d", len(file.cache))
 	}
 	// Growing again reads zeros past the old end.
 	buf := make([]byte, 8)

@@ -12,7 +12,6 @@ package harness
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 )
@@ -154,16 +153,6 @@ func Find(id string) (Experiment, bool) {
 		}
 	}
 	return Experiment{}, false
-}
-
-// IDs returns all experiment IDs, sorted.
-func IDs() []string {
-	var ids []string
-	for _, e := range Registry() {
-		ids = append(ids, e.ID)
-	}
-	sort.Strings(ids)
-	return ids
 }
 
 // us renders a duration as microseconds with one decimal.

@@ -96,7 +96,7 @@ func TestRegistryComplete(t *testing.T) {
 			t.Errorf("experiment %s missing from registry", id)
 		}
 	}
-	if len(IDs()) < len(want) {
+	if len(Registry()) < len(want) {
 		t.Fatal("registry too small")
 	}
 }

@@ -47,11 +47,14 @@ type Package struct {
 	// Name is the package name from the package clauses.
 	Name string
 	// Dir is the absolute directory the files live in.
-	Dir   string
-	Fset  *token.FileSet
-	Files []*File
-	Types *types.Package
-	Info  *types.Info
+	Dir string
+	// Nested marks a directory under a go.mod of its own (benchmark/):
+	// analysed with the module, built and gated as its own module.
+	Nested bool
+	Fset   *token.FileSet
+	Files  []*File
+	Types  *types.Package
+	Info   *types.Info
 }
 
 // Diagnostic is one rule violation.
@@ -106,6 +109,7 @@ func Analyzers() []*Analyzer {
 		SockIO,
 		HotAlloc,
 		PoolOwn,
+		Unreachable,
 	}
 }
 

@@ -33,7 +33,9 @@ type expectation struct {
 // be expected, every expectation must fire. Lines carrying a
 // //lint:allow directive and no want comment therefore prove the
 // suppression mechanism (each fixture has a suppressed line whose
-// unsuppressed twin fails).
+// unsuppressed twin fails). A fixture made of subdirectories is one
+// program: each subdirectory is loaded under its real import path, so
+// the packages import one another.
 func TestAnalyzersOnFixtures(t *testing.T) {
 	root, err := FindModuleRoot(".")
 	if err != nil {
@@ -57,7 +59,7 @@ func TestAnalyzersOnFixtures(t *testing.T) {
 		}
 		name := e.Name()
 		t.Run(name, func(t *testing.T) {
-			pkgs, err := loader.LoadDir(filepath.Join(fixRoot, name), "memsnap/internal/lintfixtures/"+name)
+			pkgs, err := loadFixture(loader, filepath.Join(fixRoot, name), "memsnap/internal/lintfixtures/"+name)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -85,6 +87,35 @@ func TestAnalyzersOnFixtures(t *testing.T) {
 			}
 		})
 	}
+}
+
+// loadFixture loads a fixture directory as one package, or, when it
+// holds subdirectories, each of them under its import path in the
+// module tree.
+func loadFixture(loader *Loader, dir, ipath string) ([]*Package, error) {
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, err
+	}
+	var pkgs []*Package
+	for _, e := range ents {
+		if !e.IsDir() {
+			continue
+		}
+		rel, err := filepath.Rel(loader.Root, filepath.Join(dir, e.Name()))
+		if err != nil {
+			return nil, err
+		}
+		got, err := loader.LoadDir(filepath.Join(dir, e.Name()), loader.Module+"/"+filepath.ToSlash(rel))
+		if err != nil {
+			return nil, err
+		}
+		pkgs = append(pkgs, got...)
+	}
+	if pkgs != nil {
+		return pkgs, nil
+	}
+	return loader.LoadDir(dir, ipath)
 }
 
 // collectWants extracts `// want` expectations from every comment in
@@ -196,7 +227,7 @@ func TestAnalyzerDocs(t *testing.T) {
 		}
 		seen[a.Name] = true
 	}
-	for _, want := range []string{"walltime", "globalrand", "clockcapture", "faultpath", "sockio", "hotalloc", "poolown"} {
+	for _, want := range []string{"walltime", "globalrand", "clockcapture", "faultpath", "sockio", "hotalloc", "poolown", "unreachable"} {
 		if !seen[want] {
 			t.Errorf("suite is missing the %s analyzer", want)
 		}

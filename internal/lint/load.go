@@ -164,6 +164,13 @@ func (l *Loader) LoadDir(dir, ipath string) ([]*Package, error) {
 	}
 	sort.Strings(names)
 
+	// A go.mod between dir and the root makes dir its own module.
+	nested := false
+	for d := dir; d != l.Root && strings.HasPrefix(d, l.Root) && !nested; d = filepath.Dir(d) {
+		_, err := os.Stat(filepath.Join(d, "go.mod"))
+		nested = err == nil
+	}
+
 	var pkgs []*Package
 	for _, name := range names {
 		group := groups[name]
@@ -178,13 +185,14 @@ func (l *Loader) LoadDir(dir, ipath string) ([]*Package, error) {
 			return nil, fmt.Errorf("lint: type-checking %s (%s): %w", ipath, name, err)
 		}
 		pkgs = append(pkgs, &Package{
-			Path:  ipath,
-			Name:  name,
-			Dir:   dir,
-			Fset:  l.fset,
-			Files: group,
-			Types: tpkg,
-			Info:  info,
+			Path:   ipath,
+			Name:   name,
+			Dir:    dir,
+			Nested: nested,
+			Fset:   l.fset,
+			Files:  group,
+			Types:  tpkg,
+			Info:   info,
 		})
 	}
 	return pkgs, nil

@@ -64,8 +64,8 @@ type Program struct {
 
 	// funcs indexes every declared module function by stable key.
 	funcs map[string]*FuncNode
-	// namedTypes lists every exported-or-not named (non-interface)
-	// type declared in an analysis package, for CHA.
+	// namedTypes lists every named (non-interface) type declared in a
+	// non-test file, for CHA.
 	namedTypes []*types.Named
 }
 
@@ -171,7 +171,7 @@ func NewProgram(pkgs []*Package) *Program {
 				continue
 			}
 			named, ok := tn.Type().(*types.Named)
-			if !ok || types.IsInterface(named) {
+			if !ok || types.IsInterface(named) || strings.HasSuffix(pkg.Fset.Position(tn.Pos()).Filename, "_test.go") {
 				continue
 			}
 			prog.namedTypes = append(prog.namedTypes, named)
@@ -243,13 +243,14 @@ func (prog *Program) callees(info *types.Info, call *ast.CallExpr) []*types.Func
 	return nil
 }
 
-// implementations is the CHA step: every module named type whose
-// method set (value or pointer) satisfies iface contributes its method
-// named name. Types from different type-check universes compare
-// structurally as long as the interface's signatures mention only
-// shared imported types — true for the module's small interfaces; a
-// mismatch errs on the side of a missing edge, which the analyzers
-// document as the dynamic-call limitation.
+// implementations is the CHA step: every named type declared in a
+// module non-test file whose method set (value or pointer) has each
+// method of iface contributes its method named name. Test doubles are
+// left out, so no production function has one as a callee. Methods
+// match by name and printed signature rather than by types.Implements:
+// an interface whose methods name its own package's types
+// (shard.Commit) is a different types.Type in each of the loader's two
+// universes, while its printed form is the same in both.
 func (prog *Program) implementations(iface types.Type, name string) []*types.Func {
 	it, ok := iface.Underlying().(*types.Interface)
 	if !ok {
@@ -257,19 +258,57 @@ func (prog *Program) implementations(iface types.Type, name string) []*types.Fun
 	}
 	var out []*types.Func
 	for _, named := range prog.namedTypes {
-		var recv types.Type = named
-		if !types.Implements(recv, it) {
-			recv = types.NewPointer(named)
-			if !types.Implements(recv, it) {
-				continue
+		if implements(named, it) {
+			if fn := lookupMethod(named, name, named.Obj().Pkg()); fn != nil {
+				out = append(out, fn)
 			}
-		}
-		obj, _, _ := types.LookupFieldOrMethod(recv, true, named.Obj().Pkg(), name)
-		if fn, ok := obj.(*types.Func); ok {
-			out = append(out, fn)
 		}
 	}
 	return out
+}
+
+// implements reports whether *named has every method of it, each with
+// the same printed signature; an unexported method must also come from
+// the interface's package.
+func implements(named *types.Named, it *types.Interface) bool {
+	for i := 0; i < it.NumMethods(); i++ {
+		m := it.Method(i)
+		fn := lookupMethod(named, m.Name(), named.Obj().Pkg())
+		if fn == nil || sigKey(fn) != sigKey(m) ||
+			(!m.Exported() && fn.Pkg().Path() != m.Pkg().Path()) {
+			return false
+		}
+	}
+	return true
+}
+
+// sigKey prints fn's parameter and result types, without names, in the
+// full-path form that is the same in both universes.
+func sigKey(fn *types.Func) string {
+	sig := fn.Type().(*types.Signature)
+	var b strings.Builder
+	for _, tup := range []*types.Tuple{sig.Params(), sig.Results()} {
+		for i := 0; i < tup.Len(); i++ {
+			b.WriteString(types.TypeString(tup.At(i).Type(), nil))
+			b.WriteString(",")
+		}
+		b.WriteString(";")
+	}
+	if sig.Variadic() {
+		b.WriteString("...")
+	}
+	return b.String()
+}
+
+// lookupMethod returns the method name in the method set of *t
+// (promoted methods included), or nil.
+func lookupMethod(t types.Type, name string, pkg *types.Package) *types.Func {
+	if _, isPtr := t.(*types.Pointer); !isPtr {
+		t = types.NewPointer(t)
+	}
+	obj, _, _ := types.LookupFieldOrMethod(t, true, pkg, name)
+	fn, _ := obj.(*types.Func)
+	return fn
 }
 
 // ProgramPass carries one program analyzer's run.

@@ -61,20 +61,6 @@ func CreateWAL(fsys *fs.FS, clk *sim.Clock, name string) *DB {
 	return db
 }
 
-// OpenWAL reopens a WAL-mode database, replaying its log (the crash
-// recovery path).
-func OpenWAL(fsys *fs.FS, clk *sim.Clock, name string) (*DB, error) {
-	be, err := openWALPager(fsys, clk, name)
-	if err != nil {
-		return nil, err
-	}
-	db := &DB{mode: ModeWAL, be: be, tables: make(map[string]*btree)}
-	if err := db.loadCatalog(); err != nil {
-		return nil, err
-	}
-	return db, nil
-}
-
 // OpenMemSnap creates or reopens a database in MemSnap mode. The
 // region is created at the given size on first open; afterwards the
 // catalog is read straight out of the recovered region.
@@ -96,14 +82,6 @@ func OpenMemSnap(proc *core.Process, ctx *core.Context, name string, size int64)
 	db.initCatalog()
 	be.commit()
 	return db, nil
-}
-
-// Checkpoints returns how many WAL checkpoints have run (WAL mode).
-func (db *DB) Checkpoints() int64 {
-	if p, ok := db.be.(*walPager); ok {
-		return p.checkpoints
-	}
-	return 0
 }
 
 // initCatalog formats page 0 of a fresh database.
@@ -241,17 +219,6 @@ func (tx *Tx) Delete(tableName string, key []byte) (bool, error) {
 		return false, err
 	}
 	return t.delete(key), nil
-}
-
-// Scan visits rows of a table in key order within [start, end); nil
-// end means to the last key.
-func (tx *Tx) Scan(tableName string, start, end []byte, fn func(k, v []byte) bool) error {
-	t, err := tx.table(tableName)
-	if err != nil {
-		return err
-	}
-	t.scan(start, end, fn)
-	return nil
 }
 
 // Commit makes the transaction durable and releases the lock.

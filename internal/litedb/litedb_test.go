@@ -217,34 +217,6 @@ func TestMissingTable(t *testing.T) {
 	})
 }
 
-func TestWALReopenRecovers(t *testing.T) {
-	costs := sim.DefaultCosts()
-	fsys := fs.New(costs, disk.NewArray(costs, 2, 1<<30), fs.FFS)
-	clk := sim.NewClock()
-	db := CreateWAL(fsys, clk, "test.db")
-	tx := db.Begin()
-	tx.CreateTable("kv")
-	for i := 0; i < 500; i++ {
-		tx.Put("kv", workload.Key16(int64(i)), []byte(fmt.Sprint(i)))
-	}
-	tx.Commit()
-
-	// Reopen from the filesystem (simulating process restart): WAL
-	// replay must restore everything.
-	db2, err := OpenWAL(fsys, clk, "test.db")
-	if err != nil {
-		t.Fatal(err)
-	}
-	tx2 := db2.Begin()
-	for i := 0; i < 500; i++ {
-		v, ok, _ := tx2.Get("kv", workload.Key16(int64(i)))
-		if !ok || string(v) != fmt.Sprint(i) {
-			t.Fatalf("key %d after reopen: %q ok=%v", i, v, ok)
-		}
-	}
-	tx2.Commit()
-}
-
 func TestWALCheckpointTriggers(t *testing.T) {
 	db, _, _ := newWALDB(t)
 	tx := db.Begin()
@@ -253,7 +225,7 @@ func TestWALCheckpointTriggers(t *testing.T) {
 	// Push more than CheckpointThreshold bytes of frames through.
 	val := bytes.Repeat([]byte{7}, 256)
 	i := 0
-	for db.Checkpoints() == 0 && i < 10000 {
+	for db.be.(*walPager).checkpoints == 0 && i < 10000 {
 		tx := db.Begin()
 		for j := 0; j < 8; j++ {
 			tx.Put("kv", workload.Key16(int64(i*8+j)), val)
@@ -261,7 +233,7 @@ func TestWALCheckpointTriggers(t *testing.T) {
 		tx.Commit()
 		i++
 	}
-	if db.Checkpoints() == 0 {
+	if db.be.(*walPager).checkpoints == 0 {
 		t.Fatal("checkpoint never triggered")
 	}
 	// Data must survive checkpointing.

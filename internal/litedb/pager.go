@@ -74,53 +74,6 @@ func newWALPager(fsys *fs.FS, clk *sim.Clock, name string) *walPager {
 	return p
 }
 
-// openWALPager reopens an existing database, replaying the WAL.
-func openWALPager(fsys *fs.FS, clk *sim.Clock, name string) (*walPager, error) {
-	db, err := fsys.Open(clk, name)
-	if err != nil {
-		return nil, err
-	}
-	log, err := wal.Open(fsys, clk, name+"-wal")
-	if err != nil {
-		return nil, err
-	}
-	p := &walPager{
-		clk:                 clk,
-		fsys:                fsys,
-		costs:               sim.DefaultCosts(),
-		db:                  db,
-		log:                 log,
-		frames:              make(map[uint32][]byte),
-		rng:                 sim.NewRNG(1),
-		walOffsets:          make(map[uint32]int64),
-		txDirty:             make(map[uint32][]byte),
-		cacheLimit:          DefaultCacheSize,
-		checkpointThreshold: CheckpointThreshold,
-	}
-	p.numPages = uint32(db.Size() / PageSize)
-	// Replay committed WAL frames over the database image. Offsets
-	// are reconstructed from the record framing (12-byte header).
-	var walOff int64
-	err = log.Replay(clk, func(rec []byte) error {
-		if len(rec) != 4+PageSize {
-			return fmt.Errorf("litedb: bad WAL frame size %d", len(rec))
-		}
-		pageNo := binary.LittleEndian.Uint32(rec)
-		p.cache(pageNo, append([]byte(nil), rec[4:]...))
-		p.walOffsets[pageNo] = walOff + 12 + 4
-		walOff += 12 + int64(len(rec))
-		if pageNo >= p.numPages {
-			p.numPages = pageNo + 1
-		}
-		p.evict()
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return p, nil
-}
-
 func (p *walPager) page(pageNo uint32) []byte {
 	if img, ok := p.txDirty[pageNo]; ok {
 		return img

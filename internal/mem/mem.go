@@ -99,11 +99,6 @@ func (p *Page) ClearFlag(f PageFlags) {
 	}
 }
 
-// HasFlag reports whether all of the given flag bits are set.
-func (p *Page) HasFlag(f PageFlags) bool {
-	return PageFlags(p.flags.Load())&f == f
-}
-
 // Hold adds one in-flight uCheckpoint hold.
 func (p *Page) Hold() { p.holds.Add(1) }
 

@@ -69,15 +69,15 @@ func TestPageLookup(t *testing.T) {
 func TestFlags(t *testing.T) {
 	m := newTestMem()
 	pg := m.Alloc(nil)
-	if pg.HasFlag(FlagTracked) {
+	if PageFlags(pg.flags.Load())&FlagTracked != 0 {
 		t.Fatal("fresh page has flag set")
 	}
 	pg.SetFlag(FlagTracked)
-	if !pg.HasFlag(FlagTracked) {
+	if PageFlags(pg.flags.Load())&FlagTracked == 0 {
 		t.Fatal("SetFlag did not stick")
 	}
 	pg.ClearFlag(FlagTracked)
-	if pg.HasFlag(FlagTracked) {
+	if PageFlags(pg.flags.Load())&FlagTracked != 0 {
 		t.Fatal("ClearFlag did not clear")
 	}
 }

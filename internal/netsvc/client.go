@@ -213,10 +213,17 @@ func (c *Client) send(q *proto.Request) error {
 	}
 	err := c.wbuf.flush()
 	if err != nil {
-		c.c.Close()
+		c.shutdown()
 	}
 	return err
 }
+
+// shutdown closes the socket after a failed flush through the same
+// once as Close, so a later Close does not close it again. closed stays
+// unset: callers are failing on the write error, not on Close.
+//
+//memsnap:coldpath
+func (c *Client) shutdown() { c.closeOne.Do(func() { c.c.Close() }) }
 
 // finishTrace records the client round-trip span of a sampled request
 // once its response has arrived. A zero tid (untraced — the common

@@ -134,7 +134,7 @@ func TestLoneDifferential(t *testing.T) {
 	})
 	for i := range ops {
 		if overTCP.resps[i] != onCaller.resps[i] {
-			t.Fatalf("op %d %s: over TCP %+v, on the caller %+v", i, ops[i].Kind, overTCP.resps[i], onCaller.resps[i])
+			t.Fatalf("op %d kind %d: over TCP %+v, on the caller %+v", i, ops[i].Kind, overTCP.resps[i], onCaller.resps[i])
 		}
 	}
 	if fmt.Sprint(overTCP.digests) != fmt.Sprint(onCaller.digests) {

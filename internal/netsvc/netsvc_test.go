@@ -58,7 +58,7 @@ func TestEndToEnd(t *testing.T) {
 		t.Helper()
 		p, err := c.Do(&q)
 		if err != nil {
-			t.Fatalf("%s: %v", q.Kind, err)
+			t.Fatalf("kind %d: %v", q.Kind, err)
 		}
 		return p
 	}

@@ -264,6 +264,9 @@ func TestFailedFlushFailsEveryCaller(t *testing.T) {
 	if _, err := c.Do(&proto.Request{Kind: proto.KindPing}); err == nil {
 		t.Fatal("Do succeeded on a client whose connection failed")
 	}
+	if err := c.Close(); err != nil {
+		t.Fatalf("Close after a failed flush = %v, want nil: the socket is closed once", err)
+	}
 }
 
 // smallSendListener shrinks the send buffer of accepted connections so

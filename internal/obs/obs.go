@@ -125,8 +125,6 @@ const (
 	KindSpan Kind = iota
 	// KindInstant is a point event at Start ("i" phase).
 	KindInstant
-	// KindCounter is a counter sample: Arg graphed over time ("C").
-	KindCounter
 )
 
 // Track lanes: every event carries a track id — the "tid" of the
@@ -173,7 +171,7 @@ func TrackName(track int32) (string, int32) {
 	}
 }
 
-// Event is one recorded span, instant or counter sample. Events are
+// Event is one recorded span or instant. Events are
 // plain values: recording copies one into the ring, so the hot path
 // performs no allocation and retains no pointers.
 type Event struct {
@@ -182,11 +180,11 @@ type Event struct {
 	Name  Name
 	Track int32
 	// Start is the event's virtual timestamp; Dur is the span length
-	// (zero for instants and counters).
+	// (zero for instants).
 	Start time.Duration
 	Dur   time.Duration
 	// Arg is the event's one numeric payload (pages, sequence number,
-	// batch size, counter value — see the Name doc comments).
+	// batch size — see the Name doc comments).
 	Arg int64
 	// Flow is the trace id binding this span into a cross-lane request
 	// flow (0: not part of a flow). WriteTrace stitches all spans
@@ -199,11 +197,8 @@ type Event struct {
 type RecorderStats struct {
 	// Recorded counts events written into the ring.
 	Recorded int64
-	// Dropped counts events offered but not recorded: sampled out, or
-	// refused because the ring was full in drop-on-full mode.
-	Dropped int64
-	// Wraps counts cursor cycles around a full ring (overwrite mode
-	// evicts the oldest events each cycle).
+	// Wraps counts cursor cycles around a full ring (each cycle evicts
+	// the oldest events).
 	Wraps int64
 	// Capacity is the ring size in events.
 	Capacity int
@@ -223,46 +218,17 @@ type Recorder struct {
 	size int // valid events (≤ len(ring))
 
 	recorded int64
-	dropped  int64
 	wraps    int64
-	offered  int64
-
-	dropOnFull bool
-	sampleN    int64 // record 1 of every sampleN offered events; <=1: all
 }
 
 // NewRecorder returns a recorder with a pre-sized ring of capacity
-// events (minimum 16). The default policy overwrites the oldest events
-// when full (counted in Wraps) and records every offered event.
+// events (minimum 16). A full ring overwrites its oldest events
+// (counted in Wraps).
 func NewRecorder(capacity int) *Recorder {
 	if capacity < 16 {
 		capacity = 16
 	}
 	return &Recorder{ring: make([]Event, capacity)}
-}
-
-// SetDropOnFull switches the full-ring policy: true drops new events
-// (counted in Dropped) instead of overwriting the oldest.
-func (r *Recorder) SetDropOnFull(drop bool) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.dropOnFull = drop
-	r.mu.Unlock()
-}
-
-// SetSampling records only one of every n offered events (n <= 1
-// restores full recording). Sampled-out events count as Dropped.
-// Sampling bounds tracing overhead on pathological fault storms while
-// keeping the ring statistically representative.
-func (r *Recorder) SetSampling(n int64) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.sampleN = n
-	r.mu.Unlock()
 }
 
 // Span records a complete span.
@@ -295,31 +261,12 @@ func (r *Recorder) Instant(cat Cat, name Name, track int32, at time.Duration, ar
 	r.record(Event{Kind: KindInstant, Cat: cat, Name: name, Track: track, Start: at, Arg: arg})
 }
 
-// Counter records a counter sample.
-func (r *Recorder) Counter(cat Cat, name Name, track int32, at time.Duration, value int64) {
-	if r == nil {
-		return
-	}
-	r.record(Event{Kind: KindCounter, Cat: cat, Name: name, Track: track, Start: at, Arg: value})
-}
-
 // Enabled reports whether the recorder records (false on nil), for
 // call sites that want to skip computing expensive arguments.
 func (r *Recorder) Enabled() bool { return r != nil }
 
 func (r *Recorder) record(ev Event) {
 	r.mu.Lock()
-	r.offered++
-	if r.sampleN > 1 && r.offered%r.sampleN != 0 {
-		r.dropped++
-		r.mu.Unlock()
-		return
-	}
-	if r.dropOnFull && r.size == len(r.ring) {
-		r.dropped++
-		r.mu.Unlock()
-		return
-	}
 	r.ring[r.next] = ev
 	r.next++
 	if r.next == len(r.ring) {
@@ -333,57 +280,38 @@ func (r *Recorder) record(ev Event) {
 	r.mu.Unlock()
 }
 
-// Drain returns the ring's events oldest-first and resets it to empty.
-// Accounting counters survive the drain. Drain allocates the returned
-// slice — it is the cold path, called by trace export and /tracez.
+// Drain returns the ring's events oldest-first and resets it to empty:
+// Peek plus a reset. Accounting counters survive the drain.
 func (r *Recorder) Drain() []Event {
 	if r == nil {
 		return nil
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make([]Event, r.size)
-	if r.size == len(r.ring) && r.next != 0 {
-		// Wrapped: oldest event sits at the cursor.
-		n := copy(out, r.ring[r.next:])
-		copy(out[n:], r.ring[:r.next])
-	} else {
-		start := r.next - r.size
-		if start < 0 {
-			start += len(r.ring)
-		}
-		for i := 0; i < r.size; i++ {
-			out[i] = r.ring[(start+i)%len(r.ring)]
-		}
-	}
-	r.next = 0
-	r.size = 0
+	out := r.oldestFirst()
+	r.next, r.size = 0, 0
 	return out
 }
 
 // Peek returns a copy of the ring's events oldest-first without
 // resetting it — the flight-recorder read: a post-mortem bundle can
 // snapshot the recent past while /tracez draining keeps working for
-// the living. Cold path; allocates the returned slice.
+// the living. Cold path, like Drain; allocates the returned slice.
 func (r *Recorder) Peek() []Event {
 	if r == nil {
 		return nil
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	return r.oldestFirst()
+}
+
+// oldestFirst copies the size events that end at the cursor; r.mu held.
+func (r *Recorder) oldestFirst() []Event {
 	out := make([]Event, r.size)
-	if r.size == len(r.ring) && r.next != 0 {
-		n := copy(out, r.ring[r.next:])
-		copy(out[n:], r.ring[:r.next])
-	} else {
-		start := r.next - r.size
-		if start < 0 {
-			start += len(r.ring)
-		}
-		for i := 0; i < r.size; i++ {
-			out[i] = r.ring[(start+i)%len(r.ring)]
-		}
-	}
+	start := (r.next - r.size + len(r.ring)) % len(r.ring)
+	n := copy(out, r.ring[start:])
+	copy(out[n:], r.ring[:r.size-n])
 	return out
 }
 
@@ -396,18 +324,7 @@ func (r *Recorder) Stats() RecorderStats {
 	defer r.mu.Unlock()
 	return RecorderStats{
 		Recorded: r.recorded,
-		Dropped:  r.dropped,
 		Wraps:    r.wraps,
 		Capacity: len(r.ring),
 	}
-}
-
-// Len returns the number of events currently buffered.
-func (r *Recorder) Len() int {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.size
 }

@@ -12,8 +12,8 @@ func TestRecorderDrainOrder(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		r.Instant(CatVM, NameTrackingFault, 0, time.Duration(i), int64(i))
 	}
-	if got := r.Len(); got != 5 {
-		t.Fatalf("Len = %d, want 5", got)
+	if got := len(r.Peek()); got != 5 {
+		t.Fatalf("Peek holds %d events, want 5", got)
 	}
 	evs := r.Drain()
 	if len(evs) != 5 {
@@ -24,11 +24,11 @@ func TestRecorderDrainOrder(t *testing.T) {
 			t.Errorf("event %d = {Start:%v Arg:%d}, want oldest-first order", i, ev.Start, ev.Arg)
 		}
 	}
-	if got := r.Len(); got != 0 {
-		t.Errorf("Len after drain = %d, want 0", got)
+	if got := len(r.Peek()); got != 0 {
+		t.Errorf("Peek after drain holds %d events, want 0", got)
 	}
 	st := r.Stats()
-	if st.Recorded != 5 || st.Dropped != 0 || st.Wraps != 0 {
+	if st.Recorded != 5 || st.Wraps != 0 {
 		t.Errorf("stats after drain = %+v, want counters to survive", st)
 	}
 }
@@ -56,48 +56,10 @@ func TestRecorderWrapOverwritesOldest(t *testing.T) {
 	}
 }
 
-func TestRecorderDropOnFull(t *testing.T) {
-	r := NewRecorder(16)
-	r.SetDropOnFull(true)
-	for i := 0; i < 20; i++ {
-		r.Instant(CatVM, NamePageIn, 0, time.Duration(i), int64(i))
-	}
-	st := r.Stats()
-	// The cursor cycles once as the ring fills; after that, drop-on-full
-	// refuses new events instead of evicting.
-	if st.Recorded != 16 || st.Dropped != 4 || st.Wraps != 1 {
-		t.Errorf("stats = %+v, want 16 recorded / 4 dropped / 1 wrap", st)
-	}
-	evs := r.Drain()
-	if len(evs) != 16 || evs[0].Arg != 0 || evs[15].Arg != 15 {
-		t.Errorf("drop-on-full must retain the oldest events; got %d events", len(evs))
-	}
-}
-
-func TestRecorderSampling(t *testing.T) {
-	r := NewRecorder(128)
-	r.SetSampling(4)
-	for i := 0; i < 40; i++ {
-		r.Instant(CatVM, NamePageIn, 0, time.Duration(i), int64(i))
-	}
-	st := r.Stats()
-	if st.Recorded != 10 || st.Dropped != 30 {
-		t.Errorf("stats = %+v, want 10 recorded / 30 sampled out", st)
-	}
-	r.SetSampling(0)
-	r.Instant(CatVM, NamePageIn, 0, 0, 0)
-	if got := r.Stats().Recorded; got != 11 {
-		t.Errorf("Recorded after disabling sampling = %d, want 11", got)
-	}
-}
-
 func TestRecorderNilSafe(t *testing.T) {
 	var r *Recorder
 	r.Span(CatPersist, NamePersist, 0, 0, time.Microsecond, 1)
 	r.Instant(CatVM, NameCOWFault, 0, 0, 1)
-	r.Counter(CatShard, NameGroupCommit, 0, 0, 1)
-	r.SetDropOnFull(true)
-	r.SetSampling(2)
 	if r.Enabled() {
 		t.Error("nil recorder must report Enabled() == false")
 	}
@@ -107,8 +69,8 @@ func TestRecorderNilSafe(t *testing.T) {
 	if st := r.Stats(); st != (RecorderStats{}) {
 		t.Errorf("nil Stats = %+v, want zero", st)
 	}
-	if r.Len() != 0 {
-		t.Error("nil Len != 0")
+	if evs := r.Peek(); evs != nil {
+		t.Errorf("nil Peek = %v, want nil", evs)
 	}
 }
 
@@ -142,13 +104,10 @@ func TestRecorderConcurrent(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < perWriter; i++ {
-				switch i % 3 {
-				case 0:
+				if i%2 == 0 {
 					r.Span(CatShard, NameGroupCommit, int32(w), time.Duration(i), time.Microsecond, int64(i))
-				case 1:
+				} else {
 					r.Instant(CatVM, NameTrackingFault, int32(w), time.Duration(i), int64(i))
-				default:
-					r.Counter(CatPersist, NamePersist, int32(w), time.Duration(i), int64(i))
 				}
 			}
 		}(w)

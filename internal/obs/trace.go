@@ -105,11 +105,6 @@ func WriteTrace(w io.Writer, events []Event) error {
 				ev.Cat, ev.Name, ev.Track, ts, ev.Arg); err != nil {
 				return err
 			}
-		case KindCounter:
-			if err := emit(`{"ph":"C","cat":"%s","name":"%s","pid":0,"tid":%d,"ts":%s,"args":{"value":%d}}`,
-				ev.Cat, ev.Name, ev.Track, ts, ev.Arg); err != nil {
-				return err
-			}
 		}
 	}
 	_, err := io.WriteString(w, "\n]}\n")

@@ -98,7 +98,7 @@ func FuzzTableWalk(f *testing.F) {
 				}
 			}
 
-			if n := tab.NodeCount(); n < lastNodes {
+			if n := tab.nodes; n < lastNodes {
 				t.Fatalf("op %d: NodeCount went backwards (%d -> %d)", op, lastNodes, n)
 			} else {
 				lastNodes = n

@@ -137,16 +137,6 @@ func (t *Table) Map(vpn uint64, frame mem.Frame, writable bool) *PTE {
 	return pte
 }
 
-// Unmap clears the entry at vpn. The *PTE remains allocated (mirroring
-// a zeroed hardware PTE slot) but Present is false.
-func (t *Table) Unmap(vpn uint64) {
-	if pte := t.Lookup(vpn); pte != nil {
-		pte.Present = false
-		pte.Writable = false
-		pte.Frame = mem.NoFrame
-	}
-}
-
 // ScanRange visits every PTE slot in the leaf tables spanning
 // [startVPN, startVPN+pages) and invokes fn for each present entry.
 // The charged cost covers every slot in every touched leaf node —
@@ -194,7 +184,3 @@ func (t *Table) leafNode(leafIndex uint64) *node {
 	}
 	return n
 }
-
-// NodeCount returns the number of allocated table nodes (excluding the
-// root), for stats and tests.
-func (t *Table) NodeCount() int { return t.nodes }

@@ -38,6 +38,20 @@ func eachVariant(t *testing.T, fn func(t *testing.T, c *Cluster)) {
 	}
 }
 
+// WarehouseYTD sums warehouse year-to-date balances (consistency
+// checks in tests).
+func (d *TPCC) WarehouseYTD(b *Backend) int64 {
+	b.Begin()
+	defer b.Commit()
+	var sum int64
+	for w := int64(0); w < d.warehouses; w++ {
+		if _, ytd, _, _, err := d.fetchRow(b, relWarehouse, w); err == nil {
+			sum += ytd
+		}
+	}
+	return sum
+}
+
 func TestInsertFetch(t *testing.T) {
 	eachVariant(t, func(t *testing.T, c *Cluster) {
 		b, err := c.NewBackend(0)

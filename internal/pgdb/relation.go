@@ -34,9 +34,6 @@ type TID struct {
 	Slot uint16
 }
 
-// Nil reports an unset TID.
-func (t TID) Nil() bool { return t.Page == 0 && t.Slot == 0 }
-
 // Tuple header layout within a heap page slot:
 //
 //	xmin u32: inserting transaction

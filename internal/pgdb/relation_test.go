@@ -106,6 +106,9 @@ func TestHeapFillDrainProperty(t *testing.T) {
 	}
 }
 
+// Nil reports an unset TID.
+func (t TID) Nil() bool { return t.Page == 0 && t.Slot == 0 }
+
 func TestTIDNil(t *testing.T) {
 	if !(TID{}).Nil() {
 		t.Fatal("zero TID not nil")

@@ -360,17 +360,3 @@ func (d *TPCC) stockLevel(b *Backend, tx workload.TPCCTx) error {
 	}
 	return nil
 }
-
-// WarehouseYTD sums warehouse year-to-date balances (consistency
-// checks in tests).
-func (d *TPCC) WarehouseYTD(b *Backend) int64 {
-	b.Begin()
-	defer b.Commit()
-	var sum int64
-	for w := int64(0); w < d.warehouses; w++ {
-		if _, ytd, _, _, err := d.fetchRow(b, relWarehouse, w); err == nil {
-			sum += ytd
-		}
-	}
-	return sum
-}

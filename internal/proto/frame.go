@@ -112,6 +112,3 @@ func (fr *FrameReader) fill(need int) error {
 // worth means it will not. A server uses it to tell a lone request from
 // one with more of the pipeline already behind it.
 func (fr *FrameReader) Buffered() int { return fr.tail - fr.head }
-
-// BytesRead returns the total wire bytes consumed so far.
-func (fr *FrameReader) BytesRead() int64 { return fr.n }

@@ -63,8 +63,6 @@ const (
 	kindCount
 )
 
-var kindNames = [kindCount]string{"ping", "get", "put", "add", "delete", "transfer"}
-
 // kindTraceFlag is the trace-context bit of the request kind byte.
 // When set, an 8-byte big-endian trace id follows the strings at the
 // end of the payload; the low 7 bits still carry the Kind. Old
@@ -76,14 +74,6 @@ const kindTraceFlag = 0x80
 
 // traceIDLen is the wire size of the optional trailing trace id.
 const traceIDLen = 8
-
-// String returns the kind's wire name.
-func (k Kind) String() string {
-	if int(k) < len(kindNames) {
-		return kindNames[k]
-	}
-	return fmt.Sprintf("kind(%d)", uint8(k))
-}
 
 // Status is the response outcome code.
 type Status uint8

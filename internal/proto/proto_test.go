@@ -213,8 +213,8 @@ func TestFrameReader(t *testing.T) {
 	if _, err := fr.Next(); err != io.EOF {
 		t.Errorf("after last frame: %v, want io.EOF", err)
 	}
-	if fr.BytesRead() != int64(len(wire)) {
-		t.Errorf("BytesRead = %d, want %d", fr.BytesRead(), len(wire))
+	if fr.n != int64(len(wire)) {
+		t.Errorf("BytesRead = %d, want %d", fr.n, len(wire))
 	}
 }
 

@@ -129,8 +129,8 @@ func diffReaders(t *testing.T, name string, ref, got io.Reader, max int, total i
 		if !bytes.Equal(wp, gp) {
 			t.Fatalf("%s: call %d: payload of %d bytes differs from the reference's %d", name, call, len(gp), len(wp))
 		}
-		if fr.BytesRead() != want.BytesRead() {
-			t.Fatalf("%s: call %d: BytesRead = %d, reference %d", name, call, fr.BytesRead(), want.BytesRead())
+		if fr.n != want.BytesRead() {
+			t.Fatalf("%s: call %d: BytesRead = %d, reference %d", name, call, fr.n, want.BytesRead())
 		}
 		if len(fr.buf)-4 > fr.max && len(fr.buf) > frameBufSize {
 			t.Fatalf("%s: call %d: window grew to %d bytes, cap is %d", name, call, len(fr.buf), 4+fr.max)
@@ -145,8 +145,8 @@ func diffReaders(t *testing.T, name string, ref, got io.Reader, max int, total i
 			t.Fatalf("%s: no io.EOF after %d calls on a %d-byte stream", name, call, total)
 		}
 	}
-	if fr.BytesRead() != int64(total) {
-		t.Fatalf("%s: BytesRead = %d at io.EOF, stream is %d bytes", name, fr.BytesRead(), total)
+	if fr.n != int64(total) {
+		t.Fatalf("%s: BytesRead = %d at io.EOF, stream is %d bytes", name, fr.n, total)
 	}
 	return frames
 }

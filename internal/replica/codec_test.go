@@ -241,7 +241,7 @@ func TestBatchBytesStableUnderRetry(t *testing.T) {
 		t.Fatalf("want extent frames for this test, got kind %d", kinds[0])
 	}
 	t1, _ := s.ship(ss, 0, run, nil, true)
-	sent1 := link.Stats().BytesSent
+	sent1 := link.bytes
 	if want := int64(wire + ackWireBytes); sent1 != want {
 		t.Fatalf("first transmission put %d bytes on the link, want %d", sent1, want)
 	}
@@ -249,7 +249,7 @@ func TestBatchBytesStableUnderRetry(t *testing.T) {
 	// run as a duplicate, and the message is byte-for-byte the same
 	// size even though every extent list was consumed at encode time.
 	s.ship(ss, t1+time.Millisecond, run, nil, true)
-	sent2 := link.Stats().BytesSent - sent1
+	sent2 := link.bytes - sent1
 	if want := int64(wire + ackWireBytes); sent2 != want {
 		t.Fatalf("retransmission put %d bytes on the link, want %d (must match the admitted size)", sent2, want)
 	}

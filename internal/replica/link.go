@@ -30,9 +30,7 @@ type Link struct {
 	rng      *sim.RNG
 	nextFree time.Duration
 	outages  []outage
-	sent     int64
-	lost     int64
-	bytes    int64
+	bytes    int64 // put on the wire, for the tests
 }
 
 // outage is a half-open virtual-time interval during which the link
@@ -72,16 +70,13 @@ func (l *Link) Deliver(at time.Duration, size int) (time.Duration, bool) {
 	transfer := l.costs.LinkTransferCost(size)
 	arrive := start + l.costs.LinkBaseLatency + transfer
 	l.nextFree = start + transfer
-	l.sent++
 	l.bytes += int64(size)
 	for _, o := range l.outages {
 		if start < o.to && arrive > o.from {
-			l.lost++
 			return arrive, false
 		}
 	}
 	if l.lossProb > 0 && l.rng.Float64() < l.lossProb {
-		l.lost++
 		return arrive, false
 	}
 	return arrive, true
@@ -116,18 +111,4 @@ func (l *Link) Restore(at time.Duration) {
 			return
 		}
 	}
-}
-
-// LinkStats are cumulative link counters.
-type LinkStats struct {
-	Sent      int64
-	Lost      int64
-	BytesSent int64
-}
-
-// Stats snapshots the link counters.
-func (l *Link) Stats() LinkStats {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return LinkStats{Sent: l.sent, Lost: l.lost, BytesSent: l.bytes}
 }

@@ -43,9 +43,6 @@ type KV struct {
 
 // Stats counts database activity.
 type Stats struct {
-	Puts        sim.Counter
-	Gets        sim.Counter
-	Seeks       sim.Counter
 	Flushes     sim.Counter
 	Compactions sim.Counter
 }
@@ -146,12 +143,6 @@ func NewAurora(region *aurora.Region, cfg Config) *DB {
 	}
 }
 
-// Mode returns the persistence mode.
-func (db *DB) Mode() Mode { return db.mode }
-
-// Tables returns the current SSTable count (WAL mode).
-func (db *DB) Tables() int { return len(db.tables) }
-
 // Session is one application thread's handle: it owns the virtual
 // clock (and, in MemSnap mode, the fault context) all its operations
 // charge.
@@ -176,23 +167,14 @@ func (db *DB) NewSession(cpu int) *Session {
 // Clock returns the session clock.
 func (s *Session) Clock() *sim.Clock { return s.clk }
 
-// Context returns the MemSnap context (nil in other modes).
-func (s *Session) Context() *core.Context { return s.ctx }
-
 // Put stores a key durably before returning (the synchronous-write
 // configuration the paper benchmarks).
 func (s *Session) Put(key, val []byte) error {
 	return s.write(key, val, false)
 }
 
-// Delete removes a key (durable tombstone).
-func (s *Session) Delete(key []byte) error {
-	return s.write(key, nil, true)
-}
-
 func (s *Session) write(key, val []byte, tombstone bool) error {
 	db := s.db
-	db.Stats.Puts.Add(1)
 	s.clk.Advance(db.costs.KVOpCost)
 	// Roughly a quarter of the per-op CPU is MemTable work; the rest
 	// is block/iterator handling ("Other Userspace" in Table 1).
@@ -213,7 +195,6 @@ func (s *Session) write(key, val []byte, tombstone bool) error {
 // commit, §7.2).
 func (s *Session) MultiPut(kvs []KV) error {
 	db := s.db
-	db.Stats.Puts.Add(int64(len(kvs)))
 	s.clk.Advance(db.costs.KVOpCost * time.Duration(len(kvs)))
 	switch db.mode {
 	case ModeWAL:
@@ -342,7 +323,6 @@ func (s *Session) auroraMirror(key, val []byte, tombstone bool) {
 // Get returns the value for key.
 func (s *Session) Get(key []byte) ([]byte, bool) {
 	db := s.db
-	db.Stats.Gets.Add(1)
 	s.clk.Advance(db.costs.KVOpCost)
 	// Roughly a quarter of the per-op CPU is MemTable work; the rest
 	// is block/iterator handling ("Other Userspace" in Table 1).
@@ -385,7 +365,6 @@ func (s *Session) Get(key []byte) ([]byte, bool) {
 // Seek returns up to n entries with keys >= start, in order.
 func (s *Session) Seek(start []byte, n int) []KV {
 	db := s.db
-	db.Stats.Seeks.Add(1)
 	s.clk.Advance(db.costs.KVOpCost)
 	// Roughly a quarter of the per-op CPU is MemTable work; the rest
 	// is block/iterator handling ("Other Userspace" in Table 1).

@@ -133,8 +133,8 @@ func TestWALFlushAndCompaction(t *testing.T) {
 	if db.Stats.Compactions.Value() == 0 {
 		t.Fatal("no compaction happened")
 	}
-	if db.Tables() > maxL0Tables {
-		t.Fatalf("L0 grew unbounded: %d", db.Tables())
+	if len(db.tables) > maxL0Tables {
+		t.Fatalf("L0 grew unbounded: %d", len(db.tables))
 	}
 	// Everything still readable (memtable + tables merged).
 	for i := 0; i < 4000; i += 997 {
@@ -151,8 +151,8 @@ func TestMemSnapPerThreadDirtySets(t *testing.T) {
 	s1.Put([]byte("from-1"), []byte("a"))
 	s2.Put([]byte("from-2"), []byte("b"))
 	// Each Put persisted its own dirty set; nothing should linger.
-	if s1.Context().DirtyPages() != 0 || s2.Context().DirtyPages() != 0 {
-		t.Fatalf("dirty leftovers: %d, %d", s1.Context().DirtyPages(), s2.Context().DirtyPages())
+	if s1.ctx.DirtyPages() != 0 || s2.ctx.DirtyPages() != 0 {
+		t.Fatalf("dirty leftovers: %d, %d", s1.ctx.DirtyPages(), s2.ctx.DirtyPages())
 	}
 	if v, ok := s1.Get([]byte("from-2")); !ok || string(v) != "b" {
 		t.Fatal("cross-session read failed")
@@ -330,15 +330,20 @@ func TestCrashConsistencyValueSum(t *testing.T) {
 	}
 }
 
+// Delete removes a key (durable tombstone).
+func (s *Session) Delete(key []byte) error {
+	return s.write(key, nil, true)
+}
+
 func TestModeAccessors(t *testing.T) {
-	if newWALKV(t).Mode() != ModeWAL {
+	if newWALKV(t).mode != ModeWAL {
 		t.Fatal("wal mode")
 	}
 	db, _ := newMemSnapKV(t)
-	if db.Mode() != ModeMemSnap {
+	if db.mode != ModeMemSnap {
 		t.Fatal("memsnap mode")
 	}
-	if newAuroraKV(t).Mode() != ModeAurora {
+	if newAuroraKV(t).mode != ModeAurora {
 		t.Fatal("aurora mode")
 	}
 }

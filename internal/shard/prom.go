@@ -48,8 +48,6 @@ var shardFamilies = []obs.Family[ShardStats]{
 var recorderFamilies = []obs.Family[ShardStats]{
 	obs.Counter("memsnap_obs_events_recorded_total", "Trace events written into the ring recorder.",
 		func(st *ShardStats) int64 { return st.Obs.Recorded }),
-	obs.Counter("memsnap_obs_events_dropped_total", "Trace events offered but dropped (sampling or full ring).",
-		func(st *ShardStats) int64 { return st.Obs.Dropped }),
 	obs.Counter("memsnap_obs_ring_wraps_total", "Ring recorder cursor wraps (oldest events overwritten).",
 		func(st *ShardStats) int64 { return st.Obs.Wraps }),
 }

@@ -671,20 +671,6 @@ func (s *Service) Add(tenant, key string, delta uint64) (uint64, error) {
 	return r.Value, r.Err
 }
 
-// Delete durably removes tenant/key.
-func (s *Service) Delete(tenant, key string) (bool, error) {
-	r := s.Do(Op{Kind: OpDelete, Tenant: tenant, Key: key})
-	return r.Found, r.Err
-}
-
-// Transfer durably moves amount from one key to another of the same
-// tenant. Both keys must route to the same shard; the two updates are
-// applied in one batch so every durable epoch preserves the shard's
-// value sum.
-func (s *Service) Transfer(tenant, from, to string, amount uint64) error {
-	return s.Do(Op{Kind: OpTransfer, Tenant: tenant, Key: from, Key2: to, Value: amount}).Err
-}
-
 // probe runs an internal read-only op on one shard and waits for its
 // response, serialized with in-flight applies.
 func (s *Service) probe(sh *shard, kind OpKind) (Response, error) {

@@ -19,6 +19,14 @@ func newSystem(t *testing.T, shards int) *core.System {
 	return sys
 }
 
+// Transfer durably moves amount from one key to another of the same
+// tenant. Both keys must route to the same shard; the two updates are
+// applied in one batch so every durable epoch preserves the shard's
+// value sum.
+func (s *Service) Transfer(tenant, from, to string, amount uint64) error {
+	return s.Do(Op{Kind: OpTransfer, Tenant: tenant, Key: from, Key2: to, Value: amount}).Err
+}
+
 func TestBasicOps(t *testing.T) {
 	sys := newSystem(t, 8)
 	svc, err := New(sys, Config{Shards: 8})
@@ -43,13 +51,14 @@ func TestBasicOps(t *testing.T) {
 	if v, err := svc.Add("acme", "fresh", 7); err != nil || v != 7 {
 		t.Fatalf("Add on missing key = %d, %v; want 7", v, err)
 	}
-	if found, err := svc.Delete("acme", "fresh"); err != nil || !found {
-		t.Fatalf("Delete = %v, %v; want true", found, err)
+	del := Op{Kind: OpDelete, Tenant: "acme", Key: "fresh"}
+	if r := svc.Do(del); r.Err != nil || !r.Found {
+		t.Fatalf("Delete = %v, %v; want true", r.Found, r.Err)
 	}
 	if _, ok, _ := svc.Get("acme", "fresh"); ok {
 		t.Fatal("key readable after delete")
 	}
-	if found, _ := svc.Delete("acme", "fresh"); found {
+	if svc.Do(del).Found {
 		t.Fatal("double delete reported found")
 	}
 

@@ -41,7 +41,7 @@ type ShardStats struct {
 	CommitHist  obs.HistSnapshot
 	PersistHist obs.HistSnapshot
 	// Obs snapshots the service's trace-recorder accounting (events
-	// recorded / dropped / ring wraps). The recorder is service-wide,
+	// recorded / ring wraps). The recorder is service-wide,
 	// so every shard row carries the same values; zero when no
 	// Recorder is configured.
 	Obs obs.RecorderStats

@@ -29,13 +29,6 @@ type Clock struct {
 // NewClock returns a clock positioned at virtual time zero.
 func NewClock() *Clock { return &Clock{} }
 
-// NewClockAt returns a clock positioned at the given virtual time.
-func NewClockAt(t time.Duration) *Clock {
-	c := &Clock{}
-	c.now.Store(int64(t))
-	return c
-}
-
 // Now returns the current virtual time.
 func (c *Clock) Now() time.Duration { return time.Duration(c.now.Load()) }
 
@@ -69,15 +62,3 @@ func (c *Clock) AdvanceTo(t time.Duration) time.Duration {
 func (c *Clock) String() string {
 	return fmt.Sprintf("vclock(%v)", c.Now())
 }
-
-// StopWatch measures a span of virtual time on a clock.
-type StopWatch struct {
-	clock *Clock
-	start time.Duration
-}
-
-// Watch starts a stopwatch on c.
-func Watch(c *Clock) StopWatch { return StopWatch{clock: c, start: c.Now()} }
-
-// Elapsed returns the virtual time since the stopwatch started.
-func (w StopWatch) Elapsed() time.Duration { return w.clock.Now() - w.start }

@@ -68,13 +68,6 @@ type CostModel struct {
 	// FrameAlloc is the cost of allocating one physical frame.
 	FrameAlloc time.Duration
 
-	// ThreadStop is the cost of stopping one running thread and
-	// waiting for it to park (used by Aurora's system shadowing).
-	ThreadStop time.Duration
-
-	// ThreadResume is the cost of resuming one parked thread.
-	ThreadResume time.Duration
-
 	// --- Disk (per device in the stripe) ---
 
 	// DiskBaseLatency is the fixed cost of one IO command
@@ -213,8 +206,6 @@ func DefaultCosts() *CostModel {
 		MemcpyPerKiB:          45 * time.Nanosecond,
 		DiffPerKiB:            30 * time.Nanosecond,
 		FrameAlloc:            180 * time.Nanosecond,
-		ThreadStop:            2200 * time.Nanosecond,
-		ThreadResume:          900 * time.Nanosecond,
 
 		DiskBaseLatency: 15500 * time.Nanosecond,
 		DiskSectorSize:  512,

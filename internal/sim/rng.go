@@ -60,17 +60,6 @@ func (r *RNG) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
 }
 
-// Perm returns a random permutation of [0, n).
-func (r *RNG) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		j := r.Intn(i + 1)
-		p[i] = p[j]
-		p[j] = i
-	}
-	return p
-}
-
 // Pareto returns a sample from a generalized Pareto distribution with
 // the given scale and shape, truncated to [0, max). MixGraph uses a
 // Pareto key-popularity distribution for writes.

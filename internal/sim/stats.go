@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"sort"
 	"sync"
 	"time"
 )
@@ -21,6 +20,8 @@ func (c *Counter) Add(delta int64) {
 }
 
 // Value returns the current count.
+//
+//lint:allow unreachable rockskv's flush and compaction test reads its counters
 func (c *Counter) Value() int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -62,26 +63,4 @@ func (t *TimeBuckets) Total() time.Duration {
 		sum += d
 	}
 	return sum
-}
-
-// Names returns the bucket names sorted alphabetically.
-func (t *TimeBuckets) Names() []string {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	names := make([]string, 0, len(t.buckets))
-	for name := range t.buckets {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// Fraction returns the share of the total time spent in name, in
-// [0, 1]. Returns zero when the accumulator is empty.
-func (t *TimeBuckets) Fraction(name string) float64 {
-	total := t.Total()
-	if total == 0 {
-		return 0
-	}
-	return float64(t.Get(name)) / float64(total)
 }

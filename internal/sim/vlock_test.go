@@ -23,10 +23,12 @@ func TestVLockSerializesVirtualTime(t *testing.T) {
 
 func TestVLockNoBackwardsTime(t *testing.T) {
 	var l VLock
-	late := NewClockAt(time.Millisecond)
+	late := NewClock()
+	late.AdvanceTo(time.Millisecond)
 	l.Lock(late)
 	l.Unlock(late)
-	early := NewClockAt(2 * time.Millisecond)
+	early := NewClock()
+	early.AdvanceTo(2 * time.Millisecond)
 	l.Lock(early)
 	if early.Now() != 2*time.Millisecond {
 		t.Fatalf("late arriver moved backwards: %v", early.Now())

@@ -206,16 +206,6 @@ func (t *TLB) InvalidateAll() {
 	t.live.Store(0)
 }
 
-// Len returns the number of cached translations.
-func (t *TLB) Len() int { return int(t.live.Load()) }
-
-// Stats reports hit/miss counters.
-func (t *TLB) Stats() (hits, misses int64) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.hits, t.misses
-}
-
 // System models the TLBs of all CPUs in the machine plus the shootdown
 // protocol between them.
 type System struct {
@@ -240,9 +230,6 @@ func NewSystem(costs *sim.CostModel, ncpus int) *System {
 
 // CPU returns the TLB of the given CPU.
 func (s *System) CPU(i int) *TLB { return s.cpus[i%len(s.cpus)] }
-
-// NumCPUs returns the number of simulated CPUs.
-func (s *System) NumCPUs() int { return len(s.cpus) }
 
 // ShootdownPages invalidates the given pages on every CPU, charging
 // the per-page IPI cost to clk. The initiating thread pays the cost;

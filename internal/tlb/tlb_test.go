@@ -146,8 +146,8 @@ func TestInvalidatePolicyThreshold(t *testing.T) {
 
 func TestSystemCPUWraps(t *testing.T) {
 	s := NewSystem(nil, 3)
-	if s.NumCPUs() != 3 {
-		t.Fatalf("ncpus = %d", s.NumCPUs())
+	if len(s.cpus) != 3 {
+		t.Fatalf("ncpus = %d", len(s.cpus))
 	}
 	if s.CPU(0) != s.CPU(3) {
 		t.Fatal("CPU index does not wrap")

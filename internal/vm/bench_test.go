@@ -66,7 +66,7 @@ func (s *benchSpace) reset(inFlight bool) {
 		s.hold = s.as.MarkCheckpointPages(s.recs, s.hold[:0])
 	}
 	s.vpns = s.as.ResetProtectionsTraceInto(s.th.Clock(), s.recs, s.vpns[:0])
-	s.as.TLBs().Invalidate(s.th.Clock(), s.vpns)
+	s.as.tlbs.Invalidate(s.th.Clock(), s.vpns)
 }
 
 func (s *benchSpace) retire() {

@@ -1,8 +1,6 @@
 package vm
 
 import (
-	"time"
-
 	"memsnap/internal/mem"
 	"memsnap/internal/pagetable"
 	"memsnap/internal/sim"
@@ -163,16 +161,10 @@ func (as *AddressSpace) reclaim(pg *mem.Page) {
 	}
 }
 
-// SnapshotPages returns the frame bytes of each record's page. The
-// slices alias live frames; the uCheckpoint hold guarantees stability
-// because any concurrent writer duplicates the frame (unified COW)
-// rather than mutating it.
-func (as *AddressSpace) SnapshotPages(records []DirtyRecord) [][]byte {
-	return as.SnapshotPagesInto(records, nil)
-}
-
-// SnapshotPagesInto is SnapshotPages appending into a caller-owned
-// buffer.
+// SnapshotPagesInto appends the frame bytes of each record's page to
+// snapshots. The slices alias live frames; the uCheckpoint hold
+// guarantees stability because any concurrent writer duplicates the
+// frame (unified COW) rather than mutating it.
 func (as *AddressSpace) SnapshotPagesInto(records []DirtyRecord, snapshots [][]byte) [][]byte {
 	as.mu.Lock()
 	defer as.mu.Unlock()
@@ -180,19 +172,4 @@ func (as *AddressSpace) SnapshotPagesInto(records []DirtyRecord, snapshots [][]b
 		snapshots = append(snapshots, rec.Page.Data())
 	}
 	return snapshots
-}
-
-// ChargeThreadStopAll models stopping every registered thread (the
-// serialization point of fork-style and Aurora-style checkpointing).
-// The initiating clock pays a stop cost per thread; MemSnap never
-// calls this on its persist path.
-func (as *AddressSpace) ChargeThreadStopAll(clk *sim.Clock) time.Duration {
-	as.mu.Lock()
-	n := len(as.threads)
-	as.mu.Unlock()
-	d := time.Duration(n) * (as.costs.ThreadStop + as.costs.ThreadResume)
-	if clk != nil {
-		clk.Advance(d)
-	}
-	return d
 }

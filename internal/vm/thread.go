@@ -84,8 +84,8 @@ func (t *Thread) chargeFault(d time.Duration) {
 // It returns the physical page so callers can access frame data.
 // The address-space lock is held across the fault for simplicity; the
 // paper's point that MemSnap does not *stop other threads* is modeled
-// in the cost model (no ThreadStop charges on this path), not by
-// lock-freedom of the simulator.
+// in the cost model (nothing on this path charges for stopping a
+// thread), not by lock-freedom of the simulator.
 //
 //memsnap:hotpath
 func (t *Thread) translate(addr uint64, write bool) *mem.Page {

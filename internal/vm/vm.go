@@ -121,12 +121,6 @@ func NewAddressSpace(costs *sim.CostModel, phys *mem.PhysMem, tlbs *tlb.System) 
 	}
 }
 
-// Phys returns the physical memory backing this address space.
-func (as *AddressSpace) Phys() *mem.PhysMem { return as.phys }
-
-// TLBs returns the TLB system.
-func (as *AddressSpace) TLBs() *tlb.System { return as.tlbs }
-
 // Costs returns the cost model.
 func (as *AddressSpace) Costs() *sim.CostModel { return as.costs }
 
@@ -147,34 +141,6 @@ func (as *AddressSpace) Map(m *Mapping) error {
 	}
 	as.mappings = append(as.mappings, m)
 	return nil
-}
-
-// Unmap removes a mapping and clears its PTEs and reverse mappings.
-func (as *AddressSpace) Unmap(m *Mapping) {
-	as.mu.Lock()
-	defer as.mu.Unlock()
-	for i, other := range as.mappings {
-		if other == m {
-			as.mappings = append(as.mappings[:i], as.mappings[i+1:]...)
-			break
-		}
-	}
-	for idx := uint64(0); idx < m.Pages; idx++ {
-		vpn := m.Start/PageSize + idx
-		if pte := as.table.Lookup(vpn); pte != nil && pte.Present {
-			if pg := as.phys.Page(pte.Frame); pg != nil {
-				pg.RemoveMapping(as, vpn)
-			}
-			as.table.Unmap(vpn)
-		}
-	}
-}
-
-// FindMapping returns the mapping containing addr, or nil.
-func (as *AddressSpace) FindMapping(addr uint64) *Mapping {
-	as.mu.Lock()
-	defer as.mu.Unlock()
-	return as.findMappingLocked(addr)
 }
 
 func (as *AddressSpace) findMappingLocked(addr uint64) *Mapping {
@@ -207,14 +173,11 @@ func (as *AddressSpace) MappedFrames(set map[mem.Frame]struct{}) {
 	}
 }
 
-// Threads returns the registered threads (for MS_GLOBAL persists and
-// Aurora's stop-the-world).
+// Threads returns the registered threads.
+//
+//lint:allow unreachable the shard, replica and rockskv topology tests count each address space's threads
 func (as *AddressSpace) Threads() []*Thread {
 	as.mu.Lock()
 	defer as.mu.Unlock()
 	return append([]*Thread(nil), as.threads...)
 }
-
-// Table exposes the page table for protection-strategy experiments
-// (Figure 1) and tests.
-func (as *AddressSpace) Table() *pagetable.Table { return as.table }

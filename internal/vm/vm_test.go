@@ -141,7 +141,7 @@ func TestProtectionResetRestartsTracking(t *testing.T) {
 	th.Write(0x100000, []byte{1})
 	recs := th.TakeDirty(nil)
 	vpns := as.ResetProtectionsTrace(th.Clock(), recs)
-	as.TLBs().Invalidate(th.Clock(), vpns)
+	as.tlbs.Invalidate(th.Clock(), vpns)
 	// Next write to the same page must fault and re-track.
 	th.Write(0x100000, []byte{2})
 	if th.DirtyLen() != 1 {
@@ -161,8 +161,8 @@ func TestInFlightCOW(t *testing.T) {
 
 	hold := as.MarkCheckpointPages(recs, nil)
 	vpns := as.ResetProtectionsTrace(th.Clock(), recs)
-	as.TLBs().Invalidate(th.Clock(), vpns)
-	snaps := as.SnapshotPages(recs)
+	as.tlbs.Invalidate(th.Clock(), vpns)
+	snaps := as.SnapshotPagesInto(recs, nil)
 
 	// A concurrent write during the in-flight window must not disturb
 	// the snapshot.
@@ -253,14 +253,30 @@ func TestBucketsAccounting(t *testing.T) {
 	}
 }
 
+// unmap removes a mapping and clears its PTEs and reverse mappings.
+func unmap(as *AddressSpace, m *Mapping) {
+	for i, other := range as.mappings {
+		if other == m {
+			as.mappings = append(as.mappings[:i], as.mappings[i+1:]...)
+			break
+		}
+	}
+	for vpn := m.Start / PageSize; vpn < m.Start/PageSize+m.Pages; vpn++ {
+		if pte := as.table.Lookup(vpn); pte != nil && pte.Present {
+			as.phys.Page(pte.Frame).RemoveMapping(as, vpn)
+			pte.Present, pte.Writable, pte.Frame = false, false, mem.NoFrame
+		}
+	}
+}
+
 func TestUnmapClearsTranslations(t *testing.T) {
 	as := newAS()
 	m := mapRegion(t, as, "r", 0x100000, 4, true)
 	th := as.NewThread(nil, 0)
 	th.Write(0x100000, []byte{1})
 	rec := th.TakeDirty(nil)[0]
-	as.Unmap(m)
-	if as.FindMapping(0x100000) != nil {
+	unmap(as, m)
+	if as.findMappingLocked(0x100000) != nil {
 		t.Fatal("mapping still found")
 	}
 	if rec.Page.RefCount() != 0 {
@@ -304,13 +320,13 @@ func TestSharedMappingMultiprocess(t *testing.T) {
 
 	recs := t1.TakeDirty(nil)
 	vpns := as1.ResetProtectionsTrace(t1.Clock(), recs)
-	as1.TLBs().Invalidate(t1.Clock(), vpns)
+	as1.tlbs.Invalidate(t1.Clock(), vpns)
 
 	// Both address spaces' PTEs must now be read-only.
-	if as1.Table().Lookup(0x100000 / PageSize).Writable {
+	if as1.table.Lookup(0x100000 / PageSize).Writable {
 		t.Fatal("as1 PTE still writable")
 	}
-	if as2.Table().Lookup(0x100000 / PageSize).Writable {
+	if as2.table.Lookup(0x100000 / PageSize).Writable {
 		t.Fatal("as2 PTE still writable (reverse mapping not honored)")
 	}
 }
@@ -342,7 +358,7 @@ func TestResetStrategiesEquivalentProperty(t *testing.T) {
 			}
 			state := make([]bool, 256)
 			for i := uint64(0); i < 256; i++ {
-				pte := as.Table().Lookup(0x100000/PageSize + i)
+				pte := as.table.Lookup(0x100000/PageSize + i)
 				state[i] = pte != nil && pte.Present && pte.Writable
 			}
 			return state
@@ -397,19 +413,6 @@ func TestPageForWriteTracksAndAliases(t *testing.T) {
 	}
 }
 
-func TestChargeThreadStopAll(t *testing.T) {
-	as := newAS()
-	as.NewThread(nil, 0)
-	as.NewThread(nil, 1)
-	clk := sim.NewClock()
-	d := as.ChargeThreadStopAll(clk)
-	costs := sim.DefaultCosts()
-	want := 2 * (costs.ThreadStop + costs.ThreadResume)
-	if d != want || clk.Now() != want {
-		t.Fatalf("stop-all charged %v, want %v", d, want)
-	}
-}
-
 // TestCOWInvalidatesRemoteTLB pins the in-flight COW's shootdown: a
 // second thread of the same address space, on another CPU, that cached
 // the page's translation before the writer's COW must read the
@@ -427,7 +430,7 @@ func TestCOWInvalidatesRemoteTLB(t *testing.T) {
 	recs := writer.TakeDirty(nil)
 	hold := as.MarkCheckpointPages(recs, nil)
 	vpns := as.ResetProtectionsTrace(writer.Clock(), recs)
-	as.TLBs().Invalidate(writer.Clock(), vpns)
+	as.tlbs.Invalidate(writer.Clock(), vpns)
 
 	// The reader caches the read-only translation of the frame under
 	// checkpoint on its own CPU.
@@ -435,7 +438,7 @@ func TestCOWInvalidatesRemoteTLB(t *testing.T) {
 	if string(buf) != "original" {
 		t.Fatalf("reader sees %q before the COW", buf)
 	}
-	if _, cached := as.TLBs().CPU(1).Lookup(0x100000 / PageSize); !cached {
+	if _, cached := as.tlbs.CPU(1).Lookup(0x100000 / PageSize); !cached {
 		t.Fatal("reader's CPU did not cache the translation")
 	}
 
@@ -451,7 +454,7 @@ func TestCOWInvalidatesRemoteTLB(t *testing.T) {
 	// Retiring the checkpoint frees the displaced frame; whoever gets
 	// it next must not show through the reader's translation.
 	as.RetireCheckpointPages(hold)
-	if free := as.Phys().Stats().FreeFrames; free != 1 {
+	if free := as.phys.Stats().FreeFrames; free != 1 {
 		t.Fatalf("free frames after retire = %d, want 1", free)
 	}
 	writer.Write(0x100000+PageSize, []byte("neighbor")) // pages in on the freed frame
@@ -474,10 +477,10 @@ func TestCOWFrameReturnedPrivateMapping(t *testing.T) {
 	for round := 1; round <= 2000; round++ {
 		recs := th.TakeDirty(nil)
 		hold := as.MarkCheckpointPages(recs, nil)
-		as.TLBs().Invalidate(nil, as.ResetProtectionsTrace(nil, recs))
+		as.tlbs.Invalidate(nil, as.ResetProtectionsTrace(nil, recs))
 		th.Write(0x100000, []byte{byte(round)})
 		as.RetireCheckpointPages(hold)
-		st := as.Phys().Stats()
+		st := as.phys.Stats()
 		if round == 1 {
 			after1 = st.TotalFrames
 		} else if st.TotalFrames != after1 {

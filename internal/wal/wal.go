@@ -1,7 +1,8 @@
 // Package wal implements the write-ahead log used by the baseline
 // database configurations: length-prefixed, checksummed records
-// appended to a file, made durable with fsync, and replayable after a
-// crash up to the first invalid record.
+// appended to a file and made durable with fsync. The baselines only
+// write it (the experiments time the logging, not a recovery); the
+// tests read it back up to the first invalid record.
 //
 // MemSnap's thesis is that this entire mechanism — and the double
 // write it implies — can be subsumed by uCheckpoints; the baselines
@@ -10,7 +11,6 @@ package wal
 
 import (
 	"encoding/binary"
-	"fmt"
 	"hash/fnv"
 
 	"memsnap/internal/fs"
@@ -23,28 +23,11 @@ const headerSize = 12 // length (4) + checksum (8)
 type WAL struct {
 	file   *fs.File
 	offset int64
-	count  int64
 }
 
 // Create makes a fresh log at path.
 func Create(fsys *fs.FS, clk *sim.Clock, path string) *WAL {
 	return &WAL{file: fsys.Create(clk, path)}
-}
-
-// Open opens an existing log and positions the append offset after
-// the last valid record.
-func Open(fsys *fs.FS, clk *sim.Clock, path string) (*WAL, error) {
-	file, err := fsys.Open(clk, path)
-	if err != nil {
-		return nil, err
-	}
-	w := &WAL{file: file}
-	// Scan to the end of the valid prefix.
-	err = w.replay(clk, func([]byte) error { return nil })
-	if err != nil {
-		return nil, err
-	}
-	return w, nil
 }
 
 func checksum(b []byte) uint64 {
@@ -63,7 +46,6 @@ func (w *WAL) Append(clk *sim.Clock, rec []byte) int64 {
 	buf := append(hdr, rec...)
 	w.file.Write(clk, off, buf)
 	w.offset += int64(len(buf))
-	w.count++
 	return off
 }
 
@@ -79,49 +61,9 @@ func (w *WAL) Size() int64 { return w.offset }
 // read payloads back without a full replay).
 func (w *WAL) File() *fs.File { return w.file }
 
-// Records returns how many records have been appended since the last
-// Reset (or open).
-func (w *WAL) Records() int64 { return w.count }
-
 // Reset truncates the log after a checkpoint has captured its
 // contents.
 func (w *WAL) Reset(clk *sim.Clock) {
 	w.file.Truncate(clk, 0)
 	w.offset = 0
-	w.count = 0
-}
-
-// Replay invokes fn for every valid record in order, stopping at the
-// first corrupt or truncated record (which a crash may legitimately
-// produce). The append offset is positioned after the valid prefix.
-func (w *WAL) Replay(clk *sim.Clock, fn func(rec []byte) error) error {
-	return w.replay(clk, fn)
-}
-
-func (w *WAL) replay(clk *sim.Clock, fn func(rec []byte) error) error {
-	size := w.file.Size()
-	var off int64
-	var count int64
-	for off+headerSize <= size {
-		hdr := make([]byte, headerSize)
-		w.file.Read(clk, off, hdr)
-		n := int64(binary.LittleEndian.Uint32(hdr[0:]))
-		sum := binary.LittleEndian.Uint64(hdr[4:])
-		if n == 0 || off+headerSize+n > size {
-			break // truncated tail
-		}
-		rec := make([]byte, n)
-		w.file.Read(clk, off+headerSize, rec)
-		if checksum(rec) != sum {
-			break // torn record
-		}
-		if err := fn(rec); err != nil {
-			return fmt.Errorf("wal: replay callback: %w", err)
-		}
-		off += headerSize + n
-		count++
-	}
-	w.offset = off
-	w.count = count
-	return nil
 }

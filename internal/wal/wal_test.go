@@ -1,7 +1,7 @@
 package wal
 
 import (
-	"bytes"
+	"encoding/binary"
 	"testing"
 
 	"memsnap/internal/disk"
@@ -14,35 +14,46 @@ func newFS() *fs.FS {
 	return fs.New(costs, disk.NewArray(costs, 2, 128<<20), fs.FFS)
 }
 
+// reopen returns a second handle on w's file, positioned after its
+// valid prefix, and the records of that prefix: the recovery reader
+// that checks what Append, Sync and Reset leave in the file, read up
+// to w's append offset and stopping at a truncated or torn record.
+func reopen(clk *sim.Clock, w *WAL) (*WAL, []string) {
+	r := &WAL{file: w.file}
+	var recs []string
+	for r.offset+headerSize <= w.offset {
+		hdr := make([]byte, headerSize)
+		w.file.Read(clk, r.offset, hdr)
+		n := int64(binary.LittleEndian.Uint32(hdr))
+		if n == 0 || r.offset+headerSize+n > w.offset {
+			break
+		}
+		rec := make([]byte, n)
+		w.file.Read(clk, r.offset+headerSize, rec)
+		if checksum(rec) != binary.LittleEndian.Uint64(hdr[4:]) {
+			break
+		}
+		recs = append(recs, string(rec))
+		r.offset += headerSize + n
+	}
+	return r, recs
+}
+
 func TestAppendReplay(t *testing.T) {
 	fsys := newFS()
 	clk := sim.NewClock()
 	w := Create(fsys, clk, "wal")
-	recs := [][]byte{[]byte("one"), []byte("twotwo"), []byte("three33")}
+	recs := []string{"one", "twotwo", "three33"}
 	for _, r := range recs {
-		w.Append(clk, r)
+		w.Append(clk, []byte(r))
 	}
 	w.Sync(clk)
-	if w.Records() != 3 {
-		t.Fatalf("records = %d", w.Records())
-	}
-
-	w2, err := Open(fsys, clk, "wal")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got [][]byte
-	if err := w2.Replay(clk, func(r []byte) error {
-		got = append(got, append([]byte(nil), r...))
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
+	_, got := reopen(clk, w)
 	if len(got) != 3 {
 		t.Fatalf("replayed %d records", len(got))
 	}
 	for i := range recs {
-		if !bytes.Equal(got[i], recs[i]) {
+		if got[i] != recs[i] {
 			t.Fatalf("record %d = %q", i, got[i])
 		}
 	}
@@ -54,19 +65,15 @@ func TestAppendAfterOpenContinues(t *testing.T) {
 	w := Create(fsys, clk, "wal")
 	w.Append(clk, []byte("first"))
 	w.Sync(clk)
-	w2, _ := Open(fsys, clk, "wal")
+	w2, _ := reopen(clk, w)
 	w2.Append(clk, []byte("second"))
-	var got []string
-	w2.Replay(clk, func(r []byte) error { got = append(got, string(r)); return nil })
-	if len(got) != 2 || got[1] != "second" {
+	if _, got := reopen(clk, w2); len(got) != 2 || got[1] != "second" {
 		t.Fatalf("records after reopen-append: %v", got)
 	}
 }
 
 func TestReplayStopsAtTornRecord(t *testing.T) {
-	costs := sim.DefaultCosts()
-	arr := disk.NewArray(costs, 2, 128<<20)
-	fsys := fs.New(costs, arr, fs.FFS)
+	fsys := newFS()
 	clk := sim.NewClock()
 	w := Create(fsys, clk, "wal")
 	w.Append(clk, []byte("durable-record"))
@@ -74,14 +81,10 @@ func TestReplayStopsAtTornRecord(t *testing.T) {
 	// A record written but never synced, then "crashed": simulate the
 	// torn tail by writing garbage where the checksum would be.
 	off := w.Append(clk, []byte("torn-record!"))
-	file, _ := fsys.Open(clk, "wal")
-	file.Write(clk, off+4, []byte{0xDE, 0xAD, 0xBE, 0xEF, 0, 0, 0, 0})
+	w.File().Write(clk, off+4, []byte{0xDE, 0xAD, 0xBE, 0xEF, 0, 0, 0, 0})
 	w.Sync(clk)
 
-	w2, _ := Open(fsys, clk, "wal")
-	var got []string
-	w2.Replay(clk, func(r []byte) error { got = append(got, string(r)); return nil })
-	if len(got) != 1 || got[0] != "durable-record" {
+	if _, got := reopen(clk, w); len(got) != 1 || got[0] != "durable-record" {
 		t.Fatalf("replay past torn record: %v", got)
 	}
 }
@@ -93,12 +96,10 @@ func TestReset(t *testing.T) {
 	w.Append(clk, []byte("a"))
 	w.Sync(clk)
 	w.Reset(clk)
-	if w.Size() != 0 || w.Records() != 0 {
-		t.Fatalf("after reset: size=%d records=%d", w.Size(), w.Records())
+	if w.Size() != 0 {
+		t.Fatalf("after reset: size=%d", w.Size())
 	}
-	var got int
-	w.Replay(clk, func([]byte) error { got++; return nil })
-	if got != 0 {
+	if _, got := reopen(clk, w); len(got) != 0 {
 		t.Fatal("records survived reset")
 	}
 }

@@ -16,30 +16,6 @@ const (
 	TATPDeleteCallForwarding               // 2%, write
 )
 
-// IsWrite reports whether the transaction type modifies the database.
-func (op TATPOp) IsWrite() bool { return op >= TATPUpdateSubscriberData }
-
-// String implements fmt.Stringer.
-func (op TATPOp) String() string {
-	switch op {
-	case TATPGetSubscriberData:
-		return "GET_SUBSCRIBER_DATA"
-	case TATPGetNewDestination:
-		return "GET_NEW_DESTINATION"
-	case TATPGetAccessData:
-		return "GET_ACCESS_DATA"
-	case TATPUpdateSubscriberData:
-		return "UPDATE_SUBSCRIBER_DATA"
-	case TATPUpdateLocation:
-		return "UPDATE_LOCATION"
-	case TATPInsertCallForwarding:
-		return "INSERT_CALL_FORWARDING"
-	case TATPDeleteCallForwarding:
-		return "DELETE_CALL_FORWARDING"
-	}
-	return "UNKNOWN"
-}
-
 // TATPTx is one generated TATP transaction.
 type TATPTx struct {
 	Op         TATPOp

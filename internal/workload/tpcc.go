@@ -14,11 +14,6 @@ const (
 	TPCCStockLevel                // 4%, read
 )
 
-// IsWrite reports whether the transaction modifies the database.
-func (op TPCCOp) IsWrite() bool {
-	return op == TPCCNewOrder || op == TPCCPayment || op == TPCCDelivery
-}
-
 // String implements fmt.Stringer.
 func (op TPCCOp) String() string {
 	switch op {

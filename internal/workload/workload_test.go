@@ -112,7 +112,7 @@ func TestTATPMix(t *testing.T) {
 	for i := 0; i < n; i++ {
 		tx := g.Next()
 		counts[tx.Op]++
-		if tx.Op.IsWrite() {
+		if tx.Op >= TATPUpdateSubscriberData {
 			writes++
 		}
 		if tx.Subscriber < 0 || tx.Subscriber >= 100000 {
@@ -139,7 +139,7 @@ func TestTPCCMix(t *testing.T) {
 	for i := 0; i < n; i++ {
 		tx := g.Next()
 		counts[tx.Op]++
-		if tx.Op.IsWrite() {
+		if tx.Op == TPCCNewOrder || tx.Op == TPCCPayment || tx.Op == TPCCDelivery {
 			writes++
 		}
 		if tx.Warehouse < 0 || tx.Warehouse >= 150 {

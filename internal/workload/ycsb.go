@@ -22,21 +22,6 @@ const (
 	YCSBRMW
 )
 
-// String implements fmt.Stringer.
-func (k YCSBKind) String() string {
-	switch k {
-	case YCSBRead:
-		return "READ"
-	case YCSBUpdate:
-		return "UPDATE"
-	case YCSBInsert:
-		return "INSERT"
-	case YCSBRMW:
-		return "READ_MODIFY_WRITE"
-	}
-	return "UNKNOWN"
-}
-
 // YCSBOp is one generated operation.
 type YCSBOp struct {
 	Kind YCSBKind
@@ -77,9 +62,6 @@ func YCSBWorkloadA() YCSBConfig { return YCSBConfig{ReadPct: 50, UpdatePct: 50, 
 
 // YCSBWorkloadB is the read-mostly mix: 95% read / 5% update.
 func YCSBWorkloadB() YCSBConfig { return YCSBConfig{ReadPct: 95, UpdatePct: 5, Theta: 0.99} }
-
-// YCSBWorkloadC is read-only.
-func YCSBWorkloadC() YCSBConfig { return YCSBConfig{ReadPct: 100, Theta: 0.99} }
 
 // YCSBWorkloadF is read-modify-write: 50% read / 50% RMW.
 func YCSBWorkloadF() YCSBConfig { return YCSBConfig{ReadPct: 50, RMWPct: 50, Theta: 0.99} }

@@ -68,7 +68,7 @@ func TestYCSBMixRatios(t *testing.T) {
 // exactly: for a read-only mix (no keyspace growth), every key must be
 // the sample a reference sim.Zipf draws from a replayed RNG.
 func TestYCSBZipfMatchesSimZipf(t *testing.T) {
-	cfg := YCSBWorkloadC()
+	cfg := YCSBConfig{ReadPct: 100, Theta: 0.99} // workload C: read-only
 	cfg.Records = 1024
 	y := NewYCSB(99, cfg)
 	ref := sim.NewRNG(99)

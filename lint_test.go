@@ -11,6 +11,11 @@ package memsnap_test
 //	globalrand   - all randomness from the seeded sim.RNG
 //	clockcapture - clocks are per-thread; pass them to goroutines explicitly
 //	faultpath    - region memory is reached only through the vm.Thread API
+//	sockio       - real sockets only at the documented wall boundaries
+//	hotalloc     - //memsnap:hotpath code is allocation-free
+//	poolown      - every pooled acquire reaches its release
+//	unreachable  - every non-test function is reachable from a main,
+//	               an init or a package-level initialiser
 //
 // Escape hatch: //lint:allow <rule> <reason> on or above the line.
 

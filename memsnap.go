@@ -113,4 +113,6 @@ func RecoverStore(cfg Config, arr *disk.Array, at time.Duration) (*Store, time.D
 
 // DefaultCosts returns the calibrated cost model (see DESIGN.md for
 // the calibration targets).
+//
+//lint:allow unreachable public facade API (README "Architecture")
 func DefaultCosts() *CostModel { return sim.DefaultCosts() }

@@ -59,7 +59,7 @@ func main() {
 
 	// Aurora: checkpoint the whole region after every write.
 	arr := disk.NewArray(costs, 2, 1<<30)
-	region := aurora.NewRegion(costs, arr, "memtable", 0, 1<<30)
+	region := aurora.NewRegion(costs, arr, 0, 1<<30)
 	drive("aurora", rockskv.NewAurora(region, rockskv.Config{}))
 
 	// MemSnap: persistent skip list, one uCheckpoint per write.

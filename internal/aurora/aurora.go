@@ -48,7 +48,6 @@ type Region struct {
 	costs    *sim.CostModel
 	arr      *disk.Array
 	diskBase int64
-	name     string
 
 	mu    sync.Mutex
 	data  []byte
@@ -57,13 +56,11 @@ type Region struct {
 	// nextFree is the virtual time at which the region can accept
 	// another checkpoint (collapse must finish first).
 	nextFree time.Duration
-
-	checkpoints int64
 }
 
 // NewRegion creates a region of size bytes whose checkpoints persist
 // to [diskBase, diskBase+size) on arr.
-func NewRegion(costs *sim.CostModel, arr *disk.Array, name string, diskBase, size int64) *Region {
+func NewRegion(costs *sim.CostModel, arr *disk.Array, diskBase, size int64) *Region {
 	if costs == nil {
 		costs = sim.DefaultCosts()
 	}
@@ -71,7 +68,6 @@ func NewRegion(costs *sim.CostModel, arr *disk.Array, name string, diskBase, siz
 		costs:    costs,
 		arr:      arr,
 		diskBase: diskBase,
-		name:     name,
 		data:     make([]byte, size),
 		dirty:    make(map[int64]bool),
 	}
@@ -133,7 +129,6 @@ func (r *Region) Checkpoint(clk *sim.Clock) Breakdown {
 		extents = append(extents, disk.Extent{Offset: r.diskBase + p*PageSize, Data: pageData})
 	}
 	r.dirty = make(map[int64]bool)
-	r.checkpoints++
 
 	// Phase 3: flush IO.
 	ioStart := clk.Now()

@@ -195,7 +195,6 @@ func (p *Process) AddressSpace() *vm.AddressSpace { return p.as }
 // Region is a persistent memory region: a tracked mapping backed by a
 // COW object.
 type Region struct {
-	proc    *Process
 	obj     *objstore.Object
 	mapping *vm.Mapping
 	addr    uint64
@@ -290,7 +289,6 @@ func (p *Process) Open(ctx *Context, name string, length int64) (*Region, error)
 		return nil, fmt.Errorf("core: region %q has no address", name)
 	}
 	r := &Region{
-		proc:   p,
 		obj:    obj,
 		addr:   addr,
 		length: length,
@@ -322,7 +320,6 @@ func (p *Process) OpenShared(ctx *Context, other *Region) (*Region, error) {
 	}
 	ctx.th.Clock().Advance(p.sys.costs.SyscallEntry)
 	r := &Region{
-		proc:   p,
 		obj:    other.obj,
 		addr:   other.addr,
 		length: other.length,

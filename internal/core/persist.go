@@ -153,14 +153,12 @@ type CommittedPage struct {
 	pg *pool.Page
 }
 
-// CapturedCommit records one region's share of a Persist call: the
-// epoch it committed and copies of exactly the pages it wrote. A
-// captured commit is therefore the uCheckpoint's dirty-page delta —
-// the unit a replication layer ships to a follower.
+// CapturedCommit records one region's share of a Persist call: copies
+// of exactly the pages it wrote. A captured commit is therefore the
+// uCheckpoint's dirty-page delta — the unit a replication layer ships
+// to a follower.
 type CapturedCommit struct {
-	Region *Region
-	Epoch  objstore.Epoch
-	Pages  []CommittedPage
+	Pages []CommittedPage
 }
 
 // CaptureCommits enables or disables commit capture on the context.
@@ -399,7 +397,7 @@ func (ctx *Context) Persist(r *Region, flags Flags) (objstore.Epoch, error) {
 		diffBytes := 0
 		for i := 0; i < nrw; i++ {
 			rw := &ctx.rws[i]
-			cc := CapturedCommit{Region: rw.region, Epoch: rw.epoch, Pages: GetCommittedPages(len(rw.blocks))}
+			cc := CapturedCommit{Pages: GetCommittedPages(len(rw.blocks))}
 			ps := ctx.prevStoreFor(rw.region)
 			for _, b := range rw.blocks {
 				pg := capturePagePool.Get()

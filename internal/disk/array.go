@@ -23,7 +23,6 @@ type Extent struct {
 // Array is a striped set of devices presenting one flat address
 // space — the paper's two Intel 900Ps striped in 64 KiB blocks.
 type Array struct {
-	costs   *sim.CostModel
 	devices []*Device
 	stripe  int64
 }
@@ -37,7 +36,7 @@ func NewArray(costs *sim.CostModel, n int, capacityEach int64) *Array {
 	if n <= 0 {
 		n = 1
 	}
-	a := &Array{costs: costs, stripe: int64(costs.StripeSize)}
+	a := &Array{stripe: int64(costs.StripeSize)}
 	for i := 0; i < n; i++ {
 		a.devices = append(a.devices, NewDevice(costs, capacityEach))
 	}

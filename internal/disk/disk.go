@@ -52,10 +52,10 @@ type Device struct {
 	// the caller's filled one), swaps it into the table and parks the
 	// displaced pointer in undo. An adopted buffer takes the place of
 	// the spare handed back for it, so table + free + undo always hold
-	// made buffers, whichever device or caller allocated them.
+	// as many buffers as the device made, whichever device or caller
+	// allocated them.
 	blocks   []*Block
 	free     []*Block
-	made     int // block buffers ever allocated by this device
 	nextFree time.Duration
 	// inflight has one record per submitted segment, oldest first;
 	// undo holds their displaced blocks in the same order, nblk
@@ -146,7 +146,6 @@ func (d *Device) getBlockLocked() *Block {
 		for i := range slab {
 			d.free = append(d.free, &slab[i])
 		}
-		d.made += slabBlocks
 	}
 	b := d.free[len(d.free)-1]
 	d.free = d.free[:len(d.free)-1]

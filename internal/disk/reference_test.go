@@ -273,6 +273,8 @@ func (p *devPair) check(when string) {
 type spareBag struct {
 	spares  []*Block
 	brought int
+	// audited is every buffer the last blockAudit accounted for.
+	audited map[*Block]string
 }
 
 func (b *spareBag) get() *Block {
@@ -305,7 +307,10 @@ func (b *spareBag) collect(extents []Extent) {
 // blockAudit accounts for every block buffer the devices made and the
 // caller brought: each must be in exactly one place — a device's
 // table, free list or undo list, or the caller's spares — and none may
-// be missing. bag may be nil for a caller that never adopts.
+// be missing. A device makes buffers a whole slab at a time and never
+// drops one, so what is accounted for, less what the caller brought,
+// is whole slabs, and every buffer the bag's last audit saw is still
+// there. bag may be nil for a caller that never adopts.
 func blockAudit(bag *spareBag, devs ...*Device) error {
 	if bag == nil {
 		bag = &spareBag{}
@@ -321,7 +326,6 @@ func blockAudit(bag *spareBag, devs ...*Device) error {
 		}
 		seen[b] = where
 	}
-	made := 0
 	for i, d := range devs {
 		d.mu.Lock()
 		for _, b := range d.blocks {
@@ -341,7 +345,6 @@ func blockAudit(bag *spareBag, devs ...*Device) error {
 		for _, b := range d.undo {
 			note(b, fmt.Sprintf("device %d undo", i))
 		}
-		made += d.made
 		d.mu.Unlock()
 	}
 	for _, b := range bag.spares {
@@ -350,10 +353,30 @@ func blockAudit(bag *spareBag, devs ...*Device) error {
 	if dup != nil {
 		return dup
 	}
-	if len(seen) != made+bag.brought {
-		return fmt.Errorf("%d block buffers accounted for, %d made and %d brought", len(seen), made, bag.brought)
+	if (len(seen)-bag.brought)%slabBlocks != 0 {
+		return fmt.Errorf("%d block buffers accounted for and %d brought: not whole slabs of %d", len(seen), bag.brought, slabBlocks)
 	}
+	for b, where := range bag.audited {
+		if _, held := seen[b]; !held {
+			return fmt.Errorf("block buffer last seen in %s is gone", where)
+		}
+	}
+	bag.audited = seen
 	return nil
+}
+
+// heldBlocks counts the buffers d holds in its table, free list and
+// undo list: every one it made, once blockAudit passes.
+func heldBlocks(d *Device) int {
+	n := len(d.free)
+	for _, list := range [][]*Block{d.blocks, d.undo} {
+		for _, b := range list {
+			if b != nil {
+				n++
+			}
+		}
+	}
+	return n
 }
 
 func checkNoBlockLeak(t *testing.T, bag *spareBag, devs ...*Device) {
@@ -581,6 +604,7 @@ func TestBlockLeakAfterLongRunAndFinalGC(t *testing.T) {
 	d := NewDevice(m, 1<<20)
 	rng := sim.NewRNG(9)
 	buf := make([]byte, blockSize)
+	var bag spareBag
 	var now time.Duration
 	for i := 0; i < 5000; i++ {
 		now += time.Duration(rng.Intn(60)) * time.Microsecond // mean spacing above the 17 us service time: no standing backlog
@@ -590,7 +614,7 @@ func TestBlockLeakAfterLongRunAndFinalGC(t *testing.T) {
 		}
 		d.SubmitWrite(now, int64(rng.Intn(32))*blockSize, buf[:n])
 		if i%500 == 0 {
-			checkNoBlockLeak(t, nil, d)
+			checkNoBlockLeak(t, &bag, d)
 		}
 	}
 	d.mu.Lock()
@@ -598,12 +622,12 @@ func TestBlockLeakAfterLongRunAndFinalGC(t *testing.T) {
 		d.writeLocked(now, now, 0, buf, nil)
 	}
 	d.gcInflightLocked(now + time.Hour)
-	inflight, undo, made := len(d.inflight), len(d.undo), d.made
+	inflight, undo, made := len(d.inflight), len(d.undo), heldBlocks(d)
 	d.mu.Unlock()
 	if inflight != 0 || undo != 0 {
 		t.Fatalf("final GC left %d records, %d undo entries", inflight, undo)
 	}
-	checkNoBlockLeak(t, nil, d)
+	checkNoBlockLeak(t, &bag, d)
 	// 32 live blocks plus at most a GC threshold's worth in flight.
 	if limit := (32 + 64 + 2*slabBlocks); made > limit {
 		t.Fatalf("%d block buffers made for a 32-block working set, want <= %d", made, limit)
@@ -616,7 +640,7 @@ func TestBlockLeakAfterLongRunAndFinalGC(t *testing.T) {
 func TestUnwrittenRangesReadZeroWithoutMaterialising(t *testing.T) {
 	d := NewDevice(costs(), 2<<30)
 	d.SubmitWrite(0, 5*blockSize+100, []byte("x"))
-	made := d.made
+	made := heldBlocks(d)
 	if made != slabBlocks {
 		t.Fatalf("one write materialised %d block buffers, want one slab of %d", made, slabBlocks)
 	}
@@ -641,14 +665,8 @@ func TestUnwrittenRangesReadZeroWithoutMaterialising(t *testing.T) {
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	live := 0
-	for _, b := range d.blocks {
-		if b != nil {
-			live++
-		}
-	}
-	if live != 1 || d.made != made {
-		t.Fatalf("reads materialised blocks: %d live (want 1), %d made (want %d)", live, d.made, made)
+	if live := heldBlocks(d) - len(d.free); live != 1 || heldBlocks(d) != made {
+		t.Fatalf("reads materialised blocks: %d live (want 1), %d made (want %d)", live, heldBlocks(d), made)
 	}
 }
 

@@ -24,7 +24,7 @@ func Table2(opts Options) (*Result, error) {
 	opts = opts.fill()
 	costs := sim.DefaultCosts()
 	arr := disk.NewArray(costs, 2, 2<<30)
-	region := aurora.NewRegion(costs, arr, "db", 0, 1<<30)
+	region := aurora.NewRegion(costs, arr, 0, 1<<30)
 	clk := sim.NewClock()
 	region.Write(clk, 0, make([]byte, 64<<10))
 	b := region.Checkpoint(clk)
@@ -263,7 +263,7 @@ func Figure3(opts Options) (*Result, error) {
 
 		// Aurora region (1 GiB mapping, like the RocksDB case).
 		arr := disk.NewArray(costs, 2, 2<<30)
-		region := aurora.NewRegion(costs, arr, "db", 0, 1<<30)
+		region := aurora.NewRegion(costs, arr, 0, 1<<30)
 		clk := sim.NewClock()
 		rng = sim.NewRNG(opts.Seed)
 		for i := 0; i < pages; i++ {
@@ -273,7 +273,7 @@ func Figure3(opts Options) (*Result, error) {
 
 		// Aurora application checkpoint (region + 2 GiB of app state).
 		arr2 := disk.NewArray(costs, 2, 4<<30)
-		region2 := aurora.NewRegion(costs, arr2, "db", 0, 1<<30)
+		region2 := aurora.NewRegion(costs, arr2, 0, 1<<30)
 		app := aurora.NewApp(costs, []*aurora.Region{region2}, 2<<30)
 		clk2 := sim.NewClock()
 		rng = sim.NewRNG(opts.Seed)

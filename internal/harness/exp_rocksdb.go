@@ -111,7 +111,7 @@ func Table9(opts Options) (*Result, error) {
 		}},
 		{"aurora", func() (*rockskv.DB, error) {
 			arr := disk.NewArray(costs, 2, 4<<30)
-			region := aurora.NewRegion(costs, arr, "memtable", 0, 1<<30)
+			region := aurora.NewRegion(costs, arr, 0, 1<<30)
 			return rockskv.NewAurora(region, rockskv.Config{}), nil
 		}},
 	}

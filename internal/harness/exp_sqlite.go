@@ -20,7 +20,6 @@ type dbbenchEnv struct {
 	clk   *sim.Clock
 	fsys  *fs.FS        // WAL mode only
 	ctx   *core.Context // MemSnap mode only
-	sys   *core.System
 	txLat obs.Histogram
 }
 
@@ -42,7 +41,7 @@ func newDBBenchEnv(memsnapMode bool, buckets *sim.TimeBuckets) (*dbbenchEnv, err
 		if err != nil {
 			return nil, err
 		}
-		env.db, env.ctx, env.sys, env.clk = db, ctx, sys, ctx.Clock()
+		env.db, env.ctx, env.clk = db, ctx, ctx.Clock()
 	} else {
 		fsys := fs.New(costs, disk.NewArray(costs, 2, 4<<30), fs.FFS)
 		fsys.Buckets = buckets

@@ -33,8 +33,7 @@ import (
 // File is one parsed source file of a package.
 type File struct {
 	AST *ast.File
-	// Name is the file's base name; Test reports a _test.go file.
-	Name string
+	// Test reports a _test.go file.
 	Test bool
 }
 
@@ -46,8 +45,6 @@ type Package struct {
 	Path string
 	// Name is the package name from the package clauses.
 	Name string
-	// Dir is the absolute directory the files live in.
-	Dir string
 	// Nested marks a directory under a go.mod of its own (benchmark/):
 	// analysed with the module, built and gated as its own module.
 	Nested bool

@@ -187,7 +187,6 @@ func (l *Loader) LoadDir(dir, ipath string) ([]*Package, error) {
 		pkgs = append(pkgs, &Package{
 			Path:   ipath,
 			Name:   name,
-			Dir:    dir,
 			Nested: nested,
 			Fset:   l.fset,
 			Files:  group,
@@ -223,7 +222,6 @@ func (l *Loader) parseDir(dir string) ([]*File, error) {
 		}
 		files = append(files, &File{
 			AST:  af,
-			Name: name,
 			Test: strings.HasSuffix(name, "_test.go"),
 		})
 	}

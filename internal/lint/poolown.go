@@ -52,9 +52,6 @@ type ownRelease struct {
 type ownAPI struct {
 	// what names the pooled value in diagnostics.
 	what string
-	// refcount acquires stack (retain/retain/release/release);
-	// plain acquires are single-shot.
-	refcount bool
 	// onRecv acquires bind the obligation to the method receiver
 	// (retain-style) instead of to a result value.
 	onRecv bool
@@ -78,7 +75,7 @@ var poolAPIs = map[string]*ownAPI{
 		{"memsnap/internal/core.ReleasePages", 0},
 		{"memsnap/internal/core.RecyclePageSlice", 0},
 	}},
-	"memsnap/internal/replica.(Delta).retain": {what: "delta reference", refcount: true, onRecv: true, releases: []ownRelease{
+	"memsnap/internal/replica.(Delta).retain": {what: "delta reference", onRecv: true, releases: []ownRelease{
 		{"memsnap/internal/replica.(Delta).release", -1},
 	}},
 
@@ -86,7 +83,7 @@ var poolAPIs = map[string]*ownAPI{
 		{"memsnap/internal/lintfixtures/poolown.(Buf).Release", -1},
 		{"memsnap/internal/lintfixtures/poolown.(BufPool).Put", 0},
 	}},
-	"memsnap/internal/lintfixtures/poolown.(RC).Acquire": {what: "refcounted handle", refcount: true, onRecv: true, releases: []ownRelease{
+	"memsnap/internal/lintfixtures/poolown.(RC).Acquire": {what: "refcounted handle", onRecv: true, releases: []ownRelease{
 		{"memsnap/internal/lintfixtures/poolown.(RC).Release", -1},
 	}},
 }

@@ -8,7 +8,7 @@ type double struct{}
 func (double) Ship(c Commit) error { onlyDouble(); return nil }
 
 func TestRun(t *testing.T) {
-	if OnlyTests() != 1 || Run(double{}) != nil {
+	if OnlyTests() != 1 || Run(double{}) != nil || Count().Calls != 1 {
 		t.Fatal("fixture")
 	}
 }

@@ -4,8 +4,11 @@ package b
 
 import "memsnap/internal/lint/testdata/src/unreachable/a"
 
-// Shipper is the production Replicator.
-type Shipper struct{ n int }
+// Shipper is the production Replicator; what Ship stores, nothing
+// reads.
+type Shipper struct {
+	n int // want `field n is written but never read.*nothing reads it`
+}
 
 func (s *Shipper) Ship(c a.Commit) error { s.n = count(c); return nil }
 

@@ -15,4 +15,6 @@ func main() {
 	fmt.Println(a.Name(1))
 	f := a.Value
 	fmt.Println(f())
+	a.Count()
+	fmt.Println(a.Fields())
 }

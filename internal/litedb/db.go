@@ -26,36 +26,20 @@ type backend interface {
 func (p *walPager) setPageCount(n uint32)     { p.numPages = n }
 func (p *memsnapPager) setPageCount(n uint32) { p.numPages = n }
 
-// Mode identifies the persistence backend.
-type Mode int
-
-// Database persistence modes.
-const (
-	// ModeWAL is the file-API baseline (WAL and checkpoint).
-	ModeWAL Mode = iota
-	// ModeMemSnap is the uCheckpoint plugin.
-	ModeMemSnap
-)
-
 // DB is one litedb database: a catalog of named B+tree tables over a
 // persistence backend. litedb is single-writer (like SQLite):
 // transactions serialize on an internal lock.
 type DB struct {
-	mode Mode
-	be   backend
+	be backend
 
 	mu     sync.Mutex
 	tables map[string]*btree
-	inTx   bool
-
-	// Commits counts committed write transactions.
-	Commits int64
 }
 
 // CreateWAL creates a fresh database in WAL mode on a filesystem.
 func CreateWAL(fsys *fs.FS, clk *sim.Clock, name string) *DB {
 	be := newWALPager(fsys, clk, name)
-	db := &DB{mode: ModeWAL, be: be, tables: make(map[string]*btree)}
+	db := &DB{be: be, tables: make(map[string]*btree)}
 	db.initCatalog()
 	be.commit()
 	return db
@@ -70,7 +54,7 @@ func OpenMemSnap(proc *core.Process, ctx *core.Context, name string, size int64)
 		return nil, err
 	}
 	be := newMemsnapPager(ctx, region)
-	db := &DB{mode: ModeMemSnap, be: be, tables: make(map[string]*btree)}
+	db := &DB{be: be, tables: make(map[string]*btree)}
 	// Distinguish fresh from recovered by the catalog magic.
 	hdr := ctx.PageForRead(region, 0)
 	if binary.LittleEndian.Uint32(hdr) == catalogMagic {
@@ -163,7 +147,6 @@ type Tx struct {
 // Begin starts a transaction, taking the writer lock.
 func (db *DB) Begin() *Tx {
 	db.mu.Lock()
-	db.inTx = true
 	roots := make(map[string]uint32, len(db.tables))
 	for name, t := range db.tables {
 		roots[name] = t.root
@@ -239,9 +222,7 @@ func (tx *Tx) Commit() {
 		db.writeCatalog()
 	}
 	db.be.commit()
-	db.Commits++
 	tx.done = true
-	db.inTx = false
 	db.mu.Unlock()
 }
 
@@ -262,6 +243,5 @@ func (tx *Tx) Rollback() {
 		}
 	}
 	tx.done = true
-	db.inTx = false
 	db.mu.Unlock()
 }

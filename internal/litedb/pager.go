@@ -27,7 +27,6 @@ const DefaultCacheSize = 2000
 // back into the DB file.
 type walPager struct {
 	clk   *sim.Clock
-	fsys  *fs.FS
 	costs *sim.CostModel
 	db    *fs.File
 	log   *wal.WAL
@@ -49,7 +48,6 @@ type walPager struct {
 	// syscalls on the next access, as in SQLite's bounded page cache.
 	cacheLimit          int
 	checkpointThreshold int64
-	checkpoints         int64
 }
 
 // costsScanPerEntry returns the per-resident-page flush scan cost.
@@ -60,7 +58,6 @@ func (p *walPager) costsScanPerEntry() time.Duration {
 func newWALPager(fsys *fs.FS, clk *sim.Clock, name string) *walPager {
 	p := &walPager{
 		clk:                 clk,
-		fsys:                fsys,
 		costs:               sim.DefaultCosts(),
 		db:                  fsys.Create(clk, name),
 		log:                 wal.Create(fsys, clk, name+"-wal"),
@@ -200,7 +197,6 @@ func (p *walPager) checkpoint() {
 	p.log.Reset(p.clk)
 	p.log.Sync(p.clk)
 	p.walOffsets = make(map[uint32]int64)
-	p.checkpoints++
 }
 
 // memsnapPager is the MemSnap plugin backend: database pages live

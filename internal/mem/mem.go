@@ -24,13 +24,6 @@ const (
 	PageMask = PageSize - 1
 )
 
-// PageFlags is a bitfield of per-page state.
-type PageFlags uint32
-
-// FlagTracked marks a page currently present in some thread's dirty
-// set (written since the last protection reset).
-const FlagTracked PageFlags = 1
-
 // Frame identifies a physical frame.
 type Frame uint32
 
@@ -54,7 +47,6 @@ type ReverseMapping struct {
 type Page struct {
 	frame Frame
 	data  []byte
-	flags atomic.Uint32
 	// holds counts the in-flight uCheckpoints whose IO reads this
 	// frame. Writes to a held page must take the COW path instead of
 	// modifying the frame. A count, not a flag: two processes of a
@@ -78,26 +70,6 @@ func (p *Page) Frame() Frame { return p.frame }
 // aliases the frame; writes through it are writes to simulated
 // physical memory.
 func (p *Page) Data() []byte { return p.data }
-
-// SetFlag atomically sets the given flag bits.
-func (p *Page) SetFlag(f PageFlags) {
-	for {
-		old := p.flags.Load()
-		if p.flags.CompareAndSwap(old, old|uint32(f)) {
-			return
-		}
-	}
-}
-
-// ClearFlag atomically clears the given flag bits.
-func (p *Page) ClearFlag(f PageFlags) {
-	for {
-		old := p.flags.Load()
-		if p.flags.CompareAndSwap(old, old&^uint32(f)) {
-			return
-		}
-	}
-}
 
 // Hold adds one in-flight uCheckpoint hold.
 func (p *Page) Hold() { p.holds.Add(1) }

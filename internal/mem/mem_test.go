@@ -66,22 +66,6 @@ func TestPageLookup(t *testing.T) {
 	}
 }
 
-func TestFlags(t *testing.T) {
-	m := newTestMem()
-	pg := m.Alloc(nil)
-	if PageFlags(pg.flags.Load())&FlagTracked != 0 {
-		t.Fatal("fresh page has flag set")
-	}
-	pg.SetFlag(FlagTracked)
-	if PageFlags(pg.flags.Load())&FlagTracked == 0 {
-		t.Fatal("SetFlag did not stick")
-	}
-	pg.ClearFlag(FlagTracked)
-	if PageFlags(pg.flags.Load())&FlagTracked != 0 {
-		t.Fatal("ClearFlag did not clear")
-	}
-}
-
 // TestHolds pins the hold count: a page stays held until every Hold is
 // matched by an Unhold.
 func TestHolds(t *testing.T) {
@@ -99,24 +83,6 @@ func TestHolds(t *testing.T) {
 	pg.Unhold()
 	if pg.Held() {
 		t.Fatal("page still held after every hold was dropped")
-	}
-}
-
-func TestFlagsConcurrent(t *testing.T) {
-	m := newTestMem()
-	pg := m.Alloc(nil)
-	done := make(chan bool)
-	for i := 0; i < 4; i++ {
-		go func() {
-			for j := 0; j < 1000; j++ {
-				pg.SetFlag(FlagTracked)
-				pg.ClearFlag(FlagTracked)
-			}
-			done <- true
-		}()
-	}
-	for i := 0; i < 4; i++ {
-		<-done
 	}
 }
 

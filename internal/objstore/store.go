@@ -16,8 +16,7 @@ type Epoch uint64
 
 // Store is a COW object store on a disk array.
 type Store struct {
-	costs *sim.CostModel
-	arr   *disk.Array
+	arr *disk.Array
 
 	mu      sync.Mutex
 	alloc   *allocator
@@ -28,13 +27,10 @@ type Store struct {
 }
 
 // Format initializes an empty store on the array, returning the store
-// and the virtual time at which formatting is durable.
-func Format(costs *sim.CostModel, arr *disk.Array, at time.Duration) (*Store, time.Duration, error) {
-	if costs == nil {
-		costs = sim.DefaultCosts()
-	}
+// and the virtual time at which formatting is durable. The cost model
+// is unused: the array charges every access the store makes.
+func Format(_ *sim.CostModel, arr *disk.Array, at time.Duration) (*Store, time.Duration, error) {
 	s := &Store{
-		costs:   costs,
 		arr:     arr,
 		alloc:   newAllocator(dataStart(), arr.Capacity()),
 		objects: make(map[string]*Object),
@@ -50,11 +46,9 @@ func Format(costs *sim.CostModel, arr *disk.Array, at time.Duration) (*Store, ti
 // Open recovers a store from the array: it locates the newest valid
 // directory, loads every object at its highest durable epoch, and
 // rebuilds the allocator from the union of live blocks. All reads are
-// charged to the returned completion time.
-func Open(costs *sim.CostModel, arr *disk.Array, at time.Duration) (*Store, time.Duration, error) {
-	if costs == nil {
-		costs = sim.DefaultCosts()
-	}
+// charged to the returned completion time. The cost model is unused,
+// as in Format.
+func Open(_ *sim.CostModel, arr *disk.Array, at time.Duration) (*Store, time.Duration, error) {
 	buf := make([]byte, sectorSize)
 	at = arr.Read(at, 0, buf)
 	if _, err := unmarshalSuperblock(buf); err != nil {
@@ -62,7 +56,6 @@ func Open(costs *sim.CostModel, arr *disk.Array, at time.Duration) (*Store, time
 	}
 
 	s := &Store{
-		costs:   costs,
 		arr:     arr,
 		alloc:   newAllocator(dataStart(), arr.Capacity()),
 		objects: make(map[string]*Object),

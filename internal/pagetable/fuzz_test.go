@@ -98,7 +98,7 @@ func FuzzTableWalk(f *testing.F) {
 				}
 			}
 
-			if n := tab.nodes; n < lastNodes {
+			if n := countNodes(tab.root); n < lastNodes {
 				t.Fatalf("op %d: NodeCount went backwards (%d -> %d)", op, lastNodes, n)
 			} else {
 				lastNodes = n

@@ -52,7 +52,6 @@ type PTE struct {
 type node struct {
 	children [EntriesPerNode]*node // nil at leaf level
 	ptes     [EntriesPerNode]*PTE  // only at leaf level
-	leaf     bool
 }
 
 // Table is one address space's page table. It is not internally
@@ -60,9 +59,6 @@ type node struct {
 type Table struct {
 	costs *sim.CostModel
 	root  *node
-
-	// nodes counts allocated interior+leaf nodes, for stats.
-	nodes int
 }
 
 // New returns an empty table.
@@ -89,9 +85,8 @@ func (t *Table) EnsurePTE(vpn uint64) *PTE {
 		child := n.children[idx]
 		if child == nil {
 			//lint:allow hotalloc first-touch page-table growth, once per node for the table lifetime
-			child = &node{leaf: level == Levels-2}
+			child = &node{}
 			n.children[idx] = child
-			t.nodes++
 		}
 		n = child
 	}

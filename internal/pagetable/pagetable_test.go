@@ -165,11 +165,22 @@ func TestFigure1Ordering(t *testing.T) {
 
 func TestNodeCountGrows(t *testing.T) {
 	pt := New(nil)
-	before := pt.nodes
+	before := countNodes(pt.root)
 	pt.Map(0, mem.Frame(0), true)
-	if pt.nodes <= before {
+	if countNodes(pt.root) <= before {
 		t.Fatal("mapping did not allocate nodes")
 	}
+}
+
+// countNodes counts the interior and leaf nodes below n.
+func countNodes(n *node) int {
+	c := 0
+	for _, child := range n.children {
+		if child != nil {
+			c += 1 + countNodes(child)
+		}
+	}
+	return c
 }
 
 func TestMapLookupRoundTripProperty(t *testing.T) {

@@ -17,7 +17,6 @@ import (
 // dirty set is tracked per backend and persisted by its own commits.
 type Backend struct {
 	c   *Cluster
-	id  int
 	clk *sim.Clock
 
 	// MemSnap variant: the backend's own process/context with shared
@@ -36,7 +35,7 @@ type Backend struct {
 
 // NewBackend creates a backend on simulated CPU cpu.
 func (c *Cluster) NewBackend(cpu int) (*Backend, error) {
-	b := &Backend{c: c, id: cpu, touched: make(map[bufKey]bool)}
+	b := &Backend{c: c, touched: make(map[bufKey]bool)}
 	if c.variant == VarMemSnap {
 		b.proc = c.sys.NewProcess()
 		b.ctx = b.proc.NewContext(cpu)
@@ -348,7 +347,6 @@ func (b *Backend) Commit() {
 		}
 	}
 	c.committed.Store(b.xid, true)
-	c.Commits.Add(1)
 	b.xid = 0
 	b.touched = make(map[bufKey]bool)
 	b.walRecs = nil
@@ -417,7 +415,6 @@ func (b *Backend) checkpoint() {
 		}
 	}
 	c.pagesLogged = make(map[bufKey]bool)
-	c.Checkpoints++
 	c.mu.Unlock()
 	slices.SortFunc(dirty, func(a, b flush) int { return compareKeys(a.key, b.key) })
 

@@ -103,11 +103,6 @@ type Cluster struct {
 	nextXid     atomic.Uint32
 	committed   sync.Map // xid -> true (the commit log)
 	regionBytes int64
-
-	// Checkpoints counts checkpointer runs.
-	Checkpoints int64
-	// Commits counts committed transactions.
-	Commits atomic.Int64
 }
 
 // Config configures a cluster.
@@ -173,7 +168,7 @@ func (c *Cluster) CreateRelation(clk *sim.Clock, name string) error {
 	if _, ok := c.relations[name]; ok {
 		return fmt.Errorf("pgdb: relation %q exists", name)
 	}
-	c.relations[name] = &relation{name: name}
+	c.relations[name] = &relation{}
 	switch c.variant {
 	case VarMemSnap:
 		region, err := c.proc0.Open(c.ctx0, "rel-"+name, c.regionBytes)

@@ -44,7 +44,7 @@ func (d *TPCC) WarehouseYTD(b *Backend) int64 {
 	b.Begin()
 	defer b.Commit()
 	var sum int64
-	for w := int64(0); w < d.warehouses; w++ {
+	for w := int64(0); w < int64(len(d.whLocks)); w++ {
 		if _, ytd, _, _, err := d.fetchRow(b, relWarehouse, w); err == nil {
 			sum += ytd
 		}
@@ -183,12 +183,16 @@ func TestCheckpointTriggers(t *testing.T) {
 	b, _ := c.NewBackend(0)
 	c.CreateRelation(b.Clock(), "t")
 	payload := bytes.Repeat([]byte{1}, 200)
-	for i := 0; i < 600 && c.Checkpoints == 0; i++ {
+	// A checkpoint truncates the WAL.
+	truncated := false
+	for i := 0; i < 600 && !truncated; i++ {
+		before := c.log.Size()
 		b.Begin()
 		b.Insert("t", payload)
 		b.Commit()
+		truncated = c.log.Size() < before
 	}
-	if c.Checkpoints == 0 {
+	if !truncated {
 		t.Fatal("checkpoint never ran")
 	}
 }

@@ -52,7 +52,6 @@ const heapHdr = 4
 // relation is one table's heap: a sequence of 8 KiB pages accessed
 // through the cluster's storage layer.
 type relation struct {
-	name  string
 	pages uint32 // allocated heap pages
 }
 

@@ -14,9 +14,7 @@ import (
 // reproduction benchmarks storage-engine throughput, not index IO,
 // which PostgreSQL would also largely cache for this working set).
 type TPCC struct {
-	c          *Cluster
-	warehouses int64
-	items      int64 // stock rows per warehouse
+	items int64 // stock rows per warehouse
 
 	mu  sync.Mutex
 	idx map[string]map[int64]TID
@@ -69,8 +67,6 @@ func NewTPCC(c *Cluster, loader *Backend, warehouses int64) (*TPCC, error) {
 // NewTPCCWithItems scales the stock table (tests use small values).
 func NewTPCCWithItems(c *Cluster, loader *Backend, warehouses, itemsPerWarehouse int64) (*TPCC, error) {
 	d := &TPCC{
-		c:               c,
-		warehouses:      warehouses,
 		items:           itemsPerWarehouse,
 		idx:             make(map[string]map[int64]TID),
 		lastOrder:       make(map[int64]int64),

@@ -4,7 +4,7 @@
 // Both pools hand out and take back pointer-shaped handles, never raw
 // slice headers, so a steady-state Get/Put cycle performs no interface
 // boxing and therefore no heap allocation. Counters track every
-// Get/Put/miss, giving tests a leak-check hook: after a balanced
+// Get/Put, giving tests a leak-check hook: after a balanced
 // workload InUse must return to its pre-workload value.
 //
 // Releasing is always optional for correctness — an unreleased buffer
@@ -26,20 +26,17 @@ import (
 type Stats struct {
 	// Gets counts buffers handed out; Puts counts buffers returned.
 	Gets, Puts int64
-	// Misses counts Gets that had to allocate because the pool was
-	// empty (cold start, or the GC flushed the sync.Pool).
-	Misses int64
 }
 
 // InUse is the number of buffers currently held by callers.
 func (s Stats) InUse() int64 { return s.Gets - s.Puts }
 
 type counters struct {
-	gets, puts, misses atomic.Int64
+	gets, puts atomic.Int64
 }
 
 func (c *counters) stats() Stats {
-	return Stats{Gets: c.gets.Load(), Puts: c.puts.Load(), Misses: c.misses.Load()}
+	return Stats{Gets: c.gets.Load(), Puts: c.puts.Load()}
 }
 
 // Page is a pooled fixed-size buffer. Callers use Data and return the
@@ -78,7 +75,6 @@ type PagePool struct {
 func NewPagePool(size int) *PagePool {
 	pp := &PagePool{}
 	pp.p.New = func() any {
-		pp.c.misses.Add(1)
 		return &Page{Data: make([]byte, size), owner: pp}
 	}
 	return pp
@@ -154,7 +150,6 @@ func (p *SlicePool[T]) Get(capHint int) []T {
 		p.empty.Put(it)
 		return s
 	}
-	p.c.misses.Add(1)
 	if capHint < 1 {
 		capHint = 1
 	}

@@ -25,8 +25,8 @@ func TestPagePoolRecycles(t *testing.T) {
 	pg2.Release()
 	// sync.Pool randomly drops Puts under -race, so the recycled hit
 	// is only observable in a normal build.
-	if got := pp.Stats().Misses; !raceEnabled && got != 1 {
-		t.Fatalf("misses = %d, want 1 (only the cold Get allocates)", got)
+	if !raceEnabled && pg2 != pg {
+		t.Fatal("the second Get allocated: the released page did not come back")
 	}
 }
 

@@ -25,9 +25,6 @@ type FrameReader struct {
 	// buf[head:tail] holds the bytes read from r and not yet returned.
 	head, tail int
 	max        int
-	// n counts the wire bytes Next has consumed: whole frames returned,
-	// refused prefixes, and the partial tail of a cut stream.
-	n int64
 }
 
 // NewFrameReader wraps r with a frame decoder capped at max payload
@@ -54,7 +51,6 @@ func (fr *FrameReader) Next() ([]byte, error) {
 	n := binary.BigEndian.Uint32(fr.buf[fr.head:])
 	if n == 0 || int64(n) > int64(fr.max) {
 		fr.head += 4
-		fr.n += 4
 		if n == 0 {
 			return nil, ErrTruncated
 		}
@@ -68,7 +64,6 @@ func (fr *FrameReader) Next() ([]byte, error) {
 	}
 	payload := fr.buf[fr.head+4 : fr.head+size]
 	fr.head += size
-	fr.n += int64(size)
 	return payload, nil
 }
 
@@ -99,7 +94,6 @@ func (fr *FrameReader) fill(need int) error {
 			if err == io.EOF && fr.tail > 0 {
 				err = io.ErrUnexpectedEOF
 			}
-			fr.n += int64(fr.tail)
 			fr.tail = 0
 			return err
 		}

@@ -241,16 +241,16 @@ func TestBatchBytesStableUnderRetry(t *testing.T) {
 		t.Fatalf("want extent frames for this test, got kind %d", kinds[0])
 	}
 	t1, _ := s.ship(ss, 0, run, nil, true)
-	sent1 := link.bytes
-	if want := int64(wire + ackWireBytes); sent1 != want {
+	sent1 := s.Stats()[0].WireBytes
+	if want := int64(wire); sent1 != want {
 		t.Fatalf("first transmission put %d bytes on the link, want %d", sent1, want)
 	}
 	// Retransmit (the lost-ack case): the follower re-acks the whole
 	// run as a duplicate, and the message is byte-for-byte the same
 	// size even though every extent list was consumed at encode time.
 	s.ship(ss, t1+time.Millisecond, run, nil, true)
-	sent2 := link.bytes - sent1
-	if want := int64(wire + ackWireBytes); sent2 != want {
+	sent2 := s.Stats()[0].WireBytes - sent1
+	if want := int64(wire); sent2 != want {
 		t.Fatalf("retransmission put %d bytes on the link, want %d (must match the admitted size)", sent2, want)
 	}
 	st := fol.Stats()[0]

@@ -30,7 +30,6 @@ type Link struct {
 	rng      *sim.RNG
 	nextFree time.Duration
 	outages  []outage
-	bytes    int64 // put on the wire, for the tests
 }
 
 // outage is a half-open virtual-time interval during which the link
@@ -70,7 +69,6 @@ func (l *Link) Deliver(at time.Duration, size int) (time.Duration, bool) {
 	transfer := l.costs.LinkTransferCost(size)
 	arrive := start + l.costs.LinkBaseLatency + transfer
 	l.nextFree = start + transfer
-	l.bytes += int64(size)
 	for _, o := range l.outages {
 		if start < o.to && arrive > o.from {
 			return arrive, false

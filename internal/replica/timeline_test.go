@@ -58,7 +58,8 @@ func newSyncPair(tb testing.TB, regionBytes int64) *syncPair {
 // follower-ack time.
 func (p *syncPair) commit(tb testing.TB, seq uint64) time.Duration {
 	tb.Helper()
-	if _, err := p.ctx.Persist(p.region, core.MSSync); err != nil {
+	epoch, err := p.ctx.Persist(p.region, core.MSSync)
+	if err != nil {
 		tb.Fatal(err)
 	}
 	caps := p.ctx.TakeCaptured()
@@ -66,7 +67,7 @@ func (p *syncPair) commit(tb testing.TB, seq uint64) time.Duration {
 		tb.Fatalf("commit %d captured %d regions", seq, len(caps))
 	}
 	pages := caps[0].MovePages(core.GetCommittedPages(len(caps[0].Pages)))
-	ackAt, err := p.ship.ShipCommit(0, p.ctx.Clock().Now(), shard.Commit{Seq: seq, Epoch: caps[0].Epoch, Pages: pages, Owned: true}, nil)
+	ackAt, err := p.ship.ShipCommit(0, p.ctx.Clock().Now(), shard.Commit{Seq: seq, Epoch: epoch, Pages: pages, Owned: true}, nil)
 	if err != nil {
 		tb.Fatalf("commit %d: %v", seq, err)
 	}

@@ -41,12 +41,6 @@ type KV struct {
 	Value []byte
 }
 
-// Stats counts database activity.
-type Stats struct {
-	Flushes     sim.Counter
-	Compactions sim.Counter
-}
-
 // DB is one rockskv store.
 type DB struct {
 	mode  Mode
@@ -64,7 +58,6 @@ type DB struct {
 
 	// MemSnap mode state.
 	proc      *core.Process
-	region    *core.Region
 	plist     *plist
 	pageLocks [1024]sim.VLock
 
@@ -73,9 +66,6 @@ type DB struct {
 	aurMem   *memTable
 	aurSlots map[string]uint32
 	aurNext  uint32
-
-	// Stats is the activity counter set.
-	Stats Stats
 
 	// Buckets, when set, accumulates userspace CPU time by component
 	// (Table 1): "tx memory", "log", "serialization", "io generation".
@@ -115,10 +105,9 @@ func NewMemSnap(proc *core.Process, ctx *core.Context, regionName string, region
 		return nil, err
 	}
 	db := &DB{
-		mode:   ModeMemSnap,
-		costs:  proc.AddressSpace().Costs(),
-		proc:   proc,
-		region: region,
+		mode:  ModeMemSnap,
+		costs: proc.AddressSpace().Costs(),
+		proc:  proc,
 	}
 	db.plist, err = openPlist(ctx, region)
 	if err != nil {
@@ -279,7 +268,6 @@ func (s *Session) maybeFlushLocked() {
 	db.mem = newMemTable(uint64(db.seq))
 	db.log.Reset(s.clk)
 	db.log.Sync(s.clk)
-	db.Stats.Flushes.Add(1)
 
 	if len(db.tables) > maxL0Tables {
 		db.seq++
@@ -287,7 +275,6 @@ func (s *Session) maybeFlushLocked() {
 		merged := compact(db.fsys, s.clk, tableName(db.seq), db.tables)
 		s.bucket("io generation", s.clk.Now()-compactStart)
 		db.tables = []*sstable{merged}
-		db.Stats.Compactions.Add(1)
 	}
 }
 

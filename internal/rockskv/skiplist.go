@@ -38,7 +38,6 @@ type memTable struct {
 	head   *memNode
 	height int
 	rng    *sim.RNG
-	count  int
 	bytes  int64
 }
 
@@ -89,7 +88,6 @@ func (m *memTable) put(key, val []byte, tombstone bool) {
 		n.next[level] = pred[level].next[level]
 		pred[level].next[level] = n
 	}
-	m.count++
 	m.bytes += int64(len(key) + len(val) + 64)
 }
 

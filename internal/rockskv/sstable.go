@@ -16,7 +16,6 @@ import (
 type sstable struct {
 	file  *fs.File
 	index []indexEntry
-	size  int64
 }
 
 type indexEntry struct {
@@ -31,7 +30,6 @@ type indexEntry struct {
 func writeSSTable(fsys *fs.FS, clk *sim.Clock, name string, entries []indexEntry, payload [][]byte) *sstable {
 	file := fsys.Create(clk, name)
 	t := &sstable{file: file}
-	var off int64
 	// Buffer the whole table and write once: SSTable creation is one
 	// large sequential IO.
 	var buf bytes.Buffer
@@ -40,8 +38,6 @@ func writeSSTable(fsys *fs.FS, clk *sim.Clock, name string, entries []indexEntry
 		hdr := make([]byte, 8)
 		binary.LittleEndian.PutUint32(hdr, uint32(len(entries[i].key)))
 		binary.LittleEndian.PutUint32(hdr[4:], uint32(len(rec)))
-		start := off + int64(buf.Len()) // == buf.Len() since off stays 0
-		_ = start
 		entries[i].off = int64(buf.Len()) + 8 + int64(len(entries[i].key))
 		entries[i].len = int32(len(rec))
 		buf.Write(hdr)
@@ -51,7 +47,6 @@ func writeSSTable(fsys *fs.FS, clk *sim.Clock, name string, entries []indexEntry
 	file.Write(clk, 0, buf.Bytes())
 	file.Fsync(clk)
 	t.index = entries
-	t.size = int64(buf.Len())
 	return t
 }
 

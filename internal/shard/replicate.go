@@ -37,17 +37,13 @@ type Snapshot struct {
 	Shard int
 	Seq   uint64
 	Era   uint64
-	Epoch objstore.Epoch
 	Pages []core.CommittedPage
 }
 
 // Meta is a shard's current replication position.
 type Meta struct {
-	Shard int
-	Seq   uint64
-	Era   uint64
-	Sum   uint64
-	Epoch objstore.Epoch
+	Seq uint64
+	Era uint64
 }
 
 // Replicator receives every group commit after it is locally durable.
@@ -78,7 +74,6 @@ func (sh *shard) snapshot() Snapshot {
 		Shard: sh.id,
 		Seq:   sh.tab.man.commits,
 		Era:   sh.tab.man.era,
-		Epoch: sh.region.Epoch(),
 		Pages: make([]core.CommittedPage, 0, pages),
 	}
 	for i := int64(0); i < pages; i++ {
@@ -108,8 +103,7 @@ func (s *Service) ShardMeta(shard int) (Meta, error) {
 	if err != nil {
 		return Meta{}, err
 	}
-	sn := resp.snap
-	return Meta{Shard: sn.Shard, Seq: sn.Seq, Era: sn.Era, Sum: resp.Value, Epoch: sn.Epoch}, nil
+	return Meta{Seq: resp.snap.Seq, Era: resp.snap.Era}, nil
 }
 
 // ShardDigests computes every shard's page-level region digest,

@@ -76,8 +76,8 @@ const (
 	// opSum is internal: it reads the shard's manifest counters,
 	// serialized with applies like any other op.
 	opSum
-	// opMeta is internal: it reads the shard's replication metadata
-	// (commit seq, era, sum, epoch).
+	// opMeta is internal: it reads the shard's replication position
+	// (commit seq and era).
 	opMeta
 	// opSnapshot is internal: it copies the shard's full region,
 	// serialized with applies, for replication catch-up transfers.

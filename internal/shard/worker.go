@@ -391,15 +391,7 @@ func (sh *shard) applyOne(op Op) (resp Response, isWrite bool) {
 func (sh *shard) probeOne(kind OpKind) Response {
 	switch kind {
 	case opMeta:
-		return Response{
-			Value: sh.tab.man.sum,
-			snap: &Snapshot{
-				Shard: sh.id,
-				Seq:   sh.tab.man.commits,
-				Era:   sh.tab.man.era,
-				Epoch: sh.region.Epoch(),
-			},
-		}
+		return Response{snap: &Snapshot{Seq: sh.tab.man.commits, Era: sh.tab.man.era}}
 	case opSnapshot:
 		snap := sh.snapshot()
 		return Response{snap: &snap}

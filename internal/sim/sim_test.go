@@ -215,12 +215,3 @@ func TestTimeBuckets(t *testing.T) {
 		t.Fatalf("total = %v", b.Total())
 	}
 }
-
-func TestCounter(t *testing.T) {
-	var c Counter
-	c.Add(5)
-	c.Add(-2)
-	if c.Value() != 3 {
-		t.Fatalf("counter = %d", c.Value())
-	}
-}

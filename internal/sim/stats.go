@@ -5,29 +5,6 @@ import (
 	"time"
 )
 
-// Counter is a concurrency-safe monotonically increasing counter used
-// for operation and byte accounting throughout the simulation.
-type Counter struct {
-	mu sync.Mutex
-	n  int64
-}
-
-// Add increments the counter by delta.
-func (c *Counter) Add(delta int64) {
-	c.mu.Lock()
-	c.n += delta
-	c.mu.Unlock()
-}
-
-// Value returns the current count.
-//
-//lint:allow unreachable rockskv's flush and compaction test reads its counters
-func (c *Counter) Value() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.n
-}
-
 // TimeBuckets accumulates virtual CPU time into named buckets — the
 // mechanism behind the paper's CPU-breakdown tables (Tables 1 and 8).
 type TimeBuckets struct {

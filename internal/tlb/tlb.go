@@ -56,9 +56,6 @@ type TLB struct {
 	// and is read without it: a shootdown skips a TLB that holds
 	// nothing.
 	live atomic.Int32
-
-	hits   int64
-	misses int64
 }
 
 // DefaultCapacity is the number of 4 KiB translations a simulated
@@ -108,10 +105,8 @@ func (t *TLB) Lookup(vpn uint64) (Entry, bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if i := t.find(vpn); i != 0 {
-		t.hits++
 		return t.slots[i].entry, true
 	}
-	t.misses++
 	return Entry{}, false
 }
 

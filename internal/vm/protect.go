@@ -21,8 +21,7 @@ import (
 //
 // All three also reset protections in *other* address spaces that map
 // the same physical page (multiprocess applications) by following the
-// page's physical-to-virtual reverse mappings, and clear the
-// FlagTracked bit.
+// page's physical-to-virtual reverse mappings.
 
 // resetOtherMappings write-protects every mapping of pg outside as,
 // charging a page walk plus a PTE write per remote address space.
@@ -62,7 +61,6 @@ func (as *AddressSpace) ResetProtectionsTraceInto(clk *sim.Clock, records []Dirt
 			clk.Advance(as.costs.PTEWrite)
 		}
 		rec.PTE.Writable = false
-		rec.Page.ClearFlag(mem.FlagTracked)
 		vpns = append(vpns, rec.VPN)
 	}
 	as.mu.Unlock()
@@ -86,7 +84,6 @@ func (as *AddressSpace) ResetProtectionsWalk(clk *sim.Clock, records []DirtyReco
 			}
 			pte.Writable = false
 		}
-		rec.Page.ClearFlag(mem.FlagTracked)
 		vpns = append(vpns, rec.VPN)
 	}
 	as.mu.Unlock()
@@ -113,9 +110,6 @@ func (as *AddressSpace) ResetProtectionsScan(clk *sim.Clock, m *Mapping) []uint6
 			clk.Advance(as.costs.PTEWrite)
 		}
 		pte.Writable = false
-		if pg := as.phys.Page(pte.Frame); pg != nil {
-			pg.ClearFlag(mem.FlagTracked)
-		}
 		vpns = append(vpns, pte.VPN)
 	})
 	as.mu.Unlock()

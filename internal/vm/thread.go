@@ -15,7 +15,6 @@ import (
 // tracking. All region memory accesses are performed through a Thread
 // so the simulation can deliver page faults.
 type Thread struct {
-	ID    int
 	clock *sim.Clock
 	// tlb is the TLB of the CPU the thread runs on.
 	tlb *tlb.TLB
@@ -55,7 +54,6 @@ func (as *AddressSpace) NewThread(clock *sim.Clock, cpu int) *Thread {
 	as.mu.Lock()
 	defer as.mu.Unlock()
 	t := &Thread{
-		ID:      len(as.threads),
 		clock:   clock,
 		tlb:     as.tlbs.CPU(cpu),
 		as:      as,
@@ -120,7 +118,6 @@ func (t *Thread) translateLocked(addr uint64, write bool) *mem.Page {
 	if pte == nil || !pte.Present {
 		// Page-in fault.
 		t.chargeFault(as.costs.MinorFault)
-		as.stats.PageIns++
 		pageIdx := (addr - m.Start) / PageSize
 		t.rec.Instant(obs.CatVM, obs.NamePageIn, t.recTrack, t.clock.Now(), int64(pageIdx))
 		var pg *mem.Page
@@ -198,7 +195,6 @@ func (t *Thread) writeFaultLocked(m *Mapping, vpn uint64, pte *pagetable.PTE, pg
 	}
 
 	pte.Writable = true
-	pg.SetFlag(mem.FlagTracked)
 	if !t.tracked[vpn] {
 		t.tracked[vpn] = true
 		t.dirty = append(t.dirty, DirtyRecord{

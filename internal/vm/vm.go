@@ -84,7 +84,6 @@ type DirtyRecord struct {
 type FaultStats struct {
 	TrackingFaults int64
 	COWFaults      int64
-	PageIns        int64
 }
 
 // AddressSpace is one process's virtual address space.

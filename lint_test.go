@@ -15,7 +15,8 @@ package memsnap_test
 //	hotalloc     - //memsnap:hotpath code is allocation-free
 //	poolown      - every pooled acquire reaches its release
 //	unreachable  - every non-test function is reachable from a main,
-//	               an init or a package-level initialiser
+//	               an init or a package-level initialiser, and every
+//	               field that reached code writes, reached code reads
 //
 // Escape hatch: //lint:allow <rule> <reason> on or above the line.
 

@@ -71,8 +71,9 @@ func TestCellDeterminism(t *testing.T) {
 // TestGridSmoke sweeps a small grid across every schedule and
 // topology and requires every cell to pass. This is the tier-1 face
 // of the chaos matrix; the msnap-chaos command runs bigger grids.
+// ycsb-f and tpcc issue adds, so the model's add check runs here too.
 func TestGridSmoke(t *testing.T) {
-	for _, wl := range []string{"ycsb-a", "tatp"} {
+	for _, wl := range []string{"ycsb-a", "tatp", "ycsb-f", "tpcc"} {
 		rep, err := Run(Config{Seeds: []uint64{1, 42}, Workload: wl, MinOps: 200})
 		if err != nil {
 			t.Fatalf("workload %s: %v", wl, err)

@@ -6,8 +6,8 @@ import (
 )
 
 // TestCaptureCommits exercises the replication capture hook: disabled
-// by default, a faithful per-commit page copy when enabled, drained by
-// TakeCaptured, cleared when disabled.
+// by default, a faithful copy of each committed page when enabled,
+// drained by TakeCaptured, cleared when disabled.
 func TestCaptureCommits(t *testing.T) {
 	sys := newSys(t)
 	p := sys.NewProcess()
@@ -22,8 +22,8 @@ func TestCaptureCommits(t *testing.T) {
 	if _, err := ctx.Persist(r, MSSync); err != nil {
 		t.Fatal(err)
 	}
-	if got := ctx.TakeCaptured(); len(got) != 0 {
-		t.Fatalf("captured %d commits with capture disabled", len(got))
+	if got := ctx.TakeCaptured(); got != nil {
+		t.Fatalf("captured %d pages with capture disabled", len(got))
 	}
 
 	ctx.CaptureCommits(true)
@@ -32,16 +32,12 @@ func TestCaptureCommits(t *testing.T) {
 	if _, err := ctx.Persist(r, MSSync); err != nil {
 		t.Fatal(err)
 	}
-	caps := ctx.TakeCaptured()
-	if len(caps) != 1 {
-		t.Fatalf("captured %d commits, want 1", len(caps))
-	}
-	c := caps[0]
-	if len(c.Pages) != 2 {
-		t.Fatalf("captured %d pages, want 2 (pages 0 and 3)", len(c.Pages))
+	pages := ctx.TakeCaptured()
+	if len(pages) != 2 {
+		t.Fatalf("captured %d pages, want 2 (pages 0 and 3)", len(pages))
 	}
 	byIndex := map[int64][]byte{}
-	for _, pg := range c.Pages {
+	for _, pg := range pages {
 		if len(pg.Data) != PageSize {
 			t.Fatalf("captured page %d has %d bytes", pg.Index, len(pg.Data))
 		}
@@ -60,12 +56,14 @@ func TestCaptureCommits(t *testing.T) {
 		t.Fatal("captured page aliases live region memory")
 	}
 
+	ReleasePages(pages)
+
 	// TakeCaptured drains.
-	if got := ctx.TakeCaptured(); len(got) != 0 {
-		t.Fatalf("second TakeCaptured returned %d commits", len(got))
+	if got := ctx.TakeCaptured(); got != nil {
+		t.Fatalf("second TakeCaptured returned %d pages", len(got))
 	}
 
-	// Each commit is captured separately while enabled.
+	// Pages accumulate across commits, in Persist order, until taken.
 	ctx.WriteAt(r, PageSize, []byte("dd"))
 	if _, err := ctx.Persist(r, MSSync); err != nil {
 		t.Fatal(err)
@@ -74,9 +72,16 @@ func TestCaptureCommits(t *testing.T) {
 	if _, err := ctx.Persist(r, MSSync); err != nil {
 		t.Fatal(err)
 	}
-	if got := ctx.TakeCaptured(); len(got) != 2 {
-		t.Fatalf("captured %d commits, want 2", len(got))
+	// The first commit also carries page 0, dirtied by the "zz" write.
+	got := ctx.TakeCaptured()
+	var idx []int64
+	for _, pg := range got {
+		idx = append(idx, pg.Index)
 	}
+	if len(idx) != 3 || idx[0] != 0 || idx[1] != 1 || idx[2] != 2 {
+		t.Fatalf("captured pages %v, want [0 1 2]", idx)
+	}
+	ReleasePages(got)
 
 	// Disabling clears anything buffered.
 	ctx.WriteAt(r, 0, []byte("ff"))
@@ -84,8 +89,8 @@ func TestCaptureCommits(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx.CaptureCommits(false)
-	if got := ctx.TakeCaptured(); len(got) != 0 {
-		t.Fatalf("CaptureCommits(false) left %d buffered commits", len(got))
+	if got := ctx.TakeCaptured(); got != nil {
+		t.Fatalf("CaptureCommits(false) left %d buffered pages", len(got))
 	}
 }
 
@@ -106,7 +111,7 @@ func TestCaptureSharesBufferWithPreImage(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx.CaptureCommits(true)
-	capture := func(fill byte) CapturedCommit {
+	capture := func(fill byte) []CommittedPage {
 		t.Helper()
 		pg := ctx.PageForWrite(r, 3*PageSize)
 		for i := 100; i < 132; i++ {
@@ -115,27 +120,27 @@ func TestCaptureSharesBufferWithPreImage(t *testing.T) {
 		if _, err := ctx.Persist(r, MSSync); err != nil {
 			t.Fatal(err)
 		}
-		caps := ctx.TakeCaptured()
-		if len(caps) != 1 || len(caps[0].Pages) != 1 {
-			t.Fatalf("captured %+v, want one commit of one page", caps)
+		pages := ctx.TakeCaptured()
+		if len(pages) != 1 {
+			t.Fatalf("captured %+v, want one page", pages)
 		}
-		return caps[0]
+		return pages
 	}
 
 	first := capture(0x11)
 	if got := capturePagesInUse() - pages0.InUse(); got != 1 {
 		t.Fatalf("first capture holds %d pooled pages, want 1 (one copy, shared with the pre-image store)", got)
 	}
-	shipped := append([]byte(nil), first.Pages[0].Data...)
+	shipped := append([]byte(nil), first[0].Data...)
 
 	// The first commit is still held — as a delta in the shipper's
 	// window would be — while the page is captured again.
 	second := capture(0x22)
-	cp := second.Pages[0]
+	cp := second[0]
 	if len(cp.Extents) != 1 || cp.Extents[0] != (Extent{Off: 100, Len: 32}) {
 		t.Fatalf("extents = %v, want one [100,132) against the first commit's content", cp.Extents)
 	}
-	if !bytes.Equal(first.Pages[0].Data, shipped) {
+	if !bytes.Equal(first[0].Data, shipped) {
 		t.Fatal("the shared buffer changed under the held commit")
 	}
 	if got := capturePagesInUse() - pages0.InUse(); got != 2 {
@@ -144,11 +149,11 @@ func TestCaptureSharesBufferWithPreImage(t *testing.T) {
 
 	// The store let go of the first buffer when the second capture
 	// diffed against it: the held commit is its last holder.
-	first.Release()
+	ReleasePages(first)
 	if got := capturePagesInUse() - pages0.InUse(); got != 1 {
 		t.Fatalf("in use %d after the first commit released, want 1", got)
 	}
-	second.Release()
+	ReleasePages(second)
 	ctx.CaptureCommits(false)
 	if got := capturePagesInUse() - pages0.InUse(); got != 0 {
 		t.Fatalf("capture page pool leaked: %d pages still out", got)
@@ -183,9 +188,7 @@ func BenchmarkPersistCapture2Pages(b *testing.B) {
 		if _, err := ctx.Persist(r, MSSync); err != nil {
 			b.Fatal(err)
 		}
-		for _, cc := range ctx.TakeCaptured() {
-			cc.Release()
-		}
+		ReleasePages(ctx.TakeCaptured())
 	}
 	for i := 0; i < 64; i++ {
 		op(i)

@@ -206,6 +206,8 @@ type Region struct {
 }
 
 // Addr returns the region's fixed virtual address.
+//
+//lint:allow unreachable public facade method (memsnap.Region, README "Quickstart")
 func (r *Region) Addr() uint64 { return r.addr }
 
 // Len returns the region length in bytes.

@@ -278,41 +278,45 @@ func TestRepeatedPersistRetracks(t *testing.T) {
 
 func TestTornUCheckpointAtomicity(t *testing.T) {
 	// A multi-page uCheckpoint cut mid-IO must be all-or-nothing
-	// after recovery.
-	for seed := uint64(0); seed < 15; seed++ {
-		sys, _ := NewSystem(Options{})
-		p := sys.NewProcess()
-		ctx := p.NewContext(0)
-		r, _ := p.Open(ctx, "data", 1<<20)
-		ctx.WriteAt(r, 0, bytes.Repeat([]byte{0x0A}, 32<<10))
-		ctx.Persist(r, MSSync)
+	// after recovery, and the region must hold a prefix of the
+	// committed sequence: the last commit or the one before it. Commit
+	// c fills 8 pages with byte 0x0A+c-1.
+	for _, commits := range []int{2, 3, 10} {
+		for seed := uint64(0); seed < 15; seed++ {
+			sys, _ := NewSystem(Options{})
+			p := sys.NewProcess()
+			ctx := p.NewContext(0)
+			r, _ := p.Open(ctx, "data", 1<<20)
+			var start time.Duration
+			for c := 1; c <= commits; c++ {
+				start = ctx.Clock().Now()
+				ctx.WriteAt(r, 0, bytes.Repeat([]byte{byte(0x0A + c - 1)}, 32<<10))
+				ctx.Persist(r, MSSync)
+			}
+			end := ctx.Clock().Now()
 
-		start := ctx.Clock().Now()
-		ctx.WriteAt(r, 0, bytes.Repeat([]byte{0x0B}, 32<<10))
-		ctx.Persist(r, MSSync)
-		end := ctx.Clock().Now()
+			rng := sim.NewRNG(seed + 77)
+			cut := start + time.Duration(rng.Int63n(int64(end-start)+1))
+			sys.Array().CutPower(cut, rng)
 
-		rng := sim.NewRNG(seed + 77)
-		cut := start + time.Duration(rng.Int63n(int64(end-start)+1))
-		sys.Array().CutPower(cut, rng)
-
-		sys2, at, err := Recover(Options{}, sys.Array(), end)
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		p2 := sys2.NewProcess()
-		ctx2 := p2.NewContext(0)
-		ctx2.Clock().AdvanceTo(at)
-		r2, _ := p2.Open(ctx2, "data", 1<<20)
-		buf := make([]byte, 32<<10)
-		ctx2.ReadAt(r2, 0, buf)
-		first := buf[0]
-		if first != 0x0A && first != 0x0B {
-			t.Fatalf("seed %d: garbage byte %#x", seed, first)
-		}
-		for i, b := range buf {
-			if b != first {
-				t.Fatalf("seed %d: uCheckpoint torn at byte %d (%#x vs %#x)", seed, i, b, first)
+			sys2, at, err := Recover(Options{}, sys.Array(), end)
+			if err != nil {
+				t.Fatalf("%d commits, seed %d: %v", commits, seed, err)
+			}
+			p2 := sys2.NewProcess()
+			ctx2 := p2.NewContext(0)
+			ctx2.Clock().AdvanceTo(at)
+			r2, _ := p2.Open(ctx2, "data", 1<<20)
+			buf := make([]byte, 32<<10)
+			ctx2.ReadAt(r2, 0, buf)
+			first := buf[0]
+			if last := byte(0x0A + commits - 1); first != last && first != last-1 {
+				t.Fatalf("%d commits, seed %d: recovered byte %#x, want %#x or %#x", commits, seed, first, last-1, last)
+			}
+			for i, b := range buf {
+				if b != first {
+					t.Fatalf("%d commits, seed %d: uCheckpoint torn at byte %d (%#x vs %#x)", commits, seed, i, b, first)
+				}
 			}
 		}
 	}

@@ -96,15 +96,15 @@ func TestCapturePreImages(t *testing.T) {
 	if _, err := ctx.Persist(r, MSSync); err != nil {
 		t.Fatal(err)
 	}
-	caps := ctx.TakeCaptured()
-	if len(caps) != 1 || len(caps[0].Pages) != 1 {
-		t.Fatalf("first capture: %d commits", len(caps))
+	pages := ctx.TakeCaptured()
+	if len(pages) != 1 {
+		t.Fatalf("first capture: %d pages", len(pages))
 	}
-	first := append([]byte(nil), caps[0].Pages[0].Data...)
-	if caps[0].Pages[0].Extents != nil {
+	first := append([]byte(nil), pages[0].Data...)
+	if pages[0].Extents != nil {
 		t.Fatal("first capture of a page must have no diff")
 	}
-	caps[0].Release()
+	ReleasePages(pages)
 
 	pg = ctx.PageForWrite(r, 0)
 	pg[100] = 0xBB
@@ -112,15 +112,15 @@ func TestCapturePreImages(t *testing.T) {
 	if _, err := ctx.Persist(r, MSSync); err != nil {
 		t.Fatal(err)
 	}
-	caps = ctx.TakeCaptured()
-	cp := &caps[0].Pages[0]
+	pages = ctx.TakeCaptured()
+	cp := &pages[0]
 	if len(cp.Extents) != 2 {
 		t.Fatalf("diff = %v, want two single-byte extents", cp.Extents)
 	}
 	if got := applyExtents(first, cp.Data, cp.Extents); !bytes.Equal(got, cp.Data) {
 		t.Fatal("capture-time diff does not patch the previous capture to data")
 	}
-	caps[0].Release()
+	ReleasePages(pages)
 }
 
 // preRound commits one round of page touches and counts how many of
@@ -134,16 +134,15 @@ func preRound(t *testing.T, ctx *Context, r *Region, lo, hi int64) (withPre, wit
 	if _, err := ctx.Persist(r, MSSync); err != nil {
 		t.Fatal(err)
 	}
-	for _, cc := range ctx.TakeCaptured() {
-		for j := range cc.Pages {
-			if cc.Pages[j].Extents != nil {
-				withPre++
-			} else {
-				withoutPre++
-			}
+	pages := ctx.TakeCaptured()
+	for j := range pages {
+		if pages[j].Extents != nil {
+			withPre++
+		} else {
+			withoutPre++
 		}
-		cc.Release()
 	}
+	ReleasePages(pages)
 	return withPre, withoutPre
 }
 
@@ -212,9 +211,7 @@ func TestCapturePreImagePoolBalance(t *testing.T) {
 		if _, err := ctx.Persist(r, MSSync); err != nil {
 			t.Fatal(err)
 		}
-		for _, cc := range ctx.TakeCaptured() {
-			cc.Release()
-		}
+		ReleasePages(ctx.TakeCaptured())
 	}
 	// Disabling capture drops the retained pre-image store.
 	ctx.CaptureCommits(false)
@@ -260,9 +257,7 @@ func TestCaptureDiffSteadyStateZeroAlloc(t *testing.T) {
 		if _, err := ctx.Persist(r, MSSync); err != nil {
 			t.Fatal(err)
 		}
-		for _, cc := range ctx.TakeCaptured() {
-			cc.Release()
-		}
+		ReleasePages(ctx.TakeCaptured())
 	}
 	for i := 0; i < 64; i++ {
 		op()

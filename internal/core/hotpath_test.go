@@ -156,14 +156,12 @@ func TestCapturePoolNoLeak(t *testing.T) {
 		if _, err := ctx.Persist(r, MSSync); err != nil {
 			t.Fatal(err)
 		}
-		for _, cc := range ctx.TakeCaptured() {
-			if len(cc.Pages) != 8 {
-				t.Fatalf("captured %d pages, want 8", len(cc.Pages))
-			}
-			cc.Release()
+		pages := ctx.TakeCaptured()
+		if len(pages) != 8 {
+			t.Fatalf("captured %d pages, want 8", len(pages))
 		}
+		ReleasePages(pages)
 	}
-	// Drain the double buffer's other half too.
 	ctx.CaptureCommits(false)
 	ctx.Wait(nil, 0)
 	pages1, slices1 := CapturePoolStats()

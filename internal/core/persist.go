@@ -22,19 +22,17 @@ type Context struct {
 	pending []pendingCheckpoint
 
 	// capture, when enabled, makes Persist retain a copy of every
-	// committed page so replication can ship the uCheckpoint delta.
+	// committed page so replication can ship the uCheckpoint delta;
+	// captured is the pooled slice the copies accumulate in until
+	// TakeCaptured hands it over (nil while empty).
 	capture  bool
-	captured []CapturedCommit
+	captured []CommittedPage
 	// prevStores retain the last captured content of each page (one
 	// store per region) so the next capture of that page carries a
 	// byte-range diff against it; preImageBudget bounds each store (0:
 	// DefaultPreImagePages).
 	prevStores     []*prevStore
 	preImageBudget int
-	// capturedSpare is the second half of the TakeCaptured double
-	// buffer: captures fill one slice while the caller consumes the
-	// other.
-	capturedSpare []CapturedCommit
 
 	// Scratch buffers reused across Persist calls. A Context belongs
 	// to one thread, so they need no locking; together with the page
@@ -133,10 +131,10 @@ func (ctx *Context) releaseHold(pages []*mem.Page) {
 
 // CommittedPage is a copy of one page of a committed uCheckpoint,
 // identified by its block index within the region. Data lives in a
-// pooled page buffer: the holder releases it through
-// CapturedCommit.Release or ReleasePages when done. The buffer is
-// shared with the capturing context's pre-image store (the next capture
-// of the page diffs against it), so Data is read-only to every holder.
+// pooled page buffer: the holder releases it through ReleasePages when
+// done. The buffer is shared with the capturing context's pre-image
+// store (the next capture of the page diffs against it), so Data is
+// read-only to every holder.
 type CommittedPage struct {
 	Index int64
 	Data  []byte
@@ -153,39 +151,29 @@ type CommittedPage struct {
 	pg *pool.Page
 }
 
-// CapturedCommit records one region's share of a Persist call: copies
-// of exactly the pages it wrote. A captured commit is therefore the
-// uCheckpoint's dirty-page delta — the unit a replication layer ships
-// to a follower.
-type CapturedCommit struct {
-	Pages []CommittedPage
-}
-
 // CaptureCommits enables or disables commit capture on the context.
-// While enabled, every successful Persist appends one CapturedCommit
-// per committed region (copying the page contents, charged to the
-// context clock as memcpy); TakeCaptured drains them. Disabled by
-// default.
+// While enabled, every successful Persist appends a copy of each page
+// it committed (charged to the context clock as memcpy) — the
+// uCheckpoint's dirty-page delta, the unit a replication layer ships to
+// a follower; TakeCaptured drains them. Disabled by default.
 func (ctx *Context) CaptureCommits(on bool) {
 	ctx.capture = on
 	if !on {
-		for i := range ctx.captured {
-			ctx.captured[i].Release()
+		if ctx.captured != nil {
+			ReleasePages(ctx.captured)
+			ctx.captured = nil
 		}
-		ctx.captured = ctx.captured[:0]
 		ctx.dropPreImages()
 	}
 }
 
-// TakeCaptured returns the commits captured since the last call and
-// clears the buffer. Commits appear in Persist order. Page data stays
-// valid until the commit is Released, but the returned slice itself is
-// reused for later captures once TakeCaptured is called again — the
-// caller consumes (or copies) it before the next call.
-func (ctx *Context) TakeCaptured() []CapturedCommit {
+// TakeCaptured returns the pages captured since the last call, in
+// Persist order and region by region within a Persist, or nil if there
+// are none. The slice is pooled and ownership passes to the caller,
+// who releases it with ReleasePages.
+func (ctx *Context) TakeCaptured() []CommittedPage {
 	out := ctx.captured
-	ctx.captured = ctx.capturedSpare[:0]
-	ctx.capturedSpare = out
+	ctx.captured = nil
 	return out
 }
 
@@ -260,8 +248,8 @@ func (ctx *Context) DirtyPages() int { return ctx.th.DirtyLen() }
 // nil and several regions were dirty, the epoch of the last committed
 // region is returned and Wait(nil, epoch) waits for all of them.
 //
-// Capture mode moves pooled pages into the CapturedCommits it
-// appends to ctx.captured; the commit holder releases them.
+// Capture mode appends pooled pages to ctx.captured; whoever takes
+// them releases them.
 //
 //memsnap:hotpath
 //memsnap:owns
@@ -392,12 +380,14 @@ func (ctx *Context) Persist(r *Region, flags Flags) (objstore.Epoch, error) {
 	// Capture the delta while the snapshot aliases are still pinned by
 	// the checkpoint's holds: one copy into a pooled page per dirty page,
 	// so the captured data stays valid after the checkpoint releases
-	// (until the holder Releases the commit).
+	// (until the taker releases the pages).
 	if ctx.capture {
+		if ctx.captured == nil {
+			ctx.captured = GetCommittedPages(len(records))
+		}
 		diffBytes := 0
 		for i := 0; i < nrw; i++ {
 			rw := &ctx.rws[i]
-			cc := CapturedCommit{Pages: GetCommittedPages(len(rw.blocks))}
 			ps := ctx.prevStoreFor(rw.region)
 			for _, b := range rw.blocks {
 				pg := capturePagePool.Get()
@@ -416,9 +406,8 @@ func (ctx *Context) Persist(r *Region, flags Flags) (objstore.Epoch, error) {
 					prev.Release()
 					diffBytes += len(data)
 				}
-				cc.Pages = append(cc.Pages, cp)
+				ctx.captured = append(ctx.captured, cp)
 			}
-			ctx.captured = append(ctx.captured, cc)
 		}
 		// The modelled system keeps two copies per page (delta and
 		// pre-image); sharing one buffer is the simulator's economy, not

@@ -21,7 +21,7 @@ func CapturePoolStats() (pages, slices pool.Stats) {
 
 // GetCommittedPages returns a pooled zero-length []CommittedPage with
 // at least capHint capacity intent (the hint is used only on a pool
-// miss). Recycle with ReleasePages or RecyclePageSlice.
+// miss). Recycle with ReleasePages.
 //
 //memsnap:owns
 func GetCommittedPages(capHint int) []CommittedPage {
@@ -38,32 +38,4 @@ func ReleasePages(pages []CommittedPage) {
 		pages[i] = CommittedPage{}
 	}
 	committedPagesPool.Put(pages)
-}
-
-// RecyclePageSlice recycles the slice WITHOUT releasing the page
-// buffers — for callers that moved the CommittedPage values (and with
-// them page ownership) into another slice.
-func RecyclePageSlice(pages []CommittedPage) {
-	committedPagesPool.Put(pages)
-}
-
-// Release returns the commit's page buffers and slice to the capture
-// pools. Safe to call once per captured commit; the commit must not be
-// used afterwards.
-func (cc *CapturedCommit) Release() {
-	if cc.Pages != nil {
-		ReleasePages(cc.Pages)
-		cc.Pages = nil
-	}
-}
-
-// MovePages transfers ownership of the commit's pages to the caller:
-// it appends the CommittedPage values to dst, recycles the commit's
-// own slice, and clears it. The caller becomes responsible for
-// releasing the pages (ReleasePages on the destination, once full).
-func (cc *CapturedCommit) MovePages(dst []CommittedPage) []CommittedPage {
-	dst = append(dst, cc.Pages...)
-	RecyclePageSlice(cc.Pages)
-	cc.Pages = nil
-	return dst
 }

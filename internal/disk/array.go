@@ -48,9 +48,6 @@ func (a *Array) Capacity() int64 {
 	return int64(len(a.devices)) * a.devices[0].Capacity()
 }
 
-// NumDevices returns the stripe width.
-func (a *Array) NumDevices() int { return len(a.devices) }
-
 // Write issues a contiguous write at virtual time at and returns the
 // completion time (the max across devices). Per-device pieces of one
 // logical IO are issued as a single command per device: the stripe

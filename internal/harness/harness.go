@@ -136,7 +136,6 @@ func Registry() []Experiment {
 		{"fig6", "PostgreSQL TPC-C across storage variants", Figure6},
 		{"shardsvc", "Sharded KV service: throughput vs shards x group-commit batch", ShardSvc},
 		{"replica", "Epoch shipping: throughput and lag vs mode x window", Replica},
-		{"chaos", "Fault matrix: seeds x schedules x topologies under YCSB-A", Chaos},
 		{"ablation-tlb", "Ablation: TLB shootdown threshold", AblationTLBThreshold},
 		{"ablation-store", "Ablation: COW radix store vs whole-object rewrite", AblationStoreBackend},
 		{"ablation-skip", "Ablation: persisting skip pointers", AblationSkipPointers},

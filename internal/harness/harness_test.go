@@ -90,7 +90,7 @@ func parsePct(t *testing.T, cell string) float64 {
 func TestRegistryComplete(t *testing.T) {
 	want := []string{"table1", "table2", "fig1", "table5", "table6", "fig3",
 		"table7", "table8", "fig4", "fig5", "table9", "table10", "fig6",
-		"shardsvc", "replica", "chaos"}
+		"shardsvc", "replica"}
 	for _, id := range want {
 		if _, ok := Find(id); !ok {
 			t.Errorf("experiment %s missing from registry", id)

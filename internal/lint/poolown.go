@@ -73,7 +73,6 @@ var poolAPIs = map[string]*ownAPI{
 	}},
 	"memsnap/internal/core.GetCommittedPages": {what: "committed-page slice", releases: []ownRelease{
 		{"memsnap/internal/core.ReleasePages", 0},
-		{"memsnap/internal/core.RecyclePageSlice", 0},
 	}},
 	"memsnap/internal/replica.(Delta).retain": {what: "delta reference", onRecv: true, releases: []ownRelease{
 		{"memsnap/internal/replica.(Delta).release", -1},

@@ -10,8 +10,9 @@ import (
 // Unreachable reports shipped code that no program runs: a function or
 // method declared in a non-test file that no root reaches.
 //
-// Roots are every package main's main (cmd/, examples/, the benchmark
-// driver), every init, every package-level var initialiser, and every
+// Roots are every package main's main (cmd/ and the benchmark driver;
+// an Example function lives in a _test.go file and is no root), every
+// init, every package-level var initialiser, and every
 // function whose declaration carries //lint:allow unreachable (what an
 // allow keeps, it keeps whole). Edges from a body, nested function
 // literals included, are:

@@ -66,9 +66,6 @@ func (o *Object) Epoch() Epoch {
 	return o.epoch
 }
 
-// MaxBlocks returns the object's capacity in blocks.
-func (o *Object) MaxBlocks() int64 { return o.maxBlocks }
-
 // Commit persists one uCheckpoint: every block lands in newly
 // allocated space, the dirtied radix-tree path is rewritten COW
 // bottom-up, and a checksummed commit record is written strictly
@@ -260,14 +257,4 @@ func (o *Object) ReadBlock(at time.Duration, idx int64, dst []byte) (time.Durati
 		dst = dst[:BlockSize]
 	}
 	return o.store.arr.Read(at, addr, dst), nil
-}
-
-// WrittenBlocks returns the indices of all blocks ever written, in
-// order. Used by restore paths that page data back in.
-func (o *Object) WrittenBlocks() []int64 {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	var idxs []int64
-	o.tree.forEach(func(idx, _ int64) { idxs = append(idxs, idx) })
-	return idxs
 }

@@ -383,3 +383,23 @@ func TestCommitRecoverProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// MaxBlocks returns the object's capacity in blocks.
+func (o *Object) MaxBlocks() int64 { return o.maxBlocks }
+
+// WrittenBlocks returns the indices of all blocks ever written, in
+// order.
+func (o *Object) WrittenBlocks() []int64 {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	var idxs []int64
+	o.tree.forEach(func(idx, _ int64) { idxs = append(idxs, idx) })
+	return idxs
+}
+
+// FreeBlocks reports allocatable space.
+func (s *Store) FreeBlocks() int64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.alloc.freeBlocks()
+}

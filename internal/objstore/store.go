@@ -240,10 +240,3 @@ func (s *Store) Objects() []string {
 	}
 	return names
 }
-
-// FreeBlocks reports allocatable space, for tests and tooling.
-func (s *Store) FreeBlocks() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.alloc.freeBlocks()
-}

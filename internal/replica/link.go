@@ -37,10 +37,8 @@ type Link struct {
 // starts (a cut mid-delta loses the whole delta).
 type outage struct {
 	from time.Duration
-	to   time.Duration // 1<<62 while the cut is open
+	to   time.Duration
 }
-
-const outageOpen = time.Duration(1) << 62
 
 // NewLink builds a link from cfg (Costs defaults to sim.DefaultCosts).
 func NewLink(cfg LinkConfig) *Link {
@@ -80,33 +78,12 @@ func (l *Link) Deliver(at time.Duration, size int) (time.Duration, bool) {
 	return arrive, true
 }
 
-// Cut severs the link at virtual time at: every message whose
-// transmission overlaps the cut — including one already in flight —
-// is lost, until Restore.
-func (l *Link) Cut(at time.Duration) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.outages = append(l.outages, outage{from: at, to: outageOpen})
-}
-
 // OutageWindow installs a bounded outage [from, to): every message
 // whose transmission overlaps the window is lost. Windows may be
 // installed ahead of virtual time — fault schedules pre-install them
-// at scenario start — and may overlap each other or an open Cut.
+// at scenario start — and may overlap each other.
 func (l *Link) OutageWindow(from, to time.Duration) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.outages = append(l.outages, outage{from: from, to: to})
-}
-
-// Restore heals the most recent open cut at virtual time at.
-func (l *Link) Restore(at time.Duration) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	for i := len(l.outages) - 1; i >= 0; i-- {
-		if l.outages[i].to == outageOpen {
-			l.outages[i].to = at
-			return
-		}
-	}
 }

@@ -1,4 +1,4 @@
-package replica_test
+package replica
 
 import (
 	"errors"
@@ -9,12 +9,36 @@ import (
 	"time"
 
 	"memsnap/internal/core"
-	"memsnap/internal/replica"
 	"memsnap/internal/shard"
 	"memsnap/internal/sim"
 )
 
 const regionBytes = 1 << 18
+
+// outageOpen is the end of an outage Cut opened and Restore has not
+// yet healed.
+const outageOpen = time.Duration(1) << 62
+
+// Cut severs the link at virtual time at: every message whose
+// transmission overlaps the cut — including one already in flight —
+// is lost, until Restore.
+func (l *Link) Cut(at time.Duration) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.outages = append(l.outages, outage{from: at, to: outageOpen})
+}
+
+// Restore heals the most recent open cut at virtual time at.
+func (l *Link) Restore(at time.Duration) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for i := len(l.outages) - 1; i >= 0; i-- {
+		if l.outages[i].to == outageOpen {
+			l.outages[i].to = at
+			return
+		}
+	}
+}
 
 func sysOpts(shards int) core.Options {
 	return core.Options{CPUs: shards, DiskBytesEach: 512 << 20}
@@ -29,7 +53,7 @@ func newSys(t *testing.T, shards int) *core.System {
 	return sys
 }
 
-func checkConverged(t *testing.T, svc *shard.Service, fol *replica.Follower) {
+func checkConverged(t *testing.T, svc *shard.Service, fol *Follower) {
 	t.Helper()
 	pd, err := svc.ShardDigests()
 	if err != nil {
@@ -59,12 +83,12 @@ func checkConverged(t *testing.T, svc *shard.Service, fol *replica.Follower) {
 func TestSyncReplicationBasic(t *testing.T) {
 	const shards = 4
 	sysA, sysB := newSys(t, shards), newSys(t, shards)
-	link := replica.NewLink(replica.LinkConfig{})
-	fol, err := replica.NewFollower(sysB, replica.FollowerConfig{Shards: shards, RegionBytes: regionBytes})
+	link := NewLink(LinkConfig{})
+	fol, err := NewFollower(sysB, FollowerConfig{Shards: shards, RegionBytes: regionBytes})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ship := replica.NewShipper(link, fol, shards, replica.Config{Mode: replica.Sync})
+	ship := NewShipper(link, fol, shards, Config{Mode: Sync})
 	svc, err := shard.New(sysA, shard.Config{Shards: shards, RegionBytes: regionBytes, Replicator: ship})
 	if err != nil {
 		t.Fatal(err)
@@ -117,7 +141,7 @@ func TestSyncReplicationBasic(t *testing.T) {
 // duplicate and leaves the follower region untouched.
 func TestDuplicateDeliveryIdempotent(t *testing.T) {
 	sysB := newSys(t, 1)
-	fol, err := replica.NewFollower(sysB, replica.FollowerConfig{Shards: 1, RegionBytes: regionBytes})
+	fol, err := NewFollower(sysB, FollowerConfig{Shards: 1, RegionBytes: regionBytes})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,16 +149,16 @@ func TestDuplicateDeliveryIdempotent(t *testing.T) {
 	for i := range page {
 		page[i] = byte(i)
 	}
-	d := &replica.Delta{Shard: 0, Seq: 1, Pages: []core.CommittedPage{{Index: 2, Data: page}}}
+	d := &Delta{Shard: 0, Seq: 1, Pages: []core.CommittedPage{{Index: 2, Data: page}}}
 
 	at, st := fol.Apply(time.Millisecond, d)
-	if st.Code != replica.ApplyOK || st.LastSeq != 1 {
+	if st.Code != ApplyOK || st.LastSeq != 1 {
 		t.Fatalf("first Apply = %+v; want OK at seq 1", st)
 	}
 	digest := fol.Digests()[0]
 
 	_, st = fol.Apply(at+time.Millisecond, d)
-	if st.Code != replica.ApplyDuplicate || st.LastSeq != 1 {
+	if st.Code != ApplyDuplicate || st.LastSeq != 1 {
 		t.Fatalf("second Apply = %+v; want Duplicate at seq 1", st)
 	}
 	if got := fol.Digests()[0]; got != digest {
@@ -146,8 +170,8 @@ func TestDuplicateDeliveryIdempotent(t *testing.T) {
 
 	// A delta from the past the follower never saw is also a
 	// duplicate (idempotent), and one from the future is a gap.
-	_, st = fol.Apply(time.Second, &replica.Delta{Shard: 0, Seq: 5, Pages: []core.CommittedPage{{Index: 1, Data: page}}})
-	if st.Code != replica.ApplyGap || st.LastSeq != 1 {
+	_, st = fol.Apply(time.Second, &Delta{Shard: 0, Seq: 5, Pages: []core.CommittedPage{{Index: 1, Data: page}}})
+	if st.Code != ApplyGap || st.LastSeq != 1 {
 		t.Fatalf("future Apply = %+v; want Gap at seq 1", st)
 	}
 }
@@ -158,12 +182,12 @@ func TestDuplicateDeliveryIdempotent(t *testing.T) {
 func TestLossyLinkConverges(t *testing.T) {
 	const shards = 2
 	sysA, sysB := newSys(t, shards), newSys(t, shards)
-	link := replica.NewLink(replica.LinkConfig{LossProb: 0.25, Seed: 9})
-	fol, err := replica.NewFollower(sysB, replica.FollowerConfig{Shards: shards, RegionBytes: regionBytes})
+	link := NewLink(LinkConfig{LossProb: 0.25, Seed: 9})
+	fol, err := NewFollower(sysB, FollowerConfig{Shards: shards, RegionBytes: regionBytes})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ship := replica.NewShipper(link, fol, shards, replica.Config{Mode: replica.Sync})
+	ship := NewShipper(link, fol, shards, Config{Mode: Sync})
 	svc, err := shard.New(sysA, shard.Config{Shards: shards, RegionBytes: regionBytes, Replicator: ship})
 	if err != nil {
 		t.Fatal(err)
@@ -211,8 +235,8 @@ func TestLossyLinkConverges(t *testing.T) {
 // delta shipping resumes.
 func TestGapSnapshotCatchUp(t *testing.T) {
 	sysA, sysB := newSys(t, 1), newSys(t, 1)
-	link := replica.NewLink(replica.LinkConfig{})
-	ship := replica.NewShipper(link, nil, 1, replica.Config{Window: 8})
+	link := NewLink(LinkConfig{})
+	ship := NewShipper(link, nil, 1, Config{Window: 8})
 	svc, err := shard.New(sysA, shard.Config{Shards: 1, RegionBytes: regionBytes, Replicator: ship})
 	if err != nil {
 		t.Fatal(err)
@@ -229,7 +253,7 @@ func TestGapSnapshotCatchUp(t *testing.T) {
 	}
 	ship.Flush()
 
-	fol, err := replica.NewFollower(sysB, replica.FollowerConfig{Shards: 1, RegionBytes: regionBytes})
+	fol, err := NewFollower(sysB, FollowerConfig{Shards: 1, RegionBytes: regionBytes})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,8 +294,8 @@ func TestGapSnapshotCatchUp(t *testing.T) {
 // closed by replaying deltas, with no snapshot transfer.
 func TestGapReplayCatchUp(t *testing.T) {
 	sysA, sysB := newSys(t, 1), newSys(t, 1)
-	link := replica.NewLink(replica.LinkConfig{})
-	ship := replica.NewShipper(link, nil, 1, replica.Config{Window: 8})
+	link := NewLink(LinkConfig{})
+	ship := NewShipper(link, nil, 1, Config{Window: 8})
 	svc, err := shard.New(sysA, shard.Config{Shards: 1, RegionBytes: regionBytes, Replicator: ship})
 	if err != nil {
 		t.Fatal(err)
@@ -288,7 +312,7 @@ func TestGapReplayCatchUp(t *testing.T) {
 	}
 	ship.Flush()
 
-	fol, err := replica.NewFollower(sysB, replica.FollowerConfig{Shards: 1, RegionBytes: regionBytes})
+	fol, err := NewFollower(sysB, FollowerConfig{Shards: 1, RegionBytes: regionBytes})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,12 +383,12 @@ func runFailover(t *testing.T, seed uint64) []uint64 {
 	t.Helper()
 	const shards = 4
 	sysA, sysB := newSys(t, shards), newSys(t, shards)
-	link := replica.NewLink(replica.LinkConfig{Seed: seed})
-	folB, err := replica.NewFollower(sysB, replica.FollowerConfig{Shards: shards, RegionBytes: regionBytes})
+	link := NewLink(LinkConfig{Seed: seed})
+	folB, err := NewFollower(sysB, FollowerConfig{Shards: shards, RegionBytes: regionBytes})
 	if err != nil {
 		t.Fatal(err)
 	}
-	shipA := replica.NewShipper(link, folB, shards, replica.Config{Mode: replica.Sync})
+	shipA := NewShipper(link, folB, shards, Config{Mode: Sync})
 	svcA, err := shard.New(sysA, shard.Config{
 		Shards: shards, RegionBytes: regionBytes, BatchSize: 4, Replicator: shipA,
 	})
@@ -431,7 +455,7 @@ func runFailover(t *testing.T, seed uint64) []uint64 {
 		err := svcA.Put("t", k, v)
 		if err == nil {
 			ok++
-		} else if errors.Is(err, replica.ErrLinkDown) {
+		} else if errors.Is(err, ErrLinkDown) {
 			failed++
 		} else {
 			t.Fatalf("tail put %d: unclean error %v", i, err)
@@ -439,7 +463,7 @@ func runFailover(t *testing.T, seed uint64) []uint64 {
 		tails = append(tails, tailOp{k, v, err})
 		// Sum-neutral transfer riding along on each shard in turn.
 		p := pairs[i%shards]
-		if terr := svcA.Do(shard.Op{Kind: shard.OpTransfer, Tenant: "t", Key: p[0], Key2: p[1], Value: 10}).Err; terr != nil && !errors.Is(terr, replica.ErrLinkDown) {
+		if terr := svcA.Do(shard.Op{Kind: shard.OpTransfer, Tenant: "t", Key: p[0], Key2: p[1], Value: 10}).Err; terr != nil && !errors.Is(terr, ErrLinkDown) {
 			t.Fatalf("tail transfer %d: unclean error %v", i, terr)
 		}
 	}
@@ -468,7 +492,7 @@ func runFailover(t *testing.T, seed uint64) []uint64 {
 	for i := 0; i < rounds*shards; i++ {
 		select {
 		case resp := <-inflight:
-			if resp.Err != nil && !errors.Is(resp.Err, replica.ErrLinkDown) {
+			if resp.Err != nil && !errors.Is(resp.Err, ErrLinkDown) {
 				t.Fatalf("in-flight op %d: unclean error %v", i, resp.Err)
 			}
 		default:
@@ -488,7 +512,7 @@ func runFailover(t *testing.T, seed uint64) []uint64 {
 	// Failover: promote the follower through the standard manifest
 	// recovery path, shipping onward (async) to a yet-unconnected
 	// follower slot.
-	shipB := replica.NewShipper(link, nil, shards, replica.Config{})
+	shipB := NewShipper(link, nil, shards, Config{})
 	svcB, err := folB.Promote(shard.Config{BatchSize: 4, Replicator: shipB})
 	if err != nil {
 		t.Fatal(err)
@@ -504,7 +528,7 @@ func runFailover(t *testing.T, seed uint64) []uint64 {
 			t.Fatalf("promoted shard %d did not bump the era: %+v", rec.Shard, rec)
 		}
 	}
-	if _, err := folB.Promote(shard.Config{}); !errors.Is(err, replica.ErrPromoted) {
+	if _, err := folB.Promote(shard.Config{}); !errors.Is(err, ErrPromoted) {
 		t.Fatalf("second Promote = %v; want ErrPromoted", err)
 	}
 
@@ -552,7 +576,7 @@ func runFailover(t *testing.T, seed uint64) []uint64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	folA, err := replica.NewFollower(sysA2, replica.FollowerConfig{
+	folA, err := NewFollower(sysA2, FollowerConfig{
 		Shards: shards, RegionBytes: regionBytes, StartAt: doneAt,
 	})
 	if err != nil {

@@ -179,41 +179,6 @@ func (s *Session) write(key, val []byte, tombstone bool) error {
 	return fmt.Errorf("rockskv: bad mode")
 }
 
-// MultiPut commits a batch of writes as one durable unit (RocksDB's
-// WriteCommitted transaction path: all changes reach the MemTable at
-// commit, §7.2).
-func (s *Session) MultiPut(kvs []KV) error {
-	db := s.db
-	s.clk.Advance(db.costs.KVOpCost * time.Duration(len(kvs)))
-	switch db.mode {
-	case ModeWAL:
-		db.lock.Lock(s.clk)
-		defer db.lock.Unlock(s.clk)
-		for _, kv := range kvs {
-			rec := encodeRecord(kv.Key, kv.Value, false)
-			db.log.Append(s.clk, rec)
-		}
-		db.log.Sync(s.clk)
-		for _, kv := range kvs {
-			db.mem.put(kv.Key, kv.Value, false)
-		}
-		s.maybeFlushLocked()
-		return nil
-	case ModeMemSnap:
-		return db.plist.multiPut(s.ctx, kvs, &db.lock, &db.pageLocks)
-	case ModeAurora:
-		for _, kv := range kvs {
-			db.lock.Lock(s.clk)
-			db.aurMem.put(kv.Key, kv.Value, false)
-			s.auroraMirror(kv.Key, kv.Value, false)
-			db.lock.Unlock(s.clk)
-		}
-		db.aur.Checkpoint(s.clk)
-		return nil
-	}
-	return fmt.Errorf("rockskv: bad mode")
-}
-
 func encodeRecord(key, val []byte, tombstone bool) []byte {
 	rec := make([]byte, 9+len(key)+len(val))
 	binary.LittleEndian.PutUint32(rec, uint32(len(key)))

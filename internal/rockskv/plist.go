@@ -157,36 +157,6 @@ func (p *plist) put(ctx *core.Context, key, val []byte, tombstone bool, structLo
 	return err
 }
 
-// multiPut applies a batch and persists once (WriteCommitted).
-// multiPut applies a batch under one structure-lock critical section
-// and persists once (WriteCommitted). Holding the structure lock
-// across the whole batch keeps page-lock acquisition globally ordered
-// (no thread ever waits for the structure lock while holding page
-// locks), which rules out deadlock between concurrent batches.
-func (p *plist) multiPut(ctx *core.Context, kvs []KV, structLock *sim.VLock, pageLocks *[1024]sim.VLock) error {
-	clk := ctx.Clock()
-	var locked []*sim.VLock
-	held := map[*sim.VLock]bool{}
-	structLock.Lock(clk)
-	for _, kv := range kvs {
-		ls, err := p.apply(ctx, kv.Key, kv.Value, false, pageLocks, held)
-		if err != nil {
-			structLock.Unlock(clk)
-			for _, l := range locked {
-				l.Unlock(clk)
-			}
-			return err
-		}
-		locked = append(locked, ls...)
-	}
-	structLock.Unlock(clk)
-	_, err := ctx.Persist(p.region, core.MSSync)
-	for _, l := range locked {
-		l.Unlock(clk)
-	}
-	return err
-}
-
 // apply performs the in-memory and in-region mutation for one write
 // and returns the page locks acquired (released by the caller after
 // the persist). The caller holds the structure lock. held tracks

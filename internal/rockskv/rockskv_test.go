@@ -7,6 +7,7 @@ import (
 	"sort"
 	"sync"
 	"testing"
+	"time"
 
 	"memsnap/internal/aurora"
 	"memsnap/internal/core"
@@ -119,6 +120,59 @@ func TestMultiPutVisible(t *testing.T) {
 	})
 }
 
+// TestWALScanAcrossFlushes drives WAL mode through several MemTable
+// flushes, with overwrites and deletes, and checks Seek — which merges
+// the MemTable with every SSTable's scan, newest first — against a map
+// model from a spread of start keys.
+func TestWALScanAcrossFlushes(t *testing.T) {
+	costs := sim.DefaultCosts()
+	fsys := fs.New(costs, disk.NewArray(costs, 2, 1<<30), fs.FFS)
+	db := NewWAL(fsys, sim.NewClock(), Config{MemTableLimit: 16 << 10})
+	s := db.NewSession(0)
+	const keys = 600
+	model := map[string]string{}
+	rng := sim.NewRNG(3)
+	for i := 0; i < 3000; i++ {
+		k := workload.Key16(rng.Int63n(keys))
+		if rng.Intn(5) == 0 {
+			if err := s.Delete(k); err != nil {
+				t.Fatal(err)
+			}
+			delete(model, string(k))
+			continue
+		}
+		v := fmt.Sprintf("v%d", i)
+		if err := s.Put(k, []byte(v)); err != nil {
+			t.Fatal(err)
+		}
+		model[string(k)] = v
+	}
+	if len(db.tables) == 0 || db.mem.bytes == 0 {
+		t.Fatalf("%d SSTables, %d MemTable bytes: want both sources populated", len(db.tables), db.mem.bytes)
+	}
+
+	sorted := make([]string, 0, len(model))
+	for k := range model {
+		sorted = append(sorted, k)
+	}
+	sort.Strings(sorted)
+	for _, start := range []int64{0, 1, 137, 300, 599, keys} {
+		for _, n := range []int{1, 25, keys} {
+			got := s.Seek(workload.Key16(start), n)
+			i := sort.SearchStrings(sorted, string(workload.Key16(start)))
+			want := sorted[i:min(i+n, len(sorted))]
+			if len(got) != len(want) {
+				t.Fatalf("Seek(%d, %d) returned %d entries, want %d", start, n, len(got), len(want))
+			}
+			for j, kv := range got {
+				if string(kv.Key) != want[j] || string(kv.Value) != model[want[j]] {
+					t.Fatalf("Seek(%d, %d)[%d] = %q=%q, want %q=%q", start, n, j, kv.Key, kv.Value, want[j], model[want[j]])
+				}
+			}
+		}
+	}
+}
+
 func TestWALFlushAndCompaction(t *testing.T) {
 	db := newWALKV(t)
 	s := db.NewSession(0)
@@ -218,22 +272,27 @@ func TestMemSnapRecovery(t *testing.T) {
 
 // TestCrashConsistencyValueSum reproduces the paper's §7.2 atomicity
 // test (scaled): threads transactionally increment random subsets of
-// counters via MultiPut; after a crash mid-run, every acknowledged
-// transaction must be fully present and unacknowledged ones fully
-// absent, which the value-sum invariant checks.
+// counters via MultiPut; after a crash, every acknowledged transaction
+// must be fully present and unacknowledged ones fully absent, which
+// the value-sum invariant checks. Two inputs: four threads with the
+// cut after the last acknowledgement (the sum equals the acknowledged
+// increments), and one thread with the cut at a random instant inside
+// its final transaction's commit window, before it is durable (the
+// final transaction is wholly absent, not partly applied), under five
+// cut seeds.
 func TestCrashConsistencyValueSum(t *testing.T) {
 	const (
 		keys      = 200
-		threads   = 4
 		txPerThr  = 25
 		keysPerTx = 10
 	)
-	sys, _ := core.NewSystem(core.Options{DiskBytesEach: 512 << 20})
-	proc := sys.NewProcess()
-	setup := proc.NewContext(0)
-	db, err := NewMemSnap(proc, setup, "memtable", 128<<20)
-	if err != nil {
-		t.Fatal(err)
+	inputs := []struct {
+		threads int
+		cutLast bool
+		seeds   []uint64
+	}{
+		{threads: 4, seeds: []uint64{123}},
+		{threads: 1, cutLast: true, seeds: []uint64{1, 2, 3, 4, 5}},
 	}
 	enc := func(v int64) []byte {
 		b := make([]byte, 8)
@@ -242,96 +301,123 @@ func TestCrashConsistencyValueSum(t *testing.T) {
 	}
 	dec := func(b []byte) int64 { return int64(binary.LittleEndian.Uint64(b)) }
 
-	init := db.NewSession(0)
-	for i := 0; i < keys; i++ {
-		init.Put(workload.Key16(int64(i)), enc(0))
-	}
-
-	// Each thread increments random keys; acked counts increments in
-	// durable transactions. Write-write isolation between transactions
-	// is the upper layer's job in RocksDB (its transaction lock
-	// manager), so the test takes per-key locks in sorted order around
-	// each read-modify-write transaction.
-	keyLocks := make([]sync.Mutex, keys)
-	var ackedMu sync.Mutex
-	acked := int64(0)
-	var wg sync.WaitGroup
-	for th := 0; th < threads; th++ {
-		wg.Add(1)
-		go func(th int) {
-			defer wg.Done()
-			s := db.NewSession(th)
-			rng := sim.NewRNG(uint64(th) + 55)
-			for txn := 0; txn < txPerThr; txn++ {
-				seen := map[int64]bool{}
-				ids := make([]int64, 0, keysPerTx)
-				for len(ids) < keysPerTx {
-					id := rng.Int63n(keys)
-					if seen[id] {
-						continue
-					}
-					seen[id] = true
-					ids = append(ids, id)
-				}
-				sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-				for _, id := range ids {
-					keyLocks[id].Lock()
-				}
-				var kvs []KV
-				for _, id := range ids {
-					cur, ok := s.Get(workload.Key16(id))
-					if !ok {
-						continue
-					}
-					kvs = append(kvs, KV{workload.Key16(id), enc(dec(cur) + 1)})
-				}
-				err := s.MultiPut(kvs)
-				for i := len(ids) - 1; i >= 0; i-- {
-					keyLocks[ids[i]].Unlock()
-				}
-				if err != nil {
-					return
-				}
-				ackedMu.Lock()
-				acked += int64(len(kvs))
-				ackedMu.Unlock()
+	for _, in := range inputs {
+		for _, seed := range in.seeds {
+			sys, _ := core.NewSystem(core.Options{DiskBytesEach: 512 << 20})
+			proc := sys.NewProcess()
+			setup := proc.NewContext(0)
+			db, err := NewMemSnap(proc, setup, "memtable", 128<<20)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}(th)
-	}
-	wg.Wait()
+			init := db.NewSession(0)
+			for i := 0; i < keys; i++ {
+				init.Put(workload.Key16(int64(i)), enc(0))
+			}
 
-	// Crash at the maximum observed virtual time: all acknowledged
-	// transactions are durable.
-	var maxAt = setup.Clock().Now()
-	for _, th := range proc.AddressSpace().Threads() {
-		if th.Clock().Now() > maxAt {
-			maxAt = th.Clock().Now()
-		}
-	}
-	sys.Array().CutPower(maxAt, sim.NewRNG(123))
+			// Each thread increments random keys; acked counts
+			// increments in durable transactions. Write-write isolation
+			// between transactions is the upper layer's job in RocksDB
+			// (its transaction lock manager), so the test takes per-key
+			// locks in sorted order around each read-modify-write
+			// transaction. lastStart and lastN record the final
+			// transaction's start and size (meaningful with one thread).
+			keyLocks := make([]sync.Mutex, keys)
+			var ackedMu sync.Mutex
+			acked := int64(0)
+			var lastStart time.Duration
+			lastN := int64(0)
+			var wg sync.WaitGroup
+			for th := 0; th < in.threads; th++ {
+				wg.Add(1)
+				go func(th int) {
+					defer wg.Done()
+					s := db.NewSession(th)
+					rng := sim.NewRNG(uint64(th) + 55)
+					for txn := 0; txn < txPerThr; txn++ {
+						seen := map[int64]bool{}
+						ids := make([]int64, 0, keysPerTx)
+						for len(ids) < keysPerTx {
+							id := rng.Int63n(keys)
+							if seen[id] {
+								continue
+							}
+							seen[id] = true
+							ids = append(ids, id)
+						}
+						sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+						for _, id := range ids {
+							keyLocks[id].Lock()
+						}
+						var kvs []KV
+						for _, id := range ids {
+							cur, ok := s.Get(workload.Key16(id))
+							if !ok {
+								continue
+							}
+							kvs = append(kvs, KV{workload.Key16(id), enc(dec(cur) + 1)})
+						}
+						start := s.Clock().Now()
+						err := s.MultiPut(kvs)
+						for i := len(ids) - 1; i >= 0; i-- {
+							keyLocks[ids[i]].Unlock()
+						}
+						if err != nil {
+							return
+						}
+						ackedMu.Lock()
+						acked += int64(len(kvs))
+						lastStart, lastN = start, int64(len(kvs))
+						ackedMu.Unlock()
+					}
+				}(th)
+			}
+			wg.Wait()
 
-	sys2, doneAt, err := core.Recover(core.Options{DiskBytesEach: 512 << 20}, sys.Array(), maxAt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	proc2 := sys2.NewProcess()
-	ctx2 := proc2.NewContext(0)
-	ctx2.Clock().AdvanceTo(doneAt)
-	db2, err := NewMemSnap(proc2, ctx2, "memtable", 128<<20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s2 := db2.NewSession(0)
-	var sum int64
-	for i := 0; i < keys; i++ {
-		v, ok := s2.Get(workload.Key16(int64(i)))
-		if !ok {
-			t.Fatalf("counter %d lost", i)
+			// Crash at the maximum observed virtual time, when all
+			// acknowledged transactions are durable, or inside the
+			// final transaction's commit window.
+			var maxAt = setup.Clock().Now()
+			for _, th := range proc.AddressSpace().Threads() {
+				if th.Clock().Now() > maxAt {
+					maxAt = th.Clock().Now()
+				}
+			}
+			rng := sim.NewRNG(seed)
+			cut := maxAt
+			if in.cutLast {
+				cut = lastStart + time.Duration(rng.Int63n(int64(maxAt-lastStart)+1))
+			}
+			sys.Array().CutPower(cut, rng)
+
+			sys2, doneAt, err := core.Recover(core.Options{DiskBytesEach: 512 << 20}, sys.Array(), maxAt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			proc2 := sys2.NewProcess()
+			ctx2 := proc2.NewContext(0)
+			ctx2.Clock().AdvanceTo(doneAt)
+			db2, err := NewMemSnap(proc2, ctx2, "memtable", 128<<20)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s2 := db2.NewSession(0)
+			var sum int64
+			for i := 0; i < keys; i++ {
+				v, ok := s2.Get(workload.Key16(int64(i)))
+				if !ok {
+					t.Fatalf("%d threads, seed %d: counter %d lost", in.threads, seed, i)
+				}
+				sum += dec(v)
+			}
+			want := acked
+			if in.cutLast {
+				want -= lastN
+			}
+			if sum != want {
+				t.Fatalf("%d threads, seed %d: value sum %d, want %d (acknowledged increments %d)", in.threads, seed, sum, want, acked)
+			}
 		}
-		sum += dec(v)
-	}
-	if sum != acked {
-		t.Fatalf("value sum %d != acknowledged increments %d", sum, acked)
 	}
 }
 

@@ -655,6 +655,8 @@ func (s *Service) Do(op Op) Response {
 }
 
 // Put durably sets tenant/key to value.
+//
+//lint:allow unreachable blocking-caller API (README "Serving layer")
 func (s *Service) Put(tenant, key string, value uint64) error {
 	return s.Do(Op{Kind: OpPut, Tenant: tenant, Key: key, Value: value}).Err
 }

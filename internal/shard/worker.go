@@ -308,22 +308,12 @@ func (sh *shard) apply(batch []*request) *pendingBatch {
 
 	// With a Replicator attached the Persist above captured the
 	// uCheckpoint's dirty pages; stamp them with the replication
-	// position the manifest page already carries. The pages move into
-	// a per-commit pooled slice (this batch stays pending while the
-	// next one applies, so the holder cannot reuse one buffer), and
-	// ownership passes to the Replicator via Owned.
+	// position the manifest page already carries. The captured slice is
+	// this commit's own (this batch stays pending while the next one
+	// applies), and ownership passes to the Replicator via Owned.
 	var commit Commit
 	if sh.svc.cfg.Replicator != nil {
-		caps := sh.ctx.TakeCaptured()
-		n := 0
-		for i := range caps {
-			n += len(caps[i].Pages)
-		}
-		if n > 0 {
-			pages := core.GetCommittedPages(n)
-			for i := range caps {
-				pages = caps[i].MovePages(pages)
-			}
+		if pages := sh.ctx.TakeCaptured(); pages != nil {
 			commit = Commit{Seq: sh.tab.man.commits, Era: sh.tab.man.era, Epoch: epoch, Pages: pages, Owned: true, TraceID: flow}
 		}
 	}

@@ -14,9 +14,11 @@ package memsnap_test
 //	sockio       - real sockets only at the documented wall boundaries
 //	hotalloc     - //memsnap:hotpath code is allocation-free
 //	poolown      - every pooled acquire reaches its release
-//	unreachable  - every non-test function is reachable from a main,
-//	               an init or a package-level initialiser, and every
-//	               field that reached code writes, reached code reads
+//	unreachable  - every non-test function is reachable from a main
+//	               under cmd/ or benchmark/ (the Example functions
+//	               beside this file are tests, not roots), an init or
+//	               a package-level initialiser, and every field that
+//	               reached code writes, reached code reads
 //
 // Escape hatch: //lint:allow <rule> <reason> on or above the line.
 

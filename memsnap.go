@@ -90,6 +90,8 @@ type Config struct {
 }
 
 // NewStore formats a fresh MemSnap machine.
+//
+//lint:allow unreachable public facade API (README "Quickstart")
 func NewStore(cfg Config) (*Store, error) {
 	return core.NewSystem(core.Options{
 		Costs:         cfg.Costs,
@@ -102,6 +104,8 @@ func NewStore(cfg Config) (*Store, error) {
 // RecoverStore reboots a machine from the disks of a previous one —
 // the crash-recovery path. It returns the recovered store and the
 // virtual time at which recovery finished.
+//
+//lint:allow unreachable public facade API (README "Quickstart")
 func RecoverStore(cfg Config, arr *disk.Array, at time.Duration) (*Store, time.Duration, error) {
 	return core.Recover(core.Options{
 		Costs:         cfg.Costs,

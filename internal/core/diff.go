@@ -47,8 +47,6 @@ const (
 var extentsPool = pool.NewSlicePool[Extent]()
 
 // GetExtents returns a pooled zero-length extent list.
-//
-//memsnap:owns
 func GetExtents() []Extent { return extentsPool.Get(16) }
 
 // ReleaseExtents recycles an extent list. Safe on nil.
@@ -145,8 +143,6 @@ type prevStore struct {
 // previous retained copy (nil when idx had none). Inserting a new
 // index past the ring capacity evicts — releases — the oldest resident
 // page's pre-image.
-//
-//memsnap:owns
 func (ps *prevStore) swap(idx int64, newPg *pool.Page) *pool.Page {
 	old := ps.pages[idx]
 	ps.pages[idx] = newPg

@@ -252,7 +252,6 @@ func (ctx *Context) DirtyPages() int { return ctx.th.DirtyLen() }
 // them releases them.
 //
 //memsnap:hotpath
-//memsnap:owns
 func (ctx *Context) Persist(r *Region, flags Flags) (objstore.Epoch, error) {
 	if flags&MSSync != 0 && flags&MSAsync != 0 {
 		//lint:allow hotalloc caller-bug error path, never taken in steady state

@@ -22,8 +22,6 @@ func CapturePoolStats() (pages, slices pool.Stats) {
 // GetCommittedPages returns a pooled zero-length []CommittedPage with
 // at least capHint capacity intent (the hint is used only on a pool
 // miss). Recycle with ReleasePages.
-//
-//memsnap:owns
 func GetCommittedPages(capHint int) []CommittedPage {
 	return committedPagesPool.Get(capHint)
 }

@@ -105,7 +105,6 @@ func Analyzers() []*Analyzer {
 		FaultPath,
 		SockIO,
 		HotAlloc,
-		PoolOwn,
 		Unreachable,
 	}
 }

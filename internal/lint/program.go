@@ -15,7 +15,7 @@ import (
 // go/types — static calls resolved exactly, interface method calls
 // resolved by class-hierarchy analysis over the module's named types.
 // The graph is shared by the program-level analyzers (hotalloc,
-// poolown).
+// unreachable).
 //
 // Function annotations (directive comments in a declaration's doc
 // block):
@@ -27,9 +27,6 @@ import (
 //	                    function is reachable from a hot path but is
 //	                    not steady-state (retry, catch-up, the far end
 //	                    of a simulated link)
-//	//memsnap:owns      the function takes or transfers ownership of
-//	                    pooled values: poolown permits Get results to
-//	                    escape through it (returned, stored, queued)
 //
 // Cross-package identity: the loader type-checks each module package
 // twice (once through the import graph, once as the analysis package
@@ -48,9 +45,9 @@ type FuncNode struct {
 	// Obj is the function's types object in its package's universe.
 	Obj *types.Func
 
-	// Hot, Cold, Owns mirror the //memsnap:hotpath, //memsnap:coldpath
-	// and //memsnap:owns annotations.
-	Hot, Cold, Owns bool
+	// Hot and Cold mirror the //memsnap:hotpath and //memsnap:coldpath
+	// annotations.
+	Hot, Cold bool
 
 	// Callees are the functions this one may call, in source order,
 	// deduplicated: static callees plus every module implementation of
@@ -68,9 +65,6 @@ type Program struct {
 	// non-test file, for CHA.
 	namedTypes []*types.Named
 }
-
-// FuncByKey returns the node for a stable function key, or nil.
-func (prog *Program) FuncByKey(key string) *FuncNode { return prog.funcs[key] }
 
 // Funcs returns every function node in deterministic key order.
 func (prog *Program) Funcs() []*FuncNode {
@@ -151,7 +145,6 @@ func NewProgram(pkgs []*Package) *Program {
 					Obj:  obj,
 					Hot:  hasDirective(fd.Doc, "hotpath"),
 					Cold: hasDirective(fd.Doc, "coldpath"),
-					Owns: hasDirective(fd.Doc, "owns"),
 				}
 				// Test-file twins of a declaration never displace the
 				// primary one; otherwise last writer wins (external test

@@ -13,7 +13,10 @@
 // the layers above nil out their references when they hand a buffer
 // on. A page that must outlive its first holder is shared, not copied:
 // Retain adds a holder, every holder owes exactly one Release, and the
-// page goes back to the pool with the last of them.
+// page goes back to the pool with the last of them. A Release past the
+// last holder panics rather than hand the page out twice; one that
+// lands after the page was handed out again cannot be told apart, so
+// the InUse audits in the layers above stay the leak check.
 package pool
 
 import (
@@ -54,13 +57,17 @@ type Page struct {
 func (pg *Page) Retain() { pg.holders.Add(1) }
 
 // Release drops one holder; the last one returns the page to its pool.
-// Safe on a nil handle.
+// Safe on a nil handle. Releasing more times than the page was held
+// panics.
 func (pg *Page) Release() {
 	if pg == nil || pg.owner == nil {
 		return
 	}
-	if pg.holders.Add(-1) > 0 {
+	switch n := pg.holders.Add(-1); {
+	case n > 0:
 		return
+	case n < 0:
+		panic("pool: page released more times than it was held")
 	}
 	pg.owner.put(pg)
 }

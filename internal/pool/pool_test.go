@@ -139,6 +139,26 @@ func TestPageRetainTwoHolders(t *testing.T) {
 	}
 }
 
+// TestPageDoubleReleasePanics: a Release past the last holder panics
+// instead of putting the page into the pool a second time, where two
+// Gets would hand out one buffer.
+func TestPageDoubleReleasePanics(t *testing.T) {
+	pp := NewPagePool(64)
+	pg := pp.Get()
+	pg.Retain()
+	pg.Release()
+	pg.Release()
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a third Release of a page held twice did not panic")
+		}
+		if st := pp.Stats(); st.Puts != 1 {
+			t.Fatalf("page returned %d times, want once: %+v", st.Puts, st)
+		}
+	}()
+	pg.Release()
+}
+
 // TestPageRetainAcrossGoroutines releases a page's holders from
 // different goroutines (the capture worker and an async sender do).
 func TestPageRetainAcrossGoroutines(t *testing.T) {

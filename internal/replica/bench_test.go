@@ -32,23 +32,23 @@ func benchPages() (prev, cur, whole []byte, ext []core.Extent) {
 
 // encodeLoop returns a function that encodes the benchPages delta from
 // scratch on every call (the cached encoding goes back to its pool and
-// the consumed extent list is re-attached first).
-func encodeLoop() (d *Delta, encodeAgain func()) {
+// the consumed extent list is re-attached first; the last encoding goes
+// back when the test ends).
+func encodeLoop(tb testing.TB) (d *Delta, encodeAgain func()) {
 	_, cur, whole, ext := benchPages()
 	d = &Delta{Shard: 0, Seq: 1, Pages: []core.CommittedPage{{Index: 1, Data: cur}, {Index: 2, Data: whole}}}
 	costs := sim.DefaultCosts()
+	tb.Cleanup(func() { encPool.Put(d.enc) })
 	return d, func() {
-		if d.enc != nil {
-			encPool.Put(d.enc)
-			d.enc = nil
-		}
+		encPool.Put(d.enc)
+		d.enc = nil
 		d.Pages[0].Extents = ext
 		d.encode(costs)
 	}
 }
 
 func BenchmarkEncodeDelta(b *testing.B) {
-	d, encodeAgain := encodeLoop()
+	d, encodeAgain := encodeLoop(b)
 	encodeAgain()
 	if kinds := frameKinds(b, d.enc); len(kinds) != 2 || kinds[0] != kindExtents || kinds[1] != kindFull {
 		b.Fatalf("frame kinds %v, want [extents full]", kinds)
@@ -65,7 +65,7 @@ func TestEncodeSteadyStateZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation accounting is unreliable under -race")
 	}
-	_, encodeAgain := encodeLoop()
+	_, encodeAgain := encodeLoop(t)
 	for i := 0; i < 8; i++ {
 		encodeAgain()
 	}
@@ -79,7 +79,7 @@ func TestEncodeSteadyStateZeroAlloc(t *testing.T) {
 // follower's own synchronous uCheckpoint.
 func BenchmarkFollowerApplyEncoded(b *testing.B) {
 	fol := batchFollower(b, 1)
-	d, encodeAgain := encodeLoop()
+	d, encodeAgain := encodeLoop(b)
 	encodeAgain()
 	apply := func() {
 		if _, st := fol.Apply(0, d); st.Code != ApplyOK {
@@ -108,7 +108,7 @@ func TestFollowerValidateSteadyStateZeroAlloc(t *testing.T) {
 	one := append([]byte(nil), prev...)
 	one[77] ^= 0x10
 	d := &Delta{Shard: 0, Seq: 1, Pages: []core.CommittedPage{diffPage(1, prev, cur), diffPage(2, nil, whole), diffPage(3, prev, one)}}
-	d.encode(sim.DefaultCosts())
+	encodeOwned(t, d)
 	if kinds := frameKinds(t, d.enc); !bytes.Equal(kinds, []byte{kindExtents, kindFull, kindExtents}) {
 		t.Fatalf("frame kinds %v, want [extents full extents]", kinds)
 	}

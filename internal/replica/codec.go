@@ -101,7 +101,6 @@ type encodeResult struct {
 // never be recomputed (larger) after the lists are gone.
 //
 //memsnap:hotpath
-//memsnap:owns
 func (d *Delta) encode(costs *sim.CostModel) encodeResult {
 	if d.enc != nil || len(d.Pages) == 0 {
 		return encodeResult{}

@@ -39,6 +39,17 @@ func codecDelta(seq uint64, index int64, prev, cur []byte) *Delta {
 	return &Delta{Shard: 0, Seq: seq, Pages: []core.CommittedPage{diffPage(index, prev, cur)}}
 }
 
+// encodeOwned encodes a delta the test built, which no pipeline
+// reference releases, and hands the encoding back to encPool when the
+// test ends: the package's pool audit counts every Get.
+func encodeOwned(tb testing.TB, d *Delta) encodeResult {
+	tb.Cleanup(func() {
+		encPool.Put(d.enc)
+		d.enc = nil
+	})
+	return d.encode(sim.DefaultCosts())
+}
+
 // decodePatch decodes every frame of enc onto a copy of base and
 // returns the patched page, failing the test on any malformed frame.
 func decodePatch(t *testing.T, enc, base []byte) []byte {
@@ -75,7 +86,6 @@ func frameKinds(t testing.TB, enc []byte) []byte {
 
 func TestCodecRoundTripKinds(t *testing.T) {
 	base := basePage()
-	costs := sim.DefaultCosts()
 	cases := []struct {
 		name   string
 		mutate func(cur []byte)
@@ -115,7 +125,7 @@ func TestCodecRoundTripKinds(t *testing.T) {
 			cur := append([]byte(nil), base...)
 			tc.mutate(cur)
 			d := codecDelta(1, 7, append([]byte(nil), base...), cur)
-			res := d.encode(costs)
+			res := encodeOwned(t, d)
 			if d.enc == nil {
 				t.Fatal("encode cached nothing")
 			}
@@ -156,7 +166,7 @@ func TestWireSizeStableAfterPreImageRelease(t *testing.T) {
 	if legacy != pagesWireSize(1) {
 		t.Fatalf("unencoded WireSize = %d, want legacy %d", legacy, pagesWireSize(1))
 	}
-	d.encode(sim.DefaultCosts())
+	encodeOwned(t, d)
 	ws := d.WireSize()
 	if ws >= legacy {
 		t.Fatalf("encoded WireSize = %d, not smaller than legacy %d", ws, legacy)
@@ -197,7 +207,7 @@ func TestCollectBatchPacksEncodedSizes(t *testing.T) {
 			cur[int(seq)*10+p] = byte(seq)
 			d.Pages = append(d.Pages, diffPage(int64(1+p), base, cur))
 		}
-		d.encode(sim.DefaultCosts())
+		encodeOwned(t, d)
 		if d.WireSize() > npages*32 {
 			t.Fatalf("seq %d: encoded WireSize = %d, expected small extent frames", seq, d.WireSize())
 		}
@@ -233,7 +243,7 @@ func TestBatchBytesStableUnderRetry(t *testing.T) {
 		cur := append([]byte(nil), base...)
 		cur[int(seq)*50] = 0xC0 | byte(seq)
 		d := codecDelta(seq, 1, append([]byte(nil), base...), cur)
-		d.encode(sim.DefaultCosts())
+		encodeOwned(t, d)
 		wire += d.WireSize()
 		run = append(run, d)
 	}

@@ -13,7 +13,6 @@ import (
 	"testing"
 
 	"memsnap/internal/core"
-	"memsnap/internal/sim"
 )
 
 func FuzzDeltaCodec(f *testing.F) {
@@ -42,7 +41,7 @@ func FuzzDeltaCodec(f *testing.F) {
 		}
 
 		d := codecDelta(1, 5, append([]byte(nil), base...), cur)
-		res := d.encode(sim.DefaultCosts())
+		res := encodeOwned(t, d)
 		if d.enc == nil {
 			t.Fatal("encode cached nothing")
 		}

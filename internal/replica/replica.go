@@ -46,7 +46,8 @@ var (
 	// demoted primary, or it was promoted).
 	ErrStale = errors.New("replica: superseded by a newer replication era")
 	// ErrNotAttached is returned by operations that need a service or
-	// follower endpoint that has not been attached yet.
+	// follower endpoint that has not been attached yet, and by a Sync
+	// ShipCommit after Close.
 	ErrNotAttached = errors.New("replica: shipper not attached to a service and follower")
 	// ErrPromoted is returned by follower operations after Promote.
 	ErrPromoted = errors.New("replica: follower has been promoted")
@@ -98,10 +99,14 @@ func (d *Delta) retain() { d.refs.Add(1) }
 
 // release drops one pipeline reference; the last one returns pooled
 // pages to the capture pool, the cached encoding to its pool and a
-// recycled delta to deltaPool. No holder touches d after its release.
+// recycled delta to deltaPool. No holder touches d after its release;
+// a release without a reference to drop panics.
 func (d *Delta) release() {
-	if d.refs.Add(-1) != 0 {
+	switch n := d.refs.Add(-1); {
+	case n > 0:
 		return
+	case n < 0:
+		panic("replica: delta released more times than it was retained")
 	}
 	if d.enc != nil {
 		encPool.Put(d.enc)

@@ -4,6 +4,7 @@ import (
 	"sync"
 	"time"
 
+	"memsnap/internal/core"
 	"memsnap/internal/obs"
 	"memsnap/internal/shard"
 )
@@ -75,7 +76,8 @@ type ShardRepStats struct {
 	// Gaps counts follower gap reports; Snapshots counts full-region
 	// catch-up transfers; Stale counts era rejections; Exhausted
 	// counts messages abandoned after the retry budget; Unsent counts
-	// deltas dropped because no follower was connected.
+	// deltas dropped because no follower was connected or the shipper
+	// was closed.
 	Gaps, Snapshots, Stale, Exhausted, Unsent int64
 	// Batches counts coalesced multi-delta transmissions acked as a
 	// unit; BatchedDeltas counts the deltas they carried.
@@ -122,8 +124,6 @@ type shipShard struct {
 
 // retain appends d to the replay history, keeping the last window
 // deltas; the history holds one reference per retained delta.
-//
-//memsnap:owns
 func (ss *shipShard) retain(d *Delta, window int) {
 	d.retain()
 	var evicted *Delta
@@ -145,8 +145,6 @@ func (ss *shipShard) retain(d *Delta, window int) {
 // ok=false when the history has a hole in that range (snapshot
 // catch-up required). An empty range is trivially covered. Returned
 // deltas carry a reference each; the caller releases them.
-//
-//memsnap:owns
 func (ss *shipShard) retainedRange(from, to uint64) ([]*Delta, bool) {
 	ss.mu.Lock()
 	defer ss.mu.Unlock()
@@ -244,11 +242,27 @@ func (s *Shipper) follower() *Follower {
 }
 
 // ShipCommit implements shard.Replicator. Async mode retains a
-// reference the queued job owns; the run loop releases it.
-//
-//memsnap:owns
+// reference the queued job owns; the run loop releases it. After Close
+// the commit is dropped: its owned pages go back to the capture pool,
+// it counts as Unsent, and Sync mode fails it with ErrNotAttached.
 func (s *Shipper) ShipCommit(shardID int, at time.Duration, c shard.Commit, snap func() shard.Snapshot) (time.Duration, error) {
 	ss := s.shards[shardID]
+	select {
+	case <-s.stop:
+		// Closed: the run loops and the replay windows are gone, so
+		// nothing would ship or release a delta built now.
+		if c.Owned {
+			core.ReleasePages(c.Pages)
+		}
+		ss.mu.Lock()
+		ss.st.Unsent++
+		ss.mu.Unlock()
+		if s.cfg.Mode == Sync {
+			return at, ErrNotAttached
+		}
+		return at, nil
+	default:
+	}
 	d := deltaPool.Get().(*Delta)
 	*d = Delta{Shard: shardID, Seq: c.Seq, Era: c.Era, Epoch: c.Epoch, Pages: c.Pages, pooled: c.Owned, recycled: true, TraceID: c.TraceID}
 	// Encode once, before the delta enters the pipeline: the cached

@@ -14,7 +14,6 @@ import (
 
 	"memsnap/internal/core"
 	"memsnap/internal/shard"
-	"memsnap/internal/sim"
 )
 
 // runReplicatedWorkload runs a single-shard synchronous replication
@@ -128,7 +127,7 @@ func TestUnknownFrameKindForcesSnapshotResync(t *testing.T) {
 	// Seq 1 lands normally (full frames: no pre-image yet).
 	base := basePage()
 	d1 := &Delta{Shard: 0, Seq: 1, Pages: []core.CommittedPage{{Index: 1, Data: append([]byte(nil), base...)}}}
-	d1.encode(sim.DefaultCosts())
+	encodeOwned(t, d1)
 	ss.retain(d1, s.cfg.Window)
 	if _, err := s.ship(ss, 0, []*Delta{d1}, nil, true); err != nil {
 		t.Fatal(err)
@@ -141,7 +140,7 @@ func TestUnknownFrameKindForcesSnapshotResync(t *testing.T) {
 		return &Delta{Shard: 0, Seq: seq, enc: kind2Frame(1, 300, base, cur)}
 	}
 	good := codecDelta(2, 2, basePage(), cur)
-	good.encode(sim.DefaultCosts())
+	encodeOwned(t, good)
 	for name, apply := range map[string]func() ApplyStatus{
 		"apply":     func() ApplyStatus { _, st := fol.Apply(0, bad(2)); return st },
 		"apply_run": func() ApplyStatus { _, st := fol.applyRun(0, []*Delta{good, bad(3)}); return st },

@@ -236,8 +236,6 @@ gathering:
 // MSAsync, and are answered by retire once it is durable. Returns nil
 // when the batch dirtied nothing. Captured pages move into the
 // pendingBatch's Commit, whose consumer releases them (Owned: true).
-//
-//memsnap:owns
 func (sh *shard) apply(batch []*request) *pendingBatch {
 	start := sh.ctx.Clock().Now()
 	// The batch's flow id: the first sampled request's trace id, carried

@@ -13,7 +13,6 @@ package memsnap_test
 //	faultpath    - region memory is reached only through the vm.Thread API
 //	sockio       - real sockets only at the documented wall boundaries
 //	hotalloc     - //memsnap:hotpath code is allocation-free
-//	poolown      - every pooled acquire reaches its release
 //	unreachable  - every non-test function is reachable from a main
 //	               under cmd/ or benchmark/ (the Example functions
 //	               beside this file are tests, not roots), an init or

@@ -250,7 +250,6 @@ func (b storeBacking) PageIn(clk *sim.Clock, pageIdx uint64, dst []byte) {
 	}
 	done, err := b.obj.ReadBlock(at, int64(pageIdx), dst)
 	if err != nil {
-		//lint:allow hotalloc fatal-path formatting; a failed page-in aborts the simulation
 		panic(fmt.Sprintf("core: page-in failed: %v", err))
 	}
 	if clk != nil {

@@ -66,8 +66,6 @@ func CaptureExtentStats() pool.Stats { return extentsPool.Stats() }
 // that would exceed maxDiffExtents collapses to one extent spanning
 // the first to the last modified byte. An identical page yields an
 // empty (but non-nil when dst was non-nil) list.
-//
-//memsnap:hotpath
 func DiffExtents(prev, cur []byte, dst []Extent) []Extent {
 	n := len(cur)
 	i := 0
@@ -199,11 +197,8 @@ func (ctx *Context) prevStoreFor(r *Region) *prevStore {
 	if budget > npages {
 		budget = npages
 	}
-	//lint:allow hotalloc one-time per (context, region) store construction
 	ps := &prevStore{region: r}
-	//lint:allow hotalloc one-time per (context, region) dense page table
 	ps.pages = make([]*pool.Page, npages)
-	//lint:allow hotalloc one-time per (context, region) eviction ring
 	ps.ring = make([]int32, budget)
 	ctx.prevStores = append(ctx.prevStores, ps)
 	return ps

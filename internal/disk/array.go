@@ -136,11 +136,9 @@ var writePlans sync.Pool
 func getWritePlan(devices int) *writePlan {
 	p, _ := writePlans.Get().(*writePlan)
 	if p == nil {
-		//lint:allow hotalloc sync.Pool miss; plans recycle in steady state
 		p = &writePlan{}
 	}
 	if cap(p.perDev) < devices {
-		//lint:allow hotalloc plan growth to stripe width, amortized across reuse
 		p.perDev = make([]devIO, devices)
 	}
 	p.perDev = p.perDev[:devices]

@@ -133,7 +133,6 @@ func (d *Device) ioCostLocked(start time.Duration, n int) time.Duration {
 
 func (d *Device) checkRange(offset int64, n int) {
 	if offset < 0 || offset+int64(n) > d.capacity {
-		//lint:allow hotalloc fatal-path formatting on an out-of-range IO
 		panic(fmt.Sprintf("disk: IO out of range: off=%d len=%d cap=%d", offset, n, d.capacity))
 	}
 }
@@ -141,7 +140,7 @@ func (d *Device) checkRange(offset int64, n int) {
 // getBlockLocked returns a block buffer with arbitrary contents.
 func (d *Device) getBlockLocked() *Block {
 	if len(d.free) == 0 {
-		//lint:allow hotalloc slab refill: one allocation per slabBlocks first-touched blocks; overwrites recycle through free
+		// One allocation per slabBlocks first-touched blocks; overwrites recycle through free.
 		slab := new([slabBlocks]Block)
 		for i := range slab {
 			d.free = append(d.free, &slab[i])
@@ -163,7 +162,6 @@ func (d *Device) getBlockLocked() *Block {
 func (d *Device) writeLocked(submit, completion time.Duration, offset int64, data []byte, adopt *Block) (spare *Block) {
 	d.checkRange(offset, len(data))
 	if adopt != nil && (offset%blockSize != 0 || len(data) != blockSize) {
-		//lint:allow hotalloc fatal-path formatting on a misaligned adopted write
 		panic(fmt.Sprintf("disk: adopted write must be one aligned block: off=%d len=%d", offset, len(data)))
 	}
 	parked := len(d.undo)

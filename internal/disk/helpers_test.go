@@ -24,8 +24,6 @@ func (d *Device) PeekAt(offset int64, buf []byte) {
 }
 
 // PeekAt reads array contents without cost.
-//
-//lint:allow faultpath deliberate zero-cost escape hatch for tests
 func (a *Array) PeekAt(offset int64, buf []byte) {
 	off := offset
 	remaining := buf

@@ -83,8 +83,8 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 
 // Analyzer is one checkable design rule. Exactly one of Run and
 // RunProgram is set: Run analyzes one package at a time, RunProgram
-// analyzes the whole loaded program at once (shared call graph,
-// cross-package annotations).
+// analyzes the whole loaded program at once (one function index and
+// interface resolution across packages).
 type Analyzer struct {
 	// Name is the rule name used in diagnostics and //lint:allow.
 	Name string
@@ -104,7 +104,6 @@ func Analyzers() []*Analyzer {
 		ClockCapture,
 		FaultPath,
 		SockIO,
-		HotAlloc,
 		Unreachable,
 	}
 }

@@ -227,7 +227,7 @@ func TestAnalyzerDocs(t *testing.T) {
 		}
 		seen[a.Name] = true
 	}
-	for _, want := range []string{"walltime", "globalrand", "clockcapture", "faultpath", "sockio", "hotalloc", "unreachable"} {
+	for _, want := range []string{"walltime", "globalrand", "clockcapture", "faultpath", "sockio", "unreachable"} {
 		if !seen[want] {
 			t.Errorf("suite is missing the %s analyzer", want)
 		}

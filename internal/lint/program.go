@@ -10,23 +10,9 @@ import (
 
 // This file grows the suite from per-file AST rules to whole-program
 // analysis: a Program aggregates every loaded package, indexes every
-// function declaration under a stable cross-package key, records the
-// //memsnap:* annotations, and builds a conservative call graph from
-// go/types — static calls resolved exactly, interface method calls
-// resolved by class-hierarchy analysis over the module's named types.
-// The graph is shared by the program-level analyzers (hotalloc,
-// unreachable).
-//
-// Function annotations (directive comments in a declaration's doc
-// block):
-//
-//	//memsnap:hotpath   the function and everything it transitively
-//	                    calls must be free of allocation sites
-//	                    (enforced by hotalloc)
-//	//memsnap:coldpath  prune hot-path traversal at this boundary: the
-//	                    function is reachable from a hot path but is
-//	                    not steady-state (retry, catch-up, the far end
-//	                    of a simulated link)
+// function declaration under a stable cross-package key, and resolves
+// interface method calls by class-hierarchy analysis over the module's
+// named types. The unreachable analyzer walks it.
 //
 // Cross-package identity: the loader type-checks each module package
 // twice (once through the import graph, once as the analysis package
@@ -34,7 +20,7 @@ import (
 // packages. FuncNodes are therefore keyed by the printable form
 // "pkgpath.(Recv).Name", which is identical in both universes.
 
-// FuncNode is one module function in the program's call graph.
+// FuncNode is one module function declaration.
 type FuncNode struct {
 	// Key is the stable identity "pkgpath.(Recv).Name".
 	Key string
@@ -44,15 +30,6 @@ type FuncNode struct {
 	Decl *ast.FuncDecl
 	// Obj is the function's types object in its package's universe.
 	Obj *types.Func
-
-	// Hot and Cold mirror the //memsnap:hotpath and //memsnap:coldpath
-	// annotations.
-	Hot, Cold bool
-
-	// Callees are the functions this one may call, in source order,
-	// deduplicated: static callees plus every module implementation of
-	// each interface method called (class-hierarchy analysis).
-	Callees []*FuncNode
 }
 
 // Program is the whole-module view shared by program analyzers.
@@ -107,25 +84,11 @@ func funcKey(fn *types.Func) string {
 	return b.String()
 }
 
-// hasDirective reports whether the declaration's doc block carries the
-// given //memsnap:<name> directive.
-func hasDirective(doc *ast.CommentGroup, name string) bool {
-	if doc == nil {
-		return false
-	}
-	for _, c := range doc.List {
-		if strings.TrimSpace(strings.TrimPrefix(c.Text, "//")) == "memsnap:"+name {
-			return true
-		}
-	}
-	return false
-}
-
-// NewProgram indexes the packages and builds the call graph.
+// NewProgram indexes the packages' function declarations and named
+// types.
 func NewProgram(pkgs []*Package) *Program {
 	prog := &Program{Pkgs: pkgs, funcs: map[string]*FuncNode{}}
 
-	// Pass 1: index declarations and named types.
 	for _, pkg := range pkgs {
 		for _, f := range pkg.Files {
 			for _, decl := range f.AST.Decls {
@@ -143,8 +106,6 @@ func NewProgram(pkgs []*Package) *Program {
 					File: f,
 					Decl: fd,
 					Obj:  obj,
-					Hot:  hasDirective(fd.Doc, "hotpath"),
-					Cold: hasDirective(fd.Doc, "coldpath"),
 				}
 				// Test-file twins of a declaration never displace the
 				// primary one; otherwise last writer wins (external test
@@ -170,70 +131,7 @@ func NewProgram(pkgs []*Package) *Program {
 			prog.namedTypes = append(prog.namedTypes, named)
 		}
 	}
-
-	// Pass 2: edges.
-	for _, node := range prog.funcs {
-		prog.buildEdges(node)
-	}
 	return prog
-}
-
-// buildEdges collects node's callees: every call expression in the
-// body (nested function literals included — they run on behalf of the
-// declaring function or capture its frame either way).
-func (prog *Program) buildEdges(node *FuncNode) {
-	info := node.Pkg.Info
-	seen := map[*FuncNode]bool{}
-	add := func(n *FuncNode) {
-		if n != nil && n != node && !seen[n] {
-			seen[n] = true
-			node.Callees = append(node.Callees, n)
-		}
-	}
-	ast.Inspect(node.Decl.Body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		for _, fn := range prog.callees(info, call) {
-			add(prog.funcs[funcKey(fn)])
-		}
-		return true
-	})
-}
-
-// callees resolves the possible targets of one call expression:
-// nothing for conversions, builtins and func-typed values; the exact
-// target for static calls; every module implementation for interface
-// method calls.
-func (prog *Program) callees(info *types.Info, call *ast.CallExpr) []*types.Func {
-	fun := ast.Unparen(call.Fun)
-	// A conversion, not a call.
-	if tv, ok := info.Types[fun]; ok && tv.IsType() {
-		return nil
-	}
-	switch x := fun.(type) {
-	case *ast.Ident:
-		if fn, ok := info.Uses[x].(*types.Func); ok {
-			return []*types.Func{fn}
-		}
-	case *ast.SelectorExpr:
-		if sel, ok := info.Selections[x]; ok {
-			fn, ok := sel.Obj().(*types.Func)
-			if !ok {
-				return nil
-			}
-			if types.IsInterface(sel.Recv()) {
-				return prog.implementations(sel.Recv(), fn.Name())
-			}
-			return []*types.Func{fn}
-		}
-		// Qualified package call (pkg.Fn).
-		if fn, ok := info.Uses[x.Sel].(*types.Func); ok {
-			return []*types.Func{fn}
-		}
-	}
-	return nil
 }
 
 // implementations is the CHA step: every named type declared in a

@@ -191,7 +191,7 @@ func (m *PhysMem) take() (pg *Page, reused bool) {
 	if n := len(m.free); n > 0 {
 		ff := m.free[n-1]
 		m.free = m.free[:n-1]
-		//lint:allow hotalloc fresh Page identity per frame reuse keeps stale frame pointers inert
+		// A fresh Page identity per frame reuse keeps stale frame pointers inert.
 		pg = &Page{frame: ff.frame, data: ff.data}
 		m.slot(ff.frame).Store(pg)
 		return pg, true
@@ -199,12 +199,11 @@ func (m *PhysMem) take() (pg *Page, reused bool) {
 	f := Frame(m.total)
 	if m.total%chunkFrames == 0 {
 		old := *m.dir.Load()
-		//lint:allow hotalloc directory growth, once per 16 K frames: a longer chunk list plus one new chunk
+		// Once per 16 K frames: a longer chunk list plus one new chunk.
 		grown := append(old[:len(old):len(old)], new(chunk))
 		m.dir.Store(&grown)
 	}
 	m.total++
-	//lint:allow hotalloc physical memory growth, once per frame for the machine lifetime
 	pg = &Page{frame: f, data: make([]byte, PageSize)}
 	m.slot(f).Store(pg)
 	return pg, false

@@ -153,8 +153,6 @@ func (c *Client) wakeAll() {
 // done: a wake the read loop left in the slot (closedWake) is drained
 // before done is checked, so one that lands after the check is the
 // one this caller receives.
-//
-//memsnap:hotpath
 func (c *Client) DoOnce(q *proto.Request) (proto.Response, error) {
 	slot := <-c.free
 	s := &c.slots[slot]
@@ -205,8 +203,6 @@ func (c *Client) DoOnce(q *proto.Request) (proto.Response, error) {
 // Write on the caller's goroutine). A flusher whose Write fails closes
 // the connection, so every caller whose frame was dropped fails through
 // c.done; a later send returns the write error without a syscall.
-//
-//memsnap:hotpath
 func (c *Client) send(q *proto.Request) error {
 	if err := c.wbuf.appendRequest(q); err != nil {
 		return err
@@ -221,8 +217,6 @@ func (c *Client) send(q *proto.Request) error {
 // shutdown closes the socket after a failed flush through the same
 // once as Close, so a later Close does not close it again. closed stays
 // unset: callers are failing on the write error, not on Close.
-//
-//memsnap:coldpath
 func (c *Client) shutdown() { c.closeOne.Do(func() { c.c.Close() }) }
 
 // finishTrace records the client round-trip span of a sampled request

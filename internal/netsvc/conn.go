@@ -120,7 +120,6 @@ func newConn(s *Server, nc net.Conn) *conn {
 // the write side stays open so in-flight responses still reach the
 // client.
 func (c *conn) closeRead() {
-	//lint:allow hotalloc off the frame path: the flusher calls it only once the connection is broken
 	c.closeReadOnce.Do(func() {
 		if tc, ok := c.c.(interface{ CloseRead() error }); ok {
 			tc.CloseRead()
@@ -152,8 +151,6 @@ func (w *deadlineWriter) Write(p []byte) (int, error) {
 // readLoop decodes frames and runs or submits them. It exits on EOF,
 // read error, or the first malformed frame (protocol errors are not
 // recoverable mid-stream: framing may be lost).
-//
-//memsnap:hotpath
 func (c *conn) readLoop() {
 	defer c.srv.wg.Done()
 	defer close(c.readerDone)
@@ -268,8 +265,6 @@ func (c *conn) runLone(si *slotInfo, op shard.Op) bool {
 // wbuf drops the replies, so shard workers and the reader never wedge
 // on a broken peer. It exits when the reader is done and the in-flight
 // table is empty, then closes the connection.
-//
-//memsnap:hotpath
 func (c *conn) writeLoop() {
 	defer c.srv.wg.Done()
 	defer c.srv.untrack(c)
@@ -361,7 +356,6 @@ func (c *conn) intern(b []byte) string {
 	if s, ok := c.strs[string(b)]; ok { // no-copy map lookup
 		return s
 	}
-	//lint:allow hotalloc intern miss path; copies amortize to zero while the budget has room
 	s := string(b)
 	for n := c.srv.interned.Load(); n < maxIntern; n = c.srv.interned.Load() {
 		if c.srv.interned.CompareAndSwap(n, n+1) {

@@ -11,7 +11,8 @@ import (
 // outBuf is the output side of one end of a connection: any goroutine
 // appends frames, and one elected flusher writes them for everyone. Its
 // two halves grow to the largest batch and are reused, so steady-state
-// appends and flushes allocate nothing.
+// appends and flushes allocate nothing (TestSteadyStateAllocsPerOp,
+// serial and pipelined).
 type outBuf struct {
 	mu       sync.Mutex
 	pending  []byte // appended, not yet handed to Write
@@ -52,8 +53,6 @@ func (b *outBuf) appendResponse(p *proto.Response) int {
 // so others can append meanwhile; any other caller returns nil at once.
 // A failed Write breaks the buffer, drops what is left and returns the
 // error to the flusher alone.
-//
-//memsnap:hotpath
 func (b *outBuf) flush() error {
 	b.mu.Lock()
 	if b.flushing {

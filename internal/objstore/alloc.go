@@ -48,7 +48,6 @@ func newAllocator(start, limit int64) *allocator {
 // operation, then allocate all of its blocks.
 func (a *allocator) alloc() (int64, error) {
 	if a.freeBlocks() == 0 {
-		//lint:allow hotalloc out-of-space error path
 		return 0, fmt.Errorf("objstore: out of space (limit %d)", a.limit)
 	}
 	return a.take(), nil

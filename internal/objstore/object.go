@@ -34,7 +34,7 @@ type Object struct {
 
 // commitScratch holds per-object buffers reused across Commit calls
 // (safe under o.mu), keeping the steady-state commit path
-// allocation-free.
+// allocation-free (TestCommitSteadyStateZeroAlloc).
 type commitScratch struct {
 	freed   []int64
 	extents []disk.Extent
@@ -93,11 +93,9 @@ func (o *Object) Commit(at time.Duration, writes []BlockWrite) (Epoch, time.Dura
 	}
 	for _, w := range writes {
 		if w.Index < 0 || w.Index >= o.maxBlocks {
-			//lint:allow hotalloc caller-bug error path
 			return 0, at, fmt.Errorf("objstore: block %d out of range for %q (max %d)", w.Index, o.name, o.maxBlocks)
 		}
 		if len(w.Data) > BlockSize {
-			//lint:allow hotalloc caller-bug error path
 			return 0, at, fmt.Errorf("objstore: block write of %d bytes", len(w.Data))
 		}
 	}
@@ -125,7 +123,6 @@ func (o *Object) Commit(at time.Duration, writes []BlockWrite) (Epoch, time.Dura
 	if !s.alloc.canAlloc(need, at) {
 		clear(o.spares[had:])
 		o.spares = o.spares[:had]
-		//lint:allow hotalloc out-of-space error path
 		return 0, at, fmt.Errorf("objstore: out of space committing %d blocks to %q", len(writes), o.name)
 	}
 	// Every block of this commit is allocated at the same virtual
@@ -164,7 +161,6 @@ func (o *Object) Commit(at time.Duration, writes []BlockWrite) (Epoch, time.Dura
 		Levels:   int64(o.tree.levels),
 	}
 	if sc.recBuf == nil {
-		//lint:allow hotalloc one-time lazy init of the commit-record sector
 		sc.recBuf = make([]byte, sectorSize)
 	}
 	rec.marshalInto(sc.recBuf)
@@ -183,7 +179,7 @@ func (o *Object) growSpares(n int) {
 	if short <= 0 {
 		return
 	}
-	//lint:allow hotalloc spare growth to the largest commit's block count, kept across commits
+	// Grows to the largest commit's block count; spares are kept across commits.
 	slab := make([]disk.Block, short)
 	for i := range slab {
 		o.spares = append(o.spares, &slab[i])
@@ -243,7 +239,6 @@ func (o *Object) relocate(n *node, levelsLeft int, idx []int64) int64 {
 // was never written) and returns the completion time.
 func (o *Object) ReadBlock(at time.Duration, idx int64, dst []byte) (time.Duration, error) {
 	if idx < 0 || idx >= o.maxBlocks {
-		//lint:allow hotalloc caller-bug error path
 		return at, fmt.Errorf("objstore: read block %d out of range for %q", idx, o.name)
 	}
 	o.mu.Lock()

@@ -23,10 +23,9 @@ type node struct {
 }
 
 func newNode(interior bool) *node {
-	//lint:allow hotalloc tree structure growth, retained across commits (COW rewrites reuse nodes)
+	// Nodes are retained across commits; COW rewrites reuse them.
 	n := &node{img: make([]byte, BlockSize)}
 	if interior {
-		//lint:allow hotalloc tree structure growth, retained across commits
 		n.kids = make([]*node, treeFanout)
 	}
 	return n

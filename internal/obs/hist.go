@@ -68,7 +68,8 @@ func BucketUpper(i int) time.Duration { return time.Duration(int64(1) << uint(i)
 // reported quantile by 1/(2*histSub) = 1.5625 % (the midpoint of a
 // bucket at most 1/32 of its lower edge wide); values below 64 ns,
 // Sum, Count and Max are exact. Record is lock-free (three atomic adds
-// plus a CAS loop for the max) and allocation-free, so hot paths
+// plus a CAS loop for the max) and allocation-free
+// (TestHistogramRecordDoesNotAllocate), so hot paths
 // record unconditionally; memory is fixed (about 8.3 KiB) however many
 // samples arrive. Quantiles are computed from snapshots on the cold
 // path. The zero value is ready to use.

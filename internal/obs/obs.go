@@ -242,10 +242,8 @@ func (r *Recorder) Span(cat Cat, name Name, track int32, start, dur time.Duratio
 // SpanFlow records a complete span bound into the cross-lane request
 // flow identified by flow (a sampled request's trace id; 0 records a
 // plain span). The record path is identical to Span — one mutex, one
-// value copy, no allocation — so trace propagation stays safe on the
-// hot paths.
-//
-//memsnap:hotpath
+// value copy, no allocation (netsvc TestSteadyStateAllocsPerOpObserved)
+// — so trace propagation stays safe on the hot paths.
 func (r *Recorder) SpanFlow(cat Cat, name Name, track int32, start, dur time.Duration, arg int64, flow uint64) {
 	if r == nil {
 		return

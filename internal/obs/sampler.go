@@ -8,8 +8,9 @@ import "sync/atomic"
 // requests are sampled with the same trace ids on every run, so
 // traced workloads stay reproducible end to end. The unsampled
 // fast path is one atomic add and one modulo — no locks, no
-// allocation — which keeps the wire hot path at its 0 allocs/op
-// ceiling with sampling enabled.
+// allocation — which keeps the wire hot path under its allocation
+// ceiling with sampling enabled (netsvc
+// TestSteadyStateAllocsPerOpObserved).
 //
 // A nil *Sampler never samples, so call sites hold an optional
 // sampler without branching on configuration.
@@ -36,8 +37,6 @@ func NewSampler(seed uint64, rate int) *Sampler {
 
 // Sample admits one request: it returns a nonzero trace id and true
 // when this request is sampled, 0 and false otherwise.
-//
-//memsnap:hotpath
 func (s *Sampler) Sample() (uint64, bool) {
 	if s == nil || s.rate == 0 {
 		return 0, false

@@ -20,7 +20,8 @@ import (
 // question ("which tenant is burning the wire *now*") the sketch
 // exists to answer.
 //
-// The update path is allocation-free at steady state: a map hit plus
+// The update path is allocation-free at steady state (netsvc
+// TestSteadyStateAllocsPerOpObserved runs it on every op): a map hit plus
 // three adds under one mutex; an eviction rewrites one slot and two
 // map entries of a pre-sized map. A nil *TenantSketch ignores updates,
 // so the shard worker calls unconditionally.
@@ -75,8 +76,6 @@ func NewTenantSketch(k int) *TenantSketch {
 // request frame and lat of commit (or completion) latency. Safe for
 // concurrent use; no-op on a nil sketch or an empty tenant (internal
 // probes carry no tenant).
-//
-//memsnap:hotpath
 func (s *TenantSketch) Observe(tenant string, wireBytes uint32, lat time.Duration) {
 	if s == nil || tenant == "" {
 		return

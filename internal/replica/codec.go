@@ -57,8 +57,6 @@ func extentsSize(ext []core.Extent) int {
 }
 
 // appendFrameHeader appends one frame header.
-//
-//memsnap:hotpath
 func appendFrameHeader(dst []byte, index int64, kind byte, payload int) []byte {
 	dst = binary.LittleEndian.AppendUint64(dst, uint64(index))
 	dst = append(dst, kind, byte(payload), byte(payload>>8), byte(payload>>16))
@@ -68,8 +66,6 @@ func appendFrameHeader(dst []byte, index int64, kind byte, payload int) []byte {
 // appendPageFrame appends the smaller frame encoding pg: its extents
 // when it was diffed at capture (Extents non-nil) and they are smaller
 // than the page, the whole page otherwise.
-//
-//memsnap:hotpath
 func appendPageFrame(dst []byte, pg *core.CommittedPage) (out []byte, extents int) {
 	size := extentsSize(pg.Extents)
 	if pg.Extents == nil || size >= len(pg.Data) {
@@ -99,8 +95,6 @@ type encodeResult struct {
 // consumed — released back to their pool — so the retained-window copy
 // of the delta holds only Data plus the encoding, and the encoding can
 // never be recomputed (larger) after the lists are gone.
-//
-//memsnap:hotpath
 func (d *Delta) encode(costs *sim.CostModel) encodeResult {
 	if d.enc != nil || len(d.Pages) == 0 {
 		return encodeResult{}
@@ -148,22 +142,17 @@ type frame struct {
 }
 
 // decodeFrame splits the first frame off enc.
-//
-//memsnap:hotpath
 func decodeFrame(enc []byte) (f frame, rest []byte, err error) {
 	if len(enc) < frameHeaderBytes {
-		//lint:allow hotalloc malformed-frame error path
 		return frame{}, nil, fmt.Errorf("replica: truncated frame header (%d bytes)", len(enc))
 	}
 	f.index = int64(binary.LittleEndian.Uint64(enc))
 	f.kind = enc[8]
 	plen := int(enc[9]) | int(enc[10])<<8 | int(enc[11])<<16
 	if f.kind > kindExtents {
-		//lint:allow hotalloc malformed-frame error path
 		return frame{}, nil, fmt.Errorf("replica: unknown frame kind %d", f.kind)
 	}
 	if len(enc) < frameHeaderBytes+plen {
-		//lint:allow hotalloc malformed-frame error path
 		return frame{}, nil, fmt.Errorf("replica: truncated frame payload (%d of %d bytes)", len(enc)-frameHeaderBytes, plen)
 	}
 	f.payload = enc[frameHeaderBytes : frameHeaderBytes+plen]
@@ -178,8 +167,6 @@ var errMalformedFrame = errors.New("replica: malformed frame payload")
 // bytes without writing anything — the follower runs it on every frame
 // BEFORE any byte lands in the region, so patchFrame never meets a
 // malformed frame midway through an apply and leaves a torn page.
-//
-//memsnap:hotpath
 func checkFrame(pageLen int, f frame) error {
 	switch f.kind {
 	case kindFull:
@@ -216,8 +203,6 @@ func checkFrame(pageLen int, f frame) error {
 // patchFrame applies one frame that passed checkFrame(len(page), f)
 // onto the live page bytes and returns the number of bytes written
 // (the memcpy cost the caller charges).
-//
-//memsnap:hotpath
 func patchFrame(page []byte, f frame) int {
 	if f.kind == kindFull {
 		return copy(page, f.payload)

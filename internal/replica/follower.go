@@ -125,8 +125,6 @@ type followerShard struct {
 // it walked (the caller charges DiffCost for them) and ok=false when any
 // frame is malformed or of an unknown kind; the caller must then reject
 // the whole delta with ApplyGap before writing anything.
-//
-//memsnap:hotpath
 func validateEnc(enc []byte) (full int, ok bool) {
 	for len(enc) > 0 {
 		fr, rest, err := decodeFrame(enc)
@@ -144,8 +142,6 @@ func validateEnc(enc []byte) (full int, ok bool) {
 // patchEnc applies a validated encoding onto the live region pages and
 // returns the bytes written. Frames were structure-checked by
 // validateEnc, so patching cannot fail midway.
-//
-//memsnap:hotpath
 func (fs *followerShard) patchEnc(enc []byte) (written int) {
 	for len(enc) > 0 {
 		var fr frame
@@ -314,8 +310,6 @@ func (f *Follower) applyRun(at time.Duration, run []*Delta) (time.Duration, Appl
 // the follower shard held — the catch-up (and era-reconciliation)
 // path. The whole region is written and persisted as one synchronous
 // uCheckpoint.
-//
-//memsnap:coldpath
 func (f *Follower) applySnapshot(at time.Duration, snap *shard.Snapshot) (time.Duration, error) {
 	f.mu.Lock()
 	promoted := f.promoted

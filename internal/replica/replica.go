@@ -91,7 +91,8 @@ type Delta struct {
 }
 
 // deltaPool recycles the deltas ShipCommit builds, so a replicated
-// commit allocates no Delta in the steady state.
+// commit allocates no Delta in the steady state
+// (TestShipCommitSteadyStateZeroAlloc).
 var deltaPool = sync.Pool{New: func() any { return new(Delta) }}
 
 // retain adds one pipeline reference.
@@ -135,8 +136,6 @@ const (
 // full-page framing otherwise. For an encoded delta this is a
 // constant for its whole pipeline life (the encoding is never
 // recomputed), so retry and batch byte accounting cannot drift.
-//
-//memsnap:hotpath
 func (d *Delta) WireSize() int {
 	if d.enc != nil {
 		return msgHeaderBytes + len(d.enc)

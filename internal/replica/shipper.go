@@ -305,8 +305,6 @@ func (s *Shipper) ShipCommit(shardID int, at time.Duration, c shard.Commit, snap
 // behind a snapshot transfer), then the queue, then a final drain
 // after stop. Each fetched job seeds a coalescing pass over whatever
 // else is already waiting.
-//
-//memsnap:hotpath
 func (s *Shipper) run(ss *shipShard) {
 	defer s.wg.Done()
 	stopping := false
@@ -534,8 +532,6 @@ func (s *Shipper) ship(ss *shipShard, at time.Duration, run []*Delta, snapFn fun
 // catchUp closes a follower gap ending at d: replay the missing
 // deltas from the retained window when it covers them, otherwise —
 // or when the replay fails — transfer a full-region snapshot.
-//
-//memsnap:coldpath
 func (s *Shipper) catchUp(ss *shipShard, at time.Duration, folLast uint64, d *Delta, snapFn func() shard.Snapshot) (time.Duration, error) {
 	at, ok := s.replay(ss, at, folLast+1, d.Seq)
 	if ok {
@@ -572,8 +568,6 @@ func (s *Shipper) replay(ss *shipShard, at time.Duration, from, to uint64) (time
 // own queue into the backlog meanwhile, so whoever is running the
 // shard — possibly blocked on a full window — can always make progress
 // and let the snapshot request run: no deadlock.
-//
-//memsnap:coldpath
 func (s *Shipper) obtainSnapshot(ss *shipShard, snapFn func() shard.Snapshot) (*shard.Snapshot, error) {
 	if snapFn != nil {
 		snap := snapFn()
@@ -605,8 +599,6 @@ func (s *Shipper) obtainSnapshot(ss *shipShard, snapFn func() shard.Snapshot) (*
 }
 
 // sendSnapshot transfers a full-region snapshot through transmit.
-//
-//memsnap:coldpath
 func (s *Shipper) sendSnapshot(ss *shipShard, at time.Duration, snap *shard.Snapshot) (time.Duration, error) {
 	fol := s.follower()
 	if fol == nil {

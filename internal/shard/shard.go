@@ -538,14 +538,13 @@ func (s *Service) runIdle(sh *shard, op Op) (Response, bool, error) {
 	if !idle {
 		return Response{}, false, err
 	}
-	var resp Response
+	// Deferred, so a panic in the op (a pool guard, say) does not leave
+	// the worker blocked on the lock behind it.
+	defer sh.execMu.Unlock()
 	if op.Kind == OpGet {
-		resp = sh.read(op)
-	} else {
-		resp = sh.runOwn(op)
+		return sh.read(op), true, nil
 	}
-	sh.execMu.Unlock()
-	return resp, true, nil
+	return sh.runOwn(op), true, nil
 }
 
 // call runs a blocking op and returns its response. On an idle shard

@@ -374,8 +374,6 @@ func (sh *shard) applyOne(op Op) (resp Response, isWrite bool) {
 // replication metadata, a full-region snapshot or the region digest.
 // Probes come from the service itself (ShardSums, replication catch-up,
 // audits), never from a client request.
-//
-//memsnap:coldpath
 func (sh *shard) probeOne(kind OpKind) Response {
 	switch kind {
 	case opMeta:

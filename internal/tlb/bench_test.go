@@ -13,10 +13,11 @@ import (
 // AllocsPerRun tests beside them gate that.
 
 // shootdown8 returns a closure that caches one more page on CPU 0 of
-// an 8-CPU system and shoots it down, per call. Every CPU holds a
+// an 8-CPU system and shoots it down, per call: through ShootdownPage
+// when one is set, else through ShootdownPages. Every CPU holds a
 // 1,024-page working set of its own throughout, as eight shard workers
 // do; the shot page is CPU 0's newest entry and CPUs 1-7 never saw it.
-func shootdown8() func() {
+func shootdown8(one bool) func() {
 	s := NewSystem(nil, 8)
 	e := Entry{Page: new(mem.Page), Writable: true}
 	for cpu := 0; cpu < 8; cpu++ {
@@ -30,12 +31,16 @@ func shootdown8() func() {
 		next++
 		vpns[0] = next
 		s.CPU(0).Insert(next, e)
-		s.ShootdownPages(nil, vpns)
+		if one {
+			s.ShootdownPage(nil, next)
+		} else {
+			s.ShootdownPages(nil, vpns)
+		}
 	}
 }
 
 func BenchmarkShootdown8CPU(b *testing.B) {
-	op := shootdown8()
+	op := shootdown8(false)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -47,8 +52,10 @@ func TestShootdownSteadyStateZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
-	if n := testing.AllocsPerRun(500, shootdown8()); n != 0 {
-		t.Fatalf("steady-state shootdown allocates %v times per op, want 0", n)
+	for _, one := range []bool{false, true} {
+		if n := testing.AllocsPerRun(500, shootdown8(one)); n != 0 {
+			t.Errorf("steady-state shootdown (single page %v) allocates %v times per op, want 0", one, n)
+		}
 	}
 }
 

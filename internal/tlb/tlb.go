@@ -43,8 +43,9 @@ type slot struct {
 //
 // The cache is a fixed array of slots threaded as a doubly linked
 // FIFO list, plus a chained hash index from vpn to slot, so Lookup,
-// Insert and InvalidatePage are O(1) and never allocate, and
-// InvalidateAll costs the live entries, not the capacity.
+// Insert and InvalidatePage are O(1) and never allocate
+// (TestInsertEvictSteadyStateZeroAlloc, TestShootdownSteadyStateZeroAlloc),
+// and InvalidateAll costs the live entries, not the capacity.
 type TLB struct {
 	mu      sync.Mutex
 	slots   []slot
@@ -99,8 +100,6 @@ func (t *TLB) find(vpn uint64) int32 {
 }
 
 // Lookup returns the cached translation for vpn.
-//
-//memsnap:hotpath
 func (t *TLB) Lookup(vpn uint64) (Entry, bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -112,8 +111,6 @@ func (t *TLB) Lookup(vpn uint64) (Entry, bool) {
 
 // Insert caches a translation, evicting FIFO if full. Re-inserting a
 // cached vpn updates it in place and keeps its age.
-//
-//memsnap:hotpath
 func (t *TLB) Insert(vpn uint64, e Entry) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -153,8 +150,6 @@ func (t *TLB) unlink(i int32) {
 }
 
 // InvalidatePage drops the translation for vpn, if cached.
-//
-//memsnap:hotpath
 func (t *TLB) InvalidatePage(vpn uint64) {
 	if t.live.Load() == 0 {
 		return
@@ -251,7 +246,7 @@ func (s *System) ShootdownPages(clk *sim.Clock, vpns []uint64) {
 
 // ShootdownPage is the single-page ShootdownPages: same IPI cost,
 // no vpns slice — the allocation-free variant for per-page callers on
-// the persist path.
+// the persist path (TestShootdownSteadyStateZeroAlloc).
 func (s *System) ShootdownPage(clk *sim.Clock, vpn uint64) {
 	if clk != nil {
 		clk.Advance(s.costs.TLBShootdownPerPage)

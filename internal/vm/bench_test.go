@@ -76,13 +76,20 @@ func (s *benchSpace) retire() {
 
 var benchSink *mem.Page
 
-// translateHit returns a closure resolving one cached read translation
-// per call.
-func translateHit() func() {
+// hitSpace returns a bench space whose every page has a cached read
+// translation.
+func hitSpace() *benchSpace {
 	s := newBenchSpace()
 	for p := uint64(0); p < benchPages; p++ {
 		s.th.PageForRead(benchBase + p*PageSize)
 	}
+	return s
+}
+
+// translateHit returns a closure resolving one cached read translation
+// per call.
+func translateHit() func() {
+	s := hitSpace()
 	return func() { benchSink = s.th.translate(s.addr(), false) }
 }
 
@@ -100,7 +107,12 @@ func TestTranslateHitSteadyStateZeroAlloc(t *testing.T) {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
 	if n := testing.AllocsPerRun(5000, translateHit()); n != 0 {
-		t.Fatalf("a TLB hit allocates %v times per op, want 0", n)
+		t.Errorf("a TLB hit allocates %v times per op, want 0", n)
+	}
+	s := hitSpace()
+	buf := make([]byte, 8)
+	if n := testing.AllocsPerRun(5000, func() { s.th.Read(s.addr()+64, buf) }); n != 0 {
+		t.Errorf("a Thread.Read through a TLB hit allocates %v times per op, want 0", n)
 	}
 }
 
@@ -126,18 +138,27 @@ func TestWriteFaultSteadyStateZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
-	s := newBenchSpace()
-	s.dirtyAll() // grow the trace buffer to its steady size
-	s.reset(false)
-	faults := 0
-	n := testing.AllocsPerRun(4*benchPages, func() {
-		if faults++; faults%benchPages == 0 {
-			s.reset(false)
+	buf := make([]byte, 8)
+	for _, tc := range []struct {
+		name  string
+		write func(s *benchSpace)
+	}{
+		{"translate", func(s *benchSpace) { benchSink = s.th.translate(s.addr(), true) }},
+		{"Thread.Write", func(s *benchSpace) { s.th.Write(s.addr()+64, buf) }},
+	} {
+		s := newBenchSpace()
+		s.dirtyAll() // grow the trace buffer to its steady size
+		s.reset(false)
+		faults := 0
+		n := testing.AllocsPerRun(4*benchPages, func() {
+			if faults++; faults%benchPages == 0 {
+				s.reset(false)
+			}
+			tc.write(s)
+		})
+		if n != 0 {
+			t.Errorf("a tracking fault through %s with its share of the reset allocates %v times per op, want 0", tc.name, n)
 		}
-		benchSink = s.th.translate(s.addr(), true)
-	})
-	if n != 0 {
-		t.Fatalf("a tracking fault with its share of the reset allocates %v times per op, want 0", n)
 	}
 }
 

@@ -135,8 +135,6 @@ func (as *AddressSpace) MarkCheckpointPages(records []DirtyRecord, buf []*mem.Pa
 // Until here the displaced frame was the checkpoint's snapshot; no
 // mapping of this address space refers to it (the COW path repointed
 // the PTE and shot the translation down on every CPU).
-//
-//memsnap:hotpath
 func (as *AddressSpace) RetireCheckpointPages(pages []*mem.Page) {
 	for _, pg := range pages {
 		pg.Unhold()

@@ -84,8 +84,6 @@ func (t *Thread) chargeFault(d time.Duration) {
 // paper's point that MemSnap does not *stop other threads* is modeled
 // in the cost model (nothing on this path charges for stopping a
 // thread), not by lock-freedom of the simulator.
-//
-//memsnap:hotpath
 func (t *Thread) translate(addr uint64, write bool) *mem.Page {
 	// TLB hit fast path: free, like hardware. The entry carries the
 	// page and the page its bytes, so a hit is this one lookup. A write
@@ -111,7 +109,6 @@ func (t *Thread) translateLocked(addr uint64, write bool) *mem.Page {
 
 	m := as.findMappingLocked(addr)
 	if m == nil {
-		//lint:allow hotalloc fatal-path formatting on a segfault
 		panic(fmt.Sprintf("vm: segfault at %#x (no mapping)", addr))
 	}
 	pte := as.table.Lookup(vpn)
@@ -146,7 +143,6 @@ func (t *Thread) translateLocked(addr uint64, write bool) *mem.Page {
 	pg := as.phys.Page(pte.Frame)
 	if write && !pte.Writable {
 		if !m.Tracked {
-			//lint:allow hotalloc fatal-path formatting on a protection violation
 			panic(fmt.Sprintf("vm: write to read-only mapping %q at %#x", m.Name, addr))
 		}
 		pg = t.writeFaultLocked(m, vpn, pte, pg)
@@ -234,8 +230,6 @@ func (t *Thread) writeFaultLocked(m *Mapping, vpn uint64, pte *pagetable.PTE, pg
 // cross-address-space Persist: the page could be marked and
 // snapshotted between the fault and the copy (TOCTOU), tearing the
 // captured frame.
-//
-//memsnap:hotpath
 func (t *Thread) Write(addr uint64, data []byte) {
 	as := t.as
 	t.clock.Advance(as.costs.MemcpyCost(len(data)))
@@ -255,8 +249,6 @@ func (t *Thread) Write(addr uint64, data []byte) {
 }
 
 // Read copies bytes out of the address space into buf.
-//
-//memsnap:hotpath
 func (t *Thread) Read(addr uint64, buf []byte) {
 	t.clock.Advance(t.as.costs.MemcpyCost(len(buf)))
 	for len(buf) > 0 {

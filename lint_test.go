@@ -12,7 +12,6 @@ package memsnap_test
 //	clockcapture - clocks are per-thread; pass them to goroutines explicitly
 //	faultpath    - region memory is reached only through the vm.Thread API
 //	sockio       - real sockets only at the documented wall boundaries
-//	hotalloc     - //memsnap:hotpath code is allocation-free
 //	unreachable  - every non-test function is reachable from a main
 //	               under cmd/ or benchmark/ (the Example functions
 //	               beside this file are tests, not roots), an init or

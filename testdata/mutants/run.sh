@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Mutant driver. Each *.patch in this directory plants one known defect
-# (a pooled buffer that is never released, or released twice). For each
-# patch the driver checks the tree out into a scratch git worktree,
+# (a pooled buffer that is never released, or released twice, or an
+# allocation on a hot path, with a sink file that makes it escape). For
+# each patch the driver checks the tree out into a scratch git worktree,
 # applies the patch and runs every test the patch's header names; each
 # of them must fail. A patch that no longer applies, a mutant that does
 # not build, or a named test that passes fails the driver, so a change

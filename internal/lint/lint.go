@@ -17,7 +17,10 @@
 //
 // disables the named rules for the line the comment is on and for the
 // line immediately below it (so it can trail the offending line or sit
-// on its own line above it). Use it sparingly and give a reason.
+// on its own line above it). Use it sparingly and give a reason. A
+// directive naming a rule that no analyzer in Analyzers() has is itself
+// reported (rule "allow"), so a misspelt or stale allow cannot sit
+// suppressing nothing.
 package lint
 
 import (
@@ -115,9 +118,23 @@ func Analyzers() []*Analyzer {
 // //lint:allow suppression semantics.
 func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 	var diags []Diagnostic
+	seen := map[string]bool{}
+	add := func(d Diagnostic) {
+		key := fmt.Sprintf("%s|%s|%s", d.Pos, d.Rule, d.Message)
+		if seen[key] {
+			return
+		}
+		seen[key] = true
+		diags = append(diags, d)
+	}
+	known := map[string]bool{}
+	for _, a := range Analyzers() {
+		known[a.Name] = true
+	}
 	allow := map[lineKey]map[string]bool{}
 	for _, pkg := range pkgs {
-		for k, rules := range allowedLines(pkg) {
+		lines, unknown := allowedLines(pkg, known)
+		for k, rules := range lines {
 			if allow[k] == nil {
 				allow[k] = map[string]bool{}
 			}
@@ -125,18 +142,14 @@ func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 				allow[k][r] = true
 			}
 		}
+		for _, d := range unknown {
+			add(d)
+		}
 	}
-	seen := map[string]bool{}
 	report := func(d Diagnostic) {
-		if allow[lineKey{d.Pos.Filename, d.Pos.Line}][d.Rule] {
-			return
+		if !allow[lineKey{d.Pos.Filename, d.Pos.Line}][d.Rule] {
+			add(d)
 		}
-		key := fmt.Sprintf("%s|%s|%s", d.Pos, d.Rule, d.Message)
-		if seen[key] {
-			return
-		}
-		seen[key] = true
-		diags = append(diags, d)
 	}
 	for _, pkg := range pkgs {
 		for _, a := range analyzers {
@@ -181,9 +194,12 @@ var allowRe = regexp.MustCompile(`^lint:allow\s+([A-Za-z0-9_,-]+)(\s|$)`)
 
 // allowedLines scans every comment in the package for //lint:allow
 // directives and returns the set of (file, line) -> rules they
-// suppress. A directive covers its own line and the next line.
-func allowedLines(pkg *Package) map[lineKey]map[string]bool {
+// suppress and, unless known is nil, an "allow" diagnostic for each
+// rule a directive names that is not in known. A directive covers its
+// own line and the next line.
+func allowedLines(pkg *Package, known map[string]bool) (map[lineKey]map[string]bool, []Diagnostic) {
 	out := map[lineKey]map[string]bool{}
+	var unknown []Diagnostic
 	for _, f := range pkg.Files {
 		for _, cg := range f.AST.Comments {
 			for _, c := range cg.List {
@@ -198,6 +214,14 @@ func allowedLines(pkg *Package) map[lineKey]map[string]bool {
 					if rule == "" {
 						continue
 					}
+					if known != nil && !known[rule] {
+						unknown = append(unknown, Diagnostic{
+							Pos:     pos,
+							Rule:    "allow",
+							Message: fmt.Sprintf("//lint:allow names %q, which is no analyzer's rule", rule),
+						})
+						continue
+					}
 					for _, line := range []int{pos.Line, pos.Line + 1} {
 						k := lineKey{pos.Filename, line}
 						if out[k] == nil {
@@ -209,7 +233,7 @@ func allowedLines(pkg *Package) map[lineKey]map[string]bool {
 			}
 		}
 	}
-	return out
+	return out, unknown
 }
 
 // pathIsUnder reports whether the package import path is the prefix

@@ -186,7 +186,7 @@ var b = 2 //lint:allow rulethree
 	if len(pkgs) != 1 {
 		t.Fatalf("got %d packages, want 1", len(pkgs))
 	}
-	allow := allowedLines(pkgs[0])
+	allow, _ := allowedLines(pkgs[0], nil)
 	file := filepath.Join(dir, "allowfix.go")
 	for _, tc := range []struct {
 		line int

@@ -62,7 +62,7 @@ func runUnreachable(pass *ProgramPass) {
 	roots, testRoots := newUses(), newUses()
 	hasMain := false
 	for _, pkg := range prog.Pkgs {
-		allowed := allowedLines(pkg)
+		allowed, _ := allowedLines(pkg, nil)
 		for _, f := range pkg.Files {
 			to := roots
 			if f.Test {

@@ -2,9 +2,10 @@
 // (§3, "Persisting MemSnap Regions"): a key-value store of named
 // objects whose block contents are indexed by COW radix trees. Every
 // uCheckpoint commit writes data to freshly allocated space, rewrites
-// the affected tree path bottom-up, and finally persists a checksummed
-// commit record; the commit record write is ordered after the data
-// write, so an interrupted commit is invisible after recovery.
+// the affected tree path below the top level bottom-up, and finally
+// persists a checksummed commit record that carries the top level; the
+// commit record write is ordered after the data write, so an
+// interrupted commit is invisible after recovery.
 //
 // The store deliberately has no file API, no buffer cache and no
 // POSIX semantics — it does direct IO against the disk array and

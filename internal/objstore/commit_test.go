@@ -61,8 +61,8 @@ func TestCommitOutOfSpaceIsAtomic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Each commit adds a block and a new leaf and root, and frees the
-	// old leaf and root once durable: one block net.
+	// Each commit adds a block and a new leaf, and frees the old leaf
+	// once durable: one block net. The top level is in the record.
 	next := int64(1)
 	for s.FreeBlocks() > 8 {
 		if durable, err = commitAt(o, durable, BlockWrite{Index: next, Data: block(byte(next))}); err != nil {
@@ -71,10 +71,10 @@ func TestCommitOutOfSpaceIsAtomic(t *testing.T) {
 		next++
 	}
 	free := s.FreeBlocks()
-	if q := len(s.alloc.quarantine); q != 2 {
-		t.Fatalf("%d blocks quarantined, want the last commit's leaf and root", q)
+	if q := len(s.alloc.quarantine); q != 1 {
+		t.Fatalf("%d blocks quarantined, want the last commit's leaf", q)
 	}
-	// free writes plus a leaf and a root: free + 2 blocks.
+	// free writes plus a leaf: free + 1 blocks.
 	writes := []BlockWrite{{Index: 0, Data: block(2)}}
 	for i := int64(1); i < free; i++ {
 		writes = append(writes, BlockWrite{Index: 500 + i, Data: []byte{byte(i)}})
@@ -82,7 +82,7 @@ func TestCommitOutOfSpaceIsAtomic(t *testing.T) {
 
 	before := objectState(o)
 	if _, _, err := o.Commit(durable-1, writes); err == nil || !strings.Contains(err.Error(), "out of space") {
-		t.Fatalf("commit needing %d blocks with %d free: err %v, want out of space", free+2, free, err)
+		t.Fatalf("commit needing %d blocks with %d free: err %v, want out of space", free+1, free, err)
 	}
 	if after := objectState(o); after != before {
 		t.Fatalf("failed commit changed the object:\nbefore:\n%s\nafter:\n%s", before, after)
@@ -114,48 +114,57 @@ func TestCommitOutOfSpaceIsAtomic(t *testing.T) {
 }
 
 // TestCommitBlocksIsExact holds the space check's count to what a
-// commit really allocates, on a three-level tree with writes that share
-// leaves, share interior nodes, repeat an index, or stand alone: after
-// each commit the free space is exactly what was free, plus the
+// commit really allocates, on trees of one, two and three levels (no
+// root block: the top level is in the commit record) with writes that
+// share leaves, share interior nodes, repeat an index, or stand alone:
+// after each commit the free space is exactly what was free, plus the
 // quarantine entries that matured, minus commitBlocks.
 func TestCommitBlocksIsExact(t *testing.T) {
 	s, _ := newStore(t)
-	o, at, err := s.CreateObject(0, "o", 3*treeFanout*treeFanout*BlockSize)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if o.tree.levels != 3 {
-		t.Fatalf("%d tree levels, want 3", o.tree.levels)
-	}
-	rng := sim.NewRNG(5)
-	data := block(9)
-	for c := 0; c < 300; c++ {
-		writes := make([]BlockWrite, 1+rng.Intn(24))
-		base := rng.Int63n(o.MaxBlocks())
-		for i := range writes {
-			idx := base
-			switch rng.Intn(4) {
-			case 0:
-				idx = rng.Int63n(o.MaxBlocks())
-			case 1:
-				idx = min(base+rng.Int63n(2*treeFanout), o.MaxBlocks()-1)
-			case 2:
-				idx = min(base+rng.Int63n(8), o.MaxBlocks()-1)
-			}
-			writes[i] = BlockWrite{Index: idx, Data: data}
-		}
-		free := s.FreeBlocks()
-		for _, q := range s.alloc.quarantine {
-			if q.release <= at {
-				free++
-			}
-		}
-		need := o.commitBlocks(writes)
-		if at, err = commitAt(o, at, writes...); err != nil {
+	var at time.Duration
+	for _, tc := range []struct {
+		levels int
+		blocks int64
+	}{{1, rootSlots}, {2, rootSlots * treeFanout}, {3, 3 * treeFanout * treeFanout}} {
+		levels, blocks := tc.levels, tc.blocks
+		o, done, err := s.CreateObject(at, fmt.Sprint("o", levels), blocks*BlockSize)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if got := s.FreeBlocks(); got != free-need {
-			t.Fatalf("commit %d: %d blocks free, want %d - %d", c, got, free, need)
+		at = done
+		if o.tree.levels != levels {
+			t.Fatalf("%d blocks: %d tree levels, want %d", blocks, o.tree.levels, levels)
+		}
+		rng := sim.NewRNG(5)
+		data := block(9)
+		for c := 0; c < 300; c++ {
+			writes := make([]BlockWrite, 1+rng.Intn(24))
+			base := rng.Int63n(o.MaxBlocks())
+			for i := range writes {
+				idx := base
+				switch rng.Intn(4) {
+				case 0:
+					idx = rng.Int63n(o.MaxBlocks())
+				case 1:
+					idx = min(base+rng.Int63n(2*treeFanout), o.MaxBlocks()-1)
+				case 2:
+					idx = min(base+rng.Int63n(8), o.MaxBlocks()-1)
+				}
+				writes[i] = BlockWrite{Index: idx, Data: data}
+			}
+			free := s.FreeBlocks()
+			for _, q := range s.alloc.quarantine {
+				if q.release <= at {
+					free++
+				}
+			}
+			need := o.commitBlocks(writes)
+			if at, err = commitAt(o, at, writes...); err != nil {
+				t.Fatal(err)
+			}
+			if got := s.FreeBlocks(); got != free-need {
+				t.Fatalf("%d levels, commit %d: %d blocks free, want %d - %d", levels, c, got, free, need)
+			}
 		}
 	}
 }

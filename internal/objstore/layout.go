@@ -3,6 +3,8 @@ package objstore
 import (
 	"encoding/binary"
 	"fmt"
+	"hash/crc32"
+	"slices"
 )
 
 // On-disk layout.
@@ -15,7 +17,8 @@ import (
 //
 // A tree node is one block of treeFanout little-endian child
 // addresses with no header; node.img in tree.go is that block, so
-// nodes have no marshal step.
+// nodes have no marshal step. The tree's top level is no block: its
+// rootSlots child addresses ride in the object's commit record.
 const (
 	magicSuper  = 0x4d534e41505355 // "MSNAPSU"
 	magicDirRec = 0x4d534e41504452 // "MSNAPDR"
@@ -31,6 +34,12 @@ const (
 	// the previous valid record.
 	objRingSlots = 8
 	objRingBytes = objRingSlots * sectorSize
+
+	// A commit record is a recHeader-byte header, the tree's top level
+	// (rootSlots child addresses) and an 8-byte checksum, in one sector.
+	recHeader = 24
+	recSum    = sectorSize - 8
+	rootSlots = (recSum - recHeader) / 8
 )
 
 // dataStart returns the first block-aligned offset after the fixed
@@ -43,19 +52,13 @@ func dataStart() int64 {
 	return off
 }
 
-// checksum is FNV-1a inlined (identical to hash/fnv's 64-bit variant)
-// so the commit hot path does not allocate a hasher per record.
+// castagnoli is the CRC-32C table; on amd64 and arm64 crc32 computes
+// it with the CPU's CRC instructions.
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// checksum is the CRC-32C of b, stored in an 8-byte field.
 func checksum(b []byte) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for _, c := range b {
-		h ^= uint64(c)
-		h *= prime64
-	}
-	return h
+	return uint64(crc32.Checksum(b, castagnoli))
 }
 
 // superblock is written once at format time.
@@ -174,12 +177,16 @@ func unmarshalDirectory(buf []byte) []dirEntry {
 	return entries
 }
 
-// commitRecord is one object-ring slot: the durable root of one epoch.
+// commitRecord is one object-ring slot: the durable root of one
+// epoch. It carries the tree's top level itself, so a commit writes
+// no root block.
 type commitRecord struct {
-	Magic    uint64
-	Epoch    uint64
-	RootAddr int64 // disk offset of the root tree node (0 = empty tree)
-	Levels   int64
+	Magic  uint64
+	Epoch  uint64
+	Levels int64
+	// Root is the top level's image: rootSlots little-endian child
+	// addresses (0 = absent), as in tree.root.img.
+	Root []byte
 }
 
 // marshalInto writes the record into a caller-owned sector buffer.
@@ -187,20 +194,20 @@ func (r *commitRecord) marshalInto(buf []byte) {
 	clear(buf[:sectorSize])
 	binary.LittleEndian.PutUint64(buf[0:], r.Magic)
 	binary.LittleEndian.PutUint64(buf[8:], r.Epoch)
-	binary.LittleEndian.PutUint64(buf[16:], uint64(r.RootAddr))
-	binary.LittleEndian.PutUint64(buf[24:], uint64(r.Levels))
-	binary.LittleEndian.PutUint64(buf[32:], checksum(buf[:32]))
+	binary.LittleEndian.PutUint64(buf[16:], uint64(r.Levels))
+	copy(buf[recHeader:recSum], r.Root)
+	binary.LittleEndian.PutUint64(buf[recSum:], checksum(buf[:recSum]))
 }
 
 func unmarshalCommitRecord(buf []byte) (*commitRecord, bool) {
-	if checksum(buf[:32]) != binary.LittleEndian.Uint64(buf[32:]) {
+	if checksum(buf[:recSum]) != binary.LittleEndian.Uint64(buf[recSum:]) {
 		return nil, false
 	}
 	r := &commitRecord{
-		Magic:    binary.LittleEndian.Uint64(buf[0:]),
-		Epoch:    binary.LittleEndian.Uint64(buf[8:]),
-		RootAddr: int64(binary.LittleEndian.Uint64(buf[16:])),
-		Levels:   int64(binary.LittleEndian.Uint64(buf[24:])),
+		Magic:  binary.LittleEndian.Uint64(buf[0:]),
+		Epoch:  binary.LittleEndian.Uint64(buf[8:]),
+		Levels: int64(binary.LittleEndian.Uint64(buf[16:])),
+		Root:   slices.Clone(buf[recHeader:recSum]),
 	}
 	if r.Magic != magicObjRec {
 		return nil, false

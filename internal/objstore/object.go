@@ -67,11 +67,11 @@ func (o *Object) Epoch() Epoch {
 }
 
 // Commit persists one uCheckpoint: every block lands in newly
-// allocated space, the dirtied radix-tree path is rewritten COW
-// bottom-up, and a checksummed commit record is written strictly
-// after the data. Returns the new epoch and the virtual time at which
-// the commit is durable. A commit that fails, for lack of space or a
-// bad write, changes nothing.
+// allocated space, the dirtied radix-tree path below the top level is
+// rewritten COW bottom-up, and a checksummed commit record carrying
+// the top level is written strictly after the data. Returns the new
+// epoch and the virtual time at which the commit is durable. A commit
+// that fails, for lack of space or a bad write, changes nothing.
 //
 // Commits to one object serialize on o.mu. Commits to different
 // objects are independent in the model: each object has its own
@@ -140,10 +140,10 @@ func (o *Object) Commit(at time.Duration, writes []BlockWrite) (Epoch, time.Dura
 		}
 	}
 
-	// COW the written paths: every node on them moves to a new
-	// address; parents pick up the new child addresses, bottom-up from
-	// the root.
-	rootAddr := o.relocate(o.tree.root, o.tree.levels, sc.idx)
+	// COW the written paths: every node on them below the top level
+	// moves to a new address; parents pick up the new child addresses,
+	// bottom-up. The top level goes into the commit record.
+	o.relocate(o.tree.root, o.tree.levels, sc.idx)
 
 	// Phase 1: data + tree nodes as one vectored IO. The device adopts
 	// each data block and hands back a spare for its slot.
@@ -155,10 +155,10 @@ func (o *Object) Commit(at time.Duration, writes []BlockWrite) (Epoch, time.Dura
 	// Phase 2: the commit record, ordered after phase 1.
 	o.epoch++
 	rec := commitRecord{
-		Magic:    magicObjRec,
-		Epoch:    uint64(o.epoch),
-		RootAddr: rootAddr,
-		Levels:   int64(o.tree.levels),
+		Magic:  magicObjRec,
+		Epoch:  uint64(o.epoch),
+		Levels: int64(o.tree.levels),
+		Root:   o.tree.root.img,
 	}
 	if sc.recBuf == nil {
 		sc.recBuf = make([]byte, sectorSize)
@@ -187,9 +187,9 @@ func (o *Object) growSpares(n int) {
 }
 
 // commitBlocks returns exactly how many blocks committing writes
-// allocates: one per write, and one per distinct tree node on the
-// written paths, each of which relocate moves once. It leaves the
-// written indices sorted in sc.idx for relocate.
+// allocates: one per write, and one per distinct tree node below the
+// top level on the written paths, each of which relocate moves once.
+// It leaves the written indices sorted in sc.idx for relocate.
 func (o *Object) commitBlocks(writes []BlockWrite) int64 {
 	idx := o.sc.idx[:0]
 	for _, w := range writes {
@@ -197,9 +197,10 @@ func (o *Object) commitBlocks(writes []BlockWrite) int64 {
 	}
 	slices.Sort(idx)
 	o.sc.idx = idx
-	n := int64(len(writes)) + 1 // the data blocks and the root
+	n := int64(len(writes))
 	// Indices share a node h levels above the data blocks when they
-	// agree above their low treeShift*h bits; the root is h = levels.
+	// agree above their low treeShift*h bits; the top level, h =
+	// levels, is in the commit record.
 	for h := 1; h < o.tree.levels; h++ {
 		shift := uint(treeShift * h)
 		for i, x := range idx {
@@ -211,12 +212,12 @@ func (o *Object) commitBlocks(writes []BlockWrite) int64 {
 	return n
 }
 
-// relocate moves n, and every node below it on the written paths, to
-// fresh disk addresses and queues their images for the commit's
-// vectored write. idx holds the sorted written indices under n.
-// Children are moved in slot order, before their parent. Returns n's
-// new address. Commit has checked the space beforehand.
-func (o *Object) relocate(n *node, levelsLeft int, idx []int64) int64 {
+// relocate moves every node below n on the written paths to fresh
+// disk addresses, queues their images for the commit's vectored write
+// and points n's slots at them. idx holds the sorted written indices
+// under n. Children are moved in slot order, each after its own
+// children. Commit has checked the space beforehand.
+func (o *Object) relocate(n *node, levelsLeft int, idx []int64) {
 	sc := &o.sc
 	shift := uint(treeShift * (levelsLeft - 1))
 	for levelsLeft > 1 && len(idx) > 0 {
@@ -224,15 +225,16 @@ func (o *Object) relocate(n *node, levelsLeft int, idx []int64) int64 {
 		for j < len(idx) && int(idx[j]>>shift)&(treeFanout-1) == slot {
 			j++
 		}
-		n.setChild(slot, o.relocate(n.kids[slot], levelsLeft-1, idx[:j]))
+		kid := n.kids[slot]
+		o.relocate(kid, levelsLeft-1, idx[:j])
+		if kid.addr != 0 {
+			sc.freed = append(sc.freed, kid.addr)
+		}
+		kid.addr = o.store.alloc.take()
+		sc.extents = append(sc.extents, disk.Extent{Offset: kid.addr, Data: kid.img})
+		n.setChild(slot, kid.addr)
 		idx = idx[j:]
 	}
-	if n.addr != 0 {
-		sc.freed = append(sc.freed, n.addr)
-	}
-	n.addr = o.store.alloc.take()
-	sc.extents = append(sc.extents, disk.Extent{Offset: n.addr, Data: n.img})
-	return n.addr
 }
 
 // ReadBlock fills dst with block idx's contents (zeroes if the block

@@ -117,44 +117,43 @@ func (s *Store) loadObject(e dirEntry, at time.Duration, used usedSet) (*Object,
 		maxBlocks: e.MaxBlocks,
 		tree:      newTree(e.MaxBlocks),
 	}
-	if best == nil || best.RootAddr == 0 {
-		// Never committed (or only the zeroed ring exists): empty.
+	if best == nil {
+		// Never committed (only the zeroed ring exists): empty.
 		return obj, at, nil
 	}
-	obj.epoch = Epoch(best.Epoch)
-	obj.tree.levels = int(best.Levels)
-	root, doneAt, err := s.loadNode(best.RootAddr, int(best.Levels), at, used)
-	if err != nil {
-		return nil, at, err
+	if want := obj.tree.levels; best.Levels != int64(want) {
+		return nil, at, fmt.Errorf("objstore: %q commit record has %d tree levels, want %d for %d blocks", e.Name, best.Levels, want, e.MaxBlocks)
 	}
-	obj.tree.root = root
+	obj.epoch = Epoch(best.Epoch)
+	copy(obj.tree.root.img, best.Root)
+	at = s.loadKids(obj.tree.root, obj.tree.levels, at, used)
 	// Mark data blocks used.
 	obj.tree.forEach(func(_, addr int64) { used[addr] = true })
-	return obj, doneAt, nil
+	return obj, at, nil
 }
 
 // loadNode reads a serialized tree node and its descendants.
-func (s *Store) loadNode(addr int64, levelsLeft int, at time.Duration, used usedSet) (*node, time.Duration, error) {
+func (s *Store) loadNode(addr int64, levelsLeft int, at time.Duration, used usedSet) (*node, time.Duration) {
 	used[addr] = true
 	buf := make([]byte, BlockSize)
 	at = s.arr.Read(at, addr, buf)
 	n := &node{addr: addr, img: buf}
-	if levelsLeft > 1 {
-		n.kids = make([]*node, treeFanout)
-		for i := range n.kids {
-			child := n.child(i)
-			if child == 0 {
-				continue
-			}
-			kid, doneAt, err := s.loadNode(child, levelsLeft-1, at, used)
-			if err != nil {
-				return nil, at, err
-			}
-			at = doneAt
-			n.kids[i] = kid
+	return n, s.loadKids(n, levelsLeft, at, used)
+}
+
+// loadKids loads the descendants of interior node n, whose image is
+// already in place, and returns when the last read completes.
+func (s *Store) loadKids(n *node, levelsLeft int, at time.Duration, used usedSet) time.Duration {
+	if levelsLeft == 1 {
+		return at
+	}
+	n.kids = make([]*node, len(n.img)/8)
+	for i := range n.kids {
+		if child := n.child(i); child != 0 {
+			n.kids[i], at = s.loadNode(child, levelsLeft-1, at, used)
 		}
 	}
-	return n, at, nil
+	return at
 }
 
 // CreateObject adds a named object sized for maxBytes and persists

@@ -12,21 +12,22 @@ const treeFanout = BlockSize / 8
 const treeShift = 9
 
 // node is one radix-tree node. img is the node exactly as it lies on
-// disk — treeFanout little-endian child addresses (0 = absent) — and
-// is also the only in-memory copy of them: Commit hands img to the
-// disk as is and recovery adopts the block it read. kids caches loaded
-// child nodes for interior levels.
+// disk — little-endian child addresses (0 = absent), treeFanout of
+// them in a block, or rootSlots in the commit record for the top
+// level — and is also the only in-memory copy of them: Commit hands
+// img to the disk as is and recovery adopts the bytes it read. kids
+// caches loaded child nodes for interior levels.
 type node struct {
-	addr int64   // disk address this image was last written to
-	img  []byte  // BlockSize bytes
+	addr int64   // disk address this image was last written to (0 for the top level)
+	img  []byte  // 8 bytes per slot
 	kids []*node // interior nodes only
 }
 
-func newNode(interior bool) *node {
+func newNode(slots int, interior bool) *node {
 	// Nodes are retained across commits; COW rewrites reuse them.
-	n := &node{img: make([]byte, BlockSize)}
+	n := &node{img: make([]byte, slots*8)}
 	if interior {
-		n.kids = make([]*node, treeFanout)
+		n.kids = make([]*node, slots)
 	}
 	return n
 }
@@ -41,7 +42,8 @@ func (n *node) setChild(i int, addr int64) {
 }
 
 // tree is the COW radix tree of one object. Leaves map block indices
-// to data-block disk addresses.
+// to data-block disk addresses. The root is the top level, rootSlots
+// wide; every level below it is treeFanout wide.
 type tree struct {
 	root   *node
 	levels int // 1 = root is a leaf
@@ -52,10 +54,10 @@ type tree struct {
 }
 
 // levelsFor returns how many radix levels are needed for maxBlocks
-// blocks.
+// blocks: rootSlots·treeFanout^(levels−1) ≥ maxBlocks.
 func levelsFor(maxBlocks int64) int {
 	levels := 1
-	capacity := int64(treeFanout)
+	capacity := int64(rootSlots)
 	for capacity < maxBlocks {
 		capacity *= treeFanout
 		levels++
@@ -69,7 +71,7 @@ func newTree(maxBlocks int64) *tree {
 	for i := 0; i < levels-1; i++ {
 		topDiv *= treeFanout
 	}
-	return &tree{root: newNode(levels > 1), levels: levels, topDiv: topDiv}
+	return &tree{root: newNode(rootSlots, levels > 1), levels: levels, topDiv: topDiv}
 }
 
 // lookup returns the data-block address for idx, or 0.
@@ -95,7 +97,7 @@ func (t *tree) set(idx int64, addr int64) (old int64) {
 		slot := int((idx / div) % treeFanout)
 		next := n.kids[slot]
 		if next == nil {
-			next = newNode(level < t.levels-2)
+			next = newNode(treeFanout, level < t.levels-2)
 			n.kids[slot] = next
 			n.setChild(slot, 0) // not yet on disk
 		}
@@ -119,7 +121,7 @@ func (t *tree) walk(n *node, base int64, levelsLeft int, fn func(idx, addr int64
 		return
 	}
 	if levelsLeft == 1 {
-		for i := 0; i < treeFanout; i++ {
+		for i := 0; i < len(n.img)/8; i++ {
 			if addr := n.child(i); addr != 0 {
 				fn(base+int64(i), addr)
 			}
@@ -130,9 +132,9 @@ func (t *tree) walk(n *node, base int64, levelsLeft int, fn func(idx, addr int64
 	for i := 0; i < levelsLeft-1; i++ {
 		span *= treeFanout
 	}
-	for i := 0; i < treeFanout; i++ {
-		if n.kids[i] != nil {
-			t.walk(n.kids[i], base+int64(i)*span, levelsLeft-1, fn)
+	for i, kid := range n.kids {
+		if kid != nil {
+			t.walk(kid, base+int64(i)*span, levelsLeft-1, fn)
 		}
 	}
 }

@@ -5,9 +5,13 @@
 //
 //	memsnap-lint [-list] [-json] [pattern ...]
 //
-// Patterns are import-path or directory prefixes relative to the
-// module root ("./..." or no arguments means the whole module;
-// "./internal/shard" or "internal/shard/..." restricts to a subtree).
+// Patterns are directories relative to the module root ("./..." or no
+// arguments means the whole module; "./internal/shard" or
+// "internal/shard/..." restricts the report to a subtree). A pattern
+// that names no directory is an error. The whole module is analysed
+// either way, so the whole-program unreachable pass sees every main as
+// a root.
+//
 // With -json, diagnostics are written to stdout as a JSON array of
 // {file, line, col, rule, message} objects (empty array when clean)
 // for machine consumption; the exit status still reflects violations.
@@ -20,6 +24,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -28,21 +33,37 @@ import (
 )
 
 func main() {
-	list := flag.Bool("list", false, "list analyzers and exit")
-	rules := flag.String("rules", "", "comma-separated subset of analyzers to run (default: all)")
-	asJSON := flag.Bool("json", false, "emit diagnostics as JSON on stdout")
-	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: memsnap-lint [-list] [-rules a,b] [-json] [pattern ...]\n")
-		flag.PrintDefaults()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the command: it parses args, lints the module and writes the
+// report to stdout and problems to stderr. It returns the exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("memsnap-lint", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	list := fs.Bool("list", false, "list analyzers and exit")
+	rules := fs.String("rules", "", "comma-separated subset of analyzers to run (default: all)")
+	asJSON := fs.Bool("json", false, "emit diagnostics as JSON on stdout")
+	fs.Usage = func() {
+		fmt.Fprintf(stderr, "usage: memsnap-lint [-list] [-rules a,b] [-json] [pattern ...]\n")
+		fs.PrintDefaults()
 	}
-	flag.Parse()
+	if err := fs.Parse(args); err == flag.ErrHelp {
+		return 0
+	} else if err != nil {
+		return 2
+	}
+	fail := func(format string, args ...any) int {
+		fmt.Fprintf(stderr, "memsnap-lint: "+format+"\n", args...)
+		return 1
+	}
 
 	analyzers := lint.Analyzers()
 	if *list {
 		for _, a := range analyzers {
-			fmt.Printf("%-14s %s\n", a.Name, a.Doc)
+			fmt.Fprintf(stdout, "%-14s %s\n", a.Name, a.Doc)
 		}
-		return
+		return 0
 	}
 	if *rules != "" {
 		want := map[string]bool{}
@@ -57,37 +78,44 @@ func main() {
 			}
 		}
 		for r := range want {
-			fatalf("unknown analyzer %q (use -list)", r)
+			return fail("unknown analyzer %q (use -list)", r)
 		}
 		analyzers = sel
 	}
 
 	root, err := lint.FindModuleRoot(".")
 	if err != nil {
-		fatalf("%v", err)
+		return fail("%v", err)
 	}
 	loader, err := lint.NewLoader(root)
 	if err != nil {
-		fatalf("%v", err)
+		return fail("%v", err)
+	}
+	dirs, err := patternDirs(root, fs.Args())
+	if err != nil {
+		return fail("%v", err)
 	}
 	pkgs, err := loader.LoadModule()
 	if err != nil {
-		fatalf("%v", err)
+		return fail("%v", err)
 	}
-	pkgs = filterPackages(pkgs, loader.Module, root, flag.Args())
-
-	diags := lint.Run(pkgs, analyzers)
+	// The whole module is analysed whatever the patterns say: the
+	// unreachable pass needs every main as a root. Patterns only pick
+	// which findings are reported.
+	diags := underDirs(lint.Run(pkgs, analyzers), dirs)
 	if *asJSON {
-		writeJSON(root, diags)
+		if err := writeJSON(stdout, root, diags); err != nil {
+			return fail("encoding JSON: %v", err)
+		}
 	} else {
 		for _, d := range diags {
-			fmt.Println(d)
+			fmt.Fprintln(stdout, d)
 		}
 	}
 	if len(diags) > 0 {
-		fmt.Fprintf(os.Stderr, "memsnap-lint: %d violation(s)\n", len(diags))
-		os.Exit(1)
+		return fail("%d violation(s)", len(diags))
 	}
+	return 0
 }
 
 // jsonDiag is the machine-readable diagnostic shape (-json).
@@ -99,10 +127,10 @@ type jsonDiag struct {
 	Message string `json:"message"`
 }
 
-// writeJSON emits diagnostics as a JSON array on stdout, with file
-// paths relative to the module root so reports are stable across
-// checkouts. An empty run prints "[]", never "null".
-func writeJSON(root string, diags []lint.Diagnostic) {
+// writeJSON emits diagnostics as a JSON array on w, with file paths
+// relative to the module root so reports are stable across checkouts.
+// An empty run prints "[]", never "null".
+func writeJSON(w io.Writer, root string, diags []lint.Diagnostic) error {
 	out := make([]jsonDiag, 0, len(diags))
 	for _, d := range diags {
 		file := d.Pos.Filename
@@ -117,42 +145,45 @@ func writeJSON(root string, diags []lint.Diagnostic) {
 			Message: d.Message,
 		})
 	}
-	enc := json.NewEncoder(os.Stdout)
+	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	if err := enc.Encode(out); err != nil {
-		fatalf("encoding JSON: %v", err)
-	}
+	return enc.Encode(out)
 }
 
-// filterPackages keeps packages matching any of the path patterns.
-// Empty patterns or "./..." match everything.
-func filterPackages(pkgs []*lint.Package, module, root string, patterns []string) []*lint.Package {
-	var prefixes []string
+// patternDirs resolves patterns to the directories they name; nil
+// means the whole module. A pattern is a directory relative to the
+// module root, with an optional "/..."; one that names no directory is
+// an error, so a misspelt pattern cannot pass as a clean report.
+func patternDirs(root string, patterns []string) ([]string, error) {
+	var dirs []string
 	for _, pat := range patterns {
-		pat = strings.TrimSuffix(pat, "...")
-		pat = strings.TrimSuffix(pat, "/")
-		pat = strings.TrimPrefix(pat, "./")
-		if pat == "" || pat == "." {
-			return pkgs
+		p := strings.TrimPrefix(strings.TrimSuffix(strings.TrimSuffix(pat, "..."), "/"), "./")
+		if p == "" || p == "." {
+			return nil, nil
 		}
-		prefixes = append(prefixes, module+"/"+filepath.ToSlash(pat))
+		dir := filepath.Join(root, filepath.FromSlash(p))
+		if fi, err := os.Stat(dir); err != nil || !fi.IsDir() {
+			return nil, fmt.Errorf("pattern %q names no directory of the module", pat)
+		}
+		dirs = append(dirs, dir)
 	}
-	if len(prefixes) == 0 {
-		return pkgs
+	return dirs, nil
+}
+
+// underDirs keeps the diagnostics whose file lies in one of dirs or
+// below it; no dirs keep everything.
+func underDirs(diags []lint.Diagnostic, dirs []string) []lint.Diagnostic {
+	if len(dirs) == 0 {
+		return diags
 	}
-	var out []*lint.Package
-	for _, p := range pkgs {
-		for _, pre := range prefixes {
-			if p.Path == pre || strings.HasPrefix(p.Path, pre+"/") {
-				out = append(out, p)
+	var out []lint.Diagnostic
+	for _, d := range diags {
+		for _, dir := range dirs {
+			if strings.HasPrefix(d.Pos.Filename, dir+string(filepath.Separator)) {
+				out = append(out, d)
 				break
 			}
 		}
 	}
 	return out
-}
-
-func fatalf(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "memsnap-lint: "+format+"\n", args...)
-	os.Exit(1)
 }

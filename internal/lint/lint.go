@@ -4,12 +4,15 @@
 //
 // The reproduction rests on invariants the Go compiler cannot see:
 // simulated work charges a virtual sim.Clock, never the wall clock;
-// randomness comes only from the deterministic sim.RNG; clocks are
-// per-thread and must not leak into goroutines; and every access to
-// MemSnap region memory goes through the vm.Thread API so minor
-// faults fire and dirty-set tracking stays sound. Each analyzer here
-// encodes one of those design rules and is enforced for the whole
-// module by the repo-root lint test and by cmd/memsnap-lint.
+// randomness comes only from the deterministic sim.RNG; real sockets
+// stay at the documented wall boundaries. Each of those is a reference
+// ban, a row of one table (ban.go) that one walk per package checks;
+// the whole-program unreachable pass (unreachable.go) finds code and
+// fields no program uses. Invariants whose breach a run-time test
+// already fails on, such as region access only through the vm.Thread
+// fault path, have no analyzer (DESIGN.md §4 lists the mutants that
+// show it). The suite is enforced for the whole module by the
+// repo-root lint test and by cmd/memsnap-lint.
 //
 // Suppression: a comment of the form
 //
@@ -29,6 +32,7 @@ import (
 	"go/token"
 	"go/types"
 	"regexp"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -68,53 +72,31 @@ func (d Diagnostic) String() string {
 	return fmt.Sprintf("%s: [%s] %s", d.Pos, d.Rule, d.Message)
 }
 
-// Pass carries one analyzer run over one package.
-type Pass struct {
-	Pkg    *Package
-	rule   string
-	report func(Diagnostic)
-}
-
-// Reportf records a diagnostic at pos.
-func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
-	p.report(Diagnostic{
-		Pos:     p.Pkg.Fset.Position(pos),
-		Rule:    p.rule,
-		Message: fmt.Sprintf(format, args...),
-	})
-}
-
-// Analyzer is one checkable design rule. Exactly one of Run and
-// RunProgram is set: Run analyzes one package at a time, RunProgram
-// analyzes the whole loaded program at once (one function index and
-// interface resolution across packages).
+// Analyzer is one checkable design rule. Exactly one of ban and
+// RunProgram is set: a ban is a row of the reference-ban table that
+// one walk per package checks, RunProgram analyzes the whole loaded
+// program at once (one function index and interface resolution across
+// packages).
 type Analyzer struct {
 	// Name is the rule name used in diagnostics and //lint:allow.
 	Name string
 	// Doc is a one-line statement of the enforced design rule.
 	Doc string
-	// Run reports violations found in pass.Pkg.
-	Run func(pass *Pass)
+	// ban is the rule's row in the reference-ban table.
+	ban *ban
 	// RunProgram reports violations found anywhere in pass.Prog.
 	RunProgram func(pass *ProgramPass)
 }
 
 // Analyzers returns the full suite in stable order.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{
-		WallTime,
-		GlobalRand,
-		ClockCapture,
-		FaultPath,
-		SockIO,
-		Unreachable,
-	}
+	return append(slices.Clip(bans), Unreachable)
 }
 
 // Run applies the analyzers to every package and returns surviving
 // diagnostics (suppressed ones removed, deduplicated, sorted by
-// position). Per-package analyzers run over each package; program
-// analyzers run once over the whole package set, with the same
+// position). The selected bans are checked in one walk per package;
+// program analyzers run once over the whole package set, with the same
 // //lint:allow suppression semantics.
 func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 	var diags []Diagnostic
@@ -151,13 +133,14 @@ func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 			add(d)
 		}
 	}
-	for _, pkg := range pkgs {
-		for _, a := range analyzers {
-			if a.Run == nil {
-				continue
-			}
-			a.Run(&Pass{Pkg: pkg, rule: a.Name, report: report})
+	var rows []*Analyzer
+	for _, a := range analyzers {
+		if a.ban != nil {
+			rows = append(rows, a)
 		}
+	}
+	for _, pkg := range pkgs {
+		checkBans(pkg, rows, report)
 	}
 	var prog *Program
 	for _, a := range analyzers {

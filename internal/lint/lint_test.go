@@ -219,15 +219,15 @@ func TestAnalyzerDocs(t *testing.T) {
 		if a.Name == "" || a.Doc == "" {
 			t.Errorf("analyzer %+v missing name or doc", a)
 		}
-		if (a.Run == nil) == (a.RunProgram == nil) {
-			t.Errorf("analyzer %q must set exactly one of Run and RunProgram", a.Name)
+		if (a.ban == nil) == (a.RunProgram == nil) {
+			t.Errorf("analyzer %q must be exactly one of a ban row and a program pass", a.Name)
 		}
 		if seen[a.Name] {
 			t.Errorf("duplicate analyzer name %q", a.Name)
 		}
 		seen[a.Name] = true
 	}
-	for _, want := range []string{"walltime", "globalrand", "clockcapture", "faultpath", "sockio", "unreachable"} {
+	for _, want := range []string{"walltime", "globalrand", "sockio", "unreachable"} {
 		if !seen[want] {
 			t.Errorf("suite is missing the %s analyzer", want)
 		}

@@ -56,9 +56,8 @@ type Server struct {
 	ln  net.Listener
 	src ServerSources
 	// hasClock caches src.Clock != nil so the per-connection goroutine
-	// touches the clock only as the receiver of its atomic Now — the
-	// one cross-goroutine clock access the clockcapture design rule
-	// permits.
+	// touches the clock only to read it with Now, which never moves
+	// the owner's virtual time (internal/sim/clock.go).
 	hasClock bool
 
 	mu     sync.Mutex

@@ -18,9 +18,12 @@ import (
 )
 
 // Clock is a virtual clock owned by one simulated thread. It only moves
-// forward. Clocks are cheap; create one per worker. A Clock must not be
-// shared between goroutines without external synchronization — the one
-// exception is Now/AdvanceTo via the atomic value, which supports the
+// forward. Clocks are cheap; create one per worker. Every method is
+// atomic, so using a clock from another goroutine is not a data race.
+// The ownership rule is about the model: a thread that charges a clock
+// it does not own moves another thread's virtual time, and the paper
+// tables' goldens fail. The sanctioned cross-thread uses are reading
+// another thread's clock with Now, and AdvanceTo for the
 // device-arbitration pattern used by disk queues.
 type Clock struct {
 	now atomic.Int64 // virtual nanoseconds since simulation start

@@ -7,16 +7,14 @@ package memsnap_test
 //
 // The rules (see DESIGN.md "Enforced invariants"):
 //
-//	walltime     - only sim.Clock may advance time
-//	globalrand   - all randomness from the seeded sim.RNG
-//	clockcapture - clocks are per-thread; pass them to goroutines explicitly
-//	faultpath    - region memory is reached only through the vm.Thread API
-//	sockio       - real sockets only at the documented wall boundaries
-//	unreachable  - every non-test function is reachable from a main
-//	               under cmd/ or benchmark/ (the Example functions
-//	               beside this file are tests, not roots), an init or
-//	               a package-level initialiser, and every field that
-//	               reached code writes, reached code reads
+//	walltime    - only sim.Clock may advance time
+//	globalrand  - all randomness from the seeded sim.RNG
+//	sockio      - real sockets only at the documented wall boundaries
+//	unreachable - every non-test function is reachable from a main
+//	              under cmd/ or benchmark/ (the Example functions
+//	              beside this file are tests, not roots), an init or
+//	              a package-level initialiser, and every field that
+//	              reached code writes, reached code reads
 //
 // Escape hatch: //lint:allow <rule> <reason> on or above the line.
 

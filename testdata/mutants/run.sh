@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
 # Mutant driver. Each *.patch in this directory plants one known defect
 # (a pooled buffer that is never released, or released twice, an
-# allocation on a hot path, with a sink file that makes it escape, or a
-# broken object-store recovery rule). For
+# allocation on a hot path, with a sink file that makes it escape, a
+# broken object-store recovery rule, a breach of a design rule that
+# internal/lint checks or once checked, or a recorded counter or
+# accessor bug). For
 # each patch the driver checks the tree out into a scratch git worktree,
 # applies the patch and runs every test the patch's header names; each
 # of them must fail. A patch that no longer applies, a mutant that does

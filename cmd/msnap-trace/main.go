@@ -1,20 +1,18 @@
 // Command msnap-trace runs a replicated shard workload with lifecycle
 // tracing enabled and exports the result as Chrome trace-event JSON
-// (loadable in Perfetto or chrome://tracing), optionally serving the
-// live observability endpoint.
+// (loadable in Perfetto or chrome://tracing).
 //
 // Usage:
 //
 //	msnap-trace [-shards N] [-clients C] [-ops K] [-seed S] [-out trace.json]
 //	msnap-trace -smoke [-listen 127.0.0.1:0]
-//	msnap-trace -serve [-listen 127.0.0.1:8091]
 //
 // The default mode runs the workload and writes the drained trace to
 // -out. -smoke additionally starts the TCP observability endpoint,
 // self-scrapes /metricz, /varz and /tracez over real loopback
 // connections, validates the JSON payloads, and writes the scraped
-// trace to -out — the CI smoke path. -serve runs the workload and then
-// keeps serving the endpoint until the process is killed.
+// trace to -out — the CI smoke path. For a live endpoint to scrape by
+// hand, run msnap-serve -obs.
 //
 // All timestamps in the exported trace are virtual time: the workload
 // is a simulation, and the trace shows its simulated concurrency, not
@@ -22,13 +20,12 @@
 package main
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
-	"net" //lint:allow sockio smoke client for the obs loopback endpoint
+	"net/http" //lint:allow sockio smoke client for the obs loopback endpoint
 	"os"
 	"sync"
 
@@ -51,9 +48,8 @@ func run() int {
 	ring := flag.Int("ring", 1<<16, "trace ring capacity in events")
 	sample := flag.Int("sample", 64, "trace-sample one in N workload writes into request flows (0: off)")
 	out := flag.String("out", "trace.json", "trace output path (empty: skip the file)")
-	listen := flag.String("listen", "127.0.0.1:0", "observability endpoint address (-smoke/-serve)")
+	listen := flag.String("listen", "127.0.0.1:0", "observability endpoint address (-smoke)")
 	smoke := flag.Bool("smoke", false, "serve the endpoint, self-scrape and validate /metricz, /varz and /tracez, then exit")
-	serveMode := flag.Bool("serve", false, "keep serving the endpoint after the workload until killed")
 	flag.Parse()
 
 	rec := obs.NewRecorder(*ring)
@@ -95,38 +91,28 @@ func run() int {
 		TopK:    sketch.Top,
 	}
 
-	switch {
-	case *smoke:
+	if *smoke {
 		return runSmoke(*listen, src, *out)
-	case *serveMode:
-		srv, err := obs.Serve(*listen, src)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "msnap-trace: serve: %v\n", err)
-			return 1
-		}
-		fmt.Printf("serving http://%s/{metricz,varz,tracez} (kill to stop)\n", srv.Addr())
-		select {}
-	default:
-		if *out == "" {
-			return 0
-		}
-		f, err := os.Create(*out)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "msnap-trace: %v\n", err)
-			return 1
-		}
-		if err := obs.WriteTrace(f, rec.Drain()); err != nil {
-			f.Close()
-			fmt.Fprintf(os.Stderr, "msnap-trace: %v\n", err)
-			return 1
-		}
-		if err := f.Close(); err != nil {
-			fmt.Fprintf(os.Stderr, "msnap-trace: %v\n", err)
-			return 1
-		}
-		fmt.Printf("trace written to %s\n", *out)
+	}
+	if *out == "" {
 		return 0
 	}
+	f, err := os.Create(*out)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "msnap-trace: %v\n", err)
+		return 1
+	}
+	if err := obs.WriteTrace(f, rec.Drain()); err != nil {
+		f.Close()
+		fmt.Fprintf(os.Stderr, "msnap-trace: %v\n", err)
+		return 1
+	}
+	if err := f.Close(); err != nil {
+		fmt.Fprintf(os.Stderr, "msnap-trace: %v\n", err)
+		return 1
+	}
+	fmt.Printf("trace written to %s\n", *out)
+	return 0
 }
 
 // runWorkload drives clients concurrent goroutines of mixed
@@ -287,35 +273,13 @@ func runSmoke(listen string, src obs.ServerSources, out string) int {
 	return 0
 }
 
-// get performs one minimal HTTP GET over a fresh loopback connection.
+// get performs one HTTP GET of path on addr.
 func get(addr, path string) (int, []byte, error) {
-	conn, err := net.Dial("tcp", addr)
+	resp, err := http.Get("http://" + addr + path)
 	if err != nil {
 		return 0, nil, err
 	}
-	defer conn.Close()
-	if _, err := fmt.Fprintf(conn, "GET %s HTTP/1.0\r\nHost: msnap\r\n\r\n", path); err != nil {
-		return 0, nil, err
-	}
-	br := bufio.NewReader(conn)
-	status, err := br.ReadString('\n')
-	if err != nil {
-		return 0, nil, err
-	}
-	var proto string
-	var code int
-	if _, err := fmt.Sscanf(status, "%s %d", &proto, &code); err != nil {
-		return 0, nil, fmt.Errorf("bad status line %q", status)
-	}
-	for {
-		line, err := br.ReadString('\n')
-		if err != nil {
-			return 0, nil, err
-		}
-		if line == "\r\n" || line == "\n" {
-			break
-		}
-	}
-	body, err := io.ReadAll(br)
-	return code, body, err
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	return resp.StatusCode, body, err
 }

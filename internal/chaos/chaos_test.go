@@ -1,6 +1,7 @@
 package chaos
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
@@ -32,8 +33,21 @@ func TestParseCellIDRoundTrip(t *testing.T) {
 
 // TestCellDeterminism reruns one faulted replica cell and requires a
 // bit-identical outcome, digests included: the cell ID alone must be a
-// complete reproducer.
+// complete reproducer. One steady cell per workload reruns too, so
+// every generator must replay from its seed.
 func TestCellDeterminism(t *testing.T) {
+	for _, wl := range Workloads() {
+		wcfg := Config{MinOps: 200, Workload: wl}
+		cell := Cell{Seed: 7, Schedule: "steady", Topology: TopoSingle}
+		a, b := RunCell(wcfg, cell), RunCell(wcfg, cell)
+		if !a.Pass {
+			t.Fatalf("%s cell %s failed:\n%s", wl, a.ID, strings.Join(a.Violations, "\n"))
+		}
+		if !slices.Equal(a.Digests, b.Digests) || a.Ops != b.Ops {
+			t.Errorf("%s rerun diverged: %d ops %v vs %d ops %v", wl, a.Ops, a.Digests, b.Ops, b.Digests)
+		}
+	}
+
 	cfg := Config{MinOps: 200}
 	cell := Cell{Seed: 7, Schedule: "powercut", Topology: TopoReplica}
 	a := RunCell(cfg, cell)

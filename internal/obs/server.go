@@ -3,10 +3,10 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"io"
-	"net" //lint:allow sockio obs.Serve is the documented loopback observability boundary
-	"strings"
+	"net"      //lint:allow sockio obs.Serve is the documented loopback observability boundary
+	"net/http" //lint:allow sockio obs.Serve is the documented loopback observability boundary
+	"strconv"
 	"sync"
 	"time"
 
@@ -38,9 +38,15 @@ type ServerSources struct {
 	Clock *sim.Clock
 }
 
-// Server is the loopback observability front end: a real TCP listener
-// speaking just enough HTTP/1.0 for curl, Prometheus scrapers and the
-// CI smoke test, without importing net/http. It serves:
+// headerTimeout bounds how long a peer may take to send its request
+// headers: a peer that stalls mid-request, or never sends one, is
+// disconnected after it instead of pinning a goroutine. Keep-alives are
+// off too, so every connection carries one request and then closes.
+const headerTimeout = 2 * time.Second
+
+// Server is the loopback observability front end: a net/http server on
+// a real TCP listener, for curl, Prometheus scrapers and the CI smoke
+// test. It serves:
 //
 //	GET /metricz  Prometheus text exposition (ServerSources.Metrics)
 //	GET /varz     expvar-style JSON state (ServerSources.Vars)
@@ -48,22 +54,20 @@ type ServerSources struct {
 //	GET /healthz  readiness probe: 200 ready / 503 draining
 //	GET /topz     per-tenant top-K attribution as JSON
 //
-// Inside the simulation all timestamps are virtual; the server is the
-// boundary where a wall-clock world (a scraper, a browser) observes
-// them, so responses carry virtual times as plain numbers and the
-// server itself never advances any clock.
+// Any other method is answered 400 and any other path 404 with the
+// list above. Inside the simulation all timestamps are virtual; the
+// server is the boundary where a wall-clock world (a scraper, a
+// browser) observes them, so responses carry virtual times as plain
+// numbers and the server itself never advances any clock.
 type Server struct {
-	ln  net.Listener
-	src ServerSources
-	// hasClock caches src.Clock != nil so the per-connection goroutine
-	// touches the clock only to read it with Now, which never moves
-	// the owner's virtual time (internal/sim/clock.go).
-	hasClock bool
+	ln   net.Listener
+	http *http.Server
+	src  ServerSources
 
-	mu     sync.Mutex
-	conns  map[net.Conn]bool
+	// mu is read-held by every running handler; Close takes it to wait
+	// them out, and closed turns away any handler that starts after.
+	mu     sync.RWMutex
 	closed bool
-	wg     sync.WaitGroup
 }
 
 // Serve starts the server on addr (e.g. "127.0.0.1:0") and begins
@@ -73,185 +77,128 @@ func Serve(addr string, src ServerSources) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Server{ln: ln, src: src, hasClock: src.Clock != nil, conns: map[net.Conn]bool{}}
-	s.wg.Add(1)
-	go func() {
-		defer s.wg.Done()
-		for {
-			conn, err := s.ln.Accept()
-			if err != nil {
-				return
-			}
-			if !s.track(conn) {
-				conn.Close()
-				return
-			}
-			s.wg.Add(1)
-			go func(c net.Conn) {
-				defer s.wg.Done()
-				defer s.untrack(c)
-				// Stamp the boundary's virtual now once per request,
-				// through the clock's atomic Now (the documented
-				// cross-goroutine clock access).
-				var vnow time.Duration
-				if s.hasClock {
-					vnow = s.src.Clock.Now()
-				}
-				s.handle(c, vnow)
-			}(conn)
+	s := &Server{ln: ln, src: src}
+	mux := http.NewServeMux()
+	mux.HandleFunc("/metricz", func(w http.ResponseWriter, _ *http.Request) {
+		if s.src.Metrics == nil {
+			http.Error(w, "no metrics source", http.StatusNotFound)
+			return
 		}
-	}()
+		var body bytes.Buffer
+		if err := s.src.Metrics(&body); err != nil {
+			http.Error(w, err.Error(), http.StatusInternalServerError)
+			return
+		}
+		send(w, http.StatusOK, "text/plain; version=0.0.4; charset=utf-8", body.Bytes())
+	})
+	mux.HandleFunc("/varz", func(w http.ResponseWriter, _ *http.Request) {
+		var vars any
+		if s.src.Vars != nil {
+			vars = s.src.Vars()
+		}
+		sendJSON(w, struct {
+			VirtualSeconds float64 `json:"virtual_now_seconds"`
+			Vars           any     `json:"vars"`
+		}{s.now().Seconds(), vars})
+	})
+	mux.HandleFunc("/tracez", func(w http.ResponseWriter, _ *http.Request) {
+		var events []Event
+		if s.src.Trace != nil {
+			events = s.src.Trace()
+		}
+		var body bytes.Buffer
+		if err := WriteTrace(&body, events); err != nil {
+			http.Error(w, err.Error(), http.StatusInternalServerError)
+			return
+		}
+		send(w, http.StatusOK, "application/json", body.Bytes())
+	})
+	mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
+		ready, detail := true, "ok"
+		if s.src.Health != nil {
+			ready, detail = s.src.Health()
+		}
+		code := http.StatusOK
+		if !ready {
+			code = http.StatusServiceUnavailable
+		}
+		send(w, code, "text/plain; charset=utf-8", []byte(detail+"\n"))
+	})
+	mux.HandleFunc("/topz", func(w http.ResponseWriter, _ *http.Request) {
+		var top []TenantStat
+		if s.src.TopK != nil {
+			top = s.src.TopK()
+		}
+		sendJSON(w, struct {
+			VirtualSeconds float64      `json:"virtual_now_seconds"`
+			Tenants        []TenantStat `json:"tenants"`
+		}{s.now().Seconds(), top})
+	})
+	mux.HandleFunc("/", func(w http.ResponseWriter, _ *http.Request) {
+		http.Error(w, "not found (try /metricz, /varz, /tracez, /healthz, /topz)", http.StatusNotFound)
+	})
+	s.http = &http.Server{
+		Handler: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.Method != http.MethodGet {
+				http.Error(w, "bad request", http.StatusBadRequest)
+				return
+			}
+			s.mu.RLock()
+			defer s.mu.RUnlock()
+			if !s.closed {
+				mux.ServeHTTP(w, r)
+			}
+		}),
+		ReadHeaderTimeout: headerTimeout,
+	}
+	s.http.SetKeepAlivesEnabled(false)
+	go s.http.Serve(ln)
 	return s, nil
 }
 
 // Addr returns the listener's address (host:port).
 func (s *Server) Addr() string { return s.ln.Addr().String() }
 
-func (s *Server) track(c net.Conn) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return false
-	}
-	s.conns[c] = true
-	return true
-}
-
-func (s *Server) untrack(c net.Conn) {
-	c.Close()
-	s.mu.Lock()
-	delete(s.conns, c)
-	s.mu.Unlock()
-}
-
-// Close stops accepting, closes open connections and waits for the
-// handler goroutines. Idempotent.
+// Close stops accepting, closes open connections and returns once no
+// handler runs; no source callback starts after it. Idempotent.
 func (s *Server) Close() error {
+	err := s.http.Close()
+	// Serve's goroutine may not have taken the listener over yet, and
+	// would then leave it open: close it here too.
+	s.ln.Close()
 	s.mu.Lock()
 	if s.closed {
-		s.mu.Unlock()
-		return nil
+		err = nil
 	}
 	s.closed = true
-	for c := range s.conns {
-		c.Close()
-	}
 	s.mu.Unlock()
-	err := s.ln.Close()
-	s.wg.Wait()
 	return err
 }
 
-// handle serves one connection: one request, one response, close.
-func (s *Server) handle(c net.Conn, vnow time.Duration) {
-	path, ok := readRequestPath(c)
-	if !ok {
-		writeResponse(c, 400, "text/plain; charset=utf-8", []byte("bad request\n"))
+// now is the boundary's virtual now, read through the clock's atomic
+// Now: the one cross-goroutine clock access, which never moves the
+// owner's virtual time (internal/sim/clock.go).
+func (s *Server) now() time.Duration {
+	if s.src.Clock == nil {
+		return 0
+	}
+	return s.src.Clock.Now()
+}
+
+// sendJSON answers 200 with v as indented JSON.
+func sendJSON(w http.ResponseWriter, v any) {
+	data, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	var body bytes.Buffer
-	switch path {
-	case "/metricz":
-		if s.src.Metrics == nil {
-			writeResponse(c, 404, "text/plain; charset=utf-8", []byte("no metrics source\n"))
-			return
-		}
-		if err := s.src.Metrics(&body); err != nil {
-			writeError(c, err)
-			return
-		}
-		writeResponse(c, 200, "text/plain; version=0.0.4; charset=utf-8", body.Bytes())
-	case "/varz":
-		var vars any
-		if s.src.Vars != nil {
-			vars = s.src.Vars()
-		}
-		wrapped := struct {
-			VirtualSeconds float64 `json:"virtual_now_seconds"`
-			Vars           any     `json:"vars"`
-		}{vnow.Seconds(), vars}
-		data, err := json.MarshalIndent(wrapped, "", "  ")
-		if err != nil {
-			writeError(c, err)
-			return
-		}
-		writeResponse(c, 200, "application/json", append(data, '\n'))
-	case "/tracez":
-		var events []Event
-		if s.src.Trace != nil {
-			events = s.src.Trace()
-		}
-		if err := WriteTrace(&body, events); err != nil {
-			writeError(c, err)
-			return
-		}
-		writeResponse(c, 200, "application/json", body.Bytes())
-	case "/healthz":
-		ready, detail := true, "ok"
-		if s.src.Health != nil {
-			ready, detail = s.src.Health()
-		}
-		code := 200
-		if !ready {
-			code = 503
-		}
-		writeResponse(c, code, "text/plain; charset=utf-8", []byte(detail+"\n"))
-	case "/topz":
-		var top []TenantStat
-		if s.src.TopK != nil {
-			top = s.src.TopK()
-		}
-		wrapped := struct {
-			VirtualSeconds float64      `json:"virtual_now_seconds"`
-			Tenants        []TenantStat `json:"tenants"`
-		}{vnow.Seconds(), top}
-		data, err := json.MarshalIndent(wrapped, "", "  ")
-		if err != nil {
-			writeError(c, err)
-			return
-		}
-		writeResponse(c, 200, "application/json", append(data, '\n'))
-	default:
-		writeResponse(c, 404, "text/plain; charset=utf-8", []byte("not found (try /metricz, /varz, /tracez, /healthz, /topz)\n"))
-	}
+	send(w, http.StatusOK, "application/json", append(data, '\n'))
 }
 
-// readRequestPath reads the request line of a GET request and returns
-// its path. The read is bounded; headers are consumed best-effort (the
-// response closes the connection either way).
-func readRequestPath(c net.Conn) (string, bool) {
-	buf := make([]byte, 0, 1024)
-	tmp := make([]byte, 256)
-	for !bytes.Contains(buf, []byte("\n")) && len(buf) < 4096 {
-		n, err := c.Read(tmp)
-		buf = append(buf, tmp[:n]...)
-		if err != nil {
-			break
-		}
-	}
-	line, _, ok := bytes.Cut(buf, []byte("\n"))
-	if !ok {
-		return "", false
-	}
-	fields := strings.Fields(string(line))
-	if len(fields) < 2 || fields[0] != "GET" {
-		return "", false
-	}
-	path := fields[1]
-	if i := strings.IndexByte(path, '?'); i >= 0 {
-		path = path[:i]
-	}
-	return path, true
-}
-
-var statusText = map[int]string{200: "OK", 400: "Bad Request", 404: "Not Found", 500: "Internal Server Error", 503: "Service Unavailable"}
-
-func writeResponse(c net.Conn, code int, contentType string, body []byte) {
-	fmt.Fprintf(c, "HTTP/1.0 %d %s\r\nContent-Type: %s\r\nContent-Length: %d\r\nConnection: close\r\n\r\n",
-		code, statusText[code], contentType, len(body))
-	c.Write(body)
-}
-
-func writeError(c net.Conn, err error) {
-	writeResponse(c, 500, "text/plain; charset=utf-8", []byte(err.Error()+"\n"))
+// send answers code with body, its length declared up front.
+func send(w http.ResponseWriter, code int, contentType string, body []byte) {
+	w.Header().Set("Content-Type", contentType)
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+	w.WriteHeader(code)
+	w.Write(body)
 }

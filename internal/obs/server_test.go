@@ -7,7 +7,10 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"runtime"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -174,5 +177,137 @@ func TestServerCloseIdempotent(t *testing.T) {
 	}
 	if _, err := net.Dial("tcp", srv.Addr()); err == nil {
 		t.Error("listener still accepting after Close")
+	}
+}
+
+// stallPeers opens n connections to addr that never finish a request:
+// every other one sends half a request line, the rest send nothing.
+func stallPeers(t *testing.T, addr string, n int) []net.Conn {
+	t.Helper()
+	conns := make([]net.Conn, n)
+	for i := range conns {
+		c, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { c.Close() })
+		if i%2 == 0 {
+			io.WriteString(c, "GET /metr")
+		}
+		conns[i] = c
+	}
+	return conns
+}
+
+// expectClosed requires the server to have closed every peer by
+// deadline: its reads reach EOF rather than timing out. A peer that
+// sent half a request may get a 400 first.
+func expectClosed(t *testing.T, conns []net.Conn, deadline time.Time) {
+	t.Helper()
+	for i, c := range conns {
+		c.SetReadDeadline(deadline)
+		resp, err := io.ReadAll(c)
+		if err != nil {
+			t.Fatalf("peer %d: %v; want EOF from the server closing it", i, err)
+		}
+		if len(resp) > 0 && !bytes.Contains(resp, []byte(" 400 ")) {
+			t.Errorf("peer %d: got %q, want nothing or a 400", i, resp)
+		}
+	}
+}
+
+// waitGoroutines polls until at most want goroutines run or deadline
+// passes, and reports the last count.
+func waitGoroutines(want int, deadline time.Time) int {
+	for {
+		n := runtime.NumGoroutine()
+		if n <= want || time.Now().After(deadline) {
+			return n
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestServerShedsStalledPeers holds the header deadline: peers that
+// stall mid-request or never send one are disconnected within it, and
+// the goroutines serving them go too. Close with stalled peers still
+// connected returns at once.
+func TestServerShedsStalledPeers(t *testing.T) {
+	const peers = 50
+	slack := 1500 * time.Millisecond
+	// Baseline before Serve: the server may keep its accept goroutine.
+	base := runtime.NumGoroutine() + 1
+
+	srv, err := Serve("127.0.0.1:0", ServerSources{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	start := time.Now()
+	conns := stallPeers(t, srv.Addr(), peers)
+	expectClosed(t, conns, start.Add(headerTimeout+slack))
+	if n := waitGoroutines(base, start.Add(headerTimeout+2*slack)); n > base {
+		t.Errorf("%d goroutines after the header deadline, want at most %d", n, base)
+	}
+
+	srv2, err := Serve("127.0.0.1:0", ServerSources{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	conns = stallPeers(t, srv2.Addr(), peers)
+	time.Sleep(100 * time.Millisecond) // let the server accept them
+	start = time.Now()
+	if err := srv2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if took := time.Since(start); took > headerTimeout/4 {
+		t.Errorf("Close with %d stalled peers took %v", peers, took)
+	}
+	expectClosed(t, conns, time.Now().Add(slack))
+}
+
+// TestServerCloseWaitsForHandlers scrapes /varz from several
+// goroutines while the server closes: Close must wait out running
+// callbacks, and none may start once it has returned.
+func TestServerCloseWaitsForHandlers(t *testing.T) {
+	var closed atomic.Bool
+	var late, calls atomic.Int64
+	srv, err := Serve("127.0.0.1:0", ServerSources{
+		Vars: func() any {
+			calls.Add(1)
+			time.Sleep(time.Millisecond)
+			if closed.Load() {
+				late.Add(1)
+			}
+			return nil
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for !closed.Load() {
+				conn, err := net.Dial("tcp", srv.Addr())
+				if err != nil {
+					return
+				}
+				fmt.Fprintf(conn, "GET /varz HTTP/1.0\r\n\r\n")
+				io.ReadAll(conn)
+				conn.Close()
+			}
+		}()
+	}
+	for calls.Load() < 8 {
+		time.Sleep(time.Millisecond)
+	}
+	srv.Close()
+	closed.Store(true)
+	wg.Wait()
+	if n := late.Load(); n > 0 {
+		t.Errorf("%d Vars callbacks ran after Close returned", n)
 	}
 }

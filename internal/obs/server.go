@@ -40,9 +40,16 @@ type ServerSources struct {
 
 // headerTimeout bounds how long a peer may take to send its request
 // headers: a peer that stalls mid-request, or never sends one, is
-// disconnected after it instead of pinning a goroutine. Keep-alives are
-// off too, so every connection carries one request and then closes.
-const headerTimeout = 2 * time.Second
+// disconnected after it instead of pinning a goroutine. writeTimeout
+// bounds the rest of the exchange, from the end of the headers to the
+// last byte of the response: a peer that asks for a large /tracez and
+// never reads it is disconnected after it, and the handler's goroutine
+// returns. Keep-alives are off too, so every connection carries one
+// request and then closes.
+const (
+	headerTimeout = 2 * time.Second
+	writeTimeout  = 3 * time.Second
+)
 
 // Server is the loopback observability front end: a net/http server on
 // a real TCP listener, for curl, Prometheus scrapers and the CI smoke
@@ -150,6 +157,7 @@ func Serve(addr string, src ServerSources) (*Server, error) {
 			}
 		}),
 		ReadHeaderTimeout: headerTimeout,
+		WriteTimeout:      writeTimeout,
 	}
 	s.http.SetKeepAlivesEnabled(false)
 	go s.http.Serve(ln)

@@ -266,6 +266,49 @@ func TestServerShedsStalledPeers(t *testing.T) {
 	expectClosed(t, conns, time.Now().Add(slack))
 }
 
+// TestServerShedsStalledReaders holds the write deadline: a peer that
+// sends a whole GET /tracez for a trace larger than the socket buffers
+// hold and never reads past the status line holds the goroutine
+// serving it only until the deadline.
+func TestServerShedsStalledReaders(t *testing.T) {
+	events := make([]Event, 80_000) // about 8.5 MB of trace JSON
+	for i := range events {
+		events[i] = Event{Kind: KindSpan, Cat: CatShard, Name: NameGroupCommit, Start: time.Duration(i), Dur: 1, Arg: int64(i)}
+	}
+	slack := 1500 * time.Millisecond
+	base := runtime.NumGoroutine() + 1
+
+	srv, err := Serve("127.0.0.1:0", ServerSources{Trace: func() []Event { return events }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	conn, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.(*net.TCPConn).SetReadBuffer(4 << 10)
+	start := time.Now()
+	io.WriteString(conn, "GET /tracez HTTP/1.0\r\n\r\n")
+	// The status line shows the handler is writing; then stop reading.
+	// Building the body counts against the deadline too.
+	status := make([]byte, len("HTTP/1.0 200 OK"))
+	conn.SetReadDeadline(start.Add(writeTimeout))
+	if _, err := io.ReadFull(conn, status); err != nil || string(status) != "HTTP/1.0 200 OK" {
+		t.Fatalf("status line %q, %v", status, err)
+	}
+	// A moment on, the handler must still be blocked writing: else the
+	// trace fit in the socket buffers and proves nothing.
+	time.Sleep(200 * time.Millisecond)
+	if n := runtime.NumGoroutine(); n <= base {
+		t.Fatalf("%d goroutines while the response is stalled, want more than %d", n, base)
+	}
+	if n := waitGoroutines(base, start.Add(writeTimeout+slack)); n > base {
+		t.Errorf("%d goroutines after the write deadline, want at most %d", n, base)
+	}
+}
+
 // TestServerCloseWaitsForHandlers scrapes /varz from several
 // goroutines while the server closes: Close must wait out running
 // callbacks, and none may start once it has returned.

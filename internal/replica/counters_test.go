@@ -171,7 +171,9 @@ func TestShipperCountersPinned(t *testing.T) {
 
 // pinnedCounters is TestShipperCountersPinned's outcome. Shipped
 // includes the run's six snapshot transmissions (three snapshots, the
-// first sent four times).
+// first sent four times). The byte counts follow the shard region
+// layout: which slot pages the 24 keys land on, and which page carries
+// each commit's manifest copy.
 const pinnedCounters = `
 	ship[0].Shard=0
 	ship[0].Shipped=103
@@ -187,12 +189,12 @@ const pinnedCounters = `
 	ship[0].Unsent=28
 	ship[0].Batches=8
 	ship[0].BatchedDeltas=23
-	ship[0].WireBytes=1824953
-	ship[0].DiffSavedBytes=594573
-	ship[0].Extents=151
-	ship[0].EncodeTime=21.29µs
+	ship[0].WireBytes=1885798
+	ship[0].DiffSavedBytes=243455
+	ship[0].Extents=121
+	ship[0].EncodeTime=11.424µs
 	ship[0].LastAckedSeq=83
-	ship[0].AckHist=sum 10108864 count 46
+	ship[0].AckHist=sum 9994646 count 46
 	fol[0].Shard=0
 	fol[0].Applied=59
 	fol[0].Duplicates=27
@@ -200,7 +202,7 @@ const pinnedCounters = `
 	fol[0].Stale=0
 	fol[0].Snapshots=3
 	fol[0].Batches=8
-	fol[0].PatchedBytes=83379
+	fol[0].PatchedBytes=95237
 	fol[0].LastSeq=83
 	fol[0].Era=0
 	fresh[0].Shard=0
@@ -213,5 +215,5 @@ const pinnedCounters = `
 	fresh[0].PatchedBytes=0
 	fresh[0].LastSeq=83
 	fresh[0].Era=0
-	digests primary dc501d3303a89aef fol dc501d3303a89aef fresh dc501d3303a89aef
+	digests primary d8fc96d7b7a8f2bc fol d8fc96d7b7a8f2bc fresh d8fc96d7b7a8f2bc
 `

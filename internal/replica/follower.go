@@ -88,10 +88,10 @@ type FollowerShardStats struct {
 // A fresh follower formats its regions exactly as a fresh primary
 // would (format is deterministic), so even a shard that never ships a
 // delta is byte-identical across the pair; each delta (starting at
-// seq 1) then carries the manifest page and keeps the region
-// bit-for-bit in step. A follower built over a recovered store (a
-// rejoining ex-primary) instead resumes from the manifest position of
-// each region.
+// seq 1) then carries the manifest copy among its slot pages and keeps
+// the region bit-for-bit in step. A follower built over a recovered
+// store (a rejoining ex-primary) instead resumes from the position of
+// each region's newest manifest copy.
 type Follower struct {
 	cfg FollowerConfig
 	sys *core.System

@@ -56,7 +56,7 @@ var (
 // Delta is one shipped group commit (see shard.Commit): the dirty-page
 // delta of a single uCheckpoint, identified by the shard, its
 // replication era and the manifest commit sequence number that rides
-// in page 0 of the delta itself.
+// in one of the delta's own slot pages.
 type Delta struct {
 	Shard int
 	Seq   uint64

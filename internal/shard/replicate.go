@@ -9,11 +9,11 @@ import (
 
 // Commit is one group commit's replication payload: the dirty-page
 // delta of a single uCheckpoint, captured after it became locally
-// durable. Seq is the manifest group-commit counter — because the
-// manifest page rides in every dirty set, Seq is stored inside
-// Pages[…] page 0 and is therefore durable and atomic with the data
-// it numbers, on the primary and on every follower that applies the
-// delta.
+// durable. Seq is the manifest group-commit counter — because every
+// commit writes a manifest copy into a slot page it dirtied, Seq is
+// stored inside one of Pages and is therefore durable and atomic with
+// the data it numbers, on the primary and on every follower that
+// applies the delta.
 type Commit struct {
 	Seq   uint64
 	Era   uint64

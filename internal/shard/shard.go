@@ -16,10 +16,11 @@
 //
 // Durability contract: a write operation's response is delivered only
 // after the group commit containing it is durable, so every
-// acknowledged write survives any later power cut. Each shard region
-// carries a manifest page committed atomically with the data it
-// describes; reopening the service after a crash recovers every shard
-// to its last durable epoch and cross-checks the manifest against a
+// acknowledged write survives any later power cut. Each group commit
+// writes the shard's manifest counters into a slot page it dirtied, so
+// they are committed atomically with the data they describe; reopening
+// the service after a crash recovers every shard to its last durable
+// epoch, takes the newest manifest copy and cross-checks it against a
 // full scan of the shard's records.
 package shard
 
@@ -339,7 +340,8 @@ func open(sys *core.System, cfg Config) (*Service, error) {
 		sh.snap = sh.snapshot
 		rec := ShardRecovery{Shard: i, Existing: pre}
 		if pre {
-			if err := sh.tab.load(i, cfg.Shards, cfg.RegionBytes); err != nil {
+			rec.ScanRecords, rec.ScanSum, err = sh.tab.load(i, cfg.Shards, cfg.RegionBytes)
+			if err != nil {
 				return nil, err
 			}
 			// A promoted service opens recovered regions under a newer
@@ -354,12 +356,11 @@ func open(sys *core.System, cfg Config) (*Service, error) {
 			rec.ValueSum = sh.tab.man.sum
 			rec.Seq = sh.tab.man.commits
 			rec.Era = sh.tab.man.era
-			rec.ScanRecords, rec.ScanSum = sh.tab.scan()
 		} else {
 			sh.tab.format(i, cfg.Shards, cfg.RegionBytes, cfg.Era)
-			// Make the empty manifest durable immediately so a crash
-			// before the first client write still recovers an
-			// initialized shard.
+			// Make the header durable immediately so a crash before
+			// the first client write still recovers an initialized
+			// shard.
 			epoch, err := ctx.Persist(region, core.MSSync)
 			if err != nil {
 				return nil, err
@@ -368,8 +369,8 @@ func open(sys *core.System, cfg Config) (*Service, error) {
 			rec.Era = cfg.Era
 		}
 		// Capture deltas only from here on: the format commit above is
-		// not shipped (a follower reconstructs it from the first
-		// captured delta, whose dirty set includes the manifest page).
+		// not shipped (a follower formats its header page the same way,
+		// FormatRegion, and no later commit writes it).
 		if cfg.Replicator != nil {
 			ctx.CaptureCommits(true)
 		}

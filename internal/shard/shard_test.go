@@ -504,7 +504,7 @@ func TestShardCountMismatch(t *testing.T) {
 // TestShardFull exhausts a tiny shard's slot table.
 func TestShardFull(t *testing.T) {
 	sys := newSystem(t, 1)
-	// 3 pages: 1 manifest + 2 slot pages = 128 slots, 96 usable at
+	// 3 pages: 1 header + 2 slot pages = 126 slots, 94 usable at
 	// the 3/4 occupancy cap.
 	svc, err := New(sys, Config{Shards: 1, RegionBytes: 3 * core.PageSize})
 	if err != nil {

@@ -8,12 +8,17 @@ import (
 	"memsnap/internal/core"
 )
 
-// Per-shard region layout. Page 0 is the shard manifest; every
-// following page is an array of fixed-size hash slots. Because the
-// manifest page is dirtied in the same group commit as the slot pages
-// it describes, a uCheckpoint always carries a mutually consistent
-// (manifest, data) pair: recovery lands on the region's last durable
-// epoch and the manifest counters exactly describe the slot contents.
+// Per-shard region layout. Page 0 is the static header: the magic,
+// the shard's identity and capacity, and the format-time baseline of
+// the manifest counters; only format writes it. Every following page is
+// a slot page: 63 fixed-size hash slots, and in its last 64-byte slot a
+// manifest copy. A group commit writes its counters into the copy of
+// the last slot page its writes dirtied, so the counters ride in a page
+// the uCheckpoint already carries and cost it no page of their own.
+// Recovery takes the copy with the highest commit count, or the
+// baseline when no copy is newer: that copy lies in a page of the
+// newest durable commit, so the counters exactly describe the slot
+// contents the region recovered to.
 const (
 	// headerMagic identifies an initialized shard region ("MSHARD1\0").
 	headerMagic uint64 = 0x0031_4452_4148_534d
@@ -21,8 +26,10 @@ const (
 	// slotSize is the on-region footprint of one key-value slot.
 	slotSize = 64
 	// MaxKeyLen bounds the composed tenant+key byte length.
-	MaxKeyLen    = 40
-	slotsPerPage = core.PageSize / slotSize
+	MaxKeyLen = 40
+	// slotsPerPage leaves a slot page's last slot to its manifest copy.
+	slotsPerPage = core.PageSize/slotSize - 1
+	copyOff      = slotsPerPage * slotSize
 
 	// slot state byte values.
 	slotEmpty = 0
@@ -30,18 +37,24 @@ const (
 	slotDead  = 2 // tombstone: keeps probe chains intact after Delete
 )
 
-// Manifest page field offsets (all little-endian).
+// Header page field offsets (all little-endian). The baseline counters
+// at hdrCounters have the layout of a manifest copy.
 const (
-	hdrMagic   = 0  // u64
-	hdrShardID = 8  // u32
-	hdrShards  = 12 // u32 total shard count, guards against resharding
-	hdrSlots   = 16 // u64 slot capacity
-	hdrLive    = 24 // u64 live records
-	hdrFills   = 32 // u64 live + tombstone slots (probe-chain occupancy)
-	hdrApplied = 40 // u64 write operations applied since format
-	hdrSum     = 48 // u64 wrapping sum of all live values
-	hdrCommits = 56 // u64 group commits since format
-	hdrEra     = 64 // u64 replication era (bumped by failover Promote)
+	hdrMagic    = 0  // u64
+	hdrShardID  = 8  // u32
+	hdrShards   = 12 // u32 total shard count, guards against resharding
+	hdrSlots    = 16 // u64 slot capacity
+	hdrCounters = 24 // counters: the format-time baseline
+)
+
+// Counter offsets within a manifest copy (all u64, little-endian).
+const (
+	cntLive    = 0  // live records
+	cntFills   = 8  // live + tombstone slots (probe-chain occupancy)
+	cntApplied = 16 // write operations applied since format
+	cntSum     = 24 // wrapping sum of all live values
+	cntCommits = 32 // group commits since format: orders the copies
+	cntEra     = 40 // replication era (bumped by failover Promote)
 )
 
 // Slot field offsets within the 64-byte slot.
@@ -52,20 +65,46 @@ const (
 	slotValue = 48 // u64
 )
 
-// manifest is the in-memory copy of the header page counters. Whoever
-// runs the shard mutates the copy per operation and writes it back to
-// page 0 once per batch, so the header costs one dirty page per group
-// commit.
-type manifest struct {
-	shardID uint32
-	shards  uint32
-	slots   uint64
+// counters are the manifest fields a group commit changes. Whoever
+// runs the shard mutates the in-memory copy per operation and writes it
+// into one slot page per batch (writeManifest).
+type counters struct {
 	live    uint64
 	fills   uint64
 	applied uint64
 	sum     uint64
 	commits uint64
 	era     uint64
+}
+
+// get decodes a manifest copy.
+func (c *counters) get(b []byte) {
+	*c = counters{
+		live:    binary.LittleEndian.Uint64(b[cntLive:]),
+		fills:   binary.LittleEndian.Uint64(b[cntFills:]),
+		applied: binary.LittleEndian.Uint64(b[cntApplied:]),
+		sum:     binary.LittleEndian.Uint64(b[cntSum:]),
+		commits: binary.LittleEndian.Uint64(b[cntCommits:]),
+		era:     binary.LittleEndian.Uint64(b[cntEra:]),
+	}
+}
+
+// put encodes c as a manifest copy.
+func (c *counters) put(b []byte) {
+	binary.LittleEndian.PutUint64(b[cntLive:], c.live)
+	binary.LittleEndian.PutUint64(b[cntFills:], c.fills)
+	binary.LittleEndian.PutUint64(b[cntApplied:], c.applied)
+	binary.LittleEndian.PutUint64(b[cntSum:], c.sum)
+	binary.LittleEndian.PutUint64(b[cntCommits:], c.commits)
+	binary.LittleEndian.PutUint64(b[cntEra:], c.era)
+}
+
+// manifest is the static header plus the current counters.
+type manifest struct {
+	shardID uint32
+	shards  uint32
+	slots   uint64
+	counters
 }
 
 // table gives whoever runs a shard typed access to its region. It is
@@ -76,6 +115,9 @@ type table struct {
 	ctx    *core.Context
 	region *core.Region
 	man    manifest
+	// last is the offset of the slot page the latest write dirtied:
+	// the batch's manifest copy goes there.
+	last int64
 }
 
 // tableSlots returns the slot capacity of a region of regionBytes.
@@ -87,77 +129,80 @@ func tableSlots(regionBytes int64) uint64 {
 	return uint64(pages-1) * slotsPerPage
 }
 
-// format initializes a fresh shard region's manifest in memory. The
-// caller persists it via the first group commit.
+// format writes a fresh shard region's header page: every counter is
+// zero but the era. The caller persists it.
 func (t *table) format(shardID, shards int, regionBytes int64, era uint64) {
 	t.man = manifest{
-		shardID: uint32(shardID),
-		shards:  uint32(shards),
-		slots:   tableSlots(regionBytes),
-		era:     era,
+		shardID:  uint32(shardID),
+		shards:   uint32(shards),
+		slots:    tableSlots(regionBytes),
+		counters: counters{era: era},
 	}
-	t.writeManifest()
-}
-
-// load reads and validates the manifest of an existing shard region.
-func (t *table) load(shardID, shards int, regionBytes int64) error {
-	pg := t.ctx.PageForRead(t.region, 0)
-	if binary.LittleEndian.Uint64(pg[hdrMagic:]) != headerMagic {
-		return fmt.Errorf("shard %d: region %q has no valid manifest", shardID, t.region.Name())
-	}
-	t.man = manifest{
-		shardID: binary.LittleEndian.Uint32(pg[hdrShardID:]),
-		shards:  binary.LittleEndian.Uint32(pg[hdrShards:]),
-		slots:   binary.LittleEndian.Uint64(pg[hdrSlots:]),
-		live:    binary.LittleEndian.Uint64(pg[hdrLive:]),
-		fills:   binary.LittleEndian.Uint64(pg[hdrFills:]),
-		applied: binary.LittleEndian.Uint64(pg[hdrApplied:]),
-		sum:     binary.LittleEndian.Uint64(pg[hdrSum:]),
-		commits: binary.LittleEndian.Uint64(pg[hdrCommits:]),
-		era:     binary.LittleEndian.Uint64(pg[hdrEra:]),
-	}
-	if int(t.man.shardID) != shardID {
-		return fmt.Errorf("shard %d: region %q belongs to shard %d", shardID, t.region.Name(), t.man.shardID)
-	}
-	if int(t.man.shards) != shards {
-		return fmt.Errorf("shard %d: region formatted for %d shards, service configured for %d (resharding unsupported)",
-			shardID, t.man.shards, shards)
-	}
-	if want := tableSlots(regionBytes); t.man.slots != want {
-		return fmt.Errorf("shard %d: region has %d slots, config implies %d", shardID, t.man.slots, want)
-	}
-	return nil
-}
-
-// writeManifest flushes the in-memory manifest to page 0, dirtying it
-// into the shard's current uCheckpoint.
-func (t *table) writeManifest() {
 	pg := t.ctx.PageForWrite(t.region, 0)
 	binary.LittleEndian.PutUint64(pg[hdrMagic:], headerMagic)
 	binary.LittleEndian.PutUint32(pg[hdrShardID:], t.man.shardID)
 	binary.LittleEndian.PutUint32(pg[hdrShards:], t.man.shards)
 	binary.LittleEndian.PutUint64(pg[hdrSlots:], t.man.slots)
-	binary.LittleEndian.PutUint64(pg[hdrLive:], t.man.live)
-	binary.LittleEndian.PutUint64(pg[hdrFills:], t.man.fills)
-	binary.LittleEndian.PutUint64(pg[hdrApplied:], t.man.applied)
-	binary.LittleEndian.PutUint64(pg[hdrSum:], t.man.sum)
-	binary.LittleEndian.PutUint64(pg[hdrCommits:], t.man.commits)
-	binary.LittleEndian.PutUint64(pg[hdrEra:], t.man.era)
+	t.man.counters.put(pg[hdrCounters:])
+}
+
+// readHeader loads the header page into t.man. ok is false when the
+// region carries no valid header.
+func (t *table) readHeader() (ok bool) {
+	pg := t.ctx.PageForRead(t.region, 0)
+	if binary.LittleEndian.Uint64(pg[hdrMagic:]) != headerMagic {
+		return false
+	}
+	t.man = manifest{
+		shardID: binary.LittleEndian.Uint32(pg[hdrShardID:]),
+		shards:  binary.LittleEndian.Uint32(pg[hdrShards:]),
+		slots:   binary.LittleEndian.Uint64(pg[hdrSlots:]),
+	}
+	t.man.counters.get(pg[hdrCounters:])
+	return true
+}
+
+// load validates the header of an existing shard region and rescans
+// it: records and sum are recomputed from the slot data, and the
+// manifest takes the newest copy (see scan).
+func (t *table) load(shardID, shards int, regionBytes int64) (records, sum uint64, err error) {
+	if !t.readHeader() {
+		return 0, 0, fmt.Errorf("shard %d: region %q has no valid manifest", shardID, t.region.Name())
+	}
+	if int(t.man.shardID) != shardID {
+		return 0, 0, fmt.Errorf("shard %d: region %q belongs to shard %d", shardID, t.region.Name(), t.man.shardID)
+	}
+	if int(t.man.shards) != shards {
+		return 0, 0, fmt.Errorf("shard %d: region formatted for %d shards, service configured for %d (resharding unsupported)",
+			shardID, t.man.shards, shards)
+	}
+	if want := tableSlots(regionBytes); t.man.slots != want {
+		return 0, 0, fmt.Errorf("shard %d: region has %d slots, config implies %d", shardID, t.man.slots, want)
+	}
+	records, sum = t.scan()
+	return records, sum, nil
+}
+
+// writeManifest writes the in-memory counters into the manifest copy
+// of the slot page the batch's last write dirtied, which is already in
+// the shard's current uCheckpoint.
+func (t *table) writeManifest() {
+	pg := t.ctx.PageForWrite(t.region, t.last)
+	t.man.counters.put(pg[copyOff:])
 }
 
 // ManifestMeta reads the replication-relevant manifest counters from a
 // shard region through ctx: the group-commit sequence number, the
-// replication era, and the live value sum. ok is false when the region
-// carries no valid shard manifest (e.g. it was never committed).
+// replication era, and the live value sum of the newest manifest copy.
+// It reads every page of the region. ok is false when the region
+// carries no valid shard header (e.g. it was never committed).
 func ManifestMeta(ctx *core.Context, r *core.Region) (seq, era, sum uint64, ok bool) {
-	pg := ctx.PageForRead(r, 0)
-	if binary.LittleEndian.Uint64(pg[hdrMagic:]) != headerMagic {
+	t := table{ctx: ctx, region: r}
+	if !t.readHeader() {
 		return 0, 0, 0, false
 	}
-	return binary.LittleEndian.Uint64(pg[hdrCommits:]),
-		binary.LittleEndian.Uint64(pg[hdrEra:]),
-		binary.LittleEndian.Uint64(pg[hdrSum:]),
-		true
+	t.scan()
+	return t.man.commits, t.man.era, t.man.sum, true
 }
 
 // FormatRegion writes a fresh shard manifest into r and persists it
@@ -260,6 +305,7 @@ func (t *table) putAt(idx uint64, found bool, key []byte, value uint64) (prev ui
 		}
 	}
 	pg := t.ctx.PageForWrite(t.region, pageOff)
+	t.last = pageOff
 	if found {
 		prev = binary.LittleEndian.Uint64(pg[off+slotValue:])
 		existed = true
@@ -304,6 +350,7 @@ func (t *table) del(h uint64, key []byte) (uint64, bool) {
 	}
 	pageOff, off := slotPos(idx)
 	pg := t.ctx.PageForWrite(t.region, pageOff)
+	t.last = pageOff
 	prev := binary.LittleEndian.Uint64(pg[off+slotValue:])
 	pg[off+slotState] = slotDead
 	t.man.live--
@@ -312,12 +359,17 @@ func (t *table) del(h uint64, key []byte) (uint64, bool) {
 }
 
 // scan walks every slot and recomputes the live record count and
-// value sum from the data itself — the recovery cross-check against
-// the manifest.
+// value sum from the data itself, the recovery cross-check against the
+// manifest. On the way it reads each slot page's manifest copy, and the
+// manifest takes the newest one: commit counts only grow within a
+// region, so that copy holds the counters of the newest commit.
 func (t *table) scan() (records, sum uint64) {
 	for i := uint64(0); i < t.man.slots; i++ {
 		pageOff, off := slotPos(i)
 		pg := t.ctx.PageForRead(t.region, pageOff)
+		if off == 0 && binary.LittleEndian.Uint64(pg[copyOff+cntCommits:]) > t.man.commits {
+			t.man.counters.get(pg[copyOff:])
+		}
 		if pg[off+slotState] == slotLive {
 			records++
 			sum += binary.LittleEndian.Uint64(pg[off+slotValue:])

@@ -283,8 +283,9 @@ func (sh *shard) apply(batch []*request) *pendingBatch {
 		return nil
 	}
 
-	// Manifest counters ride in the same dirty set as the slot pages,
-	// making (data, manifest) atomic per group commit.
+	// The manifest counters ride in a slot page the batch already
+	// dirtied, making (data, manifest) atomic per group commit at no
+	// extra page.
 	sh.tab.man.applied += uint64(writeOps)
 	sh.tab.man.commits++
 	sh.tab.writeManifest()
@@ -306,9 +307,10 @@ func (sh *shard) apply(batch []*request) *pendingBatch {
 
 	// With a Replicator attached the Persist above captured the
 	// uCheckpoint's dirty pages; stamp them with the replication
-	// position the manifest page already carries. The captured slice is
-	// this commit's own (this batch stays pending while the next one
-	// applies), and ownership passes to the Replicator via Owned.
+	// position the manifest copy among them already carries. The
+	// captured slice is this commit's own (this batch stays pending
+	// while the next one applies), and ownership passes to the
+	// Replicator via Owned.
 	var commit Commit
 	if sh.svc.cfg.Replicator != nil {
 		if pages := sh.ctx.TakeCaptured(); pages != nil {

@@ -1,11 +1,13 @@
 // Package objstore implements MemSnap's copy-on-write object store
 // (§3, "Persisting MemSnap Regions"): a key-value store of named
 // objects whose block contents are indexed by COW radix trees. Every
-// uCheckpoint commit writes data to freshly allocated space, rewrites
-// the affected tree path below the top level bottom-up, and finally
-// persists a checksummed commit record that carries the top level; the
-// commit record write is ordered after the data write, so an
-// interrupted commit is invisible after recovery.
+// uCheckpoint commit writes data to freshly allocated space and then
+// persists a checksummed commit record that carries the tree's top
+// level and the leaf entries set since the leaves were last written;
+// only when those entries outgrow the record does a commit rewrite the
+// tree paths below the top level, bottom-up, with its data. The record
+// write is ordered after the data write and after the object's previous
+// record, so an interrupted commit is invisible after recovery.
 //
 // The store deliberately has no file API, no buffer cache and no
 // POSIX semantics — it does direct IO against the disk array and

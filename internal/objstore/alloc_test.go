@@ -10,12 +10,13 @@ import (
 
 // allocSequenceDigest is the FNV-1a digest of every data-block
 // address the workload in TestAllocationSequencePinned was handed,
-// taken when the commit record began to carry the tree's top level
-// (no root block is allocated). Freed-block reuse order decides disk
+// taken when the commit record began to carry the leaf entries set
+// since the last flush (no leaf is allocated until the record is
+// full). Freed-block reuse order decides disk
 // layout, and with it bytes written per operation and every
 // virtual-time number, so a change that moves this digest is a model
 // change, not a speed-up.
-const allocSequenceDigest = "c3f73627d1abbc94"
+const allocSequenceDigest = "ce5d5a3b905b9e30"
 
 // TestAllocationSequencePinned runs 1000 random commits against two
 // objects of one store — some submitted after the previous commit is

@@ -13,12 +13,12 @@ import (
 )
 
 // objectState renders everything a failed commit must leave alone: the
-// object's epoch, every node's address, every leaf
-// mapping, the spare buffers (by identity), and the allocator's bump
-// pointer, free list and quarantine.
+// object's epoch, pending indices and record slot, every node's
+// address, every leaf mapping, the spare buffers (by identity), and the
+// allocator's bump pointer, free list and quarantine.
 func objectState(o *Object) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "epoch %d\n", o.epoch)
+	fmt.Fprintf(&b, "epoch %d pending %v slot %d record done %v\n", o.epoch, pendingEntries(o), o.slot, o.recDone)
 	var nodes func(n *node, levelsLeft int)
 	nodes = func(n *node, levelsLeft int) {
 		fmt.Fprintf(&b, "node %d\n", n.addr)
@@ -40,12 +40,22 @@ func objectState(o *Object) string {
 	return b.String()
 }
 
-// TestCommitOutOfSpaceIsAtomic fills a 1 MiB array until a commit
-// that overwrites block 0 needs exactly the free space plus the blocks
-// a quarantined commit frees at durable. Issued before durable it must
-// fail and change nothing — block 0 still reads its old contents —
-// and issued at durable, once the space is freed, it must succeed and
-// leave no block over.
+// pendingEntries returns o's pending entries, packed.
+func pendingEntries(o *Object) []uint64 {
+	var es []uint64
+	for i := 0; i < entryCount(o.rec); i++ {
+		es = append(es, entryAt(o.rec, i))
+	}
+	return es
+}
+
+// TestCommitOutOfSpaceIsAtomic fills a 1 MiB array with one-block
+// commits — a flush among them — and then overwrites block 1, whose old
+// block stays quarantined until that commit is durable. A commit of
+// block 0 and new blocks needing exactly the free space plus that block,
+// and a commit too big for a record, issued before durable, must fail
+// and change nothing — block 0 still reads its old contents — and the
+// first, issued at durable, must succeed and leave no block over.
 func TestCommitOutOfSpaceIsAtomic(t *testing.T) {
 	costs := sim.DefaultCosts()
 	arr := disk.NewArray(costs, 2, 512<<10)
@@ -61,31 +71,46 @@ func TestCommitOutOfSpaceIsAtomic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Each commit adds a block and a new leaf, and frees the old leaf
-	// once durable: one block net. The top level is in the record.
-	next := int64(1)
+	// Each commit adds a block and an entry to the record; the commit
+	// whose entry does not fit writes the leaf.
+	next, flushes := int64(1), 0
 	for s.FreeBlocks() > 8 {
 		if durable, err = commitAt(o, durable, BlockWrite{Index: next, Data: block(byte(next))}); err != nil {
 			t.Fatal(err)
 		}
+		if entryCount(o.rec) == 0 {
+			flushes++
+		}
 		next++
+	}
+	if flushes != 1 {
+		t.Fatalf("%d flushes filling the array, want 1", flushes)
+	}
+	if durable, err = commitAt(o, durable, BlockWrite{Index: 1, Data: block(0xEE)}); err != nil {
+		t.Fatal(err)
 	}
 	free := s.FreeBlocks()
 	if q := len(s.alloc.quarantine); q != 1 {
-		t.Fatalf("%d blocks quarantined, want the last commit's leaf", q)
+		t.Fatalf("%d blocks quarantined, want the overwritten block 1", q)
 	}
-	// free writes plus a leaf: free + 1 blocks.
+	// free writes plus block 0: free + 1 blocks, and no flush.
 	writes := []BlockWrite{{Index: 0, Data: block(2)}}
-	for i := int64(1); i < free; i++ {
+	for i := int64(1); i <= free; i++ {
 		writes = append(writes, BlockWrite{Index: 500 + i, Data: []byte{byte(i)}})
+	}
+	var flush []BlockWrite
+	for i := int64(0); i <= recEntries; i++ {
+		flush = append(flush, BlockWrite{Index: 600 + i, Data: block(3)})
 	}
 
 	before := objectState(o)
-	if _, _, err := o.Commit(durable-1, writes); err == nil || !strings.Contains(err.Error(), "out of space") {
-		t.Fatalf("commit needing %d blocks with %d free: err %v, want out of space", free+1, free, err)
-	}
-	if after := objectState(o); after != before {
-		t.Fatalf("failed commit changed the object:\nbefore:\n%s\nafter:\n%s", before, after)
+	for _, w := range [][]BlockWrite{writes, flush} {
+		if _, _, err := o.Commit(durable-1, w); err == nil || !strings.Contains(err.Error(), "out of space") {
+			t.Fatalf("commit of %d blocks with %d free: err %v, want out of space", len(w), free, err)
+		}
+		if after := objectState(o); after != before {
+			t.Fatalf("failed commit changed the object:\nbefore:\n%s\nafter:\n%s", before, after)
+		}
 	}
 	buf := make([]byte, BlockSize)
 	if _, err := o.ReadBlock(durable, 0, buf); err != nil || !bytes.Equal(buf, block(1)) {
@@ -96,8 +121,8 @@ func TestCommitOutOfSpaceIsAtomic(t *testing.T) {
 	if err != nil {
 		t.Fatalf("commit after the quarantine matured: %v", err)
 	}
-	if epoch != Epoch(next+1) || s.FreeBlocks() != 0 {
-		t.Fatalf("epoch %d and %d blocks free after the commit, want %d and 0", epoch, s.FreeBlocks(), next+1)
+	if epoch != Epoch(next+2) || s.FreeBlocks() != 0 {
+		t.Fatalf("epoch %d and %d blocks free after the commit, want %d and 0", epoch, s.FreeBlocks(), next+2)
 	}
 	re, _, err := Open(costs, arr, done)
 	if err != nil {
@@ -116,7 +141,8 @@ func TestCommitOutOfSpaceIsAtomic(t *testing.T) {
 // TestCommitBlocksIsExact holds the space check's count to what a
 // commit really allocates, on trees of one, two and three levels (no
 // root block: the top level is in the commit record) with writes that
-// share leaves, share interior nodes, repeat an index, or stand alone:
+// share leaves, share interior nodes, repeat an index, or stand alone,
+// and that fit in the record or flush it:
 // after each commit the free space is exactly what was free, plus the
 // quarantine entries that matured, minus commitBlocks.
 func TestCommitBlocksIsExact(t *testing.T) {
@@ -158,7 +184,7 @@ func TestCommitBlocksIsExact(t *testing.T) {
 					free++
 				}
 			}
-			need := o.commitBlocks(writes)
+			need, _ := o.commitBlocks(writes)
 			if at, err = commitAt(o, at, writes...); err != nil {
 				t.Fatal(err)
 			}

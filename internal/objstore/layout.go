@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"slices"
 )
 
 // On-disk layout.
@@ -18,7 +17,8 @@ import (
 // A tree node is one block of treeFanout little-endian child
 // addresses with no header; node.img in tree.go is that block, so
 // nodes have no marshal step. The tree's top level is no block: its
-// rootSlots child addresses ride in the object's commit record.
+// rootSlots child addresses ride in the object's commit record, and so
+// do the leaf entries set since the leaves were last written.
 const (
 	magicSuper  = 0x4d534e41505355 // "MSNAPSU"
 	magicDirRec = 0x4d534e41504452 // "MSNAPDR"
@@ -29,17 +29,28 @@ const (
 	dirRingSlots = 8
 	dataStartOff = dirRingOff + dirRingSlots*sectorSize // rounded up below
 
-	// objRingSlots is the number of commit-record slots per object;
-	// commits rotate through them so a torn write can never destroy
-	// the previous valid record.
-	objRingSlots = 8
-	objRingBytes = objRingSlots * sectorSize
+	// An object's ring is one block of objRingSlots record slots.
+	// Commits alternate between them, and a record is submitted no
+	// earlier than the previous one completes, so a torn record can
+	// only destroy the slot whose record the other slot's durable one
+	// supersedes.
+	objRingSlots = 2
+	recSlotBytes = BlockSize / objRingSlots
 
 	// A commit record is a recHeader-byte header, the tree's top level
-	// (rootSlots child addresses) and an 8-byte checksum, in one sector.
-	recHeader = 24
-	recSum    = sectorSize - 8
-	rootSlots = (recSum - recHeader) / 8
+	// (rootSlots child addresses), up to recEntries leaf entries of
+	// entrySize bytes (packEntry) and an 8-byte checksum, written as
+	// whole sectors; a record with no entries is one sector.
+	recHeader     = 24
+	rootSlots     = (sectorSize - recHeader - 8) / 8
+	recEntriesOff = recHeader + rootSlots*8
+	entrySize     = 8
+	recEntries    = (recSlotBytes - recEntriesOff - 8) / entrySize
+
+	// maxPackedBlocks bounds an object's block count and a store's
+	// capacity in blocks: an entry packs a block index and a block
+	// number in a uint32 each.
+	maxPackedBlocks = 1 << 32
 )
 
 // dataStart returns the first block-aligned offset after the fixed
@@ -177,40 +188,78 @@ func unmarshalDirectory(buf []byte) []dirEntry {
 	return entries
 }
 
-// commitRecord is one object-ring slot: the durable root of one
-// epoch. It carries the tree's top level itself, so a commit writes
-// no root block.
-type commitRecord struct {
-	Magic  uint64
-	Epoch  uint64
-	Levels int64
-	// Root is the top level's image: rootSlots little-endian child
-	// addresses (0 = absent), as in tree.root.img.
-	Root []byte
+// A commit record image is one ring slot: the header (magic, epoch,
+// levels as a uint32 and the entry count as a uint32), the tree's top
+// level (rootSlots little-endian child addresses, 0 = absent), the
+// leaf entries set since the leaves were last written (packEntry,
+// ascending by index; they are newer than the leaves on disk) and,
+// right after them, the checksum. An object keeps its newest record's
+// image in memory as its state (Object.rec): the top level is
+// tree.root.img and the entries are the pending set, so a commit has
+// no marshal step; it stamps the header and the checksum and writes
+// the image's whole sectors.
+
+// entryCount returns how many entries record image rec holds.
+func entryCount(rec []byte) int {
+	return int(binary.LittleEndian.Uint32(rec[20:]))
 }
 
-// marshalInto writes the record into a caller-owned sector buffer.
-func (r *commitRecord) marshalInto(buf []byte) {
-	clear(buf[:sectorSize])
-	binary.LittleEndian.PutUint64(buf[0:], r.Magic)
-	binary.LittleEndian.PutUint64(buf[8:], r.Epoch)
-	binary.LittleEndian.PutUint64(buf[16:], uint64(r.Levels))
-	copy(buf[recHeader:recSum], r.Root)
-	binary.LittleEndian.PutUint64(buf[recSum:], checksum(buf[:recSum]))
+func setEntryCount(rec []byte, n int) {
+	binary.LittleEndian.PutUint32(rec[20:], uint32(n))
 }
 
-func unmarshalCommitRecord(buf []byte) (*commitRecord, bool) {
-	if checksum(buf[:recSum]) != binary.LittleEndian.Uint64(buf[recSum:]) {
-		return nil, false
-	}
-	r := &commitRecord{
-		Magic:  binary.LittleEndian.Uint64(buf[0:]),
-		Epoch:  binary.LittleEndian.Uint64(buf[8:]),
-		Levels: int64(binary.LittleEndian.Uint64(buf[16:])),
-		Root:   slices.Clone(buf[recHeader:recSum]),
-	}
-	if r.Magic != magicObjRec {
-		return nil, false
-	}
-	return r, true
+// entryAt returns entry i of record image rec.
+func entryAt(rec []byte, i int) uint64 {
+	return binary.LittleEndian.Uint64(rec[recEntriesOff+i*entrySize:])
 }
+
+// packEntry packs a leaf entry, block idx at address addr, as it lies
+// in a record: a little-endian uint64 whose low word is the block
+// number (addr / BlockSize) and whose high word is the index, so
+// entries order by index.
+func packEntry(idx, addr int64) uint64 {
+	return uint64(idx)<<32 | uint64(addr/BlockSize)
+}
+
+// unpackEntry returns the block index and address of a packed entry.
+func unpackEntry(e uint64) (idx, addr int64) {
+	return int64(e >> 32), int64(e&(1<<32-1)) * BlockSize
+}
+
+// recordSize is the length of a record with n entries: whole sectors.
+func recordSize(n int) int {
+	return (recEntriesOff + n*entrySize + 8 + sectorSize - 1) / sectorSize * sectorSize
+}
+
+// sealRecord stamps record image rec, whose top level and entries are
+// in place, with the magic, epoch and tree depth and its checksum, and
+// returns the whole sectors to write.
+func sealRecord(rec []byte, epoch uint64, levels int) []byte {
+	binary.LittleEndian.PutUint64(rec[0:], magicObjRec)
+	binary.LittleEndian.PutUint64(rec[8:], epoch)
+	binary.LittleEndian.PutUint32(rec[16:], uint32(levels))
+	n := entryCount(rec)
+	end := recEntriesOff + n*entrySize
+	binary.LittleEndian.PutUint64(rec[end:], checksum(rec[:end]))
+	size := recordSize(n)
+	clear(rec[end+8 : size])
+	return rec[:size]
+}
+
+// validRecord reports whether ring slot rec holds a record. The
+// checksum sits after the entries the header counts, so a torn record,
+// whose sectors mix two records, fails it.
+func validRecord(rec []byte) bool {
+	n := entryCount(rec)
+	if n > recEntries {
+		return false
+	}
+	end := recEntriesOff + n*entrySize
+	return checksum(rec[:end]) == binary.LittleEndian.Uint64(rec[end:]) &&
+		binary.LittleEndian.Uint64(rec[0:]) == magicObjRec
+}
+
+// recordEpoch and recordLevels read a record image's header.
+func recordEpoch(rec []byte) uint64 { return binary.LittleEndian.Uint64(rec[8:]) }
+
+func recordLevels(rec []byte) int { return int(binary.LittleEndian.Uint32(rec[16:])) }

@@ -1,8 +1,11 @@
 package objstore
 
 import (
+	"cmp"
+	"encoding/binary"
 	"fmt"
 	"slices"
+	"sort"
 	"sync"
 	"time"
 
@@ -24,6 +27,15 @@ type Object struct {
 	mu    sync.Mutex
 	tree  *tree
 	epoch Epoch
+	// rec is the image of the object's newest commit record, its state
+	// between commits: tree.root.img is its top level, and its entries
+	// are the pending set, every block index set since the leaves were
+	// last written, one entry per index.
+	rec []byte
+	// slot is the ring slot the next record goes to, and recDone the
+	// time the last record completes.
+	slot    int64
+	recDone time.Duration
 	// spares are the object's own data-block buffers: Commit fills
 	// spares[i] with its i-th block before it takes Store.mu, the
 	// device adopts it, and the spare the device hands back takes its
@@ -39,7 +51,7 @@ type commitScratch struct {
 	freed   []int64
 	extents []disk.Extent
 	idx     []int64 // the commit's block indices, sorted by commitBlocks
-	recBuf  []byte  // commit-record sector scratch
+	union   []int64 // a flush's indices: pending ∪ idx, built by commitBlocks
 }
 
 func (sc *commitScratch) reset() {
@@ -67,11 +79,14 @@ func (o *Object) Epoch() Epoch {
 }
 
 // Commit persists one uCheckpoint: every block lands in newly
-// allocated space, the dirtied radix-tree path below the top level is
-// rewritten COW bottom-up, and a checksummed commit record carrying
-// the top level is written strictly after the data. Returns the new
-// epoch and the virtual time at which the commit is durable. A commit
-// that fails, for lack of space or a bad write, changes nothing.
+// allocated space, and a checksummed commit record carrying the top
+// level and the leaf entries set since the leaves were last written is
+// written strictly after the data. When those entries do not fit in a
+// record, the commit instead rewrites every tree node below the top
+// level on their paths COW bottom-up, with the data, and its record
+// carries none. Returns the new epoch and the virtual time at which
+// the commit is durable. A commit that fails, for lack of space or a
+// bad write, changes nothing.
 //
 // Commits to one object serialize on o.mu. Commits to different
 // objects are independent in the model: each object has its own
@@ -79,10 +94,11 @@ func (o *Object) Epoch() Epoch {
 // queue. On the host, each commit copies its data blocks into the
 // object's spares under o.mu alone, then takes Store.mu for what
 // orders it against every other commit: the space check, allocation,
-// tree.set, the tree relocation (node images are still copied by the
-// device), the vectored write that adopts the data blocks, the
-// commit-record write and freeAt. Every device submission therefore
-// still reaches the FIFO device queues in allocator order.
+// tree.set, the pending set, a flush's tree relocation (node images
+// are still copied by the device), the vectored write that adopts the
+// data blocks, the commit-record write and freeAt. Every device
+// submission therefore still reaches the FIFO device queues in
+// allocator order.
 func (o *Object) Commit(at time.Duration, writes []BlockWrite) (Epoch, time.Duration, error) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
@@ -113,7 +129,7 @@ func (o *Object) Commit(at time.Duration, writes []BlockWrite) (Epoch, time.Dura
 		sc.extents = append(sc.extents, disk.Extent{Block: b})
 	}
 
-	need := o.commitBlocks(writes)
+	need, flush := o.commitBlocks(writes)
 
 	s := o.store
 	s.mu.Lock()
@@ -140,10 +156,22 @@ func (o *Object) Commit(at time.Duration, writes []BlockWrite) (Epoch, time.Dura
 		}
 	}
 
-	// COW the written paths: every node on them below the top level
-	// moves to a new address; parents pick up the new child addresses,
-	// bottom-up. The top level goes into the commit record.
-	o.relocate(o.tree.root, o.tree.levels, sc.idx)
+	// The record carries the leaf entries set since the leaves were
+	// last written. When they do not fit, flush: COW every path they
+	// are on — each node below the top level moves to a new address and
+	// parents pick up the new child addresses, bottom-up — and the
+	// record carries none. The top level goes into the record.
+	switch {
+	case flush:
+		o.relocate(o.tree.root, o.tree.levels, sc.union)
+		setEntryCount(o.rec, 0)
+	case o.tree.levels > 1:
+		for i, idx := range sc.idx {
+			if i == 0 || idx != sc.idx[i-1] {
+				setEntry(o.rec, idx, o.tree.lookup(idx))
+			}
+		}
+	}
 
 	// Phase 1: data + tree nodes as one vectored IO. The device adopts
 	// each data block and hands back a spare for its slot.
@@ -152,20 +180,14 @@ func (o *Object) Commit(at time.Duration, writes []BlockWrite) (Epoch, time.Dura
 		o.spares[i] = sc.extents[i].Block
 	}
 
-	// Phase 2: the commit record, ordered after phase 1.
+	// Phase 2: the commit record, ordered after phase 1 and after the
+	// previous record, so the record in the other slot is durable
+	// before this one can tear.
 	o.epoch++
-	rec := commitRecord{
-		Magic:  magicObjRec,
-		Epoch:  uint64(o.epoch),
-		Levels: int64(o.tree.levels),
-		Root:   o.tree.root.img,
-	}
-	if sc.recBuf == nil {
-		sc.recBuf = make([]byte, sectorSize)
-	}
-	rec.marshalInto(sc.recBuf)
-	slot := int64(uint64(o.epoch) % objRingSlots)
-	done = s.arr.Write(done, o.ringOff+slot*sectorSize, sc.recBuf)
+	rec := sealRecord(o.rec, uint64(o.epoch), o.tree.levels)
+	done = s.arr.Write(max(done, o.recDone), o.ringOff+o.slot*recSlotBytes, rec)
+	o.slot ^= 1
+	o.recDone = done
 
 	// Replaced blocks become reusable once this commit is durable.
 	s.alloc.freeAt(sc.freed, done)
@@ -187,10 +209,14 @@ func (o *Object) growSpares(n int) {
 }
 
 // commitBlocks returns exactly how many blocks committing writes
-// allocates: one per write, and one per distinct tree node below the
-// top level on the written paths, each of which relocate moves once.
-// It leaves the written indices sorted in sc.idx for relocate.
-func (o *Object) commitBlocks(writes []BlockWrite) int64 {
+// allocates, and whether the commit flushes: one block per write and,
+// when the pending indices and the written ones do not fit in a
+// record, one per distinct tree node below the top level on their
+// paths, each of which relocate moves once. It leaves the written
+// indices sorted in sc.idx and, to flush, the union, ascending, in
+// sc.union. A one-level tree has no leaf below its top level, so it
+// keeps no pending entries and never flushes.
+func (o *Object) commitBlocks(writes []BlockWrite) (int64, bool) {
 	idx := o.sc.idx[:0]
 	for _, w := range writes {
 		idx = append(idx, w.Index)
@@ -198,24 +224,84 @@ func (o *Object) commitBlocks(writes []BlockWrite) int64 {
 	slices.Sort(idx)
 	o.sc.idx = idx
 	n := int64(len(writes))
+	if o.tree.levels == 1 {
+		return n, false
+	}
+	entries := entryCount(o.rec)
+	for i, x := range idx {
+		if i == 0 || x != idx[i-1] {
+			if _, found := findEntry(o.rec, x); !found {
+				entries++
+			}
+		}
+	}
+	if entries <= recEntries {
+		return n, false
+	}
+	union := mergeIndices(o.sc.union[:0], o.rec, idx)
+	o.sc.union = union
 	// Indices share a node h levels above the data blocks when they
 	// agree above their low treeShift*h bits; the top level, h =
 	// levels, is in the commit record.
 	for h := 1; h < o.tree.levels; h++ {
 		shift := uint(treeShift * h)
-		for i, x := range idx {
-			if i == 0 || x>>shift != idx[i-1]>>shift {
+		for i, x := range union {
+			if i == 0 || x>>shift != union[i-1]>>shift {
 				n++
 			}
 		}
 	}
-	return n
+	return n, true
 }
 
-// relocate moves every node below n on the written paths to fresh
+// mergeIndices appends to dst the union of the indices of record
+// image rec's entries and of ascending idx, each index once.
+func mergeIndices(dst []int64, rec []byte, idx []int64) []int64 {
+	n, i := entryCount(rec), 0
+	for i < n || len(idx) > 0 {
+		x := int64(-1)
+		if i < n {
+			x, _ = unpackEntry(entryAt(rec, i))
+		}
+		if x < 0 || len(idx) > 0 && idx[0] < x {
+			x, idx = idx[0], idx[1:]
+		} else {
+			i++
+		}
+		if k := len(dst); k == 0 || dst[k-1] != x {
+			dst = append(dst, x)
+		}
+	}
+	return dst
+}
+
+// findEntry returns where the entry of block idx is, or would go,
+// among record image rec's entries, and whether it is there.
+func findEntry(rec []byte, idx int64) (int, bool) {
+	return sort.Find(entryCount(rec), func(i int) int {
+		e, _ := unpackEntry(entryAt(rec, i))
+		return cmp.Compare(idx, e)
+	})
+}
+
+// setEntry puts the entry of block idx at addr among record image
+// rec's entries, in place of idx's entry if there is one. Commit has
+// checked that it fits.
+func setEntry(rec []byte, idx, addr int64) {
+	i, found := findEntry(rec, idx)
+	off := recEntriesOff + i*entrySize
+	if !found {
+		n := entryCount(rec)
+		end := recEntriesOff + n*entrySize
+		copy(rec[off+entrySize:end+entrySize], rec[off:end])
+		setEntryCount(rec, n+1)
+	}
+	binary.LittleEndian.PutUint64(rec[off:], packEntry(idx, addr))
+}
+
+// relocate moves every node below n on the paths of idx to fresh
 // disk addresses, queues their images for the commit's vectored write
-// and points n's slots at them. idx holds the sorted written indices
-// under n. Children are moved in slot order, each after its own
+// and points n's slots at them. idx holds ascending indices under n. Children are moved in slot order, each after its own
 // children. Commit has checked the space beforehand.
 func (o *Object) relocate(n *node, levelsLeft int, idx []int64) {
 	sc := &o.sc

@@ -43,6 +43,13 @@ func TestCreateOpenObject(t *testing.T) {
 	if _, _, err := s.CreateObject(0, "alpha", 4096); err == nil {
 		t.Fatal("duplicate create allowed")
 	}
+	// A record entry names a block index in a uint32.
+	if _, _, err := s.CreateObject(0, "huge", (maxPackedBlocks+1)*BlockSize); err == nil {
+		t.Fatal("object of 2^32+1 blocks created")
+	}
+	if _, _, err := s.CreateObject(0, "largest", maxPackedBlocks*BlockSize); err != nil {
+		t.Fatalf("object of 2^32 blocks: %v", err)
+	}
 }
 
 func TestCommitReadBack(t *testing.T) {
@@ -207,29 +214,40 @@ func TestTornCommitInvisibleAfterRecovery(t *testing.T) {
 	}
 }
 
+// TestCrashTortureManyCuts commits a run of durable commits, then one
+// more torn at a random instant, and checks that recovery always lands
+// on a complete epoch. Each commit writes block 0 or its own block,
+// block 500 and 40 filler blocks, so records fill and flush every few
+// commits and the torn commit falls at every point of that cycle,
+// flushes included.
 func TestCrashTortureManyCuts(t *testing.T) {
-	// Repeatedly cut power at random points inside a commit and check
-	// that recovery always lands on a complete epoch.
+	const fillers = 40
 	costs := sim.DefaultCosts()
-	for seed := uint64(0); seed < 25; seed++ {
+	flushes := 0
+	for seed := uint64(0); seed < 50; seed++ {
 		rng := sim.NewRNG(seed + 1000)
 		arr := disk.NewArray(costs, 2, 64<<20)
 		s, at, _ := Format(costs, arr, 0)
-		obj, at, _ := s.CreateObject(at, "o", 4<<20)
+		obj, at, _ := s.CreateObject(at, "o", 16<<20)
+		writes := func(i int64, val byte) []BlockWrite {
+			w := []BlockWrite{{Index: i, Data: block(val)}, {Index: 500, Data: block(val)}}
+			for j := int64(0); j < fillers; j++ {
+				w = append(w, BlockWrite{Index: 1000 + (i*fillers+j)%2000, Data: block(val)})
+			}
+			return w
+		}
 
 		// A few durable commits.
-		nDurable := 1 + int(seed%4)
+		nDurable := 1 + int(seed%12)
 		for i := 0; i < nDurable; i++ {
-			_, at, _ = obj.Commit(at, []BlockWrite{
-				{Index: int64(i), Data: block(byte(0x10 + i))},
-				{Index: 500, Data: block(byte(0x10 + i))},
-			})
+			_, at, _ = obj.Commit(at, writes(int64(i), byte(0x10+i)))
 		}
 		// One in-flight commit, torn at a random instant.
-		_, done, _ := obj.Commit(at, []BlockWrite{
-			{Index: 0, Data: block(0xEE)},
-			{Index: 500, Data: block(0xEE)},
-		})
+		torn := writes(0, 0xEE)
+		_, done, _ := obj.Commit(at, torn)
+		if entryCount(obj.rec) == 0 {
+			flushes++
+		}
 		cut := at + time.Duration(rng.Int63n(int64(done-at)+1))
 		arr.CutPower(cut, rng)
 
@@ -257,6 +275,17 @@ func TestCrashTortureManyCuts(t *testing.T) {
 				t.Fatalf("seed %d: torn block content at %d", seed, i)
 			}
 		}
+		// So was every filler of the torn commit.
+		buf := make([]byte, BlockSize)
+		for _, w := range torn[2:] {
+			o2.ReadBlock(at2, w.Index, buf)
+			if (buf[0] == 0xEE) != (b500[0] == 0xEE) {
+				t.Fatalf("seed %d: block %d reads %#x with block 500 at %#x", seed, w.Index, buf[0], b500[0])
+			}
+		}
+	}
+	if flushes == 0 {
+		t.Fatal("no torn commit was a flush")
 	}
 }
 
@@ -341,8 +370,11 @@ func TestManyObjectsIndependentEpochs(t *testing.T) {
 	}
 }
 
+// TestCommitRecoverProperty commits runs of up to 40 commits of up to
+// 24 blocks each — enough to fill records and flush them — and checks
+// that Open recovers every block exactly.
 func TestCommitRecoverProperty(t *testing.T) {
-	// Arbitrary committed states always recover exactly.
+	flushes := 0
 	f := func(seed uint64, nCommits uint8) bool {
 		costs := sim.DefaultCosts()
 		rng := sim.NewRNG(seed)
@@ -350,10 +382,10 @@ func TestCommitRecoverProperty(t *testing.T) {
 		s, at, _ := Format(costs, arr, 0)
 		obj, at, _ := s.CreateObject(at, "o", 4<<20)
 		want := make(map[int64]byte)
-		n := int(nCommits%8) + 1
+		n := int(nCommits%40) + 1
 		for c := 0; c < n; c++ {
 			var writes []BlockWrite
-			for w := 0; w < 1+int(rng.Uint64()%4); w++ {
+			for w := 0; w < 1+int(rng.Uint64()%24); w++ {
 				idx := rng.Int63n(1024)
 				val := byte(rng.Uint64())
 				writes = append(writes, BlockWrite{Index: idx, Data: block(val)})
@@ -362,6 +394,9 @@ func TestCommitRecoverProperty(t *testing.T) {
 			_, done, err := obj.Commit(at, writes)
 			if err != nil {
 				return false
+			}
+			if entryCount(obj.rec) == 0 {
+				flushes++
 			}
 			at = done
 		}
@@ -378,6 +413,16 @@ func TestCommitRecoverProperty(t *testing.T) {
 			}
 		}
 		return true
+	}
+	// Fixed runs of 40 commits, long enough to flush, then arbitrary
+	// ones.
+	for seed := uint64(1); seed <= 4; seed++ {
+		if !f(seed, 39) {
+			t.Fatalf("seed %d: 40 commits not recovered exactly", seed)
+		}
+	}
+	if flushes == 0 {
+		t.Fatal("no commit flushed its record")
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Fatal(err)

@@ -30,6 +30,9 @@ type Store struct {
 // and the virtual time at which formatting is durable. The cost model
 // is unused: the array charges every access the store makes.
 func Format(_ *sim.CostModel, arr *disk.Array, at time.Duration) (*Store, time.Duration, error) {
+	if arr.Capacity()/BlockSize > maxPackedBlocks {
+		return nil, at, fmt.Errorf("objstore: %d-byte array exceeds %d blocks", arr.Capacity(), int64(maxPackedBlocks))
+	}
 	s := &Store{
 		arr:     arr,
 		alloc:   newAllocator(dataStart(), arr.Capacity()),
@@ -97,37 +100,59 @@ func Open(_ *sim.CostModel, arr *disk.Array, at time.Duration) (*Store, time.Dur
 	return s, at, nil
 }
 
-// loadObject recovers one object from its commit ring.
-func (s *Store) loadObject(e dirEntry, at time.Duration, used usedSet) (*Object, time.Duration, error) {
-	used[e.RingOff] = true
-	buf := make([]byte, sectorSize)
-	var best *commitRecord
-	for slot := 0; slot < objRingSlots; slot++ {
-		at = s.arr.Read(at, e.RingOff+int64(slot*sectorSize), buf)
-		if rec, ok := unmarshalCommitRecord(buf); ok {
-			if best == nil || rec.Epoch > best.Epoch {
-				best = rec
-			}
-		}
-	}
-	obj := &Object{
+// newObject returns an object with an empty tree and an empty record
+// image, whose top level is the tree's.
+func newObject(s *Store, e dirEntry) *Object {
+	o := &Object{
 		store:     s,
 		name:      e.Name,
 		ringOff:   e.RingOff,
 		maxBlocks: e.MaxBlocks,
 		tree:      newTree(e.MaxBlocks),
+		rec:       make([]byte, recSlotBytes),
 	}
-	if best == nil {
+	o.tree.root.img = o.rec[recHeader:recEntriesOff]
+	return o
+}
+
+// loadObject recovers one object from its commit ring: the newest
+// valid record becomes the object's record image, with its top level,
+// the tree nodes on disk under it, and its leaf entries, which are
+// newer than those nodes. The entries stay in the image as the pending
+// set, so the next record carries them again. Data blocks are marked
+// used only after the entries are applied, so the blocks they
+// superseded come back free.
+func (s *Store) loadObject(e dirEntry, at time.Duration, used usedSet) (*Object, time.Duration, error) {
+	used[e.RingOff] = true
+	ring := make([]byte, BlockSize)
+	at = s.arr.Read(at, e.RingOff, ring)
+	best := int64(-1)
+	for slot := int64(0); slot < objRingSlots; slot++ {
+		rec := ring[slot*recSlotBytes : (slot+1)*recSlotBytes]
+		if validRecord(rec) && (best < 0 || recordEpoch(rec) > recordEpoch(ring[best*recSlotBytes:])) {
+			best = slot
+		}
+	}
+	obj := newObject(s, e)
+	if best < 0 {
 		// Never committed (only the zeroed ring exists): empty.
 		return obj, at, nil
 	}
-	if want := obj.tree.levels; best.Levels != int64(want) {
-		return nil, at, fmt.Errorf("objstore: %q commit record has %d tree levels, want %d for %d blocks", e.Name, best.Levels, want, e.MaxBlocks)
+	copy(obj.rec, ring[best*recSlotBytes:])
+	if levels, want := recordLevels(obj.rec), obj.tree.levels; levels != want {
+		return nil, at, fmt.Errorf("objstore: %q commit record has %d tree levels, want %d for %d blocks", e.Name, levels, want, e.MaxBlocks)
 	}
-	obj.epoch = Epoch(best.Epoch)
-	copy(obj.tree.root.img, best.Root)
+	obj.epoch = Epoch(recordEpoch(obj.rec))
+	obj.slot = best ^ 1
 	at = s.loadKids(obj.tree.root, obj.tree.levels, at, used)
-	// Mark data blocks used.
+	for i, prev := 0, int64(-1); i < entryCount(obj.rec); i++ {
+		idx, addr := unpackEntry(entryAt(obj.rec, i))
+		if idx >= e.MaxBlocks || idx <= prev {
+			return nil, at, fmt.Errorf("objstore: %q commit record entry %d (block %d) out of order or range", e.Name, i, idx)
+		}
+		obj.tree.set(idx, addr)
+		prev = idx
+	}
 	obj.tree.forEach(func(_, addr int64) { used[addr] = true })
 	return obj, at, nil
 }
@@ -168,6 +193,9 @@ func (s *Store) CreateObject(at time.Duration, name string, maxBytes int64) (*Ob
 	if maxBlocks == 0 {
 		maxBlocks = 1
 	}
+	if maxBlocks > maxPackedBlocks {
+		return nil, at, fmt.Errorf("objstore: object %q of %d blocks exceeds %d", name, maxBlocks, int64(maxPackedBlocks))
+	}
 
 	s.alloc.releaseQuarantine(at)
 	ringOff, err := s.alloc.alloc()
@@ -207,13 +235,7 @@ func (s *Store) CreateObject(at time.Duration, name string, maxBytes int64) (*Ob
 	s.dirAddr = newDirAddr
 	s.entries = entries
 
-	obj := &Object{
-		store:     s,
-		name:      name,
-		ringOff:   ringOff,
-		maxBlocks: maxBlocks,
-		tree:      newTree(maxBlocks),
-	}
+	obj := newObject(s, dirEntry{Name: name, RingOff: ringOff, MaxBlocks: maxBlocks})
 	s.objects[name] = obj
 	return obj, done, nil
 }

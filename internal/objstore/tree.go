@@ -47,10 +47,10 @@ func (n *node) setChild(i int, addr int64) {
 type tree struct {
 	root   *node
 	levels int // 1 = root is a leaf
-	// topDiv is treeFanout^(levels-1): the divisor that extracts the
+	// topShift is treeShift*(levels-1): the shift that extracts the
 	// root-level slot from a block index, so path walks need no
-	// per-call slot-path allocation.
-	topDiv int64
+	// per-call slot-path allocation and no division.
+	topShift uint
 }
 
 // levelsFor returns how many radix levels are needed for maxBlocks
@@ -67,34 +67,30 @@ func levelsFor(maxBlocks int64) int {
 
 func newTree(maxBlocks int64) *tree {
 	levels := levelsFor(maxBlocks)
-	topDiv := int64(1)
-	for i := 0; i < levels-1; i++ {
-		topDiv *= treeFanout
-	}
-	return &tree{root: newNode(rootSlots, levels > 1), levels: levels, topDiv: topDiv}
+	return &tree{root: newNode(rootSlots, levels > 1), levels: levels, topShift: uint(treeShift * (levels - 1))}
 }
 
 // lookup returns the data-block address for idx, or 0.
 func (t *tree) lookup(idx int64) int64 {
 	n := t.root
-	div := t.topDiv
+	shift := t.topShift
 	for level := 0; level < t.levels-1; level++ {
-		n = n.kids[int((idx/div)%treeFanout)]
+		n = n.kids[int(idx>>shift)&(treeFanout-1)]
 		if n == nil {
 			return 0
 		}
-		div /= treeFanout
+		shift -= treeShift
 	}
-	return n.child(int((idx / div) % treeFanout))
+	return n.child(int(idx>>shift) & (treeFanout - 1))
 }
 
 // set installs addr for idx and returns the previous address (0 if
 // none). Interior nodes are created as needed.
 func (t *tree) set(idx int64, addr int64) (old int64) {
 	n := t.root
-	div := t.topDiv
+	shift := t.topShift
 	for level := 0; level < t.levels-1; level++ {
-		slot := int((idx / div) % treeFanout)
+		slot := int(idx>>shift) & (treeFanout - 1)
 		next := n.kids[slot]
 		if next == nil {
 			next = newNode(treeFanout, level < t.levels-2)
@@ -102,9 +98,9 @@ func (t *tree) set(idx int64, addr int64) (old int64) {
 			n.setChild(slot, 0) // not yet on disk
 		}
 		n = next
-		div /= treeFanout
+		shift -= treeShift
 	}
-	slot := int((idx / div) % treeFanout)
+	slot := int(idx>>shift) & (treeFanout - 1)
 	old = n.child(slot)
 	n.setChild(slot, addr)
 	return old

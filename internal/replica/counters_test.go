@@ -173,7 +173,8 @@ func TestShipperCountersPinned(t *testing.T) {
 // includes the run's six snapshot transmissions (three snapshots, the
 // first sent four times). The byte counts follow the shard region
 // layout: which slot pages the 24 keys land on, and which page carries
-// each commit's manifest copy.
+// each commit's manifest copy. AckHist follows the follower's commit
+// time, so the object store's on-disk layout moves it.
 const pinnedCounters = `
 	ship[0].Shard=0
 	ship[0].Shipped=103
@@ -194,7 +195,7 @@ const pinnedCounters = `
 	ship[0].Extents=121
 	ship[0].EncodeTime=11.424µs
 	ship[0].LastAckedSeq=83
-	ship[0].AckHist=sum 9994646 count 46
+	ship[0].AckHist=sum 9942103 count 46
 	fol[0].Shard=0
 	fol[0].Applied=59
 	fol[0].Duplicates=27

@@ -105,6 +105,6 @@ func Example_banktx() {
 
 	// Output:
 	// funded 256 accounts with 1000 each
-	// ran 500 transfers; power cut at 23.71925ms (last commit window 23.703377ms..23.749804ms)
+	// ran 500 transfers; power cut at 23.464119ms (last commit window 23.432718ms..23.478454ms)
 	// audited total after crash: 256000 (expected 256000)
 }

@@ -104,7 +104,7 @@ func Example_kvstore() {
 	// MixGraph (84% get / 14% put / 3% seek), 400 ops, synchronous writes:
 	// baseline+WAL   avg 47.377µs   p99 101.376µs
 	// aurora         avg 65.641µs   p99    256µs
-	// memsnap        avg 45.209µs   p99  87.04µs
+	// memsnap        avg 45.187µs   p99  87.04µs
 	// after power cut + recovery: Get("survives") = "yes" (found=true)
 	// rebuilt index iterates in order: 000000000000 000000000001 000000000002
 }

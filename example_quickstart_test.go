@@ -76,8 +76,8 @@ func Example_quickstart() {
 
 	// Output:
 	// region "guestbook" mapped at 0x700000000000 (1024 KiB)
-	// persisted epoch 1: 2 pages in 43.366µs (reset 560ns, IO 35.146µs)
-	// power cut at 116.605µs
+	// persisted epoch 1: 2 pages in 43.136µs (reset 560ns, IO 34.916µs)
+	// power cut at 114.532µs
 	// region remapped at the same address: true
 	// recovered offset 0:   "hello, fearless persistence\x00"
 	// recovered offset 64K: "page-granular dirty tracking"

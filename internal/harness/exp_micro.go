@@ -2,7 +2,6 @@ package harness
 
 import (
 	"fmt"
-	"slices"
 	"time"
 
 	"memsnap/internal/aurora"
@@ -93,10 +92,10 @@ func Figure1(opts Options) (*Result, error) {
 
 // table5Persists is how many 64 KiB persists Table 5 averages: two
 // stripe phases (a persist allocates 64 KiB, half the 2 × 64 KiB stripe
-// cycle) times the 13 commits of a leaf flush cycle (12 records of 16
-// entries fill the record's 192, the 13th flushes), so the mean covers
-// every phase of both.
-const table5Persists = 26
+// cycle) times the 127 commits of a log cycle (126 one-sector deltas of
+// 16 entries fill the object's log, the 127th flushes), so the mean
+// covers every phase of both.
+const table5Persists = 2 * 127
 
 // Table5 reproduces the msnap_persist breakdown for a 64 KiB dirty
 // set. One persist's IO wait depends on where the allocator left the
@@ -116,8 +115,9 @@ func Table5(opts Options) (*Result, error) {
 		return nil, err
 	}
 	// Warm the region so the measured persists have no page-in costs;
-	// this persist flushes, so the first measured one starts a cycle.
-	ctx.WriteAt(r, 0, make([]byte, table5Persists*64<<10))
+	// this persist is larger than the whole log, so it flushes and the
+	// first measured one starts a cycle.
+	ctx.WriteAt(r, 0, make([]byte, 64<<20))
 	ctx.Persist(r, core.MSSync)
 	var phases [4][]time.Duration
 	for i := 0; i < table5Persists; i++ {
@@ -136,16 +136,12 @@ func Table5(opts Options) (*Result, error) {
 		Header: []string{"Operation", "Overhead (us)", "Min (us)", "Max (us)"},
 		Notes: []string{
 			"paper: 5.1 / 6.5 / 39.7 / 51.4 us (Table 5)",
-			fmt.Sprintf("mean of %d persists of successive 64 KiB: both stripe phases, two leaf flushes", table5Persists),
+			fmt.Sprintf("mean of %d persists of successive 64 KiB: both stripe phases, two log flushes", table5Persists),
 		},
 	}
 	for j, name := range []string{"Resetting Tracking", "Initiating Writes", "Waiting on IO", "Total"} {
-		var sum time.Duration
-		for _, d := range phases[j] {
-			sum += d
-		}
-		res.Rows = append(res.Rows, []string{name,
-			us(sum / time.Duration(len(phases[j]))), us(slices.Min(phases[j])), us(slices.Max(phases[j]))})
+		mean, lo, hi := meanMinMax(phases[j])
+		res.Rows = append(res.Rows, []string{name, us(mean), us(lo), us(hi)})
 	}
 	return res, nil
 }

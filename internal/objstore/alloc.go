@@ -2,12 +2,13 @@
 // (§3, "Persisting MemSnap Regions"): a key-value store of named
 // objects whose block contents are indexed by COW radix trees. Every
 // uCheckpoint commit writes data to freshly allocated space and then
-// persists a checksummed commit record that carries the tree's top
-// level and the leaf entries set since the leaves were last written;
-// only when those entries outgrow the record does a commit rewrite the
-// tree paths below the top level, bottom-up, with its data. The record
-// write is ordered after the data write and after the object's previous
-// record, so an interrupted commit is invisible after recovery.
+// appends a checksummed delta record carrying only its own leaf
+// entries to the object's log; only when the log is full does a commit
+// rewrite the tree paths the log's entries are on, bottom-up, with its
+// data, and write a base record carrying the tree's top level. Each
+// record write is ordered after the data write and after the object's
+// previous record, so an interrupted commit is invisible after
+// recovery, which replays the log on top of the newest base.
 //
 // The store deliberately has no file API, no buffer cache and no
 // POSIX semantics — it does direct IO against the disk array and
@@ -66,6 +67,19 @@ func (a *allocator) take() int64 {
 	off := a.next
 	a.next += BlockSize
 	return off
+}
+
+// takeRing returns the offset of a new object ring: the ringBytes
+// run, aligned to its size, just below the end of the data area, which
+// moves down past it. Rings stack down from the top of the array, so
+// they take nothing from where the bump pointer lays out data.
+func (a *allocator) takeRing() (int64, error) {
+	off := (a.limit/ringBytes - 1) * ringBytes
+	if off < a.next {
+		return 0, fmt.Errorf("objstore: out of space for an object ring (limit %d)", a.limit)
+	}
+	a.limit = off
+	return off, nil
 }
 
 // canAlloc reports whether n blocks can be allocated at virtual time

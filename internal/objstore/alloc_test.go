@@ -10,13 +10,14 @@ import (
 
 // allocSequenceDigest is the FNV-1a digest of every data-block
 // address the workload in TestAllocationSequencePinned was handed,
-// taken when the commit record began to carry the leaf entries set
-// since the last flush (no leaf is allocated until the record is
-// full). Freed-block reuse order decides disk
+// taken when the object ring became a log of delta records in a
+// stripe unit at the top of the array (no ring block among the data,
+// and no leaf allocated until the log is full). Freed-block reuse
+// order decides disk
 // layout, and with it bytes written per operation and every
 // virtual-time number, so a change that moves this digest is a model
 // change, not a speed-up.
-const allocSequenceDigest = "ce5d5a3b905b9e30"
+const allocSequenceDigest = "a31ab0fefa60bb15"
 
 // TestAllocationSequencePinned runs 1000 random commits against two
 // objects of one store — some submitted after the previous commit is

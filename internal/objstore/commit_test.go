@@ -13,12 +13,12 @@ import (
 )
 
 // objectState renders everything a failed commit must leave alone: the
-// object's epoch, pending indices and record slot, every node's
-// address, every leaf mapping, the spare buffers (by identity), and the
-// allocator's bump pointer, free list and quarantine.
+// object's epoch, dirty leaves, base slot and log position, every
+// node's address, every leaf mapping, the spare buffers (by identity),
+// and the allocator's bump pointer, free list and quarantine.
 func objectState(o *Object) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "epoch %d pending %v slot %d record done %v\n", o.epoch, pendingEntries(o), o.slot, o.recDone)
+	fmt.Fprintf(&b, "epoch %d dirty %v base slot %d log %d record done %v\n", o.epoch, o.dirty, o.baseSlot, o.logPos, o.recDone)
 	var nodes func(n *node, levelsLeft int)
 	nodes = func(n *node, levelsLeft int) {
 		fmt.Fprintf(&b, "node %d\n", n.addr)
@@ -40,22 +40,20 @@ func objectState(o *Object) string {
 	return b.String()
 }
 
-// pendingEntries returns o's pending entries, packed.
-func pendingEntries(o *Object) []uint64 {
-	var es []uint64
-	for i := 0; i < entryCount(o.rec); i++ {
-		es = append(es, entryAt(o.rec, i))
-	}
-	return es
+// overflowEntries returns how many entries a commit to o needs for its
+// delta not to fit in the rest of the log, so that it flushes.
+func overflowEntries(o *Object) int {
+	return ((logSectors-o.logPos)*sectorSize-recHeader-8)/entrySize + 1
 }
 
 // TestCommitOutOfSpaceIsAtomic fills a 1 MiB array with one-block
 // commits — a flush among them — and then overwrites block 1, whose old
 // block stays quarantined until that commit is durable. A commit of
 // block 0 and new blocks needing exactly the free space plus that block,
-// and a commit too big for a record, issued before durable, must fail
-// and change nothing — block 0 still reads its old contents — and the
-// first, issued at durable, must succeed and leave no block over.
+// and a commit too big for the rest of the log, issued before durable,
+// must fail and change nothing — block 0 still reads its old contents —
+// and the first, issued at durable, must succeed and leave no block
+// over.
 func TestCommitOutOfSpaceIsAtomic(t *testing.T) {
 	costs := sim.DefaultCosts()
 	arr := disk.NewArray(costs, 2, 512<<10)
@@ -63,7 +61,7 @@ func TestCommitOutOfSpaceIsAtomic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	o, at, err := s.CreateObject(at, "o", 1024*BlockSize) // two tree levels
+	o, at, err := s.CreateObject(at, "o", 4096*BlockSize) // two tree levels
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,14 +69,14 @@ func TestCommitOutOfSpaceIsAtomic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Each commit adds a block and an entry to the record; the commit
-	// whose entry does not fit writes the leaf.
+	// Each commit adds a block and a one-sector delta to the log; the
+	// commit whose delta does not fit writes the leaf and a base.
 	next, flushes := int64(1), 0
 	for s.FreeBlocks() > 8 {
 		if durable, err = commitAt(o, durable, BlockWrite{Index: next, Data: block(byte(next))}); err != nil {
 			t.Fatal(err)
 		}
-		if entryCount(o.rec) == 0 {
+		if o.logPos == 0 {
 			flushes++
 		}
 		next++
@@ -99,8 +97,8 @@ func TestCommitOutOfSpaceIsAtomic(t *testing.T) {
 		writes = append(writes, BlockWrite{Index: 500 + i, Data: []byte{byte(i)}})
 	}
 	var flush []BlockWrite
-	for i := int64(0); i <= recEntries; i++ {
-		flush = append(flush, BlockWrite{Index: 600 + i, Data: block(3)})
+	for i := 0; i < overflowEntries(o); i++ {
+		flush = append(flush, BlockWrite{Index: 600 + int64(i), Data: block(3)})
 	}
 
 	before := objectState(o)
@@ -140,9 +138,9 @@ func TestCommitOutOfSpaceIsAtomic(t *testing.T) {
 
 // TestCommitBlocksIsExact holds the space check's count to what a
 // commit really allocates, on trees of one, two and three levels (no
-// root block: the top level is in the commit record) with writes that
+// root block: the top level is in the base record) with writes that
 // share leaves, share interior nodes, repeat an index, or stand alone,
-// and that fit in the record or flush it:
+// and that fit in the log or flush it:
 // after each commit the free space is exactly what was free, plus the
 // quarantine entries that matured, minus commitBlocks.
 func TestCommitBlocksIsExact(t *testing.T) {
@@ -163,6 +161,7 @@ func TestCommitBlocksIsExact(t *testing.T) {
 		}
 		rng := sim.NewRNG(5)
 		data := block(9)
+		flushes := 0
 		for c := 0; c < 300; c++ {
 			writes := make([]BlockWrite, 1+rng.Intn(24))
 			base := rng.Int63n(o.MaxBlocks())
@@ -191,6 +190,12 @@ func TestCommitBlocksIsExact(t *testing.T) {
 			if got := s.FreeBlocks(); got != free-need {
 				t.Fatalf("%d levels, commit %d: %d blocks free, want %d - %d", levels, c, got, free, need)
 			}
+			if o.logPos == 0 {
+				flushes++
+			}
+		}
+		if flushes < 2 {
+			t.Fatalf("%d levels: %d flushes in 300 commits, want at least 2", levels, flushes)
 		}
 	}
 }

@@ -11,41 +11,49 @@ import (
 //	offset 0:              superblock (1 sector)
 //	offset 4096:           directory ring (dirRingSlots sectors)
 //	offset dirDataStart:   directory block (1 block, COW)
-//	data area:             everything else (object rings, tree nodes,
-//	                       data blocks), managed by the allocator
+//	data area:             tree nodes and data blocks, managed by the
+//	                       allocator from the bottom up
+//	top of the array:      object rings, one stripe unit each, stacked
+//	                       down from the end
 //
 // A tree node is one block of treeFanout little-endian child
 // addresses with no header; node.img in tree.go is that block, so
 // nodes have no marshal step. The tree's top level is no block: its
-// rootSlots child addresses ride in the object's commit record, and so
-// do the leaf entries set since the leaves were last written.
+// rootSlots child addresses ride in the object's base record, and the
+// leaf entries set since the leaves were last written ride in the
+// delta records of the object's log.
 const (
 	magicSuper  = 0x4d534e41505355 // "MSNAPSU"
 	magicDirRec = 0x4d534e41504452 // "MSNAPDR"
-	magicObjRec = 0x4d534e41504f52 // "MSNAPOR"
+	magicBase   = 0x4d534e41504f42 // "MSNAPOB"
+	magicDelta  = 0x4d534e41504f44 // "MSNAPOD"
 
 	sectorSize   = 512
 	dirRingOff   = BlockSize
 	dirRingSlots = 8
 	dataStartOff = dirRingOff + dirRingSlots*sectorSize // rounded up below
 
-	// An object's ring is one block of objRingSlots record slots.
-	// Commits alternate between them, and a record is submitted no
-	// earlier than the previous one completes, so a torn record can
-	// only destroy the slot whose record the other slot's durable one
-	// supersedes.
-	objRingSlots = 2
-	recSlotBytes = BlockSize / objRingSlots
+	// An object's ring is ringBlocks contiguous blocks, one 64 KiB
+	// stripe unit aligned to its size, so one device holds it and
+	// recovery reads it with one device read. Sectors 0 and 1 are two
+	// base slots, which flushes alternate between; the other logSectors
+	// sectors are a redo log of delta records, one per commit since the
+	// last flush, appended in order from sector 0. Every record is
+	// submitted no earlier than the object's previous one completes, so
+	// a torn record is always the newest, and a flush's base is durable
+	// before the log behind it is overwritten.
+	ringBlocks = 16
+	ringBytes  = ringBlocks * BlockSize
+	baseSlots  = 2
+	logSectors = ringBytes/sectorSize - baseSlots
 
-	// A commit record is a recHeader-byte header, the tree's top level
-	// (rootSlots child addresses), up to recEntries leaf entries of
-	// entrySize bytes (packEntry) and an 8-byte checksum, written as
-	// whole sectors; a record with no entries is one sector.
-	recHeader     = 24
-	rootSlots     = (sectorSize - recHeader - 8) / 8
-	recEntriesOff = recHeader + rootSlots*8
-	entrySize     = 8
-	recEntries    = (recSlotBytes - recEntriesOff - 8) / entrySize
+	// A record is a recHeader-byte header, 8-byte words (the top level's
+	// rootSlots child addresses in a base, leaf entries in a delta) and
+	// an 8-byte checksum, written as whole sectors. A base is exactly
+	// one sector.
+	recHeader = 24
+	rootSlots = (sectorSize - recHeader - 8) / 8
+	entrySize = 8
 
 	// maxPackedBlocks bounds an object's block count and a store's
 	// capacity in blocks: an entry packs a block index and a block
@@ -188,33 +196,24 @@ func unmarshalDirectory(buf []byte) []dirEntry {
 	return entries
 }
 
-// A commit record image is one ring slot: the header (magic, epoch,
-// levels as a uint32 and the entry count as a uint32), the tree's top
-// level (rootSlots little-endian child addresses, 0 = absent), the
-// leaf entries set since the leaves were last written (packEntry,
-// ascending by index; they are newer than the leaves on disk) and,
-// right after them, the checksum. An object keeps its newest record's
-// image in memory as its state (Object.rec): the top level is
-// tree.root.img and the entries are the pending set, so a commit has
-// no marshal step; it stamps the header and the checksum and writes
-// the image's whole sectors.
+// A record's header is the magic (magicBase or magicDelta), the
+// epoch, the tree's levels as a uint32 and its word count as a uint32;
+// the words follow it and the checksum follows them. A base's words
+// are the tree's top level (rootSlots little-endian child addresses,
+// 0 = absent) as of its epoch. A delta's words are the entries its
+// commit set (packEntry, ascending by index), which recovery applies
+// on top of the base and the deltas before it. The object keeps its
+// base image in memory (Object.base, whose top level is
+// tree.root.img), so a flush has no marshal step; it stamps the header
+// and the checksum and writes the sector.
 
-// entryCount returns how many entries record image rec holds.
-func entryCount(rec []byte) int {
-	return int(binary.LittleEndian.Uint32(rec[20:]))
-}
-
-func setEntryCount(rec []byte, n int) {
-	binary.LittleEndian.PutUint32(rec[20:], uint32(n))
-}
-
-// entryAt returns entry i of record image rec.
+// entryAt returns entry i of delta image rec.
 func entryAt(rec []byte, i int) uint64 {
-	return binary.LittleEndian.Uint64(rec[recEntriesOff+i*entrySize:])
+	return binary.LittleEndian.Uint64(rec[recHeader+i*entrySize:])
 }
 
 // packEntry packs a leaf entry, block idx at address addr, as it lies
-// in a record: a little-endian uint64 whose low word is the block
+// in a delta: a little-endian uint64 whose low word is the block
 // number (addr / BlockSize) and whose high word is the index, so
 // entries order by index.
 func packEntry(idx, addr int64) uint64 {
@@ -226,37 +225,38 @@ func unpackEntry(e uint64) (idx, addr int64) {
 	return int64(e >> 32), int64(e&(1<<32-1)) * BlockSize
 }
 
-// recordSize is the length of a record with n entries: whole sectors.
-func recordSize(n int) int {
-	return (recEntriesOff + n*entrySize + 8 + sectorSize - 1) / sectorSize * sectorSize
+// recordSectors is how many sectors a record of n words takes.
+func recordSectors(n int) int {
+	return (recHeader + n*entrySize + 8 + sectorSize - 1) / sectorSize
 }
 
-// sealRecord stamps record image rec, whose top level and entries are
-// in place, with the magic, epoch and tree depth and its checksum, and
-// returns the whole sectors to write.
-func sealRecord(rec []byte, epoch uint64, levels int) []byte {
-	binary.LittleEndian.PutUint64(rec[0:], magicObjRec)
+// sealRecord stamps record image rec, whose n words are in place, with
+// the header and the checksum, and returns the whole sectors to write.
+func sealRecord(rec []byte, magic, epoch uint64, levels, n int) []byte {
+	binary.LittleEndian.PutUint64(rec[0:], magic)
 	binary.LittleEndian.PutUint64(rec[8:], epoch)
 	binary.LittleEndian.PutUint32(rec[16:], uint32(levels))
-	n := entryCount(rec)
-	end := recEntriesOff + n*entrySize
+	binary.LittleEndian.PutUint32(rec[20:], uint32(n))
+	end := recHeader + n*entrySize
 	binary.LittleEndian.PutUint64(rec[end:], checksum(rec[:end]))
-	size := recordSize(n)
+	size := recordSectors(n) * sectorSize
 	clear(rec[end+8 : size])
 	return rec[:size]
 }
 
-// validRecord reports whether ring slot rec holds a record. The
-// checksum sits after the entries the header counts, so a torn record,
-// whose sectors mix two records, fails it.
-func validRecord(rec []byte) bool {
-	n := entryCount(rec)
-	if n > recEntries {
-		return false
+// validRecord returns the word count of the record at the start of b
+// and whether one with the given magic is there: its words and
+// checksum fit in b and the checksum, which sits after the words the
+// header counts, matches. A torn record, whose sectors mix two
+// records, fails it.
+func validRecord(b []byte, magic uint64) (int, bool) {
+	n := int(binary.LittleEndian.Uint32(b[20:]))
+	end := recHeader + n*entrySize
+	if end+8 > len(b) {
+		return 0, false
 	}
-	end := recEntriesOff + n*entrySize
-	return checksum(rec[:end]) == binary.LittleEndian.Uint64(rec[end:]) &&
-		binary.LittleEndian.Uint64(rec[0:]) == magicObjRec
+	return n, binary.LittleEndian.Uint64(b[0:]) == magic &&
+		checksum(b[:end]) == binary.LittleEndian.Uint64(b[end:])
 }
 
 // recordEpoch and recordLevels read a record image's header.

@@ -1,11 +1,9 @@
 package objstore
 
 import (
-	"cmp"
 	"encoding/binary"
 	"fmt"
 	"slices"
-	"sort"
 	"sync"
 	"time"
 
@@ -27,15 +25,19 @@ type Object struct {
 	mu    sync.Mutex
 	tree  *tree
 	epoch Epoch
-	// rec is the image of the object's newest commit record, its state
-	// between commits: tree.root.img is its top level, and its entries
-	// are the pending set, every block index set since the leaves were
-	// last written, one entry per index.
-	rec []byte
-	// slot is the ring slot the next record goes to, and recDone the
-	// time the last record completes.
-	slot    int64
-	recDone time.Duration
+	// base is the image of the object's base record: tree.root.img is
+	// its top level. A flush seals and writes it.
+	base []byte
+	// dirty holds one block index per leaf set since the last flush,
+	// ascending: the leaves the next flush rewrites. A one-level tree
+	// has no leaf below its top level and keeps none.
+	dirty []int64
+	// baseSlot is the base slot the next flush writes, logPos the log
+	// sector the next delta goes to, and recDone the time the last
+	// record, base or delta, completes.
+	baseSlot int64
+	logPos   int
+	recDone  time.Duration
 	// spares are the object's own data-block buffers: Commit fills
 	// spares[i] with its i-th block before it takes Store.mu, the
 	// device adopts it, and the spare the device hands back takes its
@@ -50,8 +52,9 @@ type Object struct {
 type commitScratch struct {
 	freed   []int64
 	extents []disk.Extent
-	idx     []int64 // the commit's block indices, sorted by commitBlocks
-	union   []int64 // a flush's indices: pending ∪ idx, built by commitBlocks
+	idx     []int64 // the commit's block indices, ascending, each once (commitBlocks)
+	union   []int64 // dirty ∪ idx, one index per leaf (commitBlocks)
+	delta   []byte  // the commit's delta image
 }
 
 func (sc *commitScratch) reset() {
@@ -79,14 +82,16 @@ func (o *Object) Epoch() Epoch {
 }
 
 // Commit persists one uCheckpoint: every block lands in newly
-// allocated space, and a checksummed commit record carrying the top
-// level and the leaf entries set since the leaves were last written is
-// written strictly after the data. When those entries do not fit in a
-// record, the commit instead rewrites every tree node below the top
-// level on their paths COW bottom-up, with the data, and its record
-// carries none. Returns the new epoch and the virtual time at which
-// the commit is durable. A commit that fails, for lack of space or a
-// bad write, changes nothing.
+// allocated space, and a checksummed delta record carrying the
+// commit's own leaf entries is appended to the object's log strictly
+// after the data. When the delta does not fit in the rest of the log,
+// the commit flushes instead: it rewrites every tree node below the
+// top level on the paths of the leaves set since the last flush and
+// of its own, COW bottom-up, with the data, writes a base record
+// carrying the top level into the other base slot and starts the log
+// again. Returns the new epoch and the virtual time at which the
+// commit is durable. A commit that fails, for lack of space or a bad
+// write, changes nothing.
 //
 // Commits to one object serialize on o.mu. Commits to different
 // objects are independent in the model: each object has its own
@@ -94,11 +99,10 @@ func (o *Object) Epoch() Epoch {
 // queue. On the host, each commit copies its data blocks into the
 // object's spares under o.mu alone, then takes Store.mu for what
 // orders it against every other commit: the space check, allocation,
-// tree.set, the pending set, a flush's tree relocation (node images
-// are still copied by the device), the vectored write that adopts the
-// data blocks, the commit-record write and freeAt. Every device
-// submission therefore still reaches the FIFO device queues in
-// allocator order.
+// tree.set, a flush's tree relocation (node images are still copied by
+// the device), the vectored write that adopts the data blocks, the
+// record write and freeAt. Every device submission therefore still
+// reaches the FIFO device queues in allocator order.
 func (o *Object) Commit(at time.Duration, writes []BlockWrite) (Epoch, time.Duration, error) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
@@ -156,20 +160,17 @@ func (o *Object) Commit(at time.Duration, writes []BlockWrite) (Epoch, time.Dura
 		}
 	}
 
-	// The record carries the leaf entries set since the leaves were
-	// last written. When they do not fit, flush: COW every path they
-	// are on — each node below the top level moves to a new address and
-	// parents pick up the new child addresses, bottom-up — and the
-	// record carries none. The top level goes into the record.
-	switch {
-	case flush:
+	// A flush COWs every path the dirty leaves and the commit's are on —
+	// each node below the top level moves to a new address and parents
+	// pick up the new child addresses, bottom-up — and the base carries
+	// the top level. Otherwise the delta carries the commit's entries.
+	var rec []byte
+	if flush {
 		o.relocate(o.tree.root, o.tree.levels, sc.union)
-		setEntryCount(o.rec, 0)
-	case o.tree.levels > 1:
+	} else {
+		rec = sc.deltaImage(len(sc.idx))
 		for i, idx := range sc.idx {
-			if i == 0 || idx != sc.idx[i-1] {
-				setEntry(o.rec, idx, o.tree.lookup(idx))
-			}
+			binary.LittleEndian.PutUint64(rec[recHeader+i*entrySize:], packEntry(idx, o.tree.lookup(idx)))
 		}
 	}
 
@@ -180,18 +181,38 @@ func (o *Object) Commit(at time.Duration, writes []BlockWrite) (Epoch, time.Dura
 		o.spares[i] = sc.extents[i].Block
 	}
 
-	// Phase 2: the commit record, ordered after phase 1 and after the
-	// previous record, so the record in the other slot is durable
-	// before this one can tear.
+	// Phase 2: the record, ordered after phase 1 and after the
+	// previous record, so every record before it is durable before it
+	// can tear.
 	o.epoch++
-	rec := sealRecord(o.rec, uint64(o.epoch), o.tree.levels)
-	done = s.arr.Write(max(done, o.recDone), o.ringOff+o.slot*recSlotBytes, rec)
-	o.slot ^= 1
+	done = max(done, o.recDone)
+	if flush {
+		rec = sealRecord(o.base, magicBase, uint64(o.epoch), o.tree.levels, rootSlots)
+		done = s.arr.Write(done, o.ringOff+o.baseSlot*sectorSize, rec)
+		o.baseSlot ^= 1
+		o.logPos = 0
+		o.dirty = o.dirty[:0]
+	} else {
+		rec = sealRecord(rec, magicDelta, uint64(o.epoch), o.tree.levels, len(sc.idx))
+		done = s.arr.Write(done, o.ringOff+int64(baseSlots+o.logPos)*sectorSize, rec)
+		o.logPos += len(rec) / sectorSize
+		o.dirty, sc.union = sc.union, o.dirty
+	}
 	o.recDone = done
 
 	// Replaced blocks become reusable once this commit is durable.
 	s.alloc.freeAt(sc.freed, done)
 	return o.epoch, done, nil
+}
+
+// deltaImage returns the scratch delta image, grown to hold a record
+// of n entries.
+func (sc *commitScratch) deltaImage(n int) []byte {
+	if size := recordSectors(n) * sectorSize; len(sc.delta) < size {
+		// Grows to the largest delta's size; kept across commits.
+		sc.delta = make([]byte, size)
+	}
+	return sc.delta
 }
 
 // growSpares makes sure the object holds at least n spares, adding the
@@ -210,39 +231,33 @@ func (o *Object) growSpares(n int) {
 
 // commitBlocks returns exactly how many blocks committing writes
 // allocates, and whether the commit flushes: one block per write and,
-// when the pending indices and the written ones do not fit in a
-// record, one per distinct tree node below the top level on their
-// paths, each of which relocate moves once. It leaves the written
-// indices sorted in sc.idx and, to flush, the union, ascending, in
-// sc.union. A one-level tree has no leaf below its top level, so it
-// keeps no pending entries and never flushes.
+// when the commit's delta does not fit in the rest of the log, one per
+// distinct tree node below the top level on the paths of the dirty
+// leaves and the written ones, each of which relocate moves once. It
+// leaves the written indices in sc.idx, ascending and each once, and
+// the dirty leaves with the written ones, one index per leaf, in
+// sc.union. A one-level tree has no leaf below its top level, so its
+// flush writes only the base.
 func (o *Object) commitBlocks(writes []BlockWrite) (int64, bool) {
 	idx := o.sc.idx[:0]
 	for _, w := range writes {
 		idx = append(idx, w.Index)
 	}
 	slices.Sort(idx)
+	idx = slices.Compact(idx)
 	o.sc.idx = idx
 	n := int64(len(writes))
-	if o.tree.levels == 1 {
-		return n, false
+	union := o.sc.union[:0]
+	if o.tree.levels > 1 {
+		union = mergeLeaves(union, o.dirty, idx)
 	}
-	entries := entryCount(o.rec)
-	for i, x := range idx {
-		if i == 0 || x != idx[i-1] {
-			if _, found := findEntry(o.rec, x); !found {
-				entries++
-			}
-		}
-	}
-	if entries <= recEntries {
-		return n, false
-	}
-	union := mergeIndices(o.sc.union[:0], o.rec, idx)
 	o.sc.union = union
+	if o.logPos+recordSectors(len(idx)) <= logSectors {
+		return n, false
+	}
 	// Indices share a node h levels above the data blocks when they
 	// agree above their low treeShift*h bits; the top level, h =
-	// levels, is in the commit record.
+	// levels, is in the base.
 	for h := 1; h < o.tree.levels; h++ {
 		shift := uint(treeShift * h)
 		for i, x := range union {
@@ -254,55 +269,28 @@ func (o *Object) commitBlocks(writes []BlockWrite) (int64, bool) {
 	return n, true
 }
 
-// mergeIndices appends to dst the union of the indices of record
-// image rec's entries and of ascending idx, each index once.
-func mergeIndices(dst []int64, rec []byte, idx []int64) []int64 {
-	n, i := entryCount(rec), 0
-	for i < n || len(idx) > 0 {
-		x := int64(-1)
-		if i < n {
-			x, _ = unpackEntry(entryAt(rec, i))
-		}
-		if x < 0 || len(idx) > 0 && idx[0] < x {
-			x, idx = idx[0], idx[1:]
+// mergeLeaves appends to dst one index for each leaf that the
+// ascending indices of a or b fall in, ascending.
+func mergeLeaves(dst, a, b []int64) []int64 {
+	for len(a) > 0 || len(b) > 0 {
+		var x int64
+		if len(b) == 0 || len(a) > 0 && a[0] < b[0] {
+			x, a = a[0], a[1:]
 		} else {
-			i++
+			x, b = b[0], b[1:]
 		}
-		if k := len(dst); k == 0 || dst[k-1] != x {
+		if k := len(dst); k == 0 || dst[k-1]>>treeShift != x>>treeShift {
 			dst = append(dst, x)
 		}
 	}
 	return dst
 }
 
-// findEntry returns where the entry of block idx is, or would go,
-// among record image rec's entries, and whether it is there.
-func findEntry(rec []byte, idx int64) (int, bool) {
-	return sort.Find(entryCount(rec), func(i int) int {
-		e, _ := unpackEntry(entryAt(rec, i))
-		return cmp.Compare(idx, e)
-	})
-}
-
-// setEntry puts the entry of block idx at addr among record image
-// rec's entries, in place of idx's entry if there is one. Commit has
-// checked that it fits.
-func setEntry(rec []byte, idx, addr int64) {
-	i, found := findEntry(rec, idx)
-	off := recEntriesOff + i*entrySize
-	if !found {
-		n := entryCount(rec)
-		end := recEntriesOff + n*entrySize
-		copy(rec[off+entrySize:end+entrySize], rec[off:end])
-		setEntryCount(rec, n+1)
-	}
-	binary.LittleEndian.PutUint64(rec[off:], packEntry(idx, addr))
-}
-
 // relocate moves every node below n on the paths of idx to fresh
 // disk addresses, queues their images for the commit's vectored write
-// and points n's slots at them. idx holds ascending indices under n. Children are moved in slot order, each after its own
-// children. Commit has checked the space beforehand.
+// and points n's slots at them. idx holds ascending indices under n.
+// Children are moved in slot order, each after its own children.
+// Commit has checked the space beforehand.
 func (o *Object) relocate(n *node, levelsLeft int, idx []int64) {
 	sc := &o.sc
 	shift := uint(treeShift * (levelsLeft - 1))

@@ -217,9 +217,9 @@ func TestTornCommitInvisibleAfterRecovery(t *testing.T) {
 // TestCrashTortureManyCuts commits a run of durable commits, then one
 // more torn at a random instant, and checks that recovery always lands
 // on a complete epoch. Each commit writes block 0 or its own block,
-// block 500 and 40 filler blocks, so records fill and flush every few
-// commits and the torn commit falls at every point of that cycle,
-// flushes included.
+// block 500 and 40 filler blocks, a one-sector delta; the runs grow by
+// six commits a seed, up to 295, so the torn commit falls at points
+// spread over two log cycles, the second flush included.
 func TestCrashTortureManyCuts(t *testing.T) {
 	const fillers = 40
 	costs := sim.DefaultCosts()
@@ -237,15 +237,15 @@ func TestCrashTortureManyCuts(t *testing.T) {
 			return w
 		}
 
-		// A few durable commits.
-		nDurable := 1 + int(seed%12)
+		// A run of durable commits.
+		nDurable := 1 + 6*int(seed)
 		for i := 0; i < nDurable; i++ {
-			_, at, _ = obj.Commit(at, writes(int64(i), byte(0x10+i)))
+			_, at, _ = obj.Commit(at, writes(int64(i), durableVal(i)))
 		}
 		// One in-flight commit, torn at a random instant.
 		torn := writes(0, 0xEE)
 		_, done, _ := obj.Commit(at, torn)
-		if entryCount(obj.rec) == 0 {
+		if obj.logPos == 0 {
 			flushes++
 		}
 		cut := at + time.Duration(rng.Int63n(int64(done-at)+1))
@@ -261,7 +261,7 @@ func TestCrashTortureManyCuts(t *testing.T) {
 		o2.ReadBlock(at2, 500, b500)
 		// Block 0 and block 500 were always written in the same
 		// commit, so they must agree on the epoch they came from.
-		if b500[0] != byte(0x10+nDurable-1) && b500[0] != 0xEE {
+		if b500[0] != durableVal(nDurable-1) && b500[0] != 0xEE {
 			t.Fatalf("seed %d: block 500 from unknown epoch: %#x", seed, b500[0])
 		}
 		if b500[0] == 0xEE && b0[0] != 0xEE {
@@ -288,6 +288,10 @@ func TestCrashTortureManyCuts(t *testing.T) {
 		t.Fatal("no torn commit was a flush")
 	}
 }
+
+// durableVal is the byte durable commit i of TestCrashTortureManyCuts
+// writes: never 0xEE, the torn commit's.
+func durableVal(i int) byte { return byte(0x10 + i%0xC0) }
 
 func TestSpaceReclamation(t *testing.T) {
 	// Overwriting the same block forever must not leak space.
@@ -343,12 +347,27 @@ func TestCommitRecordOrderedAfterData(t *testing.T) {
 	}
 }
 
+// TestEmptyCommit takes an epoch with an empty commit, which writes
+// nothing, then commits a block: recovery must replay that commit's
+// delta although its epoch skips the empty one's.
 func TestEmptyCommit(t *testing.T) {
-	s, _ := newStore(t)
+	s, arr := newStore(t)
 	obj, _, _ := s.CreateObject(0, "o", 1<<20)
 	epoch, done, err := obj.Commit(5*time.Microsecond, nil)
 	if err != nil || epoch != 1 || done != 5*time.Microsecond {
 		t.Fatalf("empty commit: epoch=%d done=%v err=%v", epoch, done, err)
+	}
+	if _, done, err = obj.Commit(done, []BlockWrite{{Index: 7, Data: block(7)}}); err != nil {
+		t.Fatal(err)
+	}
+	re, rat, err := Open(nil, arr, done)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ro, _ := re.OpenObject("o")
+	buf := make([]byte, BlockSize)
+	if _, err := ro.ReadBlock(rat, 7, buf); err != nil || ro.Epoch() != 2 || !bytes.Equal(buf, block(7)) {
+		t.Fatalf("recovered epoch %d, block 7 reads %d... (err %v), want epoch 2 and 7s", ro.Epoch(), buf[0], err)
 	}
 }
 
@@ -370,19 +389,19 @@ func TestManyObjectsIndependentEpochs(t *testing.T) {
 	}
 }
 
-// TestCommitRecoverProperty commits runs of up to 40 commits of up to
-// 24 blocks each — enough to fill records and flush them — and checks
-// that Open recovers every block exactly.
+// TestCommitRecoverProperty commits runs of up to 300 commits of up to
+// 24 blocks each — one-sector deltas, enough to fill the log and flush
+// it twice — and checks that Open recovers every block exactly.
 func TestCommitRecoverProperty(t *testing.T) {
 	flushes := 0
-	f := func(seed uint64, nCommits uint8) bool {
+	f := func(seed uint64, nCommits uint16) bool {
 		costs := sim.DefaultCosts()
 		rng := sim.NewRNG(seed)
 		arr := disk.NewArray(costs, 2, 64<<20)
 		s, at, _ := Format(costs, arr, 0)
 		obj, at, _ := s.CreateObject(at, "o", 4<<20)
 		want := make(map[int64]byte)
-		n := int(nCommits%40) + 1
+		n := int(nCommits)%300 + 1
 		for c := 0; c < n; c++ {
 			var writes []BlockWrite
 			for w := 0; w < 1+int(rng.Uint64()%24); w++ {
@@ -395,7 +414,7 @@ func TestCommitRecoverProperty(t *testing.T) {
 			if err != nil {
 				return false
 			}
-			if entryCount(obj.rec) == 0 {
+			if obj.logPos == 0 {
 				flushes++
 			}
 			at = done
@@ -414,15 +433,15 @@ func TestCommitRecoverProperty(t *testing.T) {
 		}
 		return true
 	}
-	// Fixed runs of 40 commits, long enough to flush, then arbitrary
-	// ones.
+	// Fixed runs of 300 commits, long enough to flush twice and start
+	// a third log cycle, then arbitrary ones.
 	for seed := uint64(1); seed <= 4; seed++ {
-		if !f(seed, 39) {
-			t.Fatalf("seed %d: 40 commits not recovered exactly", seed)
+		if !f(seed, 299) {
+			t.Fatalf("seed %d: 300 commits not recovered exactly", seed)
 		}
 	}
-	if flushes == 0 {
-		t.Fatal("no commit flushed its record")
+	if flushes != 8 {
+		t.Fatalf("%d flushes in four runs of 300 commits, want 8", flushes)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Fatal(err)

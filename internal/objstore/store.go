@@ -2,6 +2,7 @@ package objstore
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -48,7 +49,8 @@ func Format(_ *sim.CostModel, arr *disk.Array, at time.Duration) (*Store, time.D
 
 // Open recovers a store from the array: it locates the newest valid
 // directory, loads every object at its highest durable epoch, and
-// rebuilds the allocator from the union of live blocks. All reads are
+// rebuilds the allocator from the union of live blocks, below the
+// lowest object ring. All reads are
 // charged to the returned completion time. The cost model is unused,
 // as in Format.
 func Open(_ *sim.CostModel, arr *disk.Array, at time.Duration) (*Store, time.Duration, error) {
@@ -95,12 +97,13 @@ func Open(_ *sim.CostModel, arr *disk.Array, at time.Duration) (*Store, time.Dur
 		}
 		at = doneAt
 		s.objects[e.Name] = obj
+		s.alloc.limit = min(s.alloc.limit, e.RingOff)
 	}
 	s.alloc.rebuild(dataStart(), used)
 	return s, at, nil
 }
 
-// newObject returns an object with an empty tree and an empty record
+// newObject returns an object with an empty tree and an empty base
 // image, whose top level is the tree's.
 func newObject(s *Store, e dirEntry) *Object {
 	o := &Object{
@@ -109,52 +112,82 @@ func newObject(s *Store, e dirEntry) *Object {
 		ringOff:   e.RingOff,
 		maxBlocks: e.MaxBlocks,
 		tree:      newTree(e.MaxBlocks),
-		rec:       make([]byte, recSlotBytes),
+		base:      make([]byte, sectorSize),
 	}
-	o.tree.root.img = o.rec[recHeader:recEntriesOff]
+	o.tree.root.img = o.base[recHeader : recHeader+rootSlots*entrySize]
 	return o
 }
 
-// loadObject recovers one object from its commit ring: the newest
-// valid record becomes the object's record image, with its top level,
-// the tree nodes on disk under it, and its leaf entries, which are
-// newer than those nodes. The entries stay in the image as the pending
-// set, so the next record carries them again. Data blocks are marked
-// used only after the entries are applied, so the blocks they
-// superseded come back free.
+// loadObject recovers one object from its ring, read with one read:
+// the newest valid base becomes the object's base image, with its top
+// level and the tree nodes on disk under it, and the log's delta
+// records are replayed on top from sector 0 while each is valid and
+// newer than the epoch before it (an empty commit takes an epoch and
+// writes no record, so epochs may skip). Records past the last one
+// replayed are torn or stale (left by an earlier log cycle, older than
+// the base), and the next commit appends there. The replayed entries'
+// leaves become the dirty set again, so the next flush rewrites them.
+// Data blocks are marked used only after the entries are applied, so
+// the blocks they superseded come back free.
 func (s *Store) loadObject(e dirEntry, at time.Duration, used usedSet) (*Object, time.Duration, error) {
-	used[e.RingOff] = true
-	ring := make([]byte, BlockSize)
+	ring := make([]byte, ringBytes)
 	at = s.arr.Read(at, e.RingOff, ring)
+	obj := newObject(s, e)
 	best := int64(-1)
-	for slot := int64(0); slot < objRingSlots; slot++ {
-		rec := ring[slot*recSlotBytes : (slot+1)*recSlotBytes]
-		if validRecord(rec) && (best < 0 || recordEpoch(rec) > recordEpoch(ring[best*recSlotBytes:])) {
+	for slot := int64(0); slot < baseSlots; slot++ {
+		rec := ring[slot*sectorSize : (slot+1)*sectorSize]
+		if n, ok := validRecord(rec, magicBase); ok && n == rootSlots &&
+			(best < 0 || recordEpoch(rec) > recordEpoch(ring[best*sectorSize:])) {
 			best = slot
 		}
 	}
-	obj := newObject(s, e)
-	if best < 0 {
-		// Never committed (only the zeroed ring exists): empty.
-		return obj, at, nil
-	}
-	copy(obj.rec, ring[best*recSlotBytes:])
-	if levels, want := recordLevels(obj.rec), obj.tree.levels; levels != want {
-		return nil, at, fmt.Errorf("objstore: %q commit record has %d tree levels, want %d for %d blocks", e.Name, levels, want, e.MaxBlocks)
-	}
-	obj.epoch = Epoch(recordEpoch(obj.rec))
-	obj.slot = best ^ 1
-	at = s.loadKids(obj.tree.root, obj.tree.levels, at, used)
-	for i, prev := 0, int64(-1); i < entryCount(obj.rec); i++ {
-		idx, addr := unpackEntry(entryAt(obj.rec, i))
-		if idx >= e.MaxBlocks || idx <= prev {
-			return nil, at, fmt.Errorf("objstore: %q commit record entry %d (block %d) out of order or range", e.Name, i, idx)
+	// Without a base (never flushed) the tree starts empty at epoch 0.
+	if best >= 0 {
+		copy(obj.base, ring[best*sectorSize:])
+		if err := obj.checkLevels(obj.base); err != nil {
+			return nil, at, err
 		}
-		obj.tree.set(idx, addr)
-		prev = idx
+		obj.epoch = Epoch(recordEpoch(obj.base))
+		obj.baseSlot = best ^ 1
+		at = s.loadKids(obj.tree.root, obj.tree.levels, at, used)
+	}
+	var replayed []int64
+	for log := ring[baseSlots*sectorSize:]; obj.logPos < logSectors; {
+		rec := log[obj.logPos*sectorSize:]
+		n, ok := validRecord(rec, magicDelta)
+		if !ok || Epoch(recordEpoch(rec)) <= obj.epoch {
+			break
+		}
+		if err := obj.checkLevels(rec); err != nil {
+			return nil, at, err
+		}
+		for i, prev := 0, int64(-1); i < n; i++ {
+			idx, addr := unpackEntry(entryAt(rec, i))
+			if idx >= e.MaxBlocks || idx <= prev {
+				return nil, at, fmt.Errorf("objstore: %q delta entry %d (block %d) out of order or range", e.Name, i, idx)
+			}
+			obj.tree.set(idx, addr)
+			replayed = append(replayed, idx)
+			prev = idx
+		}
+		obj.epoch = Epoch(recordEpoch(rec))
+		obj.logPos += recordSectors(n)
+	}
+	if obj.tree.levels > 1 {
+		slices.Sort(replayed)
+		obj.dirty = mergeLeaves(nil, replayed, nil)
 	}
 	obj.tree.forEach(func(_, addr int64) { used[addr] = true })
 	return obj, at, nil
+}
+
+// checkLevels refuses record image rec when it was written for a tree
+// of another depth than the object's.
+func (o *Object) checkLevels(rec []byte) error {
+	if levels, want := recordLevels(rec), o.tree.levels; levels != want {
+		return fmt.Errorf("objstore: %q record has %d tree levels, want %d for %d blocks", o.name, levels, want, o.maxBlocks)
+	}
+	return nil
 }
 
 // loadNode reads a serialized tree node and its descendants.
@@ -198,7 +231,7 @@ func (s *Store) CreateObject(at time.Duration, name string, maxBytes int64) (*Ob
 	}
 
 	s.alloc.releaseQuarantine(at)
-	ringOff, err := s.alloc.alloc()
+	ringOff, err := s.alloc.takeRing()
 	if err != nil {
 		return nil, at, err
 	}
@@ -218,9 +251,9 @@ func (s *Store) CreateObject(at time.Duration, name string, maxBytes int64) (*Ob
 	}
 
 	// Phase 1: zero the object ring (so stale bytes can never parse
-	// as a commit record) and write the new directory block.
+	// as a record) and write the new directory block.
 	done := s.arr.WriteV(at, []disk.Extent{
-		{Offset: ringOff, Data: make([]byte, BlockSize)},
+		{Offset: ringOff, Data: make([]byte, ringBytes)},
 		{Offset: newDirAddr, Data: dirBuf},
 	})
 	// Phase 2: flip the directory ring to the new block.

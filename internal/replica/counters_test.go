@@ -195,7 +195,7 @@ const pinnedCounters = `
 	ship[0].Extents=121
 	ship[0].EncodeTime=11.424µs
 	ship[0].LastAckedSeq=83
-	ship[0].AckHist=sum 9942103 count 46
+	ship[0].AckHist=sum 9928297 count 46
 	fol[0].Shard=0
 	fol[0].Applied=59
 	fol[0].Duplicates=27

@@ -86,13 +86,14 @@ func (p *syncPair) close() {
 // header, slot capacity included, into page 0, which this workload also
 // ships: a shard layout change moves the two digests but no size or
 // time. The ack digest moved, and nothing else, when the object store's
-// commit record began to carry leaf entries: the follower's commits
-// write fewer blocks, so its acks come back sooner. Wire bytes and
+// commit record began to carry leaf entries, and again when it became a
+// log of one-sector delta records: the follower's commits write fewer
+// bytes, so its acks come back sooner. Wire bytes and
 // every virtual time are the model's output; a change that moves any of
 // them is a model change, not a simulator speed-up.
 const (
 	pinnedEncDigest      = "647bd8a6b28b5747"
-	pinnedAckDigest      = "65fde2ee550d9d85"
+	pinnedAckDigest      = "ba6808000852b700"
 	pinnedWireBytes      = int64(7631329)
 	pinnedEncodeTime     = time.Duration(611063)
 	pinnedFollowerDigest = "f3d8cd09311dd979"

@@ -2,10 +2,12 @@ package cluster
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"testing"
 
 	"memsnap/internal/core"
+	"memsnap/internal/obs"
 	"memsnap/internal/replica"
 	"memsnap/internal/shard"
 	"memsnap/internal/sim"
@@ -116,6 +118,110 @@ func TestReplicaLifecycle(t *testing.T) {
 		st := sys.Phys().Stats()
 		if got, want := st.TotalFrames-st.FreeFrames, sys.MappedFrames(); got != want {
 			t.Errorf("machine %d holds %d live frames, its regions map %d", i, got, want)
+		}
+	}
+}
+
+// TestReplicatedTraceCarriesEveryLayer runs traced writes through an
+// asynchronously replicated cluster with a recorder and a tenant sketch,
+// and checks what a scrape of it serves: the metric series of every
+// layer, a /varz document with the service totals, a ranked tenant,
+// and a trace with events from all four categories whose request flows
+// each run from a start to a finish. The obs server tests cover the
+// HTTP transport; this covers the cluster's wiring of one recorder to
+// the primary, the shipper and the follower.
+func TestReplicatedTraceCarriesEveryLayer(t *testing.T) {
+	const shards = 2
+	rec := obs.NewRecorder(1 << 14)
+	sketch := obs.NewTenantSketch(obs.DefaultTenantTopK)
+	c, err := New(Config{
+		Machine: core.Options{CPUs: shards, DiskBytesEach: 64 << 20},
+		Shard:   shard.Config{Shards: shards, RegionBytes: 1 << 18, Recorder: rec, Tenants: sketch},
+		Replica: &replica.Config{Mode: replica.Async},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	for i := 0; i < 120; i++ {
+		op := shard.Op{Kind: shard.OpPut, Tenant: fmt.Sprintf("t%d", i%3), Key: fmt.Sprintf("k%03d", i%40), Value: uint64(i)}
+		switch i % 4 {
+		case 1:
+			op.Kind = shard.OpAdd
+		case 2:
+			op.Kind = shard.OpGet
+		case 3:
+			op.TraceID = uint64(i) // a sampled write: its spans stitch into a flow
+		}
+		if resp := c.Svc.Do(op); resp.Err != nil {
+			t.Fatalf("op %d: %v", i, resp.Err)
+		}
+	}
+
+	var metrics bytes.Buffer
+	if err := c.WritePrometheus(&metrics); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		"memsnap_shard_commit_latency_seconds_bucket",
+		"memsnap_shard_persist_latency_seconds_count",
+		"memsnap_obs_events_recorded_total",
+		"memsnap_replica_ack_latency_seconds_count",
+		"memsnap_tenant_ops",
+		"memsnap_tenant_wire_bytes",
+	} {
+		if !bytes.Contains(metrics.Bytes(), []byte(want)) {
+			t.Errorf("metrics missing series %s", want)
+		}
+	}
+	vars, err := json.Marshal(c.Vars())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var vdoc map[string]json.RawMessage
+	if err := json.Unmarshal(vars, &vdoc); err != nil || vdoc["total"] == nil {
+		t.Errorf("vars carry no total (err %v): %.200s", err, vars)
+	}
+	if top := sketch.Top(); len(top) == 0 || top[0].Ops == 0 {
+		t.Errorf("tenant sketch ranked no activity: %+v", top)
+	}
+
+	// Closing drains the async shipper, so every replica span is in.
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var trace bytes.Buffer
+	if err := obs.WriteTrace(&trace, rec.Drain()); err != nil {
+		t.Fatal(err)
+	}
+	var tdoc struct {
+		TraceEvents []map[string]any `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(trace.Bytes(), &tdoc); err != nil {
+		t.Fatalf("trace is not valid JSON: %v", err)
+	}
+	cats := map[string]bool{}
+	flows := map[string][]string{}
+	for _, ev := range tdoc.TraceEvents {
+		if cat, ok := ev["cat"].(string); ok {
+			cats[cat] = true
+		}
+		if ph, _ := ev["ph"].(string); ph == "s" || ph == "t" || ph == "f" {
+			id, _ := ev["id"].(string)
+			flows[id] = append(flows[id], ph)
+		}
+	}
+	for _, want := range []string{"vm", "persist", "shard", "replica"} {
+		if !cats[want] {
+			t.Errorf("trace has no %q events (categories %v)", want, cats)
+		}
+	}
+	if len(flows) == 0 {
+		t.Error("trace has no request flows")
+	}
+	for id, phases := range flows {
+		if phases[0] != "s" || phases[len(phases)-1] != "f" {
+			t.Errorf("flow %s runs %v, want s first and f last", id, phases)
 		}
 	}
 }

@@ -90,18 +90,19 @@ func Figure1(opts Options) (*Result, error) {
 	return res, nil
 }
 
-// table5Persists is how many 64 KiB persists Table 5 averages: two
-// stripe phases (a persist allocates 64 KiB, half the 2 × 64 KiB stripe
-// cycle) times the 127 commits of a log cycle (126 one-sector deltas of
-// 16 entries fill the object's log, the 127th flushes), so the mean
-// covers every phase of both.
+// table5Persists is how many 64 KiB persists Table 5 averages: two log
+// cycles of 127 commits (126 one-sector deltas of 16 entries fill the
+// object's log, the 127th flushes). Each non-flush persist reuses the
+// 16 blocks the previous one freed, so all but the two flushes share
+// the warm-up persist's split of blocks over the devices; the window
+// does not sample stripe phases.
 const table5Persists = 2 * 127
 
 // Table5 reproduces the msnap_persist breakdown for a 64 KiB dirty
-// set. One persist's IO wait depends on where the allocator left the
-// stripe and on whether the commit flushes the record's leaf entries,
-// so each cell is the mean of table5Persists persists, each of the
-// next 64 KiB of the region, with their min and max.
+// set. One persist's IO wait depends on the devices its blocks land on
+// and on whether the commit flushes the log, so each cell is the mean
+// of table5Persists persists, each of the next 64 KiB of the region,
+// with their min and max.
 func Table5(opts Options) (*Result, error) {
 	opts = opts.fill()
 	sys, err := core.NewSystem(core.Options{})
@@ -136,7 +137,7 @@ func Table5(opts Options) (*Result, error) {
 		Header: []string{"Operation", "Overhead (us)", "Min (us)", "Max (us)"},
 		Notes: []string{
 			"paper: 5.1 / 6.5 / 39.7 / 51.4 us (Table 5)",
-			fmt.Sprintf("mean of %d persists of successive 64 KiB: both stripe phases, two log flushes", table5Persists),
+			fmt.Sprintf("mean of %d persists of successive 64 KiB: two log flushes, and the rest reuse the blocks the one before freed, so they share one device split", table5Persists),
 		},
 	}
 	for j, name := range []string{"Resetting Tracking", "Initiating Writes", "Waiting on IO", "Total"} {

@@ -134,8 +134,6 @@ func Registry() []Experiment {
 		{"table9", "RocksDB throughput and latency (MixGraph)", Table9},
 		{"table10", "MemSnap vs Aurora persistence-op breakdown", Table10},
 		{"fig6", "PostgreSQL TPC-C across storage variants", Figure6},
-		{"shardsvc", "Sharded KV service: throughput vs shards x group-commit batch", ShardSvc},
-		{"replica", "Epoch shipping: throughput and lag vs mode x window", Replica},
 		{"ablation-tlb", "Ablation: TLB shootdown threshold", AblationTLBThreshold},
 		{"ablation-store", "Ablation: COW radix store vs whole-object rewrite", AblationStoreBackend},
 		{"ablation-skip", "Ablation: persisting skip pointers", AblationSkipPointers},

@@ -89,8 +89,7 @@ func parsePct(t *testing.T, cell string) float64 {
 
 func TestRegistryComplete(t *testing.T) {
 	want := []string{"table1", "table2", "fig1", "table5", "table6", "fig3",
-		"table7", "table8", "fig4", "fig5", "table9", "table10", "fig6",
-		"shardsvc", "replica"}
+		"table7", "table8", "fig4", "fig5", "table9", "table10", "fig6"}
 	for _, id := range want {
 		if _, ok := Find(id); !ok {
 			t.Errorf("experiment %s missing from registry", id)
@@ -439,79 +438,5 @@ func TestHelpers(t *testing.T) {
 	}
 	if fmtSize(4096) != "4 KiB" || fmtSize(1<<20) != "1 MiB" {
 		t.Fatal("fmtSize")
-	}
-}
-
-func TestShardSvcShape(t *testing.T) {
-	res, err := ShardSvc(tiny())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) != 9 {
-		t.Fatalf("shardsvc grid has %d rows, want 9 (3 shard counts x 3 batch sizes)", len(res.Rows))
-	}
-	parse := func(cell string) float64 {
-		v, err := strconv.ParseFloat(cell, 64)
-		if err != nil {
-			t.Fatalf("cell %q: %v", cell, err)
-		}
-		return v
-	}
-	// Rows 3-5 are the 8-shard series: batch 1, 16, 64. Group commit
-	// must beat per-op commits on throughput and coalesce >1 write.
-	kops1, kops64 := parse(res.Rows[3][2]), parse(res.Rows[5][2])
-	if kops64 <= kops1 {
-		t.Fatalf("batch=64 throughput %.1f not above batch=1 %.1f", kops64, kops1)
-	}
-	if occ := parse(res.Rows[4][3]); occ <= 1.0 {
-		t.Fatalf("batch=16 occupancy %.1f, want > 1", occ)
-	}
-	if occ := parse(res.Rows[3][3]); occ != 1.0 {
-		t.Fatalf("batch=1 occupancy %.1f, want exactly 1", occ)
-	}
-}
-
-func TestReplicaShape(t *testing.T) {
-	res, err := Replica(tiny())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) != 4 {
-		t.Fatalf("replica grid has %d rows, want 4 (2 modes x 2 windows)", len(res.Rows))
-	}
-	parse := func(cell string) float64 {
-		v, err := strconv.ParseFloat(cell, 64)
-		if err != nil {
-			t.Fatalf("cell %q: %v", cell, err)
-		}
-		return v
-	}
-	for _, row := range res.Rows {
-		// On a clean link every delta is acked exactly once, but the
-		// async sender coalesces consecutive deltas into batched link
-		// messages, so messages shipped can be fewer than deltas acked.
-		// Sync mode never batches: there the counts match exactly.
-		shipped, acked := parse(row[5]), parse(row[6])
-		if shipped <= 0 || shipped > acked {
-			t.Fatalf("%s/%s: shipped %v acked %v, want 0 < shipped <= acked after flush on a clean link",
-				row[0], row[1], shipped, acked)
-		}
-		if row[0] == "sync" && shipped != acked {
-			t.Fatalf("sync/%s: shipped %v acked %v, want equal (no batching in sync mode)",
-				row[1], shipped, acked)
-		}
-		if snaps := parse(row[9]); snaps != 0 {
-			t.Fatalf("%s/%s: %v snapshots on a clean link, want 0", row[0], row[1], snaps)
-		}
-		if row[0] == "sync" {
-			if lag := parse(row[8]); lag != 0 {
-				t.Fatalf("sync/%s: max lag %v, want 0 (client acks wait for follower acks)", row[1], lag)
-			}
-		}
-	}
-	// Rows 0-1 async, 2-3 sync at the same windows: shipping off the
-	// critical path must not be slower than holding client acks.
-	if a, s := parse(res.Rows[0][2]), parse(res.Rows[2][2]); a < s {
-		t.Fatalf("async throughput %.1f below sync %.1f", a, s)
 	}
 }

@@ -173,7 +173,7 @@ func TestHistogramRecordDoesNotAllocate(t *testing.T) {
 	}
 }
 
-// A stats struct carrying snapshots is marshalled whole by msnap-trace:
+// A stats struct carrying snapshots is marshalled whole into /varz:
 // the JSON must stay a handful of fields, not the bucket array.
 func TestHistSnapshotJSONCompact(t *testing.T) {
 	var h Histogram

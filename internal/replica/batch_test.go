@@ -7,12 +7,10 @@ package replica
 // deterministically — the exact code path the async goroutine runs.
 
 import (
-	"fmt"
 	"testing"
 	"time"
 
 	"memsnap/internal/core"
-	"memsnap/internal/shard"
 )
 
 const batchRegionBytes = 1 << 18
@@ -235,47 +233,32 @@ func TestApplyBatchMalformed(t *testing.T) {
 // shut down.
 func TestAsyncBatchingEndToEnd(t *testing.T) {
 	pages0, slices0 := core.CapturePoolStats()
-	const shards = 2
-	sysA, err := core.NewSystem(core.Options{CPUs: shards, DiskBytesEach: 512 << 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fol := batchFollower(t, shards)
-	link := NewLink(LinkConfig{})
-	ship := NewShipper(link, fol, shards, Config{}) // Async, batching on by default
-	svc, err := shard.New(sysA, shard.Config{Shards: shards, RegionBytes: batchRegionBytes, Replicator: ship})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ship.Attach(svc)
-
-	for i := 0; i < 80; i++ {
-		if err := svc.Put("t", fmt.Sprintf("k%03d", i), uint64(i+1)); err != nil {
-			t.Fatalf("put %d: %v", i, err)
-		}
-	}
+	svc, ship, fol := cleanPair(t, 2, Async) // batching on by default
+	putKeys(t, svc, 80)
 	ship.Flush()
+	checkConverged(t, svc, fol)
 
-	pd, err := svc.ShardDigests()
-	if err != nil {
-		t.Fatal(err)
-	}
-	fd := fol.Digests()
-	for i := range pd {
-		if pd[i] != fd[i] {
-			t.Errorf("shard %d: primary digest %#x != follower digest %#x", i, pd[i], fd[i])
-		}
-	}
-
-	var acked, applied int64
+	// A coalesced run is one link message however many deltas it
+	// carries, so messages shipped never exceed deltas acked.
+	var shipped, acked, applied int64
 	for _, st := range ship.Stats() {
+		shipped += st.Shipped
 		acked += st.Acked
+		if st.Snapshots != 0 {
+			t.Errorf("shard %d: %d snapshots on a clean link", st.Shard, st.Snapshots)
+		}
 	}
 	for _, fs := range fol.Stats() {
 		applied += fs.Applied
+		if fs.Snapshots != 0 {
+			t.Errorf("follower shard %d: %d snapshots on a clean link", fs.Shard, fs.Snapshots)
+		}
 	}
 	if acked == 0 || acked != applied {
 		t.Errorf("acked=%d applied=%d, want equal and nonzero", acked, applied)
+	}
+	if shipped <= 0 || shipped > acked {
+		t.Errorf("shipped %d link messages for %d acked deltas, want 0 < shipped <= acked", shipped, acked)
 	}
 
 	if err := svc.Close(); err != nil {

@@ -40,6 +40,9 @@ func (l *Link) Restore(at time.Duration) {
 	}
 }
 
+// Flush blocks until every enqueued async delta has been processed.
+func (s *Shipper) Flush() { s.jobs.Wait() }
+
 func sysOpts(shards int) core.Options {
 	return core.Options{CPUs: shards, DiskBytesEach: 512 << 20}
 }
@@ -77,34 +80,51 @@ func checkConverged(t *testing.T, svc *shard.Service, fol *Follower) {
 	}
 }
 
-// TestSyncReplicationBasic: in synchronous mode every acknowledged
-// write is durable on both replicas, and the follower region is
-// byte-identical to the primary's after each ack.
-func TestSyncReplicationBasic(t *testing.T) {
-	const shards = 4
-	sysA, sysB := newSys(t, shards), newSys(t, shards)
-	link := NewLink(LinkConfig{})
-	fol, err := NewFollower(sysB, FollowerConfig{Shards: shards, RegionBytes: regionBytes})
+// cleanPair builds a primary service of shards shards replicating in
+// mode over a clean link to a follower on its own machine.
+func cleanPair(t *testing.T, shards int, mode Mode) (*shard.Service, *Shipper, *Follower) {
+	t.Helper()
+	fol, err := NewFollower(newSys(t, shards), FollowerConfig{Shards: shards, RegionBytes: regionBytes})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ship := NewShipper(link, fol, shards, Config{Mode: Sync})
-	svc, err := shard.New(sysA, shard.Config{Shards: shards, RegionBytes: regionBytes, Replicator: ship})
+	ship := NewShipper(NewLink(LinkConfig{}), fol, shards, Config{Mode: mode})
+	svc, err := shard.New(newSys(t, shards), shard.Config{Shards: shards, RegionBytes: regionBytes, Replicator: ship})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ship.Attach(svc)
-	defer ship.Close()
-	defer svc.Close()
+	return svc, ship, fol
+}
 
+// putKeys puts n keys with values 1..n and returns their sum.
+func putKeys(t *testing.T, svc *shard.Service, n int) uint64 {
+	t.Helper()
 	var total uint64
-	for i := 0; i < 40; i++ {
+	for i := 0; i < n; i++ {
 		v := uint64(i + 1)
 		if err := svc.Put("t", fmt.Sprintf("k%03d", i), v); err != nil {
-			t.Fatal(err)
+			t.Fatalf("put %d: %v", i, err)
 		}
 		total += v
 	}
+	return total
+}
+
+// TestSyncReplicationBasic: in synchronous mode every acknowledged
+// write is durable on both replicas, and the follower region is
+// byte-identical to the primary's after each ack. Each delta is one
+// link message acked before its writers are, so the follower never
+// trails, and the primary takes longer in virtual time than it does
+// replicating the same writes asynchronously.
+func TestSyncReplicationBasic(t *testing.T) {
+	const shards, puts = 4, 40
+	svc, ship, fol := cleanPair(t, shards, Sync)
+	defer ship.Close()
+	defer svc.Close()
+
+	total := putKeys(t, svc, puts)
+	sync := svc.TotalStats().Elapsed // before the probes below add to it
 	checkConverged(t, svc, fol)
 
 	var folSum uint64
@@ -125,14 +145,33 @@ func TestSyncReplicationBasic(t *testing.T) {
 		t.Fatal("follower applied nothing")
 	}
 	var shipped int64
-	for _, st := range ship.Stats() {
+	for i, st := range ship.Stats() {
 		shipped += st.Shipped
-		if st.LostDeltas != 0 || st.LostAcks != 0 {
-			t.Errorf("shard %d: %d deltas and %d acks lost on a clean link", st.Shard, st.LostDeltas, st.LostAcks)
+		if st.LostDeltas != 0 || st.LostAcks != 0 || st.Snapshots != 0 {
+			t.Errorf("shard %d: %d deltas and %d acks lost, %d snapshots on a clean link", st.Shard, st.LostDeltas, st.LostAcks, st.Snapshots)
+		}
+		if st.Shipped != st.Acked {
+			t.Errorf("shard %d: shipped %d acked %d, want equal (sync never batches)", st.Shard, st.Shipped, st.Acked)
+		}
+		meta, err := svc.ShardMeta(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if meta.Seq != st.LastAckedSeq {
+			t.Errorf("shard %d: commit seq %d, follower acked %d, want no lag", i, meta.Seq, st.LastAckedSeq)
 		}
 	}
 	if shipped == 0 {
 		t.Error("shipper sent nothing")
+	}
+
+	asvc, aship, _ := cleanPair(t, shards, Async)
+	putKeys(t, asvc, puts)
+	async := asvc.TotalStats().Elapsed
+	asvc.Close()
+	aship.Close()
+	if async >= sync {
+		t.Errorf("async primary took %v of virtual time, sync %v; want async sooner (no follower round trip per commit)", async, sync)
 	}
 }
 

@@ -657,9 +657,6 @@ func (s *Shipper) Reconcile(at time.Duration) error {
 	return nil
 }
 
-// Flush blocks until every enqueued async delta has been processed.
-func (s *Shipper) Flush() { s.jobs.Wait() }
-
 // Stats snapshots every shard's pipeline counters.
 func (s *Shipper) Stats() []ShardRepStats {
 	out := make([]ShardRepStats, len(s.shards))

@@ -662,12 +662,16 @@ func (s *Service) Put(tenant, key string, value uint64) error {
 }
 
 // Get reads tenant/key.
+//
+//lint:allow unreachable blocking-caller API (README "Serving layer")
 func (s *Service) Get(tenant, key string) (uint64, bool, error) {
 	r := s.Do(Op{Kind: OpGet, Tenant: tenant, Key: key})
 	return r.Value, r.Found, r.Err
 }
 
 // Add durably increments tenant/key by delta, returning the new value.
+//
+//lint:allow unreachable blocking-caller API (README "Serving layer")
 func (s *Service) Add(tenant, key string, delta uint64) (uint64, error) {
 	r := s.Do(Op{Kind: OpAdd, Tenant: tenant, Key: key, Value: delta})
 	return r.Value, r.Err

@@ -130,44 +130,60 @@ func TestKeyValidation(t *testing.T) {
 	}
 }
 
-// TestGroupCommitCoalescing pipelines async writes into one shard and
-// checks they group into fewer commits than writes.
+// TestGroupCommitCoalescing queues writes into one shard before its
+// worker starts, so the worker drains them in batches of exactly
+// BatchSize, and checks what the batch cap buys: at batch 1 every write
+// is its own commit, above it writes share commits, and batch 64 beats
+// batch 1 on throughput over the shard's virtual clock.
 func TestGroupCommitCoalescing(t *testing.T) {
-	sys := newSystem(t, 1)
-	svc, err := New(sys, Config{Shards: 1, BatchSize: 16, QueueDepth: 256})
-	if err != nil {
-		t.Fatal(err)
-	}
 	const writes = 200
-	resps := make(chan Response, writes)
-	for i := 0; i < writes; i++ {
-		if err := svc.DoTagged(Op{Kind: OpPut, Tenant: "t", Key: fmt.Sprintf("k%04d", i), Value: 1}, 0, resps); err != nil {
+	var kops1 float64
+	for _, batch := range []int{1, 16, 64} {
+		sys := newSystem(t, 1)
+		svc, err := open(sys, Config{Shards: 1, BatchSize: batch, QueueDepth: 256})
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	for i := 0; i < writes; i++ {
-		if r := <-resps; r.Err != nil {
-			t.Fatal(r.Err)
+		resps := make(chan Response, writes)
+		for i := 0; i < writes; i++ {
+			if err := svc.DoTagged(Op{Kind: OpPut, Tenant: "t", Key: fmt.Sprintf("k%04d", i), Value: 1}, 0, resps); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-	st := svc.TotalStats()
-	if st.Writes != writes {
-		t.Fatalf("writes = %d; want %d", st.Writes, writes)
-	}
-	if st.Commits >= writes {
-		t.Fatalf("commits = %d; want group commits (< %d writes)", st.Commits, writes)
-	}
-	if st.BatchOccupancy <= 1 {
-		t.Fatalf("batch occupancy = %.2f; want > 1", st.BatchOccupancy)
-	}
-	if h := st.CommitHist; h.Count != st.Commits || h.P99() == 0 || h.P50() > h.P99() {
-		t.Fatalf("bad commit latency histogram: count %d of %d commits, p50 %v, p99 %v", h.Count, st.Commits, h.P50(), h.P99())
-	}
-	if err := svc.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := svc.Put("t", "late", 1); err != ErrClosed {
-		t.Fatalf("post-close error = %v; want ErrClosed", err)
+		svc.start()
+		for i := 0; i < writes; i++ {
+			if r := <-resps; r.Err != nil {
+				t.Fatal(r.Err)
+			}
+		}
+		st := svc.TotalStats()
+		if st.Writes != writes {
+			t.Fatalf("batch %d: writes = %d; want %d", batch, st.Writes, writes)
+		}
+		// Batch 1: 200 commits at occupancy exactly 1; 16: 13 at 15.38;
+		// 64: 4 at 50.
+		commits := int64((writes + batch - 1) / batch)
+		if st.Commits != commits || st.BatchOccupancy != float64(writes)/float64(commits) {
+			t.Fatalf("batch %d: %d commits, occupancy %.2f; want %d and %.2f", batch, st.Commits, st.BatchOccupancy, commits, float64(writes)/float64(commits))
+		}
+		if h := st.CommitHist; h.Count != st.Commits || h.P99() == 0 || h.P50() > h.P99() {
+			t.Fatalf("batch %d: bad commit latency histogram: count %d of %d commits, p50 %v, p99 %v", batch, h.Count, st.Commits, h.P50(), h.P99())
+		}
+		kops := float64(st.Writes) / st.Elapsed.Seconds() / 1000
+		switch batch {
+		case 1:
+			kops1 = kops
+		case 64:
+			if kops <= kops1 {
+				t.Fatalf("batch 64: %.1f Kops/s of virtual time, not above batch 1's %.1f", kops, kops1)
+			}
+		}
+		if err := svc.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if err := svc.Put("t", "late", 1); err != ErrClosed {
+			t.Fatalf("post-close error = %v; want ErrClosed", err)
+		}
 	}
 }
 

@@ -3,8 +3,8 @@
 # (a pooled buffer that is never released, or released twice, an
 # allocation on a hot path, with a sink file that makes it escape, a
 # broken object-store recovery rule, a breach of a design rule that
-# internal/lint checks or once checked, or a recorded counter or
-# accessor bug). For
+# internal/lint checks or once checked, a recorded counter or accessor
+# bug, or a broken group-commit, replication or trace-wiring fact). For
 # each patch the driver checks the tree out into a scratch git worktree,
 # applies the patch and runs every test the patch's header names; each
 # of them must fail. A patch that no longer applies, a mutant that does
